@@ -379,6 +379,10 @@ fn effects_fields(effects: &Effects) -> Vec<(&'static str, Value)> {
 
 // -- backends ---------------------------------------------------------------
 
+/// `(now, machines, records, metrics)`: what a `snapshot` response is built
+/// from.
+type SnapshotParts = (Time, u32, Vec<JobRecord>, SimMetrics);
+
 /// The service face the protocol loop drives: implemented by the sequential
 /// [`ScheduleService`] (stdin / `--script` sessions own their service) and
 /// by [`ServiceClient`] (socket sessions share one [`ConcurrentService`]).
@@ -434,8 +438,9 @@ trait Backend {
     fn drain(&mut self) -> Result<(Time, Effects), ServiceError>;
     fn stats(&mut self) -> ServiceStats;
     fn policy(&self) -> ReferencePolicy;
-    /// `(now, machines, records, metrics)` for the snapshot response.
-    fn snapshot_parts(&mut self) -> (Time, u32, Vec<JobRecord>, SimMetrics);
+    /// All four parts from one point of the session. Only the concurrent
+    /// backend can fail (its writer may be gone).
+    fn snapshot_parts(&mut self) -> Result<SnapshotParts, ServiceError>;
 }
 
 impl<C: CapacityQuery + Speculate> Backend for ScheduleService<C> {
@@ -529,9 +534,9 @@ impl<C: CapacityQuery + Speculate> Backend for ScheduleService<C> {
         ScheduleService::policy(self)
     }
 
-    fn snapshot_parts(&mut self) -> (Time, u32, Vec<JobRecord>, SimMetrics) {
+    fn snapshot_parts(&mut self) -> Result<SnapshotParts, ServiceError> {
         let (records, metrics) = ScheduleService::snapshot(self);
-        (self.now(), self.machines(), records, metrics)
+        Ok((self.now(), self.machines(), records, metrics))
     }
 }
 
@@ -619,11 +624,11 @@ impl Backend for ServiceClient {
         self.snapshot().policy
     }
 
-    fn snapshot_parts(&mut self) -> (Time, u32, Vec<JobRecord>, SimMetrics) {
-        // One coherent snapshot for every field of the response.
-        let snap = self.snapshot();
-        let (records, metrics) = snap.records();
-        (snap.stats.now, snap.stats.machines, records, metrics)
+    fn snapshot_parts(&mut self) -> Result<SnapshotParts, ServiceError> {
+        // One round trip through the writer: every field of the response
+        // comes from the same point of the serial order.
+        let at = self.records()?;
+        Ok((at.now, at.machines, at.records, at.metrics))
     }
 }
 
@@ -714,9 +719,9 @@ impl<C: CapacityQuery + Speculate> Backend for JournaledService<C> {
         JournaledService::policy(self)
     }
 
-    fn snapshot_parts(&mut self) -> (Time, u32, Vec<JobRecord>, SimMetrics) {
+    fn snapshot_parts(&mut self) -> Result<SnapshotParts, ServiceError> {
         let (records, metrics) = JournaledService::snapshot(self);
-        (self.now(), self.service().machines(), records, metrics)
+        Ok((self.now(), self.service().machines(), records, metrics))
     }
 }
 
@@ -880,7 +885,7 @@ impl<C: CapacityQuery + Speculate> Backend for RetiringService<C> {
         Backend::policy(&self.svc)
     }
 
-    fn snapshot_parts(&mut self) -> (Time, u32, Vec<JobRecord>, SimMetrics) {
+    fn snapshot_parts(&mut self) -> Result<SnapshotParts, ServiceError> {
         Backend::snapshot_parts(&mut self.svc)
     }
 }
@@ -1048,26 +1053,29 @@ fn handle<B: Backend>(svc: &mut B, line: &str) -> (String, bool) {
                 ],
             )
         }
-        Request::Snapshot { since } => {
-            let (now, machines, mut records, metrics) = svc.snapshot_parts();
-            // `since` paginates the record list by job id (strictly greater,
-            // so a poller passes the largest id it has seen). The metrics
-            // still describe the whole run. Absent `since`, the response is
-            // byte-identical to the pre-pagination protocol.
-            if let Some(since) = since {
-                records.retain(|r| r.job.0 as u64 > since);
+        Request::Snapshot { since } => match svc.snapshot_parts() {
+            Ok((now, machines, mut records, metrics)) => {
+                // `since` paginates the record list by job id (strictly
+                // greater, so a poller passes the largest id it has seen).
+                // The metrics still describe the whole run. Absent `since`,
+                // the response is byte-identical to the pre-pagination
+                // protocol.
+                if let Some(since) = since {
+                    records.retain(|r| r.job.0 as u64 > since);
+                }
+                ok_response(
+                    "snapshot",
+                    vec![
+                        ("now", Value::UInt(now.ticks())),
+                        ("machines", Value::UInt(machines as u64)),
+                        ("policy", Value::Str(svc.policy().name().to_string())),
+                        ("schedule", records.to_value()),
+                        ("metrics", metrics.to_value()),
+                    ],
+                )
             }
-            ok_response(
-                "snapshot",
-                vec![
-                    ("now", Value::UInt(now.ticks())),
-                    ("machines", Value::UInt(machines as u64)),
-                    ("policy", Value::Str(svc.policy().name().to_string())),
-                    ("schedule", records.to_value()),
-                    ("metrics", metrics.to_value()),
-                ],
-            )
-        }
+            Err(e) => error_response(Some("snapshot"), &e.to_string()),
+        },
         Request::Shutdown => return (ok_response("shutdown", Vec::new()), true),
     };
     (response, false)
@@ -1924,4 +1932,31 @@ where
     // dies with the process, like the sequential transports.
     drop(service);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A session that outlives the writer (another session's `shutdown`
+    /// raced its request) gets a structured error for `snapshot`, the one
+    /// read that needs the writer — never a panic or a hang.
+    #[test]
+    fn snapshot_after_the_writer_stopped_is_a_structured_error() {
+        let front = ConcurrentService::new(ScheduleService::new(
+            ReferencePolicy::Easy,
+            AvailabilityTimeline::constant(4),
+        ));
+        let mut client = front.client();
+        handle(&mut client, r#"{"op":"submit","width":2,"duration":3}"#);
+        let (line, _) = handle(&mut client, r#"{"op":"snapshot"}"#);
+        assert!(line.starts_with(r#"{"ok":true,"op":"snapshot","now":0,"#));
+        front.shutdown();
+        let (line, done) = handle(&mut client, r#"{"op":"snapshot","since":0}"#);
+        assert_eq!(
+            line,
+            r#"{"ok":false,"op":"snapshot","error":"service writer has shut down"}"#
+        );
+        assert!(!done);
+    }
 }

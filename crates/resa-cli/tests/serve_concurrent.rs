@@ -104,6 +104,93 @@ fn tcp_sessions_run_concurrently_against_shared_state() {
     assert!(status.success());
 }
 
+/// Ends the server when a test unwinds before its protocol `shutdown`, so a
+/// failed assertion cannot leave a process holding the harness's pipes.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `snapshot` over the concurrent transport is served by the writer, out of
+/// the published-snapshot path: two sessions write in a known serial order
+/// (each waits for its reply before the other sends, advancing past the
+/// 64-completion cadence at which the service drops availability history),
+/// then `snapshot` with and without `since`, from either session, returns
+/// exactly the bytes the sequential transport returns for that order.
+#[cfg(unix)]
+#[test]
+fn snapshot_over_sockets_matches_the_sequential_transport() {
+    use std::os::unix::net::UnixStream;
+    let sock = std::env::temp_dir().join(format!("resa-serve-snap-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let mut child = KillOnDrop(spawn_serve(&[
+        "--machines",
+        "8",
+        "--unix",
+        sock.to_str().unwrap(),
+    ]));
+    let mut sessions: Vec<_> = (0..2)
+        .map(|_| {
+            let s = (0..100)
+                .find_map(|_| {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    UnixStream::connect(&sock).ok()
+                })
+                .expect("service came up within 2s");
+            (s.try_clone().unwrap(), BufReader::new(s))
+        })
+        .collect();
+
+    // 80 jobs per session, alternating; time moves one tick per pair and
+    // the load stays under the cluster's capacity, so nearly every job has
+    // completed by the end.
+    let mut script = String::new();
+    for i in 0..160u64 {
+        let (w, r) = &mut sessions[(i % 2) as usize];
+        let submit = format!(
+            "{{\"op\":\"submit\",\"width\":{},\"duration\":{}}}",
+            1 + i % 2,
+            1 + i % 3
+        );
+        assert!(ask(w, r, &submit).contains("\"ok\":true"));
+        script += &submit;
+        script.push('\n');
+        if i % 2 == 1 {
+            let advance = format!("{{\"op\":\"advance\",\"to\":{}}}", i / 2 + 1);
+            assert!(ask(w, r, &advance).contains("\"ok\":true"));
+            script += &advance;
+            script.push('\n');
+        }
+    }
+    let probes = [
+        "{\"op\":\"snapshot\"}",
+        "{\"op\":\"snapshot\",\"since\":120}",
+    ];
+    script += &probes.join("\n");
+    let expected = resa_cli::serve::run_script(
+        &script,
+        8,
+        resa_sim::reference::ReferencePolicy::Easy,
+        resa_cli::replay::Substrate::Timeline,
+    );
+    let expected: Vec<&str> = expected.lines().rev().take(2).collect();
+    for (w, r) in &mut sessions {
+        assert_eq!(ask(w, r, probes[0]).trim_end(), expected[1]);
+        assert_eq!(ask(w, r, probes[1]).trim_end(), expected[0]);
+    }
+    assert!(expected[1].contains("{\"job\":120,"));
+    assert!(expected[0].contains("{\"job\":121,") && !expected[0].contains("{\"job\":120,"));
+
+    let (w, r) = &mut sessions[0];
+    assert!(ask(w, r, "{\"op\":\"shutdown\"}").contains("\"op\":\"shutdown\""));
+    assert!(child.0.wait().unwrap().success());
+    let _ = std::fs::remove_file(&sock);
+}
+
 /// `--token` gates every socket session: unauthenticated ops are rejected
 /// with a structured error and the connection closes; a wrong token is
 /// rejected; the right token opens a normal session.

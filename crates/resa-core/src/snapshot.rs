@@ -14,14 +14,18 @@
 //! A snapshot is the *normalized* step function of the substrate at freeze
 //! time — exactly what [`AvailabilityTimeline::to_profile`] already
 //! computes: the flat SoA lanes of the PR 6 layout make materializing every
-//! leaf capacity a bounded memcpy-class sweep (`O(B)` over a `B` that the
-//! batch compaction keeps bounded), after which the snapshot is plain
-//! immutable data. Freezing deliberately produces an independent copy
-//! rather than a persistent shared structure: `B` is small (hundreds, not
-//! millions — compaction guarantees it), so a copy is cheaper than the
-//! pointer-chasing a chunk-sharing variant would reintroduce on every read
-//! descent, and immutability by construction means readers need no
-//! synchronization at all once they hold the snapshot.
+//! leaf capacity a memcpy-class sweep (`O(B)`), after which the snapshot is
+//! plain immutable data. Freezing deliberately produces an independent copy
+//! rather than a persistent shared structure: `B` is small — the resident
+//! service calls [`CapacityQuery::retire_before`] as its clock advances, so
+//! the substrate it freezes holds the breakpoints of running jobs and of
+//! windows reaching past `now` (plus at most 64 completions' worth not yet
+//! dropped), however long the session has run; compaction alone only
+//! removes the splits speculation leaves behind, not history. A copy of
+//! that is cheaper than the pointer-chasing a chunk-sharing variant would
+//! reintroduce on every read descent, and immutability by construction
+//! means readers need no synchronization at all once they hold the
+//! snapshot.
 //!
 //! Every snapshot carries the **generation** the writer stamped it with — a
 //! monotone counter incremented per published batch — so readers can reason
@@ -135,10 +139,10 @@ pub trait Snapshotable: CapacityQuery + Speculate {
 }
 
 impl Snapshotable for AvailabilityTimeline {
-    /// One bounded sweep over the flat lanes (`to_profile`): materialize
-    /// every leaf capacity, normalize, done — the compaction trigger keeps
-    /// `B` bounded under probe-heavy workloads, so this stays cheap for
-    /// the lifetime of the service.
+    /// One sweep over the flat lanes (`to_profile`): materialize every leaf
+    /// capacity, normalize, done. The compaction trigger bounds the splits
+    /// probe-heavy workloads leave behind and the caller's `retire_before`
+    /// bounds history, so this stays cheap for the lifetime of the service.
     fn freeze(&self, generation: u64) -> TimelineSnapshot {
         TimelineSnapshot::new(generation, self.to_profile())
     }

@@ -8,15 +8,22 @@
 //!   (`submit` / `reserve` / `cancel` / `advance` / `drain`) funnel through
 //!   an [`mpsc`] channel; the writer dequeues them in **batches** (up to
 //!   [`BATCH_MAX`]), applies them in arrival order, and then *publishes* an
-//!   immutable [`ServiceSnapshot`] — stats, the frozen
-//!   [`TimelineSnapshot`] of the availability function, and the schedule so
-//!   far — by swapping an `Arc` behind an [`RwLock`] (held only for the
-//!   duration of a pointer swap or clone, never across any computation).
-//! * **Readers never queue behind writes.** `query` / `stats` / the full
-//!   snapshot run on the calling thread against the latest published
-//!   `Arc<ServiceSnapshot>`; the only shared access is cloning the `Arc`
-//!   out of the slot. Read throughput scales with cores — pinned by the
-//!   concurrent-clients benchmark in `resa-bench`.
+//!   immutable [`ServiceSnapshot`] — the counters and the frozen
+//!   [`TimelineSnapshot`] of the availability function from `now` on — by
+//!   swapping an `Arc` behind an [`RwLock`] (held only for the duration of
+//!   a pointer swap or clone, never across any computation).
+//! * **Readers never queue behind writes.** `query` / `stats` run on the
+//!   calling thread against the latest published `Arc<ServiceSnapshot>`;
+//!   the only shared access is cloning the `Arc` out of the slot. Read
+//!   throughput scales with cores — pinned by the concurrent-clients
+//!   benchmark in `resa-bench`.
+//! * **A published snapshot holds live state only.** Its size follows the
+//!   running jobs and the windows reaching past `now`, never the session's
+//!   length: the service drops availability behind the clock, and the job
+//!   catalog and schedule — which do grow with the session — are not
+//!   published at all. The one reader of those, [`ServiceClient::records`],
+//!   asks the writer for a copy through the same queue as the writes, so
+//!   only that (rare) request pays for the history it reads.
 //!
 //! # Consistency model
 //!
@@ -29,7 +36,9 @@
 //! transcripts rely on this). Reads may lag concurrent *other-session*
 //! writes by at most one batch; every answer is stamped with the
 //! [`ServiceSnapshot::generation`] it was computed from, so staleness is
-//! observable, never silent.
+//! observable, never silent. [`ServiceClient::records`] is answered in
+//! queue order — everything dequeued ahead of it is applied first — so it
+//! is a point of the serial order and covers the caller's own writes too.
 //!
 //! # Serial equivalence
 //!
@@ -44,9 +53,10 @@ use crate::journal::OpJournal;
 use crate::metrics::SimMetrics;
 use crate::reference::ReferencePolicy;
 use crate::service::{
-    AdmissionPolicy, DeadlineOutcome, Effects, ScheduleService, ServiceError, ServiceStats,
+    records_of, AdmissionPolicy, DeadlineOutcome, Effects, ScheduleService, ServiceError,
+    ServiceStats,
 };
-use crate::trace::{JobRecord, RunTrace};
+use crate::trace::JobRecord;
 use resa_core::capacity::Speculate;
 use resa_core::prelude::*;
 use resa_core::snapshot::Snapshotable;
@@ -56,9 +66,11 @@ use std::sync::{mpsc, Arc, RwLock};
 use std::thread::JoinHandle;
 
 /// Most ops the writer applies between two snapshot publications. A larger
-/// batch amortizes the `O(jobs + B)` publication cost under write bursts; a
-/// smaller one tightens reader staleness. 64 keeps worst-case staleness at
-/// one sub-millisecond batch while collapsing publication cost under load.
+/// batch amortizes the publication cost — one freeze of the live
+/// availability function, `O(B)` over breakpoints from `now` on — under
+/// write bursts; a smaller one tightens reader staleness. 64 keeps
+/// worst-case staleness at one sub-millisecond batch while collapsing
+/// publication cost under load.
 pub const BATCH_MAX: usize = 64;
 
 /// One mutating request, as carried through the writer channel and recorded
@@ -221,8 +233,10 @@ pub struct WriteReply {
     pub generation: u64,
 }
 
-/// An immutable view of the whole service, published by the writer at every
-/// batch boundary and read lock-free by any number of threads.
+/// An immutable view of the service's live state, published by the writer at
+/// every batch boundary and read lock-free by any number of threads. What
+/// grows with the session (job catalog, schedule) is deliberately absent —
+/// see [`ServiceClient::records`].
 #[derive(Debug, Clone)]
 pub struct ServiceSnapshot {
     /// Monotone publication counter; generation 0 is the pre-write state.
@@ -233,11 +247,30 @@ pub struct ServiceSnapshot {
     pub stats: ServiceStats,
     /// The frozen availability function, stamped with the same generation.
     pub timeline: TimelineSnapshot,
-    /// The session so far as an off-line instance (jobs + effective
-    /// overlay), for record/metric computation on the reader's thread.
-    pub instance: ResaInstance,
-    /// Every placement decided so far, in decision order.
-    pub schedule: Schedule,
+}
+
+/// Per-job lifecycle records plus run metrics of a session, with the clock
+/// and cluster size of the same point of the serial order — what
+/// [`ServiceClient::records`] answers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SessionRecords {
+    /// Virtual time at that point.
+    pub now: Time,
+    /// Cluster size.
+    pub machines: u32,
+    /// One record per started job — the shape
+    /// [`ScheduleService::snapshot`] returns.
+    pub records: Vec<JobRecord>,
+    /// Run metrics of the schedule so far.
+    pub metrics: SimMetrics,
+}
+
+/// The writer's answer to a records request: copies of what the records are
+/// computed from, taken between two ops.
+struct SessionCopy {
+    now: Time,
+    instance: ResaInstance,
+    schedule: Schedule,
 }
 
 impl ServiceSnapshot {
@@ -250,8 +283,6 @@ impl ServiceSnapshot {
             policy: svc.policy(),
             stats: svc.stats(),
             timeline: svc.freeze_timeline(generation),
-            instance: svc.to_instance(),
-            schedule: svc.schedule().clone(),
         }
     }
 
@@ -277,15 +308,6 @@ impl ServiceSnapshot {
         let from = not_before.unwrap_or(self.stats.now).max(self.stats.now);
         Ok(self.timeline.earliest_fit(width, duration, from))
     }
-
-    /// Per-job lifecycle records plus run metrics — the shapes
-    /// [`ScheduleService::snapshot`] returns, computed on the caller's
-    /// thread from the frozen instance and schedule.
-    pub fn records(&self) -> (Vec<JobRecord>, SimMetrics) {
-        let trace = RunTrace::from_schedule(&self.instance, &self.schedule);
-        let metrics = SimMetrics::from_schedule(&self.instance, &self.schedule);
-        (trace.records().to_vec(), metrics)
-    }
 }
 
 enum Request {
@@ -293,6 +315,11 @@ enum Request {
         session: u64,
         op: WriteOp,
         reply: Sender<WriteReply>,
+    },
+    /// Copy the session out at this point of the queue. A read: neither
+    /// journaled nor recorded in the serial log.
+    Records {
+        reply: Sender<SessionCopy>,
     },
     Stop,
 }
@@ -605,10 +632,26 @@ impl ServiceClient {
         self.snapshot().stats.clone()
     }
 
-    /// [`ScheduleService::snapshot`] (records + metrics) as of the latest
-    /// snapshot, computed on this thread.
-    pub fn records(&self) -> (Vec<JobRecord>, SimMetrics) {
-        self.snapshot().records()
+    /// [`ScheduleService::snapshot`] (records + metrics), with the clock
+    /// and cluster size of the same instant. Unlike the other reads this is
+    /// a round trip through the writer, which copies the job catalog,
+    /// overlay and schedule out between two ops — in queue order, so every
+    /// write this client has a reply for is covered. Records and metrics
+    /// are then computed on this thread. Fails with
+    /// [`ServiceError::ServiceStopped`] once the writer is gone.
+    pub fn records(&self) -> Result<SessionRecords, ServiceError> {
+        let (reply_tx, reply_rx) = mpsc::channel();
+        self.tx
+            .send(Request::Records { reply: reply_tx })
+            .map_err(|_| ServiceError::ServiceStopped)?;
+        let copy = reply_rx.recv().map_err(|_| ServiceError::ServiceStopped)?;
+        let (records, metrics) = records_of(&copy.instance, &copy.schedule);
+        Ok(SessionRecords {
+            now: copy.now,
+            machines: copy.instance.machines(),
+            records,
+            metrics,
+        })
     }
 }
 
@@ -701,15 +744,20 @@ where
     'serve: loop {
         batch.clear();
         let mut stopping = false;
+        // A records request closes the batch it was dequeued behind: the
+        // ops ahead of it are applied, then it is answered.
+        let mut records: Option<Sender<SessionCopy>> = None;
         match rx.recv() {
             Ok(Request::Op { session, op, reply }) => batch.push((session, op, reply)),
+            Ok(Request::Records { reply }) => records = Some(reply),
             Ok(Request::Stop) => stopping = true,
             // Every handle dropped without an explicit stop: we are done.
             Err(_) => break 'serve,
         }
-        while !stopping && batch.len() < BATCH_MAX {
+        while !stopping && records.is_none() && batch.len() < BATCH_MAX {
             match rx.try_recv() {
                 Ok(Request::Op { session, op, reply }) => batch.push((session, op, reply)),
+                Ok(Request::Records { reply }) => records = Some(reply),
                 Ok(Request::Stop) => stopping = true,
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
             }
@@ -763,9 +811,17 @@ where
                 });
             }
         }
+        if let Some(reply) = records {
+            let _ = reply.send(SessionCopy {
+                now: svc.now(),
+                instance: svc.to_instance(),
+                schedule: svc.schedule().clone(),
+            });
+        }
         if stopping {
-            // Answer everything still queued so no client blocks forever,
-            // then exit; later sends fail at the (closed) channel.
+            // Answer everything still queued so no client blocks forever
+            // (a queued records request is answered by dropping its reply
+            // channel), then exit; later sends fail at the (closed) channel.
             while let Ok(req) = rx.try_recv() {
                 if let Request::Op { reply, .. } = req {
                     let _ = reply.send(WriteReply {
@@ -820,7 +876,9 @@ mod tests {
         let sfx = seq.drain();
         assert_eq!(&dfx, sfx);
         assert_eq!(client.stats(), seq.stats());
-        assert_eq!(client.records(), seq.snapshot());
+        let at = client.records().unwrap();
+        assert_eq!((at.now, at.machines), (seq.now(), seq.machines()));
+        assert_eq!((at.records, at.metrics), seq.snapshot());
 
         let (fin, log) = svc.shutdown();
         assert_eq!(fin.schedule(), seq.schedule());
@@ -882,6 +940,8 @@ mod tests {
         );
         assert_eq!(client.stats().submitted, 1);
         assert!(client.query(1, Dur(1), None).is_ok());
+        // `records` needs the writer: a structured error, not a hang.
+        assert_eq!(client.records(), Err(ServiceError::ServiceStopped));
     }
 
     #[test]

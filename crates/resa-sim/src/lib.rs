@@ -53,7 +53,8 @@ pub mod trace;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::concurrent::{
-        Applied, AppliedOp, ConcurrentService, ServiceClient, ServiceSnapshot, WriteOp, WriteReply,
+        Applied, AppliedOp, ConcurrentService, ServiceClient, ServiceSnapshot, SessionRecords,
+        WriteOp, WriteReply,
     };
     pub use crate::engine::{SimResult, Simulator};
     pub use crate::journal::{

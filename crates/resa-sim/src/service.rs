@@ -34,13 +34,26 @@
 //! substrates. This is the strongest cheap correctness oracle a resident
 //! scheduler can have: every latent state bug shows up as a divergence from
 //! the batch engine.
+//!
+//! # Cost follows the live state
+//!
+//! Every decision looks at `[now, ∞)` only, so what a request costs depends
+//! on the running and waiting jobs and on the windows reaching past `now`,
+//! not on how long the session has run: the substrate forgets availability
+//! behind the clock (`CapacityQuery::retire_before`, every 64 drained
+//! completions — unobservable, see `tests/retirement.rs`), and overlay
+//! changes sweep an index of live windows rather than every window ever
+//! accepted. The job catalog, the schedule and the reservation/drain lists
+//! do keep the whole session — ids stay dense and `snapshot`/`state` report
+//! all of it — but only those two reads and an `inject` that actually
+//! preempts (it re-derives the makespan) walk them.
 
 use crate::metrics::{MetricsAccumulator, SimMetrics};
 use crate::policy::{
     DecisionScratch, EasyPolicy, FcfsPolicy, GreedyPolicy, OnlinePolicy, WaitingJobs,
 };
 use crate::reference::ReferencePolicy;
-use crate::stream::RecordSink;
+use crate::stream::{RecordSink, RETIRE_EVERY};
 use crate::trace::{JobRecord, RunTrace};
 use resa_core::capacity::Speculate;
 use resa_core::prelude::*;
@@ -379,6 +392,19 @@ pub struct ServiceState {
     pub queue: Vec<usize>,
 }
 
+/// Per-job lifecycle records plus run metrics of `schedule` on `instance` —
+/// what [`ScheduleService::snapshot`] reports for a session nothing was
+/// retired from, and what the concurrent front computes on the reader's
+/// thread from a copy of the two.
+pub(crate) fn records_of(
+    instance: &ResaInstance,
+    schedule: &Schedule,
+) -> (Vec<JobRecord>, SimMetrics) {
+    let trace = RunTrace::from_schedule(instance, schedule);
+    let metrics = SimMetrics::from_schedule(instance, schedule);
+    (trace.records().to_vec(), metrics)
+}
+
 /// The resident scheduling service: a live availability substrate plus the
 /// incremental decision loop of the batch engine.
 ///
@@ -413,6 +439,24 @@ pub struct ScheduleService<C: CapacityQuery + Speculate> {
     reservations: Vec<ServiceReservation>,
     /// Failure/maintenance drains, in injection order (id == index).
     drains: Vec<ServiceDrain>,
+    /// Ids of the reservations whose effective window may still reach past
+    /// `now` — the only ones that can contribute a future breakpoint.
+    /// Appended on accept, pruned by `refresh_breakpoints` as the clock (or
+    /// a cancellation) passes them, so an overlay change costs O(live
+    /// windows) however long the session has run.
+    live_reservations: Vec<usize>,
+    /// The same index over `drains`.
+    live_drains: Vec<usize>,
+    /// `(start, end, width)` of the deadline-committed placements that may
+    /// still reach past `now`, recorded at commit time (committed jobs are
+    /// never preempted, so a window never changes) and pruned like the
+    /// indices above.
+    committed_windows: Vec<(Time, Time, u32)>,
+    /// Accepted, not cancelled reservations: `stats().reservations`.
+    active_reservations: usize,
+    /// Completions drained since the substrate last forgot its past (see
+    /// [`RETIRE_EVERY`]).
+    completions_since_retire: usize,
     /// Per-job scenario flags, parallel to `jobs`.
     flags: Vec<JobFlags>,
     /// `Some(completion)` while the job occupies the substrate (committed or
@@ -480,6 +524,11 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             breakpoints: BinaryHeap::new(),
             reservations: Vec::new(),
             drains: Vec::new(),
+            live_reservations: Vec::new(),
+            live_drains: Vec::new(),
+            committed_windows: Vec::new(),
+            active_reservations: 0,
+            completions_since_retire: 0,
             flags: Vec::new(),
             completion_of: Vec::new(),
             running_count: 0,
@@ -538,6 +587,8 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             .reserve(jobs.saturating_sub(self.preempted_buf.len()));
         self.reservations
             .reserve(reservations.saturating_sub(self.reservations.len()));
+        self.live_reservations
+            .reserve(reservations.saturating_sub(self.live_reservations.len()));
         self.breakpoints
             .reserve((2 * reservations).saturating_sub(self.breakpoints.len()));
         self.bp_events.reserve(2 * reservations);
@@ -667,6 +718,14 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         svc.flags = state.flags.clone();
         svc.reservations = state.reservations.clone();
         svc.drains = state.drains.clone();
+        // Every id is a candidate; the first refresh prunes the dead ones.
+        svc.live_reservations = (0..state.reservations.len()).collect();
+        svc.live_drains = (0..state.drains.len()).collect();
+        svc.active_reservations = state
+            .reservations
+            .iter()
+            .filter(|r| !r.cancelled && r.end > r.start)
+            .count();
         svc.completion_of = vec![None; state.jobs.len()];
         svc.retired_placement = vec![false; state.jobs.len()];
         // Future suffixes of the effective reservation and drain windows.
@@ -708,6 +767,9 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
                 svc.running.push(Reverse((completion, p.job.0)));
                 svc.completion_of[p.job.0] = Some(completion);
                 svc.running_count += 1;
+                if state.flags[p.job.0].guaranteed {
+                    svc.committed_windows.push((p.start, completion, job.width));
+                }
             } else {
                 svc.completed_count += 1;
             }
@@ -814,13 +876,16 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
                 reason: e.to_string(),
             })?;
         let id = self.reservations.len();
+        let end = start.saturating_add(duration);
         self.reservations.push(ServiceReservation {
             id,
             width,
             start,
-            end: start.saturating_add(duration),
+            end,
             cancelled: false,
         });
+        self.live_reservations.push(id);
+        self.active_reservations += usize::from(end > start);
         self.refresh_breakpoints();
         let mut effects = std::mem::take(&mut self.fx_buf);
         effects.clear();
@@ -857,6 +922,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         let entry = &mut self.reservations[id];
         entry.cancelled = true;
         entry.end = from;
+        self.active_reservations -= usize::from(r.end > r.start);
         self.refresh_breakpoints();
         let mut effects = std::mem::take(&mut self.fx_buf);
         effects.clear();
@@ -915,20 +981,27 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             // window. `(pos, width, run start, completion)`, killed in
             // most-recently-started-first order so long-running work is
             // disturbed last.
+            //
+            // The running heap holds every occupying job, so the search is
+            // O(running). Entries that disagree with the completion table
+            // are ghosts of earlier preemptions; a checkpointed victim
+            // restarted at the instant it was killed completes when its
+            // ghost would have and matches twice, hence the `dedup`.
             let mut victims: Vec<(usize, u32, Time, Time)> = Vec::new();
-            for p in self.schedule.placements() {
-                let pos = self.pos_of(p.job);
-                let Some(completion) = self.completion_of[pos] else {
-                    continue;
-                };
-                if self.flags[pos].guaranteed {
+            for &Reverse((completion, pos)) in &self.running {
+                if self.completion_of[pos] != Some(completion) || self.flags[pos].guaranteed {
                     continue;
                 }
-                if p.start < end && completion > start {
-                    victims.push((pos, self.jobs[pos].width, p.start, completion));
+                let job = self.jobs[pos];
+                // The substrate holds `[run start, completion)` for this
+                // job, a window of exactly its (current) duration.
+                let run_start = completion - job.duration;
+                if run_start < end && completion > start {
+                    victims.push((pos, job.width, run_start, completion));
                 }
             }
             victims.sort_unstable_by_key(|v| std::cmp::Reverse((v.2, v.0)));
+            victims.dedup();
             // Minimal victim prefix whose release makes the window fit,
             // found under speculation so a rejection leaves no trace.
             let now = self.now;
@@ -982,6 +1055,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             end,
             revoked: false,
         });
+        self.live_drains.push(id);
         self.refresh_breakpoints();
         let mut effects = std::mem::take(&mut self.fx_buf);
         effects.clear();
@@ -1088,6 +1162,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             self.running.push(Reverse((completion, pos)));
             self.running_count += 1;
             self.makespan = self.makespan.max(completion);
+            self.committed_windows.push((start, completion, width));
             self.refresh_breakpoints();
             let mut effects = std::mem::take(&mut self.fx_buf);
             effects.clear();
@@ -1241,11 +1316,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             waiting: self.waiting.len(),
             running: self.running_count,
             completed: self.completed_count,
-            reservations: self
-                .reservations
-                .iter()
-                .filter(|r| !r.cancelled && r.end > r.start)
-                .count(),
+            reservations: self.active_reservations,
             decisions: self.decisions,
             makespan: self.makespan,
         }
@@ -1256,10 +1327,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// scheduled completion time.
     pub fn snapshot(&self) -> (Vec<JobRecord>, SimMetrics) {
         if self.retired_records == 0 {
-            let instance = self.to_instance();
-            let trace = RunTrace::from_schedule(&instance, &self.schedule);
-            let metrics = SimMetrics::from_schedule(&instance, &self.schedule);
-            return (trace.records().to_vec(), metrics);
+            return records_of(&self.to_instance(), &self.schedule);
         }
         // Retired placements already left the schedule (and the process, via
         // the record sink): report the live ones in the same `(started, id)`
@@ -1546,6 +1614,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
                     self.completion_of[pos] = None;
                     self.running_count -= 1;
                     self.completed_count += 1;
+                    self.completions_since_retire += 1;
                     effects.completed.push((self.id_at(pos), t));
                     decide |= !self.flags[pos].guaranteed;
                 }
@@ -1574,6 +1643,16 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             }
         }
         self.now = to;
+        // Forget the availability function behind the clock, on the cadence
+        // `run_stream` uses: nothing reads it again (every substrate
+        // mutation starts at `max(now, ·)`, every probe clamps to `now`), and
+        // without this each finished run would leave its two breakpoints in
+        // the substrate for the life of the session. Always between
+        // requests, so no transaction mark is outstanding.
+        if self.completions_since_retire >= RETIRE_EVERY {
+            self.substrate.retire_before(self.now);
+            self.completions_since_retire = 0;
+        }
     }
 
     /// The earliest outstanding event instant, if any.
@@ -1664,30 +1743,38 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// reused `bp_events` scratch — an instant is a breakpoint iff the net
     /// capacity delta across all windows touching it is non-zero, which is
     /// precisely when the normalized profile has a step there.
+    ///
+    /// Only windows reaching past `now` are swept: one that ended at or
+    /// before `now` has both its events at or before `now`, where no
+    /// breakpoint is kept anyway. The live indices are pruned here, so the
+    /// sweep is O(live windows) whatever the session's length.
     fn refresh_breakpoints(&mut self) {
-        self.bp_events.clear();
-        for r in self.reservations.iter().filter(|r| r.end > r.start) {
-            self.bp_events.push((r.start.ticks(), -i64::from(r.width)));
-            self.bp_events.push((r.end.ticks(), i64::from(r.width)));
-        }
-        for d in self.drains.iter().filter(|d| d.end > d.start) {
-            self.bp_events.push((d.start.ticks(), -i64::from(d.width)));
-            self.bp_events.push((d.end.ticks(), i64::from(d.width)));
-        }
+        let now = self.now;
+        let events = &mut self.bp_events;
+        events.clear();
+        let mut window = |start: Time, end: Time, width: u32| {
+            let live = end > start && end > now;
+            if live {
+                events.push((start.ticks(), -i64::from(width)));
+                events.push((end.ticks(), i64::from(width)));
+            }
+            live
+        };
+        let reservations = &self.reservations;
+        self.live_reservations.retain(|&id| {
+            let r = &reservations[id];
+            window(r.start, r.end, r.width)
+        });
+        let drains = &self.drains;
+        self.live_drains.retain(|&id| {
+            let d = &drains[id];
+            window(d.start, d.end, d.width)
+        });
         // Committed (deadline-guaranteed) windows are overlay windows to the
         // off-line engine; they must normalize together with the rest so
         // both sides agree on which instants are decision points.
-        for p in self.schedule.placements() {
-            let pos = self.pos_of(p.job);
-            if !self.flags[pos].guaranteed {
-                continue;
-            }
-            let job = self.jobs[pos];
-            let end = p.start.saturating_add(job.duration);
-            self.bp_events
-                .push((p.start.ticks(), -i64::from(job.width)));
-            self.bp_events.push((end.ticks(), i64::from(job.width)));
-        }
+        self.committed_windows
+            .retain(|&(start, end, width)| window(start, end, width));
         self.bp_events.sort_unstable();
         self.breakpoints.clear();
         let mut i = 0;

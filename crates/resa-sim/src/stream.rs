@@ -131,6 +131,16 @@ pub struct StreamOutcome {
     pub peak_slots: usize,
 }
 
+/// Substrate garbage collection cadence, in drained completions: every
+/// placement adds breakpoints the substrate would otherwise keep forever, so
+/// the availability function before `now` is periodically forgotten
+/// (`CapacityQuery::retire_before` — queries never look behind the clock).
+/// The cadence amortizes the O(live breakpoints) compaction to O(1) per
+/// completion and caps the substrate at O(active jobs + RETIRE_EVERY)
+/// breakpoints. Shared by [`run_stream`] and the resident
+/// [`crate::service::ScheduleService`].
+pub(crate) const RETIRE_EVERY: usize = 64;
+
 /// Run a streaming simulation of `source` under `policy` on `substrate`.
 ///
 /// `substrate` must be freshly built from `overlay` (the reservations-only
@@ -178,13 +188,6 @@ where
     let mut submitted = 0usize;
     let mut completed = 0usize;
     let mut peak_active = 0usize;
-    // Substrate garbage collection: every placement adds breakpoints the
-    // substrate would otherwise keep forever, so the availability function
-    // before `now` is periodically forgotten (`CapacityQuery::retire_before`
-    // — queries never look behind the clock). The cadence amortizes the
-    // O(live breakpoints) compaction to O(1) per completion and caps the
-    // substrate at O(active jobs + RETIRE_EVERY) breakpoints.
-    const RETIRE_EVERY: usize = 64;
     let mut retired_at = 0usize;
 
     loop {

@@ -8,6 +8,10 @@
 //! checkable, so a future PR reintroducing a per-op `Vec`/`String`/clone on
 //! the hot path fails here instead of silently regressing throughput.
 //!
+//! The same allocator also pins what one snapshot *publication* of the
+//! concurrent front costs: bytes proportional to the live state, the same at
+//! op 1 000 and at op 20 000 of a session.
+//!
 //! The allocator wrapper lives in this integration test only — the library
 //! crates stay `#![forbid(unsafe_code)]`; an integration test is a separate
 //! crate, so the `unsafe` needed to implement [`GlobalAlloc`] is confined to
@@ -24,14 +28,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of heap acquisitions (`alloc` + `realloc`) since process start.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes those acquisitions asked for.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAllocator;
 
-// SAFETY: delegates verbatim to `System`; the counter is a relaxed atomic
-// increment with no other side effects.
+// SAFETY: delegates verbatim to `System`; the counters are relaxed atomic
+// increments with no other side effects.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -41,6 +48,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -116,6 +124,21 @@ fn steady_state_loops_do_not_allocate() {
     assert_eq!(stats.submitted, warmup + measured);
     assert!(stats.decisions > 0);
 
+    // -- publication half ---------------------------------------------------
+    // What the writer of the concurrent front allocates to publish one
+    // snapshot must follow the live state, not the session's length: the
+    // same session measured after 1 000 and after 20 000 requests.
+    let svc = ScheduleService::new(
+        ReferencePolicy::Easy,
+        AvailabilityTimeline::constant(MACHINES),
+    );
+    let (early, svc) = publication_bytes(svc, 0, 1_000 / ROUND_OPS);
+    let (late, _) = publication_bytes(svc, 1_000 / ROUND_OPS, 20_000 / ROUND_OPS);
+    assert!(
+        late.abs_diff(early) <= 16 * 1024,
+        "one publication allocated {early} B at op 1000 but {late} B at op 20000"
+    );
+
     // -- engine half --------------------------------------------------------
     // The batch event loop may allocate amortized container growth (event
     // queue doubling, the schedule's placement vector, the position map) but
@@ -128,6 +151,30 @@ fn steady_state_loops_do_not_allocate() {
         "engine allocations scale with the event count: {small} for 500 jobs \
          vs {large} for 1000 jobs"
     );
+}
+
+/// Run mix rounds `from..to` on `svc`, then hand it to a concurrent front
+/// and count the bytes allocated — by any thread — while one write that
+/// changes nothing (an advance to the current instant) round-trips: the
+/// reply channel plus one published snapshot.
+fn publication_bytes(
+    mut svc: ScheduleService<AvailabilityTimeline>,
+    from: usize,
+    to: usize,
+) -> (u64, ScheduleService<AvailabilityTimeline>) {
+    for i in from..to {
+        mix_round(&mut svc, i);
+    }
+    let now = svc.now();
+    let front = ConcurrentService::new(svc);
+    let client = front.client();
+    // Once unmeasured: channel blocks and thread-locals allocate lazily.
+    client.advance_clamped(now).expect("the writer is up");
+    let before = BYTES.load(Ordering::Relaxed);
+    client.advance_clamped(now).expect("the writer is up");
+    let after = BYTES.load(Ordering::Relaxed);
+    drop(client);
+    (after - before, front.shutdown().0)
 }
 
 /// Allocations performed by one `Simulator::run` over `n` jobs (instance
