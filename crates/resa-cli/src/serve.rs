@@ -8,33 +8,17 @@
 //! `--unix`, or against a checked-in script with `--script` (which is how
 //! the golden tests and the CI smoke drive it deterministically).
 //!
-//! One request per line, one JSON response per line:
+//! # One path
 //!
-//! ```text
-//! {"op":"submit","width":2,"duration":10}        job arrival (optional "release";
-//!                                                optional "deadline" + "admission"
-//!                                                for SLA-gated submission)
-//! {"op":"reserve","width":2,"duration":6,"start":4}
-//! {"op":"cancel","reservation":0}
-//! {"op":"query","width":4,"duration":5}          speculative earliest-fit probe
-//! {"op":"inject","width":4,"duration":6,"start":9}   mid-run failure/maintenance
-//! {"op":"revoke","drain":0}                      heal an injected drain early
-//! {"op":"submit_moldable","widths":[1,2,4],"area":12} scheduler picks the width
-//! {"op":"advance","to":20}                       move virtual time
-//! {"op":"drain"}                                 run until every job completed
-//! {"op":"stats"}                                 aggregate counters
-//! {"op":"snapshot"}                              current schedule + metrics
-//!                                                (optional "since" paginates
-//!                                                records by job id)
-//! {"op":"shutdown"}                              end the session
-//! ```
-//!
-//! Unknown operations, unknown/misspelled fields (with a did-you-mean
-//! suggestion), missing fields and infeasible requests are answered with
-//! `{"ok":false,…}` without disturbing the resident state — rejected
-//! reservation requests roll back transactionally through the substrate's
-//! checkpoint marks. Blank lines and `#` comments are ignored, so request
-//! scripts can be annotated.
+//! A request line is parsed into an [`Op`] ([`protocol`]), applied through
+//! the one-method [`Session`] trait, and its [`Reply`] rendered back. What
+//! a transport and its options choose is only *which* session that is: the
+//! sequential [`ScheduleService`] itself, wrapped by a [`JournaledService`]
+//! under `--journal` or by the `RetiringService` under `--retire`, or —
+//! on the socket transports — one [`ServiceClient`] per connection. All of
+//! them end in [`ScheduleService::apply`], the only place an op is mapped
+//! onto a service method. Blank lines and `#` comments are ignored, so
+//! request scripts can be annotated.
 //!
 //! # Concurrency
 //!
@@ -43,13 +27,13 @@
 //! resident state through [`ConcurrentService`]: mutating ops funnel into
 //! the single writer thread (which applies them in batches — the arrival
 //! order at the writer is the serial order of the service), while `query` /
-//! `stats` / `snapshot` are answered on the session's own thread from the
-//! latest published snapshot. Snapshots are republished *before* write
-//! replies are delivered, so every session reads its own writes — a
-//! single-client conversation is byte-identical to a sequential one, which
-//! is what keeps the golden transcripts substrate- and
-//! transport-independent. Stdin and `--script` sessions are single-client
-//! by construction and run the sequential service directly.
+//! `stats` are answered on the session's own thread from the latest
+//! published snapshot. Snapshots are republished *before* write replies
+//! are delivered, so every session reads its own writes — a single-client
+//! conversation is byte-identical to a sequential one, which is what keeps
+//! the golden transcripts substrate- and transport-independent. Stdin and
+//! `--script` sessions are single-client by construction and run the
+//! sequential service directly.
 //!
 //! Two socket-facing options ride along: `--token <secret>` demands a
 //! `{"op":"auth","token":…}` first request per connection (anything else is
@@ -58,14 +42,16 @@
 //! server start) before each request — `--script` rejects `--realtime`, so
 //! checked-in transcripts stay deterministic.
 
-use crate::fields::check_fields;
+pub mod protocol;
+
 use crate::opts::CommonOpts;
 use crate::replay::Substrate;
 use crate::{CliError, Outcome};
+use protocol::{check_auth, error_response, handle, to_line};
 use resa_core::capacity::Speculate;
 use resa_core::prelude::*;
 use resa_sim::prelude::*;
-use serde::{Deserialize, Serialize, Value};
+use serde::Serialize;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -149,582 +135,6 @@ plus the common options: --seed --threads --format --quick --out
 for CLI uniformity and do not affect the protocol)
 ";
 
-/// One parsed protocol request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Request {
-    Submit {
-        width: u32,
-        duration: u64,
-        release: Option<u64>,
-        deadline: Option<u64>,
-        admission: AdmissionPolicy,
-    },
-    Reserve {
-        width: u32,
-        duration: u64,
-        start: u64,
-    },
-    Cancel {
-        reservation: usize,
-    },
-    Inject {
-        width: u32,
-        duration: u64,
-        start: u64,
-    },
-    Revoke {
-        drain: usize,
-    },
-    SubmitMoldable {
-        widths: Vec<u32>,
-        area: u64,
-    },
-    Query {
-        width: u32,
-        duration: u64,
-        not_before: Option<u64>,
-    },
-    Advance {
-        to: u64,
-    },
-    Drain,
-    Stats,
-    Snapshot {
-        since: Option<u64>,
-    },
-    Shutdown,
-}
-
-/// Parse one request line. Errors are protocol-level strings (the session
-/// answers them with `{"ok":false,…}` and keeps serving).
-fn parse_request(line: &str) -> Result<Request, String> {
-    let value: Value = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
-    if value.as_object().is_none() {
-        return Err("request must be a JSON object".to_string());
-    }
-    let op: String = required(&value, "request", "op")?;
-    let ctx = format!("{op} request");
-    let strict = |allowed: &[&str]| -> Result<(), String> {
-        check_fields(&value, &ctx, allowed).map_err(|e| e.to_string())
-    };
-    match op.as_str() {
-        "submit" => {
-            strict(&[
-                "op",
-                "width",
-                "duration",
-                "release",
-                "deadline",
-                "admission",
-            ])?;
-            let deadline: Option<u64> = optional(&value, &ctx, "deadline")?;
-            let admission = match optional::<String>(&value, &ctx, "admission")? {
-                None => AdmissionPolicy::default(),
-                Some(_) if deadline.is_none() => {
-                    return Err(format!("field 'admission' in {ctx} requires 'deadline'"))
-                }
-                Some(text) => AdmissionPolicy::parse(&text)
-                    .ok_or_else(|| format!("unknown admission policy '{text}' (reject|boost)"))?,
-            };
-            Ok(Request::Submit {
-                width: required(&value, &ctx, "width")?,
-                duration: required(&value, &ctx, "duration")?,
-                release: optional(&value, &ctx, "release")?,
-                deadline,
-                admission,
-            })
-        }
-        "reserve" => {
-            strict(&["op", "width", "duration", "start"])?;
-            Ok(Request::Reserve {
-                width: required(&value, &ctx, "width")?,
-                duration: required(&value, &ctx, "duration")?,
-                start: required(&value, &ctx, "start")?,
-            })
-        }
-        "cancel" => {
-            strict(&["op", "reservation"])?;
-            Ok(Request::Cancel {
-                reservation: required(&value, &ctx, "reservation")?,
-            })
-        }
-        "query" => {
-            strict(&["op", "width", "duration", "not_before"])?;
-            Ok(Request::Query {
-                width: required(&value, &ctx, "width")?,
-                duration: required(&value, &ctx, "duration")?,
-                not_before: optional(&value, &ctx, "not_before")?,
-            })
-        }
-        "advance" => {
-            strict(&["op", "to"])?;
-            Ok(Request::Advance {
-                to: required(&value, &ctx, "to")?,
-            })
-        }
-        "inject" => {
-            strict(&["op", "width", "duration", "start"])?;
-            Ok(Request::Inject {
-                width: required(&value, &ctx, "width")?,
-                duration: required(&value, &ctx, "duration")?,
-                start: required(&value, &ctx, "start")?,
-            })
-        }
-        "revoke" => {
-            strict(&["op", "drain"])?;
-            Ok(Request::Revoke {
-                drain: required(&value, &ctx, "drain")?,
-            })
-        }
-        "submit_moldable" => {
-            strict(&["op", "widths", "area"])?;
-            Ok(Request::SubmitMoldable {
-                widths: required(&value, &ctx, "widths")?,
-                area: required(&value, &ctx, "area")?,
-            })
-        }
-        "drain" => strict(&["op"]).map(|()| Request::Drain),
-        "stats" => strict(&["op"]).map(|()| Request::Stats),
-        "snapshot" => {
-            strict(&["op", "since"])?;
-            Ok(Request::Snapshot {
-                since: optional(&value, &ctx, "since")?,
-            })
-        }
-        "shutdown" => strict(&["op"]).map(|()| Request::Shutdown),
-        other => Err(format!(
-            "unknown op '{other}' (submit|reserve|cancel|query|inject|revoke|submit_moldable|\
-             advance|drain|stats|snapshot|shutdown)"
-        )),
-    }
-}
-
-fn required<T: Deserialize>(value: &Value, ctx: &str, name: &str) -> Result<T, String> {
-    optional(value, ctx, name)?.ok_or_else(|| format!("missing required field '{name}' in {ctx}"))
-}
-
-fn optional<T: Deserialize>(value: &Value, ctx: &str, name: &str) -> Result<Option<T>, String> {
-    match value.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => T::from_value(v)
-            .map(Some)
-            .map_err(|e| format!("field '{name}' in {ctx}: {e}")),
-    }
-}
-
-// -- responses --------------------------------------------------------------
-
-fn object(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn render(value: &Value) -> String {
-    serde_json::to_string(value).expect("responses are serializable")
-}
-
-fn ok_response(op: &str, mut rest: Vec<(&str, Value)>) -> String {
-    let mut fields = vec![("ok", Value::Bool(true)), ("op", Value::Str(op.into()))];
-    fields.append(&mut rest);
-    render(&object(fields))
-}
-
-fn error_response(op: Option<&str>, message: &str) -> String {
-    let mut fields = vec![("ok", Value::Bool(false))];
-    if let Some(op) = op {
-        fields.push(("op", Value::Str(op.to_string())));
-    }
-    fields.push(("error", Value::Str(message.to_string())));
-    render(&object(fields))
-}
-
-fn placements_value(started: &[Placement]) -> Value {
-    Value::Array(
-        started
-            .iter()
-            .map(|p| {
-                object(vec![
-                    ("job", Value::UInt(p.job.0 as u64)),
-                    ("start", Value::UInt(p.start.ticks())),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn completions_value(completed: &[(JobId, Time)]) -> Value {
-    Value::Array(
-        completed
-            .iter()
-            .map(|&(id, at)| {
-                object(vec![
-                    ("job", Value::UInt(id.0 as u64)),
-                    ("at", Value::UInt(at.ticks())),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn effects_fields(effects: &Effects) -> Vec<(&'static str, Value)> {
-    vec![
-        ("started", placements_value(&effects.started)),
-        ("completed", completions_value(&effects.completed)),
-    ]
-}
-
-// -- backends ---------------------------------------------------------------
-
-/// `(now, machines, records, metrics)`: what a `snapshot` response is built
-/// from.
-type SnapshotParts = (Time, u32, Vec<JobRecord>, SimMetrics);
-
-/// The service face the protocol loop drives: implemented by the sequential
-/// [`ScheduleService`] (stdin / `--script` sessions own their service) and
-/// by [`ServiceClient`] (socket sessions share one [`ConcurrentService`]).
-/// Methods return owned values because the concurrent client cannot borrow
-/// from the writer thread's state — the sequential impl clones its reused
-/// effects buffer, a per-request cost the protocol already pays in response
-/// allocation.
-trait Backend {
-    fn submit(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-    ) -> Result<(JobId, Effects), ServiceError>;
-    fn reserve(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Effects), ServiceError>;
-    fn cancel(&mut self, id: usize) -> Result<Effects, ServiceError>;
-    /// Injects a drain window; returns its id and the jobs it preempted.
-    fn inject(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Vec<JobId>, Effects), ServiceError>;
-    fn revoke(&mut self, id: usize) -> Result<Effects, ServiceError>;
-    fn submit_deadline(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-        deadline: Time,
-        admission: AdmissionPolicy,
-    ) -> Result<(JobId, DeadlineOutcome, Effects), ServiceError>;
-    fn submit_moldable(
-        &mut self,
-        widths: &[u32],
-        area: u64,
-    ) -> Result<(JobId, WidthChoice, Effects), ServiceError>;
-    fn query(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        not_before: Option<Time>,
-    ) -> Result<Option<Time>, ServiceError>;
-    /// Returns the virtual time after advancing together with the effects.
-    fn advance(&mut self, to: Time) -> Result<(Time, Effects), ServiceError>;
-    /// Clock-driven advance: clamps a stale target instead of rejecting it.
-    fn advance_clamped(&mut self, to: Time) -> Result<(Time, Effects), ServiceError>;
-    fn drain(&mut self) -> Result<(Time, Effects), ServiceError>;
-    fn stats(&mut self) -> ServiceStats;
-    fn policy(&self) -> ReferencePolicy;
-    /// All four parts from one point of the session. Only the concurrent
-    /// backend can fail (its writer may be gone).
-    fn snapshot_parts(&mut self) -> Result<SnapshotParts, ServiceError>;
-}
-
-impl<C: CapacityQuery + Speculate> Backend for ScheduleService<C> {
-    fn submit(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-    ) -> Result<(JobId, Effects), ServiceError> {
-        ScheduleService::submit(self, width, duration, release).map(|(id, fx)| (id, fx.clone()))
-    }
-
-    fn reserve(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Effects), ServiceError> {
-        ScheduleService::reserve(self, width, duration, start).map(|(id, fx)| (id, fx.clone()))
-    }
-
-    fn cancel(&mut self, id: usize) -> Result<Effects, ServiceError> {
-        ScheduleService::cancel(self, id).cloned()
-    }
-
-    fn inject(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Vec<JobId>, Effects), ServiceError> {
-        let res =
-            ScheduleService::inject(self, width, duration, start).map(|(id, fx)| (id, fx.clone()));
-        res.map(|(id, fx)| (id, self.last_preempted().to_vec(), fx))
-    }
-
-    fn revoke(&mut self, id: usize) -> Result<Effects, ServiceError> {
-        ScheduleService::revoke(self, id).cloned()
-    }
-
-    fn submit_deadline(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-        deadline: Time,
-        admission: AdmissionPolicy,
-    ) -> Result<(JobId, DeadlineOutcome, Effects), ServiceError> {
-        ScheduleService::submit_deadline(self, width, duration, release, deadline, admission)
-            .map(|(id, outcome, fx)| (id, outcome, fx.clone()))
-    }
-
-    fn submit_moldable(
-        &mut self,
-        widths: &[u32],
-        area: u64,
-    ) -> Result<(JobId, WidthChoice, Effects), ServiceError> {
-        ScheduleService::submit_moldable(self, widths, area)
-            .map(|(id, choice, fx)| (id, choice, fx.clone()))
-    }
-
-    fn query(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        not_before: Option<Time>,
-    ) -> Result<Option<Time>, ServiceError> {
-        ScheduleService::query(self, width, duration, not_before)
-    }
-
-    fn advance(&mut self, to: Time) -> Result<(Time, Effects), ServiceError> {
-        let fx = ScheduleService::advance(self, to)?.clone();
-        Ok((self.now(), fx))
-    }
-
-    fn advance_clamped(&mut self, to: Time) -> Result<(Time, Effects), ServiceError> {
-        let fx = ScheduleService::advance_clamped(self, to).clone();
-        Ok((self.now(), fx))
-    }
-
-    fn drain(&mut self) -> Result<(Time, Effects), ServiceError> {
-        let fx = ScheduleService::drain(self).clone();
-        Ok((self.now(), fx))
-    }
-
-    fn stats(&mut self) -> ServiceStats {
-        ScheduleService::stats(self)
-    }
-
-    fn policy(&self) -> ReferencePolicy {
-        ScheduleService::policy(self)
-    }
-
-    fn snapshot_parts(&mut self) -> Result<SnapshotParts, ServiceError> {
-        let (records, metrics) = ScheduleService::snapshot(self);
-        Ok((self.now(), self.machines(), records, metrics))
-    }
-}
-
-impl Backend for ServiceClient {
-    fn submit(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-    ) -> Result<(JobId, Effects), ServiceError> {
-        ServiceClient::submit(self, width, duration, release)
-    }
-
-    fn reserve(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Effects), ServiceError> {
-        ServiceClient::reserve(self, width, duration, start)
-    }
-
-    fn cancel(&mut self, id: usize) -> Result<Effects, ServiceError> {
-        ServiceClient::cancel(self, id)
-    }
-
-    fn inject(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Vec<JobId>, Effects), ServiceError> {
-        ServiceClient::inject(self, width, duration, start)
-    }
-
-    fn revoke(&mut self, id: usize) -> Result<Effects, ServiceError> {
-        ServiceClient::revoke(self, id)
-    }
-
-    fn submit_deadline(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-        deadline: Time,
-        admission: AdmissionPolicy,
-    ) -> Result<(JobId, DeadlineOutcome, Effects), ServiceError> {
-        ServiceClient::submit_deadline(self, width, duration, release, deadline, admission)
-    }
-
-    fn submit_moldable(
-        &mut self,
-        widths: &[u32],
-        area: u64,
-    ) -> Result<(JobId, WidthChoice, Effects), ServiceError> {
-        ServiceClient::submit_moldable(self, widths.to_vec(), area)
-    }
-
-    fn query(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        not_before: Option<Time>,
-    ) -> Result<Option<Time>, ServiceError> {
-        ServiceClient::query(self, width, duration, not_before)
-    }
-
-    fn advance(&mut self, to: Time) -> Result<(Time, Effects), ServiceError> {
-        ServiceClient::advance(self, to)
-    }
-
-    fn advance_clamped(&mut self, to: Time) -> Result<(Time, Effects), ServiceError> {
-        ServiceClient::advance_clamped(self, to)
-    }
-
-    fn drain(&mut self) -> Result<(Time, Effects), ServiceError> {
-        ServiceClient::drain(self)
-    }
-
-    fn stats(&mut self) -> ServiceStats {
-        ServiceClient::stats(self)
-    }
-
-    fn policy(&self) -> ReferencePolicy {
-        self.snapshot().policy
-    }
-
-    fn snapshot_parts(&mut self) -> Result<SnapshotParts, ServiceError> {
-        // One round trip through the writer: every field of the response
-        // comes from the same point of the serial order.
-        let at = self.records()?;
-        Ok((at.now, at.machines, at.records, at.metrics))
-    }
-}
-
-/// Durable sequential sessions (`--journal` over stdio / `--script`): every
-/// mutating op is write-ahead journaled; an op whose record cannot be made
-/// durable is answered with a structured error and not applied.
-impl<C: CapacityQuery + Speculate> Backend for JournaledService<C> {
-    fn submit(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-    ) -> Result<(JobId, Effects), ServiceError> {
-        JournaledService::submit(self, width, duration, release)
-    }
-
-    fn reserve(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Effects), ServiceError> {
-        JournaledService::reserve(self, width, duration, start)
-    }
-
-    fn cancel(&mut self, id: usize) -> Result<Effects, ServiceError> {
-        JournaledService::cancel(self, id)
-    }
-
-    fn inject(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Vec<JobId>, Effects), ServiceError> {
-        JournaledService::inject(self, width, duration, start)
-    }
-
-    fn revoke(&mut self, id: usize) -> Result<Effects, ServiceError> {
-        JournaledService::revoke(self, id)
-    }
-
-    fn submit_deadline(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-        deadline: Time,
-        admission: AdmissionPolicy,
-    ) -> Result<(JobId, DeadlineOutcome, Effects), ServiceError> {
-        JournaledService::submit_deadline(self, width, duration, release, deadline, admission)
-    }
-
-    fn submit_moldable(
-        &mut self,
-        widths: &[u32],
-        area: u64,
-    ) -> Result<(JobId, WidthChoice, Effects), ServiceError> {
-        JournaledService::submit_moldable(self, widths, area)
-    }
-
-    fn query(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        not_before: Option<Time>,
-    ) -> Result<Option<Time>, ServiceError> {
-        JournaledService::query(self, width, duration, not_before)
-    }
-
-    fn advance(&mut self, to: Time) -> Result<(Time, Effects), ServiceError> {
-        JournaledService::advance(self, to)
-    }
-
-    fn advance_clamped(&mut self, to: Time) -> Result<(Time, Effects), ServiceError> {
-        JournaledService::advance_clamped(self, to)
-    }
-
-    fn drain(&mut self) -> Result<(Time, Effects), ServiceError> {
-        JournaledService::drain(self)
-    }
-
-    fn stats(&mut self) -> ServiceStats {
-        JournaledService::stats(self)
-    }
-
-    fn policy(&self) -> ReferencePolicy {
-        JournaledService::policy(self)
-    }
-
-    fn snapshot_parts(&mut self) -> Result<SnapshotParts, ServiceError> {
-        let (records, metrics) = JournaledService::snapshot(self);
-        Ok((self.now(), self.service().machines(), records, metrics))
-    }
-}
-
 /// Record sink of a `--retire` session: counts every retired record and,
 /// with `--records-out`, appends each as one JSON line. A write error is
 /// reported once on stderr and disables the writer — the session keeps
@@ -765,7 +175,7 @@ impl RecordSink for FileRecordSink {
     fn record(&mut self, rec: JobRecord) {
         self.written += 1;
         if let Some(w) = &mut self.out {
-            if let Err(e) = writeln!(w, "{}", render(&rec.to_value())) {
+            if let Err(e) = writeln!(w, "{}", to_line(&rec.to_value())) {
                 eprintln!(
                     "--records-out {}: {e}; further records are dropped",
                     self.path
@@ -787,298 +197,23 @@ struct RetiringService<C: CapacityQuery + Speculate> {
     sink: FileRecordSink,
 }
 
-impl<C: CapacityQuery + Speculate> RetiringService<C> {
-    fn retire(&mut self) {
-        if self.svc.retire_completed(&mut self.sink) > 0 {
+impl<C: CapacityQuery + Speculate> Session for RetiringService<C> {
+    fn apply(&mut self, op: &Op) -> WriteReply {
+        let reply = Session::apply(&mut self.svc, op);
+        // Completions only drain when an op moves the clock.
+        let clock = matches!(
+            op,
+            Op::Advance { .. } | Op::AdvanceClamped { .. } | Op::Drain
+        );
+        if clock && self.svc.retire_completed(&mut self.sink) > 0 {
             self.sink.flush();
         }
-    }
-}
-
-impl<C: CapacityQuery + Speculate> Backend for RetiringService<C> {
-    fn submit(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-    ) -> Result<(JobId, Effects), ServiceError> {
-        Backend::submit(&mut self.svc, width, duration, release)
-    }
-
-    fn reserve(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Effects), ServiceError> {
-        Backend::reserve(&mut self.svc, width, duration, start)
-    }
-
-    fn cancel(&mut self, id: usize) -> Result<Effects, ServiceError> {
-        Backend::cancel(&mut self.svc, id)
-    }
-
-    fn inject(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Vec<JobId>, Effects), ServiceError> {
-        Backend::inject(&mut self.svc, width, duration, start)
-    }
-
-    fn revoke(&mut self, id: usize) -> Result<Effects, ServiceError> {
-        Backend::revoke(&mut self.svc, id)
-    }
-
-    fn submit_deadline(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-        deadline: Time,
-        admission: AdmissionPolicy,
-    ) -> Result<(JobId, DeadlineOutcome, Effects), ServiceError> {
-        Backend::submit_deadline(&mut self.svc, width, duration, release, deadline, admission)
-    }
-
-    fn submit_moldable(
-        &mut self,
-        widths: &[u32],
-        area: u64,
-    ) -> Result<(JobId, WidthChoice, Effects), ServiceError> {
-        Backend::submit_moldable(&mut self.svc, widths, area)
-    }
-
-    fn query(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        not_before: Option<Time>,
-    ) -> Result<Option<Time>, ServiceError> {
-        Backend::query(&mut self.svc, width, duration, not_before)
-    }
-
-    fn advance(&mut self, to: Time) -> Result<(Time, Effects), ServiceError> {
-        let res = Backend::advance(&mut self.svc, to);
-        self.retire();
-        res
-    }
-
-    fn advance_clamped(&mut self, to: Time) -> Result<(Time, Effects), ServiceError> {
-        let res = Backend::advance_clamped(&mut self.svc, to);
-        self.retire();
-        res
-    }
-
-    fn drain(&mut self) -> Result<(Time, Effects), ServiceError> {
-        let res = Backend::drain(&mut self.svc);
-        self.retire();
-        res
-    }
-
-    fn stats(&mut self) -> ServiceStats {
-        Backend::stats(&mut self.svc)
+        reply
     }
 
     fn policy(&self) -> ReferencePolicy {
-        Backend::policy(&self.svc)
+        self.svc.policy()
     }
-
-    fn snapshot_parts(&mut self) -> Result<SnapshotParts, ServiceError> {
-        Backend::snapshot_parts(&mut self.svc)
-    }
-}
-
-/// Execute one request against the resident service, producing the response
-/// line (without trailing newline) and whether the session should end.
-fn handle<B: Backend>(svc: &mut B, line: &str) -> (String, bool) {
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err(e) => return (error_response(None, &e), false),
-    };
-    let response = match request {
-        Request::Submit {
-            width,
-            duration,
-            release,
-            deadline: None,
-            admission: _,
-        } => match svc.submit(width, Dur(duration), release.map(Time)) {
-            Ok((id, fx)) => {
-                let mut fields = vec![("job", Value::UInt(id.0 as u64))];
-                fields.extend(effects_fields(&fx));
-                ok_response("submit", fields)
-            }
-            Err(e) => error_response(Some("submit"), &e.to_string()),
-        },
-        Request::Submit {
-            width,
-            duration,
-            release,
-            deadline: Some(deadline),
-            admission,
-        } => match svc.submit_deadline(
-            width,
-            Dur(duration),
-            release.map(Time),
-            Time(deadline),
-            admission,
-        ) {
-            Ok((id, outcome, fx)) => {
-                let mut fields = vec![("job", Value::UInt(id.0 as u64))];
-                match outcome {
-                    DeadlineOutcome::Committed { start, completion } => {
-                        fields.push(("outcome", Value::Str("committed".into())));
-                        fields.push(("start", Value::UInt(start.ticks())));
-                        fields.push(("completion", Value::UInt(completion.ticks())));
-                    }
-                    DeadlineOutcome::Boosted => {
-                        fields.push(("outcome", Value::Str("boosted".into())));
-                    }
-                }
-                fields.extend(effects_fields(&fx));
-                ok_response("submit", fields)
-            }
-            Err(e) => error_response(Some("submit"), &e.to_string()),
-        },
-        Request::Reserve {
-            width,
-            duration,
-            start,
-        } => match svc.reserve(width, Dur(duration), Time(start)) {
-            Ok((id, fx)) => {
-                let mut fields = vec![("reservation", Value::UInt(id as u64))];
-                fields.extend(effects_fields(&fx));
-                ok_response("reserve", fields)
-            }
-            Err(e) => error_response(Some("reserve"), &e.to_string()),
-        },
-        Request::Cancel { reservation } => match svc.cancel(reservation) {
-            Ok(fx) => {
-                let mut fields = vec![("reservation", Value::UInt(reservation as u64))];
-                fields.extend(effects_fields(&fx));
-                ok_response("cancel", fields)
-            }
-            Err(e) => error_response(Some("cancel"), &e.to_string()),
-        },
-        Request::Inject {
-            width,
-            duration,
-            start,
-        } => match svc.inject(width, Dur(duration), Time(start)) {
-            Ok((id, preempted, fx)) => {
-                let mut fields = vec![
-                    ("drain", Value::UInt(id as u64)),
-                    (
-                        "preempted",
-                        Value::Array(preempted.iter().map(|j| Value::UInt(j.0 as u64)).collect()),
-                    ),
-                ];
-                fields.extend(effects_fields(&fx));
-                ok_response("inject", fields)
-            }
-            Err(e) => error_response(Some("inject"), &e.to_string()),
-        },
-        Request::Revoke { drain } => match svc.revoke(drain) {
-            Ok(fx) => {
-                let mut fields = vec![("drain", Value::UInt(drain as u64))];
-                fields.extend(effects_fields(&fx));
-                ok_response("revoke", fields)
-            }
-            Err(e) => error_response(Some("revoke"), &e.to_string()),
-        },
-        Request::SubmitMoldable { widths, area } => match svc.submit_moldable(&widths, area) {
-            Ok((id, choice, fx)) => {
-                let mut fields = vec![
-                    ("job", Value::UInt(id.0 as u64)),
-                    ("width", Value::UInt(choice.width as u64)),
-                    ("duration", Value::UInt(choice.duration.0)),
-                ];
-                fields.extend(effects_fields(&fx));
-                ok_response("submit_moldable", fields)
-            }
-            Err(e) => error_response(Some("submit_moldable"), &e.to_string()),
-        },
-        Request::Query {
-            width,
-            duration,
-            not_before,
-        } => match svc.query(width, Dur(duration), not_before.map(Time)) {
-            Ok(Some(start)) => ok_response(
-                "query",
-                vec![
-                    ("start", Value::UInt(start.ticks())),
-                    (
-                        "completion",
-                        Value::UInt(start.saturating_add(Dur(duration)).ticks()),
-                    ),
-                ],
-            ),
-            Ok(None) => ok_response("query", vec![("start", Value::Null)]),
-            Err(e) => error_response(Some("query"), &e.to_string()),
-        },
-        Request::Advance { to } => match svc.advance(Time(to)) {
-            Ok((now, fx)) => {
-                let mut fields = vec![("now", Value::UInt(now.ticks()))];
-                fields.extend(effects_fields(&fx));
-                ok_response("advance", fields)
-            }
-            Err(e) => error_response(Some("advance"), &e.to_string()),
-        },
-        Request::Drain => match svc.drain() {
-            Ok((now, fx)) => {
-                let mut fields = vec![("now", Value::UInt(now.ticks()))];
-                fields.extend(effects_fields(&fx));
-                ok_response("drain", fields)
-            }
-            Err(e) => error_response(Some("drain"), &e.to_string()),
-        },
-        Request::Stats => {
-            let s = svc.stats();
-            ok_response(
-                "stats",
-                vec![
-                    ("now", Value::UInt(s.now.ticks())),
-                    ("machines", Value::UInt(s.machines as u64)),
-                    ("policy", Value::Str(svc.policy().name().to_string())),
-                    ("submitted", Value::UInt(s.submitted as u64)),
-                    ("pending", Value::UInt(s.pending as u64)),
-                    ("waiting", Value::UInt(s.waiting as u64)),
-                    ("running", Value::UInt(s.running as u64)),
-                    ("completed", Value::UInt(s.completed as u64)),
-                    ("reservations", Value::UInt(s.reservations as u64)),
-                    ("decisions", Value::UInt(s.decisions)),
-                    ("makespan", Value::UInt(s.makespan.ticks())),
-                ],
-            )
-        }
-        Request::Snapshot { since } => match svc.snapshot_parts() {
-            Ok((now, machines, mut records, metrics)) => {
-                // `since` paginates the record list by job id (strictly
-                // greater, so a poller passes the largest id it has seen).
-                // The metrics still describe the whole run. Absent `since`,
-                // the response is byte-identical to the pre-pagination
-                // protocol.
-                if let Some(since) = since {
-                    records.retain(|r| r.job.0 as u64 > since);
-                }
-                ok_response(
-                    "snapshot",
-                    vec![
-                        ("now", Value::UInt(now.ticks())),
-                        ("machines", Value::UInt(machines as u64)),
-                        ("policy", Value::Str(svc.policy().name().to_string())),
-                        ("schedule", records.to_value()),
-                        ("metrics", metrics.to_value()),
-                    ],
-                )
-            }
-            Err(e) => error_response(Some("snapshot"), &e.to_string()),
-        },
-        Request::Shutdown => return (ok_response("shutdown", Vec::new()), true),
-    };
-    (response, false)
 }
 
 // -- sessions ---------------------------------------------------------------
@@ -1093,30 +228,6 @@ struct SessionCfg {
     /// When set, virtual time is advanced (clamped) to the elapsed wall
     /// clock in milliseconds since this instant before each request.
     realtime: Option<std::time::Instant>,
-}
-
-/// Validate the first request of a token-guarded session. Returns the
-/// response line and whether the session may proceed.
-fn check_auth(expected: &str, line: &str) -> (String, bool) {
-    let auth = (|| -> Result<String, String> {
-        let value: Value = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
-        if value.as_object().is_none() {
-            return Err("request must be a JSON object".to_string());
-        }
-        let op: String = required(&value, "request", "op")?;
-        if op != "auth" {
-            return Err(format!(
-                "authentication required: the first request must be an auth op, got '{op}'"
-            ));
-        }
-        check_fields(&value, "auth request", &["op", "token"]).map_err(|e| e.to_string())?;
-        required(&value, "auth request", "token")
-    })();
-    match auth {
-        Ok(token) if token == expected => (ok_response("auth", Vec::new()), true),
-        Ok(_) => (error_response(Some("auth"), "invalid token"), false),
-        Err(e) => (error_response(Some("auth"), &e), false),
-    }
 }
 
 /// Longest accepted request line, in bytes (including the newline). A peer
@@ -1205,8 +316,8 @@ fn send_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
 /// Oversized (> [`MAX_LINE_BYTES`]) and non-UTF-8 lines are answered with a
 /// structured error and the session keeps serving; an expired socket read
 /// timeout is answered with a structured close line and ends the session.
-fn serve_session<B: Backend>(
-    svc: &mut B,
+fn serve_session<S: Session + ?Sized>(
+    svc: &mut S,
     cfg: &SessionCfg,
     mut reader: impl BufRead,
     mut writer: impl Write,
@@ -1266,7 +377,7 @@ fn serve_session<B: Backend>(
             // and completions the tick triggers surface through later
             // `stats` / `snapshot` responses, not through this request's.
             let ms = u64::try_from(base.elapsed().as_millis()).unwrap_or(u64::MAX);
-            let _ = svc.advance_clamped(Time(ms));
+            let _ = svc.apply(&Op::AdvanceClamped { to: Time(ms) });
         }
         let (response, done) = handle(svc, trimmed);
         send_line(&mut writer, &response)?;
@@ -1279,78 +390,117 @@ fn serve_session<B: Backend>(
 /// Drive a whole request script in-process and return the transcript. This
 /// is the deterministic face the golden tests and the CI smoke use: always
 /// the sequential service, never realtime, never token-guarded.
+// Kept with this signature for `benchmark/layers`.
 pub fn run_script(
     script: &str,
     machines: u32,
     policy: ReferencePolicy,
     substrate: Substrate,
 ) -> String {
-    run_script_with_mode(script, machines, policy, substrate, DrainMode::Restart)
+    let plan = Plan {
+        machines,
+        policy,
+        drain_mode: DrainMode::default(),
+        journal: None,
+        retire: false,
+        records_out: None,
+        cfg: SessionCfg::default(),
+        idle: None,
+    };
+    plan.serve(substrate, Io::Script(script))
+        .expect("a plain script session touches no file")
 }
 
-/// [`run_script`] with an explicit drain preemption mode (`--drain-mode`).
-pub fn run_script_with_mode(
-    script: &str,
+/// Everything `resa serve` was asked for except where the bytes come from.
+struct Plan {
     machines: u32,
     policy: ReferencePolicy,
-    substrate: Substrate,
-    mode: DrainMode,
-) -> String {
-    let mut out = Vec::new();
-    let cfg = SessionCfg::default();
-    match substrate {
-        Substrate::Timeline => {
-            let mut svc = ScheduleService::new(policy, AvailabilityTimeline::constant(machines));
-            svc.set_drain_mode(mode);
-            serve_session(&mut svc, &cfg, script.as_bytes(), &mut out).expect("in-memory I/O");
-        }
-        Substrate::Profile => {
-            let mut svc = ScheduleService::new(policy, ResourceProfile::constant(machines));
-            svc.set_drain_mode(mode);
-            serve_session(&mut svc, &cfg, script.as_bytes(), &mut out).expect("in-memory I/O");
-        }
-    }
-    String::from_utf8(out).expect("responses are UTF-8")
+    drain_mode: DrainMode,
+    /// `--journal <file>` with its `--fsync` / `--snapshot-every`.
+    journal: Option<(String, JournalCfg)>,
+    retire: bool,
+    records_out: Option<String>,
+    cfg: SessionCfg,
+    idle: Option<Duration>,
 }
 
-/// [`run_script`], but with `--retire`: completed jobs are retired out of
-/// the resident state after every time-advancing request, optionally
-/// streamed to a `--records-out` file as JSON lines.
-fn run_script_retiring(
-    script: &str,
-    machines: u32,
-    policy: ReferencePolicy,
-    substrate: Substrate,
-    mode: DrainMode,
-    records_out: Option<&str>,
-) -> Result<String, CliError> {
-    let cfg = SessionCfg::default();
-    let mut out = Vec::new();
-    let sink = FileRecordSink::new(records_out)?;
-    match substrate {
-        Substrate::Timeline => {
-            let mut svc = ScheduleService::new(policy, AvailabilityTimeline::constant(machines));
-            svc.set_drain_mode(mode);
-            let mut retiring = RetiringService { svc, sink };
-            serve_session(&mut retiring, &cfg, script.as_bytes(), &mut out).expect("in-memory I/O");
-            retiring.sink.flush();
-        }
-        Substrate::Profile => {
-            let mut svc = ScheduleService::new(policy, ResourceProfile::constant(machines));
-            svc.set_drain_mode(mode);
-            let mut retiring = RetiringService { svc, sink };
-            serve_session(&mut retiring, &cfg, script.as_bytes(), &mut out).expect("in-memory I/O");
-            retiring.sink.flush();
-        }
-    }
-    Ok(String::from_utf8(out).expect("responses are UTF-8"))
+/// Where a session's bytes come from, once files are read and sockets bound.
+enum Io<'a> {
+    Stdio,
+    Script(&'a str),
+    Listener(AnyListener),
 }
 
-/// Journal configuration as parsed from the CLI.
-struct JournalOpts {
-    path: String,
-    fsync: FsyncPolicy,
-    snapshot_every: u64,
+impl Plan {
+    /// Serve on the chosen substrate; returns the transcript of a script
+    /// session (empty for the other transports).
+    fn serve(self, substrate: Substrate, io: Io<'_>) -> Result<String, CliError> {
+        let m = self.machines;
+        match substrate {
+            Substrate::Timeline => self.serve_on(AvailabilityTimeline::constant(m), io),
+            Substrate::Profile => self.serve_on(ResourceProfile::constant(m), io),
+        }
+    }
+
+    /// Build the resident service on `substrate` — recovered from the
+    /// journal when one is given — pick the [`Session`] the options ask
+    /// for, and run the transport against it.
+    fn serve_on<C>(self, substrate: C, io: Io<'_>) -> Result<String, CliError>
+    where
+        C: Snapshotable + Send + 'static,
+    {
+        let (svc, journal) = match &self.journal {
+            Some((path, cfg)) => {
+                let (journal, recovered) = open_journal(path, *cfg, self.machines, self.policy)?;
+                let svc =
+                    recovered.restore_service_with_mode(self.policy, substrate, self.drain_mode);
+                (svc, Some(journal))
+            }
+            None => {
+                let mut svc = ScheduleService::new(self.policy, substrate);
+                svc.set_drain_mode(self.drain_mode);
+                (svc, None)
+            }
+        };
+        // The session the options ask for, on the sequential transports.
+        let sequential = |svc, journal| -> Result<Box<dyn Session>, CliError> {
+            Ok(match journal {
+                Some(journal) => Box::new(JournaledService::new(svc, journal)),
+                None if self.retire => Box::new(RetiringService {
+                    svc,
+                    sink: FileRecordSink::new(self.records_out.as_deref())?,
+                }),
+                None => Box::new(svc),
+            })
+        };
+        match io {
+            Io::Listener(listener) => {
+                let front = match journal {
+                    Some(journal) => ConcurrentService::with_journal(svc, journal),
+                    None => ConcurrentService::new(svc),
+                };
+                serve_concurrent(front, self.cfg, listener, self.idle)?;
+                Ok(String::new())
+            }
+            Io::Script(script) => {
+                let (mut session, mut transcript) = (sequential(svc, journal)?, Vec::new());
+                serve_session(&mut *session, &self.cfg, script.as_bytes(), &mut transcript)
+                    .expect("in-memory I/O");
+                Ok(String::from_utf8(transcript).expect("responses are UTF-8"))
+            }
+            Io::Stdio => {
+                let mut session = sequential(svc, journal)?;
+                let (stdin, stdout) = (std::io::stdin().lock(), std::io::stdout().lock());
+                serve_session(&mut *session, &self.cfg, stdin, stdout).map_err(|e| {
+                    CliError::Io {
+                        path: "<session>".to_string(),
+                        message: e.to_string(),
+                    }
+                })?;
+                Ok(String::new())
+            }
+        }
+    }
 }
 
 /// Open (or create) the journal, recovering whatever it holds, and report
@@ -1358,17 +508,14 @@ struct JournalOpts {
 /// golden transcripts stay byte-stable whether or not a journal rides
 /// along.
 fn open_journal(
-    jo: &JournalOpts,
+    path: &str,
+    cfg: JournalCfg,
     machines: u32,
     policy: ReferencePolicy,
 ) -> Result<(OpJournal, Recovered), CliError> {
-    let cfg = JournalCfg {
-        fsync: jo.fsync,
-        snapshot_every: jo.snapshot_every,
-    };
     let (journal, recovered) =
-        OpJournal::open(&jo.path, machines, policy, cfg).map_err(|e| CliError::Io {
-            path: jo.path.clone(),
+        OpJournal::open(path, machines, policy, cfg).map_err(|e| CliError::Io {
+            path: path.to_string(),
             message: e.to_string(),
         })?;
     if recovered.resumed {
@@ -1383,53 +530,14 @@ fn open_journal(
             })
             .unwrap_or_default();
         eprintln!(
-            "journal {}: recovered {} op record(s), {} snapshot record(s){torn}",
-            jo.path, recovered.op_records, recovered.snapshot_records
+            "journal {path}: recovered {} op record(s), {} snapshot record(s){torn}",
+            recovered.op_records, recovered.snapshot_records
         );
     }
     Ok((journal, recovered))
 }
 
-/// [`run_script`], but durable: recover the journal, replay it, serve the
-/// script through a [`JournaledService`], and leave the journal ready for
-/// the next resume.
-fn run_script_journaled(
-    script: &str,
-    machines: u32,
-    policy: ReferencePolicy,
-    substrate: Substrate,
-    mode: DrainMode,
-    jo: &JournalOpts,
-) -> Result<String, CliError> {
-    let (journal, recovered) = open_journal(jo, machines, policy)?;
-    let cfg = SessionCfg::default();
-    let mut out = Vec::new();
-    match substrate {
-        Substrate::Timeline => {
-            let svc = recovered.restore_service_with_mode(
-                policy,
-                AvailabilityTimeline::constant(machines),
-                mode,
-            );
-            let mut journaled = JournaledService::new(svc, journal);
-            serve_session(&mut journaled, &cfg, script.as_bytes(), &mut out)
-                .expect("in-memory I/O");
-        }
-        Substrate::Profile => {
-            let svc = recovered.restore_service_with_mode(
-                policy,
-                ResourceProfile::constant(machines),
-                mode,
-            );
-            let mut journaled = JournaledService::new(svc, journal);
-            serve_session(&mut journaled, &cfg, script.as_bytes(), &mut out)
-                .expect("in-memory I/O");
-        }
-    }
-    Ok(String::from_utf8(out).expect("responses are UTF-8"))
-}
-
-/// How the session's bytes reach the service.
+/// The transport the command line names.
 enum Transport {
     Stdio,
     Script(String),
@@ -1604,7 +712,7 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
     if retire && socket_transport {
         return Err(CliError::Usage(
             "--retire requires a sequential transport (stdin or --script): the \
-             concurrent backend publishes whole-history snapshots"
+             shared writer of the socket transports has no record sink to retire into"
                 .into(),
         ));
     }
@@ -1618,169 +726,61 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
     if records_out.is_some() && !retire {
         return Err(CliError::Usage("--records-out requires --retire".into()));
     }
-    let journal = journal_path.map(|path| JournalOpts {
-        path,
-        fsync: fsync.unwrap_or_default(),
-        snapshot_every: snapshot_every.unwrap_or(1024),
-    });
-    let idle = match idle_timeout.unwrap_or(600) {
-        0 => None,
-        secs => Some(Duration::from_secs(secs)),
+    let plan = Plan {
+        machines,
+        policy,
+        drain_mode,
+        journal: journal_path.map(|path| {
+            let cfg = JournalCfg {
+                fsync: fsync.unwrap_or_default(),
+                snapshot_every: snapshot_every.unwrap_or(1024),
+            };
+            (path, cfg)
+        }),
+        retire,
+        records_out,
+        cfg: SessionCfg {
+            token,
+            realtime: realtime.then(std::time::Instant::now),
+        },
+        idle: match idle_timeout.unwrap_or(600) {
+            0 => None,
+            secs => Some(Duration::from_secs(secs)),
+        },
     };
-    let cfg = SessionCfg {
-        token,
-        realtime: realtime.then(std::time::Instant::now),
+    let bind_err = |path: &str, e: std::io::Error| CliError::Io {
+        path: path.to_string(),
+        message: e.to_string(),
     };
+    let mut stdout = String::new();
     match transport {
         Transport::Script(path) => {
-            let script = std::fs::read_to_string(&path).map_err(|e| CliError::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-            let transcript = match (&journal, retire) {
-                (None, false) => {
-                    run_script_with_mode(&script, machines, policy, substrate, drain_mode)
-                }
-                (None, true) => run_script_retiring(
-                    &script,
-                    machines,
-                    policy,
-                    substrate,
-                    drain_mode,
-                    records_out.as_deref(),
-                )?,
-                (Some(jo), _) => {
-                    run_script_journaled(&script, machines, policy, substrate, drain_mode, jo)?
-                }
-            };
-            let mut stdout = transcript.clone();
-            if let Some(note) = opts.persist(&transcript)? {
+            let script = std::fs::read_to_string(&path).map_err(|e| bind_err(&path, e))?;
+            stdout = plan.serve(substrate, Io::Script(&script))?;
+            if let Some(note) = opts.persist(&stdout)? {
                 stdout.push_str(&note);
                 stdout.push('\n');
             }
-            Ok(Outcome {
-                stdout,
-                violations: 0,
-            })
         }
         Transport::Stdio => {
-            let io_err = |e: std::io::Error| CliError::Io {
-                path: "<session>".to_string(),
-                message: e.to_string(),
-            };
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            if retire {
-                let sink = FileRecordSink::new(records_out.as_deref())?;
-                match substrate {
-                    Substrate::Timeline => {
-                        let mut svc =
-                            ScheduleService::new(policy, AvailabilityTimeline::constant(machines));
-                        svc.set_drain_mode(drain_mode);
-                        let mut retiring = RetiringService { svc, sink };
-                        serve_session(&mut retiring, &cfg, stdin.lock(), stdout.lock())
-                            .map_err(io_err)?;
-                        retiring.sink.flush();
-                    }
-                    Substrate::Profile => {
-                        let mut svc =
-                            ScheduleService::new(policy, ResourceProfile::constant(machines));
-                        svc.set_drain_mode(drain_mode);
-                        let mut retiring = RetiringService { svc, sink };
-                        serve_session(&mut retiring, &cfg, stdin.lock(), stdout.lock())
-                            .map_err(io_err)?;
-                        retiring.sink.flush();
-                    }
-                }
-                return Ok(Outcome {
-                    stdout: String::new(),
-                    violations: 0,
-                });
-            }
-            match (substrate, &journal) {
-                (Substrate::Timeline, None) => {
-                    let mut svc =
-                        ScheduleService::new(policy, AvailabilityTimeline::constant(machines));
-                    svc.set_drain_mode(drain_mode);
-                    serve_session(&mut svc, &cfg, stdin.lock(), stdout.lock()).map_err(io_err)?;
-                }
-                (Substrate::Profile, None) => {
-                    let mut svc = ScheduleService::new(policy, ResourceProfile::constant(machines));
-                    svc.set_drain_mode(drain_mode);
-                    serve_session(&mut svc, &cfg, stdin.lock(), stdout.lock()).map_err(io_err)?;
-                }
-                (Substrate::Timeline, Some(jo)) => {
-                    let (j, rec) = open_journal(jo, machines, policy)?;
-                    let svc = rec.restore_service_with_mode(
-                        policy,
-                        AvailabilityTimeline::constant(machines),
-                        drain_mode,
-                    );
-                    let mut journaled = JournaledService::new(svc, j);
-                    serve_session(&mut journaled, &cfg, stdin.lock(), stdout.lock())
-                        .map_err(io_err)?;
-                }
-                (Substrate::Profile, Some(jo)) => {
-                    let (j, rec) = open_journal(jo, machines, policy)?;
-                    let svc = rec.restore_service_with_mode(
-                        policy,
-                        ResourceProfile::constant(machines),
-                        drain_mode,
-                    );
-                    let mut journaled = JournaledService::new(svc, j);
-                    serve_session(&mut journaled, &cfg, stdin.lock(), stdout.lock())
-                        .map_err(io_err)?;
-                }
-            }
-            Ok(Outcome {
-                stdout: String::new(),
-                violations: 0,
-            })
+            plan.serve(substrate, Io::Stdio)?;
         }
         Transport::Tcp(addr) => {
-            let listener = std::net::TcpListener::bind(&addr).map_err(|e| CliError::Io {
-                path: addr.clone(),
-                message: e.to_string(),
-            })?;
-            serve_listener(
-                machines,
-                policy,
-                substrate,
-                drain_mode,
-                cfg,
-                AnyListener::Tcp(listener),
-                journal,
-                idle,
-            )?;
-            Ok(Outcome {
-                stdout: String::new(),
-                violations: 0,
-            })
+            let listener = std::net::TcpListener::bind(&addr).map_err(|e| bind_err(&addr, e))?;
+            plan.serve(substrate, Io::Listener(AnyListener::Tcp(listener)))?;
         }
         #[cfg(unix)]
         Transport::Unix(path) => {
             let _ = std::fs::remove_file(&path);
             let listener =
-                std::os::unix::net::UnixListener::bind(&path).map_err(|e| CliError::Io {
-                    path: path.clone(),
-                    message: e.to_string(),
-                })?;
-            serve_listener(
-                machines,
-                policy,
-                substrate,
-                drain_mode,
-                cfg,
-                AnyListener::Unix(listener),
-                journal,
-                idle,
-            )?;
-            Ok(Outcome {
-                stdout: String::new(),
-                violations: 0,
-            })
+                std::os::unix::net::UnixListener::bind(&path).map_err(|e| bind_err(&path, e))?;
+            plan.serve(substrate, Io::Listener(AnyListener::Unix(listener)))?;
         }
     }
+    Ok(Outcome {
+        stdout,
+        violations: 0,
+    })
 }
 
 /// A buffered reader / writer pair for one accepted connection, `Send` so
@@ -1826,63 +826,6 @@ impl AnyListener {
                 let reader = std::io::BufReader::new(stream.try_clone()?);
                 Ok((Box::new(reader), Box::new(stream)))
             }
-        }
-    }
-}
-
-/// Instantiate the resident service on the chosen substrate — recovering
-/// from and journaling into `journal` when given — and serve the listener
-/// concurrently until a session issues `shutdown`.
-#[allow(clippy::too_many_arguments)]
-fn serve_listener(
-    machines: u32,
-    policy: ReferencePolicy,
-    substrate: Substrate,
-    mode: DrainMode,
-    cfg: SessionCfg,
-    listener: AnyListener,
-    journal: Option<JournalOpts>,
-    idle: Option<Duration>,
-) -> Result<(), CliError> {
-    match substrate {
-        Substrate::Timeline => {
-            let front = match &journal {
-                Some(jo) => {
-                    let (j, rec) = open_journal(jo, machines, policy)?;
-                    let svc = rec.restore_service_with_mode(
-                        policy,
-                        AvailabilityTimeline::constant(machines),
-                        mode,
-                    );
-                    ConcurrentService::with_journal(svc, j)
-                }
-                None => {
-                    let mut svc =
-                        ScheduleService::new(policy, AvailabilityTimeline::constant(machines));
-                    svc.set_drain_mode(mode);
-                    ConcurrentService::new(svc)
-                }
-            };
-            serve_concurrent(front, cfg, listener, idle)
-        }
-        Substrate::Profile => {
-            let front = match &journal {
-                Some(jo) => {
-                    let (j, rec) = open_journal(jo, machines, policy)?;
-                    let svc = rec.restore_service_with_mode(
-                        policy,
-                        ResourceProfile::constant(machines),
-                        mode,
-                    );
-                    ConcurrentService::with_journal(svc, j)
-                }
-                None => {
-                    let mut svc = ScheduleService::new(policy, ResourceProfile::constant(machines));
-                    svc.set_drain_mode(mode);
-                    ConcurrentService::new(svc)
-                }
-            };
-            serve_concurrent(front, cfg, listener, idle)
         }
     }
 }

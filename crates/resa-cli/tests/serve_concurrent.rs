@@ -104,6 +104,63 @@ fn tcp_sessions_run_concurrently_against_shared_state() {
     assert!(status.success());
 }
 
+/// Requests whose durations or instants would overflow the time axis used
+/// to panic the shared writer thread, after which every session got
+/// `service writer has shut down` forever. They are refused with a
+/// structured error — including the snapshot-side `query` — and a second
+/// connection is served as if nothing happened.
+#[test]
+fn hostile_magnitudes_do_not_kill_the_shared_writer() {
+    let port = free_port();
+    let child = spawn_serve(&["--machines", "4", "--listen", &format!("127.0.0.1:{port}")]);
+    let mut child = KillOnDrop(child);
+
+    let a = connect_tcp(port);
+    let mut a_writer = a.try_clone().unwrap();
+    let mut a_reader = BufReader::new(a);
+    let reply = ask(
+        &mut a_writer,
+        &mut a_reader,
+        r#"{"op":"submit","width":4,"duration":10}"#,
+    );
+    assert!(
+        reply.starts_with(r#"{"ok":true,"op":"submit","job":0"#),
+        "{reply}"
+    );
+    for hostile in [
+        r#"{"op":"submit","width":2,"duration":18446744073709551610}"#,
+        r#"{"op":"submit","width":2,"duration":5,"release":18446744073709551615}"#,
+        r#"{"op":"query","width":2,"duration":9,"not_before":18446744073709551610}"#,
+    ] {
+        let reply = ask(&mut a_writer, &mut a_reader, hostile);
+        assert!(
+            reply.starts_with(r#"{"ok":false,"op":""#) && reply.contains("overflow"),
+            "{hostile} answered {reply}"
+        );
+    }
+    let reply = ask(&mut a_writer, &mut a_reader, r#"{"op":"advance","to":10}"#);
+    assert!(
+        reply.contains(r#""completed":[{"job":0,"at":10}]"#),
+        "{reply}"
+    );
+
+    let b = connect_tcp(port);
+    let mut b_writer = b.try_clone().unwrap();
+    let mut b_reader = BufReader::new(b);
+    let reply = ask(
+        &mut b_writer,
+        &mut b_reader,
+        r#"{"op":"submit","width":1,"duration":3}"#,
+    );
+    assert!(
+        reply.starts_with(r#"{"ok":true,"op":"submit","job":1"#),
+        "{reply}"
+    );
+    let reply = ask(&mut b_writer, &mut b_reader, r#"{"op":"shutdown"}"#);
+    assert!(reply.contains(r#""op":"shutdown""#), "{reply}");
+    assert!(child.0.wait().unwrap().success());
+}
+
 /// Ends the server when a test unwinds before its protocol `shutdown`, so a
 /// failed assertion cannot leave a process holding the harness's pipes.
 struct KillOnDrop(Child);

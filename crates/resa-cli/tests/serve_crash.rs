@@ -144,6 +144,138 @@ fn killed_session_recovers_bit_for_bit_on_the_profile() {
     crash_recover_case("profile");
 }
 
+/// The two scripts that used to panic the process — and, journaled
+/// write-ahead, every restart after it: a duration, and a release date, next
+/// to `u64::MAX`. Both are answered with a structured error and leave the
+/// session serving, without a journal and with one; the journal that
+/// received them reopens.
+#[test]
+fn hostile_magnitudes_are_refused_and_never_reach_the_journal() {
+    let dir = work_dir("hostile");
+    let probes = dir.join("probes.jsonl");
+    write_script(&probes, FINAL);
+    for (tag, hostile) in [
+        (
+            "duration",
+            r#"{"op":"submit","width":2,"duration":18446744073709551610}"#,
+        ),
+        (
+            "release",
+            r#"{"op":"submit","width":2,"duration":5,"release":18446744073709551615}"#,
+        ),
+    ] {
+        let script = dir.join(format!("{tag}.jsonl"));
+        let lines = [
+            r#"{"op":"submit","width":4,"duration":10}"#,
+            hostile,
+            r#"{"op":"advance","to":10}"#,
+            r#"{"op":"drain"}"#,
+        ];
+        write_script(&script, &lines);
+        let journal = dir.join(format!("{tag}.jrn"));
+        let (script, journal) = (script.display().to_string(), journal.display().to_string());
+        let plain = ["--machines", "4", "--script", &script];
+        let journaled = [
+            "--machines",
+            "4",
+            "--script",
+            &script,
+            "--journal",
+            &journal,
+        ];
+        for args in [&plain[..], &journaled[..]] {
+            let out = run_serve(args, None);
+            assert!(out.status.success(), "{tag}: {out:?}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let replies: Vec<&str> = stdout.lines().collect();
+            assert_eq!(replies.len(), lines.len(), "{tag}: {stdout}");
+            assert!(
+                replies[1].starts_with(r#"{"ok":false,"op":"submit","error":"#),
+                "{tag}: {stdout}"
+            );
+            assert!(
+                replies[2].contains(r#""completed":[{"job":0,"at":10}]"#),
+                "{tag}: {stdout}"
+            );
+            assert!(
+                replies[3].starts_with(r#"{"ok":true,"op":"drain","now":10"#),
+                "{tag}: {stdout}"
+            );
+        }
+        // The refused op left no record: a second start replays the others.
+        let probes = probes.display().to_string();
+        let reopened = run_serve(
+            &[
+                "--machines",
+                "4",
+                "--script",
+                &probes,
+                "--journal",
+                &journal,
+            ],
+            None,
+        );
+        assert!(reopened.status.success(), "{tag}: {reopened:?}");
+        let stderr = String::from_utf8_lossy(&reopened.stderr);
+        assert!(
+            stderr.contains("recovered 3 op record(s)"),
+            "{tag}: {stderr}"
+        );
+        assert!(
+            final_lines(&reopened.stdout)[0].contains(r#""submitted":1,"#),
+            "{tag}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A journal written by the parent of the ops-as-data change (PR 13's binary:
+/// one snapshot record, then op records of all ten write kinds, among them
+/// ops that binary journaled write-ahead and then rejected) recovers under
+/// this code to the `stats` and `snapshot` the parent itself recovered —
+/// the record format did not move.
+#[test]
+fn a_journal_written_before_ops_were_data_recovers_identically() {
+    use resa_sim::prelude::*;
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../resa-sim/tests/fixtures");
+    let dir = work_dir("fixture");
+    let journal = dir.join("parent.jrn");
+    std::fs::copy(format!("{fixtures}/parent_pr13.jrn"), &journal).unwrap();
+    let probes = dir.join("probes.jsonl");
+    write_script(&probes, FINAL);
+
+    let (_, recovered) = OpJournal::open(&journal, 8, ReferencePolicy::Easy, JournalCfg::default())
+        .expect("the fixture opens");
+    assert_eq!((recovered.snapshot_records, recovered.op_records), (1, 25));
+    assert!(recovered.torn.is_none());
+    let kinds: std::collections::HashSet<_> = recovered
+        .ops
+        .iter()
+        .map(|a| std::mem::discriminant(&a.op))
+        .collect();
+    assert_eq!(kinds.len(), 10, "every write kind has a record");
+
+    let (probes, journal) = (probes.display().to_string(), journal.display().to_string());
+    let out = run_serve(
+        &[
+            "--machines",
+            "8",
+            "--policy",
+            "easy",
+            "--script",
+            &probes,
+            "--journal",
+            &journal,
+        ],
+        None,
+    );
+    assert!(out.status.success(), "{out:?}");
+    let expected =
+        std::fs::read_to_string(format!("{fixtures}/parent_pr13.recovered.golden")).unwrap();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn free_port() -> u16 {
     std::net::TcpListener::bind("127.0.0.1:0")
         .expect("ephemeral bind")

@@ -4,19 +4,19 @@
 //! (or speculates against) one live substrate. A service shared by many
 //! sessions therefore runs the classic read-mostly architecture:
 //!
-//! * **One writer thread** owns the `ScheduleService`. Mutating ops
-//!   (`submit` / `reserve` / `cancel` / `advance` / `drain`) funnel through
-//!   an [`mpsc`] channel; the writer dequeues them in **batches** (up to
-//!   [`BATCH_MAX`]), applies them in arrival order, and then *publishes* an
-//!   immutable [`ServiceSnapshot`] — the counters and the frozen
-//!   [`TimelineSnapshot`] of the availability function from `now` on — by
-//!   swapping an `Arc` behind an [`RwLock`] (held only for the duration of
-//!   a pointer swap or clone, never across any computation).
-//! * **Readers never queue behind writes.** `query` / `stats` run on the
+//! * **One writer thread** owns the `ScheduleService`. Writes — every
+//!   [`Op`] with [`Op::is_write`] — funnel through an [`mpsc`] channel as
+//!   data; the writer dequeues them in **batches** (up to [`BATCH_MAX`]),
+//!   applies them in arrival order through [`ScheduleService::apply`] (or,
+//!   journaled, [`OpJournal::apply`] — the same call behind a write-ahead
+//!   record), and then *publishes* an immutable [`ServiceSnapshot`] — the
+//!   counters and the frozen [`TimelineSnapshot`] of the availability
+//!   function from `now` on — by swapping an `Arc` behind an [`RwLock`]
+//!   (held only for the duration of a pointer swap or clone, never across
+//!   any computation).
+//! * **Readers never queue behind writes.** `Query` / `Stats` run on the
 //!   calling thread against the latest published `Arc<ServiceSnapshot>`;
-//!   the only shared access is cloning the `Arc` out of the slot. Read
-//!   throughput scales with cores — pinned by the concurrent-clients
-//!   benchmark in `resa-bench`.
+//!   the only shared access is cloning the `Arc` out of the slot.
 //! * **A published snapshot holds live state only.** Its size follows the
 //!   running jobs and the windows reaching past `now`, never the session's
 //!   length: the service drops availability behind the clock, and the job
@@ -50,14 +50,9 @@
 //! serial-equivalence proptests (`tests/concurrent_stress.rs`).
 
 use crate::journal::OpJournal;
-use crate::metrics::SimMetrics;
+use crate::op::{Horizon, Op, Reply, Session, SessionRecords, WriteReply};
 use crate::reference::ReferencePolicy;
-use crate::service::{
-    records_of, AdmissionPolicy, DeadlineOutcome, Effects, ScheduleService, ServiceError,
-    ServiceStats,
-};
-use crate::trace::JobRecord;
-use resa_core::capacity::Speculate;
+use crate::service::{records_of, Effects, ScheduleService, ServiceError, ServiceStats};
 use resa_core::prelude::*;
 use resa_core::snapshot::Snapshotable;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,164 +68,17 @@ use std::thread::JoinHandle;
 /// publication cost under load.
 pub const BATCH_MAX: usize = 64;
 
-/// One mutating request, as carried through the writer channel and recorded
-/// in the serial log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WriteOp {
-    /// [`ScheduleService::submit`].
-    Submit {
-        /// Processors requested.
-        width: u32,
-        /// Run time.
-        duration: Dur,
-        /// Release date (`None` = on arrival).
-        release: Option<Time>,
-    },
-    /// [`ScheduleService::reserve`].
-    Reserve {
-        /// Processors withdrawn.
-        width: u32,
-        /// Window length.
-        duration: Dur,
-        /// Window start.
-        start: Time,
-    },
-    /// [`ScheduleService::cancel`].
-    Cancel {
-        /// Reservation id.
-        id: usize,
-    },
-    /// [`ScheduleService::advance`].
-    Advance {
-        /// Target instant.
-        to: Time,
-    },
-    /// [`ScheduleService::advance_clamped`].
-    AdvanceClamped {
-        /// Target instant (clamped to `now`).
-        to: Time,
-    },
-    /// [`ScheduleService::drain`].
-    Drain,
-    /// [`ScheduleService::inject`].
-    Inject {
-        /// Machines withdrawn by the failure/maintenance window.
-        width: u32,
-        /// Window length.
-        duration: Dur,
-        /// Window start.
-        start: Time,
-    },
-    /// [`ScheduleService::revoke`].
-    Revoke {
-        /// Drain id.
-        id: usize,
-    },
-    /// [`ScheduleService::submit_deadline`].
-    SubmitDeadline {
-        /// Processors requested.
-        width: u32,
-        /// Run time.
-        duration: Dur,
-        /// Release date (`None` = on arrival).
-        release: Option<Time>,
-        /// Due date the completion must not exceed.
-        deadline: Time,
-        /// What to do when the speculative bound misses the due date.
-        admission: AdmissionPolicy,
-    },
-    /// [`ScheduleService::submit_moldable`].
-    SubmitMoldable {
-        /// Admissible width menu.
-        widths: Vec<u32>,
-        /// Total work (processor×ticks).
-        area: u64,
-    },
-}
-
-/// One entry of the serial log: which session issued which op, in the order
-/// the writer applied them. Replaying a log through a sequential
-/// [`ScheduleService`] reproduces the concurrent run (see the module docs).
+/// One entry of the serial log and one op record of the journal: which
+/// session issued which write, in the order the writer applied them.
+/// Applying a log's ops in order to a sequential [`ScheduleService`]
+/// reproduces the concurrent run (see the module docs); rejected ops leave
+/// no trace on either side, so outcomes need no reconciliation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppliedOp {
     /// The issuing session (see [`ServiceClient::session`]).
     pub session: u64,
     /// The op, exactly as applied.
-    pub op: WriteOp,
-}
-
-impl AppliedOp {
-    /// Apply this op to a sequential service, discarding the outcome. The
-    /// serial-equivalence oracle replays a recorded log with this;
-    /// rejected ops leave no trace on either side, so outcomes need no
-    /// reconciliation — final states are compared instead.
-    pub fn replay<C: CapacityQuery + Speculate>(&self, svc: &mut ScheduleService<C>) {
-        let _ = apply(svc, &self.op);
-    }
-}
-
-/// The payload of a successful write, mirroring the sequential return
-/// shapes. `Effects` are owned clones — the reused buffer of the writer's
-/// service never crosses the channel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Applied {
-    /// A submitted job: its id plus the starts/completions it triggered.
-    Job {
-        /// The new job's id.
-        id: JobId,
-        /// What the arrival decision changed.
-        effects: Effects,
-    },
-    /// An accepted reservation: its id plus triggered effects.
-    Reservation {
-        /// The new reservation's id.
-        id: usize,
-        /// What the overlay change triggered.
-        effects: Effects,
-    },
-    /// Effects only (cancel / revoke / advance / drain).
-    Effects(Effects),
-    /// An injected drain: its id, the jobs it preempted, and the effects of
-    /// the decision the capacity change triggered.
-    Drained {
-        /// The new drain's id.
-        id: usize,
-        /// Victims killed-and-requeued, in re-queue order.
-        preempted: Vec<JobId>,
-        /// What the overlay change triggered.
-        effects: Effects,
-    },
-    /// A resolved deadline submission: the job id and how admission landed.
-    Deadline {
-        /// The new job's id.
-        id: JobId,
-        /// Committed placement or boosted acceptance.
-        outcome: DeadlineOutcome,
-        /// What the admission triggered.
-        effects: Effects,
-    },
-    /// A concretized moldable submission: the job id and the chosen shape.
-    Moldable {
-        /// The new job's id.
-        id: JobId,
-        /// The width/duration/placement [`best_width`] settled on.
-        choice: WidthChoice,
-        /// What the arrival decision changed.
-        effects: Effects,
-    },
-}
-
-/// The writer's answer to one op.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteReply {
-    /// The op's outcome, identical to what the sequential service would
-    /// have returned at the same point of the serial order.
-    pub result: Result<Applied, ServiceError>,
-    /// Virtual time after the op was applied.
-    pub now: Time,
-    /// The publication generation covering this op: the snapshot slot held
-    /// a generation `>=` this before the reply was sent (read-your-writes).
-    pub generation: u64,
+    pub op: Op,
 }
 
 /// An immutable view of the service's live state, published by the writer at
@@ -245,24 +93,10 @@ pub struct ServiceSnapshot {
     pub policy: ReferencePolicy,
     /// Aggregate counters at publication time.
     pub stats: ServiceStats,
+    /// The overflow guard's accumulators at publication time.
+    pub horizon: Horizon,
     /// The frozen availability function, stamped with the same generation.
     pub timeline: TimelineSnapshot,
-}
-
-/// Per-job lifecycle records plus run metrics of a session, with the clock
-/// and cluster size of the same point of the serial order — what
-/// [`ServiceClient::records`] answers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionRecords {
-    /// Virtual time at that point.
-    pub now: Time,
-    /// Cluster size.
-    pub machines: u32,
-    /// One record per started job — the shape
-    /// [`ScheduleService::snapshot`] returns.
-    pub records: Vec<JobRecord>,
-    /// Run metrics of the schedule so far.
-    pub metrics: SimMetrics,
 }
 
 /// The writer's answer to a records request: copies of what the records are
@@ -282,6 +116,7 @@ impl ServiceSnapshot {
             generation,
             policy: svc.policy(),
             stats: svc.stats(),
+            horizon: svc.horizon(),
             timeline: svc.freeze_timeline(generation),
         }
     }
@@ -289,22 +124,21 @@ impl ServiceSnapshot {
     /// The speculative earliest-fit probe of [`ScheduleService::query`],
     /// answered from the frozen availability function: the earliest start a
     /// `width × duration` job would get, as of this snapshot's generation.
-    /// Same validation, same clamping of `not_before` to the (snapshot)
-    /// current time, same answer as the live probe at the generation the
-    /// snapshot was frozen from.
+    /// Same admission ([`Op::validate`]), same clamping of `not_before` to
+    /// the (snapshot) current time, same answer as the live probe at the
+    /// generation the snapshot was frozen from.
     pub fn query(
         &self,
         width: u32,
         duration: Dur,
         not_before: Option<Time>,
     ) -> Result<Option<Time>, ServiceError> {
-        let machines = self.stats.machines;
-        if width == 0 || width > machines {
-            return Err(ServiceError::BadWidth { width, machines });
-        }
-        if duration.is_zero() {
-            return Err(ServiceError::ZeroDuration);
-        }
+        let op = Op::Query {
+            width,
+            duration,
+            not_before,
+        };
+        op.validate(self.stats.machines, self.horizon)?;
         let from = not_before.unwrap_or(self.stats.now).max(self.stats.now);
         Ok(self.timeline.earliest_fit(width, duration, from))
     }
@@ -313,7 +147,7 @@ impl ServiceSnapshot {
 enum Request {
     Op {
         session: u64,
-        op: WriteOp,
+        op: Op,
         reply: Sender<WriteReply>,
     },
     /// Copy the session out at this point of the queue. A read: neither
@@ -360,15 +194,15 @@ where
         Self::start(svc, true, None)
     }
 
-    /// Like [`ConcurrentService::new`], but write-ahead journal every
-    /// applied op into `journal` (see [`crate::journal`]): each op is
-    /// journaled *before* it is applied, the batch is synced per the
-    /// journal's [`crate::journal::FsyncPolicy`] *before* the post-batch
-    /// snapshot publishes and replies are delivered, and compaction runs at
-    /// batch boundaries. An op whose journal append fails is **not**
-    /// applied; its reply carries [`ServiceError::Journal`]. Pass a
-    /// service rebuilt by [`crate::journal::Recovered::restore_service`]
-    /// to resume a crashed session.
+    /// Like [`ConcurrentService::new`], but durable: every op runs
+    /// [`OpJournal::apply`] (admission, record, mutation — an op whose
+    /// record cannot be appended is **not** applied), and each dequeue
+    /// batch is sealed ([`OpJournal::seal`]) *before* the post-batch
+    /// snapshot publishes and replies are delivered. A batch that cannot be
+    /// sealed is answered with [`ServiceError::Journal`], every op of it.
+    /// Pass a service rebuilt by
+    /// [`crate::journal::Recovered::restore_service`] to resume a crashed
+    /// session.
     pub fn with_journal(svc: ScheduleService<C>, journal: OpJournal) -> Self {
         Self::start(svc, false, Some(journal))
     }
@@ -430,9 +264,9 @@ where
     }
 }
 
-/// One session's handle onto a [`ConcurrentService`]: the mutating API of
-/// [`ScheduleService`] (round-tripped through the writer, owned `Effects`
-/// back) plus lock-free reads from the latest published snapshot.
+/// One session's handle onto a [`ConcurrentService`]: a [`Session`] whose
+/// writes round-trip through the writer and whose reads are answered from
+/// the latest published snapshot.
 pub struct ServiceClient {
     session: u64,
     tx: Sender<Request>,
@@ -446,7 +280,42 @@ impl ServiceClient {
         self.session
     }
 
-    fn roundtrip(&self, op: WriteOp) -> Result<WriteReply, ServiceError> {
+    /// Apply one op: `Query` and `Stats` are answered on this thread from
+    /// the latest snapshot, `Records` by [`ServiceClient::records`], and
+    /// every write is sent to the writer as it is and its [`WriteReply`]
+    /// handed back untouched. Once the writer is gone, what needs it is
+    /// answered with [`ServiceError::ServiceStopped`].
+    pub fn apply(&self, op: &Op) -> WriteReply {
+        let answer = |result, snap: &ServiceSnapshot| WriteReply {
+            result,
+            now: snap.stats.now,
+            generation: snap.generation,
+        };
+        match *op {
+            Op::Query {
+                width,
+                duration,
+                not_before,
+            } => {
+                let snap = self.snapshot();
+                let start = snap.query(width, duration, not_before);
+                answer(start.map(Reply::Query), &snap)
+            }
+            Op::Stats => {
+                let snap = self.snapshot();
+                answer(Ok(Reply::Stats(snap.stats.clone())), &snap)
+            }
+            Op::Records { since } => {
+                let records = self.records().map(|r| Reply::Records(r.page(since)));
+                answer(records, &self.snapshot())
+            }
+            _ => self
+                .roundtrip(op.clone())
+                .unwrap_or_else(|stopped| answer(Err(stopped), &self.snapshot())),
+        }
+    }
+
+    fn roundtrip(&self, op: Op) -> Result<WriteReply, ServiceError> {
         let (reply_tx, reply_rx) = mpsc::channel();
         self.tx
             .send(Request::Op {
@@ -458,178 +327,11 @@ impl ServiceClient {
         reply_rx.recv().map_err(|_| ServiceError::ServiceStopped)
     }
 
-    /// [`ScheduleService::submit`], applied in the writer's serial order.
-    pub fn submit(
-        &self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-    ) -> Result<(JobId, Effects), ServiceError> {
-        let reply = self.roundtrip(WriteOp::Submit {
-            width,
-            duration,
-            release,
-        })?;
-        match reply.result? {
-            Applied::Job { id, effects } => Ok((id, effects)),
-            _ => unreachable!("writer answered submit with a non-job payload"),
-        }
-    }
-
-    /// [`ScheduleService::reserve`], applied in the writer's serial order.
-    pub fn reserve(
-        &self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Effects), ServiceError> {
-        let reply = self.roundtrip(WriteOp::Reserve {
-            width,
-            duration,
-            start,
-        })?;
-        match reply.result? {
-            Applied::Reservation { id, effects } => Ok((id, effects)),
-            _ => unreachable!("writer answered reserve with a non-reservation payload"),
-        }
-    }
-
-    /// [`ScheduleService::cancel`], applied in the writer's serial order.
-    pub fn cancel(&self, id: usize) -> Result<Effects, ServiceError> {
-        match self.roundtrip(WriteOp::Cancel { id })?.result? {
-            Applied::Effects(fx) => Ok(fx),
-            _ => unreachable!("writer answered cancel with an id payload"),
-        }
-    }
-
-    /// [`ScheduleService::advance`]; returns the new virtual time with the
-    /// effects (the caller cannot peek at the writer's `now`).
-    pub fn advance(&self, to: Time) -> Result<(Time, Effects), ServiceError> {
-        let reply = self.roundtrip(WriteOp::Advance { to })?;
-        let now = reply.now;
-        match reply.result? {
-            Applied::Effects(fx) => Ok((now, fx)),
-            _ => unreachable!("writer answered advance with an id payload"),
-        }
-    }
-
-    /// [`ScheduleService::advance_clamped`]; never `InThePast`, but still
-    /// fallible with [`ServiceError::ServiceStopped`].
-    pub fn advance_clamped(&self, to: Time) -> Result<(Time, Effects), ServiceError> {
-        let reply = self.roundtrip(WriteOp::AdvanceClamped { to })?;
-        let now = reply.now;
-        match reply.result? {
-            Applied::Effects(fx) => Ok((now, fx)),
-            _ => unreachable!("writer answered advance with an id payload"),
-        }
-    }
-
-    /// [`ScheduleService::inject`], through the writer; returns the drain
-    /// id, the preempted job ids and the triggered effects.
-    pub fn inject(
-        &self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Vec<JobId>, Effects), ServiceError> {
-        let reply = self.roundtrip(WriteOp::Inject {
-            width,
-            duration,
-            start,
-        })?;
-        match reply.result? {
-            Applied::Drained {
-                id,
-                preempted,
-                effects,
-            } => Ok((id, preempted, effects)),
-            other => unreachable!("inject answered with {other:?}"),
-        }
-    }
-
-    /// [`ScheduleService::revoke`], through the writer.
-    pub fn revoke(&self, id: usize) -> Result<Effects, ServiceError> {
-        match self.roundtrip(WriteOp::Revoke { id })?.result? {
-            Applied::Effects(fx) => Ok(fx),
-            other => unreachable!("revoke answered with {other:?}"),
-        }
-    }
-
-    /// [`ScheduleService::submit_deadline`], through the writer.
-    pub fn submit_deadline(
-        &self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-        deadline: Time,
-        admission: AdmissionPolicy,
-    ) -> Result<(JobId, DeadlineOutcome, Effects), ServiceError> {
-        let reply = self.roundtrip(WriteOp::SubmitDeadline {
-            width,
-            duration,
-            release,
-            deadline,
-            admission,
-        })?;
-        match reply.result? {
-            Applied::Deadline {
-                id,
-                outcome,
-                effects,
-            } => Ok((id, outcome, effects)),
-            other => unreachable!("submit_deadline answered with {other:?}"),
-        }
-    }
-
-    /// [`ScheduleService::submit_moldable`], through the writer.
-    pub fn submit_moldable(
-        &self,
-        widths: Vec<u32>,
-        area: u64,
-    ) -> Result<(JobId, WidthChoice, Effects), ServiceError> {
-        let reply = self.roundtrip(WriteOp::SubmitMoldable { widths, area })?;
-        match reply.result? {
-            Applied::Moldable {
-                id,
-                choice,
-                effects,
-            } => Ok((id, choice, effects)),
-            other => unreachable!("submit_moldable answered with {other:?}"),
-        }
-    }
-
-    /// [`ScheduleService::drain`]; returns the final virtual time with the
-    /// effects.
-    pub fn drain(&self) -> Result<(Time, Effects), ServiceError> {
-        let reply = self.roundtrip(WriteOp::Drain)?;
-        let now = reply.now;
-        match reply.result? {
-            Applied::Effects(fx) => Ok((now, fx)),
-            _ => unreachable!("writer answered drain with an id payload"),
-        }
-    }
-
     /// The latest published snapshot (an `Arc` clone; never blocks on the
     /// writer). Guaranteed to include every write this client has received
     /// a reply for.
     pub fn snapshot(&self) -> Arc<ServiceSnapshot> {
         Arc::clone(&self.published.read().expect("publish slot poisoned"))
-    }
-
-    /// [`ScheduleService::query`] against the latest snapshot — runs
-    /// entirely on this thread, no writer involvement.
-    pub fn query(
-        &self,
-        width: u32,
-        duration: Dur,
-        not_before: Option<Time>,
-    ) -> Result<Option<Time>, ServiceError> {
-        self.snapshot().query(width, duration, not_before)
-    }
-
-    /// [`ScheduleService::stats`] as of the latest snapshot.
-    pub fn stats(&self) -> ServiceStats {
-        self.snapshot().stats.clone()
     }
 
     /// [`ScheduleService::snapshot`] (records + metrics), with the clock
@@ -653,79 +355,78 @@ impl ServiceClient {
             metrics,
         })
     }
-}
 
-fn apply<C: CapacityQuery + Speculate>(
-    svc: &mut ScheduleService<C>,
-    op: &WriteOp,
-) -> Result<Applied, ServiceError> {
-    match *op {
-        WriteOp::Submit {
+    /// Shim over [`ServiceClient::apply`], kept for `benchmark/layers`.
+    pub fn submit(
+        &self,
+        width: u32,
+        duration: Dur,
+        release: Option<Time>,
+    ) -> Result<(JobId, Effects), ServiceError> {
+        let op = Op::Submit {
             width,
             duration,
             release,
-        } => svc
-            .submit(width, duration, release)
-            .map(|(id, fx)| Applied::Job {
-                id,
-                effects: fx.clone(),
-            }),
-        WriteOp::Reserve {
+        };
+        let (id, fx) = self.apply(&op).result?.into_parts();
+        Ok((JobId(id), fx))
+    }
+
+    /// Shim over [`ServiceClient::apply`], kept for `benchmark/layers`.
+    pub fn reserve(
+        &self,
+        width: u32,
+        duration: Dur,
+        start: Time,
+    ) -> Result<(usize, Effects), ServiceError> {
+        let op = Op::Reserve {
             width,
             duration,
             start,
-        } => svc
-            .reserve(width, duration, start)
-            .map(|(id, fx)| Applied::Reservation {
-                id,
-                effects: fx.clone(),
-            }),
-        WriteOp::Cancel { id } => svc.cancel(id).map(|fx| Applied::Effects(fx.clone())),
-        WriteOp::Advance { to } => svc.advance(to).map(|fx| Applied::Effects(fx.clone())),
-        WriteOp::AdvanceClamped { to } => Ok(Applied::Effects(svc.advance_clamped(to).clone())),
-        WriteOp::Drain => Ok(Applied::Effects(svc.drain().clone())),
-        WriteOp::Inject {
-            width,
-            duration,
-            start,
-        } => {
-            let res = svc
-                .inject(width, duration, start)
-                .map(|(id, fx)| (id, fx.clone()));
-            res.map(|(id, effects)| Applied::Drained {
-                id,
-                preempted: svc.last_preempted().to_vec(),
-                effects,
-            })
-        }
-        WriteOp::Revoke { id } => svc.revoke(id).map(|fx| Applied::Effects(fx.clone())),
-        WriteOp::SubmitDeadline {
-            width,
-            duration,
-            release,
-            deadline,
-            admission,
-        } => svc
-            .submit_deadline(width, duration, release, deadline, admission)
-            .map(|(id, outcome, fx)| Applied::Deadline {
-                id,
-                outcome,
-                effects: fx.clone(),
-            }),
-        WriteOp::SubmitMoldable { ref widths, area } => {
-            svc.submit_moldable(widths, area)
-                .map(|(id, choice, fx)| Applied::Moldable {
-                    id,
-                    choice,
-                    effects: fx.clone(),
-                })
-        }
+        };
+        Ok(self.apply(&op).result?.into_parts())
+    }
+
+    /// Shim over [`ServiceClient::apply`], kept for `benchmark/layers`.
+    pub fn cancel(&self, id: usize) -> Result<Effects, ServiceError> {
+        Ok(self.apply(&Op::Cancel { id }).result?.into_parts().1)
+    }
+
+    /// Shim over [`ServiceClient::apply`], kept for `benchmark/layers`.
+    pub fn advance(&self, to: Time) -> Result<(Time, Effects), ServiceError> {
+        let reply = self.apply(&Op::Advance { to });
+        Ok((reply.now, reply.result?.into_parts().1))
+    }
+
+    /// Shim kept for `benchmark/layers`: the snapshot's probe.
+    pub fn query(
+        &self,
+        width: u32,
+        duration: Dur,
+        not_before: Option<Time>,
+    ) -> Result<Option<Time>, ServiceError> {
+        self.snapshot().query(width, duration, not_before)
+    }
+
+    /// Shim kept for `benchmark/layers`: the snapshot's counters.
+    pub fn stats(&self) -> ServiceStats {
+        self.snapshot().stats.clone()
     }
 }
 
-/// The single-writer loop: batch-dequeue, apply in order, publish, reply —
-/// in exactly that order, so a delivered reply proves the snapshot slot
-/// already covers the write.
+impl Session for ServiceClient {
+    fn apply(&mut self, op: &Op) -> WriteReply {
+        ServiceClient::apply(self, op)
+    }
+
+    fn policy(&self) -> ReferencePolicy {
+        self.snapshot().policy
+    }
+}
+
+/// The single-writer loop: batch-dequeue, apply in order, seal, publish,
+/// reply — in exactly that order, so a delivered reply proves the op is as
+/// durable as the journal promises and the snapshot slot already covers it.
 fn writer_loop<C>(
     mut svc: ScheduleService<C>,
     rx: Receiver<Request>,
@@ -738,8 +439,8 @@ where
 {
     let mut generation = 0u64;
     let mut log: Vec<AppliedOp> = Vec::new();
-    let mut batch: Vec<(u64, WriteOp, Sender<WriteReply>)> = Vec::with_capacity(BATCH_MAX);
-    let mut replies: Vec<(Sender<WriteReply>, Result<Applied, ServiceError>, Time)> =
+    let mut batch: Vec<(u64, Op, Sender<WriteReply>)> = Vec::with_capacity(BATCH_MAX);
+    let mut replies: Vec<(Sender<WriteReply>, Result<Reply, ServiceError>, Time)> =
         Vec::with_capacity(BATCH_MAX);
     'serve: loop {
         batch.clear();
@@ -765,38 +466,20 @@ where
         if !batch.is_empty() {
             replies.clear();
             for (session, op, reply) in batch.drain(..) {
-                // Write-ahead: the record must be journaled before the op
-                // mutates the service; an op that cannot be made durable
-                // is refused rather than applied volatile.
-                let journaled = match &mut journal {
-                    Some(j) => j
-                        .append_op(&AppliedOp {
-                            session,
-                            op: op.clone(),
-                        })
-                        .map_err(|e| ServiceError::Journal {
-                            message: e.to_string(),
-                        }),
-                    None => Ok(()),
-                };
-                let result = match journaled {
-                    Ok(()) => apply(&mut svc, &op),
-                    Err(e) => Err(e),
+                let result = match &mut journal {
+                    Some(j) => j.apply(&mut svc, session, &op),
+                    None => svc.apply(&op),
                 };
                 if record {
                     log.push(AppliedOp { session, op });
                 }
                 replies.push((reply, result, svc.now()));
             }
-            if let Some(j) = &mut journal {
-                // Durability point: acknowledged ops are on disk (per the
-                // fsync policy) before the snapshot publishes and any
-                // reply is delivered.
-                if let Err(e) = j.batch_sync() {
-                    eprintln!("resa journal: batch sync failed: {e}");
-                }
-                if let Err(e) = j.maybe_snapshot(|| svc.state()) {
-                    eprintln!("resa journal: compaction failed: {e}");
+            // Durability point: a batch that cannot be sealed is not
+            // acknowledged, whatever its ops answered.
+            if let Some(Err(unsealed)) = journal.as_mut().map(|j| j.seal(&svc)) {
+                for (_, result, _) in &mut replies {
+                    *result = Err(unsealed.clone());
                 }
             }
             generation += 1;
@@ -848,41 +531,54 @@ mod tests {
         ))
     }
 
+    fn submit(width: u32, duration: u64, release: Option<u64>) -> Op {
+        Op::Submit {
+            width,
+            duration: Dur(duration),
+            release: release.map(Time),
+        }
+    }
+
+    fn query(width: u32, duration: u64) -> Op {
+        Op::Query {
+            width,
+            duration: Dur(duration),
+            not_before: None,
+        }
+    }
+
     #[test]
     fn single_session_matches_the_sequential_service() {
         let svc = concurrent(4, ReferencePolicy::Easy);
         let client = svc.client();
         let mut seq =
             ScheduleService::new(ReferencePolicy::Easy, AvailabilityTimeline::constant(4));
-
-        let (rid, rfx) = client.reserve(2, Dur(6), Time(4)).unwrap();
-        let (srid, sfx) = seq.reserve(2, Dur(6), Time(4)).unwrap();
-        assert_eq!((rid, &rfx), (srid, sfx));
-
-        let (jid, jfx) = client.submit(3, Dur(5), None).unwrap();
-        let (sjid, sfx) = seq.submit(3, Dur(5), None).unwrap();
-        assert_eq!((jid, &jfx), (sjid, sfx));
-
-        // Read-your-writes: the snapshot already covers the submit.
-        assert_eq!(client.query(2, Dur(3), None), seq.query(2, Dur(3), None));
-        assert_eq!(client.stats(), seq.stats());
-
-        let (now, afx) = client.advance(Time(9)).unwrap();
-        let sfx = seq.advance(Time(9)).unwrap();
-        assert_eq!(&afx, sfx);
-        assert_eq!(now, seq.now());
-
-        let (_, dfx) = client.drain().unwrap();
-        let sfx = seq.drain();
-        assert_eq!(&dfx, sfx);
-        assert_eq!(client.stats(), seq.stats());
-        let at = client.records().unwrap();
-        assert_eq!((at.now, at.machines), (seq.now(), seq.machines()));
-        assert_eq!((at.records, at.metrics), seq.snapshot());
+        let reserve = Op::Reserve {
+            width: 2,
+            duration: Dur(6),
+            start: Time(4),
+        };
+        // Read-your-writes: the snapshot behind each read covers the
+        // writes before it.
+        let script = [
+            reserve,
+            submit(3, 5, None),
+            query(2, 3),
+            Op::Stats,
+            Op::Advance { to: Time(9) },
+            Op::Drain,
+            Op::Stats,
+            Op::Records { since: None },
+        ];
+        for op in &script {
+            let reply = client.apply(op);
+            assert_eq!(reply.result, seq.apply(op), "{op:?}");
+            assert_eq!(reply.now, seq.now(), "{op:?}");
+        }
 
         let (fin, log) = svc.shutdown();
         assert_eq!(fin.schedule(), seq.schedule());
-        assert_eq!(log.len(), 4, "every applied op was recorded");
+        assert_eq!(log.len(), 4, "every applied write was recorded");
         assert!(log.iter().all(|a| a.session == client.session()));
     }
 
@@ -890,38 +586,27 @@ mod tests {
     fn errors_cross_the_channel_intact() {
         let svc = concurrent(4, ReferencePolicy::Fcfs);
         let client = svc.client();
+        let bad_width = |width| ServiceError::BadWidth { width, machines: 4 };
+        assert_eq!(client.apply(&submit(9, 1, None)).result, Err(bad_width(9)));
+        assert_eq!(client.apply(&query(0, 1)).result, Err(bad_width(0)));
         assert_eq!(
-            client.submit(9, Dur(1), None),
-            Err(ServiceError::BadWidth {
-                width: 9,
-                machines: 4
-            })
-        );
-        assert_eq!(
-            client.query(0, Dur(1), None),
-            Err(ServiceError::BadWidth {
-                width: 0,
-                machines: 4
-            })
-        );
-        assert_eq!(
-            client.query(1, Dur(0), None),
+            client.apply(&query(1, 0)).result,
             Err(ServiceError::ZeroDuration)
         );
-        client.advance(Time(5)).unwrap();
+        client.apply(&Op::Advance { to: Time(5) }).result.unwrap();
         assert_eq!(
-            client.advance(Time(3)),
+            client.apply(&Op::Advance { to: Time(3) }).result,
             Err(ServiceError::InThePast {
                 at: Time(3),
                 now: Time(5)
             })
         );
         // The clamped variant treats the same target as a no-op.
-        let (now, fx) = client.advance_clamped(Time(3)).unwrap();
-        assert_eq!(now, Time(5));
-        assert!(fx.is_empty());
+        let reply = client.apply(&Op::AdvanceClamped { to: Time(3) });
+        assert_eq!(reply.now, Time(5));
+        assert_eq!(reply.result, Ok(Reply::Effects(Effects::default())));
         assert_eq!(
-            client.cancel(0),
+            client.apply(&Op::Cancel { id: 0 }).result,
             Err(ServiceError::UnknownReservation { id: 0 })
         );
     }
@@ -930,18 +615,19 @@ mod tests {
     fn clients_outlive_the_service_gracefully() {
         let svc = concurrent(2, ReferencePolicy::Greedy);
         let client = svc.client();
-        client.submit(1, Dur(2), None).unwrap();
+        client.apply(&submit(1, 2, None)).result.unwrap();
         let (_, log) = svc.shutdown();
         assert_eq!(log.len(), 1);
         // Writes after shutdown fail cleanly; snapshot reads still work.
+        let stopped = client.apply(&submit(1, 2, None));
+        assert_eq!(stopped.result, Err(ServiceError::ServiceStopped));
+        assert_eq!(client.stats().submitted, 1);
+        assert!(client.apply(&query(1, 1)).result.is_ok());
+        // `Records` needs the writer: a structured error, not a hang.
         assert_eq!(
-            client.submit(1, Dur(2), None),
+            client.apply(&Op::Records { since: None }).result,
             Err(ServiceError::ServiceStopped)
         );
-        assert_eq!(client.stats().submitted, 1);
-        assert!(client.query(1, Dur(1), None).is_ok());
-        // `records` needs the writer: a structured error, not a hang.
-        assert_eq!(client.records(), Err(ServiceError::ServiceStopped));
     }
 
     #[test]
@@ -951,9 +637,9 @@ mod tests {
         let mut last = client.snapshot().generation;
         assert_eq!(last, 0, "pre-write state is generation 0");
         for i in 0..10 {
-            client.submit(1, Dur(3), Some(Time(i + 1))).unwrap();
+            let reply = client.apply(&submit(1, 3, Some(i + 1)));
             let snap = client.snapshot();
-            assert!(snap.generation > last || snap.stats.submitted as u64 > i);
+            assert!(snap.generation >= reply.generation && snap.generation > last);
             assert!(
                 snap.stats.submitted as u64 > i,
                 "reply delivered but write not visible"
@@ -973,12 +659,12 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..20u64 {
                     let w = 1 + ((t + i) % 3) as u32;
-                    client.submit(w, Dur(2 + i % 4), None).unwrap();
+                    client.apply(&submit(w, 2 + i % 4, None)).result.unwrap();
                     if i % 5 == 4 {
-                        let target = client.stats().now.saturating_add(Dur(3));
-                        client.advance_clamped(target).unwrap();
+                        let to = client.stats().now.saturating_add(Dur(3));
+                        client.apply(&Op::AdvanceClamped { to }).result.unwrap();
                     }
-                    client.query(2, Dur(5), None).unwrap();
+                    client.apply(&query(2, 5)).result.unwrap();
                 }
             }));
         }
@@ -990,7 +676,7 @@ mod tests {
         let mut replay =
             ScheduleService::new(ReferencePolicy::Easy, AvailabilityTimeline::constant(6));
         for entry in &log {
-            entry.replay(&mut replay);
+            let _ = replay.apply(&entry.op);
         }
         assert_eq!(replay.schedule(), fin.schedule());
         assert_eq!(replay.stats(), fin.stats());

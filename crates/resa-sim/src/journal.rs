@@ -8,6 +8,18 @@
 //! is applied (write-ahead), so a process killed at any instant can be
 //! rebuilt by replaying the journal's valid prefix.
 //!
+//! # One sequence
+//!
+//! A durable service is a wrapper around [`ScheduleService::apply`], and
+//! there is one such wrapper: [`OpJournal::apply`] (admission → record →
+//! mutation; an op refused at admission leaves no record, so a hostile
+//! request can never poison a restart) and, at the end of a batch,
+//! [`OpJournal::seal`] (sync per the fsync policy, then compaction). The
+//! sequential [`JournaledService`] runs them per request, the concurrent
+//! writer per dequeue batch; neither acknowledges an op of a batch that
+//! could not be sealed. Recovery replays the recorded [`Op`]s through the
+//! same `apply`.
+//!
 //! # Record format
 //!
 //! A journal file starts with a 13-byte header — the magic `RESAJRN1`, the
@@ -20,11 +32,11 @@
 //! ```
 //!
 //! with the CRC-32 (IEEE polynomial) taken over the payload only. The first
-//! payload byte is the record kind: `1` = op record (a serialized
-//! [`AppliedOp`]), `2` = snapshot record (a serialized
-//! [`ServiceState`] — see *Compaction*). All integers are fixed-width
-//! little-endian; no floats appear anywhere, so the format round-trips
-//! exactly.
+//! payload byte is the record kind: `1` = op record (an [`AppliedOp`]: the
+//! session id, the op's tag byte, its fields), `2` = snapshot record (a
+//! serialized [`ServiceState`] — see *Compaction*). All integers are
+//! fixed-width little-endian; no floats appear anywhere, so the format
+//! round-trips exactly.
 //!
 //! # Torn tails
 //!
@@ -66,11 +78,11 @@
 //! `io::Write` / `io::Read` so unit tests can also inject short writes and
 //! disk-full errors without touching the filesystem.
 
-use crate::concurrent::{AppliedOp, WriteOp};
+use crate::concurrent::AppliedOp;
+use crate::op::{Op, Reply, Session, WriteReply};
 use crate::reference::ReferencePolicy;
 use crate::service::{
-    AdmissionPolicy, DeadlineOutcome, DrainMode, Effects, ScheduleService, ServiceError,
-    ServiceState,
+    AdmissionPolicy, DrainMode, Effects, ScheduleService, ServiceError, ServiceState, ServiceStats,
 };
 use resa_core::capacity::Speculate;
 use resa_core::prelude::*;
@@ -191,10 +203,12 @@ fn policy_from(code: u8) -> Option<ReferencePolicy> {
     }
 }
 
-fn encode_op(buf: &mut Vec<u8>, entry: &AppliedOp) {
-    put_u64(buf, entry.session);
-    match entry.op {
-        WriteOp::Submit {
+/// Encode a write as its tag byte and fields. Reads are not journaled:
+/// `false`, nothing written.
+fn encode_op(buf: &mut Vec<u8>, op: &Op) -> bool {
+    match *op {
+        Op::Query { .. } | Op::Stats | Op::Records { .. } => return false,
+        Op::Submit {
             width,
             duration,
             release,
@@ -210,7 +224,7 @@ fn encode_op(buf: &mut Vec<u8>, entry: &AppliedOp) {
                 }
             }
         }
-        WriteOp::Reserve {
+        Op::Reserve {
             width,
             duration,
             start,
@@ -220,20 +234,20 @@ fn encode_op(buf: &mut Vec<u8>, entry: &AppliedOp) {
             put_u64(buf, duration.0);
             put_u64(buf, start.ticks());
         }
-        WriteOp::Cancel { id } => {
+        Op::Cancel { id } => {
             buf.push(3);
             put_u64(buf, id as u64);
         }
-        WriteOp::Advance { to } => {
+        Op::Advance { to } => {
             buf.push(4);
             put_u64(buf, to.ticks());
         }
-        WriteOp::AdvanceClamped { to } => {
+        Op::AdvanceClamped { to } => {
             buf.push(5);
             put_u64(buf, to.ticks());
         }
-        WriteOp::Drain => buf.push(6),
-        WriteOp::Inject {
+        Op::Drain => buf.push(6),
+        Op::Inject {
             width,
             duration,
             start,
@@ -243,11 +257,11 @@ fn encode_op(buf: &mut Vec<u8>, entry: &AppliedOp) {
             put_u64(buf, duration.0);
             put_u64(buf, start.ticks());
         }
-        WriteOp::Revoke { id } => {
+        Op::Revoke { id } => {
             buf.push(8);
             put_u64(buf, id as u64);
         }
-        WriteOp::SubmitDeadline {
+        Op::SubmitDeadline {
             width,
             duration,
             release,
@@ -270,7 +284,7 @@ fn encode_op(buf: &mut Vec<u8>, entry: &AppliedOp) {
                 AdmissionPolicy::Boost => 1,
             });
         }
-        WriteOp::SubmitMoldable { ref widths, area } => {
+        Op::SubmitMoldable { ref widths, area } => {
             buf.push(10);
             put_u64(buf, widths.len() as u64);
             for &w in widths {
@@ -279,11 +293,11 @@ fn encode_op(buf: &mut Vec<u8>, entry: &AppliedOp) {
             put_u64(buf, area);
         }
     }
+    true
 }
 
-fn decode_op(cur: &mut Cursor<'_>) -> Option<AppliedOp> {
-    let session = cur.take_u64()?;
-    let op = match cur.take_u8()? {
+fn decode_op(cur: &mut Cursor<'_>) -> Option<Op> {
+    Some(match cur.take_u8()? {
         1 => {
             let width = cur.take_u32()?;
             let duration = Dur(cur.take_u64()?);
@@ -292,33 +306,33 @@ fn decode_op(cur: &mut Cursor<'_>) -> Option<AppliedOp> {
                 1 => Some(Time(cur.take_u64()?)),
                 _ => return None,
             };
-            WriteOp::Submit {
+            Op::Submit {
                 width,
                 duration,
                 release,
             }
         }
-        2 => WriteOp::Reserve {
+        2 => Op::Reserve {
             width: cur.take_u32()?,
             duration: Dur(cur.take_u64()?),
             start: Time(cur.take_u64()?),
         },
-        3 => WriteOp::Cancel {
+        3 => Op::Cancel {
             id: usize::try_from(cur.take_u64()?).ok()?,
         },
-        4 => WriteOp::Advance {
+        4 => Op::Advance {
             to: Time(cur.take_u64()?),
         },
-        5 => WriteOp::AdvanceClamped {
+        5 => Op::AdvanceClamped {
             to: Time(cur.take_u64()?),
         },
-        6 => WriteOp::Drain,
-        7 => WriteOp::Inject {
+        6 => Op::Drain,
+        7 => Op::Inject {
             width: cur.take_u32()?,
             duration: Dur(cur.take_u64()?),
             start: Time(cur.take_u64()?),
         },
-        8 => WriteOp::Revoke {
+        8 => Op::Revoke {
             id: usize::try_from(cur.take_u64()?).ok()?,
         },
         9 => {
@@ -335,7 +349,7 @@ fn decode_op(cur: &mut Cursor<'_>) -> Option<AppliedOp> {
                 1 => AdmissionPolicy::Boost,
                 _ => return None,
             };
-            WriteOp::SubmitDeadline {
+            Op::SubmitDeadline {
                 width,
                 duration,
                 release,
@@ -349,14 +363,13 @@ fn decode_op(cur: &mut Cursor<'_>) -> Option<AppliedOp> {
             for _ in 0..n {
                 widths.push(cur.take_u32()?);
             }
-            WriteOp::SubmitMoldable {
+            Op::SubmitMoldable {
                 widths,
                 area: cur.take_u64()?,
             }
         }
         _ => return None,
-    };
-    Some(AppliedOp { session, op })
+    })
 }
 
 fn encode_state(buf: &mut Vec<u8>, state: &ServiceState) {
@@ -675,8 +688,10 @@ impl Recovered {
             None => ScheduleService::new(policy, substrate),
         };
         svc.set_drain_mode(mode);
-        for op in &self.ops {
-            op.replay(&mut svc);
+        for entry in &self.ops {
+            // Outcomes are not compared: an op the live service refused is
+            // refused again.
+            let _ = svc.apply(&entry.op);
         }
         svc
     }
@@ -776,13 +791,16 @@ impl OpJournal {
     }
 
     /// Append one op record (write-ahead: call this *before* applying the
-    /// op). Durability depends on the [`FsyncPolicy`]; an error means the
-    /// record may not survive a crash, and the caller must **not** apply
-    /// the op.
-    pub fn append_op(&mut self, entry: &AppliedOp) -> io::Result<()> {
+    /// op; reads are skipped). Durability depends on the [`FsyncPolicy`];
+    /// an error means the record may not survive a crash, and the caller
+    /// must **not** apply the op.
+    pub fn append_op(&mut self, session: u64, op: &Op) -> io::Result<()> {
         self.payload.clear();
         self.payload.push(KIND_OP);
-        encode_op(&mut self.payload, entry);
+        put_u64(&mut self.payload, session);
+        if !encode_op(&mut self.payload, op) {
+            return Ok(());
+        }
         if self.fail_after == Some(self.op_appends) {
             self.abort_with_torn_tail();
         }
@@ -795,60 +813,15 @@ impl OpJournal {
                 self.file.write_all(&framed)?;
                 self.file.sync_data()
             }
-            FsyncPolicy::Batch => {
-                let payload = std::mem::take(&mut self.payload);
-                frame_record(&mut self.queued, &payload);
-                self.payload = payload;
-                Ok(())
-            }
-            FsyncPolicy::Off => {
-                let payload = std::mem::take(&mut self.payload);
-                frame_record(&mut self.queued, &payload);
-                self.payload = payload;
-                if self.queued.len() >= OFF_FLUSH_BYTES {
+            policy => {
+                frame_record(&mut self.queued, &self.payload);
+                if policy == FsyncPolicy::Off && self.queued.len() >= OFF_FLUSH_BYTES {
                     self.file.write_all(&self.queued)?;
                     self.queued.clear();
                 }
                 Ok(())
             }
         }
-    }
-
-    /// Mark a batch boundary: under `Batch`, queued records are written and
-    /// synced (call this before acknowledging the batch's ops); under
-    /// `Off`, queued records are written without syncing; under `Every`
-    /// this is a no-op.
-    pub fn batch_sync(&mut self) -> io::Result<()> {
-        match self.cfg.fsync {
-            FsyncPolicy::Every => Ok(()),
-            FsyncPolicy::Batch => {
-                if !self.queued.is_empty() {
-                    self.file.write_all(&self.queued)?;
-                    self.queued.clear();
-                }
-                self.file.sync_data()
-            }
-            FsyncPolicy::Off => {
-                if !self.queued.is_empty() {
-                    self.file.write_all(&self.queued)?;
-                    self.queued.clear();
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Compact if the replay debt warrants it: once
-    /// [`JournalCfg::snapshot_every`] op records have accumulated, capture
-    /// `state` and rewrite the journal as a single snapshot record. Returns
-    /// whether a compaction happened. Call at batch boundaries, *after*
-    /// the batch's ops were applied, so the captured state covers them.
-    pub fn maybe_snapshot(&mut self, state: impl FnOnce() -> ServiceState) -> io::Result<bool> {
-        if self.ops_since_snapshot < self.cfg.snapshot_every {
-            return Ok(false);
-        }
-        self.compact(&state())?;
-        Ok(true)
     }
 
     /// Atomically rewrite the journal as `header + one snapshot record` of
@@ -880,6 +853,46 @@ impl OpJournal {
         Ok(())
     }
 
+    /// The write-ahead sequence for one op, shared by [`JournaledService`]
+    /// and the concurrent writer: admission, then the record, then the
+    /// mutation ([`ScheduleService::apply_after`]). An op that is refused at
+    /// admission leaves no record; one whose record cannot be appended is
+    /// not applied.
+    pub fn apply<C: CapacityQuery + Speculate>(
+        &mut self,
+        svc: &mut ScheduleService<C>,
+        session: u64,
+        op: &Op,
+    ) -> Result<Reply, ServiceError> {
+        svc.apply_after(op, || self.append_op(session, op).map_err(journal_err))
+    }
+
+    /// End a batch of [`OpJournal::apply`] calls; until this returns `Ok`,
+    /// none of the batch's ops may be acknowledged. Queued records are
+    /// written (`Batch`, `Off`) and synced (`Batch`; `Every` synced each on
+    /// append). Then, once [`JournalCfg::snapshot_every`] op records have
+    /// accumulated, the journal is compacted to a snapshot of `svc` — which
+    /// by now has applied the whole batch.
+    pub fn seal<C: CapacityQuery + Speculate>(
+        &mut self,
+        svc: &ScheduleService<C>,
+    ) -> Result<(), ServiceError> {
+        let mut durable = || {
+            if !self.queued.is_empty() {
+                self.file.write_all(&self.queued)?;
+                self.queued.clear();
+            }
+            if self.cfg.fsync == FsyncPolicy::Batch {
+                self.file.sync_data()?;
+            }
+            if self.ops_since_snapshot >= self.cfg.snapshot_every {
+                self.compact(&svc.state())?;
+            }
+            Ok(())
+        };
+        durable().map_err(journal_err)
+    }
+
     /// The failpoint: write a strict prefix of the pending record, push it
     /// to the OS, and die without unwinding — a deterministic torn tail.
     fn abort_with_torn_tail(&mut self) -> ! {
@@ -902,6 +915,12 @@ impl Drop for OpJournal {
             let _ = self.file.write_all(&self.queued);
         }
         let _ = self.file.sync_data();
+    }
+}
+
+fn journal_err(e: io::Error) -> ServiceError {
+    ServiceError::Journal {
+        message: e.to_string(),
     }
 }
 
@@ -946,9 +965,11 @@ fn scan(bytes: &[u8], machines: u32, policy: ReferencePolicy) -> io::Result<(Rec
             Ok(Some(payload)) => {
                 let mut cur = Cursor::new(&payload[1..]);
                 let decoded = match payload.first() {
-                    Some(&KIND_OP) => decode_op(&mut cur).filter(|_| cur.done()).map(|op| {
-                        ops.push(op);
-                    }),
+                    Some(&KIND_OP) => cur
+                        .take_u64()
+                        .zip(decode_op(&mut cur))
+                        .filter(|_| cur.done())
+                        .map(|(session, op)| ops.push(AppliedOp { session, op })),
                     Some(&KIND_SNAPSHOT) => {
                         decode_state(&mut cur).filter(|_| cur.done()).map(|state| {
                             snapshot = Some(state);
@@ -994,11 +1015,11 @@ fn scan(bytes: &[u8], machines: u32, policy: ReferencePolicy) -> io::Result<(Rec
 
 // -- sequential journaled service --------------------------------------------
 
-/// A [`ScheduleService`] paired with an [`OpJournal`]: the durable backend
-/// for single-session transports (`resa serve` over stdio or `--script`).
-/// Every mutating request is journaled write-ahead, applied, and sealed —
-/// each request is its own batch, so `Batch` behaves like `Every` here.
-/// The concurrent transports journal per dequeue batch instead; see
+/// A [`ScheduleService`] paired with an [`OpJournal`]: the durable
+/// [`Session`] of the single-session transports (`resa serve` over stdio or
+/// `--script`). Every write runs [`OpJournal::apply`] and is sealed at once
+/// — each request is its own batch, so `Batch` behaves like `Every` here.
+/// The concurrent transports run the same two calls per dequeue batch; see
 /// [`crate::concurrent::ConcurrentService::with_journal`].
 #[derive(Debug)]
 pub struct JournaledService<C: CapacityQuery + Speculate> {
@@ -1023,173 +1044,59 @@ impl<C: CapacityQuery + Speculate> JournaledService<C> {
         (svc, journal)
     }
 
-    fn journaled(&mut self, op: WriteOp) -> Result<(), ServiceError> {
-        self.journal
-            .append_op(&AppliedOp { session: 0, op })
-            .map_err(|e| ServiceError::Journal {
-                message: e.to_string(),
-            })
+    /// Apply one op durably: a write that cannot be journaled or sealed is
+    /// answered with [`ServiceError::Journal`]; reads pass through.
+    pub fn apply(&mut self, op: &Op) -> Result<Reply, ServiceError> {
+        let result = self.journal.apply(&mut self.svc, 0, op);
+        if op.is_write() {
+            self.journal.seal(&self.svc)?;
+        }
+        result
     }
 
-    /// Seal the single-request batch: sync per policy, then compact if the
-    /// replay debt crossed the threshold.
-    fn seal(&mut self) -> Result<(), ServiceError> {
-        let journal_err = |e: io::Error| ServiceError::Journal {
-            message: e.to_string(),
-        };
-        self.journal.batch_sync().map_err(journal_err)?;
-        let svc = &self.svc;
-        self.journal
-            .maybe_snapshot(|| svc.state())
-            .map_err(journal_err)?;
-        Ok(())
-    }
-
-    /// Journaled [`ScheduleService::submit`].
+    /// Shim over [`JournaledService::apply`], kept for `benchmark/layers`.
     pub fn submit(
         &mut self,
         width: u32,
         duration: Dur,
         release: Option<Time>,
     ) -> Result<(JobId, Effects), ServiceError> {
-        self.journaled(WriteOp::Submit {
+        let op = Op::Submit {
             width,
             duration,
             release,
-        })?;
-        let out = self
-            .svc
-            .submit(width, duration, release)
-            .map(|(id, fx)| (id, fx.clone()));
-        self.seal()?;
-        out
+        };
+        let (id, fx) = self.apply(&op)?.into_parts();
+        Ok((JobId(id), fx))
     }
 
-    /// Journaled [`ScheduleService::reserve`].
+    /// Shim over [`JournaledService::apply`], kept for `benchmark/layers`.
     pub fn reserve(
         &mut self,
         width: u32,
         duration: Dur,
         start: Time,
     ) -> Result<(usize, Effects), ServiceError> {
-        self.journaled(WriteOp::Reserve {
+        let op = Op::Reserve {
             width,
             duration,
             start,
-        })?;
-        let out = self
-            .svc
-            .reserve(width, duration, start)
-            .map(|(id, fx)| (id, fx.clone()));
-        self.seal()?;
-        out
+        };
+        Ok(self.apply(&op)?.into_parts())
     }
 
-    /// Journaled [`ScheduleService::cancel`].
+    /// Shim over [`JournaledService::apply`], kept for `benchmark/layers`.
     pub fn cancel(&mut self, id: usize) -> Result<Effects, ServiceError> {
-        self.journaled(WriteOp::Cancel { id })?;
-        let out = self.svc.cancel(id).cloned();
-        self.seal()?;
-        out
+        Ok(self.apply(&Op::Cancel { id })?.into_parts().1)
     }
 
-    /// Journaled [`ScheduleService::inject`]; returns the drain id, the
-    /// preempted job ids and the triggered effects.
-    pub fn inject(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, Vec<JobId>, Effects), ServiceError> {
-        self.journaled(WriteOp::Inject {
-            width,
-            duration,
-            start,
-        })?;
-        let res = self
-            .svc
-            .inject(width, duration, start)
-            .map(|(id, fx)| (id, fx.clone()));
-        let out = res.map(|(id, fx)| (id, self.svc.last_preempted().to_vec(), fx));
-        self.seal()?;
-        out
-    }
-
-    /// Journaled [`ScheduleService::revoke`].
-    pub fn revoke(&mut self, id: usize) -> Result<Effects, ServiceError> {
-        self.journaled(WriteOp::Revoke { id })?;
-        let out = self.svc.revoke(id).cloned();
-        self.seal()?;
-        out
-    }
-
-    /// Journaled [`ScheduleService::submit_deadline`].
-    pub fn submit_deadline(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-        deadline: Time,
-        admission: AdmissionPolicy,
-    ) -> Result<(JobId, DeadlineOutcome, Effects), ServiceError> {
-        self.journaled(WriteOp::SubmitDeadline {
-            width,
-            duration,
-            release,
-            deadline,
-            admission,
-        })?;
-        let out = self
-            .svc
-            .submit_deadline(width, duration, release, deadline, admission)
-            .map(|(id, outcome, fx)| (id, outcome, fx.clone()));
-        self.seal()?;
-        out
-    }
-
-    /// Journaled [`ScheduleService::submit_moldable`].
-    pub fn submit_moldable(
-        &mut self,
-        widths: &[u32],
-        area: u64,
-    ) -> Result<(JobId, WidthChoice, Effects), ServiceError> {
-        self.journaled(WriteOp::SubmitMoldable {
-            widths: widths.to_vec(),
-            area,
-        })?;
-        let out = self
-            .svc
-            .submit_moldable(widths, area)
-            .map(|(id, choice, fx)| (id, choice, fx.clone()));
-        self.seal()?;
-        out
-    }
-
-    /// Journaled [`ScheduleService::advance`].
+    /// Shim over [`JournaledService::apply`], kept for `benchmark/layers`.
     pub fn advance(&mut self, to: Time) -> Result<(Time, Effects), ServiceError> {
-        self.journaled(WriteOp::Advance { to })?;
-        let out = self.svc.advance(to).cloned();
-        self.seal()?;
-        out.map(|fx| (self.svc.now(), fx))
-    }
-
-    /// Journaled [`ScheduleService::advance_clamped`].
-    pub fn advance_clamped(&mut self, to: Time) -> Result<(Time, Effects), ServiceError> {
-        self.journaled(WriteOp::AdvanceClamped { to })?;
-        let fx = self.svc.advance_clamped(to).clone();
-        self.seal()?;
+        let fx = self.apply(&Op::Advance { to })?.into_parts().1;
         Ok((self.svc.now(), fx))
     }
 
-    /// Journaled [`ScheduleService::drain`].
-    pub fn drain(&mut self) -> Result<(Time, Effects), ServiceError> {
-        self.journaled(WriteOp::Drain)?;
-        let fx = self.svc.drain().clone();
-        self.seal()?;
-        Ok((self.svc.now(), fx))
-    }
-
-    /// [`ScheduleService::query`] — read-only, not journaled.
+    /// Shim kept for `benchmark/layers`: reads are not journaled.
     pub fn query(
         &mut self,
         width: u32,
@@ -1199,24 +1106,24 @@ impl<C: CapacityQuery + Speculate> JournaledService<C> {
         self.svc.query(width, duration, not_before)
     }
 
-    /// [`ScheduleService::stats`] — read-only, not journaled.
-    pub fn stats(&self) -> crate::service::ServiceStats {
+    /// Shim kept for `benchmark/layers`: reads are not journaled.
+    pub fn stats(&self) -> ServiceStats {
         self.svc.stats()
     }
+}
 
-    /// [`ScheduleService::snapshot`] — read-only, not journaled.
-    pub fn snapshot(&self) -> (Vec<crate::trace::JobRecord>, crate::metrics::SimMetrics) {
-        self.svc.snapshot()
+impl<C: CapacityQuery + Speculate> Session for JournaledService<C> {
+    fn apply(&mut self, op: &Op) -> WriteReply {
+        let result = JournaledService::apply(self, op);
+        WriteReply {
+            result,
+            now: self.svc.now(),
+            generation: 0,
+        }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> ReferencePolicy {
+    fn policy(&self) -> ReferencePolicy {
         self.svc.policy()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> Time {
-        self.svc.now()
     }
 }
 
@@ -1238,13 +1145,30 @@ mod tests {
         }
     }
 
+    fn submit(width: u32, duration: u64, release: Option<u64>) -> Op {
+        Op::Submit {
+            width,
+            duration: Dur(duration),
+            release: release.map(Time),
+        }
+    }
+
     fn drive(j: &mut JournaledService<AvailabilityTimeline>) -> ServiceStats {
-        j.submit(2, Dur(5), None).unwrap();
-        j.reserve(1, Dur(3), Time(4)).unwrap();
-        j.submit(3, Dur(2), Some(Time(6))).unwrap();
-        j.advance(Time(5)).unwrap();
-        j.submit(1, Dur(4), None).unwrap();
-        j.drain().unwrap();
+        let reserve = Op::Reserve {
+            width: 1,
+            duration: Dur(3),
+            start: Time(4),
+        };
+        for op in [
+            submit(2, 5, None),
+            reserve,
+            submit(3, 2, Some(6)),
+            Op::Advance { to: Time(5) },
+            submit(1, 4, None),
+            Op::Drain,
+        ] {
+            j.apply(&op).unwrap();
+        }
         j.stats()
     }
 
@@ -1258,66 +1182,65 @@ mod tests {
     #[test]
     fn ops_roundtrip_through_the_codec() {
         let ops = [
-            WriteOp::Submit {
+            Op::Submit {
                 width: 3,
                 duration: Dur(7),
                 release: None,
             },
-            WriteOp::Submit {
+            Op::Submit {
                 width: 1,
                 duration: Dur(1),
                 release: Some(Time(9)),
             },
-            WriteOp::Reserve {
+            Op::Reserve {
                 width: 2,
                 duration: Dur(4),
                 start: Time(11),
             },
-            WriteOp::Cancel { id: 5 },
-            WriteOp::Advance { to: Time(42) },
-            WriteOp::AdvanceClamped { to: Time(3) },
-            WriteOp::Drain,
-            WriteOp::Inject {
+            Op::Cancel { id: 5 },
+            Op::Advance { to: Time(42) },
+            Op::AdvanceClamped { to: Time(3) },
+            Op::Drain,
+            Op::Inject {
                 width: 2,
                 duration: Dur(6),
                 start: Time(13),
             },
-            WriteOp::Revoke { id: 2 },
-            WriteOp::SubmitDeadline {
+            Op::Revoke { id: 2 },
+            Op::SubmitDeadline {
                 width: 4,
                 duration: Dur(3),
                 release: Some(Time(2)),
                 deadline: Time(20),
                 admission: AdmissionPolicy::Reject,
             },
-            WriteOp::SubmitDeadline {
+            Op::SubmitDeadline {
                 width: 1,
                 duration: Dur(2),
                 release: None,
                 deadline: Time(5),
                 admission: AdmissionPolicy::Boost,
             },
-            WriteOp::SubmitMoldable {
+            Op::SubmitMoldable {
                 widths: vec![1, 2, 4],
                 area: 12,
             },
-            WriteOp::SubmitMoldable {
+            Op::SubmitMoldable {
                 widths: vec![],
                 area: 0,
             },
         ];
-        for (session, op) in ops.into_iter().enumerate() {
-            let entry = AppliedOp {
-                session: session as u64,
-                op,
-            };
+        for op in ops {
             let mut buf = Vec::new();
-            encode_op(&mut buf, &entry);
+            assert!(encode_op(&mut buf, &op), "{op:?} is a write");
             let mut cur = Cursor::new(&buf);
             let back = decode_op(&mut cur).expect("decodes");
             assert!(cur.done());
-            assert_eq!(back, entry);
+            assert_eq!(back, op);
         }
+        // Reads have no record.
+        let mut buf = Vec::new();
+        assert!(!encode_op(&mut buf, &Op::Stats) && buf.is_empty());
     }
 
     #[test]
@@ -1364,18 +1287,36 @@ mod tests {
             ScheduleService::new(ReferencePolicy::Fcfs, AvailabilityTimeline::constant(8));
         svc.set_drain_mode(DrainMode::Checkpoint);
         let mut live = JournaledService::new(svc, journal);
-        live.submit(8, Dur(10), None).unwrap();
-        live.advance(Time(2)).unwrap();
+        live.apply(&submit(8, 10, None)).unwrap();
+        live.apply(&Op::Advance { to: Time(2) }).unwrap();
         // The drain preempts the full-width job; Checkpoint mode banks its
         // two elapsed ticks, which replay must reproduce.
-        let (d, preempted, _) = live.inject(8, Dur(3), Time(2)).unwrap();
+        let inject = Op::Inject {
+            width: 8,
+            duration: Dur(3),
+            start: Time(2),
+        };
+        let Ok(Reply::Drained { id, preempted, .. }) = live.apply(&inject) else {
+            panic!("the drain fits once the job is preempted");
+        };
         assert_eq!(preempted.len(), 1);
-        live.submit_deadline(2, Dur(2), Some(Time(30)), Time(40), AdmissionPolicy::Reject)
+        let deadline = |width, duration, release, deadline, admission| Op::SubmitDeadline {
+            width,
+            duration: Dur(duration),
+            release,
+            deadline: Time(deadline),
+            admission,
+        };
+        live.apply(&deadline(2, 2, Some(Time(30)), 40, AdmissionPolicy::Reject))
             .unwrap();
-        live.submit_deadline(8, Dur(4), None, Time(5), AdmissionPolicy::Boost)
+        live.apply(&deadline(8, 4, None, 5, AdmissionPolicy::Boost))
             .unwrap();
-        live.submit_moldable(&[1, 2, 4], 8).unwrap();
-        live.revoke(d).unwrap();
+        let moldable = Op::SubmitMoldable {
+            widths: vec![1, 2, 4],
+            area: 8,
+        };
+        live.apply(&moldable).unwrap();
+        live.apply(&Op::Revoke { id }).unwrap();
         let (fin, journal) = live.into_parts();
         drop(journal);
 
@@ -1408,10 +1349,10 @@ mod tests {
         let svc = ScheduleService::new(ReferencePolicy::Fcfs, AvailabilityTimeline::constant(4));
         let mut live = JournaledService::new(svc, journal);
         for i in 0..10u64 {
-            live.submit(1 + (i % 3) as u32, Dur(2 + i % 4), None)
+            live.apply(&submit(1 + (i % 3) as u32, 2 + i % 4, None))
                 .unwrap();
         }
-        live.drain().unwrap();
+        live.apply(&Op::Drain).unwrap();
         let (fin, journal) = live.into_parts();
         drop(journal);
 
@@ -1442,8 +1383,8 @@ mod tests {
         .unwrap();
         let svc = ScheduleService::new(ReferencePolicy::Greedy, AvailabilityTimeline::constant(8));
         let mut live = JournaledService::new(svc, journal);
-        live.submit(2, Dur(5), None).unwrap();
-        live.submit(4, Dur(2), None).unwrap();
+        live.apply(&submit(2, 5, None)).unwrap();
+        live.apply(&submit(4, 2, None)).unwrap();
         drop(live);
 
         // Tear the file mid-way through the last record.
@@ -1499,6 +1440,48 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A batch that cannot be made durable is not acknowledged — by the
+    /// sequential wrapper and by the concurrent writer alike. The journal
+    /// sits on a read-only handle, so appends queue up (`Batch`) and the
+    /// seal's write fails.
+    #[test]
+    fn an_unsealed_batch_is_answered_with_a_journal_error_on_both_paths() {
+        let path = tmp("unsealed");
+        let _ = std::fs::remove_file(&path);
+        let cfg = cfg(FsyncPolicy::Batch, 1024);
+        drop(OpJournal::open(&path, 4, ReferencePolicy::Easy, cfg).unwrap());
+        let read_only = || {
+            let (mut journal, _) = OpJournal::open(&path, 4, ReferencePolicy::Easy, cfg).unwrap();
+            journal.file = File::open(&path).unwrap();
+            journal
+        };
+        let fresh =
+            || ScheduleService::new(ReferencePolicy::Easy, AvailabilityTimeline::constant(4));
+        let is_journal_error = |result: Result<Reply, ServiceError>| {
+            matches!(result, Err(ServiceError::Journal { .. }))
+        };
+
+        let mut sequential = JournaledService::new(fresh(), read_only());
+        assert!(is_journal_error(sequential.apply(&submit(2, 5, None))));
+        assert!(sequential.apply(&Op::Stats).is_ok(), "reads need no seal");
+
+        let front = crate::concurrent::ConcurrentService::with_journal(fresh(), read_only());
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let client = front.client();
+                scope.spawn(move || {
+                    let reply = client.apply(&submit(1, 3, None));
+                    assert!(
+                        is_journal_error(reply.result),
+                        "acknowledged an unsealed op"
+                    );
+                });
+            }
+        });
+        drop(front);
+        std::fs::remove_file(&path).unwrap();
+    }
+
     /// An `io::Write` that fails after a budget of bytes — the disk-full /
     /// short-write fault model for the framing layer.
     struct FailingWriter {
@@ -1524,15 +1507,9 @@ mod tests {
 
     #[test]
     fn injected_write_errors_surface_and_leave_a_recoverable_prefix() {
-        let mut entry_bytes = Vec::new();
-        entry_bytes.push(KIND_OP);
-        encode_op(
-            &mut entry_bytes,
-            &AppliedOp {
-                session: 0,
-                op: WriteOp::Drain,
-            },
-        );
+        let mut entry_bytes = vec![KIND_OP];
+        put_u64(&mut entry_bytes, 0);
+        encode_op(&mut entry_bytes, &Op::Drain);
         // Enough budget for one full record, then a short-write failure.
         let mut w = FailingWriter {
             budget: 8 + entry_bytes.len() + 4,
@@ -1551,15 +1528,9 @@ mod tests {
 
     #[test]
     fn bitflips_never_pass_the_crc() {
-        let mut payload = Vec::new();
-        payload.push(KIND_OP);
-        encode_op(
-            &mut payload,
-            &AppliedOp {
-                session: 7,
-                op: WriteOp::Advance { to: Time(99) },
-            },
-        );
+        let mut payload = vec![KIND_OP];
+        put_u64(&mut payload, 7);
+        encode_op(&mut payload, &Op::Advance { to: Time(99) });
         let mut framed = Vec::new();
         frame_record(&mut framed, &payload);
         for bit in 0..framed.len() * 8 {

@@ -17,7 +17,10 @@
 //! * [`service::ScheduleService`] — the *resident* incremental counterpart of
 //!   the batch engine: one live substrate, requests (submit / reserve /
 //!   cancel / query / advance) processed in arrival order — the library core
-//!   of `resa serve`.
+//!   of `resa serve`;
+//! * [`op`] — those requests as data: one [`op::Op`] / [`op::Reply`] pair
+//!   that the protocol parses, [`service::ScheduleService::apply`] executes,
+//!   [`journal`] records and replays, and [`concurrent`] queues.
 //!
 //! ```
 //! use resa_core::prelude::*;
@@ -44,6 +47,7 @@ pub mod engine;
 pub mod event;
 pub mod journal;
 pub mod metrics;
+pub mod op;
 pub mod policy;
 pub mod reference;
 pub mod service;
@@ -52,15 +56,13 @@ pub mod trace;
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::concurrent::{
-        Applied, AppliedOp, ConcurrentService, ServiceClient, ServiceSnapshot, SessionRecords,
-        WriteOp, WriteReply,
-    };
+    pub use crate::concurrent::{AppliedOp, ConcurrentService, ServiceClient, ServiceSnapshot};
     pub use crate::engine::{SimResult, Simulator};
     pub use crate::journal::{
         FsyncPolicy, JournalCfg, JournaledService, OpJournal, Recovered, TornTail,
     };
     pub use crate::metrics::{MetricsAccumulator, SimMetrics};
+    pub use crate::op::{Horizon, Op, Reply, Session, SessionRecords, WriteReply};
     pub use crate::policy::{
         DecisionScratch, EasyPolicy, FcfsPolicy, GreedyPolicy, OnlinePolicy, WaitingJobs,
     };
@@ -75,6 +77,14 @@ pub mod prelude {
     };
     pub use crate::trace::{JobRecord, RunTrace};
 }
+
+/// The scripted-op vocabulary shared with the integration suites, which name
+/// this crate from outside.
+#[cfg(test)]
+extern crate self as resa_sim;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_ops;
 
 #[cfg(test)]
 mod proptests {

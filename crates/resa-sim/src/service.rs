@@ -21,6 +21,12 @@
 //! * [`ScheduleService::stats`] / [`ScheduleService::snapshot`] — aggregate
 //!   counters and the current schedule in the shapes `resa replay` reports.
 //!
+//! These typed methods hand back effects borrowed from a reused buffer (the
+//! zero-allocation steady path). Requests arriving as data go through
+//! [`ScheduleService::apply`] ([`crate::op`]), which admits the op — shape
+//! and overflow guard — and dispatches to the method it names; that entry
+//! is what `resa serve`, the journal and the concurrent front all call.
+//!
 //! # Replay equivalence
 //!
 //! The service makes scheduling decisions at exactly the instants the batch
@@ -49,6 +55,7 @@
 //! preempts (it re-derives the makespan) walk them.
 
 use crate::metrics::{MetricsAccumulator, SimMetrics};
+use crate::op::{check_shape, Horizon};
 use crate::policy::{
     DecisionScratch, EasyPolicy, FcfsPolicy, GreedyPolicy, OnlinePolicy, WaitingJobs,
 };
@@ -122,6 +129,11 @@ pub enum ServiceError {
         /// Human-readable cause.
         reason: String,
     },
+    /// An instant or duration so large that accepting the op could make a
+    /// `Time + Dur` the service or a policy computes overflow (see
+    /// [`crate::op::Horizon`]). Refused at admission: nothing was journaled
+    /// and no state changed.
+    HorizonOverflow,
     /// The single-writer loop of a [`crate::concurrent::ConcurrentService`]
     /// has shut down; no further mutating requests can be applied.
     ServiceStopped,
@@ -163,6 +175,11 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Moldable { reason } => {
                 write!(f, "moldable submission rejected: {reason}")
             }
+            ServiceError::HorizonOverflow => write!(
+                f,
+                "instants and durations this large overflow the time axis \
+                 (the scheduling horizon must stay below 2^64 ticks)"
+            ),
             ServiceError::ServiceStopped => write!(f, "service writer has shut down"),
             ServiceError::Journal { message } => {
                 write!(f, "journal append failed, op not applied: {message}")
@@ -457,6 +474,14 @@ pub struct ScheduleService<C: CapacityQuery + Speculate> {
     /// Completions drained since the substrate last forgot its past (see
     /// [`RETIRE_EVERY`]).
     completions_since_retire: usize,
+    /// Latest release date among the jobs in the catalog, latest end among
+    /// the live windows (as of the last `refresh_breakpoints`) and total
+    /// duration of the catalog: the overflow guard's [`Horizon`]. All three
+    /// are functions of the persisted state, so a restored service admits
+    /// exactly what the live one would.
+    latest_release: Time,
+    window_horizon: Time,
+    work: u128,
     /// Per-job scenario flags, parallel to `jobs`.
     flags: Vec<JobFlags>,
     /// `Some(completion)` while the job occupies the substrate (committed or
@@ -529,6 +554,9 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             committed_windows: Vec::new(),
             active_reservations: 0,
             completions_since_retire: 0,
+            latest_release: Time::ZERO,
+            window_horizon: Time::ZERO,
+            work: 0,
             flags: Vec::new(),
             completion_of: Vec::new(),
             running_count: 0,
@@ -559,6 +587,29 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     #[inline]
     fn id_at(&self, pos: usize) -> JobId {
         JobId(self.base + pos)
+    }
+
+    /// Append a job to the catalog and its parallel tables; returns its
+    /// position and id.
+    fn enroll(
+        &mut self,
+        width: u32,
+        duration: Dur,
+        release: Time,
+        flags: JobFlags,
+        completion: Option<Time>,
+    ) -> (usize, JobId) {
+        let pos = self.jobs.len();
+        let id = self.id_at(pos);
+        self.jobs
+            .push(Job::released_at(id.0, width, duration, release));
+        self.flags.push(flags);
+        self.completion_of.push(completion);
+        self.retired_placement.push(false);
+        self.waiting.ensure_capacity(pos + 1);
+        self.latest_release = self.latest_release.max(release);
+        self.work += u128::from(duration.0);
+        (pos, id)
     }
 
     /// Pre-size every per-job container for a session expected to hold up to
@@ -607,6 +658,15 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// The configured on-line policy.
     pub fn policy(&self) -> ReferencePolicy {
         self.policy
+    }
+
+    /// What [`crate::op::Op::validate`] guards against overflow: no instant
+    /// this service computes from here on exceeds `anchor + work`.
+    pub fn horizon(&self) -> Horizon {
+        Horizon {
+            anchor: self.now.max(self.latest_release).max(self.window_horizon),
+            work: self.work,
+        }
     }
 
     /// The schedule of every job started so far, in decision order.
@@ -715,6 +775,13 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         svc.decisions = state.decisions;
         svc.makespan = state.makespan;
         svc.jobs = state.jobs.clone();
+        svc.latest_release = state
+            .jobs
+            .iter()
+            .map(|j| j.release)
+            .max()
+            .unwrap_or_default();
+        svc.work = state.jobs.iter().map(|j| u128::from(j.duration.0)).sum();
         svc.flags = state.flags.clone();
         svc.reservations = state.reservations.clone();
         svc.drains = state.drains.clone();
@@ -807,15 +874,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         duration: Dur,
         release: Option<Time>,
     ) -> Result<(JobId, &Effects), ServiceError> {
-        if width == 0 || width > self.machines {
-            return Err(ServiceError::BadWidth {
-                width,
-                machines: self.machines,
-            });
-        }
-        if duration.is_zero() {
-            return Err(ServiceError::ZeroDuration);
-        }
+        check_shape(width, duration, self.machines)?;
         let release = release.unwrap_or(self.now);
         if release < self.now {
             return Err(ServiceError::InThePast {
@@ -823,14 +882,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
                 now: self.now,
             });
         }
-        let pos = self.jobs.len();
-        let id = self.id_at(pos);
-        self.jobs
-            .push(Job::released_at(id.0, width, duration, release));
-        self.flags.push(JobFlags::default());
-        self.completion_of.push(None);
-        self.retired_placement.push(false);
-        self.waiting.ensure_capacity(pos + 1);
+        let (pos, id) = self.enroll(width, duration, release, JobFlags::default(), None);
         let mut effects = std::mem::take(&mut self.fx_buf);
         effects.clear();
         if release == self.now {
@@ -855,15 +907,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         duration: Dur,
         start: Time,
     ) -> Result<(usize, &Effects), ServiceError> {
-        if width == 0 || width > self.machines {
-            return Err(ServiceError::BadWidth {
-                width,
-                machines: self.machines,
-            });
-        }
-        if duration.is_zero() {
-            return Err(ServiceError::ZeroDuration);
-        }
+        check_shape(width, duration, self.machines)?;
         if start < self.now {
             return Err(ServiceError::InThePast {
                 at: start,
@@ -958,15 +1002,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         duration: Dur,
         start: Time,
     ) -> Result<(usize, &Effects), ServiceError> {
-        if width == 0 || width > self.machines {
-            return Err(ServiceError::BadWidth {
-                width,
-                machines: self.machines,
-            });
-        }
-        if duration.is_zero() {
-            return Err(ServiceError::ZeroDuration);
-        }
+        check_shape(width, duration, self.machines)?;
         if start < self.now {
             return Err(ServiceError::InThePast {
                 at: start,
@@ -1036,7 +1072,9 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
                 self.running_count -= 1;
                 if self.drain_mode == DrainMode::Checkpoint {
                     // Only the not-yet-elapsed work remains to be redone.
-                    self.jobs[pos].duration = completion.since(self.now);
+                    let remaining = completion.since(self.now);
+                    self.work -= u128::from((self.jobs[pos].duration - remaining).0);
+                    self.jobs[pos].duration = remaining;
                 }
                 self.flags[pos].boosted = false;
                 self.waiting.push_back(pos);
@@ -1118,15 +1156,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         deadline: Time,
         admission: AdmissionPolicy,
     ) -> Result<(JobId, DeadlineOutcome, &Effects), ServiceError> {
-        if width == 0 || width > self.machines {
-            return Err(ServiceError::BadWidth {
-                width,
-                machines: self.machines,
-            });
-        }
-        if duration.is_zero() {
-            return Err(ServiceError::ZeroDuration);
-        }
+        check_shape(width, duration, self.machines)?;
         let release = release.unwrap_or(self.now);
         if release < self.now {
             return Err(ServiceError::InThePast {
@@ -1146,18 +1176,12 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             self.substrate
                 .reserve(start, duration, width)
                 .expect("the speculative probe certified this window");
-            let pos = self.jobs.len();
-            let id = self.id_at(pos);
-            self.jobs
-                .push(Job::released_at(id.0, width, duration, release));
-            self.flags.push(JobFlags {
+            let flags = JobFlags {
                 deadline: Some(deadline),
                 guaranteed: true,
                 boosted: false,
-            });
-            self.completion_of.push(Some(completion));
-            self.retired_placement.push(false);
-            self.waiting.ensure_capacity(pos + 1);
+            };
+            let (pos, id) = self.enroll(width, duration, release, flags, Some(completion));
             self.schedule.place(id, start);
             self.running.push(Reverse((completion, pos)));
             self.running_count += 1;
@@ -1184,18 +1208,12 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
                 bound: probe.map(|s| s.saturating_add(duration)),
             }),
             AdmissionPolicy::Boost => {
-                let pos = self.jobs.len();
-                let id = self.id_at(pos);
-                self.jobs
-                    .push(Job::released_at(id.0, width, duration, release));
-                self.flags.push(JobFlags {
+                let flags = JobFlags {
                     deadline: Some(deadline),
                     guaranteed: false,
                     boosted: true,
-                });
-                self.completion_of.push(None);
-                self.retired_placement.push(false);
-                self.waiting.ensure_capacity(pos + 1);
+                };
+                let (pos, id) = self.enroll(width, duration, release, flags, None);
                 let mut effects = std::mem::take(&mut self.fx_buf);
                 effects.clear();
                 if release == self.now {
@@ -1244,15 +1262,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         duration: Dur,
         not_before: Option<Time>,
     ) -> Result<Option<Time>, ServiceError> {
-        if width == 0 || width > self.machines {
-            return Err(ServiceError::BadWidth {
-                width,
-                machines: self.machines,
-            });
-        }
-        if duration.is_zero() {
-            return Err(ServiceError::ZeroDuration);
-        }
+        check_shape(width, duration, self.machines)?;
         let from = not_before.unwrap_or(self.now).max(self.now);
         Ok(self.substrate.speculate(|s| {
             let start = s.earliest_fit(width, duration, from)?;
@@ -1429,7 +1439,8 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         //    later than the job's eventual completion, hence also drained.
         let k = self.retired_placement.iter().take_while(|&&r| r).count();
         if k > 0 {
-            self.jobs.drain(..k);
+            let gone: u128 = self.jobs.drain(..k).map(|j| u128::from(j.duration.0)).sum();
+            self.work -= gone;
             self.flags.drain(..k);
             self.completion_of.drain(..k);
             self.retired_placement.drain(..k);
@@ -1752,11 +1763,14 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         let now = self.now;
         let events = &mut self.bp_events;
         events.clear();
+        let horizon = &mut self.window_horizon;
+        *horizon = Time::ZERO;
         let mut window = |start: Time, end: Time, width: u32| {
             let live = end > start && end > now;
             if live {
                 events.push((start.ticks(), -i64::from(width)));
                 events.push((end.ticks(), i64::from(width)));
+                *horizon = (*horizon).max(end);
             }
             live
         };
@@ -2253,250 +2267,95 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::engine::Simulator;
+    use crate::op::Op;
+    use crate::test_ops::{op_spec, OpSpec, View};
     use proptest::prelude::*;
 
-    /// One request of a generated session. Reservations are fixed up front
-    /// (see the module docs for why mid-run overlay changes legitimately
-    /// diverge from an off-line replay that knows them from t = 0).
-    #[derive(Debug, Clone)]
-    enum Req {
-        Submit { width: u32, dur: u64, delay: u64 },
-        Query { width: u32, dur: u64 },
-        Advance { by: u64 },
-    }
+    const POLICIES: [ReferencePolicy; 3] = [
+        ReferencePolicy::Fcfs,
+        ReferencePolicy::Easy,
+        ReferencePolicy::Greedy,
+    ];
 
-    /// Raw request tuples `(kind, width, dur, extra)`; decoded by
-    /// [`decode`]. The vendored proptest has no `prop_oneof`, so the choice
-    /// of request kind is a plain generated discriminant.
-    type RawSession = (u32, Vec<(u32, u64, u64)>, Vec<(u32, u32, u64, u64)>);
+    /// A generated session: machines, drain-mode bit, ops declared up front
+    /// (at t = 0), then the session's traffic. Both lists draw from the
+    /// whole op surface; each test keeps the kinds its oracle admits.
+    type RawSession = (u32, u32, Vec<OpSpec>, Vec<OpSpec>);
 
     fn arb_session() -> impl Strategy<Value = RawSession> {
-        (2u32..=8).prop_flat_map(|m| {
-            let reservations =
-                proptest::collection::vec((1u32..=m, 1u64..=8, 0u64..=40), 0usize..=3);
-            let reqs =
-                proptest::collection::vec((0u32..=2, 1u32..=m, 1u64..=9, 0u64..=15), 1usize..=20);
-            (Just(m), reservations, reqs)
-        })
+        let upfront = proptest::collection::vec(op_spec(), 0usize..=40);
+        let reqs = proptest::collection::vec(op_spec(), 1usize..=40);
+        (2u32..=8, 0u32..=1, upfront, reqs)
     }
 
-    fn decode(raw: &(u32, u32, u64, u64)) -> Req {
-        let &(kind, width, dur, extra) = raw;
-        match kind {
-            0 => Req::Submit {
-                width,
-                dur,
-                delay: extra % 7,
-            },
-            1 => Req::Query { width, dur },
-            _ => Req::Advance { by: extra },
+    fn drain_mode(bit: u32) -> DrainMode {
+        if bit == 0 {
+            DrainMode::Restart
+        } else {
+            DrainMode::Checkpoint
         }
     }
 
-    /// Drive one session on both substrates, lock-step comparing every
-    /// response, then drain and replay off-line through the batch engine.
-    /// Returns a description of the first divergence, if any.
+    /// Submits, probes and time advances: with the overlay fixed up front,
+    /// what an off-line replay of the session reproduces (see the module
+    /// docs for why mid-run overlay changes legitimately diverge from a
+    /// replay that knows them from t = 0).
+    fn basic(op: &Op) -> bool {
+        matches!(
+            op,
+            Op::Submit { .. } | Op::Query { .. } | Op::Advance { .. }
+        )
+    }
+
+    /// Overlay mutations the scenario oracle accepts up front: windows,
+    /// their revocation, and deadline submissions that either commit or
+    /// leave no trace.
+    fn overlay(op: &Op) -> bool {
+        let reject = AdmissionPolicy::Reject;
+        matches!(
+            op,
+            Op::Reserve { .. } | Op::Inject { .. } | Op::Revoke { .. }
+        ) || matches!(op, Op::SubmitDeadline { admission, .. } if *admission == reject)
+    }
+
+    /// Decode `spec` against the service and, if `keep` admits the op, apply
+    /// it; returns a comparable digest of the response.
+    fn step<C: CapacityQuery + Speculate>(
+        svc: &mut ScheduleService<C>,
+        spec: &OpSpec,
+        keep: fn(&Op) -> bool,
+    ) -> String {
+        let op = spec.decode(&View::of(svc));
+        if keep(&op) {
+            format!("{op:?} -> {:?}", svc.apply(&op))
+        } else {
+            String::new()
+        }
+    }
+
+    /// Drive one phased session — `upfront` ops of the `declared` kinds at
+    /// t = 0, then `reqs` of the `traffic` kinds — on both substrates,
+    /// lock-step comparing every response, then drain and replay off-line
+    /// through the batch engine via [`ScheduleService::oracle_parts`]
+    /// (which, without committed jobs, is the session's own instance and
+    /// schedule). Returns a description of the first divergence, if any.
     fn check_session(
         m: u32,
-        reservations: &[(u32, u64, u64)],
-        raw_reqs: &[(u32, u32, u64, u64)],
-        policy: ReferencePolicy,
-    ) -> Result<(), String> {
-        let reqs: Vec<Req> = raw_reqs.iter().map(decode).collect();
-        let mut tl = ScheduleService::new(policy, AvailabilityTimeline::constant(m));
-        let mut pf = ScheduleService::new(policy, ResourceProfile::constant(m));
-        for (i, &(w, d, s)) in reservations.iter().enumerate() {
-            let rt = tl.reserve(w, Dur(d), Time(s));
-            let rp = pf.reserve(w, Dur(d), Time(s));
-            if rt.is_ok() != rp.is_ok() {
-                return Err(format!("reservation {i} diverged: {rt:?} vs {rp:?}"));
-            }
-        }
-        for req in &reqs {
-            let same = match *req {
-                Req::Submit { width, dur, delay } => {
-                    let release = (delay > 0).then(|| Time(tl.now().ticks() + delay));
-                    let a = tl.submit(width, Dur(dur), release).unwrap();
-                    let b = pf.submit(width, Dur(dur), release).unwrap();
-                    a == b
-                }
-                Req::Query { width, dur } => {
-                    tl.query(width, Dur(dur), None).unwrap()
-                        == pf.query(width, Dur(dur), None).unwrap()
-                }
-                Req::Advance { by } => {
-                    let to = Time(tl.now().ticks() + by);
-                    tl.advance(to).unwrap() == pf.advance(to).unwrap()
-                }
-            };
-            if !same {
-                return Err(format!("substrates diverged on {req:?}"));
-            }
-        }
-        tl.drain();
-        pf.drain();
-        if tl.schedule() != pf.schedule() {
-            return Err("substrates diverged after drain".to_string());
-        }
-        let instance = tl.to_instance();
-        let offline = Simulator::new(instance.clone()).run_reference_policy(policy);
-        if &offline.schedule != tl.schedule() {
-            return Err(format!(
-                "off-line replay diverged under {}: {:?} vs {:?}",
-                policy.name(),
-                offline.schedule,
-                tl.schedule()
-            ));
-        }
-        if !tl.schedule().is_valid(&instance) {
-            return Err("service schedule is infeasible".to_string());
-        }
-        Ok(())
-    }
-
-    /// Apply one decoded request to a service, returning a comparable
-    /// digest of the response.
-    fn apply_req<C: CapacityQuery + Speculate>(svc: &mut ScheduleService<C>, req: &Req) -> String {
-        match *req {
-            Req::Submit { width, dur, delay } => {
-                let release = (delay > 0).then(|| Time(svc.now().ticks() + delay));
-                format!("{:?}", svc.submit(width, Dur(dur), release))
-            }
-            Req::Query { width, dur } => format!("{:?}", svc.query(width, Dur(dur), None)),
-            Req::Advance { by } => {
-                let to = Time(svc.now().ticks() + by);
-                format!("{:?}", svc.advance(to))
-            }
-        }
-    }
-
-    /// Raw scenario session: machines, drain mode bit, up-front overlay ops
-    /// `(kind, width, dur, start)` applied at t = 0, then free requests
-    /// `(kind, width, dur, extra)`.
-    type RawScenario = (
-        u32,
-        u32,
-        Vec<(u32, u32, u64, u64)>,
-        Vec<(u32, u32, u64, u64)>,
-    );
-
-    fn arb_scenario(req_kinds: u32) -> impl Strategy<Value = RawScenario> {
-        (2u32..=8).prop_flat_map(move |m| {
-            let upfront =
-                proptest::collection::vec((0u32..=3, 1u32..=m, 1u64..=8, 0u64..=40), 0usize..=5);
-            let reqs = proptest::collection::vec(
-                (0u32..=req_kinds, 1u32..=m, 1u64..=9, 0u64..=15),
-                1usize..=16,
-            );
-            (Just(m), 0u32..=1, upfront, reqs)
-        })
-    }
-
-    /// Apply one up-front (t = 0) scenario op: reserve, inject, revoke, or a
-    /// guaranteed deadline submission. Returns a comparable digest.
-    fn apply_upfront<C: CapacityQuery + Speculate>(
-        svc: &mut ScheduleService<C>,
-        &(kind, width, dur, start): &(u32, u32, u64, u64),
-    ) -> String {
-        match kind % 4 {
-            0 => format!("{:?}", svc.reserve(width, Dur(dur), Time(start))),
-            1 => format!("{:?}", svc.inject(width, Dur(dur), Time(start))),
-            2 => {
-                let n = svc.drains().len();
-                if n == 0 {
-                    "no drains".to_string()
-                } else {
-                    format!("{:?}", svc.revoke(start as usize % n))
-                }
-            }
-            _ => format!(
-                "{:?}",
-                svc.submit_deadline(
-                    width,
-                    Dur(dur),
-                    None,
-                    Time(start + dur),
-                    AdmissionPolicy::Reject,
-                )
-            ),
-        }
-    }
-
-    /// Apply one decoded scenario request (the [`Req`] kinds plus inject /
-    /// revoke / deadline / moldable), returning a comparable digest.
-    fn apply_scenario_req<C: CapacityQuery + Speculate>(
-        svc: &mut ScheduleService<C>,
-        &(kind, width, dur, extra): &(u32, u32, u64, u64),
-    ) -> String {
-        let now = svc.now().ticks();
-        match kind % 7 {
-            0 => {
-                let release = (extra % 7 > 0).then(|| Time(now + extra % 7));
-                format!("{:?}", svc.submit(width, Dur(dur), release))
-            }
-            1 => format!("{:?}", svc.query(width, Dur(dur), None)),
-            2 => format!("{:?}", svc.advance(Time(now + extra))),
-            3 => format!("{:?}", svc.inject(width, Dur(dur), Time(now + extra % 5))),
-            4 => {
-                let n = svc.drains().len();
-                if n == 0 {
-                    "no drains".to_string()
-                } else {
-                    format!("{:?}", svc.revoke(extra as usize % n))
-                }
-            }
-            5 => {
-                let admission = if extra & 1 == 0 {
-                    AdmissionPolicy::Reject
-                } else {
-                    AdmissionPolicy::Boost
-                };
-                let delay = extra % 5;
-                let release = (delay > 0).then(|| Time(now + delay));
-                // Slack 0 probes the boundary: deadline == release + dur,
-                // which commits exactly when the substrate is free there.
-                let deadline = Time(now + delay + dur + extra % 9);
-                format!(
-                    "{:?}",
-                    svc.submit_deadline(width, Dur(dur), release, deadline, admission)
-                )
-            }
-            _ => {
-                let menu = [width.div_ceil(2), width];
-                format!("{:?}", svc.submit_moldable(&menu, dur * width as u64))
-            }
-        }
-    }
-
-    /// Drive one phased scenario session (all overlay mutations — reserve /
-    /// inject / revoke / committed deadlines — declared up front, then
-    /// ordinary and moldable traffic) on both substrates, lock-step, and
-    /// check the drained outcome against the off-line batch engine via
-    /// [`ScheduleService::oracle_parts`].
-    fn check_scenario_session(
-        m: u32,
-        upfront: &[(u32, u32, u64, u64)],
-        raw_reqs: &[(u32, u32, u64, u64)],
+        (upfront, declared): (&[OpSpec], fn(&Op) -> bool),
+        (reqs, traffic): (&[OpSpec], fn(&Op) -> bool),
         policy: ReferencePolicy,
     ) -> Result<(), String> {
         let mut tl = ScheduleService::new(policy, AvailabilityTimeline::constant(m));
         let mut pf = ScheduleService::new(policy, ResourceProfile::constant(m));
-        for (i, op) in upfront.iter().enumerate() {
-            let a = apply_upfront(&mut tl, op);
-            let b = apply_upfront(&mut pf, op);
+        let phases = [(upfront, declared), (reqs, traffic)];
+        for (i, (spec, keep)) in phases
+            .iter()
+            .flat_map(|(specs, keep)| specs.iter().map(move |s| (s, *keep)))
+            .enumerate()
+        {
+            let (a, b) = (step(&mut tl, spec, keep), step(&mut pf, spec, keep));
             if a != b {
-                return Err(format!("up-front op {i} diverged: {a} vs {b}"));
-            }
-        }
-        for (i, raw) in raw_reqs.iter().enumerate() {
-            // Phase 2 sticks to submit / query / advance / moldable so the
-            // overlay stays as declared at t = 0 (the oracle's contract).
-            let kind = [0, 1, 2, 6][raw.0 as usize % 4];
-            let raw = (kind, raw.1, raw.2, raw.3);
-            let a = apply_scenario_req(&mut tl, &raw);
-            let b = apply_scenario_req(&mut pf, &raw);
-            if a != b {
-                return Err(format!("request {i} diverged: {a} vs {b}"));
+                return Err(format!("op {i} diverged: {a} vs {b}"));
             }
         }
         tl.drain();
@@ -2515,7 +2374,51 @@ mod proptests {
             ));
         }
         if !schedule.is_valid(&instance) {
-            return Err("oracle schedule is infeasible".to_string());
+            return Err("service schedule is infeasible".to_string());
+        }
+        Ok(())
+    }
+
+    /// Capture [`ServiceState`] after `cut` of `reqs`, restore it onto a
+    /// fresh substrate, and check the restored service answers every
+    /// remaining request identically and drains to the identical schedule.
+    fn check_restore(
+        m: u32,
+        mode: DrainMode,
+        (upfront, declared): (&[OpSpec], fn(&Op) -> bool),
+        (reqs, traffic): (&[OpSpec], fn(&Op) -> bool),
+        cut: usize,
+        policy: ReferencePolicy,
+    ) -> Result<(), String> {
+        let mut live = ScheduleService::new(policy, AvailabilityTimeline::constant(m));
+        live.set_drain_mode(mode);
+        for spec in upfront {
+            step(&mut live, spec, declared);
+        }
+        for spec in &reqs[..cut] {
+            step(&mut live, spec, traffic);
+        }
+        let state = live.state();
+        let mut restored =
+            ScheduleService::restore(policy, &state, AvailabilityTimeline::constant(m));
+        restored.set_drain_mode(mode);
+        if restored.state() != state {
+            return Err("restore must be idempotent".to_string());
+        }
+        for (i, spec) in reqs[cut..].iter().enumerate() {
+            let a = step(&mut live, spec, traffic);
+            let b = step(&mut restored, spec, traffic);
+            if a != b {
+                return Err(format!(
+                    "request {} diverged after restore: {a} vs {b}",
+                    cut + i
+                ));
+            }
+        }
+        live.drain();
+        restored.drain();
+        if live.schedule() != restored.schedule() || live.stats() != restored.stats() {
+            return Err("drained sessions diverged after restore".to_string());
         }
         Ok(())
     }
@@ -2530,13 +2433,10 @@ mod proptests {
         /// policy.
         #[test]
         fn sessions_replay_offline_identically(session in arb_session()) {
-            let (m, reservations, reqs) = session;
-            for policy in [
-                ReferencePolicy::Fcfs,
-                ReferencePolicy::Easy,
-                ReferencePolicy::Greedy,
-            ] {
-                let outcome = check_session(m, &reservations, &reqs, policy);
+            let (m, _, upfront, reqs) = session;
+            let reservations = |op: &Op| matches!(op, Op::Reserve { .. });
+            for policy in POLICIES {
+                let outcome = check_session(m, (&upfront, reservations), (&reqs, basic), policy);
                 prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
             }
         }
@@ -2547,39 +2447,20 @@ mod proptests {
         /// schedule — the foundation the journal's snapshot compaction
         /// stands on.
         #[test]
-        fn state_restore_roundtrip(session in arb_session(), cut in 0usize..=20) {
-            let (m, reservations, raw_reqs) = session;
-            let reqs: Vec<Req> = raw_reqs.iter().map(decode).collect();
+        fn state_restore_roundtrip(session in arb_session(), cut in 0usize..=40) {
+            let (m, _, upfront, reqs) = session;
+            let reservations = |op: &Op| matches!(op, Op::Reserve { .. });
             let cut = cut.min(reqs.len());
-            for policy in [
-                ReferencePolicy::Fcfs,
-                ReferencePolicy::Easy,
-                ReferencePolicy::Greedy,
-            ] {
-                let mut live =
-                    ScheduleService::new(policy, AvailabilityTimeline::constant(m));
-                for &(w, d, s) in &reservations {
-                    let _ = live.reserve(w, Dur(d), Time(s));
-                }
-                for req in &reqs[..cut] {
-                    apply_req(&mut live, req);
-                }
-                let state = live.state();
-                let mut restored = ScheduleService::restore(
+            for policy in POLICIES {
+                let outcome = check_restore(
+                    m,
+                    DrainMode::Restart,
+                    (&upfront, reservations),
+                    (&reqs, basic),
+                    cut,
                     policy,
-                    &state,
-                    AvailabilityTimeline::constant(m),
                 );
-                prop_assert_eq!(restored.state(), state, "restore must be idempotent");
-                for (i, req) in reqs[cut..].iter().enumerate() {
-                    let a = apply_req(&mut live, req);
-                    let b = apply_req(&mut restored, req);
-                    prop_assert_eq!(a, b, "request {} diverged after restore", cut + i);
-                }
-                live.drain();
-                restored.drain();
-                prop_assert_eq!(live.schedule(), restored.schedule());
-                prop_assert_eq!(live.stats(), restored.stats());
+                prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
             }
         }
 
@@ -2589,14 +2470,13 @@ mod proptests {
         /// every policy — the PR 5 / PR 7 oracle extended to drains,
         /// guarantees, and moldable jobs.
         #[test]
-        fn scenario_sessions_replay_offline_identically(session in arb_scenario(3)) {
+        fn scenario_sessions_replay_offline_identically(session in arb_session()) {
             let (m, _, upfront, reqs) = session;
-            for policy in [
-                ReferencePolicy::Fcfs,
-                ReferencePolicy::Easy,
-                ReferencePolicy::Greedy,
-            ] {
-                let outcome = check_scenario_session(m, &upfront, &reqs, policy);
+            // Phase 2 sticks to submit / query / advance / moldable so the
+            // overlay stays as declared at t = 0 (the oracle's contract).
+            let traffic = |op: &Op| basic(op) || matches!(op, Op::SubmitMoldable { .. });
+            for policy in POLICIES {
+                let outcome = check_session(m, (&upfront, overlay), (&reqs, traffic), policy);
                 prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
             }
         }
@@ -2609,27 +2489,17 @@ mod proptests {
         /// an up-front off-line replay, so the oracle here is the *other
         /// substrate* plus the guarantees themselves.)
         #[test]
-        fn scenario_interleavings_agree_and_keep_guarantees(session in arb_scenario(6)) {
+        fn scenario_interleavings_agree_and_keep_guarantees(session in arb_session()) {
             let (m, mode, upfront, reqs) = session;
-            let mode = if mode == 0 { DrainMode::Restart } else { DrainMode::Checkpoint };
-            for policy in [
-                ReferencePolicy::Fcfs,
-                ReferencePolicy::Easy,
-                ReferencePolicy::Greedy,
-            ] {
+            for policy in POLICIES {
                 let mut tl = ScheduleService::new(policy, AvailabilityTimeline::constant(m));
                 let mut pf = ScheduleService::new(policy, ResourceProfile::constant(m));
-                tl.set_drain_mode(mode);
-                pf.set_drain_mode(mode);
-                for (i, op) in upfront.iter().enumerate() {
-                    let a = apply_upfront(&mut tl, op);
-                    let b = apply_upfront(&mut pf, op);
-                    prop_assert_eq!(a, b, "up-front op {} diverged", i);
-                }
-                for (i, raw) in reqs.iter().enumerate() {
-                    let a = apply_scenario_req(&mut tl, raw);
-                    let b = apply_scenario_req(&mut pf, raw);
-                    prop_assert_eq!(a, b, "request {} diverged", i);
+                tl.set_drain_mode(drain_mode(mode));
+                pf.set_drain_mode(drain_mode(mode));
+                for (i, spec) in upfront.iter().chain(&reqs).enumerate() {
+                    let a = step(&mut tl, spec, |_| true);
+                    let b = step(&mut pf, spec, |_| true);
+                    prop_assert_eq!(a, b, "op {} diverged", i);
                 }
                 tl.drain();
                 pf.drain();
@@ -2665,40 +2535,19 @@ mod proptests {
         /// survive, and the restored service answers every remaining request
         /// identically under both drain modes.
         #[test]
-        fn scenario_state_restore_roundtrip(session in arb_scenario(6), cut in 0usize..=16) {
+        fn scenario_state_restore_roundtrip(session in arb_session(), cut in 0usize..=40) {
             let (m, mode, upfront, reqs) = session;
-            let mode = if mode == 0 { DrainMode::Restart } else { DrainMode::Checkpoint };
             let cut = cut.min(reqs.len());
-            for policy in [
-                ReferencePolicy::Fcfs,
-                ReferencePolicy::Easy,
-                ReferencePolicy::Greedy,
-            ] {
-                let mut live = ScheduleService::new(policy, AvailabilityTimeline::constant(m));
-                live.set_drain_mode(mode);
-                for op in &upfront {
-                    apply_upfront(&mut live, op);
-                }
-                for raw in &reqs[..cut] {
-                    apply_scenario_req(&mut live, raw);
-                }
-                let state = live.state();
-                let mut restored = ScheduleService::restore(
+            for policy in POLICIES {
+                let outcome = check_restore(
+                    m,
+                    drain_mode(mode),
+                    (&upfront, |_| true),
+                    (&reqs, |_| true),
+                    cut,
                     policy,
-                    &state,
-                    AvailabilityTimeline::constant(m),
                 );
-                restored.set_drain_mode(mode);
-                prop_assert_eq!(restored.state(), state, "restore must be idempotent");
-                for (i, raw) in reqs[cut..].iter().enumerate() {
-                    let a = apply_scenario_req(&mut live, raw);
-                    let b = apply_scenario_req(&mut restored, raw);
-                    prop_assert_eq!(a, b, "request {} diverged after restore", cut + i);
-                }
-                live.drain();
-                restored.drain();
-                prop_assert_eq!(live.schedule(), restored.schedule());
-                prop_assert_eq!(live.stats(), restored.stats());
+                prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
             }
         }
     }

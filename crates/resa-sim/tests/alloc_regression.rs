@@ -169,9 +169,10 @@ fn publication_bytes(
     let front = ConcurrentService::new(svc);
     let client = front.client();
     // Once unmeasured: channel blocks and thread-locals allocate lazily.
-    client.advance_clamped(now).expect("the writer is up");
+    let tick = Op::AdvanceClamped { to: now };
+    client.apply(&tick).result.expect("the writer is up");
     let before = BYTES.load(Ordering::Relaxed);
-    client.advance_clamped(now).expect("the writer is up");
+    client.apply(&tick).result.expect("the writer is up");
     let after = BYTES.load(Ordering::Relaxed);
     drop(client);
     (after - before, front.shutdown().0)

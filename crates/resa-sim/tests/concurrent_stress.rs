@@ -13,25 +13,17 @@
 //! Both properties are exercised on both substrates (the indexed
 //! [`AvailabilityTimeline`] and the reference [`ResourceProfile`]), first
 //! with a fixed heavy mix, then property-tested over random scripts and
-//! policies. The mix covers the whole write surface, including the scenario
-//! ops: failure/maintenance `inject` and `revoke` (with mid-run
-//! preemptions), deadline-gated `submit_deadline` under both admission
-//! policies, and moldable `submit_moldable`.
+//! policies. The mix is the shared one of `tests/common`: all thirteen op
+//! kinds, including failure/maintenance `Inject` and `Revoke` (with mid-run
+//! preemptions), deadline-gated submission under both admission policies,
+//! and moldable submission.
 
+mod common;
+
+use common::{op_spec, OpSpec, View};
 use proptest::prelude::*;
 use resa_core::prelude::*;
 use resa_sim::prelude::*;
-
-/// One scripted operation. Fields are interpreted modulo the op space, so
-/// *any* tuple of integers is a valid script entry — convenient both for
-/// the deterministic mix and for proptest generation.
-#[derive(Clone, Debug)]
-struct OpSpec {
-    kind: u8,
-    width: u32,
-    dur: u64,
-    t: u64,
-}
 
 /// Run each script in its own thread against one recording service, then
 /// check both stress properties. Returns nothing: failure is a panic (which
@@ -47,100 +39,44 @@ where
         let client = svc.client();
         handles.push(std::thread::spawn(move || {
             let mut jobs = Vec::new();
-            let mut reservations: Vec<usize> = Vec::new();
-            let mut drains: Vec<usize> = Vec::new();
             let mut writes = 0u64;
-            for op in script {
-                let width = 1 + op.width % m;
-                let dur = Dur(1 + op.dur % 8);
-                match op.kind % 10 {
-                    // Submits dominate the mix; a clamped width never fails.
-                    0 | 1 => {
-                        let (id, _) = client.submit(width, dur, None).expect("valid submit");
-                        jobs.push(id);
-                        writes += 1;
+            // Each op is decoded against what this session knows: a stale
+            // `now` (a concurrent advance can turn a target into an
+            // `InThePast` rejection) and the ids its own accepted windows
+            // prove to exist (one past them is the bogus id). Every
+            // outcome — accepted, rejected, preempting — is part of the
+            // serial history and must replay identically.
+            let mut view = View {
+                now: Time::ZERO,
+                machines: m,
+                reservations: 0,
+                drains: 0,
+            };
+            for spec in script {
+                view.now = client.snapshot().stats.now;
+                let op = spec.decode(&view);
+                let reply = client.apply(&op);
+                writes += u64::from(op.is_write());
+                match (&op, &reply.result) {
+                    // A clamped width and an on-arrival release never fail;
+                    // nor does a clamped advance, under any interleaving.
+                    (Op::Submit { release: None, .. } | Op::AdvanceClamped { .. }, result) => {
+                        assert!(result.is_ok(), "{op:?} answered {result:?}")
                     }
-                    // Reserve in the near future. The target is computed
-                    // from a stale `now`, so a concurrent advance can turn
-                    // it into an `InThePast` rejection — both outcomes are
-                    // recorded and must replay identically.
-                    2 => {
-                        let start = client.stats().now.saturating_add(Dur(1 + op.t % 16));
-                        writes += 1;
-                        if let Ok((rid, _)) = client.reserve(width, dur, start) {
-                            reservations.push(rid);
-                        }
-                    }
-                    // Cancel one of our reservations, or a bogus id: the
-                    // rejection is part of the serial history too.
-                    3 => {
-                        let id = reservations.pop().unwrap_or(usize::MAX);
-                        writes += 1;
-                        let _ = client.cancel(id);
-                    }
-                    // Clamped advance: safe under any interleaving.
-                    4 => {
-                        let target = client.stats().now.saturating_add(Dur(op.t % 5));
-                        client.advance_clamped(target).expect("clamped advance");
-                        writes += 1;
-                    }
-                    // Inject a failure drain in the near future. It may
-                    // preempt running jobs mid-window or be rejected for
-                    // capacity — every outcome is part of the serial
-                    // history and must replay identically.
-                    5 => {
-                        let start = client.stats().now.saturating_add(Dur(op.t % 16));
-                        writes += 1;
-                        if let Ok((id, _, _)) = client.inject(width, dur, start) {
-                            drains.push(id);
-                        }
-                    }
-                    // Revoke one of our drains, or a bogus id.
-                    6 => {
-                        let id = drains.pop().unwrap_or(usize::MAX);
-                        writes += 1;
-                        let _ = client.revoke(id);
-                    }
-                    // Deadline-gated submission. The due date is computed
-                    // from a stale `now`, so concurrent advances flip cells
-                    // between committed, boosted and rejected — all three
-                    // outcomes replay through the log.
-                    7 => {
-                        let admission = if op.t % 2 == 0 {
-                            AdmissionPolicy::Reject
-                        } else {
-                            AdmissionPolicy::Boost
-                        };
-                        let deadline = client
-                            .stats()
-                            .now
-                            .saturating_add(dur)
-                            .saturating_add(Dur(op.t % 24));
-                        writes += 1;
-                        if let Ok((id, _, _)) =
-                            client.submit_deadline(width, dur, None, deadline, admission)
-                        {
-                            jobs.push(id);
-                        }
-                    }
-                    // Moldable submission: the service picks the width.
-                    // The clamped menu always fits the cluster eventually,
-                    // but a failed probe is recorded like any rejection.
-                    8 => {
-                        let menu = vec![width.div_ceil(2), width];
-                        let area = u64::from(width) * dur.ticks();
-                        writes += 1;
-                        if let Ok((id, _, _)) = client.submit_moldable(menu, area) {
-                            jobs.push(id);
-                        }
-                    }
-                    // Reads: snapshot coherence + a speculative probe. Not
-                    // writes, so they must not show up in the log.
-                    _ => {
-                        let snap = client.snapshot();
-                        assert_eq!(snap.stats.machines, m);
-                        client.query(width, dur, None).expect("valid probe");
-                    }
+                    // Reads: snapshot coherence + a speculative probe.
+                    (Op::Stats, Ok(Reply::Stats(stats))) => assert_eq!(stats.machines, m),
+                    (Op::Query { .. }, result) => assert!(result.is_ok(), "valid probe"),
+                    _ => {}
+                }
+                match reply.result {
+                    Ok(
+                        Reply::Job { id, .. }
+                        | Reply::Deadline { id, .. }
+                        | Reply::Moldable { id, .. },
+                    ) => jobs.push(id),
+                    Ok(Reply::Reservation { .. }) => view.reservations += 1,
+                    Ok(Reply::Drained { .. }) => view.drains += 1,
+                    _ => {}
                 }
             }
             (jobs, writes)
@@ -175,7 +111,7 @@ where
     // reproduces the final state exactly.
     let mut replay = ScheduleService::new(policy, replay_substrate);
     for entry in &log {
-        entry.replay(&mut replay);
+        let _ = replay.apply(&entry.op);
     }
     assert_eq!(replay.schedule(), fin.schedule());
     assert_eq!(replay.stats(), fin.stats());
@@ -190,7 +126,7 @@ fn heavy_scripts(threads: u64, ops: u64) -> Vec<Vec<OpSpec>> {
         .map(|t| {
             (0..ops)
                 .map(|i| OpSpec {
-                    kind: ((t * 31 + i * 7) % 11) as u8,
+                    kind: ((t * 31 + i * 7) % 16) as u8,
                     width: ((i * 3 + t) % 5) as u32,
                     dur: (i * 5 + t * 13) % 9,
                     t: (i * 11 + t * 3) % 17,
@@ -221,18 +157,7 @@ fn eight_threads_are_serially_equivalent_on_the_profile() {
 }
 
 fn arb_scripts() -> impl Strategy<Value = Vec<Vec<OpSpec>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(
-            (0u8..12, 0u32..8, 0u64..12, 0u64..20).prop_map(|(kind, width, dur, t)| OpSpec {
-                kind,
-                width,
-                dur,
-                t,
-            }),
-            1..=12,
-        ),
-        2..=4,
-    )
+    proptest::collection::vec(proptest::collection::vec(op_spec(), 1..=12), 2..=4)
 }
 
 fn policy_from(idx: u8) -> ReferencePolicy {
@@ -266,4 +191,41 @@ proptest! {
     ) {
         run_stress(m, ResourceProfile::constant(m), policy_from(p), &scripts);
     }
+}
+
+/// Snapshot reads answer like the live service: reader threads probing one
+/// published snapshot get, query for query, what the sequential service
+/// answers by speculating on its live substrate. (Asserted with 1–8 readers
+/// by the `--bench service` run this suite replaced.)
+#[test]
+fn snapshot_probes_answer_like_the_sequential_service() {
+    const MACHINES: u32 = 16;
+    let mut seq = ScheduleService::new(
+        ReferencePolicy::Easy,
+        AvailabilityTimeline::constant(MACHINES),
+    );
+    let mix: Vec<OpSpec> = heavy_scripts(1, 600).remove(0);
+    for spec in &mix {
+        let _ = seq.apply(&spec.decode(&View::of(&seq)));
+    }
+    let now = seq.now();
+    let probe = move |i: u64| Op::Query {
+        width: 1 + (i % u64::from(MACHINES)) as u32,
+        duration: Dur(1 + i % 13),
+        not_before: i.is_multiple_of(3).then(|| now.saturating_add(Dur(i % 40))),
+    };
+    let expected: Vec<_> = (0..500).map(|i| seq.apply(&probe(i))).collect();
+    assert!(expected.iter().all(Result::is_ok));
+
+    let front = ConcurrentService::new(seq);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            let (client, expected) = (front.client(), &expected);
+            scope.spawn(move || {
+                for (i, seq_answer) in (0..).zip(expected) {
+                    assert_eq!(&client.apply(&probe(i)).result, seq_answer, "probe {i}");
+                }
+            });
+        }
+    });
 }

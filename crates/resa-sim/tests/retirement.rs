@@ -14,6 +14,9 @@
 //!    past `now`) plus the retirement slack — counted, not timed — while
 //!    the non-retiring twin's grows with the session.
 
+mod common;
+
+use common::{op_spec, OpSpec, View};
 use proptest::prelude::*;
 use resa_core::error::ProfileError;
 use resa_core::prelude::*;
@@ -84,85 +87,11 @@ where
     }
 }
 
-/// One scripted request; fields are interpreted modulo the op space, so any
-/// tuple of integers is a valid entry.
-#[derive(Clone, Debug)]
-struct OpSpec {
-    kind: u8,
-    width: u32,
-    dur: u64,
-    t: u64,
-}
-
-/// Apply `op` and render the reply. Ids to cancel/revoke and instants are
-/// derived from the service's own state, so twins in lockstep derive the
-/// same request.
-fn apply<C: CapacityQuery + Speculate>(svc: &mut ScheduleService<C>, op: &OpSpec) -> String {
-    let m = svc.machines();
-    let now = svc.now();
-    let width = 1 + op.width % m;
-    let dur = Dur(1 + op.dur % 8);
-    let at = now.saturating_add(Dur(op.t % 12));
-    match op.kind % 16 {
-        0..=2 => format!(
-            "{:?}",
-            svc.submit(width, dur, None).map(|(i, fx)| (i, fx.clone()))
-        ),
-        3 => format!(
-            "{:?}",
-            svc.submit(width, dur, Some(at))
-                .map(|(i, fx)| (i, fx.clone()))
-        ),
-        4 => format!(
-            "{:?}",
-            svc.reserve(width, dur, at).map(|(i, fx)| (i, fx.clone()))
-        ),
-        5 => {
-            let id = op.t as usize % (svc.reservations().len() + 1);
-            format!("{:?}", svc.cancel(id).cloned())
-        }
-        // Advances, one in six of them aimed one tick into the past.
-        6..=8 => {
-            let to =
-                Time((now.ticks() + op.t % 6).saturating_sub(u64::from(op.t.is_multiple_of(6))));
-            format!("{:?}", svc.advance(to).cloned())
-        }
-        9 => {
-            let to = Time((now.ticks() + op.t % 4).saturating_sub(1));
-            format!("{:?}", svc.advance_clamped(to).clone())
-        }
-        10 => {
-            let drained = svc
-                .inject(width, dur, at)
-                .map(|(i, fx)| (i, fx.clone()))
-                .map(|(i, fx)| (i, svc.last_preempted().to_vec(), fx));
-            format!("{drained:?}")
-        }
-        11 => {
-            let id = op.t as usize % (svc.drains().len() + 1);
-            format!("{:?}", svc.revoke(id).cloned())
-        }
-        12 | 13 => {
-            let deadline = now.saturating_add(dur).saturating_add(Dur(op.t % 10));
-            let admission = if op.t.is_multiple_of(2) {
-                AdmissionPolicy::Reject
-            } else {
-                AdmissionPolicy::Boost
-            };
-            format!(
-                "{:?}",
-                svc.submit_deadline(width, dur, None, deadline, admission)
-                    .map(|(i, o, fx)| (i, o, fx.clone()))
-            )
-        }
-        14 => format!(
-            "{:?}",
-            svc.submit_moldable(&[1, width], dur.0 * u64::from(width))
-                .map(|(i, c, fx)| (i, c, fx.clone()))
-        ),
-        _ if op.t.is_multiple_of(4) => format!("{:?}", svc.drain().clone()),
-        _ => format!("{:?}", svc.query(width, dur, Some(at))),
-    }
+/// Apply `spec` and render the reply. The op is decoded against the
+/// service's own state, so twins in lockstep derive the same request.
+fn apply<C: CapacityQuery + Speculate>(svc: &mut ScheduleService<C>, spec: &OpSpec) -> String {
+    let op = spec.decode(&View::of(svc));
+    format!("{:?}", svc.apply(&op))
 }
 
 /// Everything a client can see of a service, minus the reply to the op
@@ -253,15 +182,6 @@ fn run_differential<C>(
     );
 }
 
-fn op_strategy() -> impl Strategy<Value = OpSpec> {
-    (0u8..16, 0u32..16, 0u64..16, 0u64..64).prop_map(|(kind, width, dur, t)| OpSpec {
-        kind,
-        width,
-        dur,
-        t,
-    })
-}
-
 const POLICIES: [ReferencePolicy; 3] = [
     ReferencePolicy::Fcfs,
     ReferencePolicy::Easy,
@@ -276,7 +196,7 @@ proptest! {
         m in 3u32..=8,
         policy in 0usize..3,
         checkpoint in 0u8..2,
-        ops in proptest::collection::vec(op_strategy(), 80usize..=240),
+        ops in proptest::collection::vec(op_spec(), 80usize..=240),
         restore_frac in 0usize..100,
     ) {
         let policy = POLICIES[policy];
