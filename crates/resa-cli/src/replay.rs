@@ -5,8 +5,8 @@
 //! `trace:` reference) is parsed (`resa_workloads::swf`), optionally
 //! truncated past a warm-up horizon, decorated with a reservation overlay
 //! (α-restricted, non-increasing, or loaded from an instance file), and
-//! replayed — either through the on-line [`Simulator`] under a decision
-//! policy, or through an off-line scheduler on a chosen availability
+//! replayed — either through the on-line event loop under a decision
+//! policy, or through an off-line scheduler, on a chosen availability
 //! substrate. The resulting schedule is validated and checked against every
 //! paper guarantee that applies to the instance class; a conclusive
 //! violation flips the process exit code to 2.
@@ -17,9 +17,12 @@
 //! immediately, so live memory is O(active jobs + overlay) — independent of
 //! the trace length. Validation, the drained-window invariant and the
 //! guarantee report are all derived online ([`StreamValidator`],
-//! [`StreamFacts`]), and the streamed report is byte-identical to the
-//! materialized one (`--materialize` forces the whole-trace-in-memory path;
-//! tests below assert equality across policies, substrates and overlays).
+//! [`StreamFacts`]). What cannot stream — off-line schedulers, unsorted
+//! submissions, traces small enough for the exact solver — is replayed from
+//! the whole trace in memory, through the same loop; which of the two runs
+//! is read off the trace, and a trace both can serve gets byte-identical
+//! reports from either (tests below, across policies, substrates and
+//! overlays).
 
 use crate::opts::{CommonOpts, OutputFormat};
 use crate::{CliError, Outcome};
@@ -29,7 +32,7 @@ use resa_core::prelude::*;
 use resa_sim::prelude::*;
 use resa_workloads::prelude::*;
 use serde::Serialize;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Help text for `resa replay --help`.
 pub const REPLAY_HELP: &str = "\
@@ -41,7 +44,8 @@ USAGE:
     <trace> is a Standard Workload Format file — plain or gzipped — or a
     cached archive reference `trace:<name>[@sha256:<hex>]` imported with
     `resa fetch`. On-line replays of release-sorted traces stream with
-    bounded memory by default (see --materialize).
+    bounded memory; off-line policies, unsorted traces and tiny traces are
+    replayed from memory (the reports do not differ).
 
 OPTIONS:
     --machines <m>        cluster size (default: the trace's MaxProcs header,
@@ -66,25 +70,20 @@ OPTIONS:
                           drained-window invariant independently of the
                           substrate and counts breaches as violations
     --substrate <s>       availability backend: timeline | profile [default: timeline]
-                          (off-line: which CapacityQuery backend; on-line:
-                          timeline = optimized engine, profile = the
-                          clone-based reference engine — results are identical,
-                          which is exactly what the golden tests assert)
-    --materialize         force the whole-trace-in-memory pipeline instead of
-                          the streaming default (reports are byte-identical;
-                          off-line policies, unsorted traces and tiny traces
-                          materialize regardless)
+                          (timeline = the indexed segment tree, profile = the
+                          naive breakpoint list; same schedulers, same event
+                          loop — results are identical, which is exactly what
+                          the golden tests assert)
 
 plus the common options: --seed --threads --format --quick --out
 ";
 
-/// Which availability substrate / engine generation to replay through.
+/// Which availability substrate to replay on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Substrate {
-    /// The indexed segment-tree timeline (optimized engine).
+    /// The indexed segment-tree timeline.
     Timeline,
-    /// The naive breakpoint-list profile (off-line) or the clone-based
-    /// reference engine (on-line).
+    /// The naive breakpoint-list profile.
     Profile,
 }
 
@@ -319,6 +318,60 @@ struct ReplayReport {
 /// pipeline there so the reports stay byte-identical.
 const STREAM_MIN_JOBS: usize = 12;
 
+/// One replay request — the trace and its decorations — as both pipelines
+/// read it.
+struct Replay {
+    /// The trace as the user named it (what reports and errors show)…
+    trace: String,
+    /// …and the file it resolves to.
+    file: PathBuf,
+    machines: Option<u32>,
+    substrate: Substrate,
+    reservations: ReservationArg,
+    failures: Vec<(u32, u64, u64)>,
+    warmup: u64,
+    seed: u64,
+}
+
+impl Replay {
+    fn io_error(&self, err: std::io::Error) -> CliError {
+        CliError::Io {
+            path: self.trace.clone(),
+            message: err.to_string(),
+        }
+    }
+
+    /// The generated overlay plus the `--failures` drains: up-front declared
+    /// capacity losses, merged into the overlay the schedulers already
+    /// respect (a drain *is* a reservation to an off-line engine). The
+    /// second component counts the jobs the α-restriction narrowed.
+    fn instance(
+        &self,
+        machines: u32,
+        jobs: Vec<Job>,
+        max_release: u64,
+    ) -> Result<(ResaInstance, usize), CliError> {
+        let (instance, clamped) = build_instance(
+            machines,
+            jobs,
+            &self.reservations,
+            max_release,
+            self.seed,
+            self.warmup,
+        )?;
+        if self.failures.is_empty() {
+            return Ok((instance, clamped));
+        }
+        let mut overlay = instance.reservations().to_vec();
+        for &(width, duration, start) in &self.failures {
+            overlay.push(Reservation::new(overlay.len(), width, duration, start));
+        }
+        ResaInstance::new(machines, instance.jobs().to_vec(), overlay)
+            .map(|merged| (merged, clamped))
+            .map_err(|e| CliError::Usage(format!("failure overlay rejected: {e}")))
+    }
+}
+
 /// `resa replay <trace> [options]`.
 pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
     if args.first() == Some(&"--help") {
@@ -331,20 +384,24 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
         Some((p, rest)) if !p.starts_with("--") => (*p, rest),
         _ => return Err(CliError::Usage("replay expects a trace path".into())),
     };
-    let mut machines_arg: Option<u32> = None;
     let mut policy = PolicyArg::Online(ReferencePolicy::Easy);
-    let mut reservations = ReservationArg::None;
-    let mut warmup: u64 = 0;
-    let mut substrate = Substrate::Timeline;
-    let mut failures: Vec<(u32, u64, u64)> = Vec::new();
-    let mut materialize = false;
+    let mut req = Replay {
+        trace: trace_path.to_string(),
+        file: PathBuf::new(),
+        machines: None,
+        substrate: Substrate::Timeline,
+        reservations: ReservationArg::None,
+        failures: Vec::new(),
+        warmup: 0,
+        seed: 0,
+    };
     let opts = CommonOpts::parse(rest, &mut |flag, value| {
         let take = |name: &str| -> Result<&str, CliError> {
             value.ok_or_else(|| CliError::Usage(format!("{name} expects a value")))
         };
         match flag {
             "--machines" => {
-                machines_arg = Some(take("--machines")?.parse().map_err(|_| {
+                req.machines = Some(take("--machines")?.parse().map_err(|_| {
                     CliError::Usage("--machines expects a positive integer".into())
                 })?);
                 Ok(1)
@@ -354,21 +411,21 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
                 Ok(1)
             }
             "--reservations" => {
-                reservations = ReservationArg::parse(take("--reservations")?)?;
+                req.reservations = ReservationArg::parse(take("--reservations")?)?;
                 Ok(1)
             }
             "--warmup" => {
-                warmup = take("--warmup")?
+                req.warmup = take("--warmup")?
                     .parse()
                     .map_err(|_| CliError::Usage("--warmup expects an integer".into()))?;
                 Ok(1)
             }
             "--failures" => {
-                failures = parse_failures(take("--failures")?)?;
+                req.failures = parse_failures(take("--failures")?)?;
                 Ok(1)
             }
             "--substrate" => {
-                substrate = match take("--substrate")? {
+                req.substrate = match take("--substrate")? {
                     "timeline" => Substrate::Timeline,
                     "profile" => Substrate::Profile,
                     other => {
@@ -379,10 +436,6 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
                 };
                 Ok(1)
             }
-            "--materialize" => {
-                materialize = true;
-                Ok(0)
-            }
             other => Err(CliError::Usage(format!(
                 "unknown option '{other}' (see `resa replay --help`)"
             ))),
@@ -390,51 +443,21 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
     })?;
     opts.runner(); // export the thread cap before any parallel work
 
-    let file_path = resolve_trace(trace_path)?;
-    let report = match (materialize, policy) {
-        // Streaming is the default for on-line policies; a bounded-memory
-        // prescan establishes whether the trace qualifies (sorted
-        // submissions, enough jobs to clear the exact-solver regime).
-        (false, PolicyArg::Online(kind)) => {
-            let scan = prescan(&file_path, trace_path, machines_arg, warmup)?;
+    req.seed = opts.seed;
+    req.file = resolve_trace(trace_path)?;
+    // On-line policies stream when a bounded-memory prescan finds the trace
+    // qualifies: sorted submissions, enough jobs to clear the exact-solver
+    // regime.
+    let report = match policy {
+        PolicyArg::Online(kind) => {
+            let scan = prescan(&req)?;
             if scan.sorted && scan.kept > STREAM_MIN_JOBS {
-                run_streaming(
-                    trace_path,
-                    &file_path,
-                    machines_arg,
-                    &scan,
-                    kind,
-                    substrate,
-                    &reservations,
-                    &failures,
-                    warmup,
-                    opts.seed,
-                )?
+                run_streaming(&req, &scan, kind)?
             } else {
-                run_materialized(
-                    trace_path,
-                    &file_path,
-                    machines_arg,
-                    policy,
-                    substrate,
-                    &reservations,
-                    &failures,
-                    warmup,
-                    opts.seed,
-                )?
+                run_materialized(&req, policy)?
             }
         }
-        _ => run_materialized(
-            trace_path,
-            &file_path,
-            machines_arg,
-            policy,
-            substrate,
-            &reservations,
-            &failures,
-            warmup,
-            opts.seed,
-        )?,
+        PolicyArg::Offline(_) => run_materialized(&req, policy)?,
     };
     render(&report, &opts)
 }
@@ -478,16 +501,9 @@ struct Prescan {
     sorted: bool,
 }
 
-fn prescan(
-    path: &Path,
-    display: &str,
-    machines_arg: Option<u32>,
-    warmup: u64,
-) -> Result<Prescan, CliError> {
-    let mut stream = open_trace(path, machines_arg).map_err(|e| CliError::Io {
-        path: display.to_string(),
-        message: e.to_string(),
-    })?;
+fn prescan(req: &Replay) -> Result<Prescan, CliError> {
+    let (display, warmup) = (req.trace.as_str(), req.warmup);
+    let mut stream = open_trace(&req.file, req.machines).map_err(|e| req.io_error(e))?;
     let mut kept = 0usize;
     let mut max_release = 0u64;
     let mut last_release = 0u64;
@@ -507,7 +523,8 @@ fn prescan(
         kept += 1;
         max_release = max_release.max(release - warmup);
     }
-    let machines = machines_arg
+    let machines = req
+        .machines
         .or(stream.max_procs())
         .or((max_width > 0).then_some(max_width))
         .ok_or_else(|| CliError::Parse(format!("{display}: trace has no jobs")))?;
@@ -519,31 +536,19 @@ fn prescan(
     })
 }
 
-/// The original whole-trace pipeline: parse everything, build a
-/// [`ResaInstance`], simulate or schedule it, and check the materialized
-/// schedule. Stays the reference semantics the streaming path must
-/// reproduce; also the only path that can serve off-line schedulers (they
-/// need the full catalog up front) and the exact-solver regime.
-#[allow(clippy::too_many_arguments)]
-fn run_materialized(
-    display: &str,
-    path: &Path,
-    machines_arg: Option<u32>,
-    policy: PolicyArg,
-    substrate: Substrate,
-    reservations: &ReservationArg,
-    failures: &[(u32, u64, u64)],
-    warmup: u64,
-    seed: u64,
-) -> Result<ReplayReport, CliError> {
+/// The whole-trace pipeline: parse everything, build a [`ResaInstance`],
+/// simulate or schedule it, and check the materialized schedule. The only
+/// path that can serve off-line schedulers (they need the full catalog up
+/// front), unsorted submissions (the instance source sorts them) and the
+/// exact-solver regime.
+fn run_materialized(req: &Replay, policy: PolicyArg) -> Result<ReplayReport, CliError> {
+    let (display, warmup) = (req.trace.as_str(), req.warmup);
     // 1. Ingest the trace (inflating gzip transparently).
-    let text = read_trace_text(path).map_err(|e| CliError::Io {
-        path: display.to_string(),
-        message: e.to_string(),
-    })?;
-    let parsed = resa_workloads::swf::parse_trace_full(&text, machines_arg)
+    let text = read_trace_text(&req.file).map_err(|e| req.io_error(e))?;
+    let parsed = resa_workloads::swf::parse_trace_full(&text, req.machines)
         .map_err(|e| CliError::Parse(format!("{display}: {e}")))?;
-    let machines = machines_arg
+    let machines = req
+        .machines
         .or(parsed.max_procs)
         .or_else(|| parsed.jobs.iter().map(|j| j.width).max())
         .ok_or_else(|| CliError::Parse(format!("{display}: trace has no jobs")))?;
@@ -566,33 +571,14 @@ fn run_materialized(
     let dropped = total - jobs.len();
 
     // 3. Reservation overlay (file overlays live on the same warmed-up
-    // clock as the truncated jobs — see `build_instance`).
+    // clock as the truncated jobs — see `build_instance`) and failure drains.
     let max_release = jobs.iter().map(|j| j.release.ticks()).max().unwrap_or(0);
-    let (mut instance, clamped_jobs) =
-        build_instance(machines, jobs, reservations, max_release, seed, warmup)?;
-
-    // 3b. Failure drains: up-front declared capacity losses, merged into the
-    // same overlay the schedulers already respect (a drain *is* a
-    // reservation to an off-line engine).
-    if !failures.is_empty() {
-        let mut overlay: Vec<Reservation> = instance.reservations().to_vec();
-        for &(width, duration, start) in failures {
-            overlay.push(Reservation::new(overlay.len(), width, duration, start));
-        }
-        instance = ResaInstance::new(machines, instance.jobs().to_vec(), overlay)
-            .map_err(|e| CliError::Usage(format!("failure overlay rejected: {e}")))?;
-    }
+    let (instance, clamped_jobs) = req.instance(machines, jobs, max_release)?;
 
     // 4. Replay.
-    let (schedule, decisions) = match (policy, substrate) {
-        (_, Substrate::Timeline) => run_policy(policy, &instance),
-        (PolicyArg::Online(kind), Substrate::Profile) => {
-            let result = simulate_reference(&instance, kind);
-            (result.schedule, result.decisions)
-        }
-        (PolicyArg::Offline(kind), Substrate::Profile) => {
-            (offline_schedule(kind, &instance, instance.profile()), 0)
-        }
+    let (schedule, decisions) = match req.substrate {
+        Substrate::Timeline => run_policy(policy, &instance),
+        Substrate::Profile => run_policy_on(policy, &instance, instance.profile()),
     };
 
     // 5. Validate and check the paper's guarantees.
@@ -627,9 +613,9 @@ fn run_materialized(
         dropped_by_warmup: dropped,
         clamped_jobs,
         reservations: instance.n_reservations(),
-        failures: failures.len(),
+        failures: req.failures.len(),
         policy: policy.name(),
-        substrate: substrate.name().to_string(),
+        substrate: req.substrate.name().to_string(),
         schedule_valid,
         drained_windows_respected,
         decisions,
@@ -648,56 +634,28 @@ fn run_materialized(
 /// overlay); the emitted report is byte-identical to
 /// [`run_materialized`]'s (asserted by the tests below across policies,
 /// substrates and overlay families).
-#[allow(clippy::too_many_arguments)]
 fn run_streaming(
-    display: &str,
-    path: &Path,
-    machines_arg: Option<u32>,
+    req: &Replay,
     scan: &Prescan,
     kind: ReferencePolicy,
-    substrate: Substrate,
-    reservations: &ReservationArg,
-    failures: &[(u32, u64, u64)],
-    warmup: u64,
-    seed: u64,
 ) -> Result<ReplayReport, CliError> {
     let machines = scan.machines;
     // The overlay is generated exactly like the materialized path generates
     // it (same RNG stream, same warm-up shifting of file overlays), just
     // over an empty job list: the workload itself is never materialized.
-    let (overlay_inst, _) = build_instance(
-        machines,
-        Vec::new(),
-        reservations,
-        scan.max_release,
-        seed,
-        warmup,
-    )?;
-    let overlay_inst = if failures.is_empty() {
-        overlay_inst
-    } else {
-        let mut merged: Vec<Reservation> = overlay_inst.reservations().to_vec();
-        for &(width, duration, start) in failures {
-            merged.push(Reservation::new(merged.len(), width, duration, start));
-        }
-        ResaInstance::new(machines, Vec::new(), merged)
-            .map_err(|e| CliError::Usage(format!("failure overlay rejected: {e}")))?
-    };
+    let (overlay_inst, _) = req.instance(machines, Vec::new(), scan.max_release)?;
     let overlay_res: Vec<Reservation> = overlay_inst.reservations().to_vec();
     let profile = overlay_inst.profile();
 
     // The α-restricted model narrows jobs wider than α·m, exactly as
     // `AlphaReservations::instance` does on the materialized path.
-    let width_cap = match reservations {
+    let width_cap = match &req.reservations {
         ReservationArg::Alpha { alpha, .. } => alpha.max_job_width(machines).max(1),
         _ => u32::MAX,
     };
     let mut source = SwfSource {
-        stream: open_trace(path, machines_arg).map_err(|e| CliError::Io {
-            path: display.to_string(),
-            message: e.to_string(),
-        })?,
-        warmup,
+        stream: open_trace(&req.file, req.machines).map_err(|e| req.io_error(e))?,
+        warmup: req.warmup,
         width_cap,
         profile: &profile,
         facts: StreamFacts::new(),
@@ -713,18 +671,18 @@ fn run_streaming(
     let mut sink = ValidatingSink {
         validator: StreamValidator::new(machines, profile.clone(), &overlay_windows),
     };
-    let outcome = match substrate {
+    let outcome = match req.substrate {
         Substrate::Timeline => {
             let mut timeline = AvailabilityTimeline::from(&profile);
-            run_stream_policy(&mut timeline, &profile, kind, &mut source, &mut sink)
+            run_stream(&mut timeline, &profile, &kind, &mut source, &mut sink)
         }
         Substrate::Profile => {
-            let mut reference = profile.clone();
-            run_stream_policy(&mut reference, &profile, kind, &mut source, &mut sink)
+            let mut naive = profile.clone();
+            run_stream(&mut naive, &profile, &kind, &mut source, &mut sink)
         }
     };
     if let Some(err) = source.error.take() {
-        return Err(read_error(display, err));
+        return Err(read_error(&req.trace, err));
     }
     let verdicts = sink.validator.finish();
     // The streaming counterpart of `Schedule::is_valid`: capacity and
@@ -743,15 +701,15 @@ fn run_streaming(
         + usize::from(!schedule_valid)
         + usize::from(!verdicts.drains_respected);
     Ok(ReplayReport {
-        trace: display.to_string(),
+        trace: req.trace.clone(),
         machines,
         jobs: source.kept,
         dropped_by_warmup: source.total - source.kept,
         clamped_jobs: source.clamped,
         reservations: overlay_res.len(),
-        failures: failures.len(),
+        failures: req.failures.len(),
         policy: PolicyArg::Online(kind).name(),
-        substrate: substrate.name().to_string(),
+        substrate: req.substrate.name().to_string(),
         schedule_valid,
         drained_windows_respected: verdicts.drains_respected,
         decisions: outcome.decisions,
@@ -828,41 +786,26 @@ impl RecordSink for ValidatingSink {
     }
 }
 
-/// Dispatch a streaming run over the statically-typed policy.
-fn run_stream_policy<C, S, K>(
-    substrate: &mut C,
-    overlay: &ResourceProfile,
-    kind: ReferencePolicy,
-    source: &mut S,
-    sink: &mut K,
-) -> StreamOutcome
-where
-    C: CapacityQuery,
-    S: JobSource,
-    K: RecordSink,
-{
-    match kind {
-        ReferencePolicy::Fcfs => run_stream(substrate, overlay, &FcfsPolicy, source, sink),
-        ReferencePolicy::Easy => run_stream(substrate, overlay, &EasyPolicy, source, sink),
-        ReferencePolicy::Greedy => run_stream(substrate, overlay, &GreedyPolicy, source, sink),
-    }
-}
-
 /// Run a policy on an instance through the default (timeline) substrate,
 /// returning the schedule and the decision-point count (0 for off-line
 /// schedulers). This is the sweep driver's per-cell engine.
 pub(crate) fn run_policy(policy: PolicyArg, instance: &ResaInstance) -> (Schedule, u64) {
+    run_policy_on(policy, instance, instance.timeline())
+}
+
+/// [`run_policy`] on `substrate`, freshly built from the instance's
+/// reservations.
+fn run_policy_on<C: CapacityQuery>(
+    policy: PolicyArg,
+    instance: &ResaInstance,
+    substrate: C,
+) -> (Schedule, u64) {
     match policy {
         PolicyArg::Online(kind) => {
-            let sim = Simulator::new(instance.clone());
-            let result = match kind {
-                ReferencePolicy::Fcfs => sim.run(&FcfsPolicy),
-                ReferencePolicy::Easy => sim.run(&EasyPolicy),
-                ReferencePolicy::Greedy => sim.run(&GreedyPolicy),
-            };
+            let result = Simulator::new(instance.clone()).run_on(substrate, &kind);
             (result.schedule, result.decisions)
         }
-        PolicyArg::Offline(kind) => (offline_schedule(kind, instance, instance.timeline()), 0),
+        PolicyArg::Offline(kind) => (offline_schedule(kind, instance, substrate), 0),
     }
 }
 
@@ -1270,11 +1213,56 @@ mod tests {
         text
     }
 
-    /// The tentpole property: the streaming pipeline (the default for
-    /// on-line policies on sorted traces) emits a report byte-identical to
-    /// the materialized pipeline — across every on-line policy, both
-    /// substrates, and with warm-up truncation, α clamping and failure
-    /// drains layered on.
+    fn json() -> CommonOpts {
+        CommonOpts {
+            format: OutputFormat::Json,
+            ..CommonOpts::default()
+        }
+    }
+
+    fn request(path: &str, substrate: Substrate, decoration: (&str, &str, u64)) -> Replay {
+        let (reservations, failures, warmup) = decoration;
+        Replay {
+            trace: path.to_string(),
+            file: PathBuf::from(path),
+            machines: None,
+            substrate,
+            reservations: ReservationArg::parse(reservations).unwrap(),
+            failures: parse_failures(failures).unwrap_or_default(),
+            warmup,
+            seed: json().seed,
+        }
+    }
+
+    /// Both pipelines called directly on one request, rendered as JSON:
+    /// `(streamed, whole-trace)`.
+    fn both_pipelines(req: &Replay, kind: ReferencePolicy) -> (Outcome, Outcome) {
+        let scan = prescan(req).unwrap();
+        assert!(scan.sorted && scan.kept > STREAM_MIN_JOBS);
+        let streamed = run_streaming(req, &scan, kind).unwrap();
+        let whole = run_materialized(req, PolicyArg::Online(kind)).unwrap();
+        (
+            render(&streamed, &json()).unwrap(),
+            render(&whole, &json()).unwrap(),
+        )
+    }
+
+    const ONLINE: [(&str, ReferencePolicy); 3] = [
+        ("fcfs", ReferencePolicy::Fcfs),
+        ("easy", ReferencePolicy::Easy),
+        ("greedy", ReferencePolicy::Greedy),
+    ];
+    const SUBSTRATES: [(&str, Substrate); 2] = [
+        ("timeline", Substrate::Timeline),
+        ("profile", Substrate::Profile),
+    ];
+
+    /// The streaming pipeline emits a report byte-identical to the
+    /// whole-trace pipeline — across every on-line policy, both substrates
+    /// (each a real `ResourceProfile` / `AvailabilityTimeline` under the one
+    /// loop), and with warm-up truncation, α clamping and failure drains
+    /// layered on. The CLI, which picks the pipeline itself, prints the same
+    /// bytes.
     #[test]
     fn streaming_report_is_byte_identical_to_materialized() {
         let dir = std::env::temp_dir().join("resa-replay-streaming-test");
@@ -1282,33 +1270,42 @@ mod tests {
         let path = dir.join("stream-vs-mat.swf");
         std::fs::write(&path, sorted_trace(40)).unwrap();
         let path = path.to_str().unwrap().to_string();
-        let decorations: [&[&str]; 3] = [
-            &[],
-            &["--warmup", "30", "--reservations", "alpha:0.5"],
-            &["--reservations", "nonincreasing:3", "--failures", "2:9:25"],
+        // (reservations, failures, warm-up)
+        let decorations = [
+            ("none", "", 0u64),
+            ("alpha:0.5", "", 30),
+            ("nonincreasing:3", "2:9:25", 0),
         ];
-        for policy in ["fcfs", "easy", "greedy"] {
-            for substrate in ["timeline", "profile"] {
-                for extra in decorations {
+        for (policy, kind) in ONLINE {
+            for (substrate_name, substrate) in SUBSTRATES {
+                for decoration in decorations {
+                    let (streamed, materialized) =
+                        both_pipelines(&request(&path, substrate, decoration), kind);
+                    assert_eq!(
+                        streamed.stdout, materialized.stdout,
+                        "streaming diverged for {policy}/{substrate_name} {decoration:?}"
+                    );
+                    assert_eq!(streamed.violations, materialized.violations);
+                    let (reservations, failures, warmup) = decoration;
+                    let warmup = warmup.to_string();
                     let mut args = vec![
                         "replay",
                         &path,
                         "--policy",
                         policy,
                         "--substrate",
-                        substrate,
+                        substrate_name,
                         "--format",
                         "json",
+                        "--reservations",
+                        reservations,
+                        "--warmup",
+                        &warmup,
                     ];
-                    args.extend_from_slice(extra);
-                    let streamed = crate::run(&args).unwrap();
-                    args.push("--materialize");
-                    let materialized = crate::run(&args).unwrap();
-                    assert_eq!(
-                        streamed.stdout, materialized.stdout,
-                        "streaming diverged for {policy}/{substrate} {extra:?}"
-                    );
-                    assert_eq!(streamed.violations, materialized.violations);
+                    if !failures.is_empty() {
+                        args.extend(["--failures", failures]);
+                    }
+                    assert_eq!(crate::run(&args).unwrap().stdout, streamed.stdout);
                 }
             }
         }
@@ -1323,9 +1320,8 @@ mod tests {
         let path = dir.join("compressed.swf.gz");
         resa_workloads::gzip::write_gz(&path, sorted_trace(30).as_bytes()).unwrap();
         let path = path.to_str().unwrap().to_string();
-        let streamed = crate::run(&["replay", &path, "--format", "json"]).unwrap();
-        let materialized =
-            crate::run(&["replay", &path, "--format", "json", "--materialize"]).unwrap();
+        let req = request(&path, Substrate::Timeline, ("none", "", 0));
+        let (streamed, materialized) = both_pipelines(&req, ReferencePolicy::Easy);
         assert_eq!(streamed.stdout, materialized.stdout);
         assert!(
             streamed.stdout.contains("\"jobs\": 30"),
@@ -1335,9 +1331,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Unsorted submissions break the streaming source contract, so the
-    /// replay silently materializes — and still reports identically to an
-    /// explicit `--materialize`.
+    /// Unsorted submissions break the streaming source contract: the
+    /// prescan sees it and the replay runs from the whole trace.
     #[test]
     fn unsorted_traces_fall_back_to_the_materialized_pipeline() {
         let dir = std::env::temp_dir().join("resa-replay-streaming-test");
@@ -1347,15 +1342,99 @@ mod tests {
         text.push_str("21 5 4 2\n"); // release jumps backwards
         std::fs::write(&path, text).unwrap();
         let path = path.to_str().unwrap().to_string();
+        let req = request(&path, Substrate::Timeline, ("none", "", 0));
+        assert!(!prescan(&req).unwrap().sorted);
         let implicit = crate::run(&["replay", &path, "--format", "json"]).unwrap();
-        let explicit = crate::run(&["replay", &path, "--format", "json", "--materialize"]).unwrap();
-        assert_eq!(implicit.stdout, explicit.stdout);
+        let whole = run_materialized(&req, PolicyArg::Online(ReferencePolicy::Easy)).unwrap();
+        assert_eq!(implicit.stdout, render(&whole, &json()).unwrap().stdout);
         assert!(
             implicit.stdout.contains("\"jobs\": 21"),
             "{}",
             implicit.stdout
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `--materialize` is gone: the pipeline is read off the trace.
+    #[test]
+    fn materialize_is_an_unknown_option() {
+        match crate::run(&["replay", "x.swf", "--materialize"]) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("unknown option"), "{msg}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    /// A well-formed trace whose durations leave the time axis is refused
+    /// where its records are parsed, so every replay path — streaming,
+    /// whole-trace, off-line, both substrates — answers the same
+    /// line-numbered parse error (exit 1) instead of wrapping a policy's
+    /// `now + max_duration` and panicking; the last trace inside the horizon
+    /// still replays clean.
+    #[test]
+    fn traces_past_the_time_axis_are_a_parse_error_on_every_path() {
+        let dir = std::env::temp_dir().join("resa-replay-horizon-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let long = i64::MAX as u64 - 7;
+        let hostile = dir.join("hostile.swf");
+        let text = format!(
+            "{}21 70 {long} 2\n22 75 {long} 2\n23 80 {long} 8\n",
+            sorted_trace(20)
+        );
+        std::fs::write(&hostile, text).unwrap();
+        let hostile = hostile.to_str().unwrap().to_string();
+        // Short variant (≤ STREAM_MIN_JOBS): whole-trace for on-line too.
+        let short = dir.join("short.swf");
+        std::fs::write(&short, format!("; MaxProcs: 8\n1 0 5 2\n2 70 {long} 2\n")).unwrap();
+        let short = short.to_str().unwrap().to_string();
+        for (trace, line) in [(&hostile, "line 22: "), (&short, "line 3: ")] {
+            for policy in ["fcfs", "easy", "greedy", "offline:lsrc", "offline:easy"] {
+                for substrate in ["timeline", "profile"] {
+                    let args = [
+                        "replay",
+                        trace,
+                        "--policy",
+                        policy,
+                        "--substrate",
+                        substrate,
+                    ];
+                    match crate::run(&args) {
+                        Err(CliError::Parse(msg)) => assert!(
+                            msg.starts_with(&format!("{trace}: {line}"))
+                                && msg.contains("time axis"),
+                            "{policy}/{substrate}: {msg}"
+                        ),
+                        other => {
+                            panic!("{policy}/{substrate}: expected a parse error, got {other:?}")
+                        }
+                    }
+                }
+            }
+        }
+        // Just inside: the 20 ordinary jobs plus one that uses up the axis
+        // exactly (latest submit 70 + total run time = i64::MAX).
+        let ordinary: u64 = (0..20).map(|i| 3 + (i * 7) % 11).sum();
+        let inside = dir.join("inside.swf");
+        let last = i64::MAX as u64 - 70 - ordinary;
+        std::fs::write(&inside, format!("{}21 70 {last} 2\n", sorted_trace(20))).unwrap();
+        let inside = inside.to_str().unwrap().to_string();
+        for policy in ["fcfs", "easy", "greedy", "offline:lsrc"] {
+            for substrate in ["timeline", "profile"] {
+                let out = crate::run(&[
+                    "replay",
+                    &inside,
+                    "--policy",
+                    policy,
+                    "--substrate",
+                    substrate,
+                    "--format",
+                    "json",
+                ])
+                .unwrap();
+                assert_eq!(out.violations, 0, "{policy}/{substrate}: {}", out.stdout);
+                assert!(out.stdout.contains("\"jobs\": 21"), "{}", out.stdout);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// `trace:` references resolve through the checksum-pinned cache; a

@@ -231,7 +231,7 @@ fn snapshot_over_sockets_matches_the_sequential_transport() {
     let expected = resa_cli::serve::run_script(
         &script,
         8,
-        resa_sim::reference::ReferencePolicy::Easy,
+        resa_sim::policy::ReferencePolicy::Easy,
         resa_cli::replay::Substrate::Timeline,
     );
     let expected: Vec<&str> = expected.lines().rev().take(2).collect();

@@ -51,7 +51,7 @@
 
 use crate::journal::OpJournal;
 use crate::op::{Horizon, Op, Reply, Session, SessionRecords, WriteReply};
-use crate::reference::ReferencePolicy;
+use crate::policy::ReferencePolicy;
 use crate::service::{records_of, Effects, ScheduleService, ServiceError, ServiceStats};
 use resa_core::prelude::*;
 use resa_core::snapshot::Snapshotable;

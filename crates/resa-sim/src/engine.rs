@@ -1,20 +1,20 @@
-//! The discrete-event simulation engine.
+//! The whole-instance driver of the event loop.
 //!
-//! The engine replays an instance with release dates against an on-line
+//! [`Simulator`] replays an instance with release dates against an on-line
 //! [`crate::policy::OnlinePolicy`]: the policy only ever sees jobs that have
 //! already been released, which is exactly the informational restriction the
 //! paper's §2.1 discusses when contrasting off-line analysis with production
 //! schedulers.
 //!
-//! Events are processed in time order (completions and availability changes
-//! before arrivals at equal instants); after each batch of events at a given
-//! instant the policy is consulted once.
+//! The loop itself is [`crate::stream::run_stream`]; this module feeds it
+//! the instance's jobs in arrival order and collects the placements into a
+//! [`Schedule`].
 
-use crate::event::{Event, EventQueue};
 use crate::metrics::SimMetrics;
-use crate::policy::{DecisionScratch, OnlinePolicy, WaitingJobs};
+use crate::policy::OnlinePolicy;
+use crate::stream::{run_stream, InstanceSource, RecordSink};
+use crate::trace::JobRecord;
 use resa_core::prelude::*;
-use std::collections::HashMap;
 
 /// Result of one simulated run.
 #[derive(Debug, Clone)]
@@ -33,6 +33,17 @@ pub struct Simulator {
     instance: ResaInstance,
 }
 
+/// Collects placements in decision order; completion records are dropped.
+struct ScheduleSink(Schedule);
+
+impl RecordSink for ScheduleSink {
+    fn record(&mut self, _rec: JobRecord) {}
+
+    fn on_start(&mut self, job: &Job, start: Time) {
+        self.0.place(job.id, start);
+    }
+}
+
 impl Simulator {
     /// Create a simulator for `instance` (jobs may carry release dates).
     pub fn new(instance: ResaInstance) -> Self {
@@ -44,111 +55,32 @@ impl Simulator {
         &self.instance
     }
 
-    /// Run under the optimized policy selected by `kind` (the shared
-    /// policy-name enum also used by the reference engine and `resa serve`).
-    pub fn run_reference_policy(&self, kind: crate::reference::ReferencePolicy) -> SimResult {
-        use crate::policy::{EasyPolicy, FcfsPolicy, GreedyPolicy};
-        use crate::reference::ReferencePolicy;
-        match kind {
-            ReferencePolicy::Fcfs => self.run(&FcfsPolicy),
-            ReferencePolicy::Easy => self.run(&EasyPolicy),
-            ReferencePolicy::Greedy => self.run(&GreedyPolicy),
-        }
+    /// Run the simulation to completion under `policy`, on the indexed
+    /// availability timeline.
+    pub fn run<P: OnlinePolicy>(&self, policy: &P) -> SimResult {
+        self.run_on(self.instance.timeline(), policy)
     }
 
-    /// Run the simulation to completion under `policy`.
-    ///
-    /// The event loop is allocation-free on the steady path: the waiting set
-    /// is an indexed [`WaitList`] (O(1) insert/remove, no per-event
-    /// `Vec<Job>` clone), same-instant events are drained straight off the
-    /// heap (its ordering already yields arrivals in submission order, so no
-    /// per-instant batch buffer or sort is needed), the policy reads a
-    /// borrowed [`WaitingJobs`] view and writes decisions into a reused
-    /// buffer, and its tentative state lives in a reused
-    /// [`DecisionScratch`].
-    pub fn run<P: OnlinePolicy>(&self, policy: &P) -> SimResult {
-        let instance = &self.instance;
-        let jobs = instance.jobs();
-        let mut events = EventQueue::new();
-        for job in jobs {
-            events.push(job.release, Event::JobArrival(job.id));
-        }
-        // Position of each job in `jobs`, keyed by id (ids normally equal
-        // positions; the map keeps arbitrary ids correct). Built once.
-        let pos_of: HashMap<JobId, usize> =
-            jobs.iter().enumerate().map(|(i, j)| (j.id, i)).collect();
-        // Run against the indexed availability timeline; reservations made as
-        // jobs start keep it in sync with the naive profile semantics. Build
-        // the reservation profile once and derive both the availability
-        // events and the timeline from it.
-        let reservation_profile = instance.profile();
-        for &(t, _) in reservation_profile.steps() {
-            if t > Time::ZERO {
-                events.push(t, Event::AvailabilityChange);
-            }
-        }
-        let mut profile = AvailabilityTimeline::from(&reservation_profile);
-        let mut waiting = WaitList::with_capacity(jobs.len());
-        let mut schedule = Schedule::new();
-        let mut decisions = 0u64;
-        let mut scratch = DecisionScratch::default();
-        let mut to_start: Vec<JobId> = Vec::new();
-
-        while let Some(first) = events.pop() {
-            let now = first.at;
-            // Drain every event at this instant. Completions and
-            // availability changes only matter through the profile, which is
-            // already up to date (job reservations were made when the jobs
-            // started); arrivals pop in submission (id) order by the heap's
-            // tie-break and join the waiting set directly.
-            let mut event = Some(first.event);
-            while let Some(e) = event {
-                if let Event::JobArrival(id) = e {
-                    waiting.push_back(pos_of[&id]);
-                }
-                event =
-                    (events.peek_time() == Some(now)).then(|| events.pop().expect("peeked").event);
-            }
-            if waiting.is_empty() {
-                continue;
-            }
-            // Consult the policy on a borrowed view of the waiting set.
-            decisions += 1;
-            policy.decide(
-                now,
-                &WaitingJobs::new(jobs, &waiting),
-                &profile,
-                &mut scratch,
-                &mut to_start,
-            );
-            for &id in &to_start {
-                let Some(&pos) = pos_of.get(&id) else {
-                    continue;
-                };
-                if !waiting.contains(pos) {
-                    // Policies must only start waiting jobs; ignore others.
-                    continue;
-                }
-                let job = &jobs[pos];
-                if profile.min_capacity_in(now, job.duration) < job.width {
-                    // Defensive: refuse infeasible starts instead of
-                    // corrupting the run.
-                    continue;
-                }
-                profile
-                    .reserve(now, job.duration, job.width)
-                    .expect("capacity just checked");
-                schedule.place(id, now);
-                events.push(now + job.duration, Event::JobCompletion(id));
-                waiting.remove(pos);
-            }
-        }
-        debug_assert_eq!(schedule.len(), instance.n_jobs(), "every job must run");
-        let metrics = SimMetrics::from_schedule(instance, &schedule);
+    /// [`Simulator::run`] on a substrate of the caller's choice, which must
+    /// be freshly built from the instance's reservations.
+    pub fn run_on<C: CapacityQuery, P: OnlinePolicy>(
+        &self,
+        mut substrate: C,
+        policy: &P,
+    ) -> SimResult {
+        let mut sink = ScheduleSink(Schedule::new());
+        let outcome = run_stream(
+            &mut substrate,
+            &self.instance.profile(),
+            policy,
+            &mut InstanceSource::new(&self.instance),
+            &mut sink,
+        );
+        debug_assert_eq!(sink.0.len(), self.instance.n_jobs(), "every job must run");
         SimResult {
-            schedule,
-            metrics,
-            decisions,
+            schedule: sink.0,
+            metrics: outcome.metrics,
+            decisions: outcome.decisions,
         }
     }
 }

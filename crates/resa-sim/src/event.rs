@@ -1,4 +1,6 @@
-//! Events of the discrete-event simulation.
+//! The event queue of the reference oracle ([`crate::reference`]); the
+//! event loop itself ([`crate::stream`]) merges its three event sources
+//! without one.
 
 use resa_core::prelude::*;
 use std::cmp::Ordering;

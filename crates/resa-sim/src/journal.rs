@@ -80,7 +80,7 @@
 
 use crate::concurrent::AppliedOp;
 use crate::op::{Op, Reply, Session, WriteReply};
-use crate::reference::ReferencePolicy;
+use crate::policy::ReferencePolicy;
 use crate::service::{
     AdmissionPolicy, DrainMode, Effects, ScheduleService, ServiceError, ServiceState, ServiceStats,
 };

@@ -6,18 +6,26 @@
 //! provides the on-line side so the batch-doubling argument and the
 //! average-case experiments can be evaluated end to end:
 //!
-//! * [`event`] — the time-ordered event queue (arrivals, completions,
-//!   availability changes);
+//! One loop, two drivers, one oracle:
+//!
 //! * [`policy`] — on-line decision policies: FCFS, EASY back-filling and the
 //!   greedy LSRC-like policy;
-//! * [`engine::Simulator`] — the event loop, producing a feasible
-//!   [`resa_core::schedule::Schedule`] and per-run [`metrics::SimMetrics`];
+//! * [`stream::run_stream`] — the event loop: jobs pulled from a source as
+//!   virtual time reaches them, one policy consultation per event instant,
+//!   completions retired into a sink, live state O(active jobs);
+//! * [`engine::Simulator`] — the loop driven over a whole instance,
+//!   producing a feasible [`resa_core::schedule::Schedule`] and per-run
+//!   [`metrics::SimMetrics`] (`resa replay` is the other driver, over an
+//!   SWF stream);
+//! * [`reference::simulate_reference`] — an independent clone-and-probe
+//!   implementation of the same rule on its own [`event`] queue, kept as the
+//!   loop's test oracle;
 //! * [`trace::RunTrace`] — per-job lifecycle records (arrival, start,
 //!   completion, overtaking) for post-mortem analysis of a run;
-//! * [`service::ScheduleService`] — the *resident* incremental counterpart of
-//!   the batch engine: one live substrate, requests (submit / reserve /
-//!   cancel / query / advance) processed in arrival order — the library core
-//!   of `resa serve`;
+//! * [`service::ScheduleService`] — the *resident* scheduler: one live
+//!   substrate, requests (submit / reserve / cancel / query / advance)
+//!   processed in arrival order, deciding through the loop's own decision
+//!   step — the library core of `resa serve`;
 //! * [`op`] — those requests as data: one [`op::Op`] / [`op::Reply`] pair
 //!   that the protocol parses, [`service::ScheduleService::apply`] executes,
 //!   [`journal`] records and replays, and [`concurrent`] queues.
@@ -64,16 +72,16 @@ pub mod prelude {
     pub use crate::metrics::{MetricsAccumulator, SimMetrics};
     pub use crate::op::{Horizon, Op, Reply, Session, SessionRecords, WriteReply};
     pub use crate::policy::{
-        DecisionScratch, EasyPolicy, FcfsPolicy, GreedyPolicy, OnlinePolicy, WaitingJobs,
+        DecisionScratch, EasyPolicy, FcfsPolicy, GreedyPolicy, OnlinePolicy, ReferencePolicy,
+        WaitingJobs,
     };
-    pub use crate::reference::{simulate_reference, ReferencePolicy};
+    pub use crate::reference::simulate_reference;
     pub use crate::service::{
         AdmissionPolicy, DeadlineOutcome, DrainMode, Effects, JobFlags, ScheduleService,
         ServiceDrain, ServiceError, ServiceReservation, ServiceState, ServiceStats,
     };
     pub use crate::stream::{
-        run_stream, run_stream_on_instance, DiscardSink, InstanceSource, JobSource, RecordSink,
-        StreamOutcome, VecSink,
+        run_stream, DiscardSink, InstanceSource, JobSource, RecordSink, StreamOutcome, VecSink,
     };
     pub use crate::trace::{JobRecord, RunTrace};
 }
@@ -91,6 +99,12 @@ mod proptests {
     use crate::prelude::*;
     use proptest::prelude::*;
     use resa_core::prelude::*;
+
+    const POLICIES: [ReferencePolicy; 3] = [
+        ReferencePolicy::Fcfs,
+        ReferencePolicy::Easy,
+        ReferencePolicy::Greedy,
+    ];
 
     fn arb_online_instance() -> impl Strategy<Value = ResaInstance> {
         (2u32..=12, 1usize..=15, 0usize..=3).prop_flat_map(|(m, n_jobs, n_res)| {
@@ -125,79 +139,28 @@ mod proptests {
             }
         }
 
-        /// The zero-alloc engine + window-based policies replay exactly the
-        /// previous-generation clone-based path: identical schedules and
-        /// identical decision-point counts for all three policies.
+        /// The loop, driven over a whole instance, replays exactly the
+        /// clone-based oracle: identical schedules and identical
+        /// decision-point counts for all three policies.
         #[test]
         fn optimized_engine_matches_reference_path(inst in arb_online_instance()) {
             let sim = Simulator::new(inst.clone());
-            for (kind, res) in [
-                (ReferencePolicy::Fcfs, sim.run(&FcfsPolicy)),
-                (ReferencePolicy::Easy, sim.run(&EasyPolicy)),
-                (ReferencePolicy::Greedy, sim.run(&GreedyPolicy)),
-            ] {
+            for kind in POLICIES {
+                let res = sim.run(&kind);
                 let reference = simulate_reference(&inst, kind);
                 prop_assert_eq!(&reference.schedule, &res.schedule, "{} diverged", kind.name());
                 prop_assert_eq!(reference.decisions, res.decisions);
             }
         }
 
-        /// Streaming replay is equivalent to the materialized batch engine on
-        /// random instances, on BOTH substrates: identical placement
-        /// sequences, identical decision counts, and bit-identical metrics
-        /// (the f64 fields included — the accumulator folds in the same
-        /// order `from_schedule` does).
+        /// The loop matches the oracle on random instances, on BOTH
+        /// substrates: identical placement sequences, identical decision
+        /// counts, and metrics bit-identical to `from_schedule` on the
+        /// oracle's schedule (the f64 fields included — the accumulator
+        /// folds in the same order `from_schedule` does).
         #[test]
         fn streaming_matches_batch_on_both_substrates(inst in arb_online_instance()) {
-            use crate::stream::{run_stream, InstanceSource, RecordSink};
-
-            #[derive(Default)]
-            struct Placements(Vec<Placement>);
-            impl RecordSink for Placements {
-                fn record(&mut self, _rec: JobRecord) {}
-                fn on_start(&mut self, job: &Job, start: Time) {
-                    self.0.push(Placement { job: job.id, start });
-                }
-            }
-
-            let sim = Simulator::new(inst.clone());
-            let overlay = inst.profile();
-            for (name, batch) in [
-                ("fcfs", sim.run(&FcfsPolicy)),
-                ("easy", sim.run(&EasyPolicy)),
-                ("greedy", sim.run(&GreedyPolicy)),
-            ] {
-                // Indexed-timeline substrate.
-                let mut timeline = AvailabilityTimeline::from(&overlay);
-                let mut sink = Placements::default();
-                let mut source = InstanceSource::new(&inst);
-                let streamed = match name {
-                    "fcfs" => run_stream(&mut timeline, &overlay, &FcfsPolicy, &mut source, &mut sink),
-                    "easy" => run_stream(&mut timeline, &overlay, &EasyPolicy, &mut source, &mut sink),
-                    _ => run_stream(&mut timeline, &overlay, &GreedyPolicy, &mut source, &mut sink),
-                };
-                prop_assert_eq!(
-                    &Schedule::from_placements(sink.0.clone()), &batch.schedule,
-                    "{} placements diverged on the timeline substrate", name
-                );
-                prop_assert_eq!(streamed.decisions, batch.decisions, "{}", name);
-                prop_assert_eq!(streamed.metrics, batch.metrics, "{}", name);
-
-                // Reference-profile substrate.
-                let mut reference = overlay.clone();
-                let mut sink = Placements::default();
-                let mut source = InstanceSource::new(&inst);
-                let streamed = match name {
-                    "fcfs" => run_stream(&mut reference, &overlay, &FcfsPolicy, &mut source, &mut sink),
-                    "easy" => run_stream(&mut reference, &overlay, &EasyPolicy, &mut source, &mut sink),
-                    _ => run_stream(&mut reference, &overlay, &GreedyPolicy, &mut source, &mut sink),
-                };
-                prop_assert_eq!(
-                    &Schedule::from_placements(sink.0.clone()), &batch.schedule,
-                    "{} placements diverged on the reference substrate", name
-                );
-                prop_assert_eq!(streamed.metrics, batch.metrics, "{}", name);
-            }
+            crate::stream::tests::check_equivalence(&inst);
         }
 
         /// The greedy on-line policy can never finish before the certified

@@ -83,8 +83,8 @@ impl SimMetrics {
 /// same order, therefore reproduces its integer totals exactly and its `f64`
 /// bounded-slowdown sum *bit for bit* (floating-point addition is not
 /// associative, so the matching order is what makes streamed and
-/// materialized reports byte-identical). Proven by the differential
-/// proptests in `stream.rs`.
+/// materialized reports byte-identical). Proven by the loop-vs-oracle
+/// proptest in `lib.rs`.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsAccumulator {
     jobs: usize,

@@ -16,7 +16,7 @@
 //! [`Horizon`]).
 
 use crate::metrics::SimMetrics;
-use crate::reference::ReferencePolicy;
+use crate::policy::ReferencePolicy;
 use crate::service::{
     AdmissionPolicy, DeadlineOutcome, Effects, ScheduleService, ServiceError, ServiceStats,
 };

@@ -295,6 +295,52 @@ impl OnlinePolicy for EasyPolicy {
     }
 }
 
+/// Which of the three policies to run, as a value: what `--policy` parses
+/// into, what the journal header records, and what the reference oracle is
+/// told to replay. Implements [`OnlinePolicy`] by forwarding — the one place
+/// a policy name becomes a policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReferencePolicy {
+    /// Strict FCFS.
+    Fcfs,
+    /// EASY backfilling.
+    Easy,
+    /// Greedy LSRC-like.
+    Greedy,
+}
+
+impl ReferencePolicy {
+    /// Display name, matching the policy structs' names.
+    pub fn name(self) -> &'static str {
+        match self {
+            ReferencePolicy::Fcfs => "FCFS",
+            ReferencePolicy::Easy => "EASY",
+            ReferencePolicy::Greedy => "greedy-LSRC",
+        }
+    }
+}
+
+impl OnlinePolicy for ReferencePolicy {
+    fn name(&self) -> String {
+        ReferencePolicy::name(*self).to_string()
+    }
+
+    fn decide<C: CapacityQuery>(
+        &self,
+        now: Time,
+        queue: &WaitingJobs<'_>,
+        profile: &C,
+        scratch: &mut DecisionScratch,
+        out: &mut Vec<JobId>,
+    ) {
+        match self {
+            ReferencePolicy::Fcfs => FcfsPolicy.decide(now, queue, profile, scratch, out),
+            ReferencePolicy::Easy => EasyPolicy.decide(now, queue, profile, scratch, out),
+            ReferencePolicy::Greedy => GreedyPolicy.decide(now, queue, profile, scratch, out),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

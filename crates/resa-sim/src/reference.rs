@@ -1,47 +1,24 @@
-//! The previous-generation simulation path, kept verbatim.
+//! The independent oracle of the event loop.
 //!
-//! [`simulate_reference`] reproduces the engine and policies as they were
-//! before the zero-alloc rewrite: the event loop clones the waiting queue
-//! into a fresh `Vec<Job>` at every decision point, removes started jobs
-//! with `O(n)` `Vec::remove`, batches same-instant events through a
-//! temporary buffer, and the policies clone the whole availability substrate
-//! to probe tentative starts (EASY additionally re-derives the head's shadow
-//! with a full `earliest_fit` per candidate).
-//!
-//! It exists for two reasons:
-//!
-//! * **equivalence oracle** — the property tests in this crate assert that
-//!   the optimized engine/policies produce identical schedules;
-//! * **bench baseline** — `resa-bench`'s `decision_points` bench measures
-//!   the end-to-end speedup of the optimized path against this one.
+//! [`simulate_reference`] is a second, deliberately naive implementation of
+//! the on-line rule [`crate::stream::run_stream`] implements: its own event
+//! queue ([`crate::event`]), a waiting queue cloned into a fresh `Vec<Job>`
+//! at every decision point, started jobs removed with `O(n)` `Vec::remove`,
+//! same-instant events batched through a temporary buffer, and policies
+//! that clone the whole availability substrate to probe tentative starts
+//! (EASY re-derives the head's shadow with a full `earliest_fit` per
+//! candidate). It shares no code with the loop or the window-based
+//! policies, which is its whole value: the property tests in this crate
+//! assert that the loop — on both substrates — produces its placements, its
+//! decision count and `SimMetrics::from_schedule` of its schedule. Nothing
+//! outside tests and the `decision_points` bench calls it.
 
 use crate::engine::SimResult;
 use crate::event::{Event, EventQueue};
 use crate::metrics::SimMetrics;
+use crate::policy::ReferencePolicy;
 use resa_core::prelude::*;
 use std::collections::HashSet;
-
-/// Which classical policy to replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReferencePolicy {
-    /// Strict FCFS.
-    Fcfs,
-    /// EASY backfilling (probing formulation).
-    Easy,
-    /// Greedy LSRC-like.
-    Greedy,
-}
-
-impl ReferencePolicy {
-    /// Display name, matching the optimized policies' names.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReferencePolicy::Fcfs => "FCFS",
-            ReferencePolicy::Easy => "EASY",
-            ReferencePolicy::Greedy => "greedy-LSRC",
-        }
-    }
-}
 
 /// One decision of the clone-based policies: which waiting jobs start `now`.
 fn decide(
@@ -117,7 +94,7 @@ fn decide(
     started
 }
 
-/// Run the previous-generation event loop to completion under `policy`.
+/// Run the oracle's event loop to completion under `policy`.
 pub fn simulate_reference(instance: &ResaInstance, policy: ReferencePolicy) -> SimResult {
     let mut events = EventQueue::new();
     for job in instance.jobs() {
@@ -206,11 +183,12 @@ mod tests {
             .build()
             .unwrap();
         let sim = Simulator::new(inst.clone());
-        for (kind, res) in [
-            (ReferencePolicy::Fcfs, sim.run(&FcfsPolicy)),
-            (ReferencePolicy::Easy, sim.run(&EasyPolicy)),
-            (ReferencePolicy::Greedy, sim.run(&GreedyPolicy)),
+        for kind in [
+            ReferencePolicy::Fcfs,
+            ReferencePolicy::Easy,
+            ReferencePolicy::Greedy,
         ] {
+            let res = sim.run(&kind);
             let reference = simulate_reference(&inst, kind);
             assert_eq!(reference.schedule, res.schedule, "{}", kind.name());
             assert_eq!(reference.decisions, res.decisions, "{}", kind.name());

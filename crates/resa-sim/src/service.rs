@@ -29,7 +29,11 @@
 //!
 //! # Replay equivalence
 //!
-//! The service makes scheduling decisions at exactly the instants the batch
+//! The service walks time by its own rules — arrivals come from a heap of
+//! future submissions, breakpoints are recomputed when the overlay changes,
+//! preemption leaves ghost completions — but what it does *at* a decision
+//! instant is the event loop's own code, `stream::DecisionStep`.
+//! It makes scheduling decisions at exactly the instants the batch
 //! engine would: job arrivals, job completions, and the *normalized*
 //! availability breakpoints of the reservation overlay (equal-capacity
 //! boundaries produce no decision point, mirroring
@@ -56,11 +60,8 @@
 
 use crate::metrics::{MetricsAccumulator, SimMetrics};
 use crate::op::{check_shape, Horizon};
-use crate::policy::{
-    DecisionScratch, EasyPolicy, FcfsPolicy, GreedyPolicy, OnlinePolicy, WaitingJobs,
-};
-use crate::reference::ReferencePolicy;
-use crate::stream::{RecordSink, RETIRE_EVERY};
+use crate::policy::ReferencePolicy;
+use crate::stream::{DecisionStep, RecordSink};
 use crate::trace::{JobRecord, RunTrace};
 use resa_core::capacity::Speculate;
 use resa_core::prelude::*;
@@ -471,9 +472,6 @@ pub struct ScheduleService<C: CapacityQuery + Speculate> {
     committed_windows: Vec<(Time, Time, u32)>,
     /// Accepted, not cancelled reservations: `stats().reservations`.
     active_reservations: usize,
-    /// Completions drained since the substrate last forgot its past (see
-    /// [`RETIRE_EVERY`]).
-    completions_since_retire: usize,
     /// Latest release date among the jobs in the catalog, latest end among
     /// the live windows (as of the last `refresh_breakpoints`) and total
     /// duration of the catalog: the overflow guard's [`Horizon`]. All three
@@ -501,13 +499,14 @@ pub struct ScheduleService<C: CapacityQuery + Speculate> {
     /// (ascending id) order. Reused across requests.
     preempted_buf: Vec<JobId>,
     schedule: Schedule,
-    decisions: u64,
     /// Largest completion time among started jobs, maintained incrementally
     /// at every start so `stats` never re-scans the schedule — the
     /// concurrent front publishes stats once per write batch.
     makespan: Time,
-    scratch: DecisionScratch,
-    to_start: Vec<JobId>,
+    /// The decide-and-place step and retire cadence shared with
+    /// [`crate::stream::run_stream`], with its reused buffers and the
+    /// decision count.
+    step: DecisionStep,
     /// Reused effects buffer handed back by reference from every mutating
     /// request.
     fx_buf: Effects,
@@ -553,7 +552,6 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             live_drains: Vec::new(),
             committed_windows: Vec::new(),
             active_reservations: 0,
-            completions_since_retire: 0,
             latest_release: Time::ZERO,
             window_horizon: Time::ZERO,
             work: 0,
@@ -564,10 +562,8 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             drain_mode: DrainMode::default(),
             preempted_buf: Vec::new(),
             schedule: Schedule::new(),
-            decisions: 0,
             makespan: Time::ZERO,
-            scratch: DecisionScratch::default(),
-            to_start: Vec::new(),
+            step: DecisionStep::default(),
             fx_buf: Effects::default(),
             bp_events: Vec::new(),
             base: 0,
@@ -623,8 +619,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             .reserve(jobs.saturating_sub(self.pending.len()));
         self.running
             .reserve(jobs.saturating_sub(self.running.len()));
-        self.to_start
-            .reserve(jobs.saturating_sub(self.to_start.len()));
+        self.step.reserve(jobs);
         self.schedule
             .reserve(jobs.saturating_sub(self.schedule.len()));
         self.fx_buf.started.reserve(jobs);
@@ -676,7 +671,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
 
     /// Number of decision points so far.
     pub fn decisions(&self) -> u64 {
-        self.decisions
+        self.step.decisions
     }
 
     /// All reservations ever accepted (including cancelled ones, truncated).
@@ -728,7 +723,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         ServiceState {
             machines: self.machines,
             now: self.now,
-            decisions: self.decisions,
+            decisions: self.step.decisions,
             makespan: self.makespan,
             jobs: self.jobs.clone(),
             flags: self.flags.clone(),
@@ -772,7 +767,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         );
         let mut svc = ScheduleService::new(policy, substrate);
         svc.now = state.now;
-        svc.decisions = state.decisions;
+        svc.step.decisions = state.decisions;
         svc.makespan = state.makespan;
         svc.jobs = state.jobs.clone();
         svc.latest_release = state
@@ -1327,7 +1322,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             running: self.running_count,
             completed: self.completed_count,
             reservations: self.active_reservations,
-            decisions: self.decisions,
+            decisions: self.step.decisions,
             makespan: self.makespan,
         }
     }
@@ -1597,6 +1592,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// [`ScheduleService::drain`], which differ only in how they obtain the
     /// (reused) effects buffer. `to` must not be in the past.
     fn advance_into(&mut self, to: Time, effects: &mut Effects) {
+        let before = effects.completed.len();
         while let Some(at) = self.next_event() {
             if at > to {
                 break;
@@ -1625,7 +1621,6 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
                     self.completion_of[pos] = None;
                     self.running_count -= 1;
                     self.completed_count += 1;
-                    self.completions_since_retire += 1;
                     effects.completed.push((self.id_at(pos), t));
                     decide |= !self.flags[pos].guaranteed;
                 }
@@ -1654,16 +1649,14 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             }
         }
         self.now = to;
-        // Forget the availability function behind the clock, on the cadence
-        // `run_stream` uses: nothing reads it again (every substrate
-        // mutation starts at `max(now, ·)`, every probe clamps to `now`), and
-        // without this each finished run would leave its two breakpoints in
-        // the substrate for the life of the session. Always between
-        // requests, so no transaction mark is outstanding.
-        if self.completions_since_retire >= RETIRE_EVERY {
-            self.substrate.retire_before(self.now);
-            self.completions_since_retire = 0;
-        }
+        // Forget the availability function behind the clock: nothing reads
+        // it again (every substrate mutation starts at `max(now, ·)`, every
+        // probe clamps to `now`), and without this each finished run would
+        // leave its two breakpoints in the substrate for the life of the
+        // session. Always between requests, so no transaction mark is
+        // outstanding.
+        let drained = effects.completed.len() - before;
+        self.step.retire(drained, &mut self.substrate, self.now);
     }
 
     /// The earliest outstanding event instant, if any.
@@ -1685,63 +1678,30 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         next
     }
 
-    /// Consult the policy at the current instant and apply its starts,
-    /// mirroring the batch engine's decision handling (including the
-    /// defensive feasibility re-check). No-op when nothing waits.
+    /// Consult the policy at the current instant and apply its starts (the
+    /// shared [`DecisionStep`]); the bookkeeping of a start beyond substrate
+    /// and waiting list is the service's own.
     fn decide_now(&mut self, effects: &mut Effects) {
-        if self.waiting.is_empty() {
-            return;
-        }
-        self.decisions += 1;
-        let view = WaitingJobs::new(&self.jobs, &self.waiting);
-        match self.policy {
-            ReferencePolicy::Fcfs => FcfsPolicy.decide(
-                self.now,
-                &view,
-                &self.substrate,
-                &mut self.scratch,
-                &mut self.to_start,
-            ),
-            ReferencePolicy::Easy => EasyPolicy.decide(
-                self.now,
-                &view,
-                &self.substrate,
-                &mut self.scratch,
-                &mut self.to_start,
-            ),
-            ReferencePolicy::Greedy => GreedyPolicy.decide(
-                self.now,
-                &view,
-                &self.substrate,
-                &mut self.scratch,
-                &mut self.to_start,
-            ),
-        }
-        for i in 0..self.to_start.len() {
-            let id = self.to_start[i];
-            let pos = self.pos_of(id);
-            if !self.waiting.contains(pos) {
-                continue; // policies must only start waiting jobs
-            }
-            let job = self.jobs[pos];
-            if self.substrate.min_capacity_in(self.now, job.duration) < job.width {
-                continue; // defensive: refuse infeasible starts
-            }
-            self.substrate
-                .reserve(self.now, job.duration, job.width)
-                .expect("capacity just checked");
-            self.schedule.place(id, self.now);
-            let completion = self.now.saturating_add(job.duration);
-            self.makespan = self.makespan.max(completion);
-            self.running.push(Reverse((completion, pos)));
-            self.completion_of[pos] = Some(completion);
-            self.running_count += 1;
-            self.waiting.remove(pos);
-            effects.started.push(Placement {
-                job: id,
-                start: self.now,
-            });
-        }
+        let (now, base) = (self.now, self.base);
+        self.step.decide(
+            &self.policy,
+            now,
+            &self.jobs,
+            &mut self.waiting,
+            &mut self.substrate,
+            |id| Some(id.0 - base),
+            |pos, job, completion| {
+                self.schedule.place(job.id, now);
+                self.makespan = self.makespan.max(completion);
+                self.running.push(Reverse((completion, pos)));
+                self.completion_of[pos] = Some(completion);
+                self.running_count += 1;
+                effects.started.push(Placement {
+                    job: job.id,
+                    start: now,
+                });
+            },
+        );
     }
 
     /// Recompute the future availability-change instants from the effective
@@ -2251,7 +2211,7 @@ mod tests {
                 "substrates diverged under {}",
                 policy.name()
             );
-            let offline = Simulator::new(tl.to_instance()).run_reference_policy(policy);
+            let offline = Simulator::new(tl.to_instance()).run(&policy);
             assert_eq!(
                 offline.schedule,
                 *tl.schedule(),
@@ -2364,7 +2324,7 @@ mod proptests {
             return Err("substrates diverged after drain".to_string());
         }
         let (instance, schedule) = tl.oracle_parts();
-        let offline = Simulator::new(instance.clone()).run_reference_policy(policy);
+        let offline = Simulator::new(instance.clone()).run(&policy);
         if offline.schedule != schedule {
             return Err(format!(
                 "off-line replay diverged under {}: {:?} vs {:?}",

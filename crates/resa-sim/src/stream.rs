@@ -1,9 +1,9 @@
-//! Streaming simulation: bounded-memory replay over a pulled job stream.
+//! The event loop: bounded-memory simulation over a pulled job stream.
 //!
-//! The batch [`crate::engine::Simulator`] materializes the whole instance,
-//! seeds one arrival event per job and summarizes the complete schedule at
-//! the end — O(trace) memory. This module is its streaming twin for
-//! archive-scale replays:
+//! [`run_stream`] is the crate's one batch event loop — the on-line rule of
+//! the paper's §2.1–2.2: at every event instant drain the events
+//! (completions, availability changes, then arrivals in source order),
+//! consult the list policy once, start what it names.
 //!
 //! * a [`JobSource`] is *pulled* as virtual time advances, so only jobs at
 //!   or before the current instant ever enter memory;
@@ -15,15 +15,15 @@
 //!   order, reproducing [`crate::metrics::SimMetrics::from_schedule`] bit
 //!   for bit.
 //!
-//! [`run_stream`] replays the batch engine's event semantics exactly — same
-//! instants, same per-instant event draining (completions, availability
-//! changes, then arrivals in source order), same single policy consultation
-//! per instant, same defensive feasibility guard — so its placements,
-//! decision counts and metrics are identical to [`Simulator::run`] on any
-//! materialized instance (property-tested below on both substrates). Live
-//! state is O(active jobs + overlay), independent of trace length.
-//!
-//! [`Simulator::run`]: crate::engine::Simulator::run
+//! Live state is O(active jobs + overlay), independent of trace length.
+//! Two drivers run on it: [`crate::engine::Simulator::run`] (an
+//! [`InstanceSource`] and a schedule-collecting sink) and `resa replay` (an
+//! SWF stream and a validating sink). The resident
+//! [`crate::service::ScheduleService`] walks time by its own rules — ops
+//! instead of a source — but borrows the part that is the same code,
+//! `DecisionStep`. The independent oracle of all of it is
+//! [`crate::reference::simulate_reference`] (property-tested in this crate
+//! on both substrates, metrics bit-exact).
 
 use crate::metrics::{MetricsAccumulator, SimMetrics};
 use crate::policy::{DecisionScratch, OnlinePolicy, WaitingJobs};
@@ -36,8 +36,8 @@ use std::collections::{BinaryHeap, HashMap};
 /// A pull-based job stream, consumed as virtual time advances.
 ///
 /// Contract: releases are non-decreasing, and jobs sharing a release instant
-/// arrive in ascending id order (the order the batch engine's event queue
-/// yields same-instant arrivals). Sources carrying real traces should
+/// arrive in ascending id order (the order the reference oracle's event
+/// queue yields same-instant arrivals). Sources carrying real traces should
 /// pre-sort or verify sortedness before handing the stream to the engine.
 pub trait JobSource {
     /// The next job, or `None` when the stream is exhausted.
@@ -45,8 +45,7 @@ pub trait JobSource {
 }
 
 /// [`JobSource`] over a materialized instance: jobs sorted by
-/// `(release, id)`, which reproduces the batch engine's arrival order for
-/// *any* instance, sorted or not.
+/// `(release, id)` — the arrival order for *any* instance, sorted or not.
 pub struct InstanceSource {
     jobs: std::vec::IntoIter<Job>,
 }
@@ -70,8 +69,8 @@ impl JobSource for InstanceSource {
 
 /// Where retired jobs go. `record` receives each job exactly once, at its
 /// completion instant, ordered by `(completion, id)`; `on_start` fires at
-/// placement time in decision order (the insertion order of the batch
-/// engine's schedule), for sinks that need the placement sequence.
+/// placement time in decision order, for sinks that need the placement
+/// sequence.
 pub trait RecordSink {
     /// A job completed and left the live state.
     fn record(&mut self, rec: JobRecord);
@@ -115,8 +114,7 @@ impl RecordSink for VecSink {
 pub struct StreamOutcome {
     /// Metrics, equal to `SimMetrics::from_schedule` on the materialized run.
     pub metrics: SimMetrics,
-    /// Decision points at which the policy was consulted (equal to the batch
-    /// engine's count).
+    /// Decision points at which the policy was consulted.
     pub decisions: u64,
     /// Jobs pulled from the source.
     pub submitted: usize,
@@ -137,16 +135,98 @@ pub struct StreamOutcome {
 /// (`CapacityQuery::retire_before` — queries never look behind the clock).
 /// The cadence amortizes the O(live breakpoints) compaction to O(1) per
 /// completion and caps the substrate at O(active jobs + RETIRE_EVERY)
-/// breakpoints. Shared by [`run_stream`] and the resident
-/// [`crate::service::ScheduleService`].
-pub(crate) const RETIRE_EVERY: usize = 64;
+/// breakpoints.
+const RETIRE_EVERY: usize = 64;
+
+/// What [`run_stream`] and the resident [`crate::service::ScheduleService`]
+/// do identically at a decision instant, with the reused buffers that keep
+/// it allocation-free: consult the policy once and perform the starts it
+/// names, and forget the substrate's past every [`RETIRE_EVERY`]
+/// completions. How time reaches the instant, and what a start means beyond
+/// the substrate and the waiting list, is the caller's.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DecisionStep {
+    scratch: DecisionScratch,
+    to_start: Vec<JobId>,
+    /// Policy consultations so far.
+    pub(crate) decisions: u64,
+    completions_since_retire: usize,
+}
+
+impl DecisionStep {
+    /// Pre-size the start buffer for up to `jobs` simultaneous starts.
+    pub(crate) fn reserve(&mut self, jobs: usize) {
+        self.to_start
+            .reserve(jobs.saturating_sub(self.to_start.len()));
+    }
+
+    /// One decision at `now`; no-op when nothing waits. `waiting` queues
+    /// positions into `jobs`, `pos_of` maps the ids the policy names back to
+    /// them. A named job that is not waiting, or no longer fits, is skipped
+    /// instead of corrupting the run; every other one is reserved on
+    /// `substrate`, leaves `waiting`, and is reported to `on_start` with its
+    /// position and completion instant.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn decide<C: CapacityQuery, P: OnlinePolicy>(
+        &mut self,
+        policy: &P,
+        now: Time,
+        jobs: &[Job],
+        waiting: &mut WaitList,
+        substrate: &mut C,
+        pos_of: impl Fn(JobId) -> Option<usize>,
+        mut on_start: impl FnMut(usize, &Job, Time),
+    ) {
+        if waiting.is_empty() {
+            return;
+        }
+        self.decisions += 1;
+        policy.decide(
+            now,
+            &WaitingJobs::new(jobs, waiting),
+            substrate,
+            &mut self.scratch,
+            &mut self.to_start,
+        );
+        for &id in &self.to_start {
+            let Some(pos) = pos_of(id).filter(|&pos| waiting.contains(pos)) else {
+                continue;
+            };
+            let job = jobs[pos];
+            if substrate.min_capacity_in(now, job.duration) < job.width {
+                continue;
+            }
+            substrate
+                .reserve(now, job.duration, job.width)
+                .expect("capacity just checked");
+            waiting.remove(pos);
+            on_start(pos, &job, now.saturating_add(job.duration));
+        }
+    }
+
+    /// `completions` more jobs were drained: forget `substrate`'s
+    /// availability before `now` if the cadence is due. Call between
+    /// decisions only (no transaction mark outstanding).
+    pub(crate) fn retire<C: CapacityQuery>(
+        &mut self,
+        completions: usize,
+        substrate: &mut C,
+        now: Time,
+    ) {
+        self.completions_since_retire += completions;
+        if self.completions_since_retire >= RETIRE_EVERY {
+            substrate.retire_before(now);
+            self.completions_since_retire = 0;
+        }
+    }
+}
 
 /// Run a streaming simulation of `source` under `policy` on `substrate`.
 ///
 /// `substrate` must be freshly built from `overlay` (the reservations-only
-/// profile): the run reserves job capacity on it in place, exactly like the
-/// batch engine. `overlay` additionally supplies the availability-change
-/// instants and the area denominator for utilization.
+/// profile): the run reserves job capacity on it in place. `overlay`
+/// additionally supplies the availability-change instants and the area
+/// denominator for utilization.
 pub fn run_stream<C, P, S, K>(
     substrate: &mut C,
     overlay: &ResourceProfile,
@@ -169,10 +249,9 @@ where
     let mut slot_of: HashMap<JobId, u32> = HashMap::new();
     let mut waiting = WaitList::with_capacity(0);
     // Running jobs keyed by (completion, id, slot): pops in completion order
-    // with deterministic id tie-break, matching the batch event queue.
+    // with deterministic id tie-break.
     let mut running: BinaryHeap<Reverse<(Time, JobId, u32)>> = BinaryHeap::new();
-    // Availability-change instants, consumed in order (t > 0, like the batch
-    // engine's AvailabilityChange events).
+    // Availability-change instants, consumed in order (t > 0).
     let mut bp_iter = overlay
         .steps()
         .iter()
@@ -182,21 +261,17 @@ where
 
     let mut pending = source.next_job();
     let mut acc = MetricsAccumulator::new();
-    let mut scratch = DecisionScratch::default();
-    let mut to_start: Vec<JobId> = Vec::new();
-    let mut decisions = 0u64;
+    let mut step = DecisionStep::default();
     let mut submitted = 0usize;
     let mut completed = 0usize;
     let mut peak_active = 0usize;
-    let mut retired_at = 0usize;
 
     loop {
         // The next instant: earliest of pending arrival, completion, and
         // availability change. Breakpoints alone can unblock a waiting job
         // (capacity rises when a reservation ends), so they count as
         // instants while anything is waiting; with nothing live and nothing
-        // pending they are irrelevant, as in the batch engine, where they
-        // drain with no effect.
+        // pending they are irrelevant.
         if pending.is_none() && running.is_empty() && (waiting.is_empty() || next_bp.is_none()) {
             break;
         }
@@ -216,6 +291,7 @@ where
         let Some(now) = now else { break };
 
         // 1. Completions at `now`: retire out of the live state.
+        let before = completed;
         while let Some(&Reverse((t, _, _))) = running.peek() {
             if t != now {
                 break;
@@ -234,10 +310,7 @@ where
             free.push(slot);
             completed += 1;
         }
-        if completed - retired_at >= RETIRE_EVERY {
-            substrate.retire_before(now);
-            retired_at = completed;
-        }
+        step.retire(completed - before, substrate, now);
         // 2. Availability changes at (or skipped before) `now`.
         while let Some(bp) = next_bp {
             if bp > now {
@@ -272,46 +345,26 @@ where
         }
         peak_active = peak_active.max(waiting.len() + running.len());
 
-        if waiting.is_empty() {
-            continue;
-        }
-        // One decision per instant, exactly like the batch engine.
-        decisions += 1;
-        policy.decide(
+        // One decision per instant.
+        step.decide(
+            policy,
             now,
-            &WaitingJobs::new(&slots, &waiting),
+            &slots,
+            &mut waiting,
             substrate,
-            &mut scratch,
-            &mut to_start,
+            |id| slot_of.get(&id).map(|&slot| slot as usize),
+            |slot, job, completion| {
+                acc.record(job, now);
+                sink.on_start(job, now);
+                start_of[slot] = now;
+                running.push(Reverse((completion, job.id, slot as u32)));
+            },
         );
-        for &id in &to_start {
-            let Some(&slot) = slot_of.get(&id) else {
-                continue;
-            };
-            if !waiting.contains(slot as usize) {
-                // Policies must only start waiting jobs; ignore others.
-                continue;
-            }
-            let job = slots[slot as usize];
-            if substrate.min_capacity_in(now, job.duration) < job.width {
-                // Defensive: refuse infeasible starts instead of corrupting
-                // the run (mirrors the batch engine).
-                continue;
-            }
-            substrate
-                .reserve(now, job.duration, job.width)
-                .expect("capacity just checked");
-            acc.record(&job, now);
-            sink.on_start(&job, now);
-            start_of[slot as usize] = now;
-            running.push(Reverse((now + job.duration, job.id, slot)));
-            waiting.remove(slot as usize);
-        }
     }
 
     StreamOutcome {
         metrics: acc.finish(overlay),
-        decisions,
+        decisions: step.decisions,
         submitted,
         completed,
         peak_active,
@@ -319,25 +372,24 @@ where
     }
 }
 
-/// Convenience wrapper: stream a materialized instance on the indexed
-/// timeline substrate (the common case for tests and benches).
-pub fn run_stream_on_instance<P: OnlinePolicy, K: RecordSink>(
-    instance: &ResaInstance,
-    policy: &P,
-    sink: &mut K,
-) -> StreamOutcome {
-    let overlay = instance.profile();
-    let mut substrate = AvailabilityTimeline::from(&overlay);
-    let mut source = InstanceSource::new(instance);
-    run_stream(&mut substrate, &overlay, policy, &mut source, sink)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::engine::Simulator;
-    use crate::policy::{EasyPolicy, FcfsPolicy, GreedyPolicy};
+    use crate::policy::{FcfsPolicy, GreedyPolicy, ReferencePolicy};
+    use crate::reference::simulate_reference;
     use resa_core::instance::ResaInstanceBuilder;
+
+    /// The loop over a materialized instance on the indexed timeline.
+    fn run_stream_on_instance<P: OnlinePolicy, K: RecordSink>(
+        instance: &ResaInstance,
+        policy: &P,
+        sink: &mut K,
+    ) -> StreamOutcome {
+        let overlay = instance.profile();
+        let mut substrate = AvailabilityTimeline::from(&overlay);
+        let mut source = InstanceSource::new(instance);
+        run_stream(&mut substrate, &overlay, policy, &mut source, sink)
+    }
 
     /// Sink that rebuilds the placement sequence, for equivalence checks.
     #[derive(Default)]
@@ -356,31 +408,30 @@ mod tests {
         }
     }
 
-    fn check_equivalence(inst: &ResaInstance) {
-        let sim = Simulator::new(inst.clone());
-        for (name, batch, streamed) in [
-            ("fcfs", sim.run(&FcfsPolicy), {
-                let mut sink = PlacementSink::default();
-                (run_stream_on_instance(inst, &FcfsPolicy, &mut sink), sink)
-            }),
-            ("easy", sim.run(&EasyPolicy), {
-                let mut sink = PlacementSink::default();
-                (run_stream_on_instance(inst, &EasyPolicy, &mut sink), sink)
-            }),
-            ("greedy", sim.run(&GreedyPolicy), {
-                let mut sink = PlacementSink::default();
-                (run_stream_on_instance(inst, &GreedyPolicy, &mut sink), sink)
-            }),
-        ] {
-            let (outcome, sink) = streamed;
+    /// The loop against the oracle, on both substrates (also the body of
+    /// the crate-level proptest).
+    pub(crate) fn check_equivalence(inst: &ResaInstance) {
+        fn check<C: CapacityQuery>(mut substrate: C, inst: &ResaInstance, kind: ReferencePolicy) {
+            let name = kind.name();
+            let oracle = simulate_reference(inst, kind);
+            let mut sink = PlacementSink::default();
+            let mut source = InstanceSource::new(inst);
+            let outcome = run_stream(
+                &mut substrate,
+                &inst.profile(),
+                &kind,
+                &mut source,
+                &mut sink,
+            );
             assert_eq!(
                 Schedule::from_placements(sink.placements.clone()),
-                batch.schedule,
+                oracle.schedule,
                 "{name}: placement sequence diverged"
             );
-            assert_eq!(outcome.decisions, batch.decisions, "{name}");
+            assert_eq!(outcome.decisions, oracle.decisions, "{name}");
             assert_eq!(
-                outcome.metrics, batch.metrics,
+                outcome.metrics,
+                SimMetrics::from_schedule(inst, &oracle.schedule),
                 "{name}: metrics (f64 bit-exact)"
             );
             assert_eq!(outcome.submitted, inst.n_jobs(), "{name}");
@@ -393,6 +444,14 @@ mod tests {
             for pair in sink.records.windows(2) {
                 assert!((pair[0].completed, pair[0].job) < (pair[1].completed, pair[1].job));
             }
+        }
+        for kind in [
+            ReferencePolicy::Fcfs,
+            ReferencePolicy::Easy,
+            ReferencePolicy::Greedy,
+        ] {
+            check(AvailabilityTimeline::from(&inst.profile()), inst, kind);
+            check(inst.profile(), inst, kind);
         }
     }
 

@@ -65,7 +65,21 @@ pub enum SwfError {
         /// Processors the cluster actually has.
         machines: u32,
     },
+    /// With this record the trace no longer fits the time axis: the latest
+    /// submit time so far plus the total run time so far — a bound on every
+    /// instant a replay can reach, since past the last submission the
+    /// cluster never idles while work remains — exceeds `i64::MAX`.
+    HorizonOverflow {
+        /// 1-based line number of the first record past the horizon.
+        line: usize,
+    },
 }
+
+/// The largest instant a trace may reach (see
+/// [`SwfError::HorizonOverflow`]): 63 bits, like every field of a record.
+/// The top bit of `Time` stays free for overlays generated out to twice the
+/// last submission.
+const SWF_HORIZON: u64 = i64::MAX as u64;
 
 impl std::fmt::Display for SwfError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -94,6 +108,13 @@ impl std::fmt::Display for SwfError {
                 write!(
                     f,
                     "line {line}: job requests {width} processors but the cluster has {machines}"
+                )
+            }
+            SwfError::HorizonOverflow { line } => {
+                write!(
+                    f,
+                    "line {line}: latest submit time plus total run time so far \
+                     exceeds {SWF_HORIZON}; the trace does not fit the time axis"
                 )
             }
         }
@@ -202,6 +223,8 @@ pub struct SwfStream<R: BufRead> {
     cluster: Option<u32>,
     max_procs: Option<u32>,
     next_id: usize,
+    /// Latest submit time and total run time of the records yielded so far.
+    reach: (u64, u128),
     done: bool,
 }
 
@@ -217,6 +240,7 @@ impl<R: BufRead> SwfStream<R> {
             cluster,
             max_procs: None,
             next_id: 0,
+            reach: (0, 0),
             done: false,
         }
     }
@@ -240,6 +264,7 @@ impl<R: BufRead> SwfStream<R> {
         cluster: Option<u32>,
         max_procs: &mut Option<u32>,
         next_id: &mut usize,
+        reach: &mut (u64, u128),
     ) -> Result<Option<Job>, SwfError> {
         let trimmed = raw.trim();
         if trimmed.is_empty() || trimmed.starts_with(';') || trimmed.starts_with('#') {
@@ -291,6 +316,13 @@ impl<R: BufRead> SwfStream<R> {
             width: procs,
             machines: u32::MAX,
         })?;
+        // Same rule as the service's admission (`resa_sim::op::Horizon`),
+        // in u128 so the check itself cannot wrap.
+        let (latest, work) = (reach.0.max(submit), reach.1 + u128::from(run_time));
+        if u128::from(latest) + work > u128::from(SWF_HORIZON) {
+            return Err(SwfError::HorizonOverflow { line });
+        }
+        *reach = (latest, work);
         let id = *next_id;
         *next_id += 1;
         Ok(Some(Job::released_at(id, width, run_time, submit)))
@@ -324,6 +356,7 @@ impl<R: BufRead> Iterator for SwfStream<R> {
                 self.cluster,
                 &mut self.max_procs,
                 &mut self.next_id,
+                &mut self.reach,
             ) {
                 Ok(Some(job)) => return Some(Ok(job)),
                 Ok(None) => continue,
@@ -607,6 +640,29 @@ mod tests {
             other => panic!("expected a parse error, got {other:?}"),
         }
         assert!(stream.next().is_none(), "stream must fuse after an error");
+    }
+
+    /// The horizon boundary: the last record that keeps latest submit +
+    /// total run time on the time axis is accepted, the next tick is not.
+    #[test]
+    fn horizon_boundary_last_accepted_first_refused() {
+        let room = SWF_HORIZON - 70 - 5;
+        let inside = format!("1 0 5 2\n2 70 {room} 2\n");
+        assert_eq!(parse_trace(&inside).unwrap().len(), 2);
+        // One more tick of work, or of submit time, crosses it.
+        for next in ["3 70 1 1\n", "3 71 1 1\n"] {
+            let text = format!("{inside}{next}");
+            assert_eq!(
+                parse_trace(&text).unwrap_err(),
+                SwfError::HorizonOverflow { line: 3 }
+            );
+        }
+        let err = parse_trace(&format!("1 0 5 2\n2 70 {} 2\n", room + 1)).unwrap_err();
+        assert_eq!(err, SwfError::HorizonOverflow { line: 2 });
+        assert!(err.to_string().starts_with("line 2: "), "{err}");
+        // A later submission below the running maximum adds only its work.
+        let text = format!("1 70 {} 2\n2 0 5 2\n", room);
+        assert_eq!(parse_trace(&text).unwrap().len(), 2);
     }
 
     #[test]
