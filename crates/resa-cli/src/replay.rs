@@ -6,8 +6,8 @@
 //! truncated past a warm-up horizon, decorated with a reservation overlay
 //! (α-restricted, non-increasing, or loaded from an instance file), and
 //! replayed — either through the on-line event loop under a decision
-//! policy, or through an off-line scheduler, on a chosen availability
-//! substrate. The resulting schedule is validated and checked against every
+//! policy, or through an off-line scheduler — on the indexed availability
+//! timeline. The resulting schedule is validated and checked against every
 //! paper guarantee that applies to the instance class; a conclusive
 //! violation flips the process exit code to 2.
 //!
@@ -21,8 +21,7 @@
 //! submissions, traces small enough for the exact solver — is replayed from
 //! the whole trace in memory, through the same loop; which of the two runs
 //! is read off the trace, and a trace both can serve gets byte-identical
-//! reports from either (tests below, across policies, substrates and
-//! overlays).
+//! reports from either (tests below, across policies and overlays).
 
 use crate::opts::{CommonOpts, OutputFormat};
 use crate::{CliError, Outcome};
@@ -69,32 +68,21 @@ OPTIONS:
                           <w> processors during [s, s+d); the report checks the
                           drained-window invariant independently of the
                           substrate and counts breaches as violations
-    --substrate <s>       availability backend: timeline | profile [default: timeline]
-                          (timeline = the indexed segment tree, profile = the
-                          naive breakpoint list; same schedulers, same event
-                          loop — results are identical, which is exactly what
-                          the golden tests assert)
 
 plus the common options: --seed --threads --format --quick --out
 ";
 
-/// Which availability substrate to replay on.
+/// The availability substrate the CLI runs on: there is one.
+// Kept, with `serve::run_script`'s fourth parameter, for `benchmark/layers`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Substrate {
     /// The indexed segment-tree timeline.
     Timeline,
-    /// The naive breakpoint-list profile.
-    Profile,
 }
 
-impl Substrate {
-    fn name(self) -> &'static str {
-        match self {
-            Substrate::Timeline => "timeline",
-            Substrate::Profile => "profile",
-        }
-    }
-}
+/// The `substrate` field of every report: the CLI runs on the timeline, and
+/// the field stays so reports keep their shape.
+const SUBSTRATE_NAME: &str = "timeline";
 
 /// The scheduling policy applied to the replayed trace (shared with the
 /// sweep driver, whose `policies` list uses the same names).
@@ -326,7 +314,6 @@ struct Replay {
     /// …and the file it resolves to.
     file: PathBuf,
     machines: Option<u32>,
-    substrate: Substrate,
     reservations: ReservationArg,
     failures: Vec<(u32, u64, u64)>,
     warmup: u64,
@@ -389,7 +376,6 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
         trace: trace_path.to_string(),
         file: PathBuf::new(),
         machines: None,
-        substrate: Substrate::Timeline,
         reservations: ReservationArg::None,
         failures: Vec::new(),
         warmup: 0,
@@ -422,18 +408,6 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
             }
             "--failures" => {
                 req.failures = parse_failures(take("--failures")?)?;
-                Ok(1)
-            }
-            "--substrate" => {
-                req.substrate = match take("--substrate")? {
-                    "timeline" => Substrate::Timeline,
-                    "profile" => Substrate::Profile,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown substrate '{other}' (timeline|profile)"
-                        )))
-                    }
-                };
                 Ok(1)
             }
             other => Err(CliError::Usage(format!(
@@ -576,10 +550,7 @@ fn run_materialized(req: &Replay, policy: PolicyArg) -> Result<ReplayReport, Cli
     let (instance, clamped_jobs) = req.instance(machines, jobs, max_release)?;
 
     // 4. Replay.
-    let (schedule, decisions) = match req.substrate {
-        Substrate::Timeline => run_policy(policy, &instance),
-        Substrate::Profile => run_policy_on(policy, &instance, instance.profile()),
-    };
+    let (schedule, decisions) = run_policy(policy, &instance);
 
     // 5. Validate and check the paper's guarantees.
     let schedule_valid = schedule.is_valid(&instance);
@@ -615,7 +586,7 @@ fn run_materialized(req: &Replay, policy: PolicyArg) -> Result<ReplayReport, Cli
         reservations: instance.n_reservations(),
         failures: req.failures.len(),
         policy: policy.name(),
-        substrate: req.substrate.name().to_string(),
+        substrate: SUBSTRATE_NAME.to_string(),
         schedule_valid,
         drained_windows_respected,
         decisions,
@@ -632,8 +603,8 @@ fn run_materialized(req: &Replay, policy: PolicyArg) -> Result<ReplayReport, Cli
 /// drained-window invariant, the guarantee bounds — folds online through
 /// [`StreamValidator`] and [`StreamFacts`]. Live state is O(active jobs +
 /// overlay); the emitted report is byte-identical to
-/// [`run_materialized`]'s (asserted by the tests below across policies,
-/// substrates and overlay families).
+/// [`run_materialized`]'s (asserted by the tests below across policies and
+/// overlay families).
 fn run_streaming(
     req: &Replay,
     scan: &Prescan,
@@ -671,16 +642,8 @@ fn run_streaming(
     let mut sink = ValidatingSink {
         validator: StreamValidator::new(machines, profile.clone(), &overlay_windows),
     };
-    let outcome = match req.substrate {
-        Substrate::Timeline => {
-            let mut timeline = AvailabilityTimeline::from(&profile);
-            run_stream(&mut timeline, &profile, &kind, &mut source, &mut sink)
-        }
-        Substrate::Profile => {
-            let mut naive = profile.clone();
-            run_stream(&mut naive, &profile, &kind, &mut source, &mut sink)
-        }
-    };
+    let mut timeline = AvailabilityTimeline::from(&profile);
+    let outcome = run_stream(&mut timeline, &profile, &kind, &mut source, &mut sink);
     if let Some(err) = source.error.take() {
         return Err(read_error(&req.trace, err));
     }
@@ -709,7 +672,7 @@ fn run_streaming(
         reservations: overlay_res.len(),
         failures: req.failures.len(),
         policy: PolicyArg::Online(kind).name(),
-        substrate: req.substrate.name().to_string(),
+        substrate: SUBSTRATE_NAME.to_string(),
         schedule_valid,
         drained_windows_respected: verdicts.drains_respected,
         decisions: outcome.decisions,
@@ -1174,26 +1137,22 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("failures.swf");
         std::fs::write(&path, "; MaxProcs: 4\n1 0 10 4\n2 0 10 4\n").unwrap();
-        for substrate in ["timeline", "profile"] {
-            let out = crate::run(&[
-                "replay",
-                path.to_str().unwrap(),
-                "--failures",
-                "4:20:10,2:5:40",
-                "--substrate",
-                substrate,
-                "--format",
-                "json",
-            ])
-            .unwrap();
-            assert_eq!(out.violations, 0, "{}", out.stdout);
-            assert!(out.stdout.contains("\"failures\": 2"), "{}", out.stdout);
-            assert!(
-                out.stdout.contains("\"drained_windows_respected\": true"),
-                "{}",
-                out.stdout
-            );
-        }
+        let out = crate::run(&[
+            "replay",
+            path.to_str().unwrap(),
+            "--failures",
+            "4:20:10,2:5:40",
+            "--format",
+            "json",
+        ])
+        .unwrap();
+        assert_eq!(out.violations, 0, "{}", out.stdout);
+        assert!(out.stdout.contains("\"failures\": 2"), "{}", out.stdout);
+        assert!(
+            out.stdout.contains("\"drained_windows_respected\": true"),
+            "{}",
+            out.stdout
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1220,13 +1179,12 @@ mod tests {
         }
     }
 
-    fn request(path: &str, substrate: Substrate, decoration: (&str, &str, u64)) -> Replay {
+    fn request(path: &str, decoration: (&str, &str, u64)) -> Replay {
         let (reservations, failures, warmup) = decoration;
         Replay {
             trace: path.to_string(),
             file: PathBuf::from(path),
             machines: None,
-            substrate,
             reservations: ReservationArg::parse(reservations).unwrap(),
             failures: parse_failures(failures).unwrap_or_default(),
             warmup,
@@ -1252,17 +1210,12 @@ mod tests {
         ("easy", ReferencePolicy::Easy),
         ("greedy", ReferencePolicy::Greedy),
     ];
-    const SUBSTRATES: [(&str, Substrate); 2] = [
-        ("timeline", Substrate::Timeline),
-        ("profile", Substrate::Profile),
-    ];
 
     /// The streaming pipeline emits a report byte-identical to the
-    /// whole-trace pipeline — across every on-line policy, both substrates
-    /// (each a real `ResourceProfile` / `AvailabilityTimeline` under the one
-    /// loop), and with warm-up truncation, α clamping and failure drains
-    /// layered on. The CLI, which picks the pipeline itself, prints the same
-    /// bytes.
+    /// whole-trace pipeline — across every on-line policy, and with warm-up
+    /// truncation, α clamping and failure drains layered on. The CLI, which
+    /// picks the pipeline itself, prints the same bytes. (The loop itself is
+    /// pinned on a `ResourceProfile` too by `resa_sim::stream::tests`.)
     #[test]
     fn streaming_report_is_byte_identical_to_materialized() {
         let dir = std::env::temp_dir().join("resa-replay-streaming-test");
@@ -1277,36 +1230,31 @@ mod tests {
             ("nonincreasing:3", "2:9:25", 0),
         ];
         for (policy, kind) in ONLINE {
-            for (substrate_name, substrate) in SUBSTRATES {
-                for decoration in decorations {
-                    let (streamed, materialized) =
-                        both_pipelines(&request(&path, substrate, decoration), kind);
-                    assert_eq!(
-                        streamed.stdout, materialized.stdout,
-                        "streaming diverged for {policy}/{substrate_name} {decoration:?}"
-                    );
-                    assert_eq!(streamed.violations, materialized.violations);
-                    let (reservations, failures, warmup) = decoration;
-                    let warmup = warmup.to_string();
-                    let mut args = vec![
-                        "replay",
-                        &path,
-                        "--policy",
-                        policy,
-                        "--substrate",
-                        substrate_name,
-                        "--format",
-                        "json",
-                        "--reservations",
-                        reservations,
-                        "--warmup",
-                        &warmup,
-                    ];
-                    if !failures.is_empty() {
-                        args.extend(["--failures", failures]);
-                    }
-                    assert_eq!(crate::run(&args).unwrap().stdout, streamed.stdout);
+            for decoration in decorations {
+                let (streamed, materialized) = both_pipelines(&request(&path, decoration), kind);
+                assert_eq!(
+                    streamed.stdout, materialized.stdout,
+                    "streaming diverged for {policy} {decoration:?}"
+                );
+                assert_eq!(streamed.violations, materialized.violations);
+                let (reservations, failures, warmup) = decoration;
+                let warmup = warmup.to_string();
+                let mut args = vec![
+                    "replay",
+                    &path,
+                    "--policy",
+                    policy,
+                    "--format",
+                    "json",
+                    "--reservations",
+                    reservations,
+                    "--warmup",
+                    &warmup,
+                ];
+                if !failures.is_empty() {
+                    args.extend(["--failures", failures]);
                 }
+                assert_eq!(crate::run(&args).unwrap().stdout, streamed.stdout);
             }
         }
         std::fs::remove_file(&path).ok();
@@ -1320,7 +1268,7 @@ mod tests {
         let path = dir.join("compressed.swf.gz");
         resa_workloads::gzip::write_gz(&path, sorted_trace(30).as_bytes()).unwrap();
         let path = path.to_str().unwrap().to_string();
-        let req = request(&path, Substrate::Timeline, ("none", "", 0));
+        let req = request(&path, ("none", "", 0));
         let (streamed, materialized) = both_pipelines(&req, ReferencePolicy::Easy);
         assert_eq!(streamed.stdout, materialized.stdout);
         assert!(
@@ -1342,7 +1290,7 @@ mod tests {
         text.push_str("21 5 4 2\n"); // release jumps backwards
         std::fs::write(&path, text).unwrap();
         let path = path.to_str().unwrap().to_string();
-        let req = request(&path, Substrate::Timeline, ("none", "", 0));
+        let req = request(&path, ("none", "", 0));
         assert!(!prescan(&req).unwrap().sorted);
         let implicit = crate::run(&["replay", &path, "--format", "json"]).unwrap();
         let whole = run_materialized(&req, PolicyArg::Online(ReferencePolicy::Easy)).unwrap();
@@ -1355,21 +1303,61 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// `--materialize` is gone: the pipeline is read off the trace.
+    /// `--materialize` is gone — the pipeline is read off the trace — and so
+    /// is `--substrate`: the CLI runs on the timeline.
     #[test]
     fn materialize_is_an_unknown_option() {
-        match crate::run(&["replay", "x.swf", "--materialize"]) {
-            Err(CliError::Usage(msg)) => assert!(msg.contains("unknown option"), "{msg}"),
-            other => panic!("expected a usage error, got {other:?}"),
+        for args in [
+            &["replay", "x.swf", "--materialize"][..],
+            &["replay", "x.swf", "--substrate", "profile"][..],
+        ] {
+            match crate::run(args) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("unknown option"), "{msg}"),
+                other => panic!("expected a usage error, got {other:?}"),
+            }
         }
+    }
+
+    /// The instance the whole-trace pipeline builds for `req` (no warm-up).
+    fn whole_instance(req: &Replay) -> ResaInstance {
+        let text = read_trace_text(&req.file).unwrap();
+        let parsed = resa_workloads::swf::parse_trace_full(&text, req.machines).unwrap();
+        let machines = parsed.max_procs.expect("a MaxProcs header");
+        let max_release = parsed.jobs.iter().map(|j| j.release.ticks()).max();
+        let (instance, _) = req
+            .instance(machines, parsed.jobs, max_release.unwrap_or(0))
+            .unwrap();
+        instance
+    }
+
+    /// Every `--policy` run on the naive `ResourceProfile` places every job
+    /// where the CLI's timeline run places it, in as many decisions.
+    fn assert_profile_agrees(instance: &ResaInstance) {
+        for name in POLICY_NAMES {
+            let policy = PolicyArg::parse(name).unwrap();
+            assert_eq!(
+                run_policy_on(policy, instance, instance.profile()),
+                run_policy(policy, instance),
+                "replay --policy {name} diverged between substrates"
+            );
+        }
+    }
+
+    /// On-line policies (the one loop) and off-line schedulers alike answer
+    /// identically on the segment-tree timeline and the breakpoint-list
+    /// profile, on the checked-in fixture under an α overlay.
+    #[test]
+    fn replay_is_stable_across_substrates() {
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fixture.swf");
+        assert_profile_agrees(&whole_instance(&request(fixture, ("alpha:0.5", "", 0))));
     }
 
     /// A well-formed trace whose durations leave the time axis is refused
     /// where its records are parsed, so every replay path — streaming,
-    /// whole-trace, off-line, both substrates — answers the same
-    /// line-numbered parse error (exit 1) instead of wrapping a policy's
-    /// `now + max_duration` and panicking; the last trace inside the horizon
-    /// still replays clean.
+    /// whole-trace, off-line — answers the same line-numbered parse error
+    /// (exit 1) instead of wrapping a policy's `now + max_duration` and
+    /// panicking; the last trace inside the horizon still replays clean, and
+    /// identically on the profile.
     #[test]
     fn traces_past_the_time_axis_are_a_parse_error_on_every_path() {
         let dir = std::env::temp_dir().join("resa-replay-horizon-test");
@@ -1388,25 +1376,12 @@ mod tests {
         let short = short.to_str().unwrap().to_string();
         for (trace, line) in [(&hostile, "line 22: "), (&short, "line 3: ")] {
             for policy in ["fcfs", "easy", "greedy", "offline:lsrc", "offline:easy"] {
-                for substrate in ["timeline", "profile"] {
-                    let args = [
-                        "replay",
-                        trace,
-                        "--policy",
-                        policy,
-                        "--substrate",
-                        substrate,
-                    ];
-                    match crate::run(&args) {
-                        Err(CliError::Parse(msg)) => assert!(
-                            msg.starts_with(&format!("{trace}: {line}"))
-                                && msg.contains("time axis"),
-                            "{policy}/{substrate}: {msg}"
-                        ),
-                        other => {
-                            panic!("{policy}/{substrate}: expected a parse error, got {other:?}")
-                        }
-                    }
+                match crate::run(&["replay", trace, "--policy", policy]) {
+                    Err(CliError::Parse(msg)) => assert!(
+                        msg.starts_with(&format!("{trace}: {line}")) && msg.contains("time axis"),
+                        "{policy}: {msg}"
+                    ),
+                    other => panic!("{policy}: expected a parse error, got {other:?}"),
                 }
             }
         }
@@ -1418,22 +1393,12 @@ mod tests {
         std::fs::write(&inside, format!("{}21 70 {last} 2\n", sorted_trace(20))).unwrap();
         let inside = inside.to_str().unwrap().to_string();
         for policy in ["fcfs", "easy", "greedy", "offline:lsrc"] {
-            for substrate in ["timeline", "profile"] {
-                let out = crate::run(&[
-                    "replay",
-                    &inside,
-                    "--policy",
-                    policy,
-                    "--substrate",
-                    substrate,
-                    "--format",
-                    "json",
-                ])
-                .unwrap();
-                assert_eq!(out.violations, 0, "{policy}/{substrate}: {}", out.stdout);
-                assert!(out.stdout.contains("\"jobs\": 21"), "{}", out.stdout);
-            }
+            let out =
+                crate::run(&["replay", &inside, "--policy", policy, "--format", "json"]).unwrap();
+            assert_eq!(out.violations, 0, "{policy}: {}", out.stdout);
+            assert!(out.stdout.contains("\"jobs\": 21"), "{}", out.stdout);
         }
+        assert_profile_agrees(&whole_instance(&request(&inside, ("none", "", 0))));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1472,18 +1437,20 @@ mod tests {
         std::fs::remove_file(&src).ok();
     }
 
+    const POLICY_NAMES: [&str; 8] = [
+        "fcfs",
+        "easy",
+        "greedy",
+        "offline:lsrc",
+        "offline:lsrc-lpt",
+        "offline:fcfs",
+        "offline:conservative",
+        "offline:easy",
+    ];
+
     #[test]
     fn policy_parsing_roundtrips() {
-        for name in [
-            "fcfs",
-            "easy",
-            "greedy",
-            "offline:lsrc",
-            "offline:lsrc-lpt",
-            "offline:fcfs",
-            "offline:conservative",
-            "offline:easy",
-        ] {
+        for name in POLICY_NAMES {
             // Every policy name round-trips: parse(name).name() == name, so
             // report fields can be fed back into --policy (and match the
             // sweep rows' policy column).

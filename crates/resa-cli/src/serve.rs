@@ -2,11 +2,12 @@
 //!
 //! The on-line counterpart of `resa replay`: instead of replaying a complete
 //! trace, the process keeps a [`ScheduleService`] (a live
-//! `Simulator`-equivalent decision loop over a resident availability
-//! substrate) and answers a line-delimited JSON request protocol — over
-//! stdin/stdout by default, over a TCP or Unix socket with `--listen` /
-//! `--unix`, or against a checked-in script with `--script` (which is how
-//! the golden tests and the CI smoke drive it deterministically).
+//! `Simulator`-equivalent decision loop over a resident
+//! [`AvailabilityTimeline`]) and answers a line-delimited JSON request
+//! protocol — over stdin/stdout by default, over a TCP or Unix socket with
+//! `--listen` / `--unix`, or against a checked-in script with `--script`
+//! (which is how the golden tests and the CI smoke drive it
+//! deterministically).
 //!
 //! # One path
 //!
@@ -31,7 +32,7 @@
 //! published snapshot. Snapshots are republished *before* write replies
 //! are delivered, so every session reads its own writes — a single-client
 //! conversation is byte-identical to a sequential one, which is what keeps
-//! the golden transcripts substrate- and transport-independent. Stdin and
+//! the golden transcripts transport-independent. Stdin and
 //! `--script` sessions are single-client by construction and run the
 //! sequential service directly.
 //!
@@ -45,10 +46,8 @@
 pub mod protocol;
 
 use crate::opts::CommonOpts;
-use crate::replay::Substrate;
 use crate::{CliError, Outcome};
 use protocol::{check_auth, error_response, handle, to_line};
-use resa_core::capacity::Speculate;
 use resa_core::prelude::*;
 use resa_sim::prelude::*;
 use serde::Serialize;
@@ -67,10 +66,6 @@ USAGE:
 OPTIONS:
     --machines <m>        cluster size                              [default: 16]
     --policy <name>       on-line decision policy: fcfs|easy|greedy [default: easy]
-    --substrate <s>       availability backend: timeline | profile  [default: timeline]
-                          (timeline = indexed segment tree with checkpoint/rollback
-                          speculation; profile = the clone-based reference — responses
-                          are identical, which is what the golden tests assert)
     --script <file>       read requests from <file> instead of stdin and print
                           the transcript (one response line per request line)
     --listen <addr>       serve a TCP socket (e.g. 127.0.0.1:7077); concurrent
@@ -92,7 +87,8 @@ OPTIONS:
     --snapshot-every <n>  compact the journal to one snapshot record after <n>
                           ops, bounding recovery replay cost     [default: 1024]
     --idle-timeout <s>    close a socket session after <s> seconds without a
-                          request (0 disables; --listen/--unix) [default: 600]
+                          request, or blocked on a peer that does not read its
+                          answers (0 disables; --listen/--unix) [default: 600]
     --drain-mode <m>      what happens to jobs preempted by an injected drain:
                           restart (redo from scratch) | checkpoint (requeue the
                           remaining work only); re-supply at recovery — the
@@ -192,12 +188,12 @@ impl RecordSink for FileRecordSink {
 /// metrics stay bit-identical to a never-retired session; the retired
 /// records leave through the sink and via `snapshot`+`since` pagination
 /// before they go.
-struct RetiringService<C: CapacityQuery + Speculate> {
-    svc: ScheduleService<C>,
+struct RetiringService {
+    svc: ScheduleService<AvailabilityTimeline>,
     sink: FileRecordSink,
 }
 
-impl<C: CapacityQuery + Speculate> Session for RetiringService<C> {
+impl Session for RetiringService {
     fn apply(&mut self, op: &Op) -> WriteReply {
         let reply = Session::apply(&mut self.svc, op);
         // Completions only drain when an op moves the clock.
@@ -395,7 +391,7 @@ pub fn run_script(
     script: &str,
     machines: u32,
     policy: ReferencePolicy,
-    substrate: Substrate,
+    _substrate: crate::replay::Substrate,
 ) -> String {
     let plan = Plan {
         machines,
@@ -407,7 +403,7 @@ pub fn run_script(
         cfg: SessionCfg::default(),
         idle: None,
     };
-    plan.serve(substrate, Io::Script(script))
+    plan.serve(Io::Script(script))
         .expect("a plain script session touches no file")
 }
 
@@ -432,23 +428,12 @@ enum Io<'a> {
 }
 
 impl Plan {
-    /// Serve on the chosen substrate; returns the transcript of a script
-    /// session (empty for the other transports).
-    fn serve(self, substrate: Substrate, io: Io<'_>) -> Result<String, CliError> {
-        let m = self.machines;
-        match substrate {
-            Substrate::Timeline => self.serve_on(AvailabilityTimeline::constant(m), io),
-            Substrate::Profile => self.serve_on(ResourceProfile::constant(m), io),
-        }
-    }
-
-    /// Build the resident service on `substrate` — recovered from the
+    /// Build the resident service on the timeline — recovered from the
     /// journal when one is given — pick the [`Session`] the options ask
-    /// for, and run the transport against it.
-    fn serve_on<C>(self, substrate: C, io: Io<'_>) -> Result<String, CliError>
-    where
-        C: Snapshotable + Send + 'static,
-    {
+    /// for, and run the transport against it. Returns the transcript of a
+    /// script session (empty for the other transports).
+    fn serve(self, io: Io<'_>) -> Result<String, CliError> {
+        let substrate = AvailabilityTimeline::constant(self.machines);
         let (svc, journal) = match &self.journal {
             Some((path, cfg)) => {
                 let (journal, recovered) = open_journal(path, *cfg, self.machines, self.policy)?;
@@ -556,7 +541,6 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
     }
     let mut machines: u32 = 16;
     let mut policy = ReferencePolicy::Easy;
-    let mut substrate = Substrate::Timeline;
     let mut transport = Transport::Stdio;
     let mut token: Option<String> = None;
     let mut realtime = false;
@@ -589,18 +573,6 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
                     other => {
                         return Err(CliError::Usage(format!(
                             "unknown policy '{other}' (fcfs|easy|greedy)"
-                        )))
-                    }
-                };
-                Ok(1)
-            }
-            "--substrate" => {
-                substrate = match take("--substrate")? {
-                    "timeline" => Substrate::Timeline,
-                    "profile" => Substrate::Profile,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown substrate '{other}' (timeline|profile)"
                         )))
                     }
                 };
@@ -756,25 +728,25 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
     match transport {
         Transport::Script(path) => {
             let script = std::fs::read_to_string(&path).map_err(|e| bind_err(&path, e))?;
-            stdout = plan.serve(substrate, Io::Script(&script))?;
+            stdout = plan.serve(Io::Script(&script))?;
             if let Some(note) = opts.persist(&stdout)? {
                 stdout.push_str(&note);
                 stdout.push('\n');
             }
         }
         Transport::Stdio => {
-            plan.serve(substrate, Io::Stdio)?;
+            plan.serve(Io::Stdio)?;
         }
         Transport::Tcp(addr) => {
             let listener = std::net::TcpListener::bind(&addr).map_err(|e| bind_err(&addr, e))?;
-            plan.serve(substrate, Io::Listener(AnyListener::Tcp(listener)))?;
+            plan.serve(Io::Listener(AnyListener::Tcp(listener)))?;
         }
         #[cfg(unix)]
         Transport::Unix(path) => {
             let _ = std::fs::remove_file(&path);
             let listener =
                 std::os::unix::net::UnixListener::bind(&path).map_err(|e| bind_err(&path, e))?;
-            plan.serve(substrate, Io::Listener(AnyListener::Unix(listener)))?;
+            plan.serve(Io::Listener(AnyListener::Unix(listener)))?;
         }
     }
     Ok(Outcome {
@@ -804,9 +776,11 @@ impl AnyListener {
         }
     }
 
-    /// Accept one connection. `idle` becomes the socket's read timeout: a
+    /// Accept one connection. `idle` becomes the socket's read timeout — a
     /// session that sends nothing for that long is closed with a
-    /// structured timeout line instead of pinning its thread forever.
+    /// structured timeout line instead of pinning its thread forever — and
+    /// its write timeout: a peer that stops reading its answers fails the
+    /// blocked `send_line` after that long, which ends that session only.
     fn accept(&self, idle: Option<Duration>) -> std::io::Result<BoxedSession> {
         match self {
             AnyListener::Tcp(l) => {
@@ -815,6 +789,7 @@ impl AnyListener {
                 // the platform inherits from the listener.
                 stream.set_nonblocking(false)?;
                 stream.set_read_timeout(idle)?;
+                stream.set_write_timeout(idle)?;
                 let reader = std::io::BufReader::new(stream.try_clone()?);
                 Ok((Box::new(reader), Box::new(stream)))
             }
@@ -823,6 +798,7 @@ impl AnyListener {
                 let (stream, _) = l.accept()?;
                 stream.set_nonblocking(false)?;
                 stream.set_read_timeout(idle)?;
+                stream.set_write_timeout(idle)?;
                 let reader = std::io::BufReader::new(stream.try_clone()?);
                 Ok((Box::new(reader), Box::new(stream)))
             }
@@ -836,15 +812,12 @@ impl AnyListener {
 /// exhaustion) backs off briefly instead of spinning hot. Returns once any
 /// session issues `shutdown`: the listener stops accepting, the writer
 /// thread is joined, and remaining sessions die with the process.
-fn serve_concurrent<C>(
-    service: ConcurrentService<C>,
+fn serve_concurrent(
+    service: ConcurrentService<AvailabilityTimeline>,
     cfg: SessionCfg,
     listener: AnyListener,
     idle: Option<Duration>,
-) -> Result<(), CliError>
-where
-    C: Snapshotable + Send + 'static,
-{
+) -> Result<(), CliError> {
     listener.set_nonblocking().map_err(|e| CliError::Io {
         path: "<listener>".to_string(),
         message: e.to_string(),
@@ -880,6 +853,71 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::Substrate;
+
+    /// The transcript of `script` served by the sequential service on the
+    /// naive `ResourceProfile` — the substrate `run_script` never builds.
+    fn profile_transcript(script: &str, machines: u32, policy: ReferencePolicy) -> String {
+        let mut svc = ScheduleService::new(policy, ResourceProfile::constant(machines));
+        let mut transcript = Vec::new();
+        serve_session(
+            &mut svc,
+            &SessionCfg::default(),
+            script.as_bytes(),
+            &mut transcript,
+        )
+        .expect("in-memory I/O");
+        String::from_utf8(transcript).expect("responses are UTF-8")
+    }
+
+    /// The checked-in session `name` answers byte for byte the same on the
+    /// timeline (`run_script`) and on the profile, under every policy: the
+    /// serve-side face of the substrate equivalence properties.
+    fn assert_byte_stable_across_substrates(name: &str) {
+        let path = format!("{}/../../examples/{name}", env!("CARGO_MANIFEST_DIR"));
+        let script = std::fs::read_to_string(path).expect("checked-in session script");
+        for policy in [
+            ReferencePolicy::Fcfs,
+            ReferencePolicy::Easy,
+            ReferencePolicy::Greedy,
+        ] {
+            assert_eq!(
+                run_script(&script, 8, policy, Substrate::Timeline),
+                profile_transcript(&script, 8, policy),
+                "{name} diverged between substrates under {}",
+                policy.name()
+            );
+        }
+    }
+
+    #[test]
+    fn session_transcript_is_byte_stable_across_substrates() {
+        assert_byte_stable_across_substrates("serve_session.jsonl");
+    }
+
+    #[test]
+    fn scenario_transcript_is_byte_stable_across_substrates() {
+        assert_byte_stable_across_substrates("scenario_session.jsonl");
+    }
+
+    /// snapshot → query → snapshot on the profile: the probe must not change
+    /// the snapshot or the stats (`tests/serve_session.rs` pins the same on
+    /// the timeline).
+    #[test]
+    fn query_probe_is_pure_on_the_profile() {
+        let script = "\
+{\"op\":\"reserve\",\"width\":3,\"duration\":10,\"start\":2}\n\
+{\"op\":\"submit\",\"width\":2,\"duration\":4}\n\
+{\"op\":\"snapshot\"}\n{\"op\":\"stats\"}\n\
+{\"op\":\"query\",\"width\":4,\"duration\":5}\n\
+{\"op\":\"snapshot\"}\n{\"op\":\"stats\"}\n";
+        let transcript = profile_transcript(script, 4, ReferencePolicy::Easy);
+        let lines: Vec<&str> = transcript.lines().collect();
+        assert_eq!(lines.len(), 7, "{transcript}");
+        assert_eq!(lines[2], lines[5], "query mutated the snapshot");
+        assert_eq!(lines[3], lines[6], "query mutated the stats");
+        assert!(lines[4].contains("\"start\":12"), "{}", lines[4]);
+    }
 
     /// A session that outlives the writer (another session's `shutdown`
     /// raced its request) gets a structured error for `snapshot`, the one

@@ -37,6 +37,16 @@ fn connect_tcp(port: u16) -> std::net::TcpStream {
         .expect("service came up within 2s")
 }
 
+#[cfg(unix)]
+fn connect_unix(sock: &std::path::Path) -> std::os::unix::net::UnixStream {
+    (0..100)
+        .find_map(|_| {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            std::os::unix::net::UnixStream::connect(sock).ok()
+        })
+        .expect("service came up within 2s")
+}
+
 /// Round-trip one request line over a socket-ish stream pair.
 fn ask(writer: &mut impl std::io::Write, reader: &mut impl BufRead, request: &str) -> String {
     writer.write_all(request.as_bytes()).unwrap();
@@ -161,6 +171,69 @@ fn hostile_magnitudes_do_not_kill_the_shared_writer() {
     assert!(child.0.wait().unwrap().success());
 }
 
+/// A client that pipelines requests and never reads its answers used to
+/// pin its session thread in `write` forever once the socket buffers
+/// filled. The idle timeout now bounds writes too: the server drops the
+/// stalled session — the client sees a broken pipe instead of one write
+/// timeout after another — while a second connection is answered
+/// throughout.
+#[cfg(unix)]
+#[test]
+fn a_client_that_stops_reading_is_dropped() {
+    use std::io::ErrorKind;
+    use std::time::{Duration, Instant};
+    let sock = std::env::temp_dir().join(format!("resa-stalled-{}.sock", std::process::id()));
+    let mut child = KillOnDrop(spawn_serve(&[
+        "--machines",
+        "4",
+        "--unix",
+        sock.to_str().unwrap(),
+        "--idle-timeout",
+        "1",
+    ]));
+
+    let b = connect_unix(&sock);
+    b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut b_writer = b.try_clone().unwrap();
+    let mut b_reader = BufReader::new(b);
+
+    // The stalled client: writes (bounded by its own timeout), never reads.
+    let mut stalled = connect_unix(&sock);
+    stalled
+        .set_write_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let batch = "{\"op\":\"snapshot\"}\n".repeat(64);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let dropped = loop {
+        match stalled.write_all(batch.as_bytes()) {
+            Ok(()) => {}
+            // Our own timeout: the server is not reading either (yet).
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) => {
+                assert!(
+                    matches!(e.kind(), ErrorKind::BrokenPipe | ErrorKind::ConnectionReset),
+                    "unexpected write error: {e}"
+                );
+                break true;
+            }
+        }
+        let reply = ask(&mut b_writer, &mut b_reader, r#"{"op":"stats"}"#);
+        assert!(reply.starts_with(r#"{"ok":true,"op":"stats""#), "{reply}");
+        if Instant::now() > deadline {
+            break false;
+        }
+    };
+    assert!(
+        dropped,
+        "the server never dropped the session it could not write to"
+    );
+
+    let reply = ask(&mut b_writer, &mut b_reader, r#"{"op":"shutdown"}"#);
+    assert!(reply.contains(r#""op":"shutdown""#), "{reply}");
+    assert!(child.0.wait().unwrap().success());
+    let _ = std::fs::remove_file(&sock);
+}
+
 /// Ends the server when a test unwinds before its protocol `shutdown`, so a
 /// failed assertion cannot leave a process holding the harness's pipes.
 struct KillOnDrop(Child);
@@ -181,7 +254,6 @@ impl Drop for KillOnDrop {
 #[cfg(unix)]
 #[test]
 fn snapshot_over_sockets_matches_the_sequential_transport() {
-    use std::os::unix::net::UnixStream;
     let sock = std::env::temp_dir().join(format!("resa-serve-snap-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&sock);
     let mut child = KillOnDrop(spawn_serve(&[
@@ -192,12 +264,7 @@ fn snapshot_over_sockets_matches_the_sequential_transport() {
     ]));
     let mut sessions: Vec<_> = (0..2)
         .map(|_| {
-            let s = (0..100)
-                .find_map(|_| {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    UnixStream::connect(&sock).ok()
-                })
-                .expect("service came up within 2s");
+            let s = connect_unix(&sock);
             (s.try_clone().unwrap(), BufReader::new(s))
         })
         .collect();
@@ -254,7 +321,6 @@ fn snapshot_over_sockets_matches_the_sequential_transport() {
 #[cfg(unix)]
 #[test]
 fn unix_sessions_require_the_token_first() {
-    use std::os::unix::net::UnixStream;
     let sock = std::env::temp_dir().join(format!("resa-serve-auth-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&sock);
     let mut child = spawn_serve(&[
@@ -265,18 +331,9 @@ fn unix_sessions_require_the_token_first() {
         "--token",
         "s3cret",
     ]);
-    let connect = |sock: &std::path::Path| {
-        (0..100)
-            .find_map(|_| {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                UnixStream::connect(sock).ok()
-            })
-            .expect("service came up within 2s")
-    };
-
     // 1. An op before auth: structured rejection, then the server closes
     //    the connection (EOF on the next read).
-    let s = connect(&sock);
+    let s = connect_unix(&sock);
     let mut w = s.try_clone().unwrap();
     let mut r = BufReader::new(s);
     let reply = ask(
@@ -290,7 +347,7 @@ fn unix_sessions_require_the_token_first() {
     assert_eq!(r.read_line(&mut line).unwrap(), 0, "connection stayed open");
 
     // 2. A wrong token: rejected, closed.
-    let s = connect(&sock);
+    let s = connect_unix(&sock);
     let mut w = s.try_clone().unwrap();
     let mut r = BufReader::new(s);
     let reply = ask(&mut w, &mut r, "{\"op\":\"auth\",\"token\":\"wrong\"}");
@@ -300,7 +357,7 @@ fn unix_sessions_require_the_token_first() {
 
     // 3. The right token: session proceeds normally. The two rejected
     //    connections must not have disturbed the resident state.
-    let s = connect(&sock);
+    let s = connect_unix(&sock);
     let mut w = s.try_clone().unwrap();
     let mut r = BufReader::new(s);
     let reply = ask(&mut w, &mut r, "{\"op\":\"auth\",\"token\":\"s3cret\"}");

@@ -1,13 +1,11 @@
 //! Golden session tests of `resa serve`.
 //!
-//! Three families of assertions:
+//! Two families of assertions (the same sessions on the naive
+//! `ResourceProfile` are pinned byte for byte by `serve.rs`'s unit tests):
 //!
 //! * **golden transcript** — the checked-in request script replayed through
 //!   the in-process service must reproduce `examples/serve_session.golden`
 //!   byte for byte (CI additionally pipes it through the release binary);
-//! * **substrate byte-stability** — the same session on `--substrate
-//!   timeline` and `--substrate profile` answers identically, the serve-side
-//!   face of the PR 1–3 equivalence properties;
 //! * **probe purity** — a `query` between two `snapshot`s leaves the
 //!   resident state untouched (snapshot-before == snapshot-after), end to
 //!   end through the protocol.
@@ -70,44 +68,6 @@ fn scenario_transcript_matches_the_golden_file() {
 }
 
 #[test]
-fn scenario_transcript_is_byte_stable_across_substrates() {
-    let script = scenario_script();
-    for policy in [
-        ReferencePolicy::Fcfs,
-        ReferencePolicy::Easy,
-        ReferencePolicy::Greedy,
-    ] {
-        let timeline = run_script(&script, 8, policy, Substrate::Timeline);
-        let profile = run_script(&script, 8, policy, Substrate::Profile);
-        assert_eq!(
-            timeline,
-            profile,
-            "scenario session diverged between substrates under {}",
-            policy.name()
-        );
-    }
-}
-
-#[test]
-fn session_transcript_is_byte_stable_across_substrates() {
-    let script = session_script();
-    for policy in [
-        ReferencePolicy::Fcfs,
-        ReferencePolicy::Easy,
-        ReferencePolicy::Greedy,
-    ] {
-        let timeline = run_script(&script, 8, policy, Substrate::Timeline);
-        let profile = run_script(&script, 8, policy, Substrate::Profile);
-        assert_eq!(
-            timeline,
-            profile,
-            "serve session diverged between substrates under {}",
-            policy.name()
-        );
-    }
-}
-
-#[test]
 fn query_probe_is_pure_through_the_protocol() {
     // snapshot → query → snapshot: the probe must not change the snapshot,
     // the stats, or any later answer.
@@ -117,14 +77,12 @@ fn query_probe_is_pure_through_the_protocol() {
 {\"op\":\"snapshot\"}\n{\"op\":\"stats\"}\n\
 {\"op\":\"query\",\"width\":4,\"duration\":5}\n\
 {\"op\":\"snapshot\"}\n{\"op\":\"stats\"}\n";
-    for substrate in [Substrate::Timeline, Substrate::Profile] {
-        let transcript = run_script(script, 4, ReferencePolicy::Easy, substrate);
-        let lines: Vec<&str> = transcript.lines().collect();
-        assert_eq!(lines.len(), 7, "{transcript}");
-        assert_eq!(lines[2], lines[5], "query mutated the snapshot");
-        assert_eq!(lines[3], lines[6], "query mutated the stats");
-        assert!(lines[4].contains("\"start\":12"), "{}", lines[4]);
-    }
+    let transcript = run_script(script, 4, ReferencePolicy::Easy, Substrate::Timeline);
+    let lines: Vec<&str> = transcript.lines().collect();
+    assert_eq!(lines.len(), 7, "{transcript}");
+    assert_eq!(lines[2], lines[5], "query mutated the snapshot");
+    assert_eq!(lines[3], lines[6], "query mutated the stats");
+    assert!(lines[4].contains("\"start\":12"), "{}", lines[4]);
 }
 
 #[test]
@@ -141,10 +99,11 @@ fn serve_cli_surface() {
         resa_cli::run(&["serve", "--policy", "sjf", "--script", "x"]),
         Err(resa_cli::CliError::Usage(_))
     ));
-    assert!(matches!(
-        resa_cli::run(&["serve", "--substrate", "vapor", "--script", "x"]),
-        Err(resa_cli::CliError::Usage(_))
-    ));
+    // `--substrate` is gone: the service runs on the timeline.
+    match resa_cli::run(&["serve", "--substrate", "profile", "--script", "x"]) {
+        Err(resa_cli::CliError::Usage(msg)) => assert!(msg.contains("unknown option"), "{msg}"),
+        other => panic!("expected a usage error, got {other:?}"),
+    }
     assert!(matches!(
         resa_cli::run(&["serve", "--script", "/nonexistent/session.jsonl"]),
         Err(resa_cli::CliError::Io { .. })

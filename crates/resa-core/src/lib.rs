@@ -16,14 +16,12 @@
 //! * [`profile::ResourceProfile`] — the piecewise-constant availability
 //!   function `m(t) = m − U(t)` as a normalized breakpoint list, with
 //!   linear-scan earliest-fit queries and reserve/release updates (the
-//!   canonical, reference representation);
+//!   canonical representation: the oracle of the timeline's proptests and
+//!   what a frozen snapshot holds);
 //! * [`timeline::AvailabilityTimeline`] — the same function indexed by a
 //!   segment tree in a flat cache-line-aligned SoA layout: `O(log B)`
 //!   range-min / earliest-fit / lazy reserve, the backend every scheduler in
 //!   `resa-algos` and `resa-sim` runs on;
-//! * [`timeline_ref::ReferenceTimeline`] — the pinned previous-generation
-//!   pointer layout of the same tree, kept as proptest oracle and benchmark
-//!   baseline;
 //! * [`capacity::CapacityQuery`] — the trait both implement, so every
 //!   algorithm is generic over the substrate;
 //! * [`schedule::Schedule`] — start-time assignments, feasibility validation,
@@ -74,7 +72,6 @@ pub mod schedule;
 pub mod snapshot;
 pub mod time;
 pub mod timeline;
-pub mod timeline_ref;
 pub mod waitlist;
 
 /// Convenient glob import of the most frequently used items.
@@ -93,7 +90,6 @@ pub mod prelude {
     pub use crate::snapshot::{Snapshotable, TimelineSnapshot};
     pub use crate::time::{Dur, Time};
     pub use crate::timeline::{AvailabilityTimeline, TxnMark};
-    pub use crate::timeline_ref::{RefTxnMark, ReferenceTimeline};
     pub use crate::waitlist::WaitList;
 }
 
@@ -289,13 +285,16 @@ mod proptests {
         /// `ResourceProfile` that replays the same history: mutations are
         /// applied to both, a rollback rewinds the profile to a snapshot
         /// taken at the matching checkpoint. Marks are resolved in random
-        /// stack order, so nesting is exercised too.
+        /// stack order, so nesting and the flat layout's boundary compaction
+        /// are both exercised. Same errors, same availability function, same
+        /// earliest-fit and area answers after every step.
         #[test]
         fn transactional_timeline_matches_replayed_profile(
             inst in arb_instance(),
             ops in proptest::collection::vec(
-                (0u32..=4, 0u64..60, 1u64..=20, 1u32..=8), 1usize..=24
+                (0u32..=4, 0u64..60, 1u64..=20, 1u32..=8), 1usize..=32
             ),
+            probe_w in 1u32..=8, probe_d in 1u64..=20, probe_area in 0u64..3000,
         ) {
             let mut tl = inst.timeline();
             let mut p = inst.profile();
@@ -339,6 +338,14 @@ mod proptests {
                     }
                 }
                 prop_assert_eq!(tl.to_profile(), p.clone());
+                prop_assert_eq!(
+                    CapacityQuery::earliest_fit(&tl, probe_w, Dur(probe_d), Time(s)),
+                    p.earliest_fit(probe_w, Dur(probe_d), Time(s))
+                );
+                prop_assert_eq!(
+                    tl.earliest_time_with_area(probe_area as u128),
+                    p.earliest_time_with_area(probe_area as u128)
+                );
             }
             // Unwind whatever is still open, innermost first.
             while let Some((mark, snapshot)) = stack.pop() {
@@ -466,82 +473,11 @@ mod proptests {
             prop_assert_eq!(tl.to_profile(), before);
         }
 
-        /// PR 6 flat layout vs the pinned pointer-layout reference: any
-        /// interleaving of reserve / release / checkpoint / rollback /
-        /// commit (marks resolved in random stack order, so nesting and the
-        /// flat layout's boundary compaction are both exercised) keeps the
-        /// two substrates answer-identical — same errors, same availability
-        /// function, same earliest-fit and area answers after every step.
-        #[test]
-        fn flat_timeline_matches_reference_layout(
-            inst in arb_instance(),
-            ops in proptest::collection::vec(
-                (0u32..=4, 0u64..60, 1u64..=20, 1u32..=8), 1usize..=32
-            ),
-            probe_w in 1u32..=8, probe_d in 1u64..=20, probe_area in 0u64..3000,
-        ) {
-            let mut flat = inst.timeline();
-            let mut rt = ReferenceTimeline::from_profile(&inst.profile());
-            let mut stack: Vec<(TxnMark, RefTxnMark)> = Vec::new();
-            for (kind, s, d, w) in ops {
-                match kind {
-                    0 => {
-                        let (rf, rr) = (
-                            CapacityQuery::reserve(&mut flat, Time(s), Dur(d), w),
-                            CapacityQuery::reserve(&mut rt, Time(s), Dur(d), w),
-                        );
-                        prop_assert_eq!(rf, rr);
-                    }
-                    1 => {
-                        let (rf, rr) = (
-                            CapacityQuery::release(&mut flat, Time(s), Dur(d), w),
-                            CapacityQuery::release(&mut rt, Time(s), Dur(d), w),
-                        );
-                        prop_assert_eq!(rf, rr);
-                    }
-                    2 => stack.push((flat.checkpoint(), rt.checkpoint())),
-                    3 => {
-                        if !stack.is_empty() {
-                            let at = (s as usize) % stack.len();
-                            let (fm, rm) = stack[at];
-                            stack.truncate(at);
-                            flat.rollback_to(fm);
-                            rt.rollback_to(rm);
-                        }
-                    }
-                    _ => {
-                        if !stack.is_empty() {
-                            let at = (s as usize) % stack.len();
-                            let (fm, rm) = stack[at];
-                            stack.truncate(at);
-                            flat.commit(fm);
-                            rt.commit(rm);
-                        }
-                    }
-                }
-                prop_assert_eq!(flat.to_profile(), rt.to_profile());
-                prop_assert_eq!(
-                    CapacityQuery::earliest_fit(&flat, probe_w, Dur(probe_d), Time(s)),
-                    CapacityQuery::earliest_fit(&rt, probe_w, Dur(probe_d), Time(s))
-                );
-                prop_assert_eq!(
-                    flat.earliest_time_with_area(probe_area as u128),
-                    rt.earliest_time_with_area(probe_area as u128)
-                );
-            }
-            while let Some((fm, rm)) = stack.pop() {
-                flat.rollback_to(fm);
-                rt.rollback_to(rm);
-                prop_assert_eq!(flat.to_profile(), rt.to_profile());
-            }
-            prop_assert!(!flat.in_transaction());
-            prop_assert!(!rt.in_transaction());
-        }
-
-        /// Flat vs reference at `i64::MAX`-scale horizons: the same shifted
-        /// script leaves both layouts agreeing on every probe, including the
-        /// area descent (PR 5 overflow audit, replayed against PR 6's
-        /// compacting layout).
+        /// Timeline vs the linear profile at `i64::MAX`-scale horizons: the
+        /// same shifted script leaves both representations agreeing on every
+        /// probe, including the area descent (PR 5 overflow audit, replayed
+        /// against the compacting flat layout and the breakpoint list every
+        /// snapshot reader scans).
         #[test]
         fn flat_matches_reference_at_extreme_horizons(
             m in 2u32..=16,
@@ -550,36 +486,37 @@ mod proptests {
         ) {
             let offset = i64::MAX as u64 - 200;
             let mut flat = AvailabilityTimeline::constant(m);
-            let mut rt = ReferenceTimeline::constant(m);
+            let mut p = ResourceProfile::constant(m);
             for (s, d, w, kind) in ops {
-                let (rf, rr) = if kind == 0 {
+                let (rf, rp) = if kind == 0 {
                     (
                         CapacityQuery::reserve(&mut flat, Time(offset + s), Dur(d), w),
-                        CapacityQuery::reserve(&mut rt, Time(offset + s), Dur(d), w),
+                        p.reserve(Time(offset + s), Dur(d), w),
                     )
                 } else {
                     (
                         CapacityQuery::release(&mut flat, Time(offset + s), Dur(d), w),
-                        CapacityQuery::release(&mut rt, Time(offset + s), Dur(d), w),
+                        p.release(Time(offset + s), Dur(d), w),
                     )
                 };
-                prop_assert_eq!(rf, rr);
+                prop_assert_eq!(rf, rp);
             }
             for (t, d, w) in probes {
                 prop_assert_eq!(
                     CapacityQuery::capacity_at(&flat, Time(offset + t)),
-                    CapacityQuery::capacity_at(&rt, Time(offset + t))
+                    p.capacity_at(Time(offset + t))
                 );
                 prop_assert_eq!(
                     CapacityQuery::earliest_fit(&flat, w, Dur(d), Time(offset + t)),
-                    CapacityQuery::earliest_fit(&rt, w, Dur(d), Time(offset + t))
+                    p.earliest_fit(w, Dur(d), Time(offset + t))
                 );
+                let area = (t as u128 + 1) * (d as u128) * (m as u128);
                 prop_assert_eq!(
-                    flat.earliest_time_with_area((t as u128 + 1) * (d as u128) * (m as u128)),
-                    rt.earliest_time_with_area((t as u128 + 1) * (d as u128) * (m as u128))
+                    flat.earliest_time_with_area(area),
+                    p.earliest_time_with_area(area)
                 );
             }
-            prop_assert_eq!(flat.to_profile(), rt.to_profile());
+            prop_assert_eq!(flat.to_profile(), p);
         }
 
         /// Processor assignment of a feasible schedule always verifies.

@@ -100,12 +100,6 @@ impl Dur {
         Dur(self.0.saturating_add(other.0))
     }
 
-    /// Multiply the duration by an integer factor (used by workload scaling).
-    #[inline]
-    pub fn scaled(self, factor: u64) -> Dur {
-        Dur(self.0 * factor)
-    }
-
     /// Area (processor x time product) occupied by `width` processors for this
     /// duration. Returned as `u128` so that very large instances cannot
     /// overflow.
@@ -231,7 +225,6 @@ mod tests {
         d += Dur(1);
         d -= Dur(2);
         assert_eq!(d, Dur(4));
-        assert_eq!(Dur(3).scaled(4), Dur(12));
     }
 
     #[test]

@@ -84,10 +84,7 @@
 //! also merges runs of equal-capacity leaves. Speculative probing splits
 //! leaves that rollback leaves behind as degenerate segments; without
 //! compaction a probe-heavy workload grows `B` without bound and every
-//! later `O(B)` rebuild and `O(log B)` descent pays for dead history. The
-//! previous pointer-layout generation is preserved verbatim as
-//! [`crate::timeline_ref::ReferenceTimeline`] — the proptest oracle and the
-//! bench baseline (`resa-bench/benches/service.rs`) for this layout.
+//! later `O(B)` rebuild and `O(log B)` descent pays for dead history.
 //!
 //! # Speculative scheduling: the transactional layer (§ conclusion)
 //!

@@ -428,10 +428,9 @@ pub(crate) fn records_of(
 ///
 /// Generic over the availability substrate exactly like the schedulers: the
 /// indexed [`AvailabilityTimeline`] is the production backend (checkpoint /
-/// rollback speculation), the naive
-/// [`ResourceProfile`] the clone-based
-/// reference — `resa serve --substrate timeline|profile` runs one session on
-/// each and the golden tests assert byte-identical transcripts.
+/// rollback speculation) and the only one `resa serve` runs on, the naive
+/// [`ResourceProfile`] the clone-based oracle the equivalence tests run
+/// the same sessions on, byte for byte.
 #[derive(Debug, Clone)]
 pub struct ScheduleService<C: CapacityQuery + Speculate> {
     machines: u32,

@@ -91,8 +91,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Truncating a valid journal at ANY byte recovers a state equal to
-    /// replaying some prefix of the op sequence, and any mid-record cut is
-    /// reported as a torn tail.
+    /// replaying some prefix of the op sequence — restored onto the naive
+    /// `ResourceProfile` just as onto the timeline — and any mid-record cut
+    /// is reported as a torn tail.
     #[test]
     fn truncation_recovers_a_serial_prefix(
         ops in arb_ops(),
@@ -125,6 +126,12 @@ proptest! {
         let restored = rec
             .restore_service(ReferencePolicy::Easy, AvailabilityTimeline::constant(MACHINES))
             .state();
+        prop_assert_eq!(
+            &rec.restore_service(ReferencePolicy::Easy, ResourceProfile::constant(MACHINES))
+                .state(),
+            &restored,
+            "recovery diverged between substrates"
+        );
         let prefixes = prefix_states(&ops);
         prop_assert!(
             prefixes.contains(&restored),
