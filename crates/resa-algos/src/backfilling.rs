@@ -10,7 +10,7 @@
 //!   queue if starting it now does not delay that guaranteed start. Admission
 //!   is decided by O(log B) scalar checks against the spare-capacity API;
 //!   [`EasyBackfillingReference`] keeps the classical probing formulation as
-//!   the (property-tested) equivalence oracle and bench baseline.
+//!   the (property-tested) equivalence oracle.
 //!
 //! The paper notes that the *most* aggressive variant — any job may delay any
 //! other as long as it starts earlier — is exactly LSRC
@@ -108,7 +108,7 @@ impl EasyBackfilling {
     }
 
     /// [`Self::schedule_with`] plus decision-loop counters, used by the
-    /// regression tests and the decision-point bench.
+    /// regression tests.
     pub fn schedule_with_stats<C: CapacityQuery>(
         &self,
         instance: &ResaInstance,
@@ -234,8 +234,7 @@ impl Scheduler for EasyBackfilling {
 }
 
 /// The classical probing formulation of EASY backfilling, kept verbatim as
-/// the equivalence oracle for [`EasyBackfilling`] and as the baseline of the
-/// decision-point bench.
+/// the equivalence oracle for [`EasyBackfilling`].
 ///
 /// Per candidate it performs a tentative `reserve`, recomputes the head's
 /// shadow with a full `earliest_fit`, and `release`s on refusal — three

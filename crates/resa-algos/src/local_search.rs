@@ -33,8 +33,8 @@
 //! log — as the oracle: the property tests in this module prove the two
 //! accept the identical move sequence and return the identical schedule on
 //! random instances (`move-for-move` equivalence), and
-//! `resa-bench/benches/search.rs` measures the speedup (asserted ≥ 5x on
-//! the round loop).
+//! `tests/reference_equivalence.rs` repeats the comparison on a loaded
+//! instance.
 
 use crate::traits::Scheduler;
 use resa_core::prelude::*;
@@ -311,9 +311,9 @@ fn improve(
 /// Runs on the naive profile: a full rebuild is a sequential burst of `n`
 /// reserves at `n` fresh breakpoints, the one access pattern where the
 /// normalized list's contiguous inserts beat the tree's rebuild-on-split
-/// (see the PR-1 timeline bench) — and both backends produce identical
-/// schedules, so this is purely a constant-factor choice. The *speculative*
-/// per-candidate work stays on the transactional timeline.
+/// (measured when the timeline landed in PR 1) — and both backends produce
+/// identical schedules, so this is purely a constant-factor choice. The
+/// *speculative* per-candidate work stays on the transactional timeline.
 fn rebuild_promoting(
     instance: &ResaInstance,
     starts: &[Time],
@@ -349,10 +349,10 @@ impl<S: Scheduler> Scheduler for LocalSearch<S> {
 }
 
 /// The previous-generation formulation of the same neighborhood, retained as
-/// the correctness oracle and bench baseline: every candidate evaluation
-/// rebuilds a fresh naive [`ResourceProfile`] from all current placements
-/// (`O(n · B)`), the critical scan re-sorts completions from scratch, and
-/// makespans come from full rescans — no persistent state, no undo log.
+/// the correctness oracle: every candidate evaluation rebuilds a fresh naive
+/// [`ResourceProfile`] from all current placements (`O(n · B)`), the critical
+/// scan re-sorts completions from scratch, and makespans come from full
+/// rescans — no persistent state, no undo log.
 #[derive(Debug, Clone)]
 pub struct LocalSearchReference<S> {
     base: S,

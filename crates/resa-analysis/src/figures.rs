@@ -1,7 +1,7 @@
 //! Data series behind each figure of the paper.
 //!
 //! The paper has four figures; every function here regenerates the data one
-//! would plot (the experiment binaries in `resa-bench` print / persist them):
+//! would plot (`resa figure <n>` prints / persists them):
 //!
 //! * **Figure 1** — the 3-PARTITION reduction picture. [`figure1_series`]
 //!   builds reduced instances and reports, per instance, the optimal makespan

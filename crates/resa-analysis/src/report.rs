@@ -1,8 +1,7 @@
-//! Plain-text report rendering (markdown tables, CSV, JSON persistence).
+//! Plain-text report rendering (aligned text tables, CSV, JSON payloads).
 //!
-//! The experiment binaries in `resa-bench` print every reproduced table and
-//! figure through this module so EXPERIMENTS.md can be regenerated from the
-//! command line.
+//! `resa figure|table|graham` renders every reproduced table and figure
+//! through this module, one renderer per `--format` value.
 
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -48,27 +47,6 @@ impl Table {
     /// The table title.
     pub fn title(&self) -> &str {
         &self.title
-    }
-
-    /// Render as a GitHub-flavoured markdown table (with the title as a
-    /// heading).
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "### {}\n", self.title);
-        let _ = writeln!(out, "| {} |", self.headers.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
     }
 
     /// Render as CSV (header row first, no title).
@@ -129,15 +107,6 @@ mod tests {
         t.push_row(vec!["0.5".into(), "4.000".into()]);
         t.push_row(vec!["1".into(), "2.000".into()]);
         t
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let md = sample().to_markdown();
-        assert!(md.contains("### Sample"));
-        assert!(md.contains("| alpha | bound |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 0.5 | 4.000 |"));
     }
 
     #[test]

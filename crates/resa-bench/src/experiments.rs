@@ -9,10 +9,8 @@
 //! count means the reproduction is broken, and the `resa` CLI turns it into
 //! a dedicated exit code).
 //!
-//! The legacy experiment binaries (`src/bin/*.rs`) are thin shims over this
-//! module: `cargo run -p resa-bench --bin fig3_adversarial` prints exactly
-//! what `resa figure 3` prints, and both persist the same JSON when
-//! `RESA_RESULTS_DIR` is set.
+//! `resa figure|table|graham` is the one front-end: it renders a report per
+//! `--format` and persists it with `--out`.
 
 use crate::{
     average_case_experiment_seeded, average_case_table, fcfs_ratio_experiment, fcfs_table,
@@ -50,30 +48,20 @@ impl Default for ExperimentOptions {
     }
 }
 
-/// The result of one experiment pipeline: everything a front-end (binary,
-/// CLI subcommand, CI job) needs to print, persist, or gate on.
+/// The result of one experiment pipeline: everything a front-end (CLI
+/// subcommand, CI job) needs to print, persist, or gate on.
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
-    /// Stable experiment name; also the `RESA_RESULTS_DIR` file stem.
+    /// Stable experiment name.
     pub name: &'static str,
     /// The rendered table.
     pub table: Table,
-    /// Pretty JSON of the row payload (what `emit` used to persist).
+    /// Pretty JSON of the row payload.
     pub json: String,
     /// Free-form reading notes printed after the table.
     pub notes: Vec<String>,
     /// Number of conclusive paper-guarantee violations (expected 0).
     pub violations: usize,
-}
-
-/// Print a report exactly the way the legacy binaries did: aligned text
-/// table, markdown table, optional JSON persistence under
-/// `RESA_RESULTS_DIR`, then the reading notes.
-pub fn emit_report(report: &ExperimentReport) {
-    crate::print_and_persist(report.name, &report.table, &report.json);
-    for note in &report.notes {
-        println!("{note}");
-    }
 }
 
 /// E1 / Figure 1 + Theorem 1: the 3-PARTITION reduction. A violation is a

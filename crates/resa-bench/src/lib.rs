@@ -1,24 +1,14 @@
 //! # resa-bench
 //!
-//! Experiment harness reproducing every figure of *"Analysis of Scheduling
-//! Algorithms with Reservations"* (IPDPS 2007), plus the extension tables
-//! listed in DESIGN.md (E5–E9).
+//! The experiment pipelines reproducing every figure of *"Analysis of
+//! Scheduling Algorithms with Reservations"* (IPDPS 2007), plus the extension
+//! tables E5–E9.
 //!
-//! The crate has two faces:
-//!
-//! * **experiment binaries** (`src/bin/*.rs`) — `cargo run -p resa-bench --bin
-//!   fig3_adversarial` prints the data behind Figure 3 as an aligned table,
-//!   a markdown table and (optionally) a JSON blob persisted under the
-//!   directory named by the `RESA_RESULTS_DIR` environment variable;
-//! * **criterion benches** (`benches/*.rs`) — `cargo bench -p resa-bench`
-//!   times the same pipelines so regressions in the algorithms or the solver
-//!   are caught.
-//!
-//! The functions in this library build the tables; binaries and benches only
-//! print or time them. The [`experiments`] module packages each of the nine
-//! figure/table pipelines as a self-contained [`experiments::ExperimentReport`]
-//! builder — the binaries here and the `resa` CLI (`crates/resa-cli`) are both
-//! thin shims over it.
+//! The functions in this library compute the rows and build the tables; the
+//! [`experiments`] module packages each of the nine figure/table pipelines
+//! as a self-contained [`experiments::ExperimentReport`] builder. The `resa`
+//! CLI (`crates/resa-cli`: `resa figure|table|graham`) is the one front-end
+//! that prints and persists them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,31 +21,6 @@ use resa_core::prelude::*;
 use resa_sim::prelude::*;
 use resa_workloads::prelude::*;
 use serde::Serialize;
-
-/// Render an experiment to stdout in text and markdown form, and optionally
-/// persist the JSON payload (set `RESA_RESULTS_DIR=results` to write
-/// `results/<name>.json`).
-pub fn emit<T: Serialize>(name: &str, table: &Table, payload: &T) {
-    print_and_persist(name, table, &to_json(payload));
-}
-
-/// The one print-and-persist protocol shared by [`emit`] and
-/// [`experiments::emit_report`], so the legacy binaries and the `resa` CLI
-/// can never drift apart: aligned text table, markdown table, then the JSON
-/// payload under `RESA_RESULTS_DIR` when set.
-pub(crate) fn print_and_persist(name: &str, table: &Table, json: &str) {
-    println!("{}", table.to_text());
-    println!("{}", table.to_markdown());
-    if let Ok(dir) = std::env::var("RESA_RESULTS_DIR") {
-        let path = std::path::Path::new(&dir).join(format!("{name}.json"));
-        if std::fs::create_dir_all(&dir).is_ok() {
-            match std::fs::write(&path, json) {
-                Ok(()) => println!("[saved {}]", path.display()),
-                Err(e) => eprintln!("[could not save {}: {e}]", path.display()),
-            }
-        }
-    }
-}
 
 /// One row of the Graham-bound experiment (E5).
 #[derive(Debug, Clone, Serialize)]
@@ -77,21 +42,9 @@ pub struct GrahamRow {
 }
 
 /// E5: empirical verification of Theorem 2 (Graham's bound) — random rigid
-/// workloads plus the tightness family, swept over cluster sizes.
-pub fn graham_experiment(machines_list: &[u32], seeds_per_m: u64, jobs: usize) -> Vec<GrahamRow> {
-    graham_experiment_seeded(
-        ExperimentRunner::parallel(),
-        machines_list,
-        seeds_per_m,
-        jobs,
-        0,
-    )
-}
-
-/// [`graham_experiment`] with an explicit [`ExperimentRunner`] and base
-/// seed: machine `m`, repetition `i` draws its workload from seed
-/// `base_seed + i`; rows are identical in either runner mode (one cell per
-/// machine size).
+/// workloads plus the tightness family, swept over cluster sizes. Machine
+/// `m`, repetition `i` draws its workload from seed `base_seed + i`; rows are
+/// identical in either runner mode (one cell per machine size).
 pub fn graham_experiment_seeded(
     runner: ExperimentRunner,
     machines_list: &[u32],
@@ -259,27 +212,10 @@ pub struct AverageCaseRow {
 }
 
 /// E7: average-case comparison of every scheduler on Feitelson-style
-/// workloads, with α-restricted reservations swept over α.
-pub fn average_case_experiment(
-    machines_list: &[u32],
-    alphas: &[(u64, u64)],
-    jobs: usize,
-    seeds: u64,
-) -> Vec<AverageCaseRow> {
-    average_case_experiment_seeded(
-        ExperimentRunner::parallel(),
-        machines_list,
-        alphas,
-        jobs,
-        seeds,
-        0,
-    )
-}
-
-/// [`average_case_experiment`] with an explicit [`ExperimentRunner`] and
-/// base seed: repetition `i` of every `(machines, α)` cell draws its
-/// workload from seed `base_seed + i`; rows are identical in either runner
-/// mode (one cell per `(machines, α)` pair, folded in pair order).
+/// workloads, with α-restricted reservations swept over α. Repetition `i` of
+/// every `(machines, α)` cell draws its workload from seed `base_seed + i`;
+/// rows are identical in either runner mode (one cell per `(machines, α)`
+/// pair, folded in pair order).
 pub fn average_case_experiment_seeded(
     runner: ExperimentRunner,
     machines_list: &[u32],
@@ -399,31 +335,9 @@ pub struct PriorityRow {
 }
 
 /// E8: ablation of the list order used by LSRC (the improvement direction the
-/// paper's conclusion suggests).
-pub fn priority_ablation_experiment(
-    machines: u32,
-    jobs: usize,
-    seeds: u64,
-    alpha: (u64, u64),
-) -> Vec<PriorityRow> {
-    priority_ablation_experiment_with(ExperimentRunner::parallel(), machines, jobs, seeds, alpha)
-}
-
-/// [`priority_ablation_experiment`] with an explicit [`ExperimentRunner`]
-/// (sequential or parallel — identical rows either way: each seed is one
+/// paper's conclusion suggests). Repetition `i` draws its instance from seed
+/// `base_seed + i`; rows are identical in either runner mode (each seed is one
 /// self-contained cell and the aggregation folds the cells in seed order).
-pub fn priority_ablation_experiment_with(
-    runner: ExperimentRunner,
-    machines: u32,
-    jobs: usize,
-    seeds: u64,
-    alpha: (u64, u64),
-) -> Vec<PriorityRow> {
-    priority_ablation_experiment_seeded(runner, machines, jobs, seeds, alpha, 0)
-}
-
-/// [`priority_ablation_experiment_with`] with an explicit base seed:
-/// repetition `i` draws its instance from seed `base_seed + i`.
 pub fn priority_ablation_experiment_seeded(
     runner: ExperimentRunner,
     machines: u32,
@@ -538,24 +452,6 @@ pub struct OnlineRow {
     pub exact_peak_depth: usize,
 }
 
-/// E9: on-line policies and the batch-doubling wrapper against the clairvoyant
-/// off-line LSRC (the §2.1 argument: the batched on-line loss stays within a
-/// factor 2 of the off-line *guarantee*).
-pub fn online_batch_experiment(
-    machines: u32,
-    jobs: usize,
-    mean_interarrival: u64,
-    seeds: u64,
-) -> Vec<OnlineRow> {
-    online_batch_experiment_with(
-        ExperimentRunner::parallel(),
-        machines,
-        jobs,
-        mean_interarrival,
-        seeds,
-    )
-}
-
 /// Names of the four policies/wrappers measured by the E9 experiment.
 const ONLINE_POLICIES: [&str; 4] = [
     "FCFS (online)",
@@ -564,21 +460,12 @@ const ONLINE_POLICIES: [&str; 4] = [
     "batch(LSRC) wrapper",
 ];
 
-/// [`online_batch_experiment`] with an explicit [`ExperimentRunner`]: every
-/// seed is one self-contained simulation cell (its own instance, its own RNG
-/// stream), so the parallel and sequential runners produce identical rows.
-pub fn online_batch_experiment_with(
-    runner: ExperimentRunner,
-    machines: u32,
-    jobs: usize,
-    mean_interarrival: u64,
-    seeds: u64,
-) -> Vec<OnlineRow> {
-    online_batch_experiment_seeded(runner, machines, jobs, mean_interarrival, seeds, 0)
-}
-
-/// [`online_batch_experiment_with`] with an explicit base seed: repetition
-/// `i` draws its instance from seed `base_seed + i`.
+/// E9: on-line policies and the batch-doubling wrapper against the clairvoyant
+/// off-line LSRC (the §2.1 argument: the batched on-line loss stays within a
+/// factor 2 of the off-line *guarantee*). Repetition `i` draws its instance
+/// from seed `base_seed + i`; every seed is one self-contained simulation cell
+/// (its own instance, its own RNG stream), so the parallel and sequential
+/// runners produce identical rows.
 pub fn online_batch_experiment_seeded(
     runner: ExperimentRunner,
     machines: u32,
@@ -676,7 +563,7 @@ mod tests {
 
     #[test]
     fn graham_experiment_respects_bound() {
-        let rows = graham_experiment(&[3, 4], 4, 6);
+        let rows = graham_experiment_seeded(ExperimentRunner::parallel(), &[3, 4], 4, 6, 0);
         assert_eq!(rows.len(), 2);
         for r in &rows {
             // Ratios against the optimum (exact references) never exceed the
@@ -702,7 +589,14 @@ mod tests {
 
     #[test]
     fn average_case_smoke() {
-        let rows = average_case_experiment(&[16], &[(1, 2), (1, 1)], 12, 2);
+        let rows = average_case_experiment_seeded(
+            ExperimentRunner::parallel(),
+            &[16],
+            &[(1, 2), (1, 1)],
+            12,
+            2,
+            0,
+        );
         // 2 alphas × all schedulers.
         assert_eq!(rows.len(), 2 * resa_algos::all_schedulers().len());
         assert!(rows.iter().all(|r| r.mean_ratio_to_lb >= 1.0 - 1e-9));
@@ -712,7 +606,8 @@ mod tests {
 
     #[test]
     fn priority_ablation_smoke() {
-        let rows = priority_ablation_experiment(16, 10, 2, (1, 2));
+        let rows =
+            priority_ablation_experiment_seeded(ExperimentRunner::parallel(), 16, 10, 2, (1, 2), 0);
         assert_eq!(rows.len(), ListOrder::DETERMINISTIC.len());
         let submission = rows.iter().find(|r| r.order == "submission").unwrap();
         assert!((submission.mean_vs_submission - 1.0).abs() < 1e-9);
@@ -724,7 +619,7 @@ mod tests {
 
     #[test]
     fn online_experiment_smoke() {
-        let rows = online_batch_experiment(16, 15, 5, 2);
+        let rows = online_batch_experiment_seeded(ExperimentRunner::parallel(), 16, 15, 5, 2, 0);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(

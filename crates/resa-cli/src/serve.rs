@@ -71,7 +71,9 @@ OPTIONS:
     --listen <addr>       serve a TCP socket (e.g. 127.0.0.1:7077); concurrent
                           sessions share the same resident state (single-writer
                           batching, snapshot-isolated reads)
-    --unix <path>         serve a Unix domain socket at <path>, same concurrency
+    --unix <path>         serve a Unix domain socket at <path>, same concurrency;
+                          a stale socket left by a killed server is replaced,
+                          anything else already at <path> is an error
     --token <secret>      require {\"op\":\"auth\",\"token\":<secret>} as the first
                           request of every socket session (--listen/--unix only)
     --realtime            tick virtual time to the wall clock (1 tick = 1 ms
@@ -743,16 +745,49 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
         }
         #[cfg(unix)]
         Transport::Unix(path) => {
+            let listener = bind_unix(&path).map_err(|e| bind_err(&path, e))?;
+            let served = plan.serve(Io::Listener(AnyListener::Unix(listener)));
+            // The socket file is this process's: leave none behind.
             let _ = std::fs::remove_file(&path);
-            let listener =
-                std::os::unix::net::UnixListener::bind(&path).map_err(|e| bind_err(&path, e))?;
-            plan.serve(Io::Listener(AnyListener::Unix(listener)))?;
+            served?;
         }
     }
     Ok(Outcome {
         stdout,
         violations: 0,
     })
+}
+
+/// Bind `--unix <path>` without destroying what is already there. Only a
+/// *stale* socket — one nobody answers on, as a killed server leaves behind
+/// — is unlinked and replaced; a socket another process still serves, or
+/// anything that is not a socket, is an error and stays untouched.
+#[cfg(unix)]
+fn bind_unix(path: &str) -> std::io::Result<std::os::unix::net::UnixListener> {
+    use std::io::{Error, ErrorKind};
+    use std::os::unix::fs::FileTypeExt;
+    use std::os::unix::net::{UnixListener, UnixStream};
+    match std::fs::symlink_metadata(path) {
+        Err(e) if e.kind() == ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
+        Ok(meta) if !meta.file_type().is_socket() => {
+            return Err(Error::new(
+                ErrorKind::AlreadyExists,
+                "exists and is not a socket",
+            ));
+        }
+        Ok(_) => match UnixStream::connect(path) {
+            Ok(_) => {
+                return Err(Error::new(
+                    ErrorKind::AddrInUse,
+                    "another process is serving this socket",
+                ));
+            }
+            Err(e) if e.kind() == ErrorKind::ConnectionRefused => std::fs::remove_file(path)?,
+            Err(e) => return Err(e),
+        },
+    }
+    UnixListener::bind(path)
 }
 
 /// A buffered reader / writer pair for one accepted connection, `Send` so

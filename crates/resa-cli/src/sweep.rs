@@ -37,8 +37,8 @@
 //! with its α) in place of the single `alpha`, and the top-level
 //! `exact_probe` (a branch-and-bound node budget) runs a budgeted exact
 //! probe per cell and reports its mean nodes/sec per row — the same
-//! per-cell probe `RatioHarness` uses, so sweep rows and the acceptance
-//! benches measure the identical code path. `jobs` likewise accepts either
+//! per-cell probe `RatioHarness` uses, so sweep rows and the E8/E9 tables
+//! measure the identical code path. `jobs` likewise accepts either
 //! a single count or a list swept as one more labeled dimension.
 //!
 //! # Scenario dimensions

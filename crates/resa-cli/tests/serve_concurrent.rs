@@ -231,7 +231,6 @@ fn a_client_that_stops_reading_is_dropped() {
     let reply = ask(&mut b_writer, &mut b_reader, r#"{"op":"shutdown"}"#);
     assert!(reply.contains(r#""op":"shutdown""#), "{reply}");
     assert!(child.0.wait().unwrap().success());
-    let _ = std::fs::remove_file(&sock);
 }
 
 /// Ends the server when a test unwinds before its protocol `shutdown`, so a
@@ -312,7 +311,6 @@ fn snapshot_over_sockets_matches_the_sequential_transport() {
     let (w, r) = &mut sessions[0];
     assert!(ask(w, r, "{\"op\":\"shutdown\"}").contains("\"op\":\"shutdown\""));
     assert!(child.0.wait().unwrap().success());
-    let _ = std::fs::remove_file(&sock);
 }
 
 /// `--token` gates every socket session: unauthenticated ops are rejected
@@ -372,7 +370,105 @@ fn unix_sessions_require_the_token_first() {
     assert!(reply.contains("\"op\":\"shutdown\""), "{reply}");
     let status = child.wait().unwrap();
     assert!(status.success());
+}
+
+/// Run a `resa serve` that must refuse to start: exit code 1 within five
+/// seconds (a server that came up instead is killed and fails the test),
+/// stderr returned.
+#[cfg(unix)]
+fn refused_stderr(args: &[&str]) -> String {
+    use std::io::Read as _;
+    let mut child = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_resa"))
+            .args(["serve"].iter().chain(args.iter()))
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("resa binary runs"),
+    );
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "resa serve {args:?} is serving instead of refusing"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(1), "resa serve {args:?}");
+    let mut stderr = String::new();
+    let mut pipe = child.0.stderr.take().expect("piped stderr");
+    pipe.read_to_string(&mut stderr).unwrap();
+    stderr
+}
+
+/// `--unix <path>` used to unlink whatever was at `<path>` before binding.
+/// A regular file there is not the server's to delete: the command exits 1
+/// and the file keeps its bytes.
+#[cfg(unix)]
+#[test]
+fn unix_bind_refuses_a_path_that_is_not_a_socket() {
+    let path = std::env::temp_dir().join(format!("resa-serve-notes-{}.txt", std::process::id()));
+    std::fs::write(&path, b"data worth keeping").unwrap();
+    let stderr = refused_stderr(&["--machines", "4", "--unix", path.to_str().unwrap()]);
+    assert!(stderr.contains("exists and is not a socket"), "{stderr}");
+    assert_eq!(std::fs::read(&path).unwrap(), b"data worth keeping");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A second server on the socket of a live one used to unlink it, leaving
+/// the first serving a path nobody could reach. It is refused, and the
+/// first server still answers on that path.
+#[cfg(unix)]
+#[test]
+fn unix_bind_refuses_the_socket_of_a_live_server() {
+    let sock = std::env::temp_dir().join(format!("resa-serve-live-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&sock);
+    let args = ["--machines", "4", "--unix", sock.to_str().unwrap()];
+    let mut first = KillOnDrop(spawn_serve(&args));
+    drop(connect_unix(&sock));
+
+    let stderr = refused_stderr(&args);
+    assert!(
+        stderr.contains("another process is serving this socket"),
+        "{stderr}"
+    );
+
+    let s = connect_unix(&sock);
+    let mut w = s.try_clone().unwrap();
+    let mut r = BufReader::new(s);
+    let reply = ask(&mut w, &mut r, r#"{"op":"stats"}"#);
+    assert!(reply.starts_with(r#"{"ok":true,"op":"stats""#), "{reply}");
+    let reply = ask(&mut w, &mut r, r#"{"op":"shutdown"}"#);
+    assert!(reply.contains(r#""op":"shutdown""#), "{reply}");
+    assert!(first.0.wait().unwrap().success());
+}
+
+/// A socket nobody listens on — what a killed server leaves behind — is
+/// stale: it is replaced without complaint, and a clean `shutdown` unlinks
+/// the server's own socket again.
+#[cfg(unix)]
+#[test]
+fn unix_bind_replaces_a_stale_socket() {
+    let sock = std::env::temp_dir().join(format!("resa-serve-stale-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    drop(std::os::unix::net::UnixListener::bind(&sock).expect("bind the stale socket"));
+    assert!(sock.exists(), "dropping a listener leaves its socket file");
+
+    let mut child = KillOnDrop(spawn_serve(&[
+        "--machines",
+        "4",
+        "--unix",
+        sock.to_str().unwrap(),
+    ]));
+    let s = connect_unix(&sock);
+    let mut w = s.try_clone().unwrap();
+    let mut r = BufReader::new(s);
+    let reply = ask(&mut w, &mut r, r#"{"op":"shutdown"}"#);
+    assert!(reply.contains(r#""op":"shutdown""#), "{reply}");
+    assert!(child.0.wait().unwrap().success());
+    assert!(!sock.exists(), "a clean shutdown unlinks the socket");
 }
 
 /// `--realtime` over stdin: virtual time tracks the wall clock, so a

@@ -149,7 +149,6 @@ fn serve_binary_answers_over_a_unix_socket() {
     assert!(line.contains("\"op\":\"shutdown\""), "{line}");
     let status = child.wait().unwrap();
     assert!(status.success());
-    let _ = std::fs::remove_file(&sock);
 }
 
 #[test]

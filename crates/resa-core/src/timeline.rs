@@ -41,8 +41,7 @@
 //!   of blocked regions actually crossed — `k = 0` for the common
 //!   fits-immediately case, against `O(B)` for the naive scan. (When a query
 //!   must cross a heavily fragmented prefix, `k` approaches `B` and the
-//!   naive resumable scan's `O(B + k)` is the better fit; see
-//!   `resa-bench/benches/timeline.rs` for the measured trade-off.)
+//!   naive resumable scan's `O(B + k)` is the better fit.)
 //!
 //! The timeline is *not* kept normalized (adjacent leaves may carry equal
 //! capacities after updates); normalization only happens when converting

@@ -30,7 +30,8 @@
 //! [`ExactSolver::solve_reference`]; property tests in this crate prove the
 //! two expand the *same number of nodes to the same peak depth* and return
 //! the same result (node-for-node equivalence), and
-//! `resa-bench/benches/search.rs` asserts the ≥ 3x nodes/sec speedup.
+//! `tests/reference_equivalence.rs` repeats the comparison on a truncated
+//! search behind a 1 200-reservation comb.
 
 use resa_core::prelude::*;
 use std::time::Instant;
@@ -117,8 +118,8 @@ impl ExactSolver {
 
     /// The previous-generation search — a fresh [`ResourceProfile`] clone at
     /// every node, schedule undo by re-cloning the placement list — retained
-    /// as the equivalence oracle and bench baseline. Expands the same nodes
-    /// in the same order as [`ExactSolver::solve`].
+    /// as the equivalence oracle. Expands the same nodes in the same order as
+    /// [`ExactSolver::solve`].
     pub fn solve_reference(&self, instance: &ResaInstance) -> ExactResult {
         let started = Instant::now();
         let (mut ctx, global_lb, order) = self.prepare(instance);

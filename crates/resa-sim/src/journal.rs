@@ -785,11 +785,6 @@ impl OpJournal {
         ))
     }
 
-    /// The configured fsync policy.
-    pub fn fsync_policy(&self) -> FsyncPolicy {
-        self.cfg.fsync
-    }
-
     /// Append one op record (write-ahead: call this *before* applying the
     /// op; reads are skipped). Durability depends on the [`FsyncPolicy`];
     /// an error means the record may not survive a crash, and the caller

@@ -11,7 +11,7 @@
 //! policies, which is its whole value: the property tests in this crate
 //! assert that the loop — on both substrates — produces its placements, its
 //! decision count and `SimMetrics::from_schedule` of its schedule. Nothing
-//! outside tests and the `decision_points` bench calls it.
+//! outside tests calls it.
 
 use crate::engine::SimResult;
 use crate::event::{Event, EventQueue};

@@ -688,11 +688,6 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         &self.flags
     }
 
-    /// What happens to jobs a drain preempts.
-    pub fn drain_mode(&self) -> DrainMode {
-        self.drain_mode
-    }
-
     /// Configure what happens to jobs a drain preempts. Construction-time
     /// configuration, not persisted state: journal recovery re-applies the
     /// flag it was launched with before replaying ops.

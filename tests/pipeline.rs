@@ -94,8 +94,7 @@ fn ratio_harness_and_reporting_consistency() {
             table.push_row(vec![m.algorithm.clone(), fmt_f64(m.ratio)]);
         }
     }
-    let md = table.to_markdown();
-    assert!(md.contains("LSRC"));
+    assert!(table.to_text().contains("LSRC"));
     assert!(table.len() == 6 * resa_algos::all_schedulers().len());
 }
 
