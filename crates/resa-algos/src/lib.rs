@@ -23,7 +23,7 @@
 //!
 //! Every scheduler is generic over the availability substrate through
 //! `resa_core::capacity::CapacityQuery`: `Scheduler::schedule` runs on the
-//! segment-tree `AvailabilityTimeline` (`O(log B)` queries), while the
+//! chunk-indexed `AvailabilityTimeline` (summary-skipping queries), while the
 //! per-scheduler `schedule_with` methods also accept the naive
 //! `ResourceProfile` — the produced schedules are identical either way
 //! (property-tested below), only the complexity differs.
@@ -185,7 +185,7 @@ mod proptests {
         }
 
         /// Every scheduler produces the *identical* schedule whether it runs
-        /// on the naive `ResourceProfile` or on the segment-tree
+        /// on the naive `ResourceProfile` or on the chunk-indexed
         /// `AvailabilityTimeline` — the substrate is a pure performance
         /// choice, never a behavioural one.
         #[test]

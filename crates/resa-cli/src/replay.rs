@@ -76,7 +76,7 @@ plus the common options: --seed --threads --format --quick --out
 // Kept, with `serve::run_script`'s fourth parameter, for `benchmark/layers`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Substrate {
-    /// The indexed segment-tree timeline.
+    /// The indexed (chunked) timeline.
     Timeline,
 }
 
@@ -1344,7 +1344,7 @@ mod tests {
     }
 
     /// On-line policies (the one loop) and off-line schedulers alike answer
-    /// identically on the segment-tree timeline and the breakpoint-list
+    /// identically on the chunked timeline and the breakpoint-list
     /// profile, on the checked-in fixture under an α overlay.
     #[test]
     fn replay_is_stable_across_substrates() {

@@ -10,9 +10,9 @@
 //!
 //! * [`crate::profile::ResourceProfile`] — the canonical normalized
 //!   breakpoint list; linear-scan queries, the reference implementation;
-//! * [`crate::timeline::AvailabilityTimeline`] — the segment-tree-indexed
-//!   timeline; `O(log B)` queries over `B` breakpoints, the production
-//!   backend.
+//! * [`crate::timeline::AvailabilityTimeline`] — the chunked timeline under
+//!   a directory of per-chunk summaries; queries skip whole chunks and a
+//!   write costs what it changes, the production backend.
 //!
 //! The two are interconvertible without loss (see
 //! [`crate::timeline::AvailabilityTimeline::to_profile`]) and the property
@@ -183,12 +183,12 @@ impl ShadowGuard {
 /// closure, with the guarantee that every mutation is undone before the call
 /// returns.
 ///
-/// This is the capability the `resa serve` query path (and any other
-/// what-if probe) needs from its availability substrate:
+/// This is the capability the what-if paths of `resa serve` (drain
+/// injection, deadline admission) need from their availability substrate:
 ///
 /// * [`crate::timeline::AvailabilityTimeline`] implements it through the
 ///   transactional layer — `checkpoint` → probe → `rollback_to` — so the
-///   restore costs `O(ops · log B)`, proportional to what the probe actually
+///   restore costs `O(ops · chunk)`, proportional to what the probe actually
 ///   touched;
 /// * [`ResourceProfile`] implements it by clone-and-restore (`O(B)`), the
 ///   reference semantics the timeline's rollback is property-tested against.

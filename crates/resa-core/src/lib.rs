@@ -16,12 +16,11 @@
 //! * [`profile::ResourceProfile`] — the piecewise-constant availability
 //!   function `m(t) = m − U(t)` as a normalized breakpoint list, with
 //!   linear-scan earliest-fit queries and reserve/release updates (the
-//!   canonical representation: the oracle of the timeline's proptests and
-//!   what a frozen snapshot holds);
-//! * [`timeline::AvailabilityTimeline`] — the same function indexed by a
-//!   segment tree in a flat cache-line-aligned SoA layout: `O(log B)`
-//!   range-min / earliest-fit / lazy reserve, the backend every scheduler in
-//!   `resa-algos` and `resa-sim` runs on;
+//!   canonical representation and the oracle of the timeline's proptests);
+//! * [`timeline::AvailabilityTimeline`] — the same function in chunks of
+//!   breakpoints under a directory of per-chunk summaries: reads skip whole
+//!   chunks, a write costs what it changes, snapshots share the chunks; the
+//!   backend every scheduler in `resa-algos` and `resa-sim` runs on;
 //! * [`capacity::CapacityQuery`] — the trait both implement, so every
 //!   algorithm is generic over the substrate;
 //! * [`schedule::Schedule`] — start-time assignments, feasibility validation,
@@ -234,6 +233,7 @@ mod proptests {
                 };
                 prop_assert_eq!(rp, rt);
                 prop_assert_eq!(tl.to_profile(), p.clone());
+                tl.check_layout();
             }
             // Round-trip through the timeline is lossless at every point.
             prop_assert_eq!(AvailabilityTimeline::from(&p).to_profile(), p.clone());
@@ -285,8 +285,8 @@ mod proptests {
         /// `ResourceProfile` that replays the same history: mutations are
         /// applied to both, a rollback rewinds the profile to a snapshot
         /// taken at the matching checkpoint. Marks are resolved in random
-        /// stack order, so nesting and the flat layout's boundary compaction
-        /// are both exercised. Same errors, same availability function, same
+        /// stack order, so nesting and the normalization at the outermost
+        /// resolution are both exercised. Same errors, same availability function, same
         /// earliest-fit and area answers after every step.
         #[test]
         fn transactional_timeline_matches_replayed_profile(
@@ -338,6 +338,7 @@ mod proptests {
                     }
                 }
                 prop_assert_eq!(tl.to_profile(), p.clone());
+                tl.check_layout();
                 prop_assert_eq!(
                     CapacityQuery::earliest_fit(&tl, probe_w, Dur(probe_d), Time(s)),
                     p.earliest_fit(probe_w, Dur(probe_d), Time(s))
@@ -475,9 +476,8 @@ mod proptests {
 
         /// Timeline vs the linear profile at `i64::MAX`-scale horizons: the
         /// same shifted script leaves both representations agreeing on every
-        /// probe, including the area descent (PR 5 overflow audit, replayed
-        /// against the compacting flat layout and the breakpoint list every
-        /// snapshot reader scans).
+        /// probe, including the area scan (PR 5 overflow audit, replayed
+        /// against the chunked layout).
         #[test]
         fn flat_matches_reference_at_extreme_horizons(
             m in 2u32..=16,
@@ -516,6 +516,7 @@ mod proptests {
                     p.earliest_time_with_area(area)
                 );
             }
+            flat.check_layout();
             prop_assert_eq!(flat.to_profile(), p);
         }
 

@@ -1,5 +1,5 @@
-//! The indexed availability timeline: a segment tree over the breakpoints of
-//! `m(t) = m − U(t)`.
+//! The indexed availability timeline: a chunked breakpoint list of
+//! `m(t) = m − U(t)` under a directory of per-chunk summaries.
 //!
 //! # Mapping back to the paper (§2)
 //!
@@ -21,69 +21,70 @@
 //!
 //! [`crate::profile::ResourceProfile`] implements these primitives by
 //! binary search plus linear scans over a normalized breakpoint list —
-//! worst-case `O(B)` per query over `B` breakpoints (an `earliest_fit` from
-//! the present over a busy cluster walks every intervening breakpoint, and
-//! every `reserve` renormalizes the whole list).
-//! [`AvailabilityTimeline`] stores the same function in a segment tree
-//! indexed by breakpoint: each node carries the min and max capacity of its
-//! leaf range plus a lazy additive delta, so
+//! worst-case `O(B)` per query over `B` breakpoints, and every `reserve`
+//! renormalizes the whole list. [`AvailabilityTimeline`] stores the same
+//! function in chunks of at most `C` = 64 breakpoints (`CHUNK_CAP`) under a
+//! directory of `B / C` chunk heads, so that a write costs what it changes
+//! (§2's regimes — α-restricted, non-increasing — are statements about many
+//! standing reservations at once, which is exactly large `B`):
 //!
-//! * `capacity_at` / `min_capacity_in` are single `O(log B)` descents;
-//! * `reserve` / `release` are lazy range-adds, `O(log B)` once the window
-//!   endpoints exist as breakpoints (inserting a missing endpoint rebuilds
-//!   the leaf array in `O(B)` — amortized across a scheduling run this
-//!   matches the naive profile's own `O(B)` insertion cost);
-//! * [`AvailabilityTimeline::earliest_fit`] replaces the naive forward scan
-//!   with tree descents: *find the first leaf below `width` in the window*
-//!   and *find the first leaf at least `width` after the violation* are both
-//!   `O(log B)`, and each loop iteration permanently skips one maximal
-//!   blocked region, so a query costs `O((1 + k) log B)` with `k` the number
-//!   of blocked regions actually crossed — `k = 0` for the common
-//!   fits-immediately case, against `O(B)` for the naive scan. (When a query
-//!   must cross a heavily fragmented prefix, `k` approaches `B` and the
-//!   naive resumable scan's `O(B + k)` is the better fit.)
+//! * `capacity_at` is two binary searches, `O(log(B / C) + log C)`;
+//! * `min_capacity_in` reads the head summaries of the chunks its window
+//!   covers whole and scans the (at most two) edge chunks: `O(B / C + C)`
+//!   worst case, `O(C)` for a window inside one chunk;
+//! * `reserve` / `release` insert a missing endpoint by a memmove inside one
+//!   chunk (`O(C)`; a full chunk splits in two first), update the leaves of
+//!   the two edge chunks and add a pending delta to the heads in between —
+//!   `O(C + chunks covered)`, independent of `B` for a short window;
+//! * [`AvailabilityTimeline::earliest_fit`] keeps a cursor and alternates
+//!   *first leaf below `width` in the window* and *first leaf at least
+//!   `width` after the violation*; both skip whole chunks on the head's
+//!   min / max and scan inside one, so a query costs
+//!   `O(chunks skipped + leaves of the blocked regions crossed)` — the naive
+//!   resumable scan's bound with `C`-fold skipping, and no per-region
+//!   re-search;
+//! * `retire_before` drops the heads behind the clock and trims one chunk.
 //!
-//! The timeline is *not* kept normalized (adjacent leaves may carry equal
-//! capacities after updates); normalization only happens when converting
-//! back to a [`ResourceProfile`] — and, since PR 6, opportunistically when a
-//! rebuild is already being paid for (see *Memory layout* below) — which
-//! makes the conversion lossless:
+//! Outside transactions the timeline is kept *normalized*: a range update
+//! can only make its own two endpoints redundant, so they are checked and
+//! merged away on the spot. Under an outstanding mark breakpoints are never
+//! removed (see below), so adjacent leaves may carry equal capacities until
+//! the outermost mark resolves. The conversion is lossless either way:
 //! `AvailabilityTimeline::from(&p).to_profile() == p` for every normalized
 //! profile `p`, and both backends answer every [`CapacityQuery`] identically
-//! (property-tested in this crate and schedule-for-schedule in
-//! `resa-algos`).
+//! (property-tested in this crate — with `C` = 4 under `cfg(test)`, so a few
+//! dozen breakpoints already split, merge and cross chunks — and
+//! schedule-for-schedule in `resa-algos`).
 //!
-//! # Memory layout (PR 6)
+//! # Memory layout
 //!
-//! The tree nodes live in a flat, cache-line-aligned structure-of-arrays:
-//! four parallel lanes (`min`, `max`, `lazy`, `area`), each a contiguous
-//! array of 64-byte-aligned chunks, indexed in the classic implicit-heap
-//! (Eytzinger) order — node `i`'s children are `2i` and `2i + 1`, so a
-//! descent is pure index arithmetic with no pointers to chase. The SoA
-//! split matters because the hot descents are *field-sparse*: `first_below`
-//! reads only `min` + `lazy`, `first_at_least` only `max` + `lazy`, and the
-//! 16-byte `area` augmentation (only the branch-and-bound lower bound reads
-//! it) no longer pads every node it shares a cache line with. Eight 8-byte
-//! entries fill one 64-byte line, so a descent touches about one line per
-//! two levels per lane instead of one 40-byte straddling struct per level.
+//! Two levels. The **directory** is one contiguous `Vec` of 32-byte chunk
+//! heads — first breakpoint, min and max capacity of the chunk, a
+//! chunk-wide pending delta not yet applied to its leaves, and the pointer
+//! to the leaf block — two heads per cache line, searched and scanned
+//! without touching a leaf. A **leaf block** holds up to `C` breakpoint
+//! times and (raw, pending-free) capacities in two parallel arrays plus the
+//! free area of its own finite leaves (only
+//! [`AvailabilityTimeline::earliest_time_with_area`] reads it, so it stays
+//! out of the head). Leaf blocks are reference counted:
+//! [`crate::snapshot::Snapshotable::freeze`] clones the directory and bumps
+//! the counts (`O(B / C)`), the writer's next mutation copies only the
+//! blocks it touches (`Arc::make_mut`), and a block nobody shares is
+//! mutated in place — the sequential service never copies one. Blocks freed
+//! by merges and retirement are kept for the next split, and
+//! [`AvailabilityTimeline::reserve_capacity`] pre-allocates them, so the
+//! steady state allocates nothing.
 //!
-//! Two allocation sinks on the steady path are also gone:
+//! Why two levels and not a tree over the directory: at `C` = 64 the
+//! largest directory any benchmark workload builds is `B / C` ≈ 4 026 / 64
+//! ≈ 100 heads (`serve-probe`), which a linear scan crosses in fifty cache
+//! lines. A third level (or a tree over the heads) is due when a measured
+//! `B / C` makes directory scans show up in a trace — not before.
 //!
-//! * the transactional undo log is an **arena** (`UndoArena`): a
-//!   length-tracked slab whose backing store is never freed — a rollback
-//!   resets the bump cursor to the mark's watermark and a final commit
-//!   resets it to zero, so once the high-water mark is reached, logging a
-//!   speculative update never allocates;
-//! * breakpoint insertion materializes leaf capacities into a **reused
-//!   scratch buffer** instead of a fresh `Vec` per split.
-//!
-//! Finally, rebuilds **batch-normalize**: when no transaction mark is
-//! outstanding and enough splits have accumulated, the rebuild that an
-//! endpoint insertion (or a rollback/commit) was going to pay for anyway
-//! also merges runs of equal-capacity leaves. Speculative probing splits
-//! leaves that rollback leaves behind as degenerate segments; without
-//! compaction a probe-heavy workload grows `B` without bound and every
-//! later `O(B)` rebuild and `O(log B)` descent pays for dead history.
+//! The transactional undo log is an **arena**: a slab whose backing store is
+//! never freed — a rollback truncates it to the mark's watermark and a final
+//! commit empties it, so once the high-water mark is reached, logging a
+//! speculative update never allocates.
 //!
 //! # Speculative scheduling: the transactional layer (§ conclusion)
 //!
@@ -99,20 +100,22 @@
 //! * every `reserve` / `release` executed while a mark is outstanding
 //!   appends its inverse to the log;
 //! * [`AvailabilityTimeline::rollback_to`] replays the inverses back to the
-//!   mark — `O(ops since the mark · log B)`, *not* `O(B)`;
+//!   mark — `O(ops since the mark · C)`, *not* `O(B)`;
 //! * [`AvailabilityTimeline::commit`] accepts the speculation; when the last
 //!   outstanding mark commits, the log is dropped so committed steady-state
 //!   operation stays zero-overhead.
 //!
-//! Rollback restores the represented availability *function* exactly (the
-//! breakpoints a speculative reserve split stay split until the next
-//! compacting rebuild; property tests in `resa-core` replay every
-//! interleaving against a naive [`ResourceProfile`] and against the pinned
-//! reference layout). Bulk construction from a complete schedule goes
+//! Rollback restores the represented availability *function* exactly. No
+//! breakpoint is removed under an outstanding mark — the undo log re-derives
+//! leaf ranges from breakpoint times — so the endpoints a speculative
+//! reserve split stay split until the outermost mark resolves, which merges
+//! exactly the instants the transaction inserted or touched (property tests
+//! in `resa-core` replay every interleaving against a naive
+//! [`ResourceProfile`]). Bulk construction from a complete schedule goes
 //! through [`AvailabilityTimeline::from_placements`], which sweeps all
 //! reservation and placement events once (`O(B log B)`) instead of `n`
-//! sequential `reserve` calls (`O(n · B)`) — the right entry point whenever
-//! a whole schedule is (re)indexed, e.g. at the start of a local-search run.
+//! sequential `reserve` calls — the right entry point whenever a whole
+//! schedule is (re)indexed, e.g. at the start of a local-search run.
 
 use crate::capacity::CapacityQuery;
 use crate::error::ProfileError;
@@ -122,163 +125,390 @@ use crate::schedule::Placement;
 use crate::time::{Dur, Time};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
-/// Entries per cache-line-aligned chunk: eight 8-byte values fill one
-/// 64-byte line exactly (the `i128` area lane spans two lines per chunk).
-const LANES: usize = 8;
+/// Breakpoints per leaf block (`C`): 64 times and 64 capacities are 1 KiB,
+/// what a copy-on-write copy and the memmove of an insertion cost. Small
+/// under `cfg(test)` so that the crate's property tests, which draw a few
+/// dozen breakpoints, run across chunk boundaries.
+#[cfg(not(test))]
+const CHUNK_CAP: usize = 64;
+#[cfg(test)]
+const CHUNK_CAP: usize = 4;
 
-/// Splits tolerated beyond `B/8` before a steady-state rebuild compacts
-/// degenerate leaves; keeps tiny timelines from churning and amortizes the
-/// `O(B)` compaction over at least this many `O(log B)` operations.
-const COMPACT_SLACK: usize = 64;
+/// Leaves a bulk build puts in each chunk: three quarters, so the first
+/// insertions after `from_profile` do not each split a full chunk.
+const BULK_FILL: usize = CHUNK_CAP - CHUNK_CAP / 4;
 
-/// One cache-line-aligned block of lane entries. The alignment guarantees a
-/// chunk never straddles a line boundary, so `chunk = i / 8` touches exactly
-/// one line of the lane (`forbid(unsafe_code)` rules out raw aligned
-/// allocation; an aligned newtype over a plain `Vec` gets the same layout).
-#[derive(Debug, Clone, Copy)]
-#[repr(C, align(64))]
-struct Chunk<T>([T; LANES]);
+/// A leaf position: `(chunk, index inside the chunk)`.
+type Pos = (usize, usize);
 
-/// One field of the structure-of-arrays tree: a contiguous, 64-byte-aligned
-/// array of `T`, grown geometrically and never shrunk.
+/// One leaf block: the breakpoints `times[..len]` (sorted) with their raw
+/// capacities. Leaf `i` covers `[times[i], times[i + 1])`, the last one up
+/// to the next chunk's first breakpoint (or for ever in the last chunk);
+/// its capacity is `caps[i]` plus the owning head's pending delta.
 #[derive(Debug, Clone)]
-struct Lane<T> {
-    chunks: Vec<Chunk<T>>,
+struct Leaf {
+    len: usize,
+    /// Raw free area (capacity × duration) of leaves `0..len - 1`; the last
+    /// leaf's span depends on the next chunk and is added by the reader.
+    inner_area: i128,
+    times: [u64; CHUNK_CAP],
+    caps: [i64; CHUNK_CAP],
 }
 
-impl<T: Copy + Default> Lane<T> {
-    fn with_slots(slots: usize) -> Self {
-        Lane {
-            chunks: vec![Chunk([T::default(); LANES]); slots.div_ceil(LANES)],
+impl Leaf {
+    fn empty() -> Self {
+        Leaf {
+            len: 0,
+            inner_area: 0,
+            times: [0; CHUNK_CAP],
+            caps: [0; CHUNK_CAP],
         }
     }
 
-    #[inline(always)]
-    fn get(&self, i: usize) -> T {
-        self.chunks[i / LANES].0[i % LANES]
+    #[inline]
+    fn times(&self) -> &[u64] {
+        &self.times[..self.len]
     }
 
-    #[inline(always)]
-    fn set(&mut self, i: usize, v: T) {
-        self.chunks[i / LANES].0[i % LANES] = v;
+    #[inline]
+    fn caps(&self) -> &[i64] {
+        &self.caps[..self.len]
     }
 
-    fn grow(&mut self, slots: usize) {
-        let need = slots.div_ceil(LANES);
-        if need > self.chunks.len() {
-            self.chunks.resize(need, Chunk([T::default(); LANES]));
+    fn insert(&mut self, at: usize, t: u64, cap: i64) {
+        self.times.copy_within(at..self.len, at + 1);
+        self.caps.copy_within(at..self.len, at + 1);
+        self.times[at] = t;
+        self.caps[at] = cap;
+        self.len += 1;
+    }
+
+    /// Drop leaves `from..to`, closing the gap.
+    fn remove(&mut self, from: usize, to: usize) {
+        self.times.copy_within(to..self.len, from);
+        self.caps.copy_within(to..self.len, from);
+        self.len -= to - from;
+    }
+
+    /// Append `other`'s leaves, shifting their raw capacities by `shift`.
+    fn append(&mut self, other: &Leaf, shift: i64) {
+        let end = self.len + other.len;
+        self.times[self.len..end].copy_from_slice(other.times());
+        for (dst, &cap) in self.caps[self.len..end].iter_mut().zip(other.caps()) {
+            *dst = cap + shift;
         }
+        self.len = end;
     }
 
-    fn slots(&self) -> usize {
-        self.chunks.len() * LANES
+    /// Move leaves `keep..` into the (empty) block `right`.
+    fn split_off(&mut self, keep: usize, right: &mut Leaf) {
+        right.len = self.len - keep;
+        right.times[..right.len].copy_from_slice(&self.times[keep..self.len]);
+        right.caps[..right.len].copy_from_slice(&self.caps[keep..self.len]);
+        self.len = keep;
+    }
+
+    /// Re-derive `inner_area` and return the raw `(min, max)` capacity.
+    fn summarize(&mut self) -> (i64, i64) {
+        let (mut lo, mut hi, mut area) = (i64::MAX, i64::MIN, 0i128);
+        for (i, &cap) in self.caps().iter().enumerate() {
+            lo = lo.min(cap);
+            hi = hi.max(cap);
+            if i + 1 < self.len {
+                area += cap as i128 * (self.times[i + 1] - self.times[i]) as i128;
+            }
+        }
+        self.inner_area = area;
+        (lo, hi)
     }
 }
 
-/// The flat segment tree: implicit-heap node order (children of `i` at `2i`
-/// and `2i + 1`), one lane per field so a descent touches only the lanes it
-/// reads — `first_below` streams `mins` + `lazy`, `first_at_least` streams
-/// `maxs` + `lazy`, and the 16-byte `area` augmentation stays out of both.
+/// One directory entry: what a search or a scan needs to know about a chunk
+/// without touching its leaf block. 32 bytes.
 #[derive(Debug, Clone)]
-struct FlatTree {
-    /// Minimum capacity of each node's leaf range (own lazy applied,
-    /// ancestors' pending).
-    mins: Lane<i64>,
-    /// Maximum capacity of each node's leaf range.
-    maxs: Lane<i64>,
-    /// Pending additive delta not yet applied to the node's descendants.
-    lazy: Lane<i64>,
-    /// Free area (capacity × duration) over the *finite* leaves of the
-    /// node's range — the open-ended last leaf contributes zero and is
-    /// handled analytically by
-    /// [`AvailabilityTimeline::earliest_time_with_area`].
-    area: Lane<i128>,
+struct Head {
+    /// The chunk's first breakpoint (`leaf.times[0]`; 0 in the first chunk).
+    first: u64,
+    /// Minimum and maximum capacity over the chunk's leaves, pending delta
+    /// included.
+    min: u32,
+    max: u32,
+    /// Delta every leaf of the chunk is owed: a range update covering the
+    /// whole chunk adds here instead of rewriting (and un-sharing) the block.
+    pending: i64,
+    leaf: Arc<Leaf>,
 }
 
-impl FlatTree {
-    fn with_slots(slots: usize) -> Self {
-        FlatTree {
-            mins: Lane::with_slots(slots),
-            maxs: Lane::with_slots(slots),
-            lazy: Lane::with_slots(slots),
-            area: Lane::with_slots(slots),
-        }
-    }
-
-    fn grow(&mut self, slots: usize) {
-        self.mins.grow(slots);
-        self.maxs.grow(slots);
-        self.lazy.grow(slots);
-        self.area.grow(slots);
-    }
-
-    fn slots(&self) -> usize {
-        self.mins.slots()
-    }
+/// The directory plus the read side of the timeline. A clone shares every
+/// leaf block, which is all [`crate::snapshot::TimelineSnapshot`] is: the
+/// frozen view and the live timeline answer reads through this one type.
+#[derive(Debug, Clone)]
+pub(crate) struct Directory {
+    base: u32,
+    /// Total number of leaves (`B`).
+    leaves: usize,
+    heads: Vec<Head>,
 }
 
-/// Arena-backed undo log: a length-tracked slab over storage that is never
-/// freed while the timeline lives. Pushing past the high-water mark grows
-/// the slab once; a rollback resets the bump cursor to the [`TxnMark`]'s
-/// watermark and the final commit resets it to zero with capacity retained,
-/// so steady-state speculation logs without allocating.
-#[derive(Debug, Clone, Default)]
-struct UndoArena {
-    ops: Vec<UndoOp>,
-    high_water: usize,
-}
-
-impl UndoArena {
-    #[inline]
-    fn push(&mut self, op: UndoOp) {
-        self.ops.push(op);
-        if self.ops.len() > self.high_water {
-            self.high_water = self.ops.len();
+impl Directory {
+    /// Chunk the normalized-or-not step list `steps` (sorted, first at 0).
+    pub(crate) fn from_steps(base: u32, steps: &[(Time, u32)]) -> Self {
+        debug_assert!(!steps.is_empty() && steps[0].0 == Time::ZERO);
+        debug_assert!(steps.windows(2).all(|w| w[0].0 < w[1].0));
+        let heads = steps
+            .chunks(BULK_FILL)
+            .map(|group| {
+                let mut leaf = Leaf::empty();
+                for &(t, cap) in group {
+                    leaf.insert(leaf.len, t.ticks(), i64::from(cap));
+                }
+                let (lo, hi) = leaf.summarize();
+                Head {
+                    first: leaf.times[0],
+                    min: lo as u32,
+                    max: hi as u32,
+                    pending: 0,
+                    leaf: Arc::new(leaf),
+                }
+            })
+            .collect();
+        Directory {
+            base,
+            leaves: steps.len(),
+            heads,
         }
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<UndoOp> {
-        self.ops.pop()
+    pub(crate) fn base(&self) -> u32 {
+        self.base
+    }
+
+    /// The leaf covering instant `t`.
+    #[inline]
+    fn locate(&self, t: u64) -> Pos {
+        // The first chunk starts at 0, so both partition points are >= 1.
+        let c = self.heads.partition_point(|h| h.first <= t) - 1;
+        let i = self.heads[c].leaf.times().partition_point(|&bt| bt <= t) - 1;
+        (c, i)
     }
 
     #[inline]
-    fn len(&self) -> usize {
-        self.ops.len()
+    fn cap(&self, (c, i): Pos) -> u32 {
+        let head = &self.heads[c];
+        (head.leaf.caps[i] + head.pending) as u32
     }
 
     #[inline]
-    fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+    fn time(&self, (c, i): Pos) -> u64 {
+        self.heads[c].leaf.times[i]
     }
 
-    /// Reset the bump cursor to zero; the slab (sized by `high_water`) is
-    /// kept for the next transaction.
+    /// Whether every leaf of chunk `c` starts before `end`.
     #[inline]
-    fn reset(&mut self) {
-        self.ops.clear();
+    fn ends_before(&self, c: usize, end: u64) -> bool {
+        self.heads.get(c + 1).is_some_and(|next| next.first <= end)
+    }
+
+    pub(crate) fn capacity_at(&self, t: Time) -> u32 {
+        self.cap(self.locate(t.ticks()))
+    }
+
+    /// `(min, max)` capacity over the leaves meeting `[start, end)`; the
+    /// leaf of `start` always counts (empty windows degenerate to it).
+    fn minmax_in(&self, start: u64, end: u64) -> (u32, u32) {
+        let (c0, i0) = self.locate(start);
+        let (mut lo, mut hi) = (u32::MAX, 0u32);
+        for c in c0..self.heads.len() {
+            let head = &self.heads[c];
+            let from = if c == c0 { i0 } else { 0 };
+            if c > c0 && head.first >= end {
+                break;
+            }
+            if from == 0 && self.ends_before(c, end) {
+                lo = lo.min(head.min);
+                hi = hi.max(head.max);
+                continue;
+            }
+            let (times, caps) = (head.leaf.times(), head.leaf.caps());
+            for i in from..times.len() {
+                if i > from && times[i] >= end {
+                    break;
+                }
+                let cap = (caps[i] + head.pending) as u32;
+                lo = lo.min(cap);
+                hi = hi.max(cap);
+            }
+        }
+        (lo, hi)
+    }
+
+    pub(crate) fn min_capacity_in(&self, start: Time, dur: Dur) -> u32 {
+        let end = start.ticks().saturating_add(dur.ticks());
+        self.minmax_in(start.ticks(), end).0
+    }
+
+    /// First leaf at or after `at` that starts before `end` with capacity
+    /// below `width`; the leaf at `at` itself always counts.
+    fn first_below(&self, at: Pos, end: u64, width: u32) -> Option<Pos> {
+        if self.cap(at) < width {
+            return Some(at);
+        }
+        let (c0, i0) = at;
+        for c in c0..self.heads.len() {
+            let head = &self.heads[c];
+            let from = if c == c0 { i0 + 1 } else { 0 };
+            if c > c0 && head.first >= end {
+                return None;
+            }
+            if head.min >= width {
+                if self.ends_before(c, end) {
+                    continue;
+                }
+                return None;
+            }
+            let raw = i64::from(width) - head.pending;
+            let leaves = head.leaf.times()[from..]
+                .iter()
+                .zip(&head.leaf.caps()[from..]);
+            for (k, (&bt, &cap)) in leaves.enumerate() {
+                if bt >= end {
+                    return None;
+                }
+                if cap < raw {
+                    return Some((c, from + k));
+                }
+            }
+        }
+        None
+    }
+
+    /// First leaf at or after `from` with capacity at least `width`.
+    fn first_at_least(&self, (c0, i0): Pos, width: u32) -> Option<Pos> {
+        for c in c0..self.heads.len() {
+            let head = &self.heads[c];
+            if head.max < width {
+                continue;
+            }
+            let raw = i64::from(width) - head.pending;
+            let from = if c == c0 { i0 } else { 0 };
+            if let Some(k) = head.leaf.caps()[from..].iter().position(|&cap| cap >= raw) {
+                return Some((c, from + k));
+            }
+        }
+        None
+    }
+
+    pub(crate) fn earliest_fit(&self, width: u32, dur: Dur, not_before: Time) -> Option<Time> {
+        if width == 0 {
+            return Some(not_before);
+        }
+        if width > self.base {
+            return None;
+        }
+        let mut t = not_before.ticks();
+        let mut at = self.locate(t);
+        loop {
+            let end = t.saturating_add(dur.ticks());
+            let Some((c, i)) = self.first_below(at, end, width) else {
+                return Some(Time(t));
+            };
+            // Every leaf after the cursor starts after `t`, so the jump
+            // never moves backwards.
+            at = self.first_at_least((c, i + 1), width)?;
+            t = self.time(at);
+        }
+    }
+
+    pub(crate) fn next_change_after(&self, t: Time) -> Option<Time> {
+        let (c0, i0) = self.locate(t.ticks());
+        let cap = self.cap((c0, i0));
+        for c in c0..self.heads.len() {
+            let head = &self.heads[c];
+            if head.min == cap && head.max == cap {
+                continue;
+            }
+            let raw = i64::from(cap) - head.pending;
+            let from = if c == c0 { i0 + 1 } else { 0 };
+            if let Some(k) = head.leaf.caps()[from..].iter().position(|&cap| cap != raw) {
+                return Some(Time(head.leaf.times[from + k]));
+            }
+        }
+        None
+    }
+
+    /// Append the `(leaf start, capacity)` pairs of the leaves meeting
+    /// `[start, end)` to `out`, merging runs of equal capacity.
+    fn collect_range(&self, start: u64, end: u64, out: &mut Vec<(Time, u32)>) {
+        let (c0, i0) = self.locate(start);
+        for c in c0..self.heads.len() {
+            let head = &self.heads[c];
+            let from = if c == c0 { i0 } else { 0 };
+            let (times, caps) = (head.leaf.times(), head.leaf.caps());
+            for i in from..times.len() {
+                if times[i] >= end {
+                    return;
+                }
+                let cap = (caps[i] + head.pending) as u32;
+                if out.last().is_none_or(|&(_, last)| last != cap) {
+                    out.push((Time(times[i]), cap));
+                }
+            }
+        }
+    }
+
+    pub(crate) fn to_profile(&self) -> ResourceProfile {
+        let mut steps = Vec::with_capacity(self.leaves);
+        for head in &self.heads {
+            let leaf = &head.leaf;
+            for (&t, &cap) in leaf.times().iter().zip(leaf.caps()) {
+                steps.push((Time(t), (cap + head.pending) as u32));
+            }
+        }
+        ResourceProfile::from_steps(self.base, steps)
     }
 }
 
-/// Segment-tree-indexed availability timeline; the fast backend of
-/// [`CapacityQuery`]. Since PR 6 the tree lives in a flat cache-line-aligned
-/// SoA layout with an arena-backed undo log — see the module docs.
+/// Leaf blocks no chunk uses, kept for the next split. A cloned timeline
+/// starts with none (a shared block could not be written to anyway).
+#[derive(Debug, Default)]
+struct SpareBlocks(Vec<Arc<Leaf>>);
+
+impl Clone for SpareBlocks {
+    fn clone(&self) -> Self {
+        SpareBlocks::default()
+    }
+}
+
+impl SpareBlocks {
+    /// An unshared block: a kept one, or a fresh allocation.
+    fn take(&mut self) -> Arc<Leaf> {
+        self.0.pop().unwrap_or_else(|| Arc::new(Leaf::empty()))
+    }
+
+    /// Keep `block` for reuse if nobody else (a snapshot, a clone) holds it.
+    fn give(&mut self, mut block: Arc<Leaf>) {
+        if Arc::get_mut(&mut block).is_some() {
+            self.0.push(block);
+        }
+    }
+}
+
+/// Chunk-indexed availability timeline; the fast backend of
+/// [`CapacityQuery`]: a directory of chunk summaries over copy-on-write leaf
+/// blocks, with an arena-backed undo log — see the module docs.
 #[derive(Debug, Clone)]
 pub struct AvailabilityTimeline {
-    /// Total number of machines in the cluster (`m`).
-    base: u32,
-    /// Breakpoint times, sorted, first entry always 0. Leaf `i` covers
-    /// `[times[i], times[i+1])`; the last leaf extends to infinity.
-    times: Vec<u64>,
-    /// The flat segment tree (1-indexed, `4 × leaves` slots). A node's
-    /// stored min/max/area include its own lazy delta but not its
-    /// ancestors'.
-    tree: FlatTree,
-    /// Inverse operations of every `reserve`/`release` executed while a
-    /// transaction mark is outstanding; empty in steady-state committed
-    /// operation.
-    undo: UndoArena,
+    /// The chunked function itself; everything a read needs.
+    dir: Directory,
+    /// The undo arena: inverse operations of every `reserve`/`release`
+    /// executed while a transaction mark is outstanding; empty in
+    /// steady-state committed operation. A rollback truncates it to the
+    /// mark's watermark and the final commit empties it, capacity retained
+    /// either way, so steady-state speculation logs without allocating.
+    undo: Vec<UndoOp>,
     /// The outstanding [`TxnMark`]s — `(undo-log length, generation)` —
     /// innermost last.
     marks: Vec<(usize, u64)>,
@@ -286,12 +516,12 @@ pub struct AvailabilityTimeline {
     /// can never alias a live one that happens to share its stack position
     /// and log length.
     mark_gen: u64,
-    /// Reused leaf-capacity buffer for rebuilds (no allocation per split in
-    /// the steady state).
-    caps_scratch: Vec<u32>,
-    /// Endpoint splits since the last compacting rebuild; drives the
-    /// batch-normalization trigger.
-    splits_since_compaction: usize,
+    /// Instants that became breakpoints under the outstanding marks: what
+    /// the outermost resolution checks for redundancy (with the endpoints of
+    /// the ops it keeps). Bounded by the breakpoints inserted, not the ops
+    /// tried, and reset with capacity retained like the undo arena.
+    split_log: Vec<u64>,
+    spare: SpareBlocks,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -330,7 +560,7 @@ impl Eq for AvailabilityTimeline {}
 impl AvailabilityTimeline {
     /// A timeline with constant capacity `machines` (no reservations).
     pub fn constant(machines: u32) -> Self {
-        Self::from_parts(machines, vec![0], vec![machines])
+        Self::from_steps(machines, &[(Time::ZERO, machines)])
     }
 
     /// Build the timeline induced by a set of reservations on `machines`
@@ -347,36 +577,27 @@ impl AvailabilityTimeline {
     /// Index a normalized profile. Lossless: [`Self::to_profile`] returns an
     /// equal profile.
     pub fn from_profile(profile: &ResourceProfile) -> Self {
-        let times: Vec<u64> = profile.steps().iter().map(|&(t, _)| t.ticks()).collect();
-        let caps: Vec<u32> = profile.steps().iter().map(|&(_, c)| c).collect();
-        Self::from_parts(profile.base(), times, caps)
+        Self::from_steps(profile.base(), profile.steps())
     }
 
     /// Collapse the timeline back into the canonical normalized
     /// representation.
     pub fn to_profile(&self) -> ResourceProfile {
-        let caps = self.leaf_caps();
-        let steps: Vec<(Time, u32)> = self
-            .times
-            .iter()
-            .zip(caps)
-            .map(|(&t, c)| (Time(t), c))
-            .collect();
-        ResourceProfile::from_steps(self.base, steps)
+        self.dir.to_profile()
     }
 
     /// Total number of machines in the cluster.
     #[inline]
     pub fn base(&self) -> u32 {
-        self.base
+        self.dir.base
     }
 
-    /// Number of breakpoints currently indexed (`B`). Unlike the normalized
-    /// profile this may count segments with equal adjacent capacities
-    /// (bounded by the batch-normalization trigger; see the module docs).
+    /// Number of breakpoints currently indexed (`B`): the normalized
+    /// profile's count outside transactions, plus the redundant endpoints
+    /// speculation has split while a mark is outstanding.
     #[inline]
     pub fn breakpoints(&self) -> usize {
-        self.times.len()
+        self.dir.leaves
     }
 
     /// Pre-size the internal buffers for a run expected to touch about
@@ -384,432 +605,211 @@ impl AvailabilityTimeline {
     /// speculative updates, so the steady state is reached without any
     /// growth reallocation.
     pub fn reserve_capacity(&mut self, breakpoints: usize, undo_ops: usize) {
-        self.times
-            .reserve(breakpoints.saturating_sub(self.times.len()));
-        self.caps_scratch
-            .reserve((breakpoints + 2).saturating_sub(self.caps_scratch.capacity()));
-        self.tree.grow(4 * breakpoints.next_power_of_two().max(1));
-        self.undo
-            .ops
-            .reserve(undo_ops.saturating_sub(self.undo.ops.len()));
+        // Splits leave chunks half full at worst.
+        let chunks = breakpoints.div_ceil(CHUNK_CAP / 2);
+        self.dir
+            .heads
+            .reserve(chunks.saturating_sub(self.dir.heads.len()));
+        let spare = &mut self.spare.0;
+        spare.reserve(chunks.saturating_sub(spare.len()));
+        let missing = chunks.saturating_sub(self.dir.heads.len() + spare.len());
+        spare.extend((0..missing).map(|_| Arc::new(Leaf::empty())));
+        self.undo.reserve(undo_ops.saturating_sub(self.undo.len()));
+        self.split_log
+            .reserve((2 * undo_ops).saturating_sub(self.split_log.len()));
     }
 
-    fn from_parts(base: u32, times: Vec<u64>, caps: Vec<u32>) -> Self {
-        debug_assert!(!times.is_empty() && times[0] == 0);
-        debug_assert!(times.windows(2).all(|w| w[0] < w[1]));
-        debug_assert_eq!(times.len(), caps.len());
-        let n = times.len();
-        let mut tl = AvailabilityTimeline {
-            base,
-            times,
-            tree: FlatTree::with_slots(4 * n),
-            undo: UndoArena::default(),
+    /// The frozen view of the current function: the directory, sharing
+    /// every leaf block (`O(B / C)`).
+    pub(crate) fn freeze_directory(&self) -> Directory {
+        self.dir.clone()
+    }
+
+    fn from_steps(base: u32, steps: &[(Time, u32)]) -> Self {
+        AvailabilityTimeline {
+            dir: Directory::from_steps(base, steps),
+            undo: Vec::new(),
             marks: Vec::new(),
             mark_gen: 0,
-            caps_scratch: Vec::new(),
-            splits_since_compaction: 0,
-        };
-        tl.build(1, 0, n - 1, &caps);
-        tl
+            split_log: Vec::new(),
+            spare: SpareBlocks::default(),
+        }
     }
 
-    fn build(&mut self, node: usize, lo: usize, hi: usize, caps: &[u32]) {
-        self.tree.lazy.set(node, 0);
-        if lo == hi {
-            let c = caps[lo] as i64;
-            self.tree.mins.set(node, c);
-            self.tree.maxs.set(node, c);
-            self.tree
-                .area
-                .set(node, c as i128 * self.finite_span(lo, lo));
+    // -- chunk maintenance --------------------------------------------------
+
+    /// Mutate chunk `c`'s leaf block — copied first when a snapshot or a
+    /// clone still shares it — then re-derive the head's summaries.
+    fn edit<R>(&mut self, c: usize, change: impl FnOnce(&mut Leaf) -> R) -> R {
+        let head = &mut self.dir.heads[c];
+        let leaf = Arc::make_mut(&mut head.leaf);
+        let out = change(leaf);
+        if leaf.len > 0 {
+            let (lo, hi) = leaf.summarize();
+            debug_assert!(lo + head.pending >= 0 && hi + head.pending <= i64::from(self.dir.base));
+            head.first = leaf.times[0];
+            head.min = (lo + head.pending) as u32;
+            head.max = (hi + head.pending) as u32;
+        }
+        out
+    }
+
+    /// Make `t` start a leaf, splitting the leaf it falls inside (the new
+    /// leaf inherits its capacity): a memmove inside one chunk, after
+    /// splitting that chunk in two when it is full. An append keeps the
+    /// full chunk whole and opens the next one with `t`, so ascending
+    /// insertions fill chunks instead of leaving a trail of half-empty ones.
+    fn ensure_breakpoint(&mut self, t: u64) {
+        let (mut c, i) = self.dir.locate(t);
+        let leaf = &self.dir.heads[c].leaf;
+        if leaf.times[i] == t {
             return;
         }
-        let mid = (lo + hi) / 2;
-        self.build(2 * node, lo, mid, caps);
-        self.build(2 * node + 1, mid + 1, hi, caps);
-        self.pull(node);
-    }
-
-    fn pull(&mut self, node: usize) {
-        let (l, r) = (2 * node, 2 * node + 1);
-        self.tree
-            .mins
-            .set(node, self.tree.mins.get(l).min(self.tree.mins.get(r)));
-        self.tree
-            .maxs
-            .set(node, self.tree.maxs.get(l).max(self.tree.maxs.get(r)));
-        self.tree
-            .area
-            .set(node, self.tree.area.get(l) + self.tree.area.get(r));
-    }
-
-    /// Total duration of the *finite* leaves in the inclusive range
-    /// `[lo, hi]` (the open-ended last leaf contributes zero).
-    #[inline]
-    fn finite_span(&self, lo: usize, hi: usize) -> i128 {
-        let end = (hi + 1).min(self.times.len() - 1);
-        (self.times[end] - self.times[lo]) as i128
-    }
-
-    /// Leaf index covering time `t`.
-    fn leaf_of(&self, t: Time) -> usize {
-        // times[0] == 0 and t >= 0, so the partition point is >= 1.
-        self.times.partition_point(|&bt| bt <= t.ticks()) - 1
-    }
-
-    /// Last leaf index whose segment starts strictly before `end`.
-    fn last_leaf_before(&self, end: u64) -> usize {
-        self.times.partition_point(|&bt| bt < end) - 1
-    }
-
-    /// Inclusive leaf range covered by the half-open window `[start, end)`;
-    /// degenerates to the single leaf of `start` for empty windows.
-    fn window_leaves(&self, start: Time, end: u64) -> (usize, usize) {
-        let l = self.leaf_of(start);
-        let r = if end > start.ticks() {
-            self.last_leaf_before(end)
-        } else {
-            l
-        };
-        (l, r)
-    }
-
-    // -- read-only tree descents (lazy deltas accumulate along the path) ----
-
-    fn query_min(&self, node: usize, lo: usize, hi: usize, l: usize, r: usize, acc: i64) -> i64 {
-        if r < lo || hi < l {
-            return i64::MAX;
-        }
-        if l <= lo && hi <= r {
-            return self.tree.mins.get(node) + acc;
-        }
-        let mid = (lo + hi) / 2;
-        let acc = acc + self.tree.lazy.get(node);
-        self.query_min(2 * node, lo, mid, l, r, acc)
-            .min(self.query_min(2 * node + 1, mid + 1, hi, l, r, acc))
-    }
-
-    fn query_max(&self, node: usize, lo: usize, hi: usize, l: usize, r: usize, acc: i64) -> i64 {
-        if r < lo || hi < l {
-            return i64::MIN;
-        }
-        if l <= lo && hi <= r {
-            return self.tree.maxs.get(node) + acc;
-        }
-        let mid = (lo + hi) / 2;
-        let acc = acc + self.tree.lazy.get(node);
-        self.query_max(2 * node, lo, mid, l, r, acc)
-            .max(self.query_max(2 * node + 1, mid + 1, hi, l, r, acc))
-    }
-
-    /// First leaf in the inclusive `window` with capacity `< width`, if any.
-    /// Streams only the `mins` and `lazy` lanes.
-    fn first_below(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        window: (usize, usize),
-        width: i64,
-        acc: i64,
-    ) -> Option<usize> {
-        let (l, r) = window;
-        if r < lo || hi < l || self.tree.mins.get(node) + acc >= width {
-            return None;
-        }
-        if lo == hi {
-            return Some(lo);
-        }
-        let mid = (lo + hi) / 2;
-        let acc = acc + self.tree.lazy.get(node);
-        self.first_below(2 * node, lo, mid, window, width, acc)
-            .or_else(|| self.first_below(2 * node + 1, mid + 1, hi, window, width, acc))
-    }
-
-    /// First leaf with index `≥ from` and capacity `≥ width`, if any.
-    /// Streams only the `maxs` and `lazy` lanes.
-    fn first_at_least(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        from: usize,
-        width: i64,
-        acc: i64,
-    ) -> Option<usize> {
-        if hi < from || self.tree.maxs.get(node) + acc < width {
-            return None;
-        }
-        if lo == hi {
-            return Some(lo);
-        }
-        let mid = (lo + hi) / 2;
-        let acc = acc + self.tree.lazy.get(node);
-        self.first_at_least(2 * node, lo, mid, from, width, acc)
-            .or_else(|| self.first_at_least(2 * node + 1, mid + 1, hi, from, width, acc))
-    }
-
-    /// First leaf with index `≥ from` whose capacity differs from `cap`.
-    fn first_differing(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        from: usize,
-        cap: i64,
-        acc: i64,
-    ) -> Option<usize> {
-        if hi < from
-            || (self.tree.mins.get(node) + acc == cap && self.tree.maxs.get(node) + acc == cap)
-        {
-            return None;
-        }
-        if lo == hi {
-            return Some(lo);
-        }
-        let mid = (lo + hi) / 2;
-        let acc = acc + self.tree.lazy.get(node);
-        self.first_differing(2 * node, lo, mid, from, cap, acc)
-            .or_else(|| self.first_differing(2 * node + 1, mid + 1, hi, from, cap, acc))
-    }
-
-    // -- range update -------------------------------------------------------
-
-    fn range_add(&mut self, node: usize, lo: usize, hi: usize, l: usize, r: usize, delta: i64) {
-        if r < lo || hi < l {
-            return;
-        }
-        if l <= lo && hi <= r {
-            self.tree.mins.set(node, self.tree.mins.get(node) + delta);
-            self.tree.maxs.set(node, self.tree.maxs.get(node) + delta);
-            self.tree.lazy.set(node, self.tree.lazy.get(node) + delta);
-            self.tree.area.set(
-                node,
-                self.tree.area.get(node) + delta as i128 * self.finite_span(lo, hi),
-            );
-            return;
-        }
-        let mid = (lo + hi) / 2;
-        self.range_add(2 * node, lo, mid, l, r, delta);
-        self.range_add(2 * node + 1, mid + 1, hi, l, r, delta);
-        let lazy = self.tree.lazy.get(node);
-        self.tree.mins.set(
-            node,
-            self.tree
-                .mins
-                .get(2 * node)
-                .min(self.tree.mins.get(2 * node + 1))
-                + lazy,
-        );
-        self.tree.maxs.set(
-            node,
-            self.tree
-                .maxs
-                .get(2 * node)
-                .max(self.tree.maxs.get(2 * node + 1))
-                + lazy,
-        );
-        self.tree.area.set(
-            node,
-            self.tree.area.get(2 * node)
-                + self.tree.area.get(2 * node + 1)
-                + lazy as i128 * self.finite_span(lo, hi),
-        );
-    }
-
-    /// Append the `(leaf start, capacity)` pairs of the inclusive leaf range
-    /// `[l, r]` to `out`, merging runs of equal capacity — a single descent
-    /// touching `O(log B + k)` nodes for `k` emitted leaves.
-    fn collect_range(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        window: (usize, usize),
-        acc: i64,
-        out: &mut Vec<(Time, u32)>,
-    ) {
-        let (l, r) = window;
-        if r < lo || hi < l {
-            return;
-        }
-        if lo == hi {
-            let v = (self.tree.mins.get(node) + acc) as u32;
-            match out.last() {
-                Some(&(_, cap)) if cap == v => {}
-                _ => out.push((Time(self.times[lo]), v)),
+        let (cap, mut at) = (leaf.caps[i], i + 1);
+        if leaf.len == CHUNK_CAP {
+            let keep = if at == CHUNK_CAP {
+                CHUNK_CAP
+            } else {
+                CHUNK_CAP / 2
+            };
+            let mut right = self.spare.take();
+            let block = Arc::get_mut(&mut right).expect("spare blocks are unshared");
+            self.edit(c, |left| left.split_off(keep, block));
+            let head = Head {
+                first: t,
+                min: 0,
+                max: 0,
+                pending: self.dir.heads[c].pending,
+                leaf: right,
+            };
+            self.dir.heads.insert(c + 1, head);
+            if at >= keep {
+                (c, at) = (c + 1, at - keep);
+            } else {
+                self.edit(c + 1, |_| ());
             }
+        }
+        self.edit(c, |leaf| leaf.insert(at, t, cap));
+        self.dir.leaves += 1;
+        if !self.marks.is_empty() {
+            self.split_log.push(t);
+        }
+    }
+
+    /// Remove the breakpoint at `t` if it is redundant (its leaf has the
+    /// capacity of the one before it); a chunk left empty leaves the
+    /// directory, one left small joins a small neighbour. Never called
+    /// under an outstanding mark: the undo log re-derives leaf ranges from
+    /// breakpoint times, so merging away a logged endpoint would corrupt
+    /// rollback.
+    fn merge_if_redundant(&mut self, t: u64) {
+        debug_assert!(self.marks.is_empty());
+        let (c, i) = self.dir.locate(t);
+        if t == 0 || self.dir.time((c, i)) != t {
             return;
         }
-        let mid = (lo + hi) / 2;
-        let acc = acc + self.tree.lazy.get(node);
-        self.collect_range(2 * node, lo, mid, window, acc, out);
-        self.collect_range(2 * node + 1, mid + 1, hi, window, acc, out);
-    }
-
-    /// Materialize the capacity of every leaf (applying pending deltas) into
-    /// a fresh `Vec` — conversion paths only; rebuilds use the scratch
-    /// buffer instead.
-    fn leaf_caps(&self) -> Vec<u32> {
-        let n = self.times.len();
-        let mut caps = vec![0u32; n];
-        self.collect(1, 0, n - 1, 0, &mut caps);
-        caps
-    }
-
-    fn collect(&self, node: usize, lo: usize, hi: usize, acc: i64, caps: &mut [u32]) {
-        if lo == hi {
-            let v = self.tree.mins.get(node) + acc;
-            debug_assert!((0..=self.base as i64).contains(&v));
-            caps[lo] = v as u32;
+        let before = if i > 0 {
+            (c, i - 1)
+        } else {
+            (c - 1, self.dir.heads[c - 1].leaf.len - 1)
+        };
+        if self.dir.cap(before) != self.dir.cap((c, i)) {
             return;
         }
-        let mid = (lo + hi) / 2;
-        let acc = acc + self.tree.lazy.get(node);
-        self.collect(2 * node, lo, mid, acc, caps);
-        self.collect(2 * node + 1, mid + 1, hi, acc, caps);
-    }
-
-    /// Whether enough splits have accumulated to make the next rebuild (or a
-    /// standalone one) batch-normalize degenerate leaves away.
-    #[inline]
-    fn compaction_due(&self) -> bool {
-        self.splits_since_compaction > COMPACT_SLACK + self.times.len() / 8
-    }
-
-    /// Grow the tree lanes to hold `4 × leaves` slots (geometric, no
-    /// shrink — compaction leaves the spare slots warm for regrowth).
-    fn grow_tree(&mut self, leaves: usize) {
-        if self.tree.slots() < 4 * leaves {
-            self.tree.grow(4 * leaves.next_power_of_two());
-        }
-    }
-
-    /// Ensure both window endpoints start a leaf, splitting (and rebuilding
-    /// the tree once) for whichever of them falls inside a leaf. `O(log B)`
-    /// when both breakpoints already exist, `O(B)` otherwise — leaf
-    /// capacities are materialized into the reused scratch buffer, the lanes
-    /// only grow, and `build` resets the lazy slots it visits, so an
-    /// insertion costs two passes over the tree and no allocation in the
-    /// steady state. When no transaction mark is outstanding and enough
-    /// splits have accumulated, the same rebuild also merges runs of
-    /// equal-capacity leaves (the endpoints just ensured are protected from
-    /// the merge — the caller's `window_leaves` + `range_add` needs them).
-    /// Compaction must never run under an outstanding mark: the undo log
-    /// re-derives leaf ranges from breakpoint times, so merging away a
-    /// logged endpoint would corrupt rollback.
-    fn ensure_breakpoints(&mut self, a: u64, b: u64) {
-        let missing = |times: &[u64], t: u64| times.binary_search(&t).is_err();
-        let need_a = missing(&self.times, a);
-        let need_b = missing(&self.times, b);
-        if !need_a && !need_b {
+        self.dir.leaves -= 1;
+        if self.edit(c, |leaf| {
+            leaf.remove(i, i + 1);
+            leaf.len
+        }) == 0
+        {
+            let emptied = self.dir.heads.remove(c);
+            self.spare.give(emptied.leaf);
             return;
         }
-        let steady = self.marks.is_empty();
-        let n = self.times.len();
-        let mut caps = std::mem::take(&mut self.caps_scratch);
-        caps.clear();
-        caps.resize(n, 0);
-        self.collect(1, 0, n - 1, 0, &mut caps);
-        for t in [a, b] {
-            let idx = self.times.partition_point(|&bt| bt <= t);
-            if idx > 0 && self.times[idx - 1] == t {
+        // Keep the directory from filling with slivers: two neighbours that
+        // fit in half a block become one.
+        let len = |c: usize| self.dir.heads.get(c).map_or(CHUNK_CAP, |h| h.leaf.len);
+        let left = if len(c) + len(c + 1) <= CHUNK_CAP / 2 {
+            c
+        } else if c > 0 && len(c - 1) + len(c) <= CHUNK_CAP / 2 {
+            c - 1
+        } else {
+            return;
+        };
+        let right = self.dir.heads.remove(left + 1);
+        let shift = right.pending - self.dir.heads[left].pending;
+        self.edit(left, |leaf| leaf.append(&right.leaf, shift));
+        self.spare.give(right.leaf);
+    }
+
+    /// Add `delta` to every leaf of `[start, end)`, both of which start a
+    /// leaf: the edge chunks rewrite their leaves, a chunk covered whole
+    /// only has its head adjusted.
+    fn range_add(&mut self, start: u64, end: u64, delta: i64) {
+        let (c0, i0) = self.dir.locate(start);
+        for c in c0..self.dir.heads.len() {
+            let from = if c == c0 { i0 } else { 0 };
+            if c > c0 && self.dir.heads[c].first >= end {
+                break;
+            }
+            if from == 0 && self.dir.ends_before(c, end) {
+                let head = &mut self.dir.heads[c];
+                head.pending += delta;
+                head.min = (i64::from(head.min) + delta) as u32;
+                head.max = (i64::from(head.max) + delta) as u32;
                 continue;
             }
-            // The new leaf inherits the capacity of the leaf it splits.
-            caps.insert(idx, caps[idx - 1]);
-            self.times.insert(idx, t);
-            self.splits_since_compaction += 1;
-        }
-        if steady && self.compaction_due() {
-            let mut kept = 0usize;
-            for i in 0..self.times.len() {
-                let t = self.times[i];
-                if kept == 0 || caps[i] != caps[kept - 1] || t == a || t == b {
-                    self.times[kept] = t;
-                    caps[kept] = caps[i];
-                    kept += 1;
+            self.edit(c, |leaf| {
+                // (`max`: a window saturated at the end of time is empty.)
+                let to = leaf.times().partition_point(|&bt| bt < end).max(from);
+                for cap in &mut leaf.caps[from..to] {
+                    *cap += delta;
                 }
-            }
-            self.times.truncate(kept);
-            caps.truncate(kept);
-            self.splits_since_compaction = 0;
+            });
         }
-        let n = self.times.len();
-        self.grow_tree(n);
-        self.build(1, 0, n - 1, &caps);
-        self.caps_scratch = caps;
     }
 
-    /// Standalone compacting rebuild, run when a transaction boundary leaves
-    /// the timeline mark-free with enough accumulated splits. This is what
-    /// keeps `B` bounded under pure speculative probing (checkpoint → probe
-    /// → rollback in a loop), where `ensure_breakpoints` itself always runs
-    /// under a mark and must defer.
-    fn maybe_compact(&mut self) {
-        debug_assert!(self.marks.is_empty());
-        if !self.compaction_due() {
-            return;
+    /// One range update with its endpoints: split, add, then either log the
+    /// inverse (under a mark) or merge the endpoints the update made
+    /// redundant — the only two leaves whose difference to their
+    /// predecessor changed, so a normalized timeline stays normalized.
+    fn update(&mut self, start: u64, end: u64, delta: i64) {
+        self.ensure_breakpoint(start);
+        self.ensure_breakpoint(end);
+        self.range_add(start, end, delta);
+        if self.marks.is_empty() {
+            self.merge_if_redundant(start);
+            self.merge_if_redundant(end);
+        } else {
+            self.undo.push(UndoOp { start, end, delta });
         }
-        let n = self.times.len();
-        let mut caps = std::mem::take(&mut self.caps_scratch);
-        caps.clear();
-        caps.resize(n, 0);
-        self.collect(1, 0, n - 1, 0, &mut caps);
-        let mut kept = 0usize;
-        for i in 0..n {
-            if kept == 0 || caps[i] != caps[kept - 1] {
-                self.times[kept] = self.times[i];
-                caps[kept] = caps[i];
-                kept += 1;
-            }
-        }
-        self.times.truncate(kept);
-        caps.truncate(kept);
-        self.splits_since_compaction = 0;
-        self.build(1, 0, kept - 1, &caps);
-        self.caps_scratch = caps;
     }
 
     /// Forget the availability function before `t` (the streaming
-    /// counterpart of batch normalization; see
-    /// [`ResourceProfile::retire_before`] for the contract): leaves entirely
-    /// before the one containing `t` are dropped, that leaf is extended back
-    /// to time zero, and equal-capacity runs merge while the rebuild is
-    /// being paid for anyway. No-op while a transaction mark is outstanding —
-    /// the undo log re-derives leaf ranges from breakpoint times, so
-    /// dropping logged endpoints would corrupt rollback.
+    /// counterpart of normalization; see
+    /// [`ResourceProfile::retire_before`] for the contract): the chunks
+    /// entirely before the leaf containing `t` leave the directory, that
+    /// leaf's chunk is trimmed and the leaf extended back to time zero.
+    /// No-op while a transaction mark is outstanding — the undo log
+    /// re-derives leaf ranges from breakpoint times, so dropping logged
+    /// endpoints would corrupt rollback.
     pub fn retire_before(&mut self, t: Time) {
         if !self.marks.is_empty() {
             return;
         }
-        let idx = self.times.partition_point(|&bt| bt <= t.ticks()) - 1;
-        if idx == 0 {
+        let (c, i) = self.dir.locate(t.ticks());
+        if (c, i) == (0, 0) {
             return;
         }
-        let n = self.times.len();
-        let mut caps = std::mem::take(&mut self.caps_scratch);
-        caps.clear();
-        caps.resize(n, 0);
-        self.collect(1, 0, n - 1, 0, &mut caps);
-        let mut kept = 0usize;
-        for i in idx..n {
-            if kept == 0 || caps[i] != caps[kept - 1] {
-                self.times[kept] = self.times[i];
-                caps[kept] = caps[i];
-                kept += 1;
-            }
+        for head in self.dir.heads.drain(..c) {
+            self.dir.leaves -= head.leaf.len;
+            self.spare.give(head.leaf);
         }
-        self.times.truncate(kept);
-        caps.truncate(kept);
-        self.times[0] = 0;
-        self.splits_since_compaction = 0;
-        self.build(1, 0, kept - 1, &caps);
-        self.caps_scratch = caps;
-    }
-
-    fn n(&self) -> usize {
-        self.times.len()
+        self.dir.leaves -= i;
+        self.edit(0, |leaf| {
+            leaf.remove(0, i);
+            leaf.times[0] = 0;
+        });
     }
 
     // -- transactional layer ------------------------------------------------
@@ -836,11 +836,10 @@ impl AvailabilityTimeline {
 
     /// Undo every `reserve`/`release` executed since `mark` was taken,
     /// restoring the represented availability function exactly (breakpoints
-    /// split by the undone operations stay split until the next compacting
-    /// rebuild — harmless, the timeline is not kept normalized). Consumes
-    /// `mark` and every mark nested inside it. Costs
-    /// `O(ops since the mark · log B)`, independent of `B` when the
-    /// speculation touched nothing.
+    /// split by the undone operations stay split until the outermost mark
+    /// resolves — harmless, reads skip equal neighbours). Consumes `mark`
+    /// and every mark nested inside it. Costs `O(ops since the mark · C)`,
+    /// independent of `B`.
     ///
     /// # Panics
     /// Panics if `mark` is not outstanding on this timeline (already
@@ -849,14 +848,9 @@ impl AvailabilityTimeline {
         self.validate_mark(mark);
         while self.undo.len() > mark.undo_len {
             let op = self.undo.pop().expect("guarded by the length check");
-            let (l, r) = self.window_leaves(Time(op.start), op.end);
-            let n = self.n();
-            self.range_add(1, 0, n - 1, l, r, -op.delta);
+            self.range_add(op.start, op.end, -op.delta);
         }
-        self.marks.truncate(mark.depth);
-        if self.marks.is_empty() {
-            self.maybe_compact();
-        }
+        self.resolve(mark);
     }
 
     /// Accept everything executed since `mark` was taken. Consumes `mark`
@@ -869,10 +863,24 @@ impl AvailabilityTimeline {
     /// [`Self::rollback_to`]).
     pub fn commit(&mut self, mark: TxnMark) {
         self.validate_mark(mark);
+        self.resolve(mark);
+    }
+
+    /// Pop `mark` and everything nested inside it. When that leaves the
+    /// timeline mark-free, normalize what the transaction touched: the
+    /// instants it inserted and the endpoints of the ops it kept are the
+    /// only leaves whose difference to their predecessor can have vanished.
+    fn resolve(&mut self, mark: TxnMark) {
         self.marks.truncate(mark.depth);
-        if self.marks.is_empty() {
-            self.undo.reset();
-            self.maybe_compact();
+        if !self.marks.is_empty() {
+            return;
+        }
+        while let Some(op) = self.undo.pop() {
+            self.merge_if_redundant(op.start);
+            self.merge_if_redundant(op.end);
+        }
+        while let Some(t) = self.split_log.pop() {
+            self.merge_if_redundant(t);
         }
     }
 
@@ -890,27 +898,14 @@ impl AvailabilityTimeline {
         );
     }
 
-    /// Record the inverse of a just-applied range update when a transaction
-    /// is open.
-    #[inline]
-    fn log_update(&mut self, start: Time, end: u64, delta: i64) {
-        if !self.marks.is_empty() {
-            self.undo.push(UndoOp {
-                start: start.ticks(),
-                end,
-                delta,
-            });
-        }
-    }
-
     // -- bulk construction --------------------------------------------------
 
     /// Build the availability left by `instance`'s reservations *and* a set
     /// of job placements in one event sweep: `O(B log B)` over
-    /// `B = 2·(n' + |placements|)` events, against `O(n · B)` for `n`
-    /// sequential [`CapacityQuery::reserve`] calls on an incrementally
-    /// grown tree. This is the right entry point whenever a whole schedule
-    /// is (re)indexed at once — e.g. when the local search re-anchors its
+    /// `B = 2·(n' + |placements|)` events, against `n` sequential
+    /// [`CapacityQuery::reserve`] calls on an incrementally grown timeline.
+    /// This is the right entry point whenever a whole schedule is
+    /// (re)indexed at once — e.g. when the local search re-anchors its
     /// persistent timeline on an accepted rebuild. The sweep emits only
     /// instants where the capacity actually changes, so the resulting
     /// timeline starts fully normalized.
@@ -945,8 +940,7 @@ impl AvailabilityTimeline {
             events.push((end, -(job.width as i64)));
         }
         events.sort_unstable();
-        let mut times: Vec<u64> = vec![0];
-        let mut caps: Vec<u32> = vec![machines];
+        let mut steps: Vec<(Time, u32)> = vec![(Time::ZERO, machines)];
         // i128 so even pathological event counts cannot overflow the running
         // usage sum (each event contributes at most u32::MAX).
         let mut usage: i128 = 0;
@@ -975,13 +969,12 @@ impl AvailabilityTimeline {
                 "placement releases exceed reserves"
             );
             if t == 0 {
-                caps[0] = cap as u32;
+                steps[0].1 = cap as u32;
             } else {
-                times.push(t);
-                caps.push(cap as u32);
+                steps.push((Time(t), cap as u32));
             }
         }
-        Ok(Self::from_parts(machines, times, caps))
+        Ok(Self::from_steps(machines, &steps))
     }
 
     // -- area queries -------------------------------------------------------
@@ -990,103 +983,78 @@ impl AvailabilityTimeline {
     /// at least `area`; `None` if the demand can never be met (final
     /// capacity zero with demand remaining). Mirrors
     /// [`ResourceProfile::earliest_time_with_area`] answer-for-answer
-    /// (property-tested), but runs as one `O(log B)` descent over the
-    /// area-augmented tree instead of a linear sweep — the branch-and-bound
-    /// area lower bound calls this at every search node.
+    /// (property-tested), but skips every chunk whose finite area falls
+    /// short of the remaining demand and scans only the one that meets it —
+    /// the branch-and-bound area lower bound calls this at every search
+    /// node.
     pub fn earliest_time_with_area(&self, area: u128) -> Option<Time> {
         if area == 0 {
             return Some(Time::ZERO);
         }
-        self.area_descent(1, 0, self.n() - 1, 0, area)
-    }
-
-    fn area_descent(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        acc: i64,
-        remaining: u128,
-    ) -> Option<Time> {
-        if lo == hi {
-            let cap = self.tree.mins.get(node) + acc;
-            debug_assert!(cap >= 0);
-            if cap == 0 {
-                // Only reachable on the open-ended last leaf (a finite leaf
-                // is entered only when it holds the remaining demand).
-                return None;
+        let heads = &self.dir.heads;
+        let mut remaining = area;
+        for (c, head) in heads.iter().enumerate() {
+            let (times, caps) = (head.leaf.times(), head.leaf.caps());
+            let last = times.len() - 1;
+            // Where the chunk's last leaf ends; the timeline's last leaf is
+            // open-ended and holds whatever demand reaches it.
+            let chunk_end = heads.get(c + 1).map(|next| next.first);
+            if let Some(chunk_end) = chunk_end {
+                let total = head.leaf.inner_area
+                    + head.pending as i128 * (times[last] - times[0]) as i128
+                    + (caps[last] + head.pending) as i128 * (chunk_end - times[last]) as i128;
+                debug_assert!(total >= 0);
+                // Clamp defensively: a (bug-induced) negative area must not
+                // wrap to a huge u128 and corrupt the scan in release builds.
+                let total = total.max(0) as u128;
+                if total < remaining {
+                    remaining -= total;
+                    continue;
+                }
             }
-            // `extra` can exceed u64 for astronomic demands; saturate to the
-            // time horizon instead of silently truncating the u128.
-            let extra = remaining.div_ceil(cap as u128);
-            let extra = u64::try_from(extra).unwrap_or(u64::MAX);
-            return Some(Time(self.times[lo].saturating_add(extra)));
+            for i in 0..=last {
+                let cap = (caps[i] + head.pending).max(0) as u128;
+                let leaf_end = times.get(i + 1).copied().or(chunk_end);
+                match leaf_end {
+                    Some(leaf_end) => {
+                        let area = cap * (leaf_end - times[i]) as u128;
+                        if area < remaining {
+                            remaining -= area;
+                            continue;
+                        }
+                    }
+                    None if cap == 0 => return None,
+                    None => {}
+                }
+                // `extra` can exceed u64 for astronomic demands; saturate to
+                // the time horizon instead of silently truncating the u128.
+                let extra = u64::try_from(remaining.div_ceil(cap)).unwrap_or(u64::MAX);
+                return Some(Time(times[i].saturating_add(extra)));
+            }
         }
-        let mid = (lo + hi) / 2;
-        let acc = acc + self.tree.lazy.get(node);
-        let left = self.tree.area.get(2 * node) + acc as i128 * self.finite_span(lo, mid);
-        debug_assert!(left >= 0);
-        // Clamp defensively: a (bug-induced) negative area must not wrap to a
-        // huge u128 and corrupt the descent in release builds.
-        let left = left.max(0);
-        if left as u128 >= remaining {
-            self.area_descent(2 * node, lo, mid, acc, remaining)
-        } else {
-            self.area_descent(2 * node + 1, mid + 1, hi, acc, remaining - left as u128)
-        }
+        None
     }
 }
 
 impl CapacityQuery for AvailabilityTimeline {
     fn base(&self) -> u32 {
-        self.base
+        self.dir.base
     }
 
     fn capacity_at(&self, t: Time) -> u32 {
-        let leaf = self.leaf_of(t);
-        self.query_min(1, 0, self.n() - 1, leaf, leaf, 0) as u32
+        self.dir.capacity_at(t)
     }
 
     fn min_capacity_in(&self, start: Time, dur: Dur) -> u32 {
-        if dur.is_zero() {
-            return self.capacity_at(start);
-        }
-        let end = start.ticks().saturating_add(dur.ticks());
-        let (l, r) = self.window_leaves(start, end);
-        self.query_min(1, 0, self.n() - 1, l, r, 0) as u32
+        self.dir.min_capacity_in(start, dur)
     }
 
     fn earliest_fit(&self, width: u32, dur: Dur, not_before: Time) -> Option<Time> {
-        if width == 0 {
-            return Some(not_before);
-        }
-        if width > self.base {
-            return None;
-        }
-        let n = self.n();
-        let w = width as i64;
-        let mut t = not_before;
-        loop {
-            let end = t.ticks().saturating_add(dur.ticks());
-            let (l, r) = self.window_leaves(t, end);
-            match self.first_below(1, 0, n - 1, (l, r), w, 0) {
-                None => return Some(t),
-                Some(violation) => {
-                    let next = self.first_at_least(1, 0, n - 1, violation + 1, w, 0)?;
-                    t = t.max(Time(self.times[next]));
-                }
-            }
-        }
+        self.dir.earliest_fit(width, dur, not_before)
     }
 
     fn next_change_after(&self, t: Time) -> Option<Time> {
-        let cap = self.capacity_at(t) as i64;
-        let from = self.leaf_of(t) + 1;
-        if from >= self.n() {
-            return None;
-        }
-        self.first_differing(1, 0, self.n() - 1, from, cap, 0)
-            .map(|leaf| Time(self.times[leaf]))
+        self.dir.next_change_after(t)
     }
 
     fn capacity_profile_in(&self, start: Time, end: Time, out: &mut Vec<(Time, u32)>) {
@@ -1094,8 +1062,7 @@ impl CapacityQuery for AvailabilityTimeline {
         if end <= start {
             return;
         }
-        let (l, r) = self.window_leaves(start, end.ticks());
-        self.collect_range(1, 0, self.n() - 1, (l, r), 0, out);
+        self.dir.collect_range(start.ticks(), end.ticks(), out);
         if let Some(first) = out.first_mut() {
             // The first covered leaf may begin before the window.
             first.0 = first.0.max(start);
@@ -1114,31 +1081,27 @@ impl CapacityQuery for AvailabilityTimeline {
             return Ok(());
         }
         let end = start.ticks().saturating_add(dur.ticks());
-        let (l, r) = self.window_leaves(start, end);
-        let n = self.n();
-        let min = self.query_min(1, 0, n - 1, l, r, 0);
-        if min < width as i64 {
+        let (min, _) = self.dir.minmax_in(start.ticks(), end);
+        if min < width {
             // Locate the first violating instant, mirroring the profile's
             // error reporting.
+            let first = self.dir.locate(start.ticks());
             let leaf = self
-                .first_below(1, 0, n - 1, (l, r), width as i64, 0)
+                .dir
+                .first_below(first, end, width)
                 .expect("min < width implies a violating leaf");
-            let at = if leaf == l {
+            let at = if leaf == first {
                 start
             } else {
-                Time(self.times[leaf])
+                Time(self.dir.time(leaf))
             };
             return Err(ProfileError::InsufficientCapacity {
                 at,
                 requested: width,
-                available: min as u32,
+                available: min,
             });
         }
-        self.ensure_breakpoints(start.ticks(), end);
-        let (l, r) = self.window_leaves(start, end);
-        let n = self.n();
-        self.range_add(1, 0, n - 1, l, r, -(width as i64));
-        self.log_update(start, end, -(width as i64));
+        self.update(start.ticks(), end, -i64::from(width));
         Ok(())
     }
 
@@ -1150,21 +1113,16 @@ impl CapacityQuery for AvailabilityTimeline {
             return Ok(());
         }
         let end = start.ticks().saturating_add(dur.ticks());
-        let (l, r) = self.window_leaves(start, end);
-        let n = self.n();
-        let max = self.query_max(1, 0, n - 1, l, r, 0);
-        if max + width as i64 > self.base as i64 {
+        let (_, max) = self.dir.minmax_in(start.ticks(), end);
+        let raised = i64::from(max) + i64::from(width);
+        if raised > i64::from(self.dir.base) {
             return Err(ProfileError::ReleaseAboveBase {
                 at: start,
-                capacity: (max + width as i64) as u32,
-                base: self.base,
+                capacity: raised as u32,
+                base: self.dir.base,
             });
         }
-        self.ensure_breakpoints(start.ticks(), end);
-        let (l, r) = self.window_leaves(start, end);
-        let n = self.n();
-        self.range_add(1, 0, n - 1, l, r, width as i64);
-        self.log_update(start, end, width as i64);
+        self.update(start.ticks(), end, i64::from(width));
         Ok(())
     }
 }
@@ -1594,7 +1552,38 @@ mod tests {
         }
     }
 
-    // -- PR 6: flat layout, arena, compaction --------------------------------
+    // -- chunked layout, arena, normalization ----------------------------------
+
+    impl AvailabilityTimeline {
+        /// Directory invariants the reads rely on: heads mirror their
+        /// blocks, chunks are non-empty and sorted, the leaf count adds up,
+        /// and outside transactions no breakpoint is redundant. Called by
+        /// the crate's property tests after every step.
+        pub(crate) fn check_layout(&self) {
+            let heads = &self.dir.heads;
+            assert_eq!(heads[0].first, 0);
+            let mut leaves = 0;
+            for (c, head) in heads.iter().enumerate() {
+                let leaf = &head.leaf;
+                assert!(leaf.len >= 1 && leaf.len <= CHUNK_CAP, "chunk {c}");
+                assert_eq!(head.first, leaf.times[0], "chunk {c}");
+                assert!(leaf.times().windows(2).all(|w| w[0] < w[1]), "chunk {c}");
+                if let Some(next) = heads.get(c + 1) {
+                    assert!(leaf.times[leaf.len - 1] < next.first, "chunk {c}");
+                }
+                let mut fresh = Leaf::clone(leaf);
+                let (lo, hi) = fresh.summarize();
+                assert_eq!(i64::from(head.min), lo + head.pending, "chunk {c}");
+                assert_eq!(i64::from(head.max), hi + head.pending, "chunk {c}");
+                assert_eq!(leaf.inner_area, fresh.inner_area, "chunk {c}");
+                leaves += leaf.len;
+            }
+            assert_eq!(leaves, self.breakpoints());
+            if !self.in_transaction() {
+                assert_eq!(leaves, self.to_profile().steps().len(), "not normalized");
+            }
+        }
+    }
 
     #[test]
     fn undo_arena_retains_capacity_across_transactions() {
@@ -1604,7 +1593,7 @@ mod tests {
             tl.reserve(Time(i * 3), Dur(2), 1).unwrap();
         }
         tl.rollback_to(mark);
-        let warmed = tl.undo.ops.capacity();
+        let warmed = tl.undo.capacity();
         assert!(warmed >= 50, "high-water capacity must be retained");
         // A second transaction of the same shape must not grow the arena.
         let mark = tl.checkpoint();
@@ -1613,73 +1602,82 @@ mod tests {
         }
         tl.commit(mark);
         assert!(tl.undo.is_empty(), "final commit resets the bump cursor");
-        assert_eq!(tl.undo.ops.capacity(), warmed, "slab reused, not regrown");
+        assert_eq!(tl.undo.capacity(), warmed, "slab reused, not regrown");
+        tl.check_layout();
     }
 
     #[test]
     fn speculative_probe_churn_is_compacted_at_transaction_boundaries() {
-        // checkpoint → reserve → rollback in a loop leaves degenerate splits
-        // behind; the standalone compaction at mark resolution must keep B
-        // bounded instead of letting it grow by ~2 per probe.
+        // checkpoint → reserve → rollback in a loop splits two leaves per
+        // probe; resolving the outermost mark must merge them back instead
+        // of letting B grow by ~2 per probe.
         let mut tl = AvailabilityTimeline::constant(8);
         let baseline = tl.to_profile();
         for i in 0..500u64 {
             let mark = tl.checkpoint();
             tl.reserve(Time(10 * i), Dur(3), 2).unwrap();
+            assert_eq!(tl.breakpoints(), 3 - usize::from(i == 0));
             tl.rollback_to(mark);
+            assert_eq!(
+                tl.breakpoints(),
+                1,
+                "B must not grow under pure speculation"
+            );
         }
-        assert!(
-            tl.breakpoints() < 2 * COMPACT_SLACK + 16,
-            "B = {} must stay bounded under pure speculation",
-            tl.breakpoints()
-        );
         assert_eq!(tl.to_profile(), baseline, "function unchanged");
+        tl.check_layout();
     }
 
     #[test]
     fn committed_churn_is_compacted_on_rebuilds() {
-        // Reserve/release pairs leave equal-capacity splits; once enough
-        // accumulate, the next endpoint insertion's rebuild merges them.
+        // Reserve/release pairs outside transactions: each update merges the
+        // endpoints it made redundant, so the timeline stays normalized.
         let mut tl = AvailabilityTimeline::constant(8);
         let mut p = ResourceProfile::constant(8);
         for i in 0..300u64 {
             tl.reserve(Time(3 * i), Dur(2), 1).unwrap();
             tl.release(Time(3 * i), Dur(2), 1).unwrap();
+            assert_eq!(tl.breakpoints(), 1, "B must not grow under committed churn");
         }
-        assert!(
-            tl.breakpoints() < 2 * COMPACT_SLACK + 16,
-            "B = {} must stay bounded under committed churn",
-            tl.breakpoints()
-        );
-        // Compaction preserved the function and later updates stay correct.
+        // Later updates stay correct, and normalized.
         for i in 0..40u64 {
             tl.reserve(Time(7 * i), Dur(5), (i % 3) as u32 + 1).unwrap();
             p.reserve(Time(7 * i), Dur(5), (i % 3) as u32 + 1).unwrap();
+            assert_eq!(tl.breakpoints(), p.steps().len());
         }
         assert_eq!(tl.to_profile(), p);
+        tl.check_layout();
     }
 
     #[test]
     fn compaction_never_runs_under_an_outstanding_mark() {
-        // Accumulate enough splits that compaction is overdue, then open a
-        // transaction: splits logged inside it must survive (rollback derives
-        // leaf ranges from breakpoint times) and rollback must restore the
-        // function exactly.
+        // Splits logged inside a transaction must survive until it resolves
+        // (rollback derives leaf ranges from breakpoint times) — including
+        // across an inner rollback that leaves the outer mark outstanding —
+        // and rollback must restore the function exactly.
         let mut tl = AvailabilityTimeline::constant(8);
-        for i in 0..200u64 {
-            let m = tl.checkpoint();
-            tl.reserve(Time(5 * i), Dur(2), 3).unwrap();
-            // Leave the splits in place by committing, not rolling back.
-            tl.commit(m);
-            tl.release(Time(5 * i), Dur(2), 3).unwrap();
+        for i in 0..20u64 {
+            tl.reserve(Time(50 * i), Dur(20), 3).unwrap();
         }
         let before = tl.to_profile();
-        let mark = tl.checkpoint();
+        let settled = tl.breakpoints();
+        let outer = tl.checkpoint();
+        tl.reserve(Time(5), Dur(1000), 2).unwrap();
+        let inner = tl.checkpoint();
         for i in 0..100u64 {
             tl.reserve(Time(1000 + 7 * i), Dur(3), 2).unwrap();
         }
-        tl.rollback_to(mark);
+        tl.rollback_to(inner);
+        assert_eq!(
+            tl.breakpoints(),
+            settled + 2 + 200,
+            "no breakpoint leaves under the outer mark"
+        );
+        tl.check_layout();
+        tl.rollback_to(outer);
         assert_eq!(tl.to_profile(), before);
+        assert_eq!(tl.breakpoints(), settled, "the outermost resolution merges");
+        tl.check_layout();
     }
 
     #[test]
@@ -1688,9 +1686,70 @@ mod tests {
         let baseline = tl.to_profile();
         tl.reserve_capacity(256, 128);
         assert_eq!(tl.to_profile(), baseline);
-        assert!(tl.undo.ops.capacity() >= 128);
-        assert!(tl.tree.slots() >= 4 * 256);
+        assert!(tl.undo.capacity() >= 128);
+        assert!(tl.dir.heads.capacity() >= 256 / CHUNK_CAP);
+        assert!((tl.spare.0.len() + 1) * CHUNK_CAP / 2 >= 256);
         tl.reserve(Time(5), Dur(5), 4).unwrap();
         assert_eq!(tl.capacity_at(Time(6)), 12);
+    }
+
+    #[test]
+    fn splits_merges_and_retirement_keep_the_directory_consistent() {
+        // Ascending, descending and interleaved insertions, then removal in
+        // another order, then retirement: the layout invariants and the
+        // profile oracle hold after every step, and blocks are recycled.
+        let mut tl = AvailabilityTimeline::constant(8);
+        let mut p = ResourceProfile::constant(8);
+        let starts: Vec<u64> = (0..40)
+            .map(|i| if i % 2 == 0 { 10 * i } else { 1000 - 10 * i })
+            .collect();
+        for &s in &starts {
+            tl.reserve(Time(s), Dur(4), 1 + (s % 3) as u32).unwrap();
+            p.reserve(Time(s), Dur(4), 1 + (s % 3) as u32).unwrap();
+            tl.check_layout();
+            assert_eq!(tl.to_profile(), p);
+        }
+        assert!(tl.dir.heads.len() > 4, "the script must cross chunks");
+        for &s in starts.iter().step_by(3) {
+            tl.release(Time(s), Dur(4), 1 + (s % 3) as u32).unwrap();
+            p.release(Time(s), Dur(4), 1 + (s % 3) as u32).unwrap();
+            tl.check_layout();
+            assert_eq!(tl.to_profile(), p);
+        }
+        for t in [15u64, 300, 301, 700, 2000] {
+            tl.retire_before(Time(t));
+            p.retire_before(Time(t));
+            tl.check_layout();
+            assert_eq!(tl.to_profile(), p);
+        }
+        assert_eq!(tl.dir.heads.len(), 1);
+        assert!(!tl.spare.0.is_empty(), "freed blocks are kept for reuse");
+    }
+
+    #[test]
+    fn a_window_over_whole_chunks_leaves_their_blocks_shared() {
+        // Copy-on-write economy: a reserve across the whole timeline rewrites
+        // the two edge chunks only; the chunks in between take a pending
+        // delta and keep sharing their block with the frozen directory.
+        let mut tl = AvailabilityTimeline::constant(8);
+        for i in 0..40u64 {
+            tl.reserve(Time(100 + 10 * i), Dur(4), 1).unwrap();
+        }
+        let frozen = tl.freeze_directory();
+        let before = frozen.to_profile();
+        tl.reserve(Time(1), Dur(10_000), 2).unwrap();
+        let shared = (tl.dir.heads.iter())
+            .filter(|h| frozen.heads.iter().any(|f| Arc::ptr_eq(&f.leaf, &h.leaf)))
+            .count();
+        assert!(
+            shared + 3 >= frozen.heads.len() && shared > 0,
+            "{shared} of {} blocks still shared",
+            frozen.heads.len()
+        );
+        assert_eq!(frozen.to_profile(), before, "the frozen view is untouched");
+        let mut p = before.clone();
+        p.reserve(Time(1), Dur(10_000), 2).unwrap();
+        assert_eq!(tl.to_profile(), p);
+        tl.check_layout();
     }
 }

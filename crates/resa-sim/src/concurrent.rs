@@ -11,9 +11,11 @@
 //!   journaled, [`OpJournal::apply`] — the same call behind a write-ahead
 //!   record), and then *publishes* an immutable [`ServiceSnapshot`] — the
 //!   counters and the frozen [`TimelineSnapshot`] of the availability
-//!   function from `now` on — by swapping an `Arc` behind an [`RwLock`]
+//!   function from `now` on, which shares every chunk of the live timeline
+//!   the batch did not touch (`O(B / C)` to take, see
+//!   [`resa_core::snapshot`]) — by swapping an `Arc` behind an [`RwLock`]
 //!   (held only for the duration of a pointer swap or clone, never across
-//!   any computation).
+//!   any computation: the snapshot it replaces is dropped after the guard).
 //! * **Readers never queue behind writes.** `Query` / `Stats` run on the
 //!   calling thread against the latest published `Arc<ServiceSnapshot>`;
 //!   the only shared access is cloning the `Arc` out of the slot.
@@ -62,10 +64,11 @@ use std::thread::JoinHandle;
 
 /// Most ops the writer applies between two snapshot publications. A larger
 /// batch amortizes the publication cost — one freeze of the live
-/// availability function, `O(B)` over breakpoints from `now` on — under
-/// write bursts; a smaller one tightens reader staleness. 64 keeps
-/// worst-case staleness at one sub-millisecond batch while collapsing
-/// publication cost under load.
+/// availability function, a copy of its chunk directory (`O(B / C)` over
+/// the breakpoints from `now` on), plus one copied chunk per chunk the
+/// next batch then writes to — under write bursts; a smaller one tightens
+/// reader staleness. 64 keeps worst-case staleness at one sub-millisecond
+/// batch.
 pub const BATCH_MAX: usize = 64;
 
 /// One entry of the serial log and one op record of the journal: which
@@ -484,7 +487,12 @@ where
             }
             generation += 1;
             let snap = Arc::new(ServiceSnapshot::capture(&svc, generation));
-            *slot.write().expect("publish slot poisoned") = snap;
+            // Swap under the guard, drop after it: releasing the previous
+            // snapshot walks its chunk directory, and readers must not wait
+            // on `read()` for that.
+            let previous =
+                std::mem::replace(&mut *slot.write().expect("publish slot poisoned"), snap);
+            drop(previous);
             for (reply, result, now) in replies.drain(..) {
                 // A client that gave up waiting is not an error.
                 let _ = reply.send(WriteReply {

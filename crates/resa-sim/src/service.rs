@@ -13,9 +13,8 @@
 //!   reservations join or leave the overlay; both are applied
 //!   *transactionally* through [`Speculate`]-compatible substrates, so a
 //!   rejected request rolls back without a trace;
-//! * [`ScheduleService::query`] — a speculative earliest-fit probe
-//!   (checkpoint → earliest-fit → tentative reserve → rollback) that never
-//!   mutates observable state;
+//! * [`ScheduleService::query`] — an earliest-fit probe, a pure read of the
+//!   substrate;
 //! * [`ScheduleService::advance`] — virtual time moves forward, draining
 //!   completions and waking the policy at each event instant;
 //! * [`ScheduleService::stats`] / [`ScheduleService::snapshot`] — aggregate
@@ -30,13 +29,13 @@
 //! # Replay equivalence
 //!
 //! The service walks time by its own rules — arrivals come from a heap of
-//! future submissions, breakpoints are recomputed when the overlay changes,
-//! preemption leaves ghost completions — but what it does *at* a decision
-//! instant is the event loop's own code, `stream::DecisionStep`.
-//! It makes scheduling decisions at exactly the instants the batch
-//! engine would: job arrivals, job completions, and the *normalized*
-//! availability breakpoints of the reservation overlay (equal-capacity
-//! boundaries produce no decision point, mirroring
+//! future submissions, breakpoints from an edge list each overlay change
+//! updates in place, preemption leaves ghost completions — but what it does
+//! *at* a decision instant is the event loop's own code,
+//! `stream::DecisionStep`. It makes scheduling decisions at exactly the
+//! instants the batch engine would: job arrivals, job completions, and the
+//! *normalized* availability breakpoints of the reservation overlay
+//! (equal-capacity boundaries produce no decision point, mirroring
 //! `ResourceProfile::from_reservations`). As a consequence, a session whose
 //! reservation overlay is fixed up front and then drained to completion
 //! produces bit-for-bit the schedule of [`crate::engine::Simulator`] run on
@@ -51,9 +50,9 @@
 //! on the running and waiting jobs and on the windows reaching past `now`,
 //! not on how long the session has run: the substrate forgets availability
 //! behind the clock (`CapacityQuery::retire_before`, every 64 drained
-//! completions — unobservable, see `tests/retirement.rs`), and overlay
-//! changes sweep an index of live windows rather than every window ever
-//! accepted. The job catalog, the schedule and the reservation/drain lists
+//! completions — unobservable, see `tests/retirement.rs`), and an overlay
+//! change touches the two edges of its own window, not the other windows.
+//! The job catalog, the schedule and the reservation/drain lists
 //! do keep the whole session — ids stay dense and `snapshot`/`state` report
 //! all of it — but only those two reads and an `inject` that actually
 //! preempts (it re-derives the makespan) walk them.
@@ -66,7 +65,7 @@ use crate::trace::{JobRecord, RunTrace};
 use resa_core::capacity::Speculate;
 use resa_core::prelude::*;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Errors a service request can be rejected with. The service state is
 /// unchanged by a rejected request (transactional semantics).
@@ -448,36 +447,26 @@ pub struct ScheduleService<C: CapacityQuery + Speculate> {
     pending: BinaryHeap<Reverse<(Time, usize)>>,
     /// Outstanding completions `(completion, position)` as a min-heap.
     running: BinaryHeap<Reverse<(Time, usize)>>,
-    /// Future decision instants induced by the reservation overlay: the
-    /// normalized breakpoints of the overlay profile, mirroring the
-    /// availability-change events of the batch engine. A min-heap rebuilt
-    /// from the event scratch on every overlay change.
-    breakpoints: BinaryHeap<Reverse<Time>>,
+    /// Future decision instants induced by the overlay (reservations,
+    /// drains, deadline-committed placements): `(instant, net width
+    /// change)` over the effective windows, time-ordered, instants after
+    /// `now` with a non-zero net only — exactly the *normalized* breakpoints
+    /// of the overlay profile, the availability-change events of the batch
+    /// engine (edges that cancel produce no decision point). A window that
+    /// joins or leaves the overlay updates its own two edges
+    /// ([`ScheduleService::shift_overlay`]), the clock pops the front, and
+    /// the last edge is the latest end among the live windows.
+    edges: VecDeque<(Time, i64)>,
     reservations: Vec<ServiceReservation>,
     /// Failure/maintenance drains, in injection order (id == index).
     drains: Vec<ServiceDrain>,
-    /// Ids of the reservations whose effective window may still reach past
-    /// `now` — the only ones that can contribute a future breakpoint.
-    /// Appended on accept, pruned by `refresh_breakpoints` as the clock (or
-    /// a cancellation) passes them, so an overlay change costs O(live
-    /// windows) however long the session has run.
-    live_reservations: Vec<usize>,
-    /// The same index over `drains`.
-    live_drains: Vec<usize>,
-    /// `(start, end, width)` of the deadline-committed placements that may
-    /// still reach past `now`, recorded at commit time (committed jobs are
-    /// never preempted, so a window never changes) and pruned like the
-    /// indices above.
-    committed_windows: Vec<(Time, Time, u32)>,
     /// Accepted, not cancelled reservations: `stats().reservations`.
     active_reservations: usize,
-    /// Latest release date among the jobs in the catalog, latest end among
-    /// the live windows (as of the last `refresh_breakpoints`) and total
-    /// duration of the catalog: the overflow guard's [`Horizon`]. All three
-    /// are functions of the persisted state, so a restored service admits
-    /// exactly what the live one would.
+    /// Latest release date among the jobs in the catalog and their total
+    /// duration: with the last overlay edge, the overflow guard's
+    /// [`Horizon`]. All functions of the persisted state, so a restored
+    /// service admits exactly what the live one would.
     latest_release: Time,
-    window_horizon: Time,
     work: u128,
     /// Per-job scenario flags, parallel to `jobs`.
     flags: Vec<JobFlags>,
@@ -509,8 +498,6 @@ pub struct ScheduleService<C: CapacityQuery + Speculate> {
     /// Reused effects buffer handed back by reference from every mutating
     /// request.
     fx_buf: Effects,
-    /// Reused `(time, width-delta)` event buffer for breakpoint refreshes.
-    bp_events: Vec<(u64, i64)>,
     /// Ids below `base` have been retired: their catalog entries were
     /// compacted away and catalog position `pos` now holds id `base + pos`.
     /// Stays `0` until [`ScheduleService::retire_completed`] compacts.
@@ -544,15 +531,11 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             waiting: WaitList::with_capacity(0),
             pending: BinaryHeap::new(),
             running: BinaryHeap::new(),
-            breakpoints: BinaryHeap::new(),
+            edges: VecDeque::new(),
             reservations: Vec::new(),
             drains: Vec::new(),
-            live_reservations: Vec::new(),
-            live_drains: Vec::new(),
-            committed_windows: Vec::new(),
             active_reservations: 0,
             latest_release: Time::ZERO,
-            window_horizon: Time::ZERO,
             work: 0,
             flags: Vec::new(),
             completion_of: Vec::new(),
@@ -564,7 +547,6 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             makespan: Time::ZERO,
             step: DecisionStep::default(),
             fx_buf: Effects::default(),
-            bp_events: Vec::new(),
             base: 0,
             retired_metrics: MetricsAccumulator::new(),
             retired_records: 0,
@@ -632,11 +614,8 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             .reserve(jobs.saturating_sub(self.preempted_buf.len()));
         self.reservations
             .reserve(reservations.saturating_sub(self.reservations.len()));
-        self.live_reservations
-            .reserve(reservations.saturating_sub(self.live_reservations.len()));
-        self.breakpoints
-            .reserve((2 * reservations).saturating_sub(self.breakpoints.len()));
-        self.bp_events.reserve(2 * reservations);
+        self.edges
+            .reserve((2 * reservations).saturating_sub(self.edges.len()));
     }
 
     /// Current virtual time.
@@ -658,7 +637,10 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// this service computes from here on exceeds `anchor + work`.
     pub fn horizon(&self) -> Horizon {
         Horizon {
-            anchor: self.now.max(self.latest_release).max(self.window_horizon),
+            anchor: self
+                .now
+                .max(self.latest_release)
+                .max(self.edges.back().map_or(Time::ZERO, |&(t, _)| t)),
             work: self.work,
         }
     }
@@ -741,8 +723,9 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// * the waiting list is rebuilt verbatim from the persisted queue order
     ///   (boosts and drain preemptions made the order part of the state —
     ///   see [`ServiceState::queue`]);
-    /// * pending/running heaps and overlay breakpoints are re-derived from
-    ///   release dates, completion times and the effective overlay.
+    /// * pending/running heaps and the overlay edge list are re-derived from
+    ///   release dates, completion times and the effective windows — the
+    ///   edges through the same insert step the live requests use.
     ///
     /// A state captured between requests (services are quiescent there — the
     /// writer loop and the sequential transports never snapshot mid-request)
@@ -774,9 +757,6 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         svc.flags = state.flags.clone();
         svc.reservations = state.reservations.clone();
         svc.drains = state.drains.clone();
-        // Every id is a candidate; the first refresh prunes the dead ones.
-        svc.live_reservations = (0..state.reservations.len()).collect();
-        svc.live_drains = (0..state.drains.len()).collect();
         svc.active_reservations = state
             .reservations
             .iter()
@@ -800,6 +780,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             .filter(|d| !d.revoked)
             .map(|d| (d.width, d.start, d.end));
         for (width, start, end) in reservation_windows.chain(drain_windows) {
+            svc.shift_overlay(start, end, i64::from(width));
             let from = start.max(state.now);
             if end > from {
                 svc.substrate
@@ -824,7 +805,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
                 svc.completion_of[p.job.0] = Some(completion);
                 svc.running_count += 1;
                 if state.flags[p.job.0].guaranteed {
-                    svc.committed_windows.push((p.start, completion, job.width));
+                    svc.shift_overlay(p.start, completion, i64::from(job.width));
                 }
             } else {
                 svc.completed_count += 1;
@@ -847,7 +828,6 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
                 svc.pending.push(Reverse((job.release, pos)));
             }
         }
-        svc.refresh_breakpoints();
         svc
     }
 
@@ -917,9 +897,8 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             end,
             cancelled: false,
         });
-        self.live_reservations.push(id);
         self.active_reservations += usize::from(end > start);
-        self.refresh_breakpoints();
+        self.shift_overlay(start, end, i64::from(width));
         let mut effects = std::mem::take(&mut self.fx_buf);
         effects.clear();
         // The overlay changed: a window starting now changes capacity at the
@@ -956,7 +935,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         entry.cancelled = true;
         entry.end = from;
         self.active_reservations -= usize::from(r.end > r.start);
-        self.refresh_breakpoints();
+        self.shift_overlay(from, r.end, -i64::from(r.width));
         let mut effects = std::mem::take(&mut self.fx_buf);
         effects.clear();
         // Capacity grew — at the current instant if the window had started,
@@ -1082,8 +1061,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             end,
             revoked: false,
         });
-        self.live_drains.push(id);
-        self.refresh_breakpoints();
+        self.shift_overlay(start, end, i64::from(width));
         let mut effects = std::mem::take(&mut self.fx_buf);
         effects.clear();
         // The overlay changed, and preemption may have re-queued work that
@@ -1116,7 +1094,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         let entry = &mut self.drains[id];
         entry.revoked = true;
         entry.end = from;
-        self.refresh_breakpoints();
+        self.shift_overlay(from, d.end, -i64::from(d.width));
         let mut effects = std::mem::take(&mut self.fx_buf);
         effects.clear();
         // Capacity grew; same wake-up obligation as cancel.
@@ -1175,8 +1153,11 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             self.running.push(Reverse((completion, pos)));
             self.running_count += 1;
             self.makespan = self.makespan.max(completion);
-            self.committed_windows.push((start, completion, width));
-            self.refresh_breakpoints();
+            // A committed window is an overlay window to the off-line
+            // engine (committed jobs are never preempted, so it never
+            // changes); it must normalize together with the rest so both
+            // sides agree on which instants are decision points.
+            self.shift_overlay(start, completion, i64::from(width));
             let mut effects = std::mem::take(&mut self.fx_buf);
             effects.clear();
             effects.started.push(Placement { job: id, start });
@@ -1240,25 +1221,18 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         Ok((id, choice, &self.fx_buf))
     }
 
-    /// Speculative earliest-fit probe: the earliest start a `width ×
-    /// duration` job would get if submitted now (or at `not_before`), or
-    /// `None` if it can never fit. Runs as checkpoint → earliest-fit →
-    /// tentative reserve → rollback on the substrate, so the observable
-    /// state is untouched — including by the validating reserve.
+    /// Earliest-fit probe: the earliest start a `width × duration` job would
+    /// get if submitted now (or at `not_before`), or `None` if it can never
+    /// fit. A pure read of the substrate.
     pub fn query(
-        &mut self,
+        &self,
         width: u32,
         duration: Dur,
         not_before: Option<Time>,
     ) -> Result<Option<Time>, ServiceError> {
         check_shape(width, duration, self.machines)?;
         let from = not_before.unwrap_or(self.now).max(self.now);
-        Ok(self.substrate.speculate(|s| {
-            let start = s.earliest_fit(width, duration, from)?;
-            s.reserve(start, duration, width)
-                .expect("earliest_fit certified the window");
-            Some(start)
-        }))
+        Ok(self.substrate.earliest_fit(width, duration, from))
     }
 
     /// Advance virtual time to `to`, draining completions, releasing pending
@@ -1631,11 +1605,8 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
                 }
                 decide = true;
             }
-            while let Some(&Reverse(t)) = self.breakpoints.peek() {
-                if t != at {
-                    break;
-                }
-                self.breakpoints.pop();
+            while self.edges.front().is_some_and(|&(t, _)| t == at) {
+                self.edges.pop_front();
                 decide = true;
             }
             if decide {
@@ -1667,8 +1638,8 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         // Breakpoints only matter while someone could be woken by them —
         // but filtering on non-empty waiting here would diverge from the
         // batch engine only in *skipped no-op decisions*, not in schedules;
-        // keeping them unconditional also drains the heap as time passes.
-        consider(self.breakpoints.peek().map(|&Reverse(t)| t));
+        // keeping them unconditional also pops the edges as time passes.
+        consider(self.edges.front().map(|&(t, _)| t));
         next
     }
 
@@ -1698,65 +1669,73 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         );
     }
 
-    /// Recompute the future availability-change instants from the effective
-    /// reservation overlay: the *normalized* profile breakpoints, so
-    /// equal-capacity boundaries produce no decision point — exactly the
-    /// events the batch engine schedules.
-    ///
-    /// Allocation-free on the steady path (PR 6): instead of materializing a
-    /// `ResourceProfile`, sweep `(time, ±width)` boundary events in the
-    /// reused `bp_events` scratch — an instant is a breakpoint iff the net
-    /// capacity delta across all windows touching it is non-zero, which is
-    /// precisely when the normalized profile has a step there.
-    ///
-    /// Only windows reaching past `now` are swept: one that ended at or
-    /// before `now` has both its events at or before `now`, where no
-    /// breakpoint is kept anyway. The live indices are pruned here, so the
-    /// sweep is O(live windows) whatever the session's length.
-    fn refresh_breakpoints(&mut self) {
-        let now = self.now;
-        let events = &mut self.bp_events;
-        events.clear();
-        let horizon = &mut self.window_horizon;
-        *horizon = Time::ZERO;
-        let mut window = |start: Time, end: Time, width: u32| {
-            let live = end > start && end > now;
-            if live {
-                events.push((start.ticks(), -i64::from(width)));
-                events.push((end.ticks(), i64::from(width)));
-                *horizon = (*horizon).max(end);
+    /// A window `[start, end)` of `width` processors joins the overlay
+    /// (`width > 0`) or leaves it (`width < 0`): two insert-or-cancel steps
+    /// on the edge list. Edges at or before `now` are never kept — the
+    /// clock has popped them, and no decision is owed in the past.
+    fn shift_overlay(&mut self, start: Time, end: Time, width: i64) {
+        for (at, delta) in [(start, -width), (end, width)] {
+            if at <= self.now {
+                continue;
             }
-            live
-        };
-        let reservations = &self.reservations;
-        self.live_reservations.retain(|&id| {
-            let r = &reservations[id];
-            window(r.start, r.end, r.width)
-        });
-        let drains = &self.drains;
-        self.live_drains.retain(|&id| {
-            let d = &drains[id];
-            window(d.start, d.end, d.width)
-        });
-        // Committed (deadline-guaranteed) windows are overlay windows to the
-        // off-line engine; they must normalize together with the rest so
-        // both sides agree on which instants are decision points.
-        self.committed_windows
-            .retain(|&(start, end, width)| window(start, end, width));
-        self.bp_events.sort_unstable();
-        self.breakpoints.clear();
-        let mut i = 0;
-        while i < self.bp_events.len() {
-            let t = self.bp_events[i].0;
-            let mut delta = 0i64;
-            while i < self.bp_events.len() && self.bp_events[i].0 == t {
-                delta += self.bp_events[i].1;
-                i += 1;
-            }
-            if delta != 0 && Time(t) > self.now {
-                self.breakpoints.push(Reverse(Time(t)));
+            let i = self.edges.partition_point(|&(t, _)| t < at);
+            match self.edges.get_mut(i) {
+                Some(edge) if edge.0 == at => {
+                    edge.1 += delta;
+                    if edge.1 == 0 {
+                        self.edges.remove(i);
+                    }
+                }
+                _ => self.edges.insert(i, (at, delta)),
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl<C: CapacityQuery + Speculate> ScheduleService<C> {
+    /// The from-scratch sweep the incremental edge list replaced, kept as
+    /// its oracle: derived state checked against authoritative state. Every
+    /// effective window of [`ScheduleService::state`] — reservations,
+    /// drains, deadline-committed placements — contributes `(start, −width)`
+    /// and `(end, +width)`; an instant after `now` is an edge iff its net is
+    /// non-zero.
+    fn assert_edges_match_a_fresh_sweep(&self) {
+        let state = self.state();
+        let reservations = state.reservations.iter().map(|r| (r.start, r.end, r.width));
+        let drains = state.drains.iter().map(|d| (d.start, d.end, d.width));
+        let committed = state.placements.iter().filter_map(|p| {
+            let job = state.jobs[p.job.0];
+            let end = p.start.saturating_add(job.duration);
+            state.flags[p.job.0]
+                .guaranteed
+                .then_some((p.start, end, job.width))
+        });
+        let mut events: Vec<(Time, i64)> = reservations
+            .chain(drains)
+            .chain(committed)
+            .flat_map(|(s, e, w)| [(s, -i64::from(w)), (e, i64::from(w))])
+            .collect();
+        events.sort_unstable();
+        let mut swept: Vec<(Time, i64)> = Vec::new();
+        for (t, delta) in events {
+            match swept.last_mut() {
+                Some(last) if last.0 == t => last.1 += delta,
+                _ => swept.push((t, delta)),
+            }
+        }
+        swept.retain(|&(t, net)| net != 0 && t > state.now);
+        let edges: Vec<(Time, i64)> = self.edges.iter().copied().collect();
+        assert_eq!(
+            edges, swept,
+            "edge list diverged from the sweep at {}",
+            state.now
+        );
+        let horizon = swept.last().map_or(Time::ZERO, |&(t, _)| t);
+        assert_eq!(
+            self.horizon().anchor,
+            state.now.max(self.latest_release).max(horizon)
+        );
     }
 }
 
@@ -1892,6 +1871,13 @@ mod tests {
         let after = (svc.substrate.to_profile(), svc.snapshot());
         assert_eq!(before, after, "query mutated observable state");
         assert!(!svc.substrate.in_transaction());
+        // A probe is a read: no number of them grows the substrate.
+        let breakpoints = svc.substrate.breakpoints();
+        for i in 0..1_000u64 {
+            let (width, duration) = (1 + (i % 4) as u32, Dur(1 + i % 9));
+            svc.query(width, duration, Some(Time(i % 40))).unwrap();
+        }
+        assert_eq!(svc.substrate.breakpoints(), breakpoints);
         // Degenerate probes are answered, not executed.
         assert_eq!(
             svc.query(4, Dur(1), Some(Time(50))).unwrap(),
@@ -2281,7 +2267,9 @@ mod proptests {
     ) -> String {
         let op = spec.decode(&View::of(svc));
         if keep(&op) {
-            format!("{op:?} -> {:?}", svc.apply(&op))
+            let reply = format!("{op:?} -> {:?}", svc.apply(&op));
+            svc.assert_edges_match_a_fresh_sweep();
+            reply
         } else {
             String::new()
         }
@@ -2356,6 +2344,7 @@ mod proptests {
         let mut restored =
             ScheduleService::restore(policy, &state, AvailabilityTimeline::constant(m));
         restored.set_drain_mode(mode);
+        restored.assert_edges_match_a_fresh_sweep();
         if restored.state() != state {
             return Err("restore must be idempotent".to_string());
         }

@@ -10,7 +10,9 @@
 //!
 //! The same allocator also pins what one snapshot *publication* of the
 //! concurrent front costs: bytes proportional to the live state, the same at
-//! op 1 000 and at op 20 000 of a session.
+//! op 1 000 and at op 20 000 of a session — and, on a large standing
+//! overlay, a write plus its publication copies the chunks the write touched
+//! and a 32-byte head per chunk, not the availability function.
 //!
 //! The allocator wrapper lives in this integration test only — the library
 //! crates stay `#![forbid(unsafe_code)]`; an integration test is a separate
@@ -139,6 +141,25 @@ fn steady_state_loops_do_not_allocate() {
         "one publication allocated {early} B at op 1000 but {late} B at op 20000"
     );
 
+    // The same on a large standing overlay: a far `reserve` and the freeze
+    // that publishes it copy the one chunk the reserve wrote to plus the
+    // chunk directory — not the 4 001 breakpoints (the pre-chunk substrate
+    // materialized, converted and normalized all of them: ≈ 145 KiB).
+    let small = far_reserve_bytes(2_000);
+    assert!(
+        small <= 8 * 1024,
+        "a far reserve and its publication allocated {small} B at 2 000 standing reservations"
+    );
+    // Four times the overlay adds the heads of the extra chunks and nothing
+    // else: 2 KiB per 64 of them (64 breakpoints to a chunk, two per window).
+    let large = far_reserve_bytes(8_000);
+    let extra_chunks = 2 * (8_000 - 2_000) / 64u64;
+    assert!(
+        large <= small + 2 * 1024 * extra_chunks.div_ceil(64),
+        "a far reserve and its publication allocated {small} B at 2 000 standing \
+         reservations but {large} B at 8 000"
+    );
+
     // -- engine half --------------------------------------------------------
     // The batch event loop may allocate amortized container growth (event
     // queue doubling, the schedule's placement vector, the position map) but
@@ -176,6 +197,33 @@ fn publication_bytes(
     let after = BYTES.load(Ordering::Relaxed);
     drop(client);
     (after - before, front.shutdown().0)
+}
+
+/// Bytes allocated by one far `reserve` and the freeze that would publish
+/// it, on a service holding `standing` disjoint reservations whose previous
+/// snapshot is still held (as a reader would): the chunks the reserve
+/// un-shares plus the new snapshot's chunk directory.
+fn far_reserve_bytes(standing: u64) -> u64 {
+    let mut svc = ScheduleService::new(
+        ReferencePolicy::Easy,
+        AvailabilityTimeline::constant(MACHINES),
+    );
+    for k in 0..standing {
+        svc.reserve(1 + (k % 4) as u32, Dur(2 + k % 7), Time(20_000 + 10 * k))
+            .expect("disjoint windows fit");
+    }
+    let far = |i: u64| Time(10_000_000 + 10 * i);
+    // Once unmeasured: the service's own containers grow lazily.
+    svc.reserve(1, Dur(4), far(0))
+        .expect("the far edge is free");
+    let held = svc.freeze_timeline(0);
+    let before = BYTES.load(Ordering::Relaxed);
+    svc.reserve(1, Dur(4), far(1))
+        .expect("the far edge is free");
+    let published = svc.freeze_timeline(1);
+    let after = BYTES.load(Ordering::Relaxed);
+    assert!(published.generation() > held.generation());
+    after - before
 }
 
 /// Allocations performed by one `Simulator::run` over `n` jobs (instance

@@ -229,3 +229,85 @@ fn snapshot_probes_answer_like_the_sequential_service() {
         }
     });
 }
+
+/// Copy-on-write under a live writer, two threads in forced lock-step: the
+/// reader takes the published snapshot and notes what it answers, the writer
+/// then churns the chunks that snapshot shares (cancel and re-reserve inside
+/// the standing overlay, a window across all of it, the far edge, the
+/// clock), and only afterwards does the reader materialize
+/// `snapshot.timeline.profile()` — from blocks the writer has since written
+/// copies of. It must be a valid normalized profile, still answer what the
+/// snapshot answered, and generations must never run backwards.
+#[test]
+fn held_snapshots_are_immune_to_the_writer() {
+    use std::sync::mpsc;
+    const MACHINES: u32 = 16;
+    const STANDING: u64 = 300;
+    const ROUNDS: u64 = 120;
+    let front = ConcurrentService::new(ScheduleService::new(
+        ReferencePolicy::Easy,
+        AvailabilityTimeline::constant(MACHINES),
+    ));
+    let writer = front.client();
+    let reserve = |width: u32, duration: u64, start: u64| Op::Reserve {
+        width,
+        duration: Dur(duration),
+        start: Time(start),
+    };
+    for k in 0..STANDING {
+        let op = reserve(1 + (k % 4) as u32, 2 + k % 6, 1_000 + 10 * k);
+        writer.apply(&op).result.expect("disjoint windows fit");
+    }
+    let (snapshot_held, writer_go) = mpsc::channel::<()>();
+    let (round_done, reader_go) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        let reader = front.client();
+        scope.spawn(move || {
+            let mut last_generation = 0;
+            for _ in 0..ROUNDS {
+                let snap = reader.snapshot();
+                assert!(
+                    snap.generation > last_generation,
+                    "generations ran backwards"
+                );
+                last_generation = snap.generation;
+                let noted: Vec<(Time, u32)> = (0..=STANDING * 10 + 100)
+                    .step_by(3)
+                    .map(|dt| Time(950 + dt))
+                    .map(|t| (t, snap.timeline.capacity_at(t)))
+                    .collect();
+                snapshot_held.send(()).expect("the writer is waiting");
+                reader_go.recv().expect("the writer finished its round");
+                let profile = snap.timeline.profile();
+                let steps = profile.steps();
+                assert_eq!(steps[0].0, Time::ZERO);
+                assert!(steps
+                    .windows(2)
+                    .all(|w| w[0].0 < w[1].0 && w[0].1 != w[1].1));
+                assert!(steps.iter().all(|&(_, cap)| cap <= MACHINES));
+                for &(t, cap) in &noted {
+                    assert_eq!(profile.capacity_at(t), cap, "generation {last_generation}");
+                }
+            }
+        });
+        for round in 0..ROUNDS {
+            writer_go.recv().expect("the reader holds a snapshot");
+            let k = (round * 7) % STANDING;
+            let applied = |op: Op| writer.apply(&op).result.expect("the churn is valid");
+            // Standing window `k` (ids are dense, 7 and 300 coprime: no
+            // repeats) gives way to a short one in the gap behind it.
+            applied(Op::Cancel { id: k as usize });
+            applied(reserve(1, 2, 1_002 + 10 * k + 6));
+            let Reply::Reservation { id: across, .. } = applied(reserve(1, 10 * STANDING, 995))
+            else {
+                panic!("a reserve answers with its id");
+            };
+            applied(Op::Cancel { id: across });
+            applied(reserve(2, 4, 10_000_000 + round));
+            applied(Op::Advance {
+                to: Time(round + 1),
+            });
+            round_done.send(()).expect("the reader is waiting");
+        }
+    });
+}
