@@ -134,9 +134,9 @@ for CLI uniformity and do not affect the protocol)
 ";
 
 /// Record sink of a `--retire` session: counts every retired record and,
-/// with `--records-out`, appends each as one JSON line. A write error is
-/// reported once on stderr and disables the writer — the session keeps
-/// serving (the records were already applied to the merged metrics).
+/// with `--records-out`, appends each as one JSON line. A write or flush
+/// error is reported once on stderr and disables the writer — the session
+/// keeps serving (the records were already applied to the merged metrics).
 struct FileRecordSink {
     out: Option<std::io::BufWriter<std::fs::File>>,
     path: String,
@@ -162,25 +162,31 @@ impl FileRecordSink {
         })
     }
 
-    fn flush(&mut self) {
-        if let Some(w) = &mut self.out {
-            let _ = w.flush();
+    /// Run one write step against the file, if it is still open; its first
+    /// error is reported and closes the file.
+    fn write(
+        &mut self,
+        step: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+    ) {
+        if let Some(Err(e)) = self.out.as_mut().map(step) {
+            eprintln!(
+                "--records-out {}: {e}; further records are dropped",
+                self.path
+            );
+            self.out = None;
         }
+    }
+
+    /// `BufWriter` surfaces most write failures only here.
+    fn flush(&mut self) {
+        self.write(|w| w.flush());
     }
 }
 
 impl RecordSink for FileRecordSink {
     fn record(&mut self, rec: JobRecord) {
         self.written += 1;
-        if let Some(w) = &mut self.out {
-            if let Err(e) = writeln!(w, "{}", to_line(&rec.to_value())) {
-                eprintln!(
-                    "--records-out {}: {e}; further records are dropped",
-                    self.path
-                );
-                self.out = None;
-            }
-        }
+        self.write(|w| writeln!(w, "{}", to_line(&rec.to_value())));
     }
 }
 

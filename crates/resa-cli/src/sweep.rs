@@ -86,7 +86,7 @@ use crate::replay::{parse_alpha, PolicyArg, ReservationArg};
 use crate::{CliError, Outcome};
 use resa_analysis::prelude::*;
 use resa_core::prelude::*;
-use resa_sim::prelude::{AdmissionPolicy, DeadlineOutcome, ScheduleService};
+use resa_sim::prelude::{AdmissionPolicy, DeadlineOutcome, ScheduleService, WindowKind};
 use resa_workloads::prelude::*;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
@@ -864,18 +864,12 @@ fn run_scenario_cell(
                 .map(|s| (job.width, s, s.saturating_add(job.duration)))
         })
         .collect();
-    let mut blocked: Vec<Window> = svc
-        .drains()
+    let blocked: Vec<Window> = WindowKind::ALL
         .iter()
-        .filter(|d| !d.revoked && d.end > d.start)
-        .map(|d| (d.width, d.start, d.end))
+        .flat_map(|&kind| svc.windows(kind))
+        .filter(|w| w.is_effective())
+        .map(|w| (w.width, w.start, w.end))
         .collect();
-    blocked.extend(
-        svc.reservations()
-            .iter()
-            .filter(|r| !r.cancelled && r.end > r.start)
-            .map(|r| (r.width, r.start, r.end)),
-    );
     let mut all_committed_placed = true;
     let commitments: Vec<(Time, Time)> = committed
         .iter()

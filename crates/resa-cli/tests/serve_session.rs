@@ -299,3 +299,44 @@ fn retire_flag_combinations_are_usage_errors() {
         );
     }
 }
+
+/// A `--records-out` file that cannot take the records (`BufWriter` reports
+/// the failure at flush time) is said so once on stderr; the session itself
+/// answers exactly as it would have.
+#[cfg(target_os = "linux")]
+#[test]
+fn unwritable_records_out_is_reported_not_swallowed() {
+    use std::process::Command;
+    let script_path =
+        std::env::temp_dir().join(format!("resa-devfull-script-{}.jsonl", std::process::id()));
+    let script = "\
+{\"op\":\"submit\",\"width\":2,\"duration\":3}\n\
+{\"op\":\"advance\",\"to\":5}\n\
+{\"op\":\"submit\",\"width\":1,\"duration\":1}\n\
+{\"op\":\"drain\"}\n\
+{\"op\":\"stats\"}\n";
+    std::fs::write(&script_path, script).unwrap();
+    let serve = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_resa"))
+            .args(["serve", "--machines", "4", "--retire", "--script"])
+            .arg(&script_path)
+            .args(extra)
+            .output()
+            .expect("spawn resa serve")
+    };
+    let reference = serve(&[]);
+    let full = serve(&["--records-out", "/dev/full"]);
+    let _ = std::fs::remove_file(&script_path);
+    assert!(full.status.success(), "{full:?}");
+    assert_eq!(full.stdout, reference.stdout, "the transcript changed");
+    let stderr = String::from_utf8_lossy(&full.stderr);
+    let reports: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("--records-out /dev/full: "))
+        .collect();
+    assert_eq!(reports.len(), 1, "stderr: {stderr}");
+    assert!(
+        reports[0].ends_with("; further records are dropped"),
+        "{stderr}"
+    );
+}

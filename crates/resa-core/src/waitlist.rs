@@ -27,6 +27,13 @@ pub struct WaitList {
     len: usize,
 }
 
+impl Default for WaitList {
+    /// An empty list accepting no index yet (see [`WaitList::ensure_capacity`]).
+    fn default() -> Self {
+        WaitList::with_capacity(0)
+    }
+}
+
 impl WaitList {
     /// An empty list accepting indices `0..capacity`.
     pub fn with_capacity(capacity: usize) -> Self {

@@ -151,6 +151,17 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// `None` as a `0` byte, `Some(t)` as a `1` byte and the instant.
+fn put_opt_time(buf: &mut Vec<u8>, t: Option<Time>) {
+    match t {
+        None => buf.push(0),
+        Some(t) => {
+            buf.push(1);
+            put_u64(buf, t.ticks());
+        }
+    }
+}
+
 /// Forward-only reader over a payload; every `take_*` returns `None` once
 /// the payload is exhausted, which the decoders surface as corruption.
 struct Cursor<'a> {
@@ -179,6 +190,14 @@ impl<'a> Cursor<'a> {
         let raw = self.bytes.get(self.at..self.at + 8)?;
         self.at += 8;
         Some(u64::from_le_bytes(raw.try_into().expect("8-byte slice")))
+    }
+
+    fn take_opt_time(&mut self) -> Option<Option<Time>> {
+        match self.take_u8()? {
+            0 => Some(None),
+            1 => Some(Some(Time(self.take_u64()?))),
+            _ => None,
+        }
     }
 
     fn done(&self) -> bool {
@@ -216,51 +235,45 @@ fn encode_op(buf: &mut Vec<u8>, op: &Op) -> bool {
             buf.push(1);
             put_u32(buf, width);
             put_u64(buf, duration.0);
-            match release {
-                None => buf.push(0),
-                Some(t) => {
-                    buf.push(1);
-                    put_u64(buf, t.ticks());
-                }
-            }
+            put_opt_time(buf, release);
         }
+        // The twin ops of the two window kinds differ in their tag only.
         Op::Reserve {
             width,
             duration,
             start,
-        } => {
-            buf.push(2);
-            put_u32(buf, width);
-            put_u64(buf, duration.0);
-            put_u64(buf, start.ticks());
         }
-        Op::Cancel { id } => {
-            buf.push(3);
-            put_u64(buf, id as u64);
-        }
-        Op::Advance { to } => {
-            buf.push(4);
-            put_u64(buf, to.ticks());
-        }
-        Op::AdvanceClamped { to } => {
-            buf.push(5);
-            put_u64(buf, to.ticks());
-        }
-        Op::Drain => buf.push(6),
-        Op::Inject {
+        | Op::Inject {
             width,
             duration,
             start,
         } => {
-            buf.push(7);
+            buf.push(if matches!(op, Op::Reserve { .. }) {
+                2
+            } else {
+                7
+            });
             put_u32(buf, width);
             put_u64(buf, duration.0);
             put_u64(buf, start.ticks());
         }
-        Op::Revoke { id } => {
-            buf.push(8);
+        Op::Cancel { id } | Op::Revoke { id } => {
+            buf.push(if matches!(op, Op::Cancel { .. }) {
+                3
+            } else {
+                8
+            });
             put_u64(buf, id as u64);
         }
+        Op::Advance { to } | Op::AdvanceClamped { to } => {
+            buf.push(if matches!(op, Op::Advance { .. }) {
+                4
+            } else {
+                5
+            });
+            put_u64(buf, to.ticks());
+        }
+        Op::Drain => buf.push(6),
         Op::SubmitDeadline {
             width,
             duration,
@@ -271,13 +284,7 @@ fn encode_op(buf: &mut Vec<u8>, op: &Op) -> bool {
             buf.push(9);
             put_u32(buf, width);
             put_u64(buf, duration.0);
-            match release {
-                None => buf.push(0),
-                Some(t) => {
-                    buf.push(1);
-                    put_u64(buf, t.ticks());
-                }
-            }
+            put_opt_time(buf, release);
             put_u64(buf, deadline.ticks());
             buf.push(match admission {
                 AdmissionPolicy::Reject => 0,
@@ -301,11 +308,7 @@ fn decode_op(cur: &mut Cursor<'_>) -> Option<Op> {
         1 => {
             let width = cur.take_u32()?;
             let duration = Dur(cur.take_u64()?);
-            let release = match cur.take_u8()? {
-                0 => None,
-                1 => Some(Time(cur.take_u64()?)),
-                _ => return None,
-            };
+            let release = cur.take_opt_time()?;
             Op::Submit {
                 width,
                 duration,
@@ -338,11 +341,7 @@ fn decode_op(cur: &mut Cursor<'_>) -> Option<Op> {
         9 => {
             let width = cur.take_u32()?;
             let duration = Dur(cur.take_u64()?);
-            let release = match cur.take_u8()? {
-                0 => None,
-                1 => Some(Time(cur.take_u64()?)),
-                _ => return None,
-            };
+            let release = cur.take_opt_time()?;
             let deadline = Time(cur.take_u64()?);
             let admission = match cur.take_u8()? {
                 0 => AdmissionPolicy::Reject,
@@ -385,28 +384,18 @@ fn encode_state(buf: &mut Vec<u8>, state: &ServiceState) {
     }
     // Scenario flags, parallel to the job catalog.
     for flags in &state.flags {
-        match flags.deadline {
-            None => buf.push(0),
-            Some(t) => {
-                buf.push(1);
-                put_u64(buf, t.ticks());
-            }
-        }
+        put_opt_time(buf, flags.deadline);
         buf.push(u8::from(flags.guaranteed) | (u8::from(flags.boosted) << 1));
     }
-    put_u64(buf, state.reservations.len() as u64);
-    for r in &state.reservations {
-        put_u32(buf, r.width);
-        put_u64(buf, r.start.ticks());
-        put_u64(buf, r.end.ticks());
-        buf.push(u8::from(r.cancelled));
-    }
-    put_u64(buf, state.drains.len() as u64);
-    for d in &state.drains {
-        put_u32(buf, d.width);
-        put_u64(buf, d.start.ticks());
-        put_u64(buf, d.end.ticks());
-        buf.push(u8::from(d.revoked));
+    // Reservations, then drains: one table per window kind.
+    for table in &state.windows {
+        put_u64(buf, table.len() as u64);
+        for w in table {
+            put_u32(buf, w.width);
+            put_u64(buf, w.start.ticks());
+            put_u64(buf, w.end.ticks());
+            buf.push(u8::from(w.released));
+        }
     }
     put_u64(buf, state.placements.len() as u64);
     for p in &state.placements {
@@ -434,11 +423,7 @@ fn decode_state(cur: &mut Cursor<'_>) -> Option<ServiceState> {
     }
     let mut flags = Vec::with_capacity(n_jobs.min(1 << 20));
     for _ in 0..n_jobs {
-        let deadline = match cur.take_u8()? {
-            0 => None,
-            1 => Some(Time(cur.take_u64()?)),
-            _ => return None,
-        };
+        let deadline = cur.take_opt_time()?;
         let bits = cur.take_u8()?;
         if bits > 0b11 {
             return None;
@@ -449,35 +434,23 @@ fn decode_state(cur: &mut Cursor<'_>) -> Option<ServiceState> {
             boosted: bits & 2 != 0,
         });
     }
-    let n_res = usize::try_from(cur.take_u64()?).ok()?;
-    let mut reservations = Vec::with_capacity(n_res.min(1 << 20));
-    for id in 0..n_res {
-        reservations.push(crate::service::ServiceReservation {
-            id,
-            width: cur.take_u32()?,
-            start: Time(cur.take_u64()?),
-            end: Time(cur.take_u64()?),
-            cancelled: match cur.take_u8()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            },
-        });
-    }
-    let n_drains = usize::try_from(cur.take_u64()?).ok()?;
-    let mut drains = Vec::with_capacity(n_drains.min(1 << 20));
-    for id in 0..n_drains {
-        drains.push(crate::service::ServiceDrain {
-            id,
-            width: cur.take_u32()?,
-            start: Time(cur.take_u64()?),
-            end: Time(cur.take_u64()?),
-            revoked: match cur.take_u8()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            },
-        });
+    let mut windows = [Vec::new(), Vec::new()];
+    for table in &mut windows {
+        let n = usize::try_from(cur.take_u64()?).ok()?;
+        table.reserve(n.min(1 << 20));
+        for id in 0..n {
+            table.push(crate::service::ServiceWindow {
+                id,
+                width: cur.take_u32()?,
+                start: Time(cur.take_u64()?),
+                end: Time(cur.take_u64()?),
+                released: match cur.take_u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                },
+            });
+        }
     }
     let n_place = usize::try_from(cur.take_u64()?).ok()?;
     let mut placements = Vec::with_capacity(n_place.min(1 << 20));
@@ -507,8 +480,7 @@ fn decode_state(cur: &mut Cursor<'_>) -> Option<ServiceState> {
         makespan,
         jobs,
         flags,
-        reservations,
-        drains,
+        windows,
         placements,
         queue,
     })
@@ -1125,7 +1097,7 @@ impl<C: CapacityQuery + Speculate> Session for JournaledService<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServiceStats;
+    use crate::service::{ServiceStats, WindowKind};
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1330,7 +1302,10 @@ mod tests {
             DrainMode::Checkpoint,
         );
         assert_eq!(replayed.state(), fin.state());
-        assert_eq!(replayed.drains(), fin.drains());
+        assert_eq!(
+            replayed.windows(WindowKind::Drain),
+            fin.windows(WindowKind::Drain)
+        );
         assert_eq!(replayed.job_flags(), fin.job_flags());
         std::fs::remove_file(&path).unwrap();
     }

@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::reference::simulate_reference;
     pub use crate::service::{
         AdmissionPolicy, DeadlineOutcome, DrainMode, Effects, JobFlags, ScheduleService,
-        ServiceDrain, ServiceError, ServiceReservation, ServiceState, ServiceStats,
+        ServiceError, ServiceState, ServiceStats, ServiceWindow, WindowKind,
     };
     pub use crate::stream::{
         run_stream, DiscardSink, InstanceSource, JobSource, RecordSink, StreamOutcome, VecSink,

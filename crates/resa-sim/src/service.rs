@@ -57,357 +57,24 @@
 //! all of it — but only those two reads and an `inject` that actually
 //! preempts (it re-derives the makespan) walk them.
 
+mod admission;
+mod derived;
+mod drain;
+mod types;
+
+pub use types::{
+    AdmissionPolicy, DeadlineOutcome, DrainMode, Effects, JobFlags, ServiceError, ServiceState,
+    ServiceStats, ServiceWindow, WindowKind,
+};
+
 use crate::metrics::{MetricsAccumulator, SimMetrics};
 use crate::op::{check_shape, Horizon};
 use crate::policy::ReferencePolicy;
 use crate::stream::{DecisionStep, RecordSink};
 use crate::trace::{JobRecord, RunTrace};
+use derived::Derived;
 use resa_core::capacity::Speculate;
 use resa_core::prelude::*;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Errors a service request can be rejected with. The service state is
-/// unchanged by a rejected request (transactional semantics).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServiceError {
-    /// A width of zero or wider than the cluster.
-    BadWidth {
-        /// The requested width.
-        width: u32,
-        /// The cluster size.
-        machines: u32,
-    },
-    /// A zero duration.
-    ZeroDuration,
-    /// A release/start/advance instant before the current virtual time.
-    InThePast {
-        /// The requested instant.
-        at: Time,
-        /// The current virtual time.
-        now: Time,
-    },
-    /// A reservation that does not fit the availability left by running jobs
-    /// and earlier reservations.
-    ReservationRejected {
-        /// The underlying capacity error.
-        reason: String,
-    },
-    /// A reservation id that does not exist.
-    UnknownReservation {
-        /// The offending id.
-        id: usize,
-    },
-    /// A reservation that was already cancelled or has already ended.
-    ReservationInactive {
-        /// The offending id.
-        id: usize,
-    },
-    /// A drain id that does not exist.
-    UnknownDrain {
-        /// The offending id.
-        id: usize,
-    },
-    /// A drain that was already revoked or has already ended.
-    DrainInactive {
-        /// The offending id.
-        id: usize,
-    },
-    /// A deadline submission whose speculative completion bound misses the
-    /// due date under [`AdmissionPolicy::Reject`]. The job was not accepted
-    /// and no state changed.
-    DeadlineUnmet {
-        /// The requested due date.
-        deadline: Time,
-        /// The earliest completion the speculative probe could certify
-        /// (`None` when the shape never fits the availability function).
-        bound: Option<Time>,
-    },
-    /// A moldable submission with an invalid width menu, zero area, or no
-    /// shape that ever fits the availability function.
-    Moldable {
-        /// Human-readable cause.
-        reason: String,
-    },
-    /// An instant or duration so large that accepting the op could make a
-    /// `Time + Dur` the service or a policy computes overflow (see
-    /// [`crate::op::Horizon`]). Refused at admission: nothing was journaled
-    /// and no state changed.
-    HorizonOverflow,
-    /// The single-writer loop of a [`crate::concurrent::ConcurrentService`]
-    /// has shut down; no further mutating requests can be applied.
-    ServiceStopped,
-    /// The write-ahead journal of a durable service rejected the record for
-    /// this op (see [`crate::journal`]); the op was **not** applied — a
-    /// mutation that cannot be made durable is refused rather than silently
-    /// volatile.
-    Journal {
-        /// The underlying I/O error.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServiceError::BadWidth { width, machines } => {
-                write!(f, "width {width} outside 1..={machines}")
-            }
-            ServiceError::ZeroDuration => write!(f, "duration must be positive"),
-            ServiceError::InThePast { at, now } => {
-                write!(f, "{at} is in the past (virtual time is {now})")
-            }
-            ServiceError::ReservationRejected { reason } => {
-                write!(f, "reservation rejected: {reason}")
-            }
-            ServiceError::UnknownReservation { id } => write!(f, "unknown reservation {id}"),
-            ServiceError::ReservationInactive { id } => {
-                write!(f, "reservation {id} is cancelled or already over")
-            }
-            ServiceError::UnknownDrain { id } => write!(f, "unknown drain {id}"),
-            ServiceError::DrainInactive { id } => {
-                write!(f, "drain {id} is revoked or already over")
-            }
-            ServiceError::DeadlineUnmet { deadline, bound } => match bound {
-                Some(b) => write!(f, "deadline {deadline} unmet: earliest completion is {b}"),
-                None => write!(f, "deadline {deadline} unmet: the shape never fits"),
-            },
-            ServiceError::Moldable { reason } => {
-                write!(f, "moldable submission rejected: {reason}")
-            }
-            ServiceError::HorizonOverflow => write!(
-                f,
-                "instants and durations this large overflow the time axis \
-                 (the scheduling horizon must stay below 2^64 ticks)"
-            ),
-            ServiceError::ServiceStopped => write!(f, "service writer has shut down"),
-            ServiceError::Journal { message } => {
-                write!(f, "journal append failed, op not applied: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ServiceError {}
-
-/// One reservation held by the service, with its live window. A cancelled
-/// reservation keeps the elapsed prefix `[start, cancelled_at)` (capacity it
-/// blocked in the past cannot be given back retroactively).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceReservation {
-    /// Dense id handed out by [`ScheduleService::reserve`].
-    pub id: usize,
-    /// Processors withdrawn.
-    pub width: u32,
-    /// Start of the window.
-    pub start: Time,
-    /// Exclusive end of the *effective* window (truncated by cancellation).
-    pub end: Time,
-    /// Whether [`ScheduleService::cancel`] resolved this reservation.
-    pub cancelled: bool,
-}
-
-/// One failure/maintenance drain held by the service: `width` machines
-/// withdrawn during `[start, end)`, injected mid-run. A revoked drain keeps
-/// its elapsed prefix, exactly like a cancelled [`ServiceReservation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceDrain {
-    /// Dense id handed out by [`ScheduleService::inject`] (a namespace
-    /// separate from reservation ids).
-    pub id: usize,
-    /// Machines withdrawn.
-    pub width: u32,
-    /// Start of the drained window.
-    pub start: Time,
-    /// Exclusive end of the *effective* window (truncated by revocation).
-    pub end: Time,
-    /// Whether [`ScheduleService::revoke`] resolved this drain.
-    pub revoked: bool,
-}
-
-/// What happens to a running job preempted by an injected drain.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DrainMode {
-    /// Kill-and-resubmit: the victim loses all progress and re-queues with
-    /// its full duration.
-    #[default]
-    Restart,
-    /// Checkpoint-requeue: the victim re-queues with only its not-yet-elapsed
-    /// duration (`completion − now`).
-    Checkpoint,
-}
-
-impl DrainMode {
-    /// Canonical lowercase name (CLI flag value / protocol field).
-    pub fn name(self) -> &'static str {
-        match self {
-            DrainMode::Restart => "restart",
-            DrainMode::Checkpoint => "checkpoint",
-        }
-    }
-
-    /// Parse a canonical name back into a mode.
-    pub fn parse(s: &str) -> Option<DrainMode> {
-        match s {
-            "restart" => Some(DrainMode::Restart),
-            "checkpoint" => Some(DrainMode::Checkpoint),
-            _ => None,
-        }
-    }
-}
-
-/// How [`ScheduleService::submit_deadline`] treats a job whose speculative
-/// completion bound misses the due date. A job whose bound *meets* the due
-/// date is always admitted — committed to its probed placement, which makes
-/// "no accepted deadline is ever missed" hold by construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Refuse the job; the service state is unchanged.
-    #[default]
-    Reject,
-    /// Accept the job *without* a guarantee, letting it jump the waiting
-    /// queue (front of the list instead of the back).
-    Boost,
-}
-
-impl AdmissionPolicy {
-    /// Canonical lowercase name (protocol field value).
-    pub fn name(self) -> &'static str {
-        match self {
-            AdmissionPolicy::Reject => "reject",
-            AdmissionPolicy::Boost => "boost",
-        }
-    }
-
-    /// Parse a canonical name back into a policy.
-    pub fn parse(s: &str) -> Option<AdmissionPolicy> {
-        match s {
-            "reject" => Some(AdmissionPolicy::Reject),
-            "boost" => Some(AdmissionPolicy::Boost),
-            _ => None,
-        }
-    }
-}
-
-/// How a deadline submission was resolved by [`ScheduleService::submit_deadline`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlineOutcome {
-    /// The speculative bound met the due date: the job is committed to the
-    /// probed placement (reserved on the substrate, guaranteed against
-    /// drains) and will complete at `completion ≤ deadline`.
-    Committed {
-        /// The committed start.
-        start: Time,
-        /// The committed completion (`start + duration`).
-        completion: Time,
-    },
-    /// The bound missed the due date and [`AdmissionPolicy::Boost`] accepted
-    /// the job anyway, un-guaranteed, at the front of the waiting queue.
-    Boosted,
-}
-
-/// Per-job scenario flags, parallel to the job catalog (index == job id).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JobFlags {
-    /// The due date a deadline submission asked for, if any.
-    pub deadline: Option<Time>,
-    /// Whether the job is committed to a placement that drains must not
-    /// preempt (set by the admitting path of `submit_deadline`).
-    pub guaranteed: bool,
-    /// Whether the job jumped the waiting queue under
-    /// [`AdmissionPolicy::Boost`]. Cleared if the job is later preempted by
-    /// a drain (a killed job re-queues at the back, demoted).
-    pub boosted: bool,
-}
-
-/// What one request changed: jobs started by the decision(s) it triggered
-/// and jobs that completed while time advanced.
-///
-/// Mutating requests hand back `&Effects` borrowed from a buffer the service
-/// reuses across requests (part of the PR 6 zero-allocation steady path);
-/// clone it if the effects must outlive the next request.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Effects {
-    /// Jobs started, in decision order, with their start times.
-    pub started: Vec<Placement>,
-    /// Jobs whose completion was drained, with their completion times.
-    pub completed: Vec<(JobId, Time)>,
-}
-
-impl Effects {
-    /// Reset for reuse, keeping the allocated capacity.
-    pub fn clear(&mut self) {
-        self.started.clear();
-        self.completed.clear();
-    }
-
-    /// Whether the request changed nothing.
-    pub fn is_empty(&self) -> bool {
-        self.started.is_empty() && self.completed.is_empty()
-    }
-}
-
-/// Aggregate counters of a service session.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Current virtual time.
-    pub now: Time,
-    /// Cluster size.
-    pub machines: u32,
-    /// Jobs submitted so far.
-    pub submitted: usize,
-    /// Jobs not yet released (future release dates).
-    pub pending: usize,
-    /// Jobs released but not yet started.
-    pub waiting: usize,
-    /// Jobs started but not yet completed.
-    pub running: usize,
-    /// Jobs completed.
-    pub completed: usize,
-    /// Reservations currently active or scheduled (accepted minus cancelled).
-    pub reservations: usize,
-    /// Decision points at which the policy was consulted.
-    pub decisions: u64,
-    /// Largest completion time among started jobs (the paper's `C_max` so
-    /// far).
-    pub makespan: Time,
-}
-
-/// A portable snapshot of everything a [`ScheduleService`] has decided: the
-/// state a journal snapshot record persists (see [`crate::journal`]) and
-/// [`ScheduleService::restore`] rebuilds a live service from.
-///
-/// Mostly *derived-state-free*: the pending/running heaps, the decision
-/// breakpoints and the substrate's availability function are all
-/// reconstructible from the jobs, the reservations, the drains and the
-/// placements (restore proves it). The one exception is the waiting-queue
-/// *order*: boosts jump the queue and drain preemptions re-queue victims at
-/// the instant they were killed, so the order stopped being a pure function
-/// of release dates — it is persisted verbatim in `queue` instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceState {
-    /// Cluster size (the substrate handed to restore must match).
-    pub machines: u32,
-    /// Virtual time at capture.
-    pub now: Time,
-    /// Decision points taken so far.
-    pub decisions: u64,
-    /// Largest completion time among started jobs.
-    pub makespan: Time,
-    /// Every job ever submitted, in id order (ids are dense). A job
-    /// checkpoint-requeued by a drain carries its *remaining* duration.
-    pub jobs: Vec<Job>,
-    /// Per-job scenario flags, parallel to `jobs`.
-    pub flags: Vec<JobFlags>,
-    /// Every reservation ever accepted, in id order, cancellation-truncated.
-    pub reservations: Vec<ServiceReservation>,
-    /// Every drain ever injected, in id order, revocation-truncated.
-    pub drains: Vec<ServiceDrain>,
-    /// Every placement decided so far, in decision order.
-    pub placements: Vec<Placement>,
-    /// The waiting queue (job positions) in queue order, front first.
-    pub queue: Vec<usize>,
-}
 
 /// Per-job lifecycle records plus run metrics of `schedule` on `instance` —
 /// what [`ScheduleService::snapshot`] reports for a session nothing was
@@ -422,6 +89,95 @@ pub(crate) fn records_of(
     (trace.records().to_vec(), metrics)
 }
 
+/// What a session *is*: the contents of a [`ServiceState`] in their live
+/// containers, plus what catalog retirement folded away. Everything else
+/// the service keeps is a function of this (`Derived`).
+#[derive(Debug, Clone, Default)]
+struct Authoritative {
+    now: Time,
+    /// Every job not yet compacted away; ids are dense, and catalog position
+    /// `pos` holds id `base + pos`.
+    jobs: Vec<Job>,
+    /// Per-job scenario flags, parallel to `jobs`.
+    flags: Vec<JobFlags>,
+    /// The overlay, one table per [`WindowKind`] (id == index).
+    windows: [Vec<ServiceWindow>; 2],
+    /// Every placement not yet retired, in decision order.
+    schedule: Schedule,
+    /// Released-but-not-started job positions, in queue order.
+    waiting: WaitList,
+    /// Ids below `base` have been retired: their catalog entries were
+    /// compacted away. Stays `0` until
+    /// [`ScheduleService::retire_completed`] compacts.
+    base: usize,
+    /// Metrics of the placements retired into a [`RecordSink`] so far,
+    /// folded in decision order so merging with the live placements
+    /// reproduces `SimMetrics::from_schedule` bit-for-bit.
+    retired_metrics: MetricsAccumulator,
+    /// Parallel to `jobs`: `true` once the position's placement has been
+    /// retired, making the catalog entry eligible for compaction.
+    retired_placement: Vec<bool>,
+}
+
+impl Authoritative {
+    /// The catalog position of a live job id.
+    #[inline]
+    fn pos_of(&self, id: JobId) -> usize {
+        id.0 - self.base
+    }
+
+    /// The job id stored at catalog position `pos`.
+    #[inline]
+    fn id_at(&self, pos: usize) -> JobId {
+        JobId(self.base + pos)
+    }
+
+    /// When the run `p` records ends.
+    fn completion(&self, p: &Placement) -> Time {
+        p.start
+            .saturating_add(self.jobs[self.pos_of(p.job)].duration)
+    }
+
+    /// The lifecycle record of the run `p` records.
+    fn record_of(&self, p: &Placement) -> JobRecord {
+        let job = self.jobs[self.pos_of(p.job)];
+        JobRecord {
+            job: p.job,
+            width: job.width,
+            duration: job.duration,
+            arrived: job.release,
+            started: p.start,
+            completed: self.completion(p),
+        }
+    }
+
+    /// Largest completion time among started jobs. Retired placements left
+    /// the schedule but their high-water mark survives in the accumulator.
+    fn makespan(&self) -> Time {
+        let live = self.schedule.placements().iter();
+        live.map(|p| self.completion(p))
+            .fold(self.retired_metrics.makespan(), Time::max)
+    }
+
+    /// The reservation-and-drain overlay as it is actually in effect:
+    /// withdrawn windows truncated to their elapsed prefix, zero-length
+    /// windows dropped, ids re-densified across the two namespaces
+    /// (reservations first). The single source of truth for the
+    /// replay-equivalence instance. Windows committed by deadline admission
+    /// are deliberately absent: they occupy the substrate through their own
+    /// placements, and the oracle view ([`ScheduleService::oracle_parts`])
+    /// appends them separately.
+    fn effective_overlay(&self) -> Vec<Reservation> {
+        self.windows
+            .iter()
+            .flatten()
+            .filter(|w| w.is_effective())
+            .enumerate()
+            .map(|(i, w)| Reservation::new(i, w.width, w.end.since(w.start), w.start))
+            .collect()
+    }
+}
+
 /// The resident scheduling service: a live availability substrate plus the
 /// incremental decision loop of the batch engine.
 ///
@@ -430,67 +186,27 @@ pub(crate) fn records_of(
 /// rollback speculation) and the only one `resa serve` runs on, the naive
 /// [`ResourceProfile`] the clone-based oracle the equivalence tests run
 /// the same sessions on, byte for byte.
+///
+/// Beside configuration and reused scratch buffers the service is two
+/// things: the *authoritative state* requests change and
+/// [`ScheduleService::state`] persists, and a *derived index* — heaps,
+/// overlay edges, counters, the substrate's availability function — that is
+/// a function of it: kept incrementally by the transitions of `Derived`,
+/// rebuilt from scratch by [`ScheduleService::restore`], and compared with
+/// that rebuild after every op of the crate's randomized tests.
 #[derive(Debug, Clone)]
 pub struct ScheduleService<C: CapacityQuery + Speculate> {
+    // -- configuration
     machines: u32,
     policy: ReferencePolicy,
-    substrate: C,
-    now: Time,
-    /// Every job ever submitted; ids are dense (id == index).
-    jobs: Vec<Job>,
-    /// Released-but-not-started job positions, in arrival order.
-    waiting: WaitList,
-    /// Future arrivals `(release, position)` as a min-heap; entries are
-    /// unique, so the pop order equals the sorted order of the old
-    /// `BTreeSet` — `O(log n)` push/pop with no per-node allocation, and the
-    /// batch engine's tie-break (job id) is the second component.
-    pending: BinaryHeap<Reverse<(Time, usize)>>,
-    /// Outstanding completions `(completion, position)` as a min-heap.
-    running: BinaryHeap<Reverse<(Time, usize)>>,
-    /// Future decision instants induced by the overlay (reservations,
-    /// drains, deadline-committed placements): `(instant, net width
-    /// change)` over the effective windows, time-ordered, instants after
-    /// `now` with a non-zero net only — exactly the *normalized* breakpoints
-    /// of the overlay profile, the availability-change events of the batch
-    /// engine (edges that cancel produce no decision point). A window that
-    /// joins or leaves the overlay updates its own two edges
-    /// ([`ScheduleService::shift_overlay`]), the clock pops the front, and
-    /// the last edge is the latest end among the live windows.
-    edges: VecDeque<(Time, i64)>,
-    reservations: Vec<ServiceReservation>,
-    /// Failure/maintenance drains, in injection order (id == index).
-    drains: Vec<ServiceDrain>,
-    /// Accepted, not cancelled reservations: `stats().reservations`.
-    active_reservations: usize,
-    /// Latest release date among the jobs in the catalog and their total
-    /// duration: with the last overlay edge, the overflow guard's
-    /// [`Horizon`]. All functions of the persisted state, so a restored
-    /// service admits exactly what the live one would.
-    latest_release: Time,
-    work: u128,
-    /// Per-job scenario flags, parallel to `jobs`.
-    flags: Vec<JobFlags>,
-    /// `Some(completion)` while the job occupies the substrate (committed or
-    /// running), `None` otherwise. Doubles as the staleness guard for the
-    /// running heap: a drain preemption cannot cheaply delete the victim's
-    /// heap entry, so completions are only honoured when they match this
-    /// table (see `advance_into`).
-    completion_of: Vec<Option<Time>>,
-    /// Jobs occupying the substrate right now (running or committed); kept
-    /// explicitly because the running heap may hold stale entries.
-    running_count: usize,
-    /// Jobs whose completion event has been drained.
-    completed_count: usize,
     /// What happens to jobs a drain preempts.
     drain_mode: DrainMode,
-    /// Victims of the most recent [`ScheduleService::inject`], in re-queue
-    /// (ascending id) order. Reused across requests.
-    preempted_buf: Vec<JobId>,
-    schedule: Schedule,
-    /// Largest completion time among started jobs, maintained incrementally
-    /// at every start so `stats` never re-scans the schedule — the
-    /// concurrent front publishes stats once per write batch.
-    makespan: Time,
+    // -- authoritative state (with `step.decisions`)
+    auth: Authoritative,
+    // -- derived index
+    derived: Derived,
+    substrate: C,
+    // -- scratch
     /// The decide-and-place step and retire cadence shared with
     /// [`crate::stream::run_stream`], with its reused buffers and the
     /// decision count.
@@ -498,19 +214,9 @@ pub struct ScheduleService<C: CapacityQuery + Speculate> {
     /// Reused effects buffer handed back by reference from every mutating
     /// request.
     fx_buf: Effects,
-    /// Ids below `base` have been retired: their catalog entries were
-    /// compacted away and catalog position `pos` now holds id `base + pos`.
-    /// Stays `0` until [`ScheduleService::retire_completed`] compacts.
-    base: usize,
-    /// Metrics of retired placements, folded in decision order so merging
-    /// with the live placements reproduces `SimMetrics::from_schedule`
-    /// bit-for-bit.
-    retired_metrics: MetricsAccumulator,
-    /// Completed-job records handed to a [`RecordSink`] so far.
-    retired_records: usize,
-    /// Parallel to `jobs`: `true` once the position's placement has been
-    /// retired, making the catalog entry eligible for compaction.
-    retired_placement: Vec<bool>,
+    /// Victims of the most recent [`ScheduleService::inject`], in re-queue
+    /// (ascending id) order. Reused across requests.
+    preempted_buf: Vec<JobId>,
 }
 
 impl<C: CapacityQuery + Speculate> ScheduleService<C> {
@@ -525,45 +231,14 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         ScheduleService {
             machines,
             policy,
-            substrate,
-            now: Time::ZERO,
-            jobs: Vec::new(),
-            waiting: WaitList::with_capacity(0),
-            pending: BinaryHeap::new(),
-            running: BinaryHeap::new(),
-            edges: VecDeque::new(),
-            reservations: Vec::new(),
-            drains: Vec::new(),
-            active_reservations: 0,
-            latest_release: Time::ZERO,
-            work: 0,
-            flags: Vec::new(),
-            completion_of: Vec::new(),
-            running_count: 0,
-            completed_count: 0,
             drain_mode: DrainMode::default(),
-            preempted_buf: Vec::new(),
-            schedule: Schedule::new(),
-            makespan: Time::ZERO,
+            auth: Authoritative::default(),
+            derived: Derived::default(),
+            substrate,
             step: DecisionStep::default(),
             fx_buf: Effects::default(),
-            base: 0,
-            retired_metrics: MetricsAccumulator::new(),
-            retired_records: 0,
-            retired_placement: Vec::new(),
+            preempted_buf: Vec::new(),
         }
-    }
-
-    /// The catalog position of a live job id.
-    #[inline]
-    fn pos_of(&self, id: JobId) -> usize {
-        id.0 - self.base
-    }
-
-    /// The job id stored at catalog position `pos`.
-    #[inline]
-    fn id_at(&self, pos: usize) -> JobId {
-        JobId(self.base + pos)
     }
 
     /// Append a job to the catalog and its parallel tables; returns its
@@ -574,53 +249,42 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         duration: Dur,
         release: Time,
         flags: JobFlags,
-        completion: Option<Time>,
     ) -> (usize, JobId) {
-        let pos = self.jobs.len();
-        let id = self.id_at(pos);
-        self.jobs
-            .push(Job::released_at(id.0, width, duration, release));
-        self.flags.push(flags);
-        self.completion_of.push(completion);
-        self.retired_placement.push(false);
-        self.waiting.ensure_capacity(pos + 1);
-        self.latest_release = self.latest_release.max(release);
-        self.work += u128::from(duration.0);
+        let pos = self.auth.jobs.len();
+        let id = self.auth.id_at(pos);
+        let job = Job::released_at(id.0, width, duration, release);
+        self.auth.jobs.push(job);
+        self.auth.flags.push(flags);
+        self.auth.retired_placement.push(false);
+        self.auth.waiting.ensure_capacity(pos + 1);
+        self.derived.enrolled(&job);
         (pos, id)
     }
 
-    /// Pre-size every per-job container for a session expected to hold up to
-    /// `jobs` jobs and `reservations` reservations, so a steady-state loop
-    /// staying under these bounds allocates nothing per request (pinned by
-    /// the allocation-regression test in `tests/alloc_regression.rs`).
-    pub fn ensure_capacity(&mut self, jobs: usize, reservations: usize) {
-        self.jobs.reserve(jobs.saturating_sub(self.jobs.len()));
-        self.waiting.ensure_capacity(jobs);
-        self.pending
-            .reserve(jobs.saturating_sub(self.pending.len()));
-        self.running
-            .reserve(jobs.saturating_sub(self.running.len()));
+    /// Pre-size every container for `jobs` more jobs and `windows` more
+    /// overlay windows of either kind, so a steady-state loop staying under
+    /// these bounds allocates nothing per request (pinned by the
+    /// allocation-regression test in `tests/alloc_regression.rs`).
+    pub fn ensure_capacity(&mut self, jobs: usize, windows: usize) {
+        let auth = &mut self.auth;
+        auth.jobs.reserve(jobs);
+        auth.flags.reserve(jobs);
+        auth.retired_placement.reserve(jobs);
+        auth.waiting.ensure_capacity(auth.jobs.len() + jobs);
+        auth.schedule.reserve(jobs);
+        for table in &mut auth.windows {
+            table.reserve(windows);
+        }
+        self.derived.reserve(jobs, 2 * windows);
         self.step.reserve(jobs);
-        self.schedule
-            .reserve(jobs.saturating_sub(self.schedule.len()));
         self.fx_buf.started.reserve(jobs);
         self.fx_buf.completed.reserve(jobs);
-        self.flags.reserve(jobs.saturating_sub(self.flags.len()));
-        self.completion_of
-            .reserve(jobs.saturating_sub(self.completion_of.len()));
-        self.retired_placement
-            .reserve(jobs.saturating_sub(self.retired_placement.len()));
-        self.preempted_buf
-            .reserve(jobs.saturating_sub(self.preempted_buf.len()));
-        self.reservations
-            .reserve(reservations.saturating_sub(self.reservations.len()));
-        self.edges
-            .reserve((2 * reservations).saturating_sub(self.edges.len()));
+        self.preempted_buf.reserve(jobs);
     }
 
     /// Current virtual time.
     pub fn now(&self) -> Time {
-        self.now
+        self.auth.now
     }
 
     /// The cluster size.
@@ -636,18 +300,12 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// What [`crate::op::Op::validate`] guards against overflow: no instant
     /// this service computes from here on exceeds `anchor + work`.
     pub fn horizon(&self) -> Horizon {
-        Horizon {
-            anchor: self
-                .now
-                .max(self.latest_release)
-                .max(self.edges.back().map_or(Time::ZERO, |&(t, _)| t)),
-            work: self.work,
-        }
+        self.derived.horizon(self.auth.now)
     }
 
     /// The schedule of every job started so far, in decision order.
     pub fn schedule(&self) -> &Schedule {
-        &self.schedule
+        &self.auth.schedule
     }
 
     /// Number of decision points so far.
@@ -655,19 +313,15 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         self.step.decisions
     }
 
-    /// All reservations ever accepted (including cancelled ones, truncated).
-    pub fn reservations(&self) -> &[ServiceReservation] {
-        &self.reservations
-    }
-
-    /// All drains ever injected (including revoked ones, truncated).
-    pub fn drains(&self) -> &[ServiceDrain] {
-        &self.drains
+    /// All windows of `kind` ever accepted (including withdrawn ones,
+    /// truncated), in id order.
+    pub fn windows(&self, kind: WindowKind) -> &[ServiceWindow] {
+        &self.auth.windows[kind as usize]
     }
 
     /// Per-job scenario flags, parallel to the job catalog.
     pub fn job_flags(&self) -> &[JobFlags] {
-        &self.flags
+        &self.auth.flags
     }
 
     /// Configure what happens to jobs a drain preempts. Construction-time
@@ -677,55 +331,37 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         self.drain_mode = mode;
     }
 
-    /// Victims of the most recent [`ScheduleService::inject`], in re-queue
-    /// (ascending id) order; empty when it preempted nothing. Valid until
-    /// the next inject.
-    pub fn last_preempted(&self) -> &[JobId] {
-        &self.preempted_buf
-    }
-
     /// Capture the decided state of the session as a [`ServiceState`] —
     /// everything [`ScheduleService::restore`] needs to rebuild an
     /// equivalent live service. Cheap relative to a snapshot record write
-    /// (three `Vec` clones), called by the journal layer at compaction
-    /// points only.
+    /// (a handful of `Vec` clones), called by the journal layer at
+    /// compaction points only.
     pub fn state(&self) -> ServiceState {
+        let auth = &self.auth;
         assert!(
-            self.base == 0 && self.retired_records == 0,
+            auth.retired_metrics.jobs() == 0,
             "a retiring session cannot be checkpointed: retired records left \
              the process, so the captured state would be partial (the serve \
              front rejects --retire alongside --journal)"
         );
         ServiceState {
             machines: self.machines,
-            now: self.now,
+            now: auth.now,
             decisions: self.step.decisions,
-            makespan: self.makespan,
-            jobs: self.jobs.clone(),
-            flags: self.flags.clone(),
-            reservations: self.reservations.clone(),
-            drains: self.drains.clone(),
-            placements: self.schedule.placements().to_vec(),
-            queue: self.waiting.iter().collect(),
+            makespan: self.stats().makespan,
+            jobs: auth.jobs.clone(),
+            flags: auth.flags.clone(),
+            windows: auth.windows.clone(),
+            placements: auth.schedule.placements().to_vec(),
+            queue: auth.waiting.iter().collect(),
         }
     }
 
     /// Rebuild a live service from a captured [`ServiceState`] on a fresh
-    /// `substrate` (which must be an empty cluster of `state.machines`
-    /// machines). The derived structures are reconstructed, not persisted:
-    ///
-    /// * the substrate re-reserves the *future suffix* of every effective
-    ///   reservation and drain window and every unfinished placement —
-    ///   capacity before `now` is never consulted again (queries clamp to
-    ///   `now`, policies decide at `now`), so the availability function
-    ///   agrees with the original on all of `[now, ∞)`, which is everything
-    ///   observable;
-    /// * the waiting list is rebuilt verbatim from the persisted queue order
-    ///   (boosts and drain preemptions made the order part of the state —
-    ///   see [`ServiceState::queue`]);
-    /// * pending/running heaps and the overlay edge list are re-derived from
-    ///   release dates, completion times and the effective windows — the
-    ///   edges through the same insert step the live requests use.
+    /// `substrate` (an empty cluster of `state.machines` machines): the
+    /// authoritative state is copied — the waiting list verbatim from the
+    /// persisted queue order, see [`ServiceState::queue`] — and the rest is
+    /// derived from it.
     ///
     /// A state captured between requests (services are quiescent there — the
     /// writer loop and the sequential transports never snapshot mid-request)
@@ -743,95 +379,70 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             "restore substrate must match the captured cluster size"
         );
         let mut svc = ScheduleService::new(policy, substrate);
-        svc.now = state.now;
         svc.step.decisions = state.decisions;
-        svc.makespan = state.makespan;
-        svc.jobs = state.jobs.clone();
-        svc.latest_release = state
-            .jobs
-            .iter()
-            .map(|j| j.release)
-            .max()
-            .unwrap_or_default();
-        svc.work = state.jobs.iter().map(|j| u128::from(j.duration.0)).sum();
-        svc.flags = state.flags.clone();
-        svc.reservations = state.reservations.clone();
-        svc.drains = state.drains.clone();
-        svc.active_reservations = state
-            .reservations
-            .iter()
-            .filter(|r| !r.cancelled && r.end > r.start)
-            .count();
-        svc.completion_of = vec![None; state.jobs.len()];
-        svc.retired_placement = vec![false; state.jobs.len()];
-        // Future suffixes of the effective reservation and drain windows.
-        // Cancelled/revoked windows released their suffix at resolution time
-        // (which was <= now), and windows wholly in the past never get
-        // consulted again — only live windows reaching past `now` still
-        // occupy the substrate.
-        let reservation_windows = state
-            .reservations
-            .iter()
-            .filter(|r| !r.cancelled)
-            .map(|r| (r.width, r.start, r.end));
-        let drain_windows = state
-            .drains
-            .iter()
-            .filter(|d| !d.revoked)
-            .map(|d| (d.width, d.start, d.end));
-        for (width, start, end) in reservation_windows.chain(drain_windows) {
-            svc.shift_overlay(start, end, i64::from(width));
-            let from = start.max(state.now);
-            if end > from {
-                svc.substrate
-                    .reserve(from, end.since(from), width)
-                    .expect("the original substrate accepted this window");
-            }
-        }
-        // Placements: re-occupy unfinished runs, rebuild the schedule and
-        // the running heap. Completions strictly after `now` are still
-        // running or committed (the live service drains completions at their
-        // instant, so an occupying entry's completion is always > now).
-        svc.schedule = Schedule::from_placements(state.placements.clone());
-        for p in &state.placements {
-            let job = state.jobs[p.job.0];
-            let completion = p.start.saturating_add(job.duration);
-            if completion > state.now {
-                let from = p.start.max(state.now);
-                svc.substrate
-                    .reserve(from, completion.since(from), job.width)
-                    .expect("the original substrate accepted this run");
-                svc.running.push(Reverse((completion, p.job.0)));
-                svc.completion_of[p.job.0] = Some(completion);
-                svc.running_count += 1;
-                if state.flags[p.job.0].guaranteed {
-                    svc.shift_overlay(p.start, completion, i64::from(job.width));
-                }
-            } else {
-                svc.completed_count += 1;
-            }
-        }
-        // Waiting = the persisted queue, verbatim; pending = everything
-        // unplaced and unqueued (necessarily released strictly after now).
-        let mut accounted: Vec<bool> = vec![false; state.jobs.len()];
-        for p in &state.placements {
-            accounted[p.job.0] = true;
-        }
-        svc.waiting.ensure_capacity(state.jobs.len());
+        let auth = &mut svc.auth;
+        auth.now = state.now;
+        auth.jobs = state.jobs.clone();
+        auth.flags = state.flags.clone();
+        auth.windows = state.windows.clone();
+        auth.schedule = Schedule::from_placements(state.placements.clone());
+        auth.retired_placement = vec![false; state.jobs.len()];
+        auth.waiting.ensure_capacity(state.jobs.len());
         for &pos in &state.queue {
-            svc.waiting.push_back(pos);
-            accounted[pos] = true;
+            auth.waiting.push_back(pos);
         }
-        for (pos, job) in state.jobs.iter().enumerate() {
-            if !accounted[pos] {
-                debug_assert!(job.release > state.now, "unqueued job must be pending");
-                svc.pending.push(Reverse((job.release, pos)));
-            }
-        }
+        svc.derived = Derived::rebuild(&svc.auth, &mut svc.substrate);
         svc
     }
 
     // -- requests -----------------------------------------------------------
+
+    /// `at` — a release, a window start, an advance target — must not lie
+    /// behind the clock.
+    fn not_past(&self, at: Time) -> Result<(), ServiceError> {
+        let now = self.auth.now;
+        if at < now {
+            return Err(ServiceError::InThePast { at, now });
+        }
+        Ok(())
+    }
+
+    /// What every sized request anchored at an instant checks first.
+    fn admit(&self, width: u32, duration: Dur, at: Time) -> Result<(), ServiceError> {
+        check_shape(width, duration, self.machines)?;
+        self.not_past(at)
+    }
+
+    /// Consult the policy into a cleared effects buffer: how every request
+    /// that changes the waiting set or the overlay, not the clock, ends.
+    fn decide_fresh(&mut self) -> &Effects {
+        self.fx_buf.clear();
+        self.decide_now();
+        &self.fx_buf
+    }
+
+    /// The job just enrolled at `pos` either arrives right now — an event at
+    /// the current instant: enqueue and decide, exactly like the batch
+    /// engine's arrival handling — or waits for the clock.
+    fn arrive(&mut self, pos: usize, release: Time) -> &Effects {
+        self.fx_buf.clear();
+        if release == self.auth.now {
+            self.enqueue(pos);
+            self.decide_now();
+        } else {
+            self.derived.arrives_later(pos, release);
+        }
+        &self.fx_buf
+    }
+
+    /// A released job joins the queue; [`AdmissionPolicy::Boost`] jumps it.
+    fn enqueue(&mut self, pos: usize) {
+        if self.auth.flags[pos].boosted {
+            self.auth.waiting.push_front(pos);
+        } else {
+            self.auth.waiting.push_back(pos);
+        }
+    }
 
     /// Submit a job of `width` processors for `duration` ticks, arriving at
     /// `release` (the current virtual time when `None`). Returns the new
@@ -843,27 +454,10 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         duration: Dur,
         release: Option<Time>,
     ) -> Result<(JobId, &Effects), ServiceError> {
-        check_shape(width, duration, self.machines)?;
-        let release = release.unwrap_or(self.now);
-        if release < self.now {
-            return Err(ServiceError::InThePast {
-                at: release,
-                now: self.now,
-            });
-        }
-        let (pos, id) = self.enroll(width, duration, release, JobFlags::default(), None);
-        let mut effects = std::mem::take(&mut self.fx_buf);
-        effects.clear();
-        if release == self.now {
-            // The arrival is an event at the current instant: enqueue and
-            // decide, exactly like the batch engine's arrival handling.
-            self.waiting.push_back(pos);
-            self.decide_now(&mut effects);
-        } else {
-            self.pending.push(Reverse((release, pos)));
-        }
-        self.fx_buf = effects;
-        Ok((id, &self.fx_buf))
+        let release = release.unwrap_or(self.auth.now);
+        self.admit(width, duration, release)?;
+        let (pos, id) = self.enroll(width, duration, release, JobFlags::default());
+        Ok((id, self.arrive(pos, release)))
     }
 
     /// Reserve `width` processors during `[start, start + duration)`.
@@ -876,31 +470,13 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         duration: Dur,
         start: Time,
     ) -> Result<(usize, &Effects), ServiceError> {
-        check_shape(width, duration, self.machines)?;
-        if start < self.now {
-            return Err(ServiceError::InThePast {
-                at: start,
-                now: self.now,
-            });
-        }
+        self.admit(width, duration, start)?;
         self.substrate
             .reserve(start, duration, width)
             .map_err(|e| ServiceError::ReservationRejected {
                 reason: e.to_string(),
             })?;
-        let id = self.reservations.len();
-        let end = start.saturating_add(duration);
-        self.reservations.push(ServiceReservation {
-            id,
-            width,
-            start,
-            end,
-            cancelled: false,
-        });
-        self.active_reservations += usize::from(end > start);
-        self.shift_overlay(start, end, i64::from(width));
-        let mut effects = std::mem::take(&mut self.fx_buf);
-        effects.clear();
+        let id = self.open_window(WindowKind::Reservation, width, duration, start);
         // The overlay changed: a window starting now changes capacity at the
         // current instant, and even a future window can alter an EASY
         // decision at `now` (the blocked head's shadow moves later, which
@@ -908,167 +484,29 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         // no-op when nothing waits, which keeps replayable sessions
         // (overlay fixed before the first submission) decision-identical to
         // the batch engine.
-        self.decide_now(&mut effects);
-        self.fx_buf = effects;
-        Ok((id, &self.fx_buf))
+        Ok((id, self.decide_fresh()))
+    }
+
+    /// Record a window the substrate already holds; returns its id.
+    fn open_window(&mut self, kind: WindowKind, width: u32, duration: Dur, start: Time) -> usize {
+        let table = &mut self.auth.windows[kind as usize];
+        let window = ServiceWindow {
+            id: table.len(),
+            width,
+            start,
+            end: start.saturating_add(duration),
+            released: false,
+        };
+        table.push(window);
+        self.derived.window_opened(kind, &window, self.auth.now);
+        window.id
     }
 
     /// Cancel reservation `id`, releasing its not-yet-elapsed window
     /// `[max(now, start), end)`. The elapsed prefix stays in effect — the
     /// past cannot be rewritten. Applied transactionally.
     pub fn cancel(&mut self, id: usize) -> Result<&Effects, ServiceError> {
-        let r = *self
-            .reservations
-            .get(id)
-            .ok_or(ServiceError::UnknownReservation { id })?;
-        if r.cancelled || r.end <= self.now {
-            return Err(ServiceError::ReservationInactive { id });
-        }
-        let from = r.start.max(self.now);
-        let remaining = r.end.since(from);
-        if !remaining.is_zero() {
-            self.substrate
-                .release(from, remaining, r.width)
-                .expect("releasing an active reservation's own window");
-        }
-        let entry = &mut self.reservations[id];
-        entry.cancelled = true;
-        entry.end = from;
-        self.active_reservations -= usize::from(r.end > r.start);
-        self.shift_overlay(from, r.end, -i64::from(r.width));
-        let mut effects = std::mem::take(&mut self.fx_buf);
-        effects.clear();
-        // Capacity grew — at the current instant if the window had started,
-        // in the future otherwise. Both can unblock a waiting job's run
-        // (which extends into the future), and a job blocked *only* by the
-        // cancelled window would otherwise be stranded forever: with the
-        // window gone there may be no future event left to wake the policy.
-        // Deciding unconditionally closes that hole and is a no-op when
-        // nothing waits.
-        self.decide_now(&mut effects);
-        self.fx_buf = effects;
-        Ok(&self.fx_buf)
-    }
-
-    /// Inject a failure or maintenance *drain*: `width` machines withdrawn
-    /// during `[start, start + duration)`, inserted mid-run. Unlike
-    /// [`ScheduleService::reserve`], a drain does not take "no" for an
-    /// answer from running jobs: when the window does not fit the remaining
-    /// capacity, the *minimal* set of non-guaranteed running jobs whose runs
-    /// overlap the window (half-open — a job completing exactly at `start`
-    /// is untouched, most-recently-started killed first) is preempted to
-    /// make room, each victim re-queued per the configured [`DrainMode`].
-    /// Jobs committed by deadline admission are never preempted; a drain
-    /// that cannot fit without killing one is rejected transactionally.
-    ///
-    /// Returns the drain id and the effects of the decision the capacity
-    /// change triggered; the preempted job ids are available from
-    /// [`ScheduleService::last_preempted`] until the next inject.
-    pub fn inject(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        start: Time,
-    ) -> Result<(usize, &Effects), ServiceError> {
-        check_shape(width, duration, self.machines)?;
-        if start < self.now {
-            return Err(ServiceError::InThePast {
-                at: start,
-                now: self.now,
-            });
-        }
-        let end = start.saturating_add(duration);
-        self.preempted_buf.clear();
-        if self.substrate.reserve(start, duration, width).is_err() {
-            // Candidate victims: non-guaranteed jobs occupying the substrate
-            // whose run `[run start, completion)` overlaps the drained
-            // window. `(pos, width, run start, completion)`, killed in
-            // most-recently-started-first order so long-running work is
-            // disturbed last.
-            //
-            // The running heap holds every occupying job, so the search is
-            // O(running). Entries that disagree with the completion table
-            // are ghosts of earlier preemptions; a checkpointed victim
-            // restarted at the instant it was killed completes when its
-            // ghost would have and matches twice, hence the `dedup`.
-            let mut victims: Vec<(usize, u32, Time, Time)> = Vec::new();
-            for &Reverse((completion, pos)) in &self.running {
-                if self.completion_of[pos] != Some(completion) || self.flags[pos].guaranteed {
-                    continue;
-                }
-                let job = self.jobs[pos];
-                // The substrate holds `[run start, completion)` for this
-                // job, a window of exactly its (current) duration.
-                let run_start = completion - job.duration;
-                if run_start < end && completion > start {
-                    victims.push((pos, job.width, run_start, completion));
-                }
-            }
-            victims.sort_unstable_by_key(|v| std::cmp::Reverse((v.2, v.0)));
-            victims.dedup();
-            // Minimal victim prefix whose release makes the window fit,
-            // found under speculation so a rejection leaves no trace.
-            let now = self.now;
-            let needed = self.substrate.speculate(|s| {
-                for (k, &(_, w, run_start, completion)) in victims.iter().enumerate() {
-                    let from = run_start.max(now);
-                    s.release(from, completion.since(from), w)
-                        .expect("releasing a running job's own window");
-                    if s.reserve(start, duration, width).is_ok() {
-                        return Some(k + 1);
-                    }
-                }
-                None
-            });
-            let Some(k) = needed else {
-                return Err(ServiceError::ReservationRejected {
-                    reason: format!(
-                        "drain [{start}, {end})x{width} does not fit even after \
-                         preempting every non-guaranteed job overlapping it"
-                    ),
-                });
-            };
-            let mut kill = victims[..k].to_vec();
-            kill.sort_unstable_by_key(|&(pos, ..)| pos);
-            for &(pos, w, run_start, completion) in &kill {
-                let from = run_start.max(self.now);
-                self.substrate
-                    .release(from, completion.since(from), w)
-                    .expect("releasing a running job's own window");
-                self.schedule.remove(self.id_at(pos));
-                self.completion_of[pos] = None;
-                self.running_count -= 1;
-                if self.drain_mode == DrainMode::Checkpoint {
-                    // Only the not-yet-elapsed work remains to be redone.
-                    let remaining = completion.since(self.now);
-                    self.work -= u128::from((self.jobs[pos].duration - remaining).0);
-                    self.jobs[pos].duration = remaining;
-                }
-                self.flags[pos].boosted = false;
-                self.waiting.push_back(pos);
-                self.preempted_buf.push(self.id_at(pos));
-            }
-            self.recompute_makespan();
-            self.substrate
-                .reserve(start, duration, width)
-                .expect("speculation certified the drain window");
-        }
-        let id = self.drains.len();
-        self.drains.push(ServiceDrain {
-            id,
-            width,
-            start,
-            end,
-            revoked: false,
-        });
-        self.shift_overlay(start, end, i64::from(width));
-        let mut effects = std::mem::take(&mut self.fx_buf);
-        effects.clear();
-        // The overlay changed, and preemption may have re-queued work that
-        // can restart immediately on the surviving machines.
-        self.decide_now(&mut effects);
-        self.fx_buf = effects;
-        Ok((id, &self.fx_buf))
+        self.withdraw(WindowKind::Reservation, id)
     }
 
     /// Revoke drain `id` (the failure healed / maintenance finished early),
@@ -1077,148 +515,37 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// [`ScheduleService::cancel`] — and jobs the drain already preempted
     /// stay preempted (the past cannot be rewritten).
     pub fn revoke(&mut self, id: usize) -> Result<&Effects, ServiceError> {
-        let d = *self
-            .drains
-            .get(id)
-            .ok_or(ServiceError::UnknownDrain { id })?;
-        if d.revoked || d.end <= self.now {
-            return Err(ServiceError::DrainInactive { id });
+        self.withdraw(WindowKind::Drain, id)
+    }
+
+    /// Withdraw window `id` of `kind`: the body of `cancel` and `revoke`.
+    fn withdraw(&mut self, kind: WindowKind, id: usize) -> Result<&Effects, ServiceError> {
+        let now = self.auth.now;
+        let entry = self.auth.windows[kind as usize]
+            .get_mut(id)
+            .ok_or_else(|| kind.unknown(id))?;
+        let w = *entry;
+        if w.released || w.end <= now {
+            return Err(kind.inactive(id));
         }
-        let from = d.start.max(self.now);
-        let remaining = d.end.since(from);
+        let from = w.start.max(now);
+        entry.released = true;
+        entry.end = from;
+        let remaining = w.end.since(from);
         if !remaining.is_zero() {
             self.substrate
-                .release(from, remaining, d.width)
-                .expect("releasing an active drain's own window");
+                .release(from, remaining, w.width)
+                .expect("releasing an active window's own remainder");
         }
-        let entry = &mut self.drains[id];
-        entry.revoked = true;
-        entry.end = from;
-        self.shift_overlay(from, d.end, -i64::from(d.width));
-        let mut effects = std::mem::take(&mut self.fx_buf);
-        effects.clear();
-        // Capacity grew; same wake-up obligation as cancel.
-        self.decide_now(&mut effects);
-        self.fx_buf = effects;
-        Ok(&self.fx_buf)
-    }
-
-    /// Submit a job with a due date. The speculative earliest-fit bound
-    /// gates admission: when `start + duration ≤ deadline` for the earliest
-    /// probed start, the job is **committed** to that placement — reserved
-    /// on the substrate immediately, guaranteed against drains — so an
-    /// accepted deadline can never be missed. Equality admits: windows are
-    /// half-open, so a job completing exactly *at* the deadline instant has
-    /// finished by it.
-    ///
-    /// When the bound misses the due date, `admission` decides:
-    /// [`AdmissionPolicy::Reject`] refuses the job without a state change
-    /// ([`ServiceError::DeadlineUnmet`]); [`AdmissionPolicy::Boost`] accepts
-    /// it un-guaranteed at the *front* of the waiting queue.
-    pub fn submit_deadline(
-        &mut self,
-        width: u32,
-        duration: Dur,
-        release: Option<Time>,
-        deadline: Time,
-        admission: AdmissionPolicy,
-    ) -> Result<(JobId, DeadlineOutcome, &Effects), ServiceError> {
-        check_shape(width, duration, self.machines)?;
-        let release = release.unwrap_or(self.now);
-        if release < self.now {
-            return Err(ServiceError::InThePast {
-                at: release,
-                now: self.now,
-            });
-        }
-        let probe = self.substrate.speculate(|s| {
-            let start = s.earliest_fit(width, duration, release)?;
-            s.reserve(start, duration, width)
-                .expect("earliest_fit certified the window");
-            Some(start)
-        });
-        let committed = probe.filter(|&s| s.saturating_add(duration) <= deadline);
-        if let Some(start) = committed {
-            let completion = start.saturating_add(duration);
-            self.substrate
-                .reserve(start, duration, width)
-                .expect("the speculative probe certified this window");
-            let flags = JobFlags {
-                deadline: Some(deadline),
-                guaranteed: true,
-                boosted: false,
-            };
-            let (pos, id) = self.enroll(width, duration, release, flags, Some(completion));
-            self.schedule.place(id, start);
-            self.running.push(Reverse((completion, pos)));
-            self.running_count += 1;
-            self.makespan = self.makespan.max(completion);
-            // A committed window is an overlay window to the off-line
-            // engine (committed jobs are never preempted, so it never
-            // changes); it must normalize together with the rest so both
-            // sides agree on which instants are decision points.
-            self.shift_overlay(start, completion, i64::from(width));
-            let mut effects = std::mem::take(&mut self.fx_buf);
-            effects.clear();
-            effects.started.push(Placement { job: id, start });
-            // The committed window shrank future capacity — which, like a
-            // reservation, can move an EASY head's shadow later and newly
-            // admit a backfill candidate. Consult the policy.
-            self.decide_now(&mut effects);
-            self.fx_buf = effects;
-            return Ok((
-                id,
-                DeadlineOutcome::Committed { start, completion },
-                &self.fx_buf,
-            ));
-        }
-        match admission {
-            AdmissionPolicy::Reject => Err(ServiceError::DeadlineUnmet {
-                deadline,
-                bound: probe.map(|s| s.saturating_add(duration)),
-            }),
-            AdmissionPolicy::Boost => {
-                let flags = JobFlags {
-                    deadline: Some(deadline),
-                    guaranteed: false,
-                    boosted: true,
-                };
-                let (pos, id) = self.enroll(width, duration, release, flags, None);
-                let mut effects = std::mem::take(&mut self.fx_buf);
-                effects.clear();
-                if release == self.now {
-                    self.waiting.push_front(pos);
-                    self.decide_now(&mut effects);
-                } else {
-                    self.pending.push(Reverse((release, pos)));
-                }
-                self.fx_buf = effects;
-                Ok((id, DeadlineOutcome::Boosted, &self.fx_buf))
-            }
-        }
-    }
-
-    /// Submit a *moldable* job: a total work `area` (processor×ticks) plus a
-    /// menu of admissible widths. The service concretizes the shape with
-    /// [`best_width`] — the width whose `(⌈area/width⌉)`-tick rigid form has
-    /// the earliest probed completion, ties to the narrowest — and routes it
-    /// through the ordinary [`ScheduleService::submit`] path, so a moldable
-    /// job is indistinguishable from a rigid one once admitted (which keeps
-    /// the off-line replay oracle intact).
-    pub fn submit_moldable(
-        &mut self,
-        widths: &[u32],
-        area: u64,
-    ) -> Result<(JobId, WidthChoice, &Effects), ServiceError> {
-        let choice = best_width(&self.substrate, widths, area, self.now)
-            .map_err(|e| ServiceError::Moldable {
-                reason: e.to_string(),
-            })?
-            .ok_or_else(|| ServiceError::Moldable {
-                reason: "no admissible width ever fits the availability function".into(),
-            })?;
-        let id = self.submit(choice.width, choice.duration, None)?.0;
-        Ok((id, choice, &self.fx_buf))
+        self.derived.window_withdrawn(kind, &w, from, now);
+        // Capacity grew — at the current instant if the window had started,
+        // in the future otherwise. Both can unblock a waiting job's run
+        // (which extends into the future), and a job blocked *only* by the
+        // withdrawn window would otherwise be stranded forever: with the
+        // window gone there may be no future event left to wake the policy.
+        // Deciding unconditionally closes that hole and is a no-op when
+        // nothing waits.
+        Ok(self.decide_fresh())
     }
 
     /// Earliest-fit probe: the earliest start a `width × duration` job would
@@ -1231,7 +558,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         not_before: Option<Time>,
     ) -> Result<Option<Time>, ServiceError> {
         check_shape(width, duration, self.machines)?;
-        let from = not_before.unwrap_or(self.now).max(self.now);
+        let from = not_before.unwrap_or(self.auth.now).max(self.auth.now);
         Ok(self.substrate.earliest_fit(width, duration, from))
     }
 
@@ -1239,17 +566,8 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// arrivals and consulting the policy at every event instant on the way
     /// (completion, arrival, or reservation breakpoint), in time order.
     pub fn advance(&mut self, to: Time) -> Result<&Effects, ServiceError> {
-        if to < self.now {
-            return Err(ServiceError::InThePast {
-                at: to,
-                now: self.now,
-            });
-        }
-        let mut effects = std::mem::take(&mut self.fx_buf);
-        effects.clear();
-        self.advance_into(to, &mut effects);
-        self.fx_buf = effects;
-        Ok(&self.fx_buf)
+        self.not_past(to)?;
+        Ok(self.advance_clamped(to))
     }
 
     /// Advance virtual time to `max(now, to)`: the clock-driven variant of
@@ -1259,48 +577,34 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// raced by a concurrent writer batch can never poison the session
     /// with an [`ServiceError::InThePast`] rejection.
     pub fn advance_clamped(&mut self, to: Time) -> &Effects {
-        let to = to.max(self.now);
-        let mut effects = std::mem::take(&mut self.fx_buf);
-        effects.clear();
-        self.advance_into(to, &mut effects);
-        self.fx_buf = effects;
+        self.fx_buf.clear();
+        self.advance_into(to.max(self.auth.now));
         &self.fx_buf
     }
 
     /// Advance until no event is outstanding (all submitted jobs completed),
     /// leaving `now` at the last event instant.
     pub fn drain(&mut self) -> &Effects {
-        let mut effects = std::mem::take(&mut self.fx_buf);
-        effects.clear();
-        while let Some(at) = self.next_event() {
-            self.advance_into(at, &mut effects);
+        self.fx_buf.clear();
+        while let Some(at) = self.derived.next_event() {
+            self.advance_into(at);
         }
-        self.fx_buf = effects;
         &self.fx_buf
     }
 
     /// Aggregate counters of the session so far.
     pub fn stats(&self) -> ServiceStats {
-        ServiceStats {
-            now: self.now,
-            machines: self.machines,
-            submitted: self.base + self.jobs.len(),
-            pending: self.pending.len(),
-            waiting: self.waiting.len(),
-            running: self.running_count,
-            completed: self.completed_count,
-            reservations: self.active_reservations,
-            decisions: self.step.decisions,
-            makespan: self.makespan,
-        }
+        self.derived
+            .stats(&self.auth, self.machines, self.step.decisions)
     }
 
     /// The current schedule as per-job lifecycle records plus run metrics —
     /// the same shapes `resa replay` reports. Jobs still running carry their
     /// scheduled completion time.
     pub fn snapshot(&self) -> (Vec<JobRecord>, SimMetrics) {
-        if self.retired_records == 0 {
-            return records_of(&self.to_instance(), &self.schedule);
+        let auth = &self.auth;
+        if auth.retired_metrics.jobs() == 0 {
+            return records_of(&self.to_instance(), &auth.schedule);
         }
         // Retired placements already left the schedule (and the process, via
         // the record sink): report the live ones in the same `(started, id)`
@@ -1308,36 +612,16 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         // a never-retired twin reports bit for bit — the retired prefix was
         // a decision-order prefix, and the live placements continue that
         // order (pinned by `retirement_preserves_snapshot_and_stats`).
-        let mut records: Vec<JobRecord> = self
-            .schedule
-            .placements()
-            .iter()
-            .map(|p| {
-                let job = self.jobs[self.pos_of(p.job)];
-                JobRecord {
-                    job: p.job,
-                    width: job.width,
-                    duration: job.duration,
-                    arrived: job.release,
-                    started: p.start,
-                    completed: p.start.saturating_add(job.duration),
-                }
-            })
-            .collect();
+        let placements = auth.schedule.placements();
+        let mut records: Vec<JobRecord> = placements.iter().map(|p| auth.record_of(p)).collect();
         records.sort_unstable_by_key(|r| (r.started, r.job));
-        let mut acc = self.retired_metrics.clone();
-        for p in self.schedule.placements() {
-            acc.record(&self.jobs[self.pos_of(p.job)], p.start);
+        let mut acc = auth.retired_metrics.clone();
+        for p in placements {
+            acc.record(&auth.jobs[auth.pos_of(p.job)], p.start);
         }
-        let profile = ResourceProfile::from_reservations(self.machines, &self.effective_overlay())
+        let profile = ResourceProfile::from_reservations(self.machines, &auth.effective_overlay())
             .expect("the live substrate accepted every window");
         (records, acc.finish(&profile))
-    }
-
-    /// Completed-job records handed to a [`RecordSink`] by
-    /// [`ScheduleService::retire_completed`] so far.
-    pub fn retired_records(&self) -> usize {
-        self.retired_records
     }
 
     /// Retire every *leading* completed placement into `sink`, then compact
@@ -1359,66 +643,39 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// sessions cannot be checkpointed ([`ScheduleService::state`] panics)
     /// or oracle-compared.
     pub fn retire_completed<K: RecordSink>(&mut self, sink: &mut K) -> usize {
-        // 1. The longest leading run of completed placements.
-        let mut n = 0usize;
-        for p in self.schedule.placements() {
-            let pos = self.pos_of(p.job);
-            let done = self.completion_of[pos].is_none()
-                && p.start.saturating_add(self.jobs[pos].duration) <= self.now;
-            if !done {
-                break;
-            }
-            n += 1;
-        }
+        let auth = &mut self.auth;
+        // 1. The longest leading run of completed placements (between
+        //    requests a run that ended by `now` has been drained).
+        let placements = auth.schedule.placements().iter();
+        let n = placements
+            .take_while(|p| auth.completion(p) <= auth.now)
+            .count();
         if n == 0 {
             return 0;
         }
         // 2. Retire it: fold metrics in decision order, emit records, mark
         //    the catalog entries.
         let mut i = 0usize;
-        let retired = self.schedule.retire_where(|_| {
+        let retired = auth.schedule.retire_where(|_| {
             i += 1;
             i <= n
         });
         for p in &retired {
-            let pos = self.pos_of(p.job);
-            let job = self.jobs[pos];
-            self.retired_metrics.record(&job, p.start);
-            self.retired_placement[pos] = true;
-            sink.record(JobRecord {
-                job: p.job,
-                width: job.width,
-                duration: job.duration,
-                arrived: job.release,
-                started: p.start,
-                completed: p.start.saturating_add(job.duration),
-            });
+            let pos = auth.pos_of(p.job);
+            auth.retired_metrics.record(&auth.jobs[pos], p.start);
+            auth.retired_placement[pos] = true;
+            sink.record(auth.record_of(p));
         }
-        self.retired_records += n;
-        // 3. Compact the leading fully-retired run of the catalog. Retired
-        //    positions are in no heap and no queue: their completions
-        //    drained (that is what made them retirable), and any stale ghost
-        //    entry a preemption left in the running heap sits at a time no
-        //    later than the job's eventual completion, hence also drained.
-        let k = self.retired_placement.iter().take_while(|&&r| r).count();
+        // 3. Compact the leading fully-retired run of the catalog; no queue
+        //    and no heap names a retired position.
+        let k = auth.retired_placement.iter().take_while(|&&r| r).count();
         if k > 0 {
-            let gone: u128 = self.jobs.drain(..k).map(|j| u128::from(j.duration.0)).sum();
-            self.work -= gone;
-            self.flags.drain(..k);
-            self.completion_of.drain(..k);
-            self.retired_placement.drain(..k);
-            self.base += k;
-            self.waiting.rebase(k);
-            let running = std::mem::take(&mut self.running);
-            self.running = running
-                .into_iter()
-                .map(|Reverse((t, pos))| Reverse((t, pos - k)))
-                .collect();
-            let pending = std::mem::take(&mut self.pending);
-            self.pending = pending
-                .into_iter()
-                .map(|Reverse((t, pos))| Reverse((t, pos - k)))
-                .collect();
+            let gone = auth.jobs.drain(..k).map(|j| u128::from(j.duration.0)).sum();
+            auth.flags.drain(..k);
+            auth.retired_placement.drain(..k);
+            auth.base += k;
+            auth.waiting.rebase(k);
+            self.derived.compacted(k, gone);
         }
         n
     }
@@ -1443,7 +700,8 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// reproduces the service's schedule whenever the overlay was fixed
     /// before the first submission (see the module docs).
     pub fn to_instance(&self) -> ResaInstance {
-        ResaInstance::new(self.machines, self.jobs.clone(), self.effective_overlay())
+        let (jobs, overlay) = (self.auth.jobs.clone(), self.auth.effective_overlay());
+        ResaInstance::new(self.machines, jobs, overlay)
             .expect("the live substrate accepted every window")
     }
 
@@ -1459,113 +717,52 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// session without committed jobs this degenerates to
     /// `(to_instance(), schedule().clone())`.
     pub fn oracle_parts(&self) -> (ResaInstance, Schedule) {
+        let auth = &self.auth;
         assert!(
-            self.base == 0,
+            auth.base == 0,
             "the off-line oracle needs the full job catalog; retiring \
              sessions are excluded from oracle comparisons"
         );
-        let mut remap = vec![usize::MAX; self.jobs.len()];
+        let mut remap = vec![usize::MAX; auth.jobs.len()];
         let mut jobs = Vec::new();
-        for (pos, job) in self.jobs.iter().enumerate() {
-            if self.flags[pos].guaranteed {
+        for (pos, job) in auth.jobs.iter().enumerate() {
+            if auth.flags[pos].guaranteed {
                 continue;
             }
             remap[pos] = jobs.len();
-            jobs.push(Job::released_at(
-                jobs.len(),
-                job.width,
-                job.duration,
-                job.release,
-            ));
+            let id = JobId(jobs.len());
+            jobs.push(Job { id, ..*job });
         }
-        let mut overlay = self.effective_overlay();
-        for p in self.schedule.placements() {
-            let pos = p.job.0;
-            if !self.flags[pos].guaranteed {
-                continue;
+        let mut overlay = auth.effective_overlay();
+        let mut placements = Vec::new();
+        for p in auth.schedule.placements() {
+            let job = auth.jobs[p.job.0];
+            if auth.flags[p.job.0].guaranteed {
+                let id = overlay.len();
+                overlay.push(Reservation::new(id, job.width, job.duration, p.start));
+            } else {
+                placements.push(Placement {
+                    job: JobId(remap[p.job.0]),
+                    start: p.start,
+                });
             }
-            let job = self.jobs[pos];
-            overlay.push(Reservation::new(
-                overlay.len(),
-                job.width,
-                job.duration,
-                p.start,
-            ));
         }
         let instance = ResaInstance::new(self.machines, jobs, overlay)
             .expect("the live substrate accepted every window");
-        let placements = self
-            .schedule
-            .placements()
-            .iter()
-            .filter(|p| remap[p.job.0] != usize::MAX)
-            .map(|p| Placement {
-                job: JobId(remap[p.job.0]),
-                start: p.start,
-            })
-            .collect();
         (instance, Schedule::from_placements(placements))
     }
 
     // -- internals ----------------------------------------------------------
 
-    /// The reservation-and-drain overlay as it is actually in effect:
-    /// cancelled/revoked windows truncated to their elapsed prefix,
-    /// zero-length windows dropped, ids re-densified across the two
-    /// namespaces (reservations first). The single source of truth for both
-    /// the replay-equivalence instance and the decision breakpoints — the
-    /// two must never diverge. Windows committed by deadline admission are
-    /// deliberately absent: they occupy the substrate through their own
-    /// placements, and the oracle view ([`ScheduleService::oracle_parts`])
-    /// appends them separately.
-    fn effective_overlay(&self) -> Vec<Reservation> {
-        let reservations = self
-            .reservations
-            .iter()
-            .filter(|r| r.end > r.start)
-            .map(|r| (r.width, r.start, r.end));
-        let drains = self
-            .drains
-            .iter()
-            .filter(|d| d.end > d.start)
-            .map(|d| (d.width, d.start, d.end));
-        reservations
-            .chain(drains)
-            .enumerate()
-            .map(|(i, (w, s, e))| Reservation::new(i, w, e.since(s), s))
-            .collect()
-    }
-
-    /// Recompute the makespan high-water mark from the current placements —
-    /// needed after a drain preemption revokes a start (the only operation
-    /// that can move `C_max` *down*).
-    fn recompute_makespan(&mut self) {
-        self.makespan = self
-            .schedule
-            .placements()
-            .iter()
-            .map(|p| {
-                p.start
-                    .saturating_add(self.jobs[self.pos_of(p.job)].duration)
-            })
-            .max()
-            .unwrap_or(Time::ZERO)
-            // Retired placements left the schedule but their high-water mark
-            // must survive: a preemption can only revoke *live* starts.
-            .max(self.retired_metrics.makespan());
-    }
-
-    /// Walk virtual time forward to `to`, appending starts and completions
-    /// to `effects`. Shared by [`ScheduleService::advance`] and
-    /// [`ScheduleService::drain`], which differ only in how they obtain the
-    /// (reused) effects buffer. `to` must not be in the past.
-    fn advance_into(&mut self, to: Time, effects: &mut Effects) {
-        let before = effects.completed.len();
-        while let Some(at) = self.next_event() {
+    /// Walk virtual time forward to `to` (not in the past), appending starts
+    /// and completions to the effects buffer.
+    fn advance_into(&mut self, to: Time) {
+        let before = self.fx_buf.completed.len();
+        while let Some(at) = self.derived.next_event() {
             if at > to {
                 break;
             }
-            self.now = at;
+            self.auth.now = at;
             // Drain every event at this instant, then decide once —
             // completions and availability changes act only through the
             // substrate (job windows end by themselves), arrivals join the
@@ -1577,168 +774,54 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             // normalization instead, so an edge cancelled by an
             // equal-capacity boundary triggers no decision on either side.
             let mut decide = false;
-            while let Some(&Reverse((t, pos))) = self.running.peek() {
-                if t != at {
-                    break;
-                }
-                self.running.pop();
-                // A drain preemption cannot cheaply delete the victim's heap
-                // entry; the completion table is the source of truth, so a
-                // mismatching entry is a stale ghost to discard.
-                if self.completion_of[pos] == Some(t) {
-                    self.completion_of[pos] = None;
-                    self.running_count -= 1;
-                    self.completed_count += 1;
-                    effects.completed.push((self.id_at(pos), t));
-                    decide |= !self.flags[pos].guaranteed;
-                }
+            while let Some(pos) = self.derived.pop_completion(at) {
+                self.fx_buf.completed.push((self.auth.id_at(pos), at));
+                decide |= !self.auth.flags[pos].guaranteed;
             }
-            while let Some(&Reverse((t, pos))) = self.pending.peek() {
-                if t != at {
-                    break;
-                }
-                self.pending.pop();
-                if self.flags[pos].boosted {
-                    self.waiting.push_front(pos);
-                } else {
-                    self.waiting.push_back(pos);
-                }
+            while let Some(pos) = self.derived.pop_arrival(at) {
+                self.enqueue(pos);
                 decide = true;
             }
-            while self.edges.front().is_some_and(|&(t, _)| t == at) {
-                self.edges.pop_front();
-                decide = true;
-            }
+            decide |= self.derived.pop_edge(at);
             if decide {
-                self.decide_now(effects);
+                self.decide_now();
             }
         }
-        self.now = to;
+        self.auth.now = to;
         // Forget the availability function behind the clock: nothing reads
         // it again (every substrate mutation starts at `max(now, ·)`, every
         // probe clamps to `now`), and without this each finished run would
         // leave its two breakpoints in the substrate for the life of the
         // session. Always between requests, so no transaction mark is
         // outstanding.
-        let drained = effects.completed.len() - before;
-        self.step.retire(drained, &mut self.substrate, self.now);
-    }
-
-    /// The earliest outstanding event instant, if any.
-    fn next_event(&self) -> Option<Time> {
-        let mut next: Option<Time> = None;
-        let mut consider = |t: Option<Time>| {
-            next = match (next, t) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        };
-        consider(self.running.peek().map(|&Reverse((t, _))| t));
-        consider(self.pending.peek().map(|&Reverse((t, _))| t));
-        // Breakpoints only matter while someone could be woken by them —
-        // but filtering on non-empty waiting here would diverge from the
-        // batch engine only in *skipped no-op decisions*, not in schedules;
-        // keeping them unconditional also pops the edges as time passes.
-        consider(self.edges.front().map(|&(t, _)| t));
-        next
+        let drained = self.fx_buf.completed.len() - before;
+        self.step.retire(drained, &mut self.substrate, to);
     }
 
     /// Consult the policy at the current instant and apply its starts (the
-    /// shared [`DecisionStep`]); the bookkeeping of a start beyond substrate
-    /// and waiting list is the service's own.
-    fn decide_now(&mut self, effects: &mut Effects) {
-        let (now, base) = (self.now, self.base);
+    /// shared [`DecisionStep`]), appending them to the effects buffer; the
+    /// bookkeeping of a start beyond substrate and waiting list is the
+    /// service's own.
+    fn decide_now(&mut self) {
+        let (now, base) = (self.auth.now, self.auth.base);
         self.step.decide(
             &self.policy,
             now,
-            &self.jobs,
-            &mut self.waiting,
+            &self.auth.jobs,
+            &mut self.auth.waiting,
             &mut self.substrate,
             |id| Some(id.0 - base),
             |pos, job, completion| {
-                self.schedule.place(job.id, now);
-                self.makespan = self.makespan.max(completion);
-                self.running.push(Reverse((completion, pos)));
-                self.completion_of[pos] = Some(completion);
-                self.running_count += 1;
-                effects.started.push(Placement {
+                self.auth.schedule.place(job.id, now);
+                self.derived.started(pos, completion);
+                self.fx_buf.started.push(Placement {
                     job: job.id,
                     start: now,
                 });
             },
         );
     }
-
-    /// A window `[start, end)` of `width` processors joins the overlay
-    /// (`width > 0`) or leaves it (`width < 0`): two insert-or-cancel steps
-    /// on the edge list. Edges at or before `now` are never kept — the
-    /// clock has popped them, and no decision is owed in the past.
-    fn shift_overlay(&mut self, start: Time, end: Time, width: i64) {
-        for (at, delta) in [(start, -width), (end, width)] {
-            if at <= self.now {
-                continue;
-            }
-            let i = self.edges.partition_point(|&(t, _)| t < at);
-            match self.edges.get_mut(i) {
-                Some(edge) if edge.0 == at => {
-                    edge.1 += delta;
-                    if edge.1 == 0 {
-                        self.edges.remove(i);
-                    }
-                }
-                _ => self.edges.insert(i, (at, delta)),
-            }
-        }
-    }
 }
-
-#[cfg(test)]
-impl<C: CapacityQuery + Speculate> ScheduleService<C> {
-    /// The from-scratch sweep the incremental edge list replaced, kept as
-    /// its oracle: derived state checked against authoritative state. Every
-    /// effective window of [`ScheduleService::state`] — reservations,
-    /// drains, deadline-committed placements — contributes `(start, −width)`
-    /// and `(end, +width)`; an instant after `now` is an edge iff its net is
-    /// non-zero.
-    fn assert_edges_match_a_fresh_sweep(&self) {
-        let state = self.state();
-        let reservations = state.reservations.iter().map(|r| (r.start, r.end, r.width));
-        let drains = state.drains.iter().map(|d| (d.start, d.end, d.width));
-        let committed = state.placements.iter().filter_map(|p| {
-            let job = state.jobs[p.job.0];
-            let end = p.start.saturating_add(job.duration);
-            state.flags[p.job.0]
-                .guaranteed
-                .then_some((p.start, end, job.width))
-        });
-        let mut events: Vec<(Time, i64)> = reservations
-            .chain(drains)
-            .chain(committed)
-            .flat_map(|(s, e, w)| [(s, -i64::from(w)), (e, i64::from(w))])
-            .collect();
-        events.sort_unstable();
-        let mut swept: Vec<(Time, i64)> = Vec::new();
-        for (t, delta) in events {
-            match swept.last_mut() {
-                Some(last) if last.0 == t => last.1 += delta,
-                _ => swept.push((t, delta)),
-            }
-        }
-        swept.retain(|&(t, net)| net != 0 && t > state.now);
-        let edges: Vec<(Time, i64)> = self.edges.iter().copied().collect();
-        assert_eq!(
-            edges, swept,
-            "edge list diverged from the sweep at {}",
-            state.now
-        );
-        let horizon = swept.last().map_or(Time::ZERO, |&(t, _)| t);
-        assert_eq!(
-            self.horizon().anchor,
-            state.now.max(self.latest_release).max(horizon)
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1857,7 +940,7 @@ mod tests {
         let err = svc.reserve(2, Dur(5), Time(3)).unwrap_err();
         assert!(matches!(err, ServiceError::ReservationRejected { .. }));
         assert_eq!(svc.substrate.to_profile(), before, "rejection left a trace");
-        assert_eq!(svc.reservations().len(), 0);
+        assert!(svc.windows(WindowKind::Reservation).is_empty());
     }
 
     #[test]
@@ -2028,7 +1111,7 @@ mod tests {
         let err = svc.inject(1, Dur(2), Time(3)).unwrap_err();
         assert!(matches!(err, ServiceError::ReservationRejected { .. }));
         assert_eq!(svc.substrate.to_profile(), before, "rejection left a trace");
-        assert!(svc.drains().is_empty());
+        assert!(svc.windows(WindowKind::Drain).is_empty());
         let fx = svc.drain();
         assert_eq!(fx.completed, vec![(j0, Time(10))], "the guarantee held");
     }
@@ -2049,8 +1132,8 @@ mod tests {
                 start: Time(3)
             }]
         );
-        assert_eq!(svc.drains()[0].end, Time(3));
-        assert!(svc.drains()[0].revoked);
+        let drain = svc.windows(WindowKind::Drain)[0];
+        assert_eq!((drain.end, drain.released), (Time(3), true));
         assert!(matches!(
             svc.revoke(d),
             Err(ServiceError::DrainInactive { .. })
@@ -2268,7 +1351,7 @@ mod proptests {
         let op = spec.decode(&View::of(svc));
         if keep(&op) {
             let reply = format!("{op:?} -> {:?}", svc.apply(&op));
-            svc.assert_edges_match_a_fresh_sweep();
+            svc.assert_derived_matches_rebuild();
             reply
         } else {
             String::new()
@@ -2344,7 +1427,7 @@ mod proptests {
         let mut restored =
             ScheduleService::restore(policy, &state, AvailabilityTimeline::constant(m));
         restored.set_drain_mode(mode);
-        restored.assert_edges_match_a_fresh_sweep();
+        restored.assert_derived_matches_rebuild();
         if restored.state() != state {
             return Err("restore must be idempotent".to_string());
         }
@@ -2505,19 +1588,23 @@ mod retirement_tests {
         ScheduleService::new(ReferencePolicy::Easy, AvailabilityTimeline::constant(m))
     }
 
+    /// `retire_completed`, then the derived index — the rebased heaps
+    /// included — is held against a rebuild from what is left.
+    fn retire(svc: &mut ScheduleService<AvailabilityTimeline>, sink: &mut VecSink) -> usize {
+        let n = svc.retire_completed(sink);
+        svc.assert_derived_matches_rebuild();
+        n
+    }
+
     #[test]
     fn retire_with_nothing_completed_returns_zero() {
         let mut svc = service(4);
         let mut sink = VecSink::default();
-        assert_eq!(svc.retire_completed(&mut sink), 0);
+        assert_eq!(retire(&mut svc, &mut sink), 0);
         svc.submit(2, Dur(5), None).unwrap();
-        assert_eq!(
-            svc.retire_completed(&mut sink),
-            0,
-            "the job is still running"
-        );
+        assert_eq!(retire(&mut svc, &mut sink), 0, "the job is still running");
         assert!(sink.records.is_empty());
-        assert_eq!(svc.retired_records(), 0);
+        assert_eq!(svc.auth.retired_metrics.jobs(), 0);
     }
 
     /// A retiring session reports the same stats and *bit-identical* snapshot
@@ -2545,14 +1632,14 @@ mod retirement_tests {
                 if i % 5 == 4 {
                     retiring.advance(Time(i)).unwrap();
                     twin.advance(Time(i)).unwrap();
-                    retiring.retire_completed(&mut sink);
+                    retire(&mut retiring, &mut sink);
                 }
             }
             retiring.drain();
             twin.drain();
-            retiring.retire_completed(&mut sink);
+            retire(&mut retiring, &mut sink);
             assert!(
-                retiring.retired_records() > 0,
+                retiring.auth.retired_metrics.jobs() > 0,
                 "the mix must retire something"
             );
             assert_eq!(retiring.stats(), twin.stats(), "{policy:?}");
@@ -2578,19 +1665,19 @@ mod retirement_tests {
             svc.submit(2, Dur(3), None).unwrap();
         }
         svc.advance(Time(6)).unwrap();
-        assert_eq!(svc.retire_completed(&mut sink), 2);
-        assert_eq!(svc.retired_records(), 2);
+        assert_eq!(retire(&mut svc, &mut sink), 2);
+        assert_eq!(svc.auth.retired_metrics.jobs(), 2);
         assert_eq!(
             sink.records.iter().map(|r| r.job).collect::<Vec<_>>(),
             vec![JobId(0), JobId(1)]
         );
         // The catalog now holds only the four live jobs; the waiting queue
         // was rebased across the compaction and keeps scheduling correctly.
-        assert_eq!(svc.jobs.len(), 4);
+        assert_eq!(svc.auth.jobs.len(), 4);
         svc.drain();
-        assert_eq!(svc.retire_completed(&mut sink), 4);
+        assert_eq!(retire(&mut svc, &mut sink), 4);
         assert_eq!(
-            svc.jobs.len(),
+            svc.auth.jobs.len(),
             0,
             "a fully drained session compacts to empty"
         );
@@ -2610,11 +1697,11 @@ mod retirement_tests {
         svc.submit(2, Dur(2), None).unwrap();
         svc.submit(2, Dur(2), None).unwrap();
         svc.advance(Time(2)).unwrap();
-        assert_eq!(svc.retire_completed(&mut sink), 1);
+        assert_eq!(retire(&mut svc, &mut sink), 1);
         let (id, _) = svc.submit(1, Dur(1), None).unwrap();
         assert_eq!(id, JobId(2), "ids are global, not catalog positions");
         svc.drain();
-        svc.retire_completed(&mut sink);
+        retire(&mut svc, &mut sink);
         let ids: Vec<usize> = sink.records.iter().map(|r| r.job.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }
@@ -2631,17 +1718,28 @@ mod retirement_tests {
             svc.advance(Time(2)).unwrap();
             svc.inject(2, Dur(3), Time(2)).unwrap();
             svc.drain();
-            assert_eq!(svc.retire_completed(&mut sink), 1, "{mode:?}");
+            assert_eq!(retire(&mut svc, &mut sink), 1, "{mode:?}");
             let (records, metrics) = svc.snapshot();
             assert!(records.is_empty());
             assert_eq!(metrics.jobs, 1);
             assert_eq!(sink.records[0].job, JobId(0));
             assert_eq!(
-                svc.jobs.len(),
+                svc.auth.jobs.len(),
                 0,
                 "{mode:?}: catalog compacts after the re-run"
             );
         }
+    }
+
+    /// The oracle has teeth: one miscounted cache and it fires.
+    #[test]
+    #[should_panic(expected = "running / makespan")]
+    fn a_broken_cache_fails_the_rebuild_oracle() {
+        let mut svc = service(4);
+        svc.submit(2, Dur(5), None).unwrap();
+        svc.assert_derived_matches_rebuild();
+        svc.derived.miscount_running();
+        svc.assert_derived_matches_rebuild();
     }
 
     #[test]
@@ -2651,7 +1749,7 @@ mod retirement_tests {
         let mut sink = VecSink::default();
         svc.submit(1, Dur(1), None).unwrap();
         svc.drain();
-        assert_eq!(svc.retire_completed(&mut sink), 1);
+        assert_eq!(retire(&mut svc, &mut sink), 1);
         let _ = svc.state();
     }
 }

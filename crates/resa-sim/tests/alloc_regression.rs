@@ -3,10 +3,11 @@
 //! PRs 2/3 made the batch decision loop allocation-free and PR 6 extends the
 //! guarantee to the resident [`ScheduleService`]: after warm-up (and with
 //! containers pre-sized via `ensure_capacity` / `reserve_capacity`), a
-//! sustained submit/query/reserve/cancel/advance mix must perform **zero**
-//! heap allocations per request. A counting global allocator makes the claim
-//! checkable, so a future PR reintroducing a per-op `Vec`/`String`/clone on
-//! the hot path fails here instead of silently regressing throughput.
+//! sustained submit/query/reserve/cancel/inject/revoke/advance mix must
+//! perform **zero** heap allocations per request. A counting global
+//! allocator makes the claim checkable, so a future PR reintroducing a
+//! per-op `Vec`/`String`/clone on the hot path fails here instead of
+//! silently regressing throughput.
 //!
 //! The same allocator also pins what one snapshot *publication* of the
 //! concurrent front costs: bytes proportional to the live state, the same at
@@ -63,13 +64,15 @@ fn allocations() -> u64 {
 }
 
 const MACHINES: u32 = 16;
-/// Requests per mix round: submit, query, reserve, cancel, advance.
-const ROUND_OPS: usize = 5;
+/// Requests per mix round: submit, query, reserve, cancel, inject, revoke,
+/// advance.
+const ROUND_OPS: usize = 7;
 
 /// One round of the steady-state request mix. Every request is valid (error
-/// responses legitimately allocate their message), and every reservation is
-/// cancelled before its window starts, so its effective span collapses to
-/// zero length and the breakpoint sweep stays bounded.
+/// responses legitimately allocate their message), and every reservation and
+/// drain is withdrawn before its window starts, so its effective span
+/// collapses to zero length and the breakpoint sweep stays bounded. The
+/// drain fits the free capacity: a preempting `inject` builds a victim list.
 fn mix_round(svc: &mut ScheduleService<AvailabilityTimeline>, i: usize) {
     let width = 1 + (i % 6) as u32;
     let dur = 1 + (i % 7) as u64;
@@ -81,6 +84,11 @@ fn mix_round(svc: &mut ScheduleService<AvailabilityTimeline>, i: usize) {
         .reserve(1 + (i % 3) as u32, Dur(4), start)
         .expect("a narrow future window always fits");
     svc.cancel(rid).expect("the reservation is still pending");
+    let (did, _) = svc
+        .inject(1 + (i % 2) as u32, Dur(3), start)
+        .expect("no job runs that far ahead");
+    assert!(svc.last_preempted().is_empty());
+    svc.revoke(did).expect("the drain is still pending");
     let to = Time(svc.now().ticks() + 1 + (i % 3) as u64);
     svc.advance(to).expect("time only moves forward");
 }

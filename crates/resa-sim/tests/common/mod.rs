@@ -36,8 +36,8 @@ impl View {
         View {
             now: svc.now(),
             machines: svc.machines(),
-            reservations: svc.reservations().len(),
-            drains: svc.drains().len(),
+            reservations: svc.windows(WindowKind::Reservation).len(),
+            drains: svc.windows(WindowKind::Drain).len(),
         }
     }
 }

@@ -115,7 +115,10 @@ where
     }
     assert_eq!(replay.schedule(), fin.schedule());
     assert_eq!(replay.stats(), fin.stats());
-    assert_eq!(replay.reservations(), fin.reservations());
+    assert_eq!(
+        replay.windows(WindowKind::Reservation),
+        fin.windows(WindowKind::Reservation)
+    );
     assert_eq!(replay.snapshot(), fin.snapshot());
 }
 

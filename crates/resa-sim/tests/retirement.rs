@@ -234,9 +234,9 @@ fn breakpoints<C: Snapshotable>(svc: &ScheduleService<C>) -> usize {
 fn live_windows<C: CapacityQuery + Speculate>(svc: &ScheduleService<C>) -> usize {
     let now = svc.now();
     let reservations = svc
-        .reservations()
+        .windows(WindowKind::Reservation)
         .iter()
-        .filter(|r| !r.cancelled && r.end > now)
+        .filter(|r| r.is_effective() && r.end > now)
         .count();
     svc.stats().running + reservations
 }
