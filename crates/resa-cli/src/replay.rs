@@ -1279,6 +1279,36 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// `cat a.swf.gz b.swf.gz` is a gzip file of two members and replays
+    /// like `cat a.swf b.swf`, in both pipelines — not, as it once did,
+    /// like `a.swf` alone.
+    #[test]
+    fn concatenated_gzip_members_replay_like_the_concatenated_trace() {
+        let dir = std::env::temp_dir().join("resa-replay-streaming-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let whole = sorted_trace(40);
+        let (a, b) = whole.split_at(whole.match_indices('\n').nth(20).unwrap().0 + 1);
+        let gz = [a, b].map(|part| resa_workloads::gzip::compress_stored(part.as_bytes()));
+        let (gz_path, plain_path) = (dir.join("cat.swf.gz"), dir.join("cat.swf"));
+        std::fs::write(&gz_path, gz.concat()).unwrap();
+        std::fs::write(&plain_path, &whole).unwrap();
+        let reports = [&gz_path, &plain_path].map(|file| {
+            let mut req = request("cat.swf", ("alpha:0.5", "", 0));
+            req.file = file.clone();
+            both_pipelines(&req, ReferencePolicy::Easy)
+        });
+        let (streamed, materialized) = &reports[0];
+        assert_eq!(streamed.stdout, materialized.stdout);
+        assert_eq!(streamed.stdout, reports[1].0.stdout);
+        assert!(
+            streamed.stdout.contains("\"jobs\": 40"),
+            "{}",
+            streamed.stdout
+        );
+        std::fs::remove_file(&gz_path).ok();
+        std::fs::remove_file(&plain_path).ok();
+    }
+
     /// Unsorted submissions break the streaming source contract: the
     /// prescan sees it and the replay runs from the whole trace.
     #[test]

@@ -6,49 +6,96 @@
 //! pipeline needs, with no dependency beyond `std`:
 //!
 //! * [`GzipReader`] — a streaming RFC 1952 (gzip) / RFC 1951 (deflate)
-//!   *inflater* implementing [`std::io::Read`]: stored, fixed-Huffman and
-//!   dynamic-Huffman blocks over a 32 KiB back-reference window, decoding
-//!   on demand so a multi-million-line log is never materialized. The
-//!   trailer's CRC32 and ISIZE are verified as the stream drains; every
-//!   corruption is surfaced as an [`std::io::ErrorKind::InvalidData`] error
-//!   (the loader tests pin truncation and bit-flip cases).
+//!   *inflater* implementing [`std::io::Read`] and [`std::io::BufRead`]:
+//!   stored, fixed-Huffman and dynamic-Huffman blocks over a 32 KiB
+//!   back-reference window, decoding on demand so a multi-million-line log
+//!   is never materialized. A file is a *series* of members (RFC 1952 §2.2),
+//!   inflated back to back as `gzip -d` does; each member's CRC32 and ISIZE
+//!   are verified as it drains; every corruption is surfaced as an
+//!   [`std::io::ErrorKind::InvalidData`] error and a cut-off stream as
+//!   [`std::io::ErrorKind::UnexpectedEof`] (the loader tests pin truncation
+//!   and bit-flip cases).
 //! * [`compress_stored`] / [`write_gz`] — a gzip *writer* emitting stored
-//!   (uncompressed) deflate blocks. It exists so tests, benches and the CI
-//!   smoke can fabricate valid `.swf.gz` fixtures; real archives arrive
+//!   (uncompressed) deflate blocks. It exists so tests and examples can
+//!   fabricate valid `.swf.gz` fixtures; real archives arrive
 //!   already compressed, so the write side never needs entropy coding.
 //!
-//! The canonical-Huffman decoder follows the classic `puff` construction:
-//! per-length symbol counts plus a sorted symbol table, decoded bit by bit
-//! (codes are at most 15 bits, so the loop is bounded and branch-cheap).
+//! The inflater is table-driven, after zlib's `inflate_fast`: a 64-bit bit
+//! buffer refilled eight input bytes at a time, and per block one lookup
+//! table per alphabet, indexed by the next 10 bits (literal/length) or 8
+//! bits (distance), whose entries carry the code length, the literal or the
+//! length/distance base and its extra-bit count; the rare codes longer than
+//! that go through a second lookup in an overflow subtable. Tables, window
+//! and input buffer are allocated once by [`GzipReader::new`]; the tables
+//! are rebuilt in place per block. One call decodes until a block ends or
+//! the window is full of undelivered bytes, and a fault met on the way is
+//! raised only after every byte decoded before it has been delivered — the
+//! order a one-symbol-per-call decoder produces. That decoder (the classic
+//! `puff` construction, one Huffman bit at a time) is what this module used
+//! to be; it survives as the `#[cfg(test)]` oracle the differential tests
+//! compare against.
 
-use std::io::{Error, ErrorKind, Read, Result};
+use std::io::{BufRead, Error, ErrorKind, Read, Result};
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod oracle;
 
 /// Magic bytes opening every gzip member.
 pub const GZIP_MAGIC: [u8; 2] = [0x1f, 0x8b];
 
+/// Slice-by-8 tables: `CRC_TABLES[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes, so eight input bytes fold into the register per step.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut n = 0;
+    while n < 256 {
+        let mut c = n as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][n] = c;
+        n += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = t[k - 1][n];
+            t[k][n] = t[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            n += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
 /// CRC32 (IEEE, reflected) over `data`, continuing from `crc` (start with 0).
 pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
-    // The 256-entry table is tiny; building it per call would also be fine,
-    // but a lazily-initialized static keeps the hot loop to one lookup.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (n, entry) in t.iter_mut().enumerate() {
-            let mut c = n as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        t
-    });
+    let t = &CRC_TABLES;
     let mut c = !crc;
-    for &b in data {
-        c = table[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][(lo >> 8 & 0xff) as usize]
+            ^ t[5][(lo >> 16 & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][(hi >> 8 & 0xff) as usize]
+            ^ t[1][(hi >> 16 & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -68,48 +115,6 @@ fn truncated() -> Error {
         ErrorKind::UnexpectedEof,
         "truncated gzip stream".to_string(),
     )
-}
-
-/// Canonical Huffman decoding table: `counts[l]` codes of length `l`,
-/// symbols sorted by (length, symbol value).
-struct Huffman {
-    counts: [u16; 16],
-    symbols: Vec<u16>,
-}
-
-impl Huffman {
-    /// Build from per-symbol code lengths (0 = unused). Rejects
-    /// over-subscribed length sets; incomplete sets are accepted (deflate
-    /// allows them for the distance table of degenerate blocks).
-    fn new(lengths: &[u8]) -> Result<Self> {
-        let mut counts = [0u16; 16];
-        for &l in lengths {
-            if l > 15 {
-                return Err(corrupt("huffman code length exceeds 15"));
-            }
-            counts[l as usize] += 1;
-        }
-        counts[0] = 0;
-        let mut left = 1i32;
-        for &count in &counts[1..] {
-            left = (left << 1) - count as i32;
-            if left < 0 {
-                return Err(corrupt("over-subscribed huffman code lengths"));
-            }
-        }
-        let mut offsets = [0u16; 16];
-        for l in 1..15 {
-            offsets[l + 1] = offsets[l] + counts[l];
-        }
-        let mut symbols = vec![0u16; lengths.iter().filter(|&&l| l != 0).count()];
-        for (sym, &l) in lengths.iter().enumerate() {
-            if l != 0 {
-                symbols[offsets[l as usize] as usize] = sym as u16;
-                offsets[l as usize] += 1;
-            }
-        }
-        Ok(Huffman { counts, symbols })
-    }
 }
 
 /// Extra bits and base values for length codes 257..=285.
@@ -134,237 +139,501 @@ const CLEN_ORDER: [usize; 19] = [
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15,
 ];
 
+/// Back-reference window: the 32 KiB of history deflate may point into. It
+/// doubles as the output buffer — undelivered bytes are its newest part.
 const WINDOW: usize = 32 * 1024;
+const WINDOW_MASK: usize = WINDOW - 1;
+/// The longest match. Decoding a symbol is allowed while `avail + MAX_MATCH
+/// <= WINDOW`, so no symbol overwrites a byte not yet delivered.
+const MAX_MATCH: usize = 258;
+/// A stored block is copied in chunks of at most this many bytes, each
+/// committed whole or — when the input ends inside it — not at all.
+const STORED_CHUNK: usize = 4096;
+const INPUT_BUF: usize = 16 * 1024;
+
+/// A decode-table entry, one `u32`:
+/// bits 0–3 the code's length in bits, 4–7 an extra-bit count (or a
+/// subtable's index width), 8–11 the kind, 16–31 the value — a literal, a
+/// length or distance base, a code-length symbol, or a subtable's offset.
+type Entry = u32;
+const ENTRY_LEN: u32 = 0xf;
+const ENTRY_KIND: u32 = 0xf00;
+const KIND_LITERAL: u32 = 0;
+/// A length or distance: value is the base, bits 4–7 its extra-bit count.
+const KIND_BASE: u32 = 1 << 8;
+const KIND_END_OF_BLOCK: u32 = 2 << 8;
+/// The code is longer than the root: look the bits after the root up in the
+/// subtable at `value`, `2^(bits 4–7)` entries wide.
+const KIND_SUBTABLE: u32 = 3 << 8;
+/// A symbol deflate reserves (literal/length 286–287, distance 30–31).
+const KIND_RESERVED: u32 = 4 << 8;
+/// No code has this bit pattern (incomplete code). It claims the 15 bits
+/// the bit-by-bit decoder reads before it gives up, so that a stream ending
+/// sooner reports truncation, as it does there.
+const NO_CODE: Entry = (5 << 8) | 15;
+
+fn entry_extra(e: Entry) -> u32 {
+    e >> 4 & 0xf
+}
+
+fn entry_value(e: Entry) -> usize {
+    (e >> 16) as usize
+}
+
+/// The entry for the code at the bottom of `bits`: one lookup for codes up
+/// to `root` bits, a second in the subtable for longer ones.
+#[inline(always)]
+fn lookup(table: &[Entry], root: u32, bits: u64) -> Entry {
+    let entry = table[bits as usize & ((1 << root) - 1)];
+    if entry & ENTRY_KIND != KIND_SUBTABLE {
+        return entry;
+    }
+    let index = (bits >> root) as usize & ((1 << entry_extra(entry)) - 1);
+    table[entry_value(entry) + index]
+}
+
+fn base_entry(base: u16, extra: u8) -> Entry {
+    KIND_BASE | (base as u32) << 16 | (extra as u32) << 4
+}
+
+fn litlen_entry(sym: usize) -> Entry {
+    match sym {
+        0..=255 => KIND_LITERAL | (sym as u32) << 16,
+        256 => KIND_END_OF_BLOCK,
+        257..=285 => base_entry(LEN_BASE[sym - 257], LEN_EXTRA[sym - 257]),
+        _ => KIND_RESERVED,
+    }
+}
+
+fn dist_entry(sym: usize) -> Entry {
+    match sym {
+        0..=29 => base_entry(DIST_BASE[sym], DIST_EXTRA[sym]),
+        _ => KIND_RESERVED,
+    }
+}
+
+fn clen_entry(sym: usize) -> Entry {
+    KIND_LITERAL | (sym as u32) << 16
+}
+
+/// Index widths of the first-level tables. Codes up to the root decode in
+/// one lookup; the code-length alphabet's codes are at most 7 bits, so its
+/// table has no second level.
+const LIT_ROOT: u32 = 10;
+const DIST_ROOT: u32 = 8;
+const CLEN_ROOT: u32 = 7;
+/// Room after the first level for the overflow subtables. Canonical codes
+/// tile the code space from zero without gaps, so every subtable but the
+/// last is full, and a full subtable of `2^k` entries holds at least `k + 1`
+/// codes: 288 literal/length symbols fill at most 288 · 32/6 = 1536 entries
+/// plus one last subtable of 32; 32 distance symbols at most 4 · 128 plus
+/// one of 128.
+const LIT_TABLE: usize = (1 << LIT_ROOT) + 2048;
+const DIST_TABLE: usize = (1 << DIST_ROOT) + 768;
+/// Literal/length plus distance code lengths of one dynamic block.
+const MAX_LENGTHS: usize = 288 + 32;
+
+/// The decode tables of the current block and the scratch they are built
+/// from — fixed-size, owned by the reader, rebuilt in place per block.
+struct Tables {
+    lit: [Entry; LIT_TABLE],
+    dist: [Entry; DIST_TABLE],
+    clen: [Entry; 1 << CLEN_ROOT],
+    lengths: [u8; MAX_LENGTHS],
+    sorted: [u16; MAX_LENGTHS],
+}
+
+/// Fill `table` for the canonical Huffman code with these per-symbol code
+/// lengths (0 = unused, at most 15): `root` index bits on the first level,
+/// subtables after it. Rejects over-subscribed length sets; incomplete sets
+/// are accepted (deflate allows them for the distance table of degenerate
+/// blocks) and leave [`NO_CODE`] in the unassigned slots.
+fn build_table(
+    table: &mut [Entry],
+    root: u32,
+    lengths: &[u8],
+    sorted: &mut [u16; MAX_LENGTHS],
+    entry_of: fn(usize) -> Entry,
+) -> Result<()> {
+    let mut counts = [0u16; 16];
+    for &l in lengths {
+        counts[l as usize] += 1;
+    }
+    counts[0] = 0;
+    let mut left = 1i32;
+    for &count in &counts[1..] {
+        left = (left << 1) - count as i32;
+        if left < 0 {
+            return Err(corrupt("over-subscribed huffman code lengths"));
+        }
+    }
+    // Symbols sorted by (length, symbol value): canonical code order.
+    let mut offsets = [0u16; 16];
+    for l in 1..15 {
+        offsets[l + 1] = offsets[l] + counts[l];
+    }
+    for (sym, &l) in lengths.iter().enumerate() {
+        if l != 0 {
+            sorted[offsets[l as usize] as usize] = sym as u16;
+            offsets[l as usize] += 1;
+        }
+    }
+
+    let primary = 1usize << root;
+    table[..primary].fill(NO_CODE);
+    let mut next_free = primary;
+    // The subtable being filled: its first-level slot, where it starts, its
+    // index width. Codes sharing a root prefix are consecutive.
+    let (mut sub_prefix, mut sub_start, mut sub_bits) = (usize::MAX, 0usize, 0u32);
+    let mut code = 0u32;
+    let mut next_symbol = sorted.iter();
+    for len in 1..=15u32 {
+        for nth in 0..counts[len as usize] {
+            let sym = *next_symbol
+                .next()
+                .expect("one sorted symbol per counted code");
+            let entry = entry_of(sym as usize) | len;
+            // Deflate packs codes most significant bit first into a stream
+            // read least significant bit first: index by the reversed code.
+            let reversed = ((code as u16).reverse_bits() >> (16 - len)) as usize;
+            code += 1;
+            if len <= root {
+                for slot in table[reversed..primary].iter_mut().step_by(1 << len) {
+                    *slot = entry;
+                }
+                continue;
+            }
+            let prefix = reversed & (primary - 1);
+            if prefix != sub_prefix {
+                // Width: grow until the codes not yet placed fill the
+                // subtree under this prefix (or run out).
+                let mut longest = len as usize;
+                let mut bits = len - root;
+                let mut free = (1i32 << bits) - (counts[longest] - nth) as i32;
+                while free > 0 && longest < 15 {
+                    longest += 1;
+                    bits += 1;
+                    free = (free << 1) - counts[longest] as i32;
+                }
+                (sub_prefix, sub_start, sub_bits) = (prefix, next_free, bits);
+                next_free += 1 << bits;
+                table[sub_start..next_free].fill(NO_CODE);
+                table[prefix] = KIND_SUBTABLE | (sub_start as u32) << 16 | bits << 4 | root;
+            }
+            let sub_end = sub_start + (1 << sub_bits);
+            for slot in table[sub_start + (reversed >> root)..sub_end]
+                .iter_mut()
+                .step_by(1 << (len - root))
+            {
+                *slot = entry;
+            }
+        }
+        code <<= 1;
+    }
+    Ok(())
+}
+
+/// The compressed input: one buffer read straight from the source, and the
+/// bit buffer on top of it. Every input byte — headers and trailers
+/// included — passes through the bit buffer, so there is one cursor.
+struct Input<R> {
+    inner: R,
+    buf: Box<[u8; INPUT_BUF]>,
+    pos: usize,
+    len: usize,
+    /// The source has reported end of input.
+    eof: bool,
+    /// The next `bit_count` bits of the stream, least significant first.
+    /// Bits above `bit_count` are zero or a copy of what `buf[pos..]` holds.
+    bits: u64,
+    bit_count: u32,
+}
+
+impl<R: Read> Input<R> {
+    /// Read more input behind `buf[..len]`; false at end of input.
+    fn read_more(&mut self) -> Result<bool> {
+        while !self.eof {
+            match self.inner.read(&mut self.buf[self.len..]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => {
+                    self.len += n;
+                    return Ok(true);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(false)
+    }
+
+    /// Top the bit buffer up to at least 56 bits, or to everything that is
+    /// left when the input ends sooner.
+    #[inline(always)]
+    fn refill(&mut self) -> Result<()> {
+        if let Some(word) = self.buf[self.pos..self.len].first_chunk::<8>() {
+            self.bits |= u64::from_le_bytes(*word) << self.bit_count;
+            self.pos += (63 - self.bit_count as usize) >> 3;
+            self.bit_count |= 56;
+            Ok(())
+        } else {
+            self.refill_bytewise()
+        }
+    }
+
+    /// [`Self::refill`] near the end of the buffer: byte by byte, reading
+    /// the next buffer-full when this one is used up.
+    #[cold]
+    fn refill_bytewise(&mut self) -> Result<()> {
+        while self.bit_count < 56 {
+            if self.pos == self.len {
+                (self.pos, self.len) = (0, 0);
+                if !self.read_more()? {
+                    break;
+                }
+            }
+            self.bits |= (self.buf[self.pos] as u64) << self.bit_count;
+            self.pos += 1;
+            self.bit_count += 8;
+        }
+        Ok(())
+    }
+
+    /// Take the next `n <= 32` bits; a stream that ends first is truncated.
+    fn take(&mut self, n: u32) -> Result<u32> {
+        if self.bit_count < n {
+            self.refill()?;
+            if self.bit_count < n {
+                return Err(truncated());
+            }
+        }
+        let out = self.bits & ((1u64 << n) - 1);
+        self.bits >>= n;
+        self.bit_count -= n;
+        Ok(out as u32)
+    }
+
+    fn byte(&mut self) -> Result<u8> {
+        Ok(self.take(8)? as u8)
+    }
+
+    fn align_to_byte(&mut self) {
+        let partial = self.bit_count % 8;
+        self.bits >>= partial;
+        self.bit_count -= partial;
+    }
+
+    /// Decode one symbol of a single-level table (the code-length code).
+    fn decode(&mut self, table: &[Entry; 1 << CLEN_ROOT]) -> Result<usize> {
+        if self.bit_count < 15 {
+            self.refill()?;
+        }
+        let entry = table[self.bits as usize & ((1 << CLEN_ROOT) - 1)];
+        let len = entry & ENTRY_LEN;
+        if len > self.bit_count {
+            return Err(truncated());
+        }
+        if entry == NO_CODE {
+            return Err(corrupt("invalid huffman code"));
+        }
+        self.bits >>= len;
+        self.bit_count -= len;
+        Ok(entry_value(entry))
+    }
+
+    /// Whether `n` more whole bytes can be had (byte-aligned callers only),
+    /// reading ahead as needed. `n` is at most [`STORED_CHUNK`].
+    fn has_bytes(&mut self, n: usize) -> Result<bool> {
+        while (self.bit_count / 8) as usize + (self.len - self.pos) < n {
+            self.buf.copy_within(self.pos..self.len, 0);
+            (self.pos, self.len) = (0, self.len - self.pos);
+            if !self.read_more()? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+}
 
 /// What the inflater is currently working through.
-enum BlockState {
-    /// Between blocks; `true` once the final block has been consumed.
+#[derive(Clone, Copy)]
+enum State {
+    /// Before a member's header: the start of the file, or after a member.
+    Member { first: bool },
+    /// Between blocks; `last_seen` once the final block has been consumed.
     Boundary { last_seen: bool },
     /// Inside a stored block with this many bytes left to copy.
-    Stored { remaining: u16, last: bool },
-    /// Inside a compressed block with these tables.
-    Huffman {
-        litlen: Huffman,
-        dist: Huffman,
-        last: bool,
-    },
-    /// Deflate stream fully decoded and trailer verified.
+    Stored { remaining: usize, last: bool },
+    /// Inside a compressed block whose tables are in place.
+    Huffman { last: bool },
+    /// Every member decoded and verified, input exhausted.
     Done,
+}
+
+/// How one run of the symbol loop ended.
+enum Stop {
+    EndOfBlock,
+    WindowFull,
+    Fault(Error),
 }
 
 /// Streaming gzip decompressor over any [`Read`].
 ///
 /// Reads compressed bytes on demand and serves decompressed bytes through
-/// [`Read::read`], keeping only a 32 KiB sliding window plus a small input
-/// buffer resident — memory is O(1) in the archive size. The gzip header is
-/// parsed lazily on the first read; the CRC32/ISIZE trailer is checked when
-/// the deflate stream ends, so a fully drained reader is a verified one.
+/// [`Read::read`] or, without a copy, [`BufRead::fill_buf`], keeping only a
+/// 32 KiB sliding window, a 16 KiB input buffer and the decode tables
+/// resident — memory is O(1) in the archive size and nothing is allocated
+/// after construction. The gzip header is parsed lazily on the first read;
+/// each member's CRC32/ISIZE trailer is checked when its deflate stream
+/// ends, so a fully drained reader is a verified one.
 pub struct GzipReader<R: Read> {
-    inner: R,
-    /// Input staging buffer and the bit cursor into it.
-    in_buf: Vec<u8>,
-    in_pos: usize,
-    in_len: usize,
-    bit_buf: u32,
-    bit_count: u32,
-    /// Sliding output window (ring buffer) and undelivered byte count.
-    window: Box<[u8]>,
+    input: Input<R>,
+    /// Sliding output window (ring buffer): `avail` undelivered bytes end
+    /// at `wpos`.
+    window: Box<[u8; WINDOW]>,
     wpos: usize,
     avail: usize,
-    /// Running CRC32 / byte count of the *delivered* output.
+    tables: Box<Tables>,
+    /// Running CRC32 / byte count of the current member's decoded output.
     crc: u32,
-    out_len: u64,
-    header_done: bool,
-    state: BlockState,
+    member_len: u64,
+    state: State,
+    /// The first fault met, raised once everything decoded before it has
+    /// been delivered, and again by every later read.
+    fault: Option<(ErrorKind, String)>,
 }
 
 impl<R: Read> GzipReader<R> {
-    /// Wrap `inner`, which must yield one complete gzip member.
+    /// Wrap `inner`, which must yield a complete gzip file: one member or
+    /// several back to back.
     pub fn new(inner: R) -> Self {
         GzipReader {
-            inner,
-            in_buf: vec![0u8; 8 * 1024],
-            in_pos: 0,
-            in_len: 0,
-            bit_buf: 0,
-            bit_count: 0,
-            window: vec![0u8; WINDOW].into_boxed_slice(),
+            input: Input {
+                inner,
+                buf: Box::new([0u8; INPUT_BUF]),
+                pos: 0,
+                len: 0,
+                eof: false,
+                bits: 0,
+                bit_count: 0,
+            },
+            window: Box::new([0u8; WINDOW]),
             wpos: 0,
             avail: 0,
+            tables: Box::new(Tables {
+                lit: [NO_CODE; LIT_TABLE],
+                dist: [NO_CODE; DIST_TABLE],
+                clen: [NO_CODE; 1 << CLEN_ROOT],
+                lengths: [0; MAX_LENGTHS],
+                sorted: [0; MAX_LENGTHS],
+            }),
             crc: 0,
-            out_len: 0,
-            header_done: false,
-            state: BlockState::Boundary { last_seen: false },
+            member_len: 0,
+            state: State::Member { first: true },
+            fault: None,
         }
     }
 
-    fn next_byte(&mut self) -> Result<u8> {
-        if self.in_pos == self.in_len {
-            self.in_len = self.inner.read(&mut self.in_buf)?;
-            self.in_pos = 0;
-            if self.in_len == 0 {
-                return Err(truncated());
+    /// Parse a member header, or find the end of the file. After a verified
+    /// member, end of input ends the stream, the gzip magic starts the next
+    /// member, and anything else is trailing data.
+    fn begin_member(&mut self, first: bool) -> Result<()> {
+        let input = &mut self.input;
+        if !first {
+            input.refill()?;
+            if input.bit_count == 0 {
+                self.state = State::Done;
+                return Ok(());
+            }
+            if input.bit_count < 16 || (input.bits as u16).to_le_bytes() != GZIP_MAGIC {
+                return Err(corrupt("trailing data after gzip member"));
             }
         }
-        let b = self.in_buf[self.in_pos];
-        self.in_pos += 1;
-        Ok(b)
-    }
-
-    fn read_bits(&mut self, n: u32) -> Result<u32> {
-        while self.bit_count < n {
-            let b = self.next_byte()?;
-            self.bit_buf |= (b as u32) << self.bit_count;
-            self.bit_count += 8;
-        }
-        let out = if n == 0 {
-            0
-        } else {
-            self.bit_buf & ((1u32 << n) - 1)
-        };
-        self.bit_buf >>= n;
-        self.bit_count -= n;
-        Ok(out)
-    }
-
-    fn drop_partial_bits(&mut self) {
-        let drop = self.bit_count % 8;
-        self.bit_buf >>= drop;
-        self.bit_count -= drop;
-    }
-
-    fn decode(&mut self, which: Which) -> Result<u16> {
-        let mut code = 0usize;
-        let mut first = 0usize;
-        let mut index = 0usize;
-        for len in 1..=15usize {
-            code |= self.read_bits(1)? as usize;
-            let count = {
-                let h = match (&self.state, which) {
-                    (BlockState::Huffman { litlen, .. }, Which::LitLen) => litlen,
-                    (BlockState::Huffman { dist, .. }, Which::Dist) => dist,
-                    _ => unreachable!("decode called outside a huffman block"),
-                };
-                h.counts[len] as usize
-            };
-            if code < first + count {
-                let h = match (&self.state, which) {
-                    (BlockState::Huffman { litlen, .. }, Which::LitLen) => litlen,
-                    (BlockState::Huffman { dist, .. }, Which::Dist) => dist,
-                    _ => unreachable!(),
-                };
-                return Ok(h.symbols[index + (code - first)]);
-            }
-            index += count;
-            first = (first + count) << 1;
-            code <<= 1;
-        }
-        Err(corrupt("invalid huffman code"))
-    }
-
-    /// Decode with an explicit table (used while reading dynamic headers,
-    /// before the block tables are installed in `state`).
-    fn decode_with(&mut self, h: &Huffman) -> Result<u16> {
-        let mut code = 0usize;
-        let mut first = 0usize;
-        let mut index = 0usize;
-        for len in 1..=15usize {
-            code |= self.read_bits(1)? as usize;
-            let count = h.counts[len] as usize;
-            if code < first + count {
-                return Ok(h.symbols[index + (code - first)]);
-            }
-            index += count;
-            first = (first + count) << 1;
-            code <<= 1;
-        }
-        Err(corrupt("invalid huffman code"))
-    }
-
-    fn push_out(&mut self, b: u8) {
-        self.window[self.wpos] = b;
-        self.wpos = (self.wpos + 1) % WINDOW;
-        self.avail += 1;
-    }
-
-    fn parse_header(&mut self) -> Result<()> {
-        let m0 = self.next_byte()?;
-        let m1 = self.next_byte()?;
-        if [m0, m1] != GZIP_MAGIC {
+        if [input.byte()?, input.byte()?] != GZIP_MAGIC {
             return Err(corrupt("not a gzip stream (bad magic)"));
         }
-        let cm = self.next_byte()?;
+        let cm = input.byte()?;
         if cm != 8 {
             return Err(corrupt(format!("unsupported gzip compression method {cm}")));
         }
-        let flg = self.next_byte()?;
+        let flg = input.byte()?;
         for _ in 0..6 {
-            self.next_byte()?; // MTIME, XFL, OS
+            input.byte()?; // MTIME, XFL, OS
         }
         if flg & 0x04 != 0 {
             // FEXTRA
-            let lo = self.next_byte()? as usize;
-            let hi = self.next_byte()? as usize;
+            let lo = input.byte()? as usize;
+            let hi = input.byte()? as usize;
             for _ in 0..(hi << 8 | lo) {
-                self.next_byte()?;
+                input.byte()?;
             }
         }
         if flg & 0x08 != 0 {
-            while self.next_byte()? != 0 {} // FNAME
+            while input.byte()? != 0 {} // FNAME
         }
         if flg & 0x10 != 0 {
-            while self.next_byte()? != 0 {} // FCOMMENT
+            while input.byte()? != 0 {} // FCOMMENT
         }
         if flg & 0x02 != 0 {
-            self.next_byte()?;
-            self.next_byte()?; // FHCRC
+            input.byte()?;
+            input.byte()?; // FHCRC
         }
-        self.header_done = true;
+        (self.crc, self.member_len) = (0, 0);
+        self.state = State::Boundary { last_seen: false };
         Ok(())
     }
 
     fn begin_block(&mut self) -> Result<()> {
-        let last = self.read_bits(1)? == 1;
-        let btype = self.read_bits(2)?;
-        match btype {
+        let input = &mut self.input;
+        let t = &mut *self.tables;
+        let last = input.take(1)? == 1;
+        match input.take(2)? {
             0 => {
-                self.drop_partial_bits();
-                let len = self.read_bits(16)? as u16;
-                let nlen = self.read_bits(16)? as u16;
+                input.align_to_byte();
+                let len = input.take(16)? as u16;
+                let nlen = input.take(16)? as u16;
                 if len != !nlen {
                     return Err(corrupt("stored block LEN/NLEN mismatch"));
                 }
-                self.state = BlockState::Stored {
-                    remaining: len,
+                self.state = State::Stored {
+                    remaining: len as usize,
                     last,
                 };
+                return Ok(());
             }
             1 => {
-                let mut litlen = [0u8; 288];
-                litlen[..144].fill(8);
-                litlen[144..256].fill(9);
-                litlen[256..280].fill(7);
-                litlen[280..288].fill(8);
-                let dist = [5u8; 30];
-                self.state = BlockState::Huffman {
-                    litlen: Huffman::new(&litlen)?,
-                    dist: Huffman::new(&dist)?,
-                    last,
-                };
+                t.lengths[..144].fill(8);
+                t.lengths[144..256].fill(9);
+                t.lengths[256..280].fill(7);
+                t.lengths[280..288].fill(8);
+                build_table(
+                    &mut t.lit,
+                    LIT_ROOT,
+                    &t.lengths[..288],
+                    &mut t.sorted,
+                    litlen_entry,
+                )?;
+                build_table(&mut t.dist, DIST_ROOT, &[5; 30], &mut t.sorted, dist_entry)?;
             }
             2 => {
-                let hlit = self.read_bits(5)? as usize + 257;
-                let hdist = self.read_bits(5)? as usize + 1;
-                let hclen = self.read_bits(4)? as usize + 4;
+                let hlit = input.take(5)? as usize + 257;
+                let hdist = input.take(5)? as usize + 1;
+                let hclen = input.take(4)? as usize + 4;
                 let mut clen_lengths = [0u8; 19];
                 for &pos in CLEN_ORDER.iter().take(hclen) {
-                    clen_lengths[pos] = self.read_bits(3)? as u8;
+                    clen_lengths[pos] = input.take(3)? as u8;
                 }
-                let clen = Huffman::new(&clen_lengths)?;
-                let mut lengths = vec![0u8; hlit + hdist];
+                build_table(
+                    &mut t.clen,
+                    CLEN_ROOT,
+                    &clen_lengths,
+                    &mut t.sorted,
+                    clen_entry,
+                )?;
+                let lengths = &mut t.lengths[..hlit + hdist];
+                lengths.fill(0);
                 let mut i = 0usize;
                 while i < lengths.len() {
-                    let sym = self.decode_with(&clen)?;
+                    let sym = input.decode(&t.clen)?;
                     match sym {
                         0..=15 => {
                             lengths[i] = sym as u8;
@@ -375,7 +644,7 @@ impl<R: Read> GzipReader<R> {
                                 return Err(corrupt("length repeat with no previous length"));
                             }
                             let prev = lengths[i - 1];
-                            let n = 3 + self.read_bits(2)? as usize;
+                            let n = 3 + input.take(2)? as usize;
                             if i + n > lengths.len() {
                                 return Err(corrupt("length repeat overflows the table"));
                             }
@@ -383,129 +652,244 @@ impl<R: Read> GzipReader<R> {
                             i += n;
                         }
                         17 => {
-                            let n = 3 + self.read_bits(3)? as usize;
+                            let n = 3 + input.take(3)? as usize;
                             if i + n > lengths.len() {
                                 return Err(corrupt("zero-length run overflows the table"));
                             }
                             i += n;
                         }
-                        18 => {
-                            let n = 11 + self.read_bits(7)? as usize;
+                        _ => {
+                            let n = 11 + input.take(7)? as usize;
                             if i + n > lengths.len() {
                                 return Err(corrupt("zero-length run overflows the table"));
                             }
                             i += n;
                         }
-                        _ => return Err(corrupt("invalid code-length symbol")),
                     }
                 }
                 if lengths[256] == 0 {
                     return Err(corrupt("dynamic block without an end-of-block code"));
                 }
-                self.state = BlockState::Huffman {
-                    litlen: Huffman::new(&lengths[..hlit])?,
-                    dist: Huffman::new(&lengths[hlit..])?,
-                    last,
-                };
+                let (lit_lengths, dist_lengths) = lengths.split_at(hlit);
+                build_table(
+                    &mut t.lit,
+                    LIT_ROOT,
+                    lit_lengths,
+                    &mut t.sorted,
+                    litlen_entry,
+                )?;
+                build_table(
+                    &mut t.dist,
+                    DIST_ROOT,
+                    dist_lengths,
+                    &mut t.sorted,
+                    dist_entry,
+                )?;
             }
             _ => return Err(corrupt("reserved deflate block type")),
         }
+        self.state = State::Huffman { last };
         Ok(())
     }
 
-    fn finish(&mut self) -> Result<()> {
-        // Trailer: CRC32 + ISIZE, little-endian, byte-aligned.
-        self.drop_partial_bits();
-        let mut trailer = [0u8; 8];
-        for b in trailer.iter_mut() {
-            *b = self.next_byte()?;
-        }
-        let crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        let isize = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
+    /// Verify the member's trailer: CRC32 + ISIZE, little-endian,
+    /// byte-aligned.
+    fn finish_member(&mut self) -> Result<()> {
+        self.input.align_to_byte();
+        let crc = self.input.take(32)?;
+        let isize = self.input.take(32)?;
         if crc != self.crc {
             return Err(corrupt(format!(
                 "gzip CRC mismatch: stored {crc:#010x}, computed {:#010x}",
                 self.crc
             )));
         }
-        if isize != self.out_len as u32 {
+        if isize != self.member_len as u32 {
             return Err(corrupt(format!(
                 "gzip ISIZE mismatch: stored {isize}, decompressed {} (mod 2^32)",
-                self.out_len as u32
+                self.member_len as u32
             )));
         }
-        self.state = BlockState::Done;
+        self.state = State::Member { first: false };
         Ok(())
     }
 
-    /// Decode until at least one output byte is available (or the stream
-    /// ends). One call decodes at most one symbol / one stored chunk, so
-    /// `avail` stays far below the window size.
-    fn fill(&mut self) -> Result<()> {
-        if !self.header_done {
-            self.parse_header()?;
+    /// Copy stored bytes into the window, chunk by chunk, until the block
+    /// ends or the window is full.
+    fn copy_stored(&mut self, mut remaining: usize, last: bool) -> Result<()> {
+        let input = &mut self.input;
+        input.align_to_byte();
+        while remaining > 0 && self.avail + STORED_CHUNK <= WINDOW {
+            let n = remaining.min(STORED_CHUNK);
+            if !input.has_bytes(n)? {
+                return Err(truncated());
+            }
+            // Whole bytes the bit buffer already holds come first.
+            let mut left = n;
+            while left > 0 && input.bit_count > 0 {
+                self.window[self.wpos] = input.bits as u8;
+                self.wpos = (self.wpos + 1) & WINDOW_MASK;
+                input.bits >>= 8;
+                input.bit_count -= 8;
+                left -= 1;
+            }
+            if left > 0 {
+                input.bits = 0;
+                let src = &input.buf[input.pos..input.pos + left];
+                let head = left.min(WINDOW - self.wpos);
+                self.window[self.wpos..self.wpos + head].copy_from_slice(&src[..head]);
+                self.window[..left - head].copy_from_slice(&src[head..]);
+                self.wpos = (self.wpos + left) & WINDOW_MASK;
+                input.pos += left;
+            }
+            self.avail += n;
+            remaining -= n;
         }
-        while self.avail == 0 {
-            match &mut self.state {
-                BlockState::Done => return Ok(()),
-                BlockState::Boundary { last_seen } => {
-                    if *last_seen {
-                        self.finish()?;
-                        return Ok(());
-                    }
-                    self.begin_block()?;
+        self.state = match remaining {
+            0 => State::Boundary { last_seen: last },
+            _ => State::Stored { remaining, last },
+        };
+        Ok(())
+    }
+
+    /// The symbol loop of a compressed block: decode until the block ends,
+    /// the window is full, or a fault. Called with nothing undelivered.
+    fn inflate(&mut self) -> Stop {
+        let input = &mut self.input;
+        let window = &mut *self.window;
+        let lit = &self.tables.lit;
+        let dist_table = &self.tables.dist;
+        let mut wpos = self.wpos;
+        let mut produced = 0usize;
+        let stop = loop {
+            if produced + MAX_MATCH > WINDOW {
+                break Stop::WindowFull;
+            }
+            // One refill covers a whole length/distance pair: 15 + 5 + 15 +
+            // 13 bits. Past it only the end of the input leaves fewer, which
+            // the length checks below report.
+            if let Err(e) = input.refill() {
+                break Stop::Fault(e);
+            }
+            let entry = lookup(lit, LIT_ROOT, input.bits);
+            let len = entry & ENTRY_LEN;
+            if len > input.bit_count {
+                break Stop::Fault(truncated());
+            }
+            if entry & ENTRY_KIND == KIND_LITERAL {
+                input.bits >>= len;
+                input.bit_count -= len;
+                window[wpos] = (entry >> 16) as u8;
+                wpos = (wpos + 1) & WINDOW_MASK;
+                produced += 1;
+                continue;
+            }
+            match entry & ENTRY_KIND {
+                KIND_BASE => {}
+                KIND_END_OF_BLOCK => {
+                    input.bits >>= len;
+                    input.bit_count -= len;
+                    break Stop::EndOfBlock;
                 }
-                BlockState::Stored { remaining, last } => {
-                    if *remaining == 0 {
-                        let last = *last;
-                        self.state = BlockState::Boundary { last_seen: last };
-                        continue;
-                    }
-                    let n = (*remaining).min(4096);
-                    *remaining -= n;
-                    self.drop_partial_bits();
-                    for _ in 0..n {
-                        let b = self.next_byte()?;
-                        self.push_out(b);
+                KIND_RESERVED => break Stop::Fault(corrupt("invalid literal/length symbol")),
+                _ => break Stop::Fault(corrupt("invalid huffman code")),
+            }
+            let extra = entry_extra(entry);
+            if len + extra > input.bit_count {
+                break Stop::Fault(truncated());
+            }
+            input.bits >>= len;
+            let length = entry_value(entry) + (input.bits as usize & ((1 << extra) - 1));
+            input.bits >>= extra;
+            input.bit_count -= len + extra;
+
+            let entry = lookup(dist_table, DIST_ROOT, input.bits);
+            let len = entry & ENTRY_LEN;
+            if len > input.bit_count {
+                break Stop::Fault(truncated());
+            }
+            match entry & ENTRY_KIND {
+                KIND_BASE => {}
+                KIND_RESERVED => break Stop::Fault(corrupt("invalid distance symbol")),
+                _ => break Stop::Fault(corrupt("invalid huffman code")),
+            }
+            let extra = entry_extra(entry);
+            if len + extra > input.bit_count {
+                break Stop::Fault(truncated());
+            }
+            input.bits >>= len;
+            let distance = entry_value(entry) + (input.bits as usize & ((1 << extra) - 1));
+            input.bits >>= extra;
+            input.bit_count -= len + extra;
+            if distance as u64 > self.member_len + produced as u64 {
+                break Stop::Fault(corrupt("back-reference before stream start"));
+            }
+
+            let from = wpos.wrapping_sub(distance) & WINDOW_MASK;
+            if from.max(wpos) + length <= WINDOW {
+                if distance >= length {
+                    window.copy_within(from..from + length, wpos);
+                } else if distance == 1 {
+                    let byte = window[from];
+                    window[wpos..wpos + length].fill(byte);
+                } else {
+                    // The match overlaps its own output: the bytes repeat
+                    // with period `distance`.
+                    for i in 0..length {
+                        window[wpos + i] = window[from + i];
                     }
                 }
-                BlockState::Huffman { last, .. } => {
-                    let last = *last;
-                    let sym = self.decode(Which::LitLen)?;
-                    match sym {
-                        0..=255 => self.push_out(sym as u8),
-                        256 => self.state = BlockState::Boundary { last_seen: last },
-                        257..=285 => {
-                            let idx = (sym - 257) as usize;
-                            let len = LEN_BASE[idx] as usize
-                                + self.read_bits(LEN_EXTRA[idx] as u32)? as usize;
-                            let dsym = self.decode(Which::Dist)? as usize;
-                            if dsym >= 30 {
-                                return Err(corrupt("invalid distance symbol"));
-                            }
-                            let dist = DIST_BASE[dsym] as usize
-                                + self.read_bits(DIST_EXTRA[dsym] as u32)? as usize;
-                            if dist as u64 > self.out_len + self.avail as u64 {
-                                return Err(corrupt("back-reference before stream start"));
-                            }
-                            for _ in 0..len {
-                                let b = self.window[(self.wpos + WINDOW - dist) % WINDOW];
-                                self.push_out(b);
-                            }
-                        }
-                        _ => return Err(corrupt("invalid literal/length symbol")),
-                    }
+            } else {
+                for i in 0..length {
+                    window[(wpos + i) & WINDOW_MASK] = window[(from + i) & WINDOW_MASK];
                 }
             }
+            wpos = (wpos + length) & WINDOW_MASK;
+            produced += length;
+        };
+        self.wpos = wpos;
+        self.avail += produced;
+        stop
+    }
+
+    /// One step of the state machine; see [`Self::fill`].
+    fn step(&mut self) -> Result<()> {
+        match self.state {
+            State::Done => {}
+            State::Member { first } => self.begin_member(first)?,
+            State::Boundary { last_seen: true } => self.finish_member()?,
+            State::Boundary { last_seen: false } => self.begin_block()?,
+            State::Stored { remaining, last } => self.copy_stored(remaining, last)?,
+            State::Huffman { last } => match self.inflate() {
+                Stop::EndOfBlock => self.state = State::Boundary { last_seen: last },
+                Stop::WindowFull => {}
+                Stop::Fault(e) => return Err(e),
+            },
         }
         Ok(())
     }
-}
 
-#[derive(Clone, Copy)]
-enum Which {
-    LitLen,
-    Dist,
+    /// Decode until at least one output byte is available or the stream
+    /// ends. Called with nothing undelivered, so a member's trailer is only
+    /// reached with its CRC complete. A fault is kept: whatever was decoded
+    /// ahead of it is handed out first, then every call reports it.
+    fn fill(&mut self) -> Result<()> {
+        while self.avail == 0 && self.fault.is_none() && !matches!(self.state, State::Done) {
+            if let Err(e) = self.step() {
+                self.fault = Some((e.kind(), e.to_string()));
+            }
+        }
+        // Everything undelivered is what this call decoded.
+        let start = self.wpos.wrapping_sub(self.avail) & WINDOW_MASK;
+        let head = self.avail.min(WINDOW - start);
+        self.crc = crc32_update(self.crc, &self.window[start..start + head]);
+        self.crc = crc32_update(self.crc, &self.window[..self.avail - head]);
+        self.member_len += self.avail as u64;
+        match &self.fault {
+            Some((kind, message)) if self.avail == 0 => Err(Error::new(*kind, message.clone())),
+            _ => Ok(()),
+        }
+    }
 }
 
 impl<R: Read> Read for GzipReader<R> {
@@ -514,20 +898,31 @@ impl<R: Read> Read for GzipReader<R> {
             return Ok(0);
         }
         if self.avail == 0 {
-            self.fill()?;
-            if self.avail == 0 {
-                return Ok(0); // verified end of stream
-            }
+            self.fill()?; // leaves nothing only at the verified end of stream
         }
         let n = self.avail.min(buf.len());
-        let start = (self.wpos + WINDOW - self.avail) % WINDOW;
-        for (i, slot) in buf[..n].iter_mut().enumerate() {
-            *slot = self.window[(start + i) % WINDOW];
-        }
+        let start = self.wpos.wrapping_sub(self.avail) & WINDOW_MASK;
+        let head = n.min(WINDOW - start);
+        buf[..head].copy_from_slice(&self.window[start..start + head]);
+        buf[head..n].copy_from_slice(&self.window[..n - head]);
         self.avail -= n;
-        self.crc = crc32_update(self.crc, &buf[..n]);
-        self.out_len += n as u64;
         Ok(n)
+    }
+}
+
+/// The undelivered bytes straight out of the window (up to where it wraps):
+/// a line reader on top needs no buffer of its own.
+impl<R: Read> BufRead for GzipReader<R> {
+    fn fill_buf(&mut self) -> Result<&[u8]> {
+        if self.avail == 0 {
+            self.fill()?;
+        }
+        let start = self.wpos.wrapping_sub(self.avail) & WINDOW_MASK;
+        Ok(&self.window[start..(start + self.avail).min(WINDOW)])
+    }
+
+    fn consume(&mut self, amount: usize) {
+        self.avail -= amount.min(self.avail);
     }
 }
 
@@ -565,7 +960,7 @@ pub fn write_gz(path: &std::path::Path, data: &[u8]) -> Result<()> {
     std::fs::write(path, compress_stored(data))
 }
 
-/// Decompress a complete gzip member held in memory (test convenience).
+/// Decompress a complete gzip file held in memory (test convenience).
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     let mut out = Vec::new();
     GzipReader::new(data).read_to_end(&mut out)?;

@@ -16,7 +16,7 @@
 use crate::gzip::{is_gzip, GzipReader};
 use resa_core::prelude::*;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, Read, Seek};
 use std::path::Path;
 
 /// Errors raised while parsing a trace.
@@ -215,10 +215,15 @@ impl From<SwfError> for SwfReadError {
 /// *seen so far*, matching the batch parser's cap semantics, which apply the
 /// latest header to each subsequent record).
 ///
+/// Lines are read as bytes. The common record line is scanned in one pass
+/// (`scan_record`); any other line is decoded and parsed field by field
+/// (`step`), which is where every diagnostic comes from. Which of the two a
+/// line takes depends on the line alone and is not observable.
+///
 /// After the first error the stream is fused: further calls return `None`.
 pub struct SwfStream<R: BufRead> {
     reader: R,
-    line: String,
+    line: Vec<u8>,
     line_no: usize,
     cluster: Option<u32>,
     max_procs: Option<u32>,
@@ -235,7 +240,7 @@ impl<R: BufRead> SwfStream<R> {
     pub fn new(reader: R, cluster: Option<u32>) -> Self {
         SwfStream {
             reader,
-            line: String::new(),
+            line: Vec::new(),
             line_no: 0,
             cluster,
             max_procs: None,
@@ -294,14 +299,28 @@ impl<R: BufRead> SwfStream<R> {
                 value,
             })
         };
-        let _orig_id = parse("job_id")?;
-        let submit = parse("submit_time")?;
-        let run_time = parse("run_time")?;
-        let procs = parse("processors")?;
+        let record = [
+            parse("job_id")?,
+            parse("submit_time")?,
+            parse("run_time")?,
+            parse("processors")?,
+        ];
+        Self::admit(line, record, cluster.or(*max_procs), next_id, reach).map(Some)
+    }
+
+    /// The checks on a record's values — `[job_id, submit_time, run_time,
+    /// processors]`, each already known to be a non-negative `i64` — and the
+    /// dense id: where [`Self::step`] and [`scan_record`] meet.
+    fn admit(
+        line: usize,
+        [_orig_id, submit, run_time, procs]: [u64; 4],
+        cap: Option<u32>,
+        next_id: &mut usize,
+        reach: &mut (u64, u128),
+    ) -> Result<Job, SwfError> {
         if run_time == 0 || procs == 0 {
             return Err(SwfError::DegenerateJob { line });
         }
-        let cap = cluster.or(*max_procs);
         if let Some(machines) = cap {
             if procs > machines as u64 {
                 return Err(SwfError::WidthExceedsCluster {
@@ -325,7 +344,37 @@ impl<R: BufRead> SwfStream<R> {
         *reach = (latest, work);
         let id = *next_id;
         *next_id += 1;
-        Ok(Some(Job::released_at(id, width, run_time, submit)))
+        Ok(Job::released_at(id, width, run_time, submit))
+    }
+}
+
+/// The four leading fields of a record line, when the line is the common
+/// case: ASCII throughout, and up to the end of the fourth field nothing but
+/// digit groups of at most 18 digits (so each fits an `i64`) set apart by
+/// spaces and tabs. On these lines [`SwfStream::step`] cannot fail
+/// before its value checks and parses the same four numbers; on any other
+/// line — comments, signs, short lines, junk, other whitespace, non-ASCII —
+/// this returns `None` and `step` decides, so every diagnostic is `step`'s.
+fn scan_record(line: &[u8]) -> Option<[u64; 4]> {
+    let mut at = 0;
+    let mut record = [0u64; 4];
+    for field in &mut record {
+        while matches!(line.get(at), Some(b' ' | b'\t')) {
+            at += 1;
+        }
+        let start = at;
+        while let Some(digit @ b'0'..=b'9') = line.get(at) {
+            *field = field.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
+            at += 1;
+        }
+        if at == start || at - start > 18 {
+            return None;
+        }
+    }
+    match &line[at..] {
+        [] | [b'\n'] | [b'\r'] | [b'\r', b'\n'] => Some(record),
+        [b' ' | b'\t', rest @ ..] if rest.is_ascii() => Some(record),
+        _ => None,
     }
 }
 
@@ -338,7 +387,7 @@ impl<R: BufRead> Iterator for SwfStream<R> {
         }
         loop {
             self.line.clear();
-            match self.reader.read_line(&mut self.line) {
+            match self.reader.read_until(b'\n', &mut self.line) {
                 Ok(0) => {
                     self.done = true;
                     return None;
@@ -350,14 +399,33 @@ impl<R: BufRead> Iterator for SwfStream<R> {
                 }
             }
             self.line_no += 1;
-            match Self::step(
-                self.line_no,
-                &self.line,
-                self.cluster,
-                &mut self.max_procs,
-                &mut self.next_id,
-                &mut self.reach,
-            ) {
+            let parsed = if let Some(record) = scan_record(&self.line) {
+                Self::admit(
+                    self.line_no,
+                    record,
+                    self.cluster.or(self.max_procs),
+                    &mut self.next_id,
+                    &mut self.reach,
+                )
+                .map(Some)
+            } else if let Ok(raw) = std::str::from_utf8(&self.line) {
+                Self::step(
+                    self.line_no,
+                    raw,
+                    self.cluster,
+                    &mut self.max_procs,
+                    &mut self.next_id,
+                    &mut self.reach,
+                )
+            } else {
+                self.done = true;
+                // What `BufRead::read_line` reports for such a line.
+                return Some(Err(SwfReadError::Io(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                ))));
+            };
+            match parsed {
                 Ok(Some(job)) => return Some(Ok(job)),
                 Ok(None) => continue,
                 Err(err) => {
@@ -373,15 +441,23 @@ impl<R: BufRead> Iterator for SwfStream<R> {
 pub type TraceReader = Box<dyn BufRead>;
 
 /// Open a trace file for streaming, transparently inflating gzip members
-/// (sniffed by the two magic bytes, not the file name).
+/// (sniffed by the two magic bytes, not the file name). A [`GzipReader`] is
+/// its own line buffer and reads the file directly.
 pub fn open_trace_reader(path: &Path) -> std::io::Result<TraceReader> {
-    let file = std::fs::File::open(path)?;
-    let mut buffered = BufReader::new(file);
-    let head = buffered.fill_buf()?;
-    if is_gzip(head) {
-        Ok(Box::new(BufReader::new(GzipReader::new(buffered))))
+    let mut file = std::fs::File::open(path)?;
+    let mut head = [0u8; 2];
+    let mut sniffed = 0;
+    while sniffed < head.len() {
+        match file.read(&mut head[sniffed..])? {
+            0 => break,
+            n => sniffed += n,
+        }
+    }
+    file.rewind()?;
+    if is_gzip(&head[..sniffed]) {
+        Ok(Box::new(GzipReader::new(file)))
     } else {
-        Ok(Box::new(buffered))
+        Ok(Box::new(BufReader::new(file)))
     }
 }
 
@@ -605,22 +681,207 @@ mod tests {
 
     #[test]
     fn stream_is_chunking_agnostic() {
-        let text = "; MaxProcs: 32\n1 0 5 8\n\n# note\n2 3 7 32\n9 10 1 1";
-        let whole = parse_trace_full(text, None).unwrap();
-        for chunk in 1..=7usize {
-            let reader = std::io::BufReader::with_capacity(
-                2,
-                ChunkReader {
-                    data: text.as_bytes(),
-                    pos: 0,
-                    chunk,
-                },
+        // Short and 18-field records, `\r\n` endings, a last line without
+        // `\n`: whatever the reader's buffer (2 to 64 bytes) and however the
+        // source fills it, lines that straddle a boundary parse the same.
+        let text = "; MaxProcs: 32\n1 0 5 8\n\n# note\n2 3 7 32\r\n\
+                    3 4 100 16 -1 -1 -1 16 100 -1 1 4 2 -1 3 -1 -1 -1\n\
+                    \t4  5\t6 1 \r\n9 10 1 1";
+        let whole = step_only(text.as_bytes(), None);
+        assert_eq!(whole.len(), 5);
+        for capacity in [2, 5, 16, 64] {
+            for chunk in 1..=7usize {
+                let reader = std::io::BufReader::with_capacity(
+                    capacity,
+                    ChunkReader {
+                        data: text.as_bytes(),
+                        pos: 0,
+                        chunk,
+                    },
+                );
+                let mut stream = SwfStream::new(reader, None);
+                let jobs: Vec<_> = stream.by_ref().map(outcome).collect();
+                assert_eq!(jobs, whole, "buffer {capacity}, chunk size {chunk}");
+                assert_eq!(stream.max_procs(), Some(32));
+                assert_eq!(stream.jobs_seen(), whole.len());
+            }
+        }
+    }
+
+    /// One item of a stream, comparable: the job, or the error's text (an
+    /// `io::Error` has no `PartialEq`).
+    fn outcome(item: Result<Job, SwfReadError>) -> Result<Job, String> {
+        item.map_err(|e| match e {
+            SwfReadError::Io(e) => format!("{:?}: {e}", e.kind()),
+            SwfReadError::Swf(e) => format!("{e:?}"),
+        })
+    }
+
+    /// The parser as it was before the byte scan: `read_line` into a
+    /// `String`, every line through [`SwfStream::step`], stop at the first
+    /// error. What [`SwfStream`] must yield for any input.
+    fn step_only(mut text: &[u8], cluster: Option<u32>) -> Vec<Result<Job, String>> {
+        let (mut max_procs, mut next_id, mut reach) = (None, 0, (0, 0));
+        let mut items = Vec::new();
+        let mut line = String::new();
+        for line_no in 1.. {
+            line.clear();
+            let parsed = match text.read_line(&mut line) {
+                Ok(0) => break,
+                Ok(_) => SwfStream::<&[u8]>::step(
+                    line_no,
+                    &line,
+                    cluster,
+                    &mut max_procs,
+                    &mut next_id,
+                    &mut reach,
+                )
+                .map_err(SwfReadError::Swf),
+                Err(e) => Err(SwfReadError::Io(e)),
+            };
+            match parsed {
+                Ok(Some(job)) => items.push(Ok(job)),
+                Ok(None) => {}
+                Err(e) => {
+                    items.push(outcome(Err(e)));
+                    break;
+                }
+            }
+        }
+        items
+    }
+
+    /// A line of 0–20 fields drawn from everything a trace file has been
+    /// seen to hold, and then some: digit groups of 1–25 digits, signs, the
+    /// `-1` sentinel, junk, ASCII and non-ASCII white space, comments and
+    /// `MaxProcs` headers, stray `\r`, invalid UTF-8.
+    fn arbitrary_line(rng: &mut proptest::prelude::TestRng) -> Vec<u8> {
+        let mut pick = |n: u64| rng.uniform_u64(0, n - 1);
+        let mut line = Vec::new();
+        match pick(12) {
+            0 => line.extend_from_slice(b"; MaxProcs: "),
+            1 => line.extend_from_slice(b" #MaxProcs:"),
+            2 => line.extend_from_slice(b";"),
+            _ => {}
+        }
+        let plain = pick(4) > 0; // mostly the common shape, so traces get far
+        for _ in 0..if plain { 4 + pick(3) / 2 } else { pick(21) } {
+            match if plain { pick(2) } else { pick(10) } {
+                0 | 1 | 7 => line.push(b' '),
+                2 => line.push(b'\t'),
+                3 => line.extend_from_slice(b"  \t"),
+                4 => line.extend_from_slice("\u{a0}".as_bytes()),
+                5 => line.extend_from_slice("\u{2003}".as_bytes()),
+                6 => line.push(b"\r\x0b\x0c"[pick(3) as usize]),
+                _ => {} // fields run together, or the line starts at once
+            }
+            let digits = match pick(if plain { 3 } else { 12 }) {
+                0..=2 => 1 + pick(3),
+                3 => 17 + pick(3),
+                4 => 1 + pick(25),
+                5 => {
+                    line.extend_from_slice(b"-1");
+                    continue;
+                }
+                6 => {
+                    line.push(b"+-"[pick(2) as usize]);
+                    1 + pick(19)
+                }
+                7 => {
+                    line.extend_from_slice(
+                        [&b"x"[..], b"1e3", b"0x10", b"-", b"\xff", b"\xc3"][pick(6) as usize],
+                    );
+                    continue;
+                }
+                _ => 1 + pick(2),
+            };
+            (0..digits).for_each(|_| line.push(b'0' + pick(10) as u8));
+        }
+        line.extend_from_slice(
+            [&b"\n"[..], b"\n", b"\n", b"\r\n", b" \n", b"\r\r\n"][pick(6) as usize],
+        );
+        line
+    }
+
+    /// Whenever the byte scan takes a line, it yields exactly what `step`
+    /// yields for it — in any parser state, since both end in `admit`.
+    #[test]
+    fn byte_scan_agrees_with_step_on_every_line_it_takes() {
+        let mut rng = proptest::prelude::TestRng::from_name("swf::byte_scan_agrees_with_step");
+        let (mut taken, mut left) = (0, 0);
+        for case in 0..20_000u64 {
+            let line = arbitrary_line(&mut rng);
+            let Some(record) = scan_record(&line) else {
+                left += 1;
+                continue;
+            };
+            taken += 1;
+            let raw = std::str::from_utf8(&line).expect("the scan takes ASCII only");
+            let cluster = [None, Some(8)][case as usize % 2];
+            let header = [None, Some(64)][case as usize / 2 % 2];
+            let reach = [(0, 0), (1 << 40, SWF_HORIZON as u128 - (1 << 61))][case as usize / 4 % 2];
+            let (mut procs_a, mut id_a, mut reach_a) = (header, 7, reach);
+            let (mut id_b, mut reach_b) = (7, reach);
+            let by_step =
+                SwfStream::<&[u8]>::step(1, raw, cluster, &mut procs_a, &mut id_a, &mut reach_a);
+            let by_scan =
+                SwfStream::<&[u8]>::admit(1, record, cluster.or(header), &mut id_b, &mut reach_b);
+            assert_eq!(by_scan.map(Some), by_step, "{raw:?}");
+            assert_eq!((procs_a, id_a, reach_a), (header, id_b, reach_b), "{raw:?}");
+        }
+        assert!(
+            taken > 4_000 && left > 4_000,
+            "{taken} taken, {left} left to step"
+        );
+    }
+
+    /// Whole traces of such lines: the same jobs, ids, line-numbered errors
+    /// and `read_line` failures as the `step`-only parser, fused after the
+    /// first error, with the same header and job count.
+    #[test]
+    fn stream_agrees_with_the_step_only_parser() {
+        let mut rng = proptest::prelude::TestRng::from_name("swf::stream_agrees_with_step_only");
+        let (mut jobs, mut failures) = (0, std::collections::BTreeSet::new());
+        for case in 0..3_000u64 {
+            let mut text = Vec::new();
+            for _ in 0..rng.uniform_u64(0, 12) {
+                text.extend(arbitrary_line(&mut rng));
+            }
+            if case % 3 == 0 {
+                while text.last().is_some_and(|b| b"\r\n ".contains(b)) {
+                    text.pop(); // a last line without `\n`
+                }
+            }
+            let cluster = [None, Some(8)][case as usize % 2];
+            let expected = step_only(&text, cluster);
+            let mut stream = SwfStream::new(text.as_slice(), cluster);
+            let got: Vec<_> = stream.by_ref().map(outcome).collect();
+            let shown = String::from_utf8_lossy(&text);
+            assert_eq!(got, expected, "{shown:?}");
+            assert!(
+                stream.next().is_none() && stream.next().is_none(),
+                "{shown:?}"
             );
-            let mut stream = SwfStream::new(reader, None);
-            let jobs: Vec<Job> = stream.by_ref().map(|r| r.unwrap()).collect();
-            assert_eq!(jobs, whole.jobs, "chunk size {chunk}");
-            assert_eq!(stream.max_procs(), whole.max_procs);
-            assert_eq!(stream.jobs_seen(), whole.jobs.len());
+            assert_eq!(stream.jobs_seen(), got.iter().filter(|r| r.is_ok()).count());
+            jobs += stream.jobs_seen();
+            if let Some(Err(e)) = got.last() {
+                failures.insert(e.split([' ', ':']).next().unwrap().to_string());
+            }
+        }
+        assert!(jobs > 2_000, "{jobs} jobs parsed");
+        for kind in [
+            "MissingFields",
+            "BadField",
+            "NegativeField",
+            "DegenerateJob",
+            "WidthExceedsCluster",
+            "HorizonOverflow",
+            "InvalidData",
+        ] {
+            assert!(
+                failures.contains(kind),
+                "no trace failed with {kind}: {failures:?}"
+            );
         }
     }
 

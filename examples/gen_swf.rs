@@ -7,10 +7,13 @@
 //! cargo run --release --example gen_swf -- 500000 /tmp/synthetic.swf.gz
 //! ```
 //!
-//! A path ending in `.gz` is gzip-compressed through the vendored deflate
-//! (`resa_workloads::gzip`), exercising the same decompression path `resa
-//! replay` uses on real archives. Generation is fully deterministic — two
-//! invocations with the same arguments produce byte-identical files.
+//! A path ending in `.gz` is wrapped by the vendored gzip writer
+//! (`resa_workloads::gzip::write_gz`), which emits stored blocks only: such
+//! a file exercises the gzip framing and the streaming reader, not the
+//! Huffman decoder real archives go through — for that, write the plain
+//! trace and compress it with the system `gzip`, as the CI smoke does.
+//! Generation is fully deterministic — two invocations with the same
+//! arguments produce byte-identical files.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
