@@ -25,14 +25,15 @@
 //!
 //! The socket transports (`--listen` / `--unix`) accept any number of
 //! concurrent connections, one thread per session, all sharing one
-//! resident state through [`ConcurrentService`]: mutating ops funnel into
-//! the single writer thread (which applies them in batches — the arrival
-//! order at the writer is the serial order of the service), while `query` /
-//! `stats` are answered on the session's own thread from the latest
-//! published snapshot. Snapshots are republished *before* write replies
-//! are delivered, so every session reads its own writes — a single-client
-//! conversation is byte-identical to a sequential one, which is what keeps
-//! the golden transcripts transport-independent. Stdin and
+//! resident state through [`ConcurrentService`]: mutating ops join one
+//! pending queue, and the session thread holding the write lock applies
+//! them in batches (the queue order is the serial order of the service;
+//! each thread writes its own reply after releasing the lock), while
+//! `query` / `stats` are answered on the session's own thread from the
+//! latest published snapshot. Snapshots are republished *before* write
+//! replies are delivered, so every session reads its own writes — a
+//! single-client conversation is byte-identical to a sequential one, which
+//! is what keeps the golden transcripts transport-independent. Stdin and
 //! `--script` sessions are single-client by construction and run the
 //! sequential service directly.
 //!
@@ -306,9 +307,11 @@ fn read_bounded_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::R
     }
 }
 
-fn send_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+/// Write `line` and its newline in one `write` (a socket is unbuffered: two
+/// writes would be two syscalls, and the peer could wake on half a line).
+fn send_line(writer: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
     writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
     writer.flush()
 }
 
@@ -337,14 +340,14 @@ fn serve_session<S: Session + ?Sized>(
                 // Best-effort close line: the peer may already be gone.
                 let _ = send_line(
                     &mut writer,
-                    &error_response(None, "idle timeout: closing session"),
+                    error_response(None, "idle timeout: closing session"),
                 );
                 return Ok(false);
             }
             LineRead::Overflow { discarded } => {
                 send_line(
                     &mut writer,
-                    &error_response(
+                    error_response(
                         None,
                         &format!(
                             "request line exceeds {MAX_LINE_BYTES} bytes \
@@ -359,7 +362,7 @@ fn serve_session<S: Session + ?Sized>(
         let Ok(text) = std::str::from_utf8(&raw) else {
             send_line(
                 &mut writer,
-                &error_response(None, "request line is not valid UTF-8"),
+                error_response(None, "request line is not valid UTF-8"),
             )?;
             continue;
         };
@@ -369,7 +372,7 @@ fn serve_session<S: Session + ?Sized>(
         }
         if !authed {
             let (response, pass) = check_auth(cfg.token.as_deref().unwrap_or(""), trimmed);
-            send_line(&mut writer, &response)?;
+            send_line(&mut writer, response)?;
             if !pass {
                 return Ok(false);
             }
@@ -384,7 +387,7 @@ fn serve_session<S: Session + ?Sized>(
             let _ = svc.apply(&Op::AdvanceClamped { to: Time(ms) });
         }
         let (response, done) = handle(svc, trimmed);
-        send_line(&mut writer, &response)?;
+        send_line(&mut writer, response)?;
         if done {
             return Ok(true);
         }
@@ -800,20 +803,55 @@ fn bind_unix(path: &str) -> std::io::Result<std::os::unix::net::UnixListener> {
 /// the session can move to its own thread.
 type BoxedSession = (Box<dyn BufRead + Send>, Box<dyn Write + Send>);
 
-/// The socket listeners behind `--listen` / `--unix`, polled non-blocking
-/// so the accept loop can observe the shutdown flag.
+/// The socket listeners behind `--listen` / `--unix`. `accept` blocks; the
+/// session that ends the server wakes it through [`WakeAddr`].
 enum AnyListener {
     Tcp(std::net::TcpListener),
     #[cfg(unix)]
     Unix(std::os::unix::net::UnixListener),
 }
 
-impl AnyListener {
-    fn set_nonblocking(&self) -> std::io::Result<()> {
+/// Where to connect to wake a listener blocked in `accept`: its own
+/// address.
+enum WakeAddr {
+    Tcp(std::net::SocketAddr),
+    #[cfg(unix)]
+    Unix(std::path::PathBuf),
+}
+
+impl WakeAddr {
+    /// Connect once and hang up. A failed connect is ignored: the next
+    /// client to connect wakes the listener instead.
+    fn wake(&self) {
         match self {
-            AnyListener::Tcp(l) => l.set_nonblocking(true),
+            WakeAddr::Tcp(addr) => drop(std::net::TcpStream::connect(addr)),
             #[cfg(unix)]
-            AnyListener::Unix(l) => l.set_nonblocking(true),
+            WakeAddr::Unix(path) => drop(std::os::unix::net::UnixStream::connect(path)),
+        }
+    }
+}
+
+impl AnyListener {
+    /// The address a connect reaches this listener at: the bound one, with
+    /// a wildcard IP replaced by the loopback of its family.
+    fn wake_addr(&self) -> std::io::Result<WakeAddr> {
+        match self {
+            AnyListener::Tcp(l) => {
+                let mut addr = l.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        std::net::SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                        std::net::SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                Ok(WakeAddr::Tcp(addr))
+            }
+            #[cfg(unix)]
+            AnyListener::Unix(l) => l
+                .local_addr()?
+                .as_pathname()
+                .map(|path| WakeAddr::Unix(path.to_path_buf()))
+                .ok_or_else(|| std::io::Error::other("the socket has no path")),
         }
     }
 
@@ -826,9 +864,6 @@ impl AnyListener {
         match self {
             AnyListener::Tcp(l) => {
                 let (stream, _) = l.accept()?;
-                // Accepted sockets must block normally regardless of what
-                // the platform inherits from the listener.
-                stream.set_nonblocking(false)?;
                 stream.set_read_timeout(idle)?;
                 stream.set_write_timeout(idle)?;
                 let reader = std::io::BufReader::new(stream.try_clone()?);
@@ -837,7 +872,6 @@ impl AnyListener {
             #[cfg(unix)]
             AnyListener::Unix(l) => {
                 let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
                 stream.set_read_timeout(idle)?;
                 stream.set_write_timeout(idle)?;
                 let reader = std::io::BufReader::new(stream.try_clone()?);
@@ -851,42 +885,46 @@ impl AnyListener {
 /// one thread per session. A client that drops mid-session (broken pipe,
 /// connection reset) ends only its own session; a failing `accept` (e.g. fd
 /// exhaustion) backs off briefly instead of spinning hot. Returns once any
-/// session issues `shutdown`: the listener stops accepting, the writer
-/// thread is joined, and remaining sessions die with the process.
+/// session issues `shutdown`: that session sets the stop flag and connects
+/// to the listener to wake the blocked `accept`, the service is stopped, and
+/// remaining sessions die with the process.
 fn serve_concurrent(
     service: ConcurrentService<AvailabilityTimeline>,
     cfg: SessionCfg,
     listener: AnyListener,
     idle: Option<Duration>,
 ) -> Result<(), CliError> {
-    listener.set_nonblocking().map_err(|e| CliError::Io {
+    let wake = Arc::new(listener.wake_addr().map_err(|e| CliError::Io {
         path: "<listener>".to_string(),
         message: e.to_string(),
-    })?;
+    })?);
     let stop = Arc::new(AtomicBool::new(false));
     let cfg = Arc::new(cfg);
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept(idle) {
+    loop {
+        let accepted = listener.accept(idle);
+        // Whatever woke us after a shutdown — the wake-up connection or a
+        // late client — is not served.
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((mut reader, mut writer)) => {
                 let mut client = service.client();
-                let stop = Arc::clone(&stop);
-                let cfg = Arc::clone(&cfg);
+                let (stop, wake, cfg) = (Arc::clone(&stop), Arc::clone(&wake), Arc::clone(&cfg));
                 std::thread::spawn(move || {
                     // Err means the client dropped mid-session: that ends
                     // its own session only.
                     if let Ok(true) = serve_session(&mut client, &cfg, &mut reader, &mut writer) {
                         stop.store(true, Ordering::SeqCst);
+                        wake.wake();
                     }
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(std::time::Duration::from_millis(50)),
+            Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }
     }
-    // Dropping the front stops and joins the single writer; the final state
-    // dies with the process, like the sequential transports.
+    // Dropping the front stops the service (and flushes its journal); the
+    // final state dies with the process, like the sequential transports.
     drop(service);
     Ok(())
 }
@@ -960,9 +998,9 @@ mod tests {
         assert!(lines[4].contains("\"start\":12"), "{}", lines[4]);
     }
 
-    /// A session that outlives the writer (another session's `shutdown`
+    /// A session that outlives the service (another session's `shutdown`
     /// raced its request) gets a structured error for `snapshot`, the one
-    /// read that needs the writer — never a panic or a hang.
+    /// read that needs the write queue — never a panic or a hang.
     #[test]
     fn snapshot_after_the_writer_stopped_is_a_structured_error() {
         let front = ConcurrentService::new(ScheduleService::new(

@@ -175,8 +175,8 @@ fn hostile_magnitudes_do_not_kill_the_shared_writer() {
 /// pin its session thread in `write` forever once the socket buffers
 /// filled. The idle timeout now bounds writes too: the server drops the
 /// stalled session — the client sees a broken pipe instead of one write
-/// timeout after another — while a second connection is answered
-/// throughout.
+/// timeout after another — while a second connection's reads and writes
+/// are answered throughout.
 #[cfg(unix)]
 #[test]
 fn a_client_that_stops_reading_is_dropped() {
@@ -219,6 +219,14 @@ fn a_client_that_stops_reading_is_dropped() {
         }
         let reply = ask(&mut b_writer, &mut b_reader, r#"{"op":"stats"}"#);
         assert!(reply.starts_with(r#"{"ok":true,"op":"stats""#), "{reply}");
+        // Writes complete too: the stalled session's thread blocks in its
+        // socket write, never while holding the write lock.
+        let reply = ask(
+            &mut b_writer,
+            &mut b_reader,
+            r#"{"op":"submit","width":1,"duration":1}"#,
+        );
+        assert!(reply.starts_with(r#"{"ok":true,"op":"submit""#), "{reply}");
         if Instant::now() > deadline {
             break false;
         }
@@ -231,6 +239,72 @@ fn a_client_that_stops_reading_is_dropped() {
     let reply = ask(&mut b_writer, &mut b_reader, r#"{"op":"shutdown"}"#);
     assert!(reply.contains(r#""op":"shutdown""#), "{reply}");
     assert!(child.0.wait().unwrap().success());
+}
+
+/// `shutdown` on one connection while another sits idle ends the server
+/// within a second: the acceptor blocks in `accept`, and the session that
+/// handles `shutdown` wakes it by connecting to the listener itself.
+fn shutdown_beside_an_idle_connection<S: std::io::Read + std::io::Write>(
+    child: &mut KillOnDrop,
+    connect: impl Fn() -> S,
+    try_clone: impl Fn(&S) -> S,
+) {
+    use std::time::{Duration, Instant};
+    let _idle = connect();
+    let s = connect();
+    let mut w = try_clone(&s);
+    let mut r = BufReader::new(s);
+    let reply = ask(&mut w, &mut r, r#"{"op":"submit","width":1,"duration":2}"#);
+    assert!(reply.starts_with(r#"{"ok":true,"op":"submit""#), "{reply}");
+    let reply = ask(&mut w, &mut r, r#"{"op":"shutdown"}"#);
+    assert!(reply.contains(r#""op":"shutdown""#), "{reply}");
+    let asked = Instant::now();
+    let status = loop {
+        if let Some(status) = child.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "the server outlived its shutdown by a second"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(status.success());
+}
+
+#[test]
+fn tcp_shutdown_beside_an_idle_connection_ends_the_server() {
+    let port = free_port();
+    let mut child = KillOnDrop(spawn_serve(&[
+        "--machines",
+        "4",
+        "--listen",
+        &format!("127.0.0.1:{port}"),
+    ]));
+    shutdown_beside_an_idle_connection(
+        &mut child,
+        || connect_tcp(port),
+        |s| s.try_clone().unwrap(),
+    );
+}
+
+#[cfg(unix)]
+#[test]
+fn unix_shutdown_beside_an_idle_connection_ends_the_server() {
+    let sock = std::env::temp_dir().join(format!("resa-serve-idle-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let mut child = KillOnDrop(spawn_serve(&[
+        "--machines",
+        "4",
+        "--unix",
+        sock.to_str().unwrap(),
+    ]));
+    shutdown_beside_an_idle_connection(
+        &mut child,
+        || connect_unix(&sock),
+        |s| s.try_clone().unwrap(),
+    );
+    assert!(!sock.exists(), "a clean shutdown unlinks the socket");
 }
 
 /// Ends the server when a test unwinds before its protocol `shutdown`, so a

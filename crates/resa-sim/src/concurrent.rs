@@ -1,21 +1,33 @@
-//! Multi-tenant front for [`ScheduleService`]: one writer, snapshot readers.
+//! Multi-tenant front for [`ScheduleService`]: a combining write lock,
+//! snapshot readers.
 //!
 //! [`ScheduleService`] is inherently single-threaded — every request mutates
 //! (or speculates against) one live substrate. A service shared by many
-//! sessions therefore runs the classic read-mostly architecture:
+//! sessions therefore runs the classic read-mostly architecture, with no
+//! thread of its own:
 //!
-//! * **One writer thread** owns the `ScheduleService`. Writes — every
-//!   [`Op`] with [`Op::is_write`] — funnel through an [`mpsc`] channel as
-//!   data; the writer dequeues them in **batches** (up to [`BATCH_MAX`]),
-//!   applies them in arrival order through [`ScheduleService::apply`] (or,
-//!   journaled, [`OpJournal::apply`] — the same call behind a write-ahead
-//!   record), and then *publishes* an immutable [`ServiceSnapshot`] — the
-//!   counters and the frozen [`TimelineSnapshot`] of the availability
-//!   function from `now` on, which shares every chunk of the live timeline
-//!   the batch did not touch (`O(B / C)` to take, see
-//!   [`resa_core::snapshot`]) — by swapping an `Arc` behind an [`RwLock`]
-//!   (held only for the duration of a pointer swap or clone, never across
-//!   any computation: the snapshot it replaces is dropped after the guard).
+//! * **The session that holds the write lock is the writer.** A write —
+//!   every [`Op`] with [`Op::is_write`] — is pushed onto a shared pending
+//!   queue as data, and its session then takes the write lock. If an
+//!   earlier holder has already answered the request, the session releases
+//!   the lock and returns. Otherwise it *combines* (flat combining, Hendler
+//!   et al., SPAA 2010): it takes up to [`BATCH_MAX`] queued requests of any
+//!   session in queue order, applies them through [`ScheduleService::apply`]
+//!   (or, journaled, [`OpJournal::apply`] — the same call behind a
+//!   write-ahead record), seals the batch, and *publishes* an immutable
+//!   [`ServiceSnapshot`] — the counters and the frozen
+//!   [`TimelineSnapshot`] of the availability function from `now` on, which
+//!   shares every chunk of the live timeline the batch did not touch
+//!   (`O(B / C)` to take, see [`resa_core::snapshot`]) — by swapping an
+//!   `Arc` behind an [`RwLock`] (held only for the duration of a pointer
+//!   swap or clone, never across any computation: the snapshot it replaces
+//!   is dropped after the guard). Only then does it fill the reply slot of
+//!   every request it took, and it repeats until its own slot is filled.
+//!   Each client owns one reply slot for its whole life, so a write
+//!   allocates no channel; no socket or pipe is touched under the lock.
+//! * **Group commit comes for free.** Whatever queues while one batch is
+//!   applied and synced is the next holder's batch, so a journal under
+//!   [`crate::journal::FsyncPolicy::Batch`] syncs once per batch.
 //! * **Readers never queue behind writes.** `Query` / `Stats` run on the
 //!   calling thread against the latest published `Arc<ServiceSnapshot>`;
 //!   the only shared access is cloning the `Arc` out of the slot.
@@ -24,13 +36,13 @@
 //!   length: the service drops availability behind the clock, and the job
 //!   catalog and schedule — which do grow with the session — are not
 //!   published at all. The one reader of those, [`ServiceClient::records`],
-//!   asks the writer for a copy through the same queue as the writes, so
-//!   only that (rare) request pays for the history it reads.
+//!   is answered with a copy through the same queue as the writes, so only
+//!   that (rare) request pays for the history it reads.
 //!
 //! # Consistency model
 //!
-//! The writer publishes the post-batch snapshot **before** delivering the
-//! batch's replies. A client that has received the reply to its own write
+//! A batch's snapshot is published **before** any of its replies is
+//! delivered. A client that has received the reply to its own write
 //! therefore always observes a published generation that *includes* that
 //! write — read-your-writes per session, which is exactly what makes a
 //! single-session conversation over [`ConcurrentService`] indistinguishable
@@ -39,14 +51,16 @@
 //! writes by at most one batch; every answer is stamped with the
 //! [`ServiceSnapshot::generation`] it was computed from, so staleness is
 //! observable, never silent. [`ServiceClient::records`] is answered in
-//! queue order — everything dequeued ahead of it is applied first — so it
+//! queue order — everything queued ahead of it is applied first — so it
 //! is a point of the serial order and covers the caller's own writes too.
 //!
 //! # Serial equivalence
 //!
-//! The dequeue order of the writer defines a total *serial order* over all
-//! sessions' ops. [`ConcurrentService::with_recording`] keeps that order as
-//! a log of [`AppliedOp`]s; replaying the log on a fresh sequential
+//! The order in which requests leave the pending queue defines a total
+//! *serial order* over all sessions' ops: it is the order they are applied
+//! in, journaled in, and recorded in.
+//! [`ConcurrentService::with_recording`] keeps that order as a log of
+//! [`AppliedOp`]s; replaying the log on a fresh sequential
 //! [`ScheduleService`] must reproduce the concurrent service's final state
 //! bit for bit — the oracle behind the multi-client stress tests and the
 //! serial-equivalence proptests (`tests/concurrent_stress.rs`).
@@ -57,13 +71,14 @@ use crate::policy::ReferencePolicy;
 use crate::service::{records_of, Effects, ScheduleService, ServiceError, ServiceStats};
 use resa_core::prelude::*;
 use resa_core::snapshot::Snapshotable;
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-/// Most ops the writer applies between two snapshot publications. A larger
-/// batch amortizes the publication cost — one freeze of the live
+/// Most ops one lock holder applies between two snapshot publications. A
+/// larger batch amortizes the publication cost — one freeze of the live
 /// availability function, a copy of its chunk directory (`O(B / C)` over
 /// the breakpoints from `now` on), plus one copied chunk per chunk the
 /// next batch then writes to — under write bursts; a smaller one tightens
@@ -72,7 +87,7 @@ use std::thread::JoinHandle;
 pub const BATCH_MAX: usize = 64;
 
 /// One entry of the serial log and one op record of the journal: which
-/// session issued which write, in the order the writer applied them.
+/// session issued which write, in the order the service applied them.
 /// Applying a log's ops in order to a sequential [`ScheduleService`]
 /// reproduces the concurrent run (see the module docs); rejected ops leave
 /// no trace on either side, so outcomes need no reconciliation.
@@ -84,10 +99,10 @@ pub struct AppliedOp {
     pub op: Op,
 }
 
-/// An immutable view of the service's live state, published by the writer at
-/// every batch boundary and read lock-free by any number of threads. What
-/// grows with the session (job catalog, schedule) is deliberately absent —
-/// see [`ServiceClient::records`].
+/// An immutable view of the service's live state, published at every batch
+/// boundary and read lock-free by any number of threads. What grows with
+/// the session (job catalog, schedule) is deliberately absent — see
+/// [`ServiceClient::records`].
 #[derive(Debug, Clone)]
 pub struct ServiceSnapshot {
     /// Monotone publication counter; generation 0 is the pre-write state.
@@ -102,7 +117,7 @@ pub struct ServiceSnapshot {
     pub timeline: TimelineSnapshot,
 }
 
-/// The writer's answer to a records request: copies of what the records are
+/// The answer to a records request: copies of what the records are
 /// computed from, taken between two ops.
 struct SessionCopy {
     now: Time,
@@ -151,30 +166,199 @@ enum Request {
     Op {
         session: u64,
         op: Op,
-        reply: Sender<WriteReply>,
     },
     /// Copy the session out at this point of the queue. A read: neither
     /// journaled nor recorded in the serial log.
-    Records {
-        reply: Sender<SessionCopy>,
-    },
-    Stop,
+    Records,
 }
 
-/// Shared slot the writer publishes into; the lock guards a pointer swap
-/// only, never any computation.
+enum Answer {
+    Write(WriteReply),
+    Records(SessionCopy),
+    Stopped,
+}
+
+/// A client's reply slot, allocated once per client. It is filled and read
+/// only under the write lock, so its own mutex is never contended.
+type Slot = Arc<Mutex<Option<Answer>>>;
+
+/// One queued request and the slot its answer goes to.
+struct Pending {
+    request: Request,
+    slot: Slot,
+}
+
+/// Shared slot the snapshots are published into; the lock guards a pointer
+/// swap only, never any computation.
 type Published = Arc<RwLock<Arc<ServiceSnapshot>>>;
 
-/// The concurrent front: spawns the writer thread at construction, hands
+/// Everything only the write-lock holder touches.
+struct Writer<C: Snapshotable> {
+    /// `None` once the front is shut down (or a write panicked under the
+    /// lock): every request is then answered [`ServiceError::ServiceStopped`].
+    svc: Option<ScheduleService<C>>,
+    generation: u64,
+    /// The serial log, when recording.
+    log: Option<Vec<AppliedOp>>,
+    journal: Option<OpJournal>,
+    /// The requests taken off the queue by the current combining pass.
+    batch: Vec<Pending>,
+    /// Their op outcomes, with the clock after each.
+    results: Vec<(Result<Reply, ServiceError>, Time)>,
+}
+
+/// What a [`ConcurrentService`] and its clients share.
+struct Shared<C: Snapshotable> {
+    pending: Mutex<VecDeque<Pending>>,
+    writer: Mutex<Writer<C>>,
+    published: Published,
+}
+
+/// The client's view of [`Shared`], with the substrate type erased so
+/// [`ServiceClient`] is one type for every front.
+trait Combine: Send + Sync {
+    /// Queue `request`, then hold the write lock until `slot` is answered.
+    fn call(&self, request: Request, slot: &Slot) -> Answer;
+}
+
+/// Lock a mutex whose data no panic can leave half-updated.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<C: Snapshotable> Shared<C> {
+    /// The write lock. A write that panicked under it may have left the
+    /// service half-applied, so a poisoned lock stops the service: from
+    /// then on every request — including those the panicking pass had
+    /// taken off the queue — is answered as stopped.
+    fn write_lock(&self) -> MutexGuard<'_, Writer<C>> {
+        self.writer.lock().unwrap_or_else(|poisoned| {
+            let mut writer = poisoned.into_inner();
+            writer.svc = None;
+            writer.journal = None;
+            self.writer.clear_poison();
+            writer
+        })
+    }
+}
+
+impl<C> Combine for Shared<C>
+where
+    C: Snapshotable + Send,
+{
+    fn call(&self, request: Request, slot: &Slot) -> Answer {
+        lock(&self.pending).push_back(Pending {
+            request,
+            slot: Arc::clone(slot),
+        });
+        let mut writer = self.write_lock();
+        loop {
+            // Whoever took the request off the queue filled its slot before
+            // releasing the lock.
+            if let Some(answer) = lock(slot).take() {
+                return answer;
+            }
+            writer.combine(&self.pending, &self.published);
+        }
+    }
+}
+
+impl<C: Snapshotable> Writer<C> {
+    /// One combining pass: take up to [`BATCH_MAX`] queued requests in
+    /// queue order (a records request closes the batch), apply the ops,
+    /// seal, publish, and only then answer every request taken — in
+    /// exactly that order, so a delivered reply proves the op is as durable
+    /// as the journal promises and the snapshot slot already covers it.
+    fn combine(&mut self, pending: &Mutex<VecDeque<Pending>>, published: &Published) {
+        let Writer {
+            svc,
+            generation,
+            log,
+            journal,
+            batch,
+            results,
+        } = self;
+        {
+            let mut queue = lock(pending);
+            while batch.len() < BATCH_MAX {
+                let Some(next) = queue.pop_front() else {
+                    break;
+                };
+                let closes = matches!(next.request, Request::Records);
+                batch.push(next);
+                if closes {
+                    break;
+                }
+            }
+        }
+        let Some(svc) = svc else {
+            for taken in batch.drain(..) {
+                *lock(&taken.slot) = Some(Answer::Stopped);
+            }
+            return;
+        };
+        results.clear();
+        for taken in batch.iter() {
+            if let Request::Op { session, op } = &taken.request {
+                let result = match journal {
+                    Some(j) => j.apply(svc, *session, op),
+                    None => svc.apply(op),
+                };
+                results.push((result, svc.now()));
+            }
+        }
+        if !results.is_empty() {
+            // Durability point: a batch that cannot be sealed is not
+            // acknowledged, whatever its ops answered.
+            if let Some(Err(unsealed)) = journal.as_mut().map(|j| j.seal(svc)) {
+                for (result, _) in results.iter_mut() {
+                    *result = Err(unsealed.clone());
+                }
+            }
+            *generation += 1;
+            let snap = Arc::new(ServiceSnapshot::capture(svc, *generation));
+            // Swap under the guard, drop after it: releasing the previous
+            // snapshot walks its chunk directory, and readers must not wait
+            // on `read()` for that.
+            let previous = std::mem::replace(
+                &mut *published.write().expect("publish slot poisoned"),
+                snap,
+            );
+            drop(previous);
+        }
+        let mut outcomes = results.drain(..);
+        for Pending { request, slot } in batch.drain(..) {
+            let answer = match request {
+                Request::Op { session, op } => {
+                    let (result, now) = outcomes.next().expect("one outcome per op");
+                    if let Some(log) = log.as_mut() {
+                        log.push(AppliedOp { session, op });
+                    }
+                    Answer::Write(WriteReply {
+                        result,
+                        now,
+                        generation: *generation,
+                    })
+                }
+                Request::Records => Answer::Records(SessionCopy {
+                    now: svc.now(),
+                    instance: svc.to_instance(),
+                    schedule: svc.schedule().clone(),
+                }),
+            };
+            *lock(&slot) = Some(answer);
+        }
+    }
+}
+
+/// The concurrent front: holds the service behind the write lock, hands
 /// out [`ServiceClient`]s, and returns the final sequential state (plus the
 /// serial log, if recording) at [`ConcurrentService::shutdown`].
 pub struct ConcurrentService<C>
 where
     C: Snapshotable + Send + 'static,
 {
-    tx: Sender<Request>,
-    published: Published,
-    writer: Option<JoinHandle<(ScheduleService<C>, Vec<AppliedOp>)>>,
+    shared: Arc<Shared<C>>,
     sessions: AtomicU64,
 }
 
@@ -182,15 +366,14 @@ impl<C> ConcurrentService<C>
 where
     C: Snapshotable + Send + 'static,
 {
-    /// Wrap `svc` and start the writer thread. The pre-write state is
-    /// published immediately as generation 0, so readers are never without
-    /// a snapshot.
+    /// Wrap `svc`. The pre-write state is published immediately as
+    /// generation 0, so readers are never without a snapshot.
     pub fn new(svc: ScheduleService<C>) -> Self {
         Self::start(svc, false, None)
     }
 
     /// Like [`ConcurrentService::new`], but additionally record every
-    /// applied op in dequeue order — the serial log handed back by
+    /// applied op in serial order — the log handed back by
     /// [`ConcurrentService::shutdown`] for the equivalence oracle. The log
     /// grows without bound; production daemons use [`ConcurrentService::new`].
     pub fn with_recording(svc: ScheduleService<C>) -> Self {
@@ -199,59 +382,69 @@ where
 
     /// Like [`ConcurrentService::new`], but durable: every op runs
     /// [`OpJournal::apply`] (admission, record, mutation — an op whose
-    /// record cannot be appended is **not** applied), and each dequeue
-    /// batch is sealed ([`OpJournal::seal`]) *before* the post-batch
-    /// snapshot publishes and replies are delivered. A batch that cannot be
-    /// sealed is answered with [`ServiceError::Journal`], every op of it.
-    /// Pass a service rebuilt by
-    /// [`crate::journal::Recovered::restore_service`] to resume a crashed
-    /// session.
+    /// record cannot be appended is **not** applied), and each batch is
+    /// sealed ([`OpJournal::seal`]) *before* the post-batch snapshot
+    /// publishes and replies are delivered. A batch that cannot be sealed
+    /// is answered with [`ServiceError::Journal`], every op of it. Pass a
+    /// service rebuilt by [`crate::journal::Recovered::restore_service`] to
+    /// resume a crashed session.
     pub fn with_journal(svc: ScheduleService<C>, journal: OpJournal) -> Self {
         Self::start(svc, false, Some(journal))
     }
 
     fn start(svc: ScheduleService<C>, record: bool, journal: Option<OpJournal>) -> Self {
-        let published: Published =
-            Arc::new(RwLock::new(Arc::new(ServiceSnapshot::capture(&svc, 0))));
-        let (tx, rx) = mpsc::channel();
-        let slot = Arc::clone(&published);
-        let writer = std::thread::spawn(move || writer_loop(svc, rx, slot, record, journal));
+        let published = Arc::new(RwLock::new(Arc::new(ServiceSnapshot::capture(&svc, 0))));
+        let writer = Writer {
+            svc: Some(svc),
+            generation: 0,
+            log: record.then(Vec::new),
+            journal,
+            batch: Vec::with_capacity(BATCH_MAX),
+            results: Vec::with_capacity(BATCH_MAX),
+        };
         ConcurrentService {
-            tx,
-            published,
-            writer: Some(writer),
+            shared: Arc::new(Shared {
+                pending: Mutex::new(VecDeque::new()),
+                writer: Mutex::new(writer),
+                published,
+            }),
             sessions: AtomicU64::new(0),
         }
     }
 
-    /// Open a new session: a handle that submits writes to the writer
-    /// thread and answers reads from the latest published snapshot. Clients
-    /// are independent (`Send`); give each session thread its own.
+    /// Open a new session: a handle whose writes are applied under the
+    /// write lock and whose reads are answered from the latest published
+    /// snapshot. Clients are independent (`Send`, not `Sync`); give each
+    /// session thread its own.
     pub fn client(&self) -> ServiceClient {
         let session = self.sessions.fetch_add(1, Ordering::Relaxed);
+        let shared: Arc<dyn Combine> = self.shared.clone();
         ServiceClient {
             session,
-            tx: self.tx.clone(),
-            published: Arc::clone(&self.published),
+            shared,
+            published: Arc::clone(&self.shared.published),
+            slot: Arc::new(Mutex::new(None)),
+            _one_thread: PhantomData,
         }
     }
 
-    /// The latest published snapshot (an `Arc` clone; never blocks on the
-    /// writer).
+    /// The latest published snapshot (an `Arc` clone; never waits for a
+    /// write).
     pub fn latest(&self) -> Arc<ServiceSnapshot> {
-        Arc::clone(&self.published.read().expect("publish slot poisoned"))
+        Arc::clone(&self.shared.published.read().expect("publish slot poisoned"))
     }
 
-    /// Stop the writer and hand back the final sequential service plus the
-    /// serial log (empty unless constructed with
-    /// [`ConcurrentService::with_recording`]). Ops still queued behind the
-    /// stop request are answered with [`ServiceError::ServiceStopped`];
-    /// clients sending afterwards get the same error from the closed
-    /// channel.
-    pub fn shutdown(mut self) -> (ScheduleService<C>, Vec<AppliedOp>) {
-        let _ = self.tx.send(Request::Stop);
-        let writer = self.writer.take().expect("writer taken only here");
-        writer.join().expect("writer thread panicked")
+    /// Take the service out from under the write lock and hand back the
+    /// final sequential service plus the serial log (empty unless
+    /// constructed with [`ConcurrentService::with_recording`]). Requests
+    /// still queued, and every request after, are answered with
+    /// [`ServiceError::ServiceStopped`].
+    pub fn shutdown(self) -> (ScheduleService<C>, Vec<AppliedOp>) {
+        let mut writer = self.shared.write_lock();
+        let svc = writer.svc.take().expect("a write panicked under the lock");
+        let log = writer.log.take().unwrap_or_default();
+        writer.journal = None;
+        (svc, log)
     }
 }
 
@@ -259,21 +452,25 @@ impl<C> Drop for ConcurrentService<C>
 where
     C: Snapshotable + Send + 'static,
 {
+    /// Stop the service (and flush its journal) even while clients live
+    /// on; they are answered as after [`ConcurrentService::shutdown`].
     fn drop(&mut self) {
-        if let Some(writer) = self.writer.take() {
-            let _ = self.tx.send(Request::Stop);
-            let _ = writer.join();
-        }
+        let mut writer = self.shared.write_lock();
+        writer.svc = None;
+        writer.journal = None;
     }
 }
 
 /// One session's handle onto a [`ConcurrentService`]: a [`Session`] whose
-/// writes round-trip through the writer and whose reads are answered from
-/// the latest published snapshot.
+/// writes are applied under the write lock and whose reads are answered
+/// from the latest published snapshot. It owns one reply slot, so it is
+/// `Send` but not `Sync`: a session is one thread's sequence of requests.
 pub struct ServiceClient {
     session: u64,
-    tx: Sender<Request>,
+    shared: Arc<dyn Combine>,
     published: Published,
+    slot: Slot,
+    _one_thread: PhantomData<Cell<()>>,
 }
 
 impl ServiceClient {
@@ -285,9 +482,9 @@ impl ServiceClient {
 
     /// Apply one op: `Query` and `Stats` are answered on this thread from
     /// the latest snapshot, `Records` by [`ServiceClient::records`], and
-    /// every write is sent to the writer as it is and its [`WriteReply`]
-    /// handed back untouched. Once the writer is gone, what needs it is
-    /// answered with [`ServiceError::ServiceStopped`].
+    /// every write is queued as it is and its [`WriteReply`] handed back
+    /// untouched. Once the service is shut down, what needs it is answered
+    /// with [`ServiceError::ServiceStopped`].
     pub fn apply(&self, op: &Op) -> WriteReply {
         let answer = |result, snap: &ServiceSnapshot| WriteReply {
             result,
@@ -312,44 +509,37 @@ impl ServiceClient {
                 let records = self.records().map(|r| Reply::Records(r.page(since)));
                 answer(records, &self.snapshot())
             }
-            _ => self
-                .roundtrip(op.clone())
-                .unwrap_or_else(|stopped| answer(Err(stopped), &self.snapshot())),
+            _ => {
+                let request = Request::Op {
+                    session: self.session,
+                    op: op.clone(),
+                };
+                match self.shared.call(request, &self.slot) {
+                    Answer::Write(reply) => reply,
+                    _ => answer(Err(ServiceError::ServiceStopped), &self.snapshot()),
+                }
+            }
         }
     }
 
-    fn roundtrip(&self, op: Op) -> Result<WriteReply, ServiceError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.tx
-            .send(Request::Op {
-                session: self.session,
-                op,
-                reply: reply_tx,
-            })
-            .map_err(|_| ServiceError::ServiceStopped)?;
-        reply_rx.recv().map_err(|_| ServiceError::ServiceStopped)
-    }
-
-    /// The latest published snapshot (an `Arc` clone; never blocks on the
-    /// writer). Guaranteed to include every write this client has received
+    /// The latest published snapshot (an `Arc` clone; never waits for a
+    /// write). Guaranteed to include every write this client has received
     /// a reply for.
     pub fn snapshot(&self) -> Arc<ServiceSnapshot> {
         Arc::clone(&self.published.read().expect("publish slot poisoned"))
     }
 
     /// [`ScheduleService::snapshot`] (records + metrics), with the clock
-    /// and cluster size of the same instant. Unlike the other reads this is
-    /// a round trip through the writer, which copies the job catalog,
-    /// overlay and schedule out between two ops — in queue order, so every
-    /// write this client has a reply for is covered. Records and metrics
-    /// are then computed on this thread. Fails with
-    /// [`ServiceError::ServiceStopped`] once the writer is gone.
+    /// and cluster size of the same instant. Unlike the other reads this
+    /// goes through the write queue: the job catalog, overlay and schedule
+    /// are copied out between two ops — in queue order, so every write this
+    /// client has a reply for is covered. Records and metrics are then
+    /// computed on this thread, outside the lock. Fails with
+    /// [`ServiceError::ServiceStopped`] once the service is shut down.
     pub fn records(&self) -> Result<SessionRecords, ServiceError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.tx
-            .send(Request::Records { reply: reply_tx })
-            .map_err(|_| ServiceError::ServiceStopped)?;
-        let copy = reply_rx.recv().map_err(|_| ServiceError::ServiceStopped)?;
+        let Answer::Records(copy) = self.shared.call(Request::Records, &self.slot) else {
+            return Err(ServiceError::ServiceStopped);
+        };
         let (records, metrics) = records_of(&copy.instance, &copy.schedule);
         Ok(SessionRecords {
             now: copy.now,
@@ -425,107 +615,6 @@ impl Session for ServiceClient {
     fn policy(&self) -> ReferencePolicy {
         self.snapshot().policy
     }
-}
-
-/// The single-writer loop: batch-dequeue, apply in order, seal, publish,
-/// reply — in exactly that order, so a delivered reply proves the op is as
-/// durable as the journal promises and the snapshot slot already covers it.
-fn writer_loop<C>(
-    mut svc: ScheduleService<C>,
-    rx: Receiver<Request>,
-    slot: Published,
-    record: bool,
-    mut journal: Option<OpJournal>,
-) -> (ScheduleService<C>, Vec<AppliedOp>)
-where
-    C: Snapshotable + Send + 'static,
-{
-    let mut generation = 0u64;
-    let mut log: Vec<AppliedOp> = Vec::new();
-    let mut batch: Vec<(u64, Op, Sender<WriteReply>)> = Vec::with_capacity(BATCH_MAX);
-    let mut replies: Vec<(Sender<WriteReply>, Result<Reply, ServiceError>, Time)> =
-        Vec::with_capacity(BATCH_MAX);
-    'serve: loop {
-        batch.clear();
-        let mut stopping = false;
-        // A records request closes the batch it was dequeued behind: the
-        // ops ahead of it are applied, then it is answered.
-        let mut records: Option<Sender<SessionCopy>> = None;
-        match rx.recv() {
-            Ok(Request::Op { session, op, reply }) => batch.push((session, op, reply)),
-            Ok(Request::Records { reply }) => records = Some(reply),
-            Ok(Request::Stop) => stopping = true,
-            // Every handle dropped without an explicit stop: we are done.
-            Err(_) => break 'serve,
-        }
-        while !stopping && records.is_none() && batch.len() < BATCH_MAX {
-            match rx.try_recv() {
-                Ok(Request::Op { session, op, reply }) => batch.push((session, op, reply)),
-                Ok(Request::Records { reply }) => records = Some(reply),
-                Ok(Request::Stop) => stopping = true,
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-            }
-        }
-        if !batch.is_empty() {
-            replies.clear();
-            for (session, op, reply) in batch.drain(..) {
-                let result = match &mut journal {
-                    Some(j) => j.apply(&mut svc, session, &op),
-                    None => svc.apply(&op),
-                };
-                if record {
-                    log.push(AppliedOp { session, op });
-                }
-                replies.push((reply, result, svc.now()));
-            }
-            // Durability point: a batch that cannot be sealed is not
-            // acknowledged, whatever its ops answered.
-            if let Some(Err(unsealed)) = journal.as_mut().map(|j| j.seal(&svc)) {
-                for (_, result, _) in &mut replies {
-                    *result = Err(unsealed.clone());
-                }
-            }
-            generation += 1;
-            let snap = Arc::new(ServiceSnapshot::capture(&svc, generation));
-            // Swap under the guard, drop after it: releasing the previous
-            // snapshot walks its chunk directory, and readers must not wait
-            // on `read()` for that.
-            let previous =
-                std::mem::replace(&mut *slot.write().expect("publish slot poisoned"), snap);
-            drop(previous);
-            for (reply, result, now) in replies.drain(..) {
-                // A client that gave up waiting is not an error.
-                let _ = reply.send(WriteReply {
-                    result,
-                    now,
-                    generation,
-                });
-            }
-        }
-        if let Some(reply) = records {
-            let _ = reply.send(SessionCopy {
-                now: svc.now(),
-                instance: svc.to_instance(),
-                schedule: svc.schedule().clone(),
-            });
-        }
-        if stopping {
-            // Answer everything still queued so no client blocks forever
-            // (a queued records request is answered by dropping its reply
-            // channel), then exit; later sends fail at the (closed) channel.
-            while let Ok(req) = rx.try_recv() {
-                if let Request::Op { reply, .. } = req {
-                    let _ = reply.send(WriteReply {
-                        result: Err(ServiceError::ServiceStopped),
-                        now: svc.now(),
-                        generation,
-                    });
-                }
-            }
-            break 'serve;
-        }
-    }
-    (svc, log)
 }
 
 #[cfg(test)]
@@ -654,6 +743,141 @@ mod tests {
             );
             last = snap.generation;
         }
+    }
+
+    /// Hold the write lock (the test seam: the field is private to this
+    /// module) until `writers` client threads have each queued one submit,
+    /// then release it and collect every reply's generation.
+    fn queued_behind_the_lock<C>(front: &ConcurrentService<C>, writers: usize) -> Vec<u64>
+    where
+        C: Snapshotable + Send + 'static,
+    {
+        let held = front.shared.write_lock();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..writers)
+                .map(|i| {
+                    let client = front.client();
+                    scope.spawn(move || {
+                        let reply = client.apply(&submit(1, 1 + i as u64 % 5, None));
+                        reply.result.expect("a unit submit fits");
+                        reply.generation
+                    })
+                })
+                .collect();
+            while lock(&front.shared.pending).len() < writers {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            drop(held);
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// Group commit: writes that queue while the lock is held are applied
+    /// as one batch — one generation, one seal of the journal (one sync
+    /// under `--fsync batch`).
+    #[test]
+    fn writes_queued_behind_the_lock_share_one_seal() {
+        use crate::journal::{FsyncPolicy, JournalCfg};
+        let path = std::env::temp_dir().join(format!(
+            "resa-concurrent-{}-group-commit.jrn",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let cfg = JournalCfg {
+            fsync: FsyncPolicy::Batch,
+            snapshot_every: 1024,
+        };
+        let (journal, _) =
+            OpJournal::open(&path, 8, ReferencePolicy::Easy, cfg).expect("temp journal");
+        let front = ConcurrentService::with_journal(
+            ScheduleService::new(ReferencePolicy::Easy, AvailabilityTimeline::constant(8)),
+            journal,
+        );
+        let generations = queued_behind_the_lock(&front, 6);
+        assert_eq!(generations, vec![1; 6], "one batch, one publication");
+        let seals = front.shared.write_lock().journal.as_ref().unwrap().seals;
+        assert_eq!(seals, 1, "one seal for the whole batch");
+        let (svc, _) = front.shutdown();
+        assert_eq!(svc.stats().submitted, 6);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A queue longer than [`BATCH_MAX`] is applied in batches of at most
+    /// [`BATCH_MAX`], in queue order.
+    #[test]
+    fn sixty_five_queued_writes_form_two_batches() {
+        let front = concurrent(8, ReferencePolicy::Fcfs);
+        let mut generations = queued_behind_the_lock(&front, BATCH_MAX + 1);
+        generations.sort_unstable();
+        let mut expected = vec![1; BATCH_MAX];
+        expected.push(2);
+        assert_eq!(generations, expected);
+        let (fin, log) = front.shutdown();
+        assert_eq!(log.len(), BATCH_MAX + 1);
+        let mut replay =
+            ScheduleService::new(ReferencePolicy::Fcfs, AvailabilityTimeline::constant(8));
+        for entry in &log {
+            replay.apply(&entry.op).unwrap();
+        }
+        assert_eq!(replay.schedule(), fin.schedule());
+    }
+
+    /// A request queued when the service stops is answered as stopped, not
+    /// left waiting.
+    #[test]
+    fn a_request_queued_at_shutdown_is_answered_stopped() {
+        let front = concurrent(4, ReferencePolicy::Easy);
+        let client = front.client();
+        let mut held = front.shared.write_lock();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(move || client.apply(&submit(1, 2, None)).result);
+            while lock(&front.shared.pending).is_empty() {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            // What `shutdown` does under the lock.
+            held.svc = None;
+            drop(held);
+            assert_eq!(waiter.join().unwrap(), Err(ServiceError::ServiceStopped));
+        });
+        assert_eq!(
+            front.client().apply(&Op::Records { since: None }).result,
+            Err(ServiceError::ServiceStopped)
+        );
+    }
+
+    /// A panic under the write lock stops the service: the requests the
+    /// panicking pass had taken off the queue, and every later one, are
+    /// answered as stopped instead of waiting forever.
+    #[test]
+    fn a_panic_under_the_lock_stops_the_service() {
+        let front = concurrent(4, ReferencePolicy::Easy);
+        let shared = &front.shared;
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let panicker = scope.spawn(move || {
+                let mut held = shared.write_lock();
+                held_tx.send(()).unwrap();
+                let taken = loop {
+                    if let Some(taken) = lock(&shared.pending).pop_front() {
+                        break taken;
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                };
+                held.batch.push(taken);
+                panic!("a write panicked mid-batch");
+            });
+            held_rx.recv().unwrap();
+            let client = front.client();
+            let waiter = scope.spawn(move || client.apply(&submit(1, 2, None)).result);
+            assert!(panicker.join().is_err());
+            assert_eq!(waiter.join().unwrap(), Err(ServiceError::ServiceStopped));
+        });
+        let client = front.client();
+        assert_eq!(
+            client.apply(&submit(1, 2, None)).result,
+            Err(ServiceError::ServiceStopped)
+        );
+        assert_eq!(client.stats().submitted, 0, "snapshot reads still work");
     }
 
     /// Two threads hammer one service; afterwards the recorded serial order

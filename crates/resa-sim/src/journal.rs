@@ -1,7 +1,7 @@
 //! Crash-safe durability for the resident service: a write-ahead op journal.
 //!
 //! [`crate::concurrent::ConcurrentService`] already proves (via its serial
-//! log of [`AppliedOp`]s) that replaying the writer's dequeue order on a
+//! log of [`AppliedOp`]s) that replaying its serial order on a
 //! fresh sequential [`ScheduleService`] reproduces the live state bit for
 //! bit. This module persists that log: an [`OpJournal`] appends one
 //! length-prefixed, CRC-checksummed record per applied op **before** the op
@@ -16,7 +16,7 @@
 //! request can never poison a restart) and, at the end of a batch,
 //! [`OpJournal::seal`] (sync per the fsync policy, then compaction). The
 //! sequential [`JournaledService`] runs them per request, the concurrent
-//! writer per dequeue batch; neither acknowledges an op of a batch that
+//! front's lock holder per batch; neither acknowledges an op of a batch that
 //! could not be sealed. Recovery replays the recorded [`Op`]s through the
 //! same `apply`.
 //!
@@ -53,7 +53,7 @@
 //! # Fsync policy
 //!
 //! [`FsyncPolicy`] trades durability for throughput: `Every` syncs each op
-//! record, `Batch` syncs once per writer batch (before the batch's replies
+//! record, `Batch` syncs once per batch (before the batch's replies
 //! are delivered, so an acknowledged op is always durable), and `Off`
 //! buffers in memory and lets the OS decide — the cheapest option, with the
 //! weakest guarantee (a crash can lose acknowledged ops, but recovery still
@@ -543,7 +543,7 @@ pub enum FsyncPolicy {
     /// `fdatasync` after every op record: an op is durable before it is
     /// applied. Slowest; survives power loss per op.
     Every,
-    /// `fdatasync` once per writer batch, before the batch's replies are
+    /// `fdatasync` once per batch, before the batch's replies are
     /// delivered: an *acknowledged* op is always durable. The default.
     #[default]
     Batch,
@@ -690,6 +690,9 @@ pub struct OpJournal {
     /// Total op appends this process, for the failpoint.
     op_appends: u64,
     fail_after: Option<u64>,
+    /// Calls to [`OpJournal::seal`], for the group-commit tests.
+    #[cfg(test)]
+    pub(crate) seals: u64,
 }
 
 impl OpJournal {
@@ -752,6 +755,8 @@ impl OpJournal {
                 ops_since_snapshot,
                 op_appends: 0,
                 fail_after,
+                #[cfg(test)]
+                seals: 0,
             },
             recovered,
         ))
@@ -844,6 +849,10 @@ impl OpJournal {
         &mut self,
         svc: &ScheduleService<C>,
     ) -> Result<(), ServiceError> {
+        #[cfg(test)]
+        {
+            self.seals += 1;
+        }
         let mut durable = || {
             if !self.queued.is_empty() {
                 self.file.write_all(&self.queued)?;
@@ -1411,7 +1420,7 @@ mod tests {
     }
 
     /// A batch that cannot be made durable is not acknowledged — by the
-    /// sequential wrapper and by the concurrent writer alike. The journal
+    /// sequential wrapper and by the concurrent front alike. The journal
     /// sits on a read-only handle, so appends queue up (`Batch`) and the
     /// seal's write fails.
     #[test]

@@ -4,7 +4,7 @@
 //! parses a request line into an `Op`, [`ScheduleService::apply`] is the
 //! **only** place an op is mapped onto a service method, the journal
 //! ([`crate::journal`]) records the `Op` write-ahead and replays it through
-//! the same call, the concurrent writer ([`crate::concurrent`]) carries it
+//! the same call, the concurrent front ([`crate::concurrent`]) carries it
 //! through its queue, and the protocol renders the `Reply` that comes back.
 //! The layers above the sequential service are wrappers behind the
 //! one-method [`Session`] trait.

@@ -364,7 +364,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// derived from it.
     ///
     /// A state captured between requests (services are quiescent there — the
-    /// writer loop and the sequential transports never snapshot mid-request)
+    /// concurrent front and the sequential transports never snapshot mid-request)
     /// restores to a service that answers every future request identically;
     /// the `state_restore_roundtrip` proptest pins this.
     ///
@@ -574,7 +574,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// [`ScheduleService::advance`] that treats a stale target as "no time
     /// passed" instead of rejecting it. `resa serve --realtime` ticks the
     /// session with this before every request, so a wall-clock reading
-    /// raced by a concurrent writer batch can never poison the session
+    /// raced by another session's write batch can never poison the session
     /// with an [`ServiceError::InThePast`] rejection.
     pub fn advance_clamped(&mut self, to: Time) -> &Effects {
         self.fx_buf.clear();
@@ -682,7 +682,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
 
     /// Freeze the availability substrate into an immutable,
     /// generation-stamped [`TimelineSnapshot`] (see
-    /// [`resa_core::snapshot`]). The writer loop of
+    /// [`resa_core::snapshot`]). The write-lock holder of
     /// [`crate::concurrent::ConcurrentService`] calls this at every batch
     /// boundary — no transaction mark is ever outstanding between requests,
     /// so the frozen function is exactly the committed state.

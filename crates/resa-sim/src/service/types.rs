@@ -72,8 +72,8 @@ pub enum ServiceError {
     /// [`crate::op::Horizon`]). Refused at admission: nothing was journaled
     /// and no state changed.
     HorizonOverflow,
-    /// The single-writer loop of a [`crate::concurrent::ConcurrentService`]
-    /// has shut down; no further mutating requests can be applied.
+    /// The [`crate::concurrent::ConcurrentService`] has been shut down; no
+    /// further mutating requests can be applied.
     ServiceStopped,
     /// The write-ahead journal of a durable service rejected the record for
     /// this op (see [`crate::journal`]); the op was **not** applied — a

@@ -135,7 +135,7 @@ fn steady_state_loops_do_not_allocate() {
     assert!(stats.decisions > 0);
 
     // -- publication half ---------------------------------------------------
-    // What the writer of the concurrent front allocates to publish one
+    // What the concurrent front allocates to publish one
     // snapshot must follow the live state, not the session's length: the
     // same session measured after 1 000 and after 20 000 requests.
     let svc = ScheduleService::new(
@@ -184,8 +184,8 @@ fn steady_state_loops_do_not_allocate() {
 
 /// Run mix rounds `from..to` on `svc`, then hand it to a concurrent front
 /// and count the bytes allocated — by any thread — while one write that
-/// changes nothing (an advance to the current instant) round-trips: the
-/// reply channel plus one published snapshot.
+/// changes nothing (an advance to the current instant) round-trips: one
+/// published snapshot.
 fn publication_bytes(
     mut svc: ScheduleService<AvailabilityTimeline>,
     from: usize,
@@ -197,7 +197,7 @@ fn publication_bytes(
     let now = svc.now();
     let front = ConcurrentService::new(svc);
     let client = front.client();
-    // Once unmeasured: channel blocks and thread-locals allocate lazily.
+    // Once unmeasured: the pending queue and thread-locals allocate lazily.
     let tick = Op::AdvanceClamped { to: now };
     client.apply(&tick).result.expect("the writer is up");
     let before = BYTES.load(Ordering::Relaxed);
