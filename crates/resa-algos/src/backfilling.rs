@@ -17,6 +17,7 @@
 //! (see [`crate::list_scheduling::Lsrc`]).
 
 use crate::traits::Scheduler;
+use resa_core::decision;
 use resa_core::prelude::*;
 use std::collections::BTreeSet;
 
@@ -78,8 +79,10 @@ pub struct EasyStats {
 /// reservations) is computed, and any other queued job is allowed to start now
 /// provided doing so does not push the head job past its shadow time.
 ///
-/// This implementation admits backfill candidates with O(log B) scalar
-/// checks against the spare-capacity API instead of the classical tentative
+/// Each decision point is the shared EASY decision
+/// ([`resa_core::decision::easy`], also run by the on-line `EasyPolicy`);
+/// this loop only moves the clock. The decision admits backfill candidates
+/// with O(log B) scalar checks instead of the classical tentative
 /// *reserve → recompute shadow → release* round trip (kept as
 /// [`EasyBackfillingReference`], which is property-tested to produce
 /// identical schedules). Once per decision point it computes the head's
@@ -138,67 +141,14 @@ impl EasyBackfilling {
 
         loop {
             stats.decision_points += 1;
-            // 1. Start the head of the queue (and successive heads) while
-            //    they fit.
-            while let Some(h) = queue.front() {
-                let head = &jobs[h];
-                if head.release <= now && profile.min_capacity_in(now, head.duration) >= head.width
-                {
-                    profile
-                        .reserve(now, head.duration, head.width)
-                        .expect("capacity just checked");
-                    schedule.place(head.id, now);
-                    queue.remove(h);
-                } else {
-                    break;
-                }
-            }
-            let Some(h) = queue.front() else { break };
-            let head = jobs[h];
-            // 2. The head does not fit now: its shadow time and the spare
-            //    capacity over its shadow window, once per decision point.
-            let shadow = profile
-                .earliest_fit(head.width, head.duration, now.max(head.release))
-                .expect("feasible instances always admit a fit");
-            let mut guard = ShadowGuard::new(shadow, head.width, head.duration, |s, d| {
-                profile.spare_capacity_until(s, s.saturating_add(d))
+            // 1.–3. Start successive heads while they fit; once the head is
+            //    blocked, its shadow and the scalar backfill checks (the
+            //    shared EASY decision, which reserves what it starts).
+            let pass = decision::easy(&mut profile, now, jobs, &mut queue, |i| {
+                schedule.place(jobs[i].id, now)
             });
-            // Capacity free at this very instant: an O(1) pre-filter for the
-            // fits-now test (min over the window can only be lower).
-            let mut free_now = profile.capacity_at(now);
-            // Whether a released candidate remains queued after the pass —
-            // only then can a capacity change before the shadow matter.
-            let mut released_candidate_left = false;
-            // 3. Backfill with scalar checks; accepted candidates are
-            //    reserved directly (acceptance is decided before mutating, so
-            //    nothing is ever rolled back).
-            let mut cursor = queue.next_of(h);
-            while let Some(i) = cursor {
-                cursor = queue.next_of(i);
-                let job = jobs[i];
-                if job.release > now {
-                    continue;
-                }
-                if job.width > free_now || profile.min_capacity_in(now, job.duration) < job.width {
-                    released_candidate_left = true;
-                    continue;
-                }
-                let no_delay = guard.admits(now, job.width, job.duration, |s, d| {
-                    profile.min_capacity_in(s, d)
-                });
-                if !no_delay {
-                    released_candidate_left = true;
-                    continue;
-                }
-                profile
-                    .reserve(now, job.duration, job.width)
-                    .expect("capacity just checked");
-                schedule.place(job.id, now);
-                queue.remove(i);
-                stats.backfills += 1;
-                free_now -= job.width;
-                guard.on_admit(now, job.duration, |s, d| profile.min_capacity_in(s, d));
-            }
+            let Some(shadow) = pass.shadow else { break };
+            stats.backfills += pass.backfills;
             // 4. Jump to the next actionable instant. The head cannot start
             //    before its shadow and new candidates appear only at release
             //    instants; capacity changes in between matter only while a
@@ -211,7 +161,7 @@ impl EasyBackfilling {
             if let Some(&r) = releases.get(rel_cursor) {
                 next = next.min(r);
             }
-            if released_candidate_left {
+            if pass.candidate_left {
                 if let Some(c) = profile.next_change_after(now) {
                     next = next.min(c);
                 }

@@ -13,8 +13,8 @@
 
 use crate::priority::ListOrder;
 use crate::traits::Scheduler;
+use resa_core::decision;
 use resa_core::prelude::*;
-use std::collections::BTreeSet;
 
 /// List Scheduling with Resource Constraints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,94 +49,44 @@ impl Lsrc {
     /// be the naive [`ResourceProfile`] or the indexed
     /// [`AvailabilityTimeline`]; the produced schedule is identical either
     /// way (property-tested), only the query complexity differs.
+    ///
+    /// Each instant runs the shared greedy decision
+    /// ([`resa_core::decision::greedy`]) over the list in rank order, which
+    /// skips jobs not yet released. The clock then moves to the next release
+    /// or the next change of the substrate, whichever comes first: between
+    /// two such instants a job that did not fit cannot start to fit.
     pub fn schedule_with<C: CapacityQuery>(
         &self,
         instance: &ResaInstance,
         mut profile: C,
     ) -> Schedule {
         let jobs = instance.jobs();
-        let list = self.order.arrange(jobs);
-        let mut remaining: Vec<&Job> = list
-            .iter()
-            .map(|&id| {
-                instance
-                    .job(id)
-                    .expect("arranged ids come from the instance")
-            })
-            .collect();
         let mut schedule = Schedule::new();
-        if remaining.is_empty() {
-            return schedule;
+        let mut list = WaitList::with_capacity(jobs.len());
+        for i in self.order.rank(jobs) {
+            list.push_back(i);
         }
-
-        // Event times to visit: start at the earliest release date.
-        let mut now = jobs.iter().map(|j| j.release).min().unwrap_or(Time::ZERO);
-        // Completion times of running jobs (and future release dates) drive
-        // the clock forward when nothing fits.
-        let mut completions: BTreeSet<Time> = BTreeSet::new();
-        let releases: BTreeSet<Time> = jobs.iter().map(|j| j.release).collect();
-
-        while !remaining.is_empty() {
-            // Greedy pass: start every job (in list order) that fits now.
-            let mut progressed = true;
-            while progressed {
-                progressed = false;
-                let mut i = 0;
-                while i < remaining.len() {
-                    let job = remaining[i];
-                    if job.release <= now && profile.min_capacity_in(now, job.duration) >= job.width
-                    {
-                        profile
-                            .reserve(now, job.duration, job.width)
-                            .expect("capacity was just checked");
-                        schedule.place(job.id, now);
-                        completions.insert(now + job.duration);
-                        remaining.remove(i);
-                        progressed = true;
-                    } else {
-                        i += 1;
-                    }
-                }
+        // Release instants, ascending, behind a monotone cursor.
+        let mut releases: Vec<Time> = jobs.iter().map(|j| j.release).collect();
+        releases.sort_unstable();
+        let mut next_release = releases.into_iter().peekable();
+        let Some(mut now) = next_release.next() else {
+            return schedule;
+        };
+        loop {
+            decision::greedy(&mut profile, now, jobs, &mut list, |i| {
+                schedule.place(jobs[i].id, now)
+            });
+            if list.is_empty() {
+                return schedule;
             }
-            if remaining.is_empty() {
-                break;
-            }
-            // Advance the clock to the next event strictly after `now`.
-            let next_completion = completions
-                .range((std::ops::Bound::Excluded(now), std::ops::Bound::Unbounded))
-                .next()
-                .copied();
-            let next_release = releases
-                .range((std::ops::Bound::Excluded(now), std::ops::Bound::Unbounded))
-                .next()
-                .copied();
-            let next_profile_change = profile.next_change_after(now);
-            let next = [next_completion, next_release, next_profile_change]
+            while next_release.next_if(|&r| r <= now).is_some() {}
+            now = [next_release.peek().copied(), profile.next_change_after(now)]
                 .into_iter()
                 .flatten()
-                .min();
-            match next {
-                Some(t) => now = t,
-                None => {
-                    // No more events: everything remaining fits at `now` in a
-                    // constant-capacity tail, so the greedy pass above would
-                    // have scheduled it — unless a job is wider than the tail
-                    // capacity, which cannot happen on a validated instance.
-                    // Defensive fallback: place jobs sequentially.
-                    let tail: Vec<&Job> = std::mem::take(&mut remaining);
-                    for job in tail {
-                        let start = profile
-                            .earliest_fit(job.width, job.duration, now)
-                            .expect("feasible instances always admit a fit");
-                        profile
-                            .reserve(start, job.duration, job.width)
-                            .expect("earliest_fit guarantees capacity");
-                        schedule.place(job.id, start);
-                    }
-                }
-            }
+                .min()
+                .expect("feasible instances always admit a fit");
         }
-        schedule
     }
 }
 

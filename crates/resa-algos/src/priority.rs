@@ -51,6 +51,11 @@ impl ListOrder {
     /// All comparisons break ties by submission order, so every order is a
     /// deterministic total order.
     pub fn arrange(&self, jobs: &[Job]) -> Vec<JobId> {
+        self.rank(jobs).into_iter().map(|i| jobs[i].id).collect()
+    }
+
+    /// [`ListOrder::arrange`] as positions into `jobs`.
+    pub fn rank(&self, jobs: &[Job]) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..jobs.len()).collect();
         match self {
             ListOrder::Submission => {}
@@ -74,7 +79,7 @@ impl ListOrder {
                 idx.shuffle(&mut rng);
             }
         }
-        idx.into_iter().map(|i| jobs[i].id).collect()
+        idx
     }
 }
 

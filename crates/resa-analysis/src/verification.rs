@@ -34,16 +34,17 @@ pub enum InstanceClass {
 pub struct GuaranteeCheck {
     /// Human-readable name of the bound (e.g. "Graham 2 - 1/m").
     pub bound_name: String,
-    /// The numeric value of the bound.
+    /// The numeric value of the bound (for display: the verdict compares
+    /// the exact fraction).
     pub bound: f64,
-    /// The measured ratio `C_max / reference`.
+    /// The measured ratio `C_max / reference` (for display).
     pub measured_ratio: f64,
     /// How the reference was obtained.
     pub reference_kind: ReferenceKind,
     /// Whether the check is conclusive (a violation against a true optimum)
     /// or informational (measured against a lower bound).
     pub conclusive: bool,
-    /// Whether the measured ratio respects the bound.
+    /// Whether the measured ratio respects the bound, decided in integers.
     pub satisfied: bool,
 }
 
@@ -118,22 +119,34 @@ pub fn report_from_reference(
         makespan.ticks() as f64 / reference.ticks() as f64
     };
     let conclusive = reference_kind == ReferenceKind::Optimal;
+    // The verdict is exact: `makespan / reference ≤ num / den` compared as
+    // `makespan × den ≤ num × reference` in integers (a zero reference
+    // counts as the ratio 1, like `measured_ratio`). `bound` and
+    // `measured_ratio` are display fields.
+    let (measured, against) = if reference == Time::ZERO {
+        (1, 1)
+    } else {
+        (makespan.ticks(), reference.ticks())
+    };
     let mut checks = Vec::new();
-    let mut push = |name: String, bound: f64| {
+    let mut push = |name: String, bound: f64, (num, den): (u64, u64)| {
         checks.push(GuaranteeCheck {
             bound_name: name,
             bound,
             measured_ratio,
             reference_kind,
             conclusive,
-            satisfied: measured_ratio <= bound + 1e-9,
+            satisfied: u128::from(measured) * u128::from(den)
+                <= u128::from(num) * u128::from(against),
         });
     };
     match class {
         InstanceClass::ReservationFree => {
+            let m = u64::from(instance.machines());
             push(
-                format!("Graham 2 - 1/m (m = {})", instance.machines()),
+                format!("Graham 2 - 1/m (m = {m})"),
                 guarantees::graham_bound(instance.machines()),
+                (2 * m - 1, m),
             );
         }
         InstanceClass::NonIncreasing => {
@@ -141,11 +154,13 @@ pub fn report_from_reference(
             push(
                 format!("Proposition 1: 2 - 1/m(C*) (m(C*) = {available})"),
                 guarantees::nonincreasing_bound(available),
+                (2 * u64::from(available) - 1, u64::from(available)),
             );
             if let Some(alpha) = instance.max_alpha() {
                 push(
                     format!("Proposition 3: 2/alpha (alpha = {alpha})"),
                     guarantees::alpha_upper_bound(alpha.as_f64()),
+                    guarantees::exact::alpha_upper_bound(alpha),
                 );
             }
         }
@@ -156,6 +171,7 @@ pub fn report_from_reference(
             push(
                 format!("Proposition 3: 2/alpha (alpha = {alpha})"),
                 guarantees::alpha_upper_bound(alpha.as_f64()),
+                guarantees::exact::alpha_upper_bound(alpha),
             );
         }
         InstanceClass::Unrestricted => {
@@ -372,6 +388,27 @@ mod tests {
         assert!(schedule.is_valid(&inst));
         let report = verify_schedule(&RatioHarness::new(), &inst, &schedule);
         assert!(report.has_conclusive_violation());
+    }
+
+    /// Graham's bound at m = 1024 is 2047/1024. A makespan of 1 999 921
+    /// against an optimum of 1 000 449 exceeds it by 9.8e-10
+    /// (1 999 921 × 1024 = 2 047 919 104 > 2047 × 1 000 449), which a float
+    /// slack of 1e-9 would forgive; one tick less respects it.
+    #[test]
+    fn verdicts_are_decided_in_integers() {
+        let inst = ResaInstanceBuilder::new(1024).job(1, 1u64).build().unwrap();
+        let verdict = |makespan| {
+            let report = report_from_reference(
+                &inst,
+                Time(makespan),
+                Time(1_000_449),
+                ReferenceKind::Optimal,
+            );
+            assert_eq!(report.checks.len(), 1);
+            report.checks[0].satisfied
+        };
+        assert!(!verdict(1_999_921), "violated by 9.8e-10");
+        assert!(verdict(1_999_920));
     }
 
     /// The streaming surrogate report is indistinguishable from the

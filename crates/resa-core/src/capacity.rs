@@ -51,9 +51,6 @@ pub trait CapacityQuery {
     /// Minimum free capacity from `now` until `horizon` (exclusive): the
     /// number of processors guaranteed spare throughout `[now, horizon)`.
     /// Degenerates to the capacity at `now` when `horizon ≤ now`.
-    ///
-    /// This is the "extra" capacity EASY backfilling reads once per decision
-    /// point instead of probing with tentative `reserve`/`release` pairs.
     fn spare_capacity_until(&self, now: Time, horizon: Time) -> u32 {
         match horizon.checked_since(now) {
             Some(d) if !d.is_zero() => self.min_capacity_in(now, d),
@@ -66,9 +63,8 @@ pub trait CapacityQuery {
     /// first entry sits at `start` and whose adjacent capacities are
     /// distinct. Empty output iff `end ≤ start`.
     ///
-    /// This reads the whole window in one pass, so callers (the on-line
-    /// policies, [`WindowProfile`]) can reason about a decision window
-    /// locally without mutate/rollback probing of the shared substrate.
+    /// This reads the whole window in one pass (the service's derived-state
+    /// oracle compares overlays this way).
     fn capacity_profile_in(&self, start: Time, end: Time, out: &mut Vec<(Time, u32)>) {
         out.clear();
         if end <= start {
@@ -104,79 +100,6 @@ pub trait CapacityQuery {
 
     /// Return `width` processors during `[start, start + dur)`.
     fn release(&mut self, start: Time, dur: Dur, width: u32) -> Result<(), ProfileError>;
-}
-
-/// The EASY backfilling admission rule around a blocked head's shadow
-/// window, shared by the off-line scheduler (`resa-algos`) and the on-line
-/// policy (`resa-sim`) so the condition cannot drift between them.
-///
-/// Built once per decision point from the head's shadow time (its earliest
-/// fit) and the spare ("extra") capacity left over its shadow window
-/// `[shadow, shadow + p_head)`. A candidate starting now delays the head iff
-/// its run overlaps that window with fewer than `q_head + q_cand` processors
-/// free there — because reserving a candidate can only push the shadow
-/// *later*, "the shadow does not move" and "the head still fits at the
-/// shadow" are the same condition. The guard is generic over a range-minimum
-/// closure, so callers plug in a raw substrate query, a local
-/// [`WindowProfile`] view, or any combination.
-#[derive(Debug, Clone, Copy)]
-pub struct ShadowGuard {
-    shadow: Time,
-    shadow_end: Time,
-    head_width: u32,
-    /// Spare capacity over the full shadow window beyond the head's own
-    /// width; candidates at most this wide are admitted without any further
-    /// query.
-    extra: i64,
-}
-
-impl ShadowGuard {
-    /// Build the guard for a blocked head whose earliest fit is `shadow`.
-    /// `min_in` answers range-minimum queries over the *current* state.
-    pub fn new(
-        shadow: Time,
-        head_width: u32,
-        head_duration: Dur,
-        min_in: impl FnOnce(Time, Dur) -> u32,
-    ) -> Self {
-        ShadowGuard {
-            shadow,
-            shadow_end: shadow + head_duration,
-            head_width,
-            extra: min_in(shadow, head_duration) as i64 - head_width as i64,
-        }
-    }
-
-    /// The head's guaranteed start.
-    pub fn shadow(&self) -> Time {
-        self.shadow
-    }
-
-    /// Whether a candidate `(width, duration)` starting at `now` (which must
-    /// already fit there) leaves the head able to start at its shadow. At
-    /// most one range-minimum query, none on the fast paths.
-    pub fn admits(
-        &self,
-        now: Time,
-        width: u32,
-        duration: Dur,
-        min_in: impl FnOnce(Time, Dur) -> u32,
-    ) -> bool {
-        let end_t = now + duration;
-        end_t <= self.shadow || (width as i64) <= self.extra || {
-            let overlap = end_t.min(self.shadow_end).since(self.shadow);
-            min_in(self.shadow, overlap) as u64 >= self.head_width as u64 + width as u64
-        }
-    }
-
-    /// Record an admitted start: when the candidate's run overlaps the
-    /// shadow window, the spare capacity is re-read from the mutated state.
-    pub fn on_admit(&mut self, now: Time, duration: Dur, min_in: impl FnOnce(Time, Dur) -> u32) {
-        if now + duration > self.shadow {
-            self.extra = min_in(self.shadow, self.shadow_end.since(self.shadow)) as i64
-                - self.head_width as i64;
-        }
-    }
 }
 
 /// Substrates that can run a *speculative* probe: mutate freely inside the
@@ -268,148 +191,6 @@ impl CapacityQuery for ResourceProfile {
 
     fn release(&mut self, start: Time, dur: Dur, width: u32) -> Result<(), ProfileError> {
         ResourceProfile::release(self, start, dur, width)
-    }
-}
-
-/// A locally materialized slice of the free-capacity step function over a
-/// bounded window `[start, end)`, supporting cheap local range-subtracts.
-///
-/// On-line policies use it to replace the per-decision *clone → tentative
-/// reserve → rollback* dance on the shared substrate: the window is filled
-/// once per decision point via [`CapacityQuery::capacity_profile_in`], every
-/// candidate check is a scan of the (small) window, and accepted starts are
-/// local subtractions. Outside the window the substrate is untouched, so
-/// callers combine window answers with read-only substrate queries for the
-/// tail. The buffers are reused across [`WindowProfile::refill`] calls, so
-/// the steady state allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct WindowProfile {
-    start: Time,
-    end: Time,
-    /// Step function within the window: first entry at `start`, sorted,
-    /// adjacent capacities possibly equal after local subtractions split
-    /// steps (normalization is not maintained; queries don't need it).
-    steps: Vec<(Time, u32)>,
-}
-
-impl WindowProfile {
-    /// An empty window (`[0, 0)`).
-    pub fn new() -> Self {
-        WindowProfile::default()
-    }
-
-    /// Re-fill the window from `substrate` over `[start, end)`, reusing the
-    /// internal buffer.
-    pub fn refill<C: CapacityQuery + ?Sized>(&mut self, substrate: &C, start: Time, end: Time) {
-        self.start = start;
-        self.end = end.max(start);
-        substrate.capacity_profile_in(start, end, &mut self.steps);
-    }
-
-    /// Window start (inclusive).
-    pub fn start(&self) -> Time {
-        self.start
-    }
-
-    /// Window end (exclusive). Instants at or past it are not covered.
-    pub fn end(&self) -> Time {
-        self.end
-    }
-
-    /// Index of the step covering `t` (requires `start ≤ t < end`).
-    fn step_of(&self, t: Time) -> usize {
-        debug_assert!(t >= self.start && t < self.end);
-        self.steps.partition_point(|&(st, _)| st <= t) - 1
-    }
-
-    /// Minimum capacity over `[s, s + d) ∩ [start, end)`, or `None` when the
-    /// intersection is empty. Callers needing the full `[s, s + d)` minimum
-    /// combine this with a substrate query for the part past `end`, which
-    /// local subtractions never touch.
-    pub fn min_in(&self, s: Time, d: Dur) -> Option<u32> {
-        let lo = s.max(self.start);
-        let hi = s.saturating_add(d).min(self.end);
-        if lo >= hi {
-            return None;
-        }
-        let mut min = u32::MAX;
-        for &(st, cap) in &self.steps[self.step_of(lo)..] {
-            if st >= hi {
-                break;
-            }
-            min = min.min(cap);
-        }
-        Some(min)
-    }
-
-    /// Subtract `width` over `[s, s + d) ∩ [start, end)`, splitting steps at
-    /// the clamped endpoints as needed.
-    ///
-    /// # Panics
-    /// Panics in debug builds if any affected step would underflow.
-    pub fn subtract(&mut self, s: Time, d: Dur, width: u32) {
-        if width == 0 {
-            return;
-        }
-        let lo = s.max(self.start);
-        let hi = s.saturating_add(d).min(self.end);
-        if lo >= hi {
-            return;
-        }
-        self.split_at(lo);
-        self.split_at(hi);
-        for step in &mut self.steps {
-            if step.0 >= hi {
-                break;
-            }
-            if step.0 >= lo {
-                debug_assert!(step.1 >= width, "window subtract underflow");
-                step.1 -= width;
-            }
-        }
-    }
-
-    /// First instant in `[from, end)` whose capacity is below `width`.
-    pub fn first_below(&self, from: Time, width: u32) -> Option<Time> {
-        let lo = from.max(self.start);
-        if lo >= self.end {
-            return None;
-        }
-        for &(st, cap) in &self.steps[self.step_of(lo)..] {
-            if cap < width {
-                return Some(st.max(lo));
-            }
-        }
-        None
-    }
-
-    /// First instant in `[from, end)` whose capacity is at least `width`.
-    pub fn next_at_least(&self, from: Time, width: u32) -> Option<Time> {
-        let lo = from.max(self.start);
-        if lo >= self.end {
-            return None;
-        }
-        for &(st, cap) in &self.steps[self.step_of(lo)..] {
-            if cap >= width {
-                return Some(st.max(lo));
-            }
-        }
-        None
-    }
-
-    /// Insert a step boundary at `t` if missing (`start < t < end`); no-op on
-    /// the represented function. A plain `Vec::insert` suffices because the
-    /// window holds only the breakpoints of one decision horizon.
-    fn split_at(&mut self, t: Time) {
-        if t >= self.end || t <= self.start {
-            return;
-        }
-        let idx = self.steps.partition_point(|&(st, _)| st <= t);
-        if self.steps[idx - 1].0 == t {
-            return;
-        }
-        let cap = self.steps[idx - 1].1;
-        self.steps.insert(idx, (t, cap));
     }
 }
 
@@ -577,30 +358,5 @@ mod tests {
         assert_eq!(min, 6);
         assert_eq!(tl.min_capacity_in(Time(0), Dur(4)), 8);
         assert!(!tl.in_transaction());
-    }
-
-    #[test]
-    fn window_profile_local_ops() {
-        let p = staircase();
-        let mut w = WindowProfile::new();
-        w.refill(&p, Time(1), Time(10));
-        assert_eq!(w.start(), Time(1));
-        assert_eq!(w.end(), Time(10));
-        // Mirrors the substrate before any local subtraction.
-        assert_eq!(w.min_in(Time(1), Dur(3)), Some(5));
-        assert_eq!(w.min_in(Time(5), Dur(2)), Some(2));
-        // Clamping: beyond the horizon the view knows nothing.
-        assert_eq!(w.min_in(Time(10), Dur(5)), None);
-        assert_eq!(w.min_in(Time(8), Dur(10)), Some(2));
-        // Local subtraction splits and updates only the window.
-        w.subtract(Time(1), Dur(2), 4);
-        assert_eq!(w.min_in(Time(1), Dur(1)), Some(4));
-        assert_eq!(w.min_in(Time(3), Dur(1)), Some(5));
-        assert_eq!(p.capacity_at(Time(1)), 8, "substrate untouched");
-        // Searches.
-        assert_eq!(w.first_below(Time(1), 5), Some(Time(1)));
-        assert_eq!(w.first_below(Time(3), 5), Some(Time(5)));
-        assert_eq!(w.next_at_least(Time(5), 5), Some(Time(9)));
-        assert_eq!(w.next_at_least(Time(5), 9), None);
     }
 }

@@ -23,6 +23,9 @@
 //!   backend every scheduler in `resa-algos` and `resa-sim` runs on;
 //! * [`capacity::CapacityQuery`] — the trait both implement, so every
 //!   algorithm is generic over the substrate;
+//! * [`decision`] — the FCFS, EASY and greedy (LSRC) rules of §2.2, one
+//!   decision each over a [`waitlist::WaitList`], run by the on-line
+//!   policies and the off-line schedulers alike;
 //! * [`schedule::Schedule`] — start-time assignments, feasibility validation,
 //!   makespan/utilization metrics and concrete processor assignments;
 //! * [`bounds`] — certified lower bounds on the optimal makespan.
@@ -59,6 +62,7 @@
 
 pub mod bounds;
 pub mod capacity;
+pub mod decision;
 pub mod error;
 pub mod gantt;
 pub mod instance;
@@ -76,7 +80,7 @@ pub mod waitlist;
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
     pub use crate::bounds::{lower_bound, lower_bound_rigid};
-    pub use crate::capacity::{CapacityQuery, ShadowGuard, Speculate, WindowProfile};
+    pub use crate::capacity::{CapacityQuery, Speculate};
     pub use crate::error::{ModelError, ProfileError, ScheduleError};
     pub use crate::gantt::render_gantt;
     pub use crate::instance::{Alpha, ResaInstance, ResaInstanceBuilder, RigidInstance};
@@ -269,14 +273,6 @@ mod proptests {
             for t in s..e {
                 let cap = wp[wp.partition_point(|&(bt, _)| bt <= Time(t)) - 1].1;
                 prop_assert_eq!(cap, p.capacity_at(Time(t)), "t = {}", t);
-            }
-            // The WindowProfile view built on either backend answers window
-            // minima exactly like the substrate.
-            let mut view = WindowProfile::new();
-            view.refill(&tl, Time(s), Time(e));
-            for t in s..e {
-                let d = Dur(e - t);
-                prop_assert_eq!(view.min_in(Time(t), d), Some(p.min_capacity_in(Time(t), d)));
             }
         }
 

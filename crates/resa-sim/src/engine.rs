@@ -155,24 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn offline_instance_greedy_matches_lsrc() {
-        // With all jobs released at 0, the greedy policy is exactly LSRC.
-        let inst = ResaInstanceBuilder::new(6)
-            .job(3, 4u64)
-            .job(2, 7u64)
-            .job(6, 1u64)
-            .job(1, 9u64)
-            .reservation(3, 5u64, 2u64)
-            .build()
-            .unwrap();
-        use resa_algos::prelude::{Lsrc, Scheduler};
-        let sim = Simulator::new(inst.clone());
-        let online = sim.run(&GreedyPolicy);
-        let offline = Lsrc::new().schedule(&inst);
-        assert_eq!(online.schedule.makespan(&inst), offline.makespan(&inst));
-    }
-
-    #[test]
     fn empty_instance() {
         let inst = ResaInstanceBuilder::new(2).build().unwrap();
         let res = Simulator::new(inst).run(&GreedyPolicy);

@@ -71,10 +71,7 @@ pub mod prelude {
     };
     pub use crate::metrics::{MetricsAccumulator, SimMetrics};
     pub use crate::op::{Horizon, Op, Reply, Session, SessionRecords, WriteReply};
-    pub use crate::policy::{
-        DecisionScratch, EasyPolicy, FcfsPolicy, GreedyPolicy, OnlinePolicy, ReferencePolicy,
-        WaitingJobs,
-    };
+    pub use crate::policy::{EasyPolicy, FcfsPolicy, GreedyPolicy, OnlinePolicy, ReferencePolicy};
     pub use crate::reference::simulate_reference;
     pub use crate::service::{
         AdmissionPolicy, DeadlineOutcome, DrainMode, Effects, JobFlags, ScheduleService,

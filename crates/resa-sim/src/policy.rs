@@ -1,13 +1,15 @@
 //! On-line scheduling policies.
 //!
 //! At every decision point the simulation engine hands the policy the current
-//! time, a borrowed view of the waiting queue (jobs released but not yet
-//! started, in arrival order) and the current availability profile
-//! (reservations *and* running jobs already subtracted). The policy writes
-//! the subset of waiting jobs to start right now into a caller-owned buffer;
-//! the engine performs the starts and keeps simulating.
+//! time, the waiting queue (positions of released, not yet started jobs, in
+//! arrival order) and the availability substrate (reservations *and* running
+//! jobs already subtracted). The policy starts what its rule admits itself:
+//! each start is reserved on the substrate in place, unlinked from the queue
+//! and reported back to the engine, which does the rest of the bookkeeping.
 //!
-//! The three policies mirror §2.2 of the paper:
+//! The three policies are the rules of §2.2, each a call to its decision in
+//! [`resa_core::decision`] — the same code the off-line schedulers of
+//! `resa-algos` run:
 //! * [`FcfsPolicy`] — start queued jobs strictly in order, stop at the first
 //!   that does not fit;
 //! * [`EasyPolicy`] — like FCFS, but allow later jobs to start now when doing
@@ -15,134 +17,36 @@
 //! * [`GreedyPolicy`] — start *every* waiting job that fits now, i.e. the
 //!   on-line incarnation of LSRC (the most aggressive back-filling).
 //!
-//! None of them touches the shared substrate: a decision point materializes
-//! the free-capacity step function over its horizon once
-//! ([`resa_core::capacity::CapacityQuery::capacity_profile_in`] into the
-//! reusable [`DecisionScratch`]) and every fit check / tentative start is a
-//! local window operation — no per-decision substrate clone, no
-//! reserve/rollback probing, no steady-state allocation.
+//! A decision asks the substrate scalar questions only (capacity at `now`,
+//! a range minimum per candidate narrow enough to fit, one earliest fit for
+//! EASY's blocked head) and allocates nothing.
 
+use resa_core::decision;
 use resa_core::prelude::*;
-use resa_core::waitlist::WaitList;
-
-/// Borrowed, arrival-ordered view of the waiting queue.
-///
-/// `jobs` is the instance's job slice; `order` holds the waiting slice
-/// indices in arrival order. The engine keeps `order` incrementally, so
-/// building a view is free.
-#[derive(Debug, Clone, Copy)]
-pub struct WaitingJobs<'a> {
-    jobs: &'a [Job],
-    order: &'a WaitList,
-}
-
-impl<'a> WaitingJobs<'a> {
-    /// View `order` (indices into `jobs`) as a queue of jobs.
-    pub fn new(jobs: &'a [Job], order: &'a WaitList) -> Self {
-        WaitingJobs { jobs, order }
-    }
-
-    /// Number of waiting jobs.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether no job is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Iterate the waiting jobs in arrival order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a Job> + '_ {
-        self.order.iter().map(|i| &self.jobs[i])
-    }
-
-    /// Longest duration among the waiting jobs (`Dur::ZERO` when empty):
-    /// every start decided now finishes within `now + max_duration()`, which
-    /// bounds the decision window the policies materialize.
-    pub fn max_duration(&self) -> Dur {
-        self.iter().map(|j| j.duration).max().unwrap_or(Dur::ZERO)
-    }
-}
-
-/// Reusable per-decision buffers, owned by the engine and threaded through
-/// [`OnlinePolicy::decide`] so the steady state allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct DecisionScratch {
-    /// The materialized decision window.
-    pub window: WindowProfile,
-}
 
 /// The scheduling decision interface used by the simulation engine.
 ///
 /// `decide` is generic over the availability substrate: the engine hands the
 /// policy the indexed [`AvailabilityTimeline`], while tests may pass the
 /// naive [`ResourceProfile`] — both answer identically through
-/// [`CapacityQuery`]. The substrate is only ever *read*; tentative state
-/// lives in `scratch`.
+/// [`CapacityQuery`].
 pub trait OnlinePolicy {
     /// Human-readable name for reports.
     fn name(&self) -> String;
 
-    /// Write the ids of the waiting jobs to start at `now` into `out`
-    /// (cleared first), in the order in which they should be started.
-    /// `queue` is in arrival order and contains only released jobs;
-    /// `profile` already excludes running jobs and reservations.
+    /// Start, at `now`, the waiting jobs the rule admits. `waiting` queues
+    /// positions into `jobs` in arrival order and holds released jobs only;
+    /// `substrate` already excludes running jobs and reservations. Each
+    /// start is reserved on `substrate`, unlinked from `waiting` and
+    /// reported to `on_start` with its position, in the order of starting.
     fn decide<C: CapacityQuery>(
         &self,
         now: Time,
-        queue: &WaitingJobs<'_>,
-        profile: &C,
-        scratch: &mut DecisionScratch,
-        out: &mut Vec<JobId>,
+        jobs: &[Job],
+        waiting: &mut WaitList,
+        substrate: &mut C,
+        on_start: impl FnMut(usize),
     );
-}
-
-/// Minimum free capacity over `[s, s + d)` of the *current* decision state:
-/// the window view inside its horizon combined with the untouched substrate
-/// past it (local subtractions never reach beyond the horizon).
-fn combined_min<C: CapacityQuery>(profile: &C, window: &WindowProfile, s: Time, d: Dur) -> u32 {
-    debug_assert!(s >= window.start());
-    let mut min = window.min_in(s, d).unwrap_or(u32::MAX);
-    let end = s.saturating_add(d);
-    let tail_start = s.max(window.end());
-    if end > tail_start {
-        min = min.min(profile.min_capacity_in(tail_start, end.since(tail_start)));
-    }
-    min
-}
-
-/// Earliest `t ≥ from` at which `width` processors stay free for `dur` under
-/// the combined decision state. The raw substrate's `earliest_fit` provides
-/// a monotone lower bound (the window only subtracts); each round either
-/// validates it against the window or advances past one exhausted window
-/// region, so the loop runs at most once per window step.
-fn combined_earliest_fit<C: CapacityQuery>(
-    profile: &C,
-    window: &WindowProfile,
-    width: u32,
-    dur: Dur,
-    from: Time,
-) -> Option<Time> {
-    let mut t = from;
-    loop {
-        t = profile.earliest_fit(width, dur, t)?;
-        if t >= window.end() {
-            return Some(t);
-        }
-        match window.min_in(t, dur) {
-            None => return Some(t),
-            Some(m) if m >= width => return Some(t),
-            Some(_) => {
-                let violation = window
-                    .first_below(t, width)
-                    .expect("a window minimum below width implies a violating step");
-                t = window
-                    .next_at_least(violation, width)
-                    .unwrap_or_else(|| window.end());
-            }
-        }
-    }
 }
 
 /// Strict FCFS: start the head of the queue while it fits, never look past
@@ -158,29 +62,12 @@ impl OnlinePolicy for FcfsPolicy {
     fn decide<C: CapacityQuery>(
         &self,
         now: Time,
-        queue: &WaitingJobs<'_>,
-        profile: &C,
-        scratch: &mut DecisionScratch,
-        out: &mut Vec<JobId>,
+        jobs: &[Job],
+        waiting: &mut WaitList,
+        substrate: &mut C,
+        on_start: impl FnMut(usize),
     ) {
-        out.clear();
-        if queue.is_empty() {
-            return;
-        }
-        let window = &mut scratch.window;
-        window.refill(profile, now, now + queue.max_duration());
-        for job in queue.iter() {
-            let fits = window
-                .min_in(now, job.duration)
-                .expect("the window covers every waiting job's run")
-                >= job.width;
-            if fits {
-                window.subtract(now, job.duration, job.width);
-                out.push(job.id);
-            } else {
-                break;
-            }
-        }
+        decision::fcfs(substrate, now, jobs, waiting, on_start);
     }
 }
 
@@ -197,36 +84,19 @@ impl OnlinePolicy for GreedyPolicy {
     fn decide<C: CapacityQuery>(
         &self,
         now: Time,
-        queue: &WaitingJobs<'_>,
-        profile: &C,
-        scratch: &mut DecisionScratch,
-        out: &mut Vec<JobId>,
+        jobs: &[Job],
+        waiting: &mut WaitList,
+        substrate: &mut C,
+        on_start: impl FnMut(usize),
     ) {
-        out.clear();
-        if queue.is_empty() {
-            return;
-        }
-        let window = &mut scratch.window;
-        window.refill(profile, now, now + queue.max_duration());
-        for job in queue.iter() {
-            let fits = window
-                .min_in(now, job.duration)
-                .expect("the window covers every waiting job's run")
-                >= job.width;
-            if fits {
-                window.subtract(now, job.duration, job.width);
-                out.push(job.id);
-            }
-        }
+        decision::greedy(substrate, now, jobs, waiting, on_start);
     }
 }
 
 /// EASY backfilling: the queue head is started if possible; otherwise later
 /// jobs may start provided they do not delay the head's earliest possible
-/// start. Like the off-line rewrite in `resa-algos`, admission is a scalar
-/// check — a candidate delays the head iff its run overlaps the head's
-/// shadow window with less than `q_head + q_cand` processors free there —
-/// so no tentative reservation is ever taken.
+/// start (its shadow). Admission is a scalar check against the shadow
+/// window, so no tentative reservation is ever taken.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EasyPolicy;
 
@@ -238,60 +108,12 @@ impl OnlinePolicy for EasyPolicy {
     fn decide<C: CapacityQuery>(
         &self,
         now: Time,
-        queue: &WaitingJobs<'_>,
-        profile: &C,
-        scratch: &mut DecisionScratch,
-        out: &mut Vec<JobId>,
+        jobs: &[Job],
+        waiting: &mut WaitList,
+        substrate: &mut C,
+        on_start: impl FnMut(usize),
     ) {
-        out.clear();
-        if queue.is_empty() {
-            return;
-        }
-        let window = &mut scratch.window;
-        window.refill(profile, now, now + queue.max_duration());
-        // Start successive heads while they fit.
-        let mut iter = queue.iter();
-        let mut blocked = None;
-        for job in iter.by_ref() {
-            let fits = window
-                .min_in(now, job.duration)
-                .expect("the window covers every waiting job's run")
-                >= job.width;
-            if fits {
-                window.subtract(now, job.duration, job.width);
-                out.push(job.id);
-            } else {
-                blocked = Some(job);
-                break;
-            }
-        }
-        let Some(head) = blocked else { return };
-        // The head is blocked: its shadow start and the spare capacity over
-        // its shadow window, computed once. The admission rule itself is the
-        // shared [`ShadowGuard`], fed combined window + substrate minima.
-        let shadow = combined_earliest_fit(profile, window, head.width, head.duration, now)
-            .expect("feasible instances always admit a fit");
-        let mut guard = ShadowGuard::new(shadow, head.width, head.duration, |s, d| {
-            combined_min(profile, window, s, d)
-        });
-        for job in iter {
-            let fits = window
-                .min_in(now, job.duration)
-                .expect("the window covers every waiting job's run")
-                >= job.width;
-            if !fits {
-                continue;
-            }
-            if guard.admits(now, job.width, job.duration, |s, d| {
-                combined_min(profile, window, s, d)
-            }) {
-                window.subtract(now, job.duration, job.width);
-                out.push(job.id);
-                guard.on_admit(now, job.duration, |s, d| {
-                    combined_min(profile, window, s, d)
-                });
-            }
-        }
+        decision::easy(substrate, now, jobs, waiting, on_start);
     }
 }
 
@@ -328,15 +150,15 @@ impl OnlinePolicy for ReferencePolicy {
     fn decide<C: CapacityQuery>(
         &self,
         now: Time,
-        queue: &WaitingJobs<'_>,
-        profile: &C,
-        scratch: &mut DecisionScratch,
-        out: &mut Vec<JobId>,
+        jobs: &[Job],
+        waiting: &mut WaitList,
+        substrate: &mut C,
+        on_start: impl FnMut(usize),
     ) {
         match self {
-            ReferencePolicy::Fcfs => FcfsPolicy.decide(now, queue, profile, scratch, out),
-            ReferencePolicy::Easy => EasyPolicy.decide(now, queue, profile, scratch, out),
-            ReferencePolicy::Greedy => GreedyPolicy.decide(now, queue, profile, scratch, out),
+            ReferencePolicy::Fcfs => FcfsPolicy.decide(now, jobs, waiting, substrate, on_start),
+            ReferencePolicy::Easy => EasyPolicy.decide(now, jobs, waiting, substrate, on_start),
+            ReferencePolicy::Greedy => GreedyPolicy.decide(now, jobs, waiting, substrate, on_start),
         }
     }
 }
@@ -359,7 +181,9 @@ mod tests {
     }
 
     /// Drive a policy once over an ad-hoc queue (what the engine does each
-    /// decision point).
+    /// decision point). Checks the contract on the way: the substrate after
+    /// the decision is the substrate before minus exactly the named starts,
+    /// and exactly those left the queue.
     fn decide<P: OnlinePolicy>(
         policy: &P,
         now: Time,
@@ -370,11 +194,19 @@ mod tests {
         for i in 0..jobs.len() {
             order.push_back(i);
         }
-        let view = WaitingJobs::new(jobs, &order);
-        let mut scratch = DecisionScratch::default();
-        let mut out = Vec::new();
-        policy.decide(now, &view, p, &mut scratch, &mut out);
-        out
+        let mut substrate = p.clone();
+        let mut started = Vec::new();
+        policy.decide(now, jobs, &mut order, &mut substrate, |i| started.push(i));
+        let mut expected = p.clone();
+        for &i in &started {
+            expected
+                .reserve(now, jobs[i].duration, jobs[i].width)
+                .expect("a start fits the substrate before the decision");
+            assert!(!order.contains(i), "a started job left the queue");
+        }
+        assert_eq!(substrate, expected, "the substrate minus the starts");
+        assert_eq!(order.len() + started.len(), jobs.len());
+        started.into_iter().map(|i| jobs[i].id).collect()
     }
 
     #[test]
@@ -423,18 +255,59 @@ mod tests {
     }
 
     #[test]
-    fn decisions_leave_the_substrate_untouched() {
-        let p = profile(4);
-        let before = p.clone();
-        let _ = decide(&EasyPolicy, Time::ZERO, &queue(), &p);
-        assert_eq!(p, before, "policies must only read the substrate");
+    fn decisions_reserve_exactly_their_starts() {
+        // `decide` checks the contract for every policy, here with starts
+        // at a later instant over a reservation.
+        let mut p = profile(6);
+        p.reserve(Time(3), Dur(4), 2).unwrap();
+        let q = vec![
+            Job::new(0usize, 2, 5u64),
+            Job::new(1usize, 6, 1u64),
+            Job::new(2usize, 1, 2u64),
+            Job::new(3usize, 1, 9u64),
+        ];
+        assert_eq!(decide(&FcfsPolicy, Time(2), &q, &p), vec![JobId(0)]);
+        assert_eq!(
+            decide(&EasyPolicy, Time(2), &q, &p),
+            vec![JobId(0), JobId(2)]
+        );
+        assert_eq!(
+            decide(&GreedyPolicy, Time(2), &q, &p),
+            vec![JobId(0), JobId(2), JobId(3)]
+        );
+    }
+
+    #[test]
+    fn full_cluster_starts_nothing_and_leaves_the_substrate_alone() {
+        // Running jobs hold all 4 processors until 3 and 5: the blocked
+        // head's shadow (t = 5) lies past every running job, and no
+        // candidate, however narrow, fits now.
+        let mut p = profile(4);
+        p.reserve(Time::ZERO, Dur(3), 2).unwrap();
+        p.reserve(Time::ZERO, Dur(5), 2).unwrap();
+        let q = vec![
+            Job::new(0usize, 4, 2u64),
+            Job::new(1usize, 1, 1u64),
+            Job::new(2usize, 1, 9u64),
+        ];
+        for d in [
+            decide(&FcfsPolicy, Time(1), &q, &p),
+            decide(&EasyPolicy, Time(1), &q, &p),
+            decide(&GreedyPolicy, Time(1), &q, &p),
+        ] {
+            assert!(d.is_empty());
+        }
+        assert_eq!(p.earliest_fit(4, Dur(2), Time(1)), Some(Time(5)));
+        // Once the first running job ends, J1 backfills before the shadow
+        // and J2, which would overlap it, does not.
+        assert_eq!(decide(&EasyPolicy, Time(3), &q, &p), vec![JobId(1)]);
     }
 
     #[test]
     fn easy_shadow_straddles_the_decision_window() {
         // Head (4 wide, long) fits only past a far reservation; its shadow
-        // lies beyond the decision horizon (longest waiting duration), so the
-        // no-delay checks must combine the local window with substrate reads.
+        // lies beyond the longest waiting run, so the no-delay checks read
+        // the substrate past every candidate's end.
         let mut p = profile(4);
         p.reserve(Time(0), Dur(20), 2).unwrap(); // cap 2 on [0, 20)
         let q = vec![

@@ -7,8 +7,8 @@
 //! same-instant events batched through a temporary buffer, and policies
 //! that clone the whole availability substrate to probe tentative starts
 //! (EASY re-derives the head's shadow with a full `earliest_fit` per
-//! candidate). It shares no code with the loop or the window-based
-//! policies, which is its whole value: the property tests in this crate
+//! candidate). It shares no code with the loop or the policies (nor with
+//! `resa_core::decision`, which they call), which is its whole value: the property tests in this crate
 //! assert that the loop — on both substrates — produces its placements, its
 //! decision count and `SimMetrics::from_schedule` of its schedule. Nothing
 //! outside tests calls it.

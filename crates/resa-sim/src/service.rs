@@ -276,7 +276,6 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             table.reserve(windows);
         }
         self.derived.reserve(jobs, 2 * windows);
-        self.step.reserve(jobs);
         self.fx_buf.started.reserve(jobs);
         self.fx_buf.completed.reserve(jobs);
         self.preempted_buf.reserve(jobs);
@@ -803,14 +802,13 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// bookkeeping of a start beyond substrate and waiting list is the
     /// service's own.
     fn decide_now(&mut self) {
-        let (now, base) = (self.auth.now, self.auth.base);
+        let now = self.auth.now;
         self.step.decide(
             &self.policy,
             now,
             &self.auth.jobs,
             &mut self.auth.waiting,
             &mut self.substrate,
-            |id| Some(id.0 - base),
             |pos, job, completion| {
                 self.auth.schedule.place(job.id, now);
                 self.derived.started(pos, completion);

@@ -2,8 +2,10 @@
 //!
 //! [`run_stream`] is the crate's one batch event loop — the on-line rule of
 //! the paper's §2.1–2.2: at every event instant drain the events
-//! (completions, availability changes, then arrivals in source order),
-//! consult the list policy once, start what it names.
+//! (completions, availability changes, then arrivals in source order) and
+//! consult the list policy once. The policy starts what its rule admits
+//! itself — it reserves each start on the substrate and unlinks it from the
+//! waiting list — and the loop books the starts it reports.
 //!
 //! * a [`JobSource`] is *pulled* as virtual time advances, so only jobs at
 //!   or before the current instant ever enter memory;
@@ -26,12 +28,12 @@
 //! on both substrates, metrics bit-exact).
 
 use crate::metrics::{MetricsAccumulator, SimMetrics};
-use crate::policy::{DecisionScratch, OnlinePolicy, WaitingJobs};
+use crate::policy::OnlinePolicy;
 use crate::trace::JobRecord;
 use resa_core::prelude::*;
 use resa_core::waitlist::WaitList;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// A pull-based job stream, consumed as virtual time advances.
 ///
@@ -139,34 +141,22 @@ pub struct StreamOutcome {
 const RETIRE_EVERY: usize = 64;
 
 /// What [`run_stream`] and the resident [`crate::service::ScheduleService`]
-/// do identically at a decision instant, with the reused buffers that keep
-/// it allocation-free: consult the policy once and perform the starts it
-/// names, and forget the substrate's past every [`RETIRE_EVERY`]
-/// completions. How time reaches the instant, and what a start means beyond
-/// the substrate and the waiting list, is the caller's.
+/// do identically at a decision instant: consult the policy once, which
+/// starts what it admits, and forget the substrate's past every
+/// [`RETIRE_EVERY`] completions. How time reaches the instant, and what a
+/// start means beyond the substrate and the waiting list, is the caller's.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DecisionStep {
-    scratch: DecisionScratch,
-    to_start: Vec<JobId>,
     /// Policy consultations so far.
     pub(crate) decisions: u64,
     completions_since_retire: usize,
 }
 
 impl DecisionStep {
-    /// Pre-size the start buffer for up to `jobs` simultaneous starts.
-    pub(crate) fn reserve(&mut self, jobs: usize) {
-        self.to_start
-            .reserve(jobs.saturating_sub(self.to_start.len()));
-    }
-
     /// One decision at `now`; no-op when nothing waits. `waiting` queues
-    /// positions into `jobs`, `pos_of` maps the ids the policy names back to
-    /// them. A named job that is not waiting, or no longer fits, is skipped
-    /// instead of corrupting the run; every other one is reserved on
-    /// `substrate`, leaves `waiting`, and is reported to `on_start` with its
-    /// position and completion instant.
-    #[allow(clippy::too_many_arguments)]
+    /// positions into `jobs`. The policy reserves each start on `substrate`
+    /// and unlinks it from `waiting`; `on_start` then hears its position,
+    /// job and completion instant.
     pub(crate) fn decide<C: CapacityQuery, P: OnlinePolicy>(
         &mut self,
         policy: &P,
@@ -174,34 +164,16 @@ impl DecisionStep {
         jobs: &[Job],
         waiting: &mut WaitList,
         substrate: &mut C,
-        pos_of: impl Fn(JobId) -> Option<usize>,
         mut on_start: impl FnMut(usize, &Job, Time),
     ) {
         if waiting.is_empty() {
             return;
         }
         self.decisions += 1;
-        policy.decide(
-            now,
-            &WaitingJobs::new(jobs, waiting),
-            substrate,
-            &mut self.scratch,
-            &mut self.to_start,
-        );
-        for &id in &self.to_start {
-            let Some(pos) = pos_of(id).filter(|&pos| waiting.contains(pos)) else {
-                continue;
-            };
-            let job = jobs[pos];
-            if substrate.min_capacity_in(now, job.duration) < job.width {
-                continue;
-            }
-            substrate
-                .reserve(now, job.duration, job.width)
-                .expect("capacity just checked");
-            waiting.remove(pos);
-            on_start(pos, &job, now.saturating_add(job.duration));
-        }
+        policy.decide(now, jobs, waiting, substrate, |pos| {
+            let job = &jobs[pos];
+            on_start(pos, job, now.saturating_add(job.duration));
+        });
     }
 
     /// `completions` more jobs were drained: forget `substrate`'s
@@ -240,13 +212,12 @@ where
     S: JobSource,
     K: RecordSink,
 {
-    // Job slab: slot-indexed live catalog with a free list. External ids
-    // (arbitrarily sparse in real traces) are mapped to compact slots, so
-    // the waitlist and heaps stay O(active jobs).
+    // Job slab: slot-indexed live catalog with a free list. The waitlist
+    // and heaps hold compact slots, never external ids (arbitrarily sparse
+    // in real traces), so they stay O(active jobs).
     let mut slots: Vec<Job> = Vec::new();
     let mut start_of: Vec<Time> = Vec::new();
     let mut free: Vec<u32> = Vec::new();
-    let mut slot_of: HashMap<JobId, u32> = HashMap::new();
     let mut waiting = WaitList::with_capacity(0);
     // Running jobs keyed by (completion, id, slot): pops in completion order
     // with deterministic id tie-break.
@@ -306,7 +277,6 @@ where
                 started: start_of[slot as usize],
                 completed: now,
             });
-            slot_of.remove(&job.id);
             free.push(slot);
             completed += 1;
         }
@@ -337,7 +307,6 @@ where
                     (slots.len() - 1) as u32
                 }
             };
-            slot_of.insert(job.id, slot);
             waiting.ensure_capacity(slots.len());
             waiting.push_back(slot as usize);
             submitted += 1;
@@ -352,7 +321,6 @@ where
             &slots,
             &mut waiting,
             substrate,
-            |id| slot_of.get(&id).map(|&slot| slot as usize),
             |slot, job, completion| {
                 acc.record(job, now);
                 sink.on_start(job, now);
