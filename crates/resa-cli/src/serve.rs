@@ -12,30 +12,28 @@
 //! # One path
 //!
 //! A request line is parsed into an [`Op`] ([`protocol`]), applied through
-//! the one-method [`Session`] trait, and its [`Reply`] rendered back. What
-//! a transport and its options choose is only *which* session that is: the
-//! sequential [`ScheduleService`] itself, wrapped by a [`JournaledService`]
-//! under `--journal` or by the `RetiringService` under `--retire`, or —
-//! on the socket transports — one [`ServiceClient`] per connection. All of
-//! them end in [`ScheduleService::apply`], the only place an op is mapped
-//! onto a service method. Blank lines and `#` comments are ignored, so
-//! request scripts can be annotated.
+//! the one-method [`Session`] trait, and its [`Reply`] rendered back. Every
+//! transport runs the same stack: one [`ConcurrentService`] — journaled
+//! under `--journal`, retiring into a record sink under `--retire` — and
+//! one [`ServiceClient`] of it per session: the single session of stdin or
+//! `--script`, or each socket connection. The front ends in
+//! [`ScheduleService::apply`], the only place an op is mapped onto a
+//! service method. Blank lines and `#` comments are ignored, so request
+//! scripts can be annotated.
 //!
 //! # Concurrency
 //!
 //! The socket transports (`--listen` / `--unix`) accept any number of
-//! concurrent connections, one thread per session, all sharing one
-//! resident state through [`ConcurrentService`]: mutating ops join one
-//! pending queue, and the session thread holding the write lock applies
-//! them in batches (the queue order is the serial order of the service;
-//! each thread writes its own reply after releasing the lock), while
-//! `query` / `stats` are answered on the session's own thread from the
-//! latest published snapshot. Snapshots are republished *before* write
-//! replies are delivered, so every session reads its own writes — a
-//! single-client conversation is byte-identical to a sequential one, which
-//! is what keeps the golden transcripts transport-independent. Stdin and
-//! `--script` sessions are single-client by construction and run the
-//! sequential service directly.
+//! concurrent connections, one thread per session, all sharing the one
+//! front: mutating ops join one pending queue, and the session thread
+//! holding the write lock applies them in batches (the queue order is the
+//! serial order of the service; each thread writes its own reply after
+//! releasing the lock), while `query` / `stats` are answered on the
+//! session's own thread from the latest published snapshot. Snapshots are
+//! republished *before* write replies are delivered, so every session reads
+//! its own writes — a single-client conversation, which is all stdin and
+//! `--script` ever hold, answers byte for byte like the sequential service,
+//! which is what keeps the golden transcripts transport-independent.
 //!
 //! Two socket-facing options ride along: `--token <secret>` demands a
 //! `{"op":"auth","token":…}` first request per connection (anything else is
@@ -101,10 +99,12 @@ OPTIONS:
                           every time-advancing request, so a long-running
                           session's memory tracks the *active* jobs; snapshot
                           metrics still describe the whole run (merged
-                          bit-exactly). Sequential transports only; incompatible
-                          with --journal
-    --records-out <file>  with --retire, append each retired job record to
-                          <file> as one JSON line
+                          bit-exactly). Every transport; with --journal,
+                          re-supply it at recovery like --drain-mode
+    --records-out <file>  with --retire, write each retired job record to
+                          <file> as one JSON line; a --journal restart appends
+                          to it, and it holds each retired job at most once
+                          across a crash
 
 REQUESTS (one JSON object per line; blank lines and # comments are ignored):
     {\"op\":\"submit\",\"width\":W,\"duration\":D[,\"release\":T]}   job arrival
@@ -134,90 +134,58 @@ plus the common options: --seed --threads --format --quick --out
 for CLI uniformity and do not affect the protocol)
 ";
 
-/// Record sink of a `--retire` session: counts every retired record and,
-/// with `--records-out`, appends each as one JSON line. A write or flush
-/// error is reported once on stderr and disables the writer — the session
-/// keeps serving (the records were already applied to the merged metrics).
+/// The `--records-out` sink of a `--retire` session: each retired record
+/// becomes one JSON line, held in memory until the front flushes the batch
+/// that retired it — after the batch's journal seal — so the file never
+/// holds a record whose retirement a crash could undo. A write error is
+/// reported once on stderr and closes the file; the session keeps serving
+/// (the records were already folded into the merged metrics).
 struct FileRecordSink {
-    out: Option<std::io::BufWriter<std::fs::File>>,
+    out: Option<std::fs::File>,
     path: String,
-    written: usize,
+    pending: Vec<u8>,
 }
 
 impl FileRecordSink {
-    fn new(path: Option<&str>) -> Result<Self, CliError> {
-        let out = path
-            .map(|p| {
-                std::fs::File::create(p)
-                    .map(std::io::BufWriter::new)
-                    .map_err(|e| CliError::Io {
-                        path: p.to_string(),
-                        message: e.to_string(),
-                    })
-            })
-            .transpose()?;
+    /// Open `path`, appending when a journal resumed the session (the file
+    /// holds the records retired before the restart), truncating otherwise.
+    fn open(path: &str, resumed: bool) -> Result<Self, CliError> {
+        let out = std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .append(resumed)
+            .truncate(!resumed)
+            .open(path)
+            .map_err(|e| CliError::Io {
+                path: path.to_string(),
+                message: e.to_string(),
+            })?;
         Ok(FileRecordSink {
-            out,
-            path: path.unwrap_or_default().to_string(),
-            written: 0,
+            out: Some(out),
+            path: path.to_string(),
+            pending: Vec::new(),
         })
     }
+}
 
-    /// Run one write step against the file, if it is still open; its first
-    /// error is reported and closes the file.
-    fn write(
-        &mut self,
-        step: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
-    ) {
-        if let Some(Err(e)) = self.out.as_mut().map(step) {
+impl RecordSink for FileRecordSink {
+    fn record(&mut self, rec: JobRecord) {
+        if self.out.is_some() {
+            self.pending
+                .extend_from_slice(to_line(&rec.to_value()).as_bytes());
+            self.pending.push(b'\n');
+        }
+    }
+
+    fn flush(&mut self) {
+        if let Some(Err(e)) = self.out.as_mut().map(|f| f.write_all(&self.pending)) {
             eprintln!(
                 "--records-out {}: {e}; further records are dropped",
                 self.path
             );
             self.out = None;
         }
-    }
-
-    /// `BufWriter` surfaces most write failures only here.
-    fn flush(&mut self) {
-        self.write(|w| w.flush());
-    }
-}
-
-impl RecordSink for FileRecordSink {
-    fn record(&mut self, rec: JobRecord) {
-        self.written += 1;
-        self.write(|w| writeln!(w, "{}", to_line(&rec.to_value())));
-    }
-}
-
-/// A sequential [`ScheduleService`] that retires completed jobs into a
-/// [`FileRecordSink`] after every time-advancing request (`--retire`), so a
-/// long-running session's resident set tracks the *active* jobs. Snapshot
-/// metrics stay bit-identical to a never-retired session; the retired
-/// records leave through the sink and via `snapshot`+`since` pagination
-/// before they go.
-struct RetiringService {
-    svc: ScheduleService<AvailabilityTimeline>,
-    sink: FileRecordSink,
-}
-
-impl Session for RetiringService {
-    fn apply(&mut self, op: &Op) -> WriteReply {
-        let reply = Session::apply(&mut self.svc, op);
-        // Completions only drain when an op moves the clock.
-        let clock = matches!(
-            op,
-            Op::Advance { .. } | Op::AdvanceClamped { .. } | Op::Drain
-        );
-        if clock && self.svc.retire_completed(&mut self.sink) > 0 {
-            self.sink.flush();
-        }
-        reply
-    }
-
-    fn policy(&self) -> ReferencePolicy {
-        self.svc.policy()
+        self.pending.clear();
     }
 }
 
@@ -395,8 +363,8 @@ fn serve_session<S: Session + ?Sized>(
 }
 
 /// Drive a whole request script in-process and return the transcript. This
-/// is the deterministic face the golden tests and the CI smoke use: always
-/// the sequential service, never realtime, never token-guarded.
+/// is the deterministic face the golden tests and the CI smoke use: one
+/// client of a fresh front, never realtime, never token-guarded.
 // Kept with this signature for `benchmark/layers`.
 pub fn run_script(
     script: &str,
@@ -439,63 +407,60 @@ enum Io<'a> {
 }
 
 impl Plan {
-    /// Build the resident service on the timeline — recovered from the
-    /// journal when one is given — pick the [`Session`] the options ask
-    /// for, and run the transport against it. Returns the transcript of a
-    /// script session (empty for the other transports).
+    /// Build the one [`ConcurrentService`] on the timeline — recovered
+    /// from the journal when one is given, retiring under `--retire` — and
+    /// run the transport against it: stdin and a script are one client of
+    /// it, a listener one client per connection. Returns the transcript of
+    /// a script session (empty for the other transports).
     fn serve(self, io: Io<'_>) -> Result<String, CliError> {
         let substrate = AvailabilityTimeline::constant(self.machines);
-        let (svc, journal) = match &self.journal {
+        let (front, resumed) = match &self.journal {
             Some((path, cfg)) => {
                 let (journal, recovered) = open_journal(path, *cfg, self.machines, self.policy)?;
-                let svc =
-                    recovered.restore_service_with_mode(self.policy, substrate, self.drain_mode);
-                (svc, Some(journal))
+                let svc = recovered.restore_service_with_mode(
+                    self.policy,
+                    substrate,
+                    self.drain_mode,
+                    self.retire,
+                );
+                (
+                    ConcurrentService::with_journal(svc, journal),
+                    recovered.resumed,
+                )
             }
             None => {
                 let mut svc = ScheduleService::new(self.policy, substrate);
                 svc.set_drain_mode(self.drain_mode);
-                (svc, None)
+                (ConcurrentService::new(svc), false)
             }
         };
-        // The session the options ask for, on the sequential transports.
-        let sequential = |svc, journal| -> Result<Box<dyn Session>, CliError> {
-            Ok(match journal {
-                Some(journal) => Box::new(JournaledService::new(svc, journal)),
-                None if self.retire => Box::new(RetiringService {
-                    svc,
-                    sink: FileRecordSink::new(self.records_out.as_deref())?,
-                }),
-                None => Box::new(svc),
-            })
+        let front = match (self.retire, &self.records_out) {
+            (false, _) => front,
+            (true, Some(path)) => front.retiring(Box::new(FileRecordSink::open(path, resumed)?)),
+            (true, None) => front.retiring(Box::new(DiscardSink::default())),
         };
-        match io {
+        let mut transcript = Vec::new();
+        let served = match io {
             Io::Listener(listener) => {
-                let front = match journal {
-                    Some(journal) => ConcurrentService::with_journal(svc, journal),
-                    None => ConcurrentService::new(svc),
-                };
                 serve_concurrent(front, self.cfg, listener, self.idle)?;
-                Ok(String::new())
+                return Ok(String::new());
             }
-            Io::Script(script) => {
-                let (mut session, mut transcript) = (sequential(svc, journal)?, Vec::new());
-                serve_session(&mut *session, &self.cfg, script.as_bytes(), &mut transcript)
-                    .expect("in-memory I/O");
-                Ok(String::from_utf8(transcript).expect("responses are UTF-8"))
-            }
+            Io::Script(script) => serve_session(
+                &mut front.client(),
+                &self.cfg,
+                script.as_bytes(),
+                &mut transcript,
+            ),
             Io::Stdio => {
-                let mut session = sequential(svc, journal)?;
                 let (stdin, stdout) = (std::io::stdin().lock(), std::io::stdout().lock());
-                serve_session(&mut *session, &self.cfg, stdin, stdout).map_err(|e| {
-                    CliError::Io {
-                        path: "<session>".to_string(),
-                        message: e.to_string(),
-                    }
-                })?;
-                Ok(String::new())
+                serve_session(&mut front.client(), &self.cfg, stdin, stdout)
             }
-        }
+        };
+        served.map_err(|e| CliError::Io {
+            path: "<session>".to_string(),
+            message: e.to_string(),
+        })?;
+        Ok(String::from_utf8(transcript).expect("responses are UTF-8"))
     }
 }
 
@@ -690,20 +655,6 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
     if idle_timeout.is_some() && !socket_transport {
         return Err(CliError::Usage(
             "--idle-timeout requires a socket transport (--listen or --unix)".into(),
-        ));
-    }
-    if retire && socket_transport {
-        return Err(CliError::Usage(
-            "--retire requires a sequential transport (stdin or --script): the \
-             shared writer of the socket transports has no record sink to retire into"
-                .into(),
-        ));
-    }
-    if retire && journal_path.is_some() {
-        return Err(CliError::Usage(
-            "--retire is incompatible with --journal: retired records leave the \
-             process, so a recovery checkpoint could not capture the session"
-                .into(),
         ));
     }
     if records_out.is_some() && !retire {
@@ -924,7 +875,7 @@ fn serve_concurrent(
         }
     }
     // Dropping the front stops the service (and flushes its journal); the
-    // final state dies with the process, like the sequential transports.
+    // final state dies with the process, as on the other transports.
     drop(service);
     Ok(())
 }

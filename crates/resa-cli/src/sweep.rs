@@ -746,11 +746,11 @@ fn run_cells(
         let sample = if spec.is_scenario() {
             run_scenario_cell(spec, m, &instance, plan.policies[p].1, seed)
         } else {
-            let lb = lower_bound(&instance).unwrap_or(Time::ZERO).ticks().max(1) as f64;
+            let lb = lower_bound(&instance).unwrap_or(Time::ZERO).ticks().max(1);
             let (schedule, _) = crate::replay::run_policy(plan.policies[p].1, &instance);
             let metrics = resa_sim::prelude::SimMetrics::from_schedule(&instance, &schedule);
-            let makespan = metrics.makespan.ticks() as f64;
-            let violation = !schedule.is_valid(&instance) || makespan < lb - 1e-9;
+            let makespan = metrics.makespan.ticks();
+            let violation = !schedule.is_valid(&instance) || makespan < lb;
             let exact_nodes_per_sec = spec.exact_probe.map(|budget| {
                 let harness = RatioHarness {
                     exact_node_budget: budget,
@@ -759,8 +759,8 @@ fn run_cells(
                 harness.probe_exact(&instance).nodes_per_sec
             });
             (
-                makespan,
-                makespan / lb,
+                makespan as f64,
+                makespan as f64 / lb as f64,
                 metrics.mean_wait,
                 metrics.utilization,
                 violation,
@@ -888,17 +888,17 @@ fn run_scenario_cell(
     // instance (every submitted job plus the drain/reservation overlay):
     // the oracle instance excludes committed jobs, so its bound can
     // degenerate to zero when admission commits everything.
-    let lb = lower_bound(&live).unwrap_or(Time::ZERO).ticks().max(1) as f64;
+    let lb = lower_bound(&live).unwrap_or(Time::ZERO).ticks().max(1);
     let (_, metrics) = svc.snapshot();
-    let makespan = metrics.makespan.ticks() as f64;
+    let makespan = metrics.makespan.ticks();
     let violation = !oracle_schedule.is_valid(&oracle_instance)
         || !all_committed_placed
         || !deadlines_met(&commitments)
         || !drain_invariant(machines, &job_windows, &blocked)
-        || makespan < lb - 1e-9;
+        || makespan < lb;
     (
-        makespan,
-        makespan / lb,
+        makespan as f64,
+        makespan as f64 / lb as f64,
         metrics.mean_wait,
         metrics.utilization,
         violation,

@@ -323,18 +323,36 @@ impl Drop for KillOnDrop {
 /// (each waits for its reply before the other sends, advancing past the
 /// 64-completion cadence at which the service drops availability history),
 /// then `snapshot` with and without `since`, from either session, returns
-/// exactly the bytes the sequential transport returns for that order.
+/// exactly the bytes the sequential transport returns for that order. The
+/// same holds under `--retire`, whose `--records-out` file also matches.
 #[cfg(unix)]
 #[test]
 fn snapshot_over_sockets_matches_the_sequential_transport() {
-    let sock = std::env::temp_dir().join(format!("resa-serve-snap-{}.sock", std::process::id()));
+    for retire in [false, true] {
+        snapshot_over_sockets_matches(retire);
+    }
+}
+
+#[cfg(unix)]
+fn snapshot_over_sockets_matches(retire: bool) {
+    let tag = format!("{}-{retire}", std::process::id());
+    let dir = std::env::temp_dir();
+    let sock = dir.join(format!("resa-serve-snap-{tag}.sock"));
+    let records = |name: &str| dir.join(format!("resa-serve-snap-{tag}.{name}.records"));
     let _ = std::fs::remove_file(&sock);
-    let mut child = KillOnDrop(spawn_serve(&[
-        "--machines",
-        "8",
-        "--unix",
-        sock.to_str().unwrap(),
-    ]));
+    let (socket_records, script_records) = (records("socket"), records("script"));
+    let retire_args = |path: &std::path::Path| match retire {
+        true => vec![
+            "--retire".to_string(),
+            "--records-out".to_string(),
+            path.display().to_string(),
+        ],
+        false => Vec::new(),
+    };
+    let mut args = vec!["--machines", "8", "--unix", sock.to_str().unwrap()];
+    let socket_retire = retire_args(&socket_records);
+    args.extend(socket_retire.iter().map(String::as_str));
+    let mut child = KillOnDrop(spawn_serve(&args));
     let mut sessions: Vec<_> = (0..2)
         .map(|_| {
             let s = connect_unix(&sock);
@@ -368,23 +386,34 @@ fn snapshot_over_sockets_matches_the_sequential_transport() {
         "{\"op\":\"snapshot\",\"since\":120}",
     ];
     script += &probes.join("\n");
-    let expected = resa_cli::serve::run_script(
-        &script,
-        8,
-        resa_sim::policy::ReferencePolicy::Easy,
-        resa_cli::replay::Substrate::Timeline,
-    );
+    let script_path = dir.join(format!("resa-serve-snap-{tag}.jsonl"));
+    std::fs::write(&script_path, &script).unwrap();
+    let script_arg = script_path.display().to_string();
+    let mut script_args = vec!["serve", "--machines", "8", "--script", &script_arg];
+    let script_retire = retire_args(&script_records);
+    script_args.extend(script_retire.iter().map(String::as_str));
+    let expected = resa_cli::run(&script_args).unwrap().stdout;
     let expected: Vec<&str> = expected.lines().rev().take(2).collect();
     for (w, r) in &mut sessions {
         assert_eq!(ask(w, r, probes[0]).trim_end(), expected[1]);
         assert_eq!(ask(w, r, probes[1]).trim_end(), expected[0]);
     }
-    assert!(expected[1].contains("{\"job\":120,"));
-    assert!(expected[0].contains("{\"job\":121,") && !expected[0].contains("{\"job\":120,"));
 
     let (w, r) = &mut sessions[0];
     assert!(ask(w, r, "{\"op\":\"shutdown\"}").contains("\"op\":\"shutdown\""));
     assert!(child.0.wait().unwrap().success());
+    if retire {
+        let retired = std::fs::read_to_string(&socket_records).unwrap();
+        assert!(retired.lines().count() > 64, "{retired}");
+        assert_eq!(retired, std::fs::read_to_string(&script_records).unwrap());
+        assert!(!expected[1].contains("{\"job\":0,"), "job 0 was retired");
+    } else {
+        assert!(expected[1].contains("{\"job\":120,"));
+        assert!(expected[0].contains("{\"job\":121,") && !expected[0].contains("{\"job\":120,"));
+    }
+    for path in [script_path, socket_records, script_records] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// `--token` gates every socket session: unauthenticated ops are rejected

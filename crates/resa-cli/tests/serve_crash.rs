@@ -66,23 +66,35 @@ fn final_lines(stdout: &[u8]) -> Vec<String> {
         .collect()
 }
 
+/// Kill the session at journal append `crash_at`, restart it on the torn
+/// journal with the unacknowledged tail, and compare its final probes with
+/// an uninterrupted run. With `--retire --records-out`, the records files
+/// must match too: each retired job exactly once across the crash.
 #[test]
 fn killed_session_recovers_bit_for_bit_on_the_timeline() {
-    let dir = work_dir("script");
+    // Append 7 follows the advance that retires jobs 0 and 1.
+    for (crash_at, retire) in [(CRASH_AT, false), (7, true)] {
+        killed_session_recovers(crash_at, retire);
+    }
+}
+
+fn killed_session_recovers(crash_at: usize, retire: bool) {
+    let dir = work_dir(if retire { "script-retire" } else { "script" });
     let full_script = dir.join("full.jsonl");
     let tail_script = dir.join("tail.jsonl");
     let full_ops: Vec<&str> = OPS.iter().chain(FINAL.iter()).copied().collect();
     write_script(&full_script, &full_ops);
     // Everything from the torn record on must be resubmitted after recovery.
-    let tail_ops: Vec<&str> = OPS[CRASH_AT..]
+    let tail_ops: Vec<&str> = OPS[crash_at..]
         .iter()
         .chain(FINAL.iter())
         .copied()
         .collect();
     write_script(&tail_script, &tail_ops);
 
-    let base = |script: &PathBuf, journal: &PathBuf| -> Vec<String> {
-        vec![
+    let run = |script: &PathBuf, journal: &PathBuf, fail_after: Option<usize>| {
+        let records = journal.with_extension("records");
+        let mut args: Vec<String> = vec![
             "--machines".into(),
             "8".into(),
             "--script".into(),
@@ -91,31 +103,30 @@ fn killed_session_recovers_bit_for_bit_on_the_timeline() {
             journal.display().to_string(),
             "--fsync".into(),
             "every".into(),
-        ]
+        ];
+        if retire {
+            args.extend(["--retire".into(), "--records-out".into()]);
+            args.push(records.display().to_string());
+        }
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        (run_serve(&args, fail_after), records)
     };
 
     // Reference: the uninterrupted session.
-    let j_full = dir.join("full.jrn");
-    let args = base(&full_script, &j_full);
-    let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    let reference = run_serve(&args, None);
+    let (reference, reference_records) = run(&full_script, &dir.join("full.jrn"), None);
     assert!(reference.status.success(), "uninterrupted run failed");
     let expected = final_lines(&reference.stdout);
 
     // Crash mid-append: the failpoint writes half a record and aborts.
     let j_crash = dir.join("crash.jrn");
-    let args = base(&full_script, &j_crash);
-    let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    let crashed = run_serve(&args, Some(CRASH_AT));
+    let (crashed, crash_records) = run(&full_script, &j_crash, Some(crash_at));
     assert!(
         !crashed.status.success(),
         "the failpoint must abort the process"
     );
 
     // Restart on the torn journal and replay the unacknowledged tail.
-    let args = base(&tail_script, &j_crash);
-    let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    let recovered = run_serve(&args, None);
+    let (recovered, _) = run(&tail_script, &j_crash, None);
     assert!(
         recovered.status.success(),
         "recovery failed: {}",
@@ -131,6 +142,15 @@ fn killed_session_recovers_bit_for_bit_on_the_timeline() {
         expected,
         "recovered session diverged from the uninterrupted run"
     );
+    if retire {
+        let records = std::fs::read_to_string(&crash_records).unwrap();
+        assert!(records.starts_with(r#"{"job":0,"#), "{records}");
+        assert_eq!(
+            records,
+            std::fs::read_to_string(&reference_records).unwrap(),
+            "each retired job once, across the crash"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -48,16 +48,6 @@ pub trait CapacityQuery {
     /// The first instant strictly after `t` at which the capacity changes.
     fn next_change_after(&self, t: Time) -> Option<Time>;
 
-    /// Minimum free capacity from `now` until `horizon` (exclusive): the
-    /// number of processors guaranteed spare throughout `[now, horizon)`.
-    /// Degenerates to the capacity at `now` when `horizon ≤ now`.
-    fn spare_capacity_until(&self, now: Time, horizon: Time) -> u32 {
-        match horizon.checked_since(now) {
-            Some(d) if !d.is_zero() => self.min_capacity_in(now, d),
-            _ => self.capacity_at(now),
-        }
-    }
-
     /// Materialize the free-capacity step function over `[start, end)` into
     /// `out` (cleared first): normalized `(time, capacity)` breakpoints whose
     /// first entry sits at `start` and whose adjacent capacities are
@@ -232,23 +222,6 @@ mod tests {
         p.reserve(Time(5), Dur(4), 6).unwrap();
         p.reserve(Time(12), Dur(2), 1).unwrap();
         p
-    }
-
-    #[test]
-    fn spare_capacity_until_matches_window_min() {
-        let p = staircase();
-        let tl = AvailabilityTimeline::from(&p);
-        for now in 0..15 {
-            for horizon in 0..16 {
-                let expected = if horizon > now {
-                    p.min_capacity_in(Time(now), Dur(horizon - now))
-                } else {
-                    p.capacity_at(Time(now))
-                };
-                assert_eq!(p.spare_capacity_until(Time(now), Time(horizon)), expected);
-                assert_eq!(tl.spare_capacity_until(Time(now), Time(horizon)), expected);
-            }
-        }
     }
 
     #[test]

@@ -38,6 +38,12 @@
 //!   published at all. The one reader of those, [`ServiceClient::records`],
 //!   is answered with a copy through the same queue as the writes, so only
 //!   that (rare) request pays for the history it reads.
+//! * **Retirement rides the combining pass.** A front given a record sink
+//!   ([`ConcurrentService::retiring`]) retires completed jobs out of the
+//!   catalog after every op that moves the clock
+//!   ([`ScheduleService::retire_after`]) and flushes the sink once per
+//!   batch, after the journal seal and before any reply, so a record
+//!   reaches the sink only once the op that retired it is durable.
 //!
 //! # Consistency model
 //!
@@ -68,7 +74,8 @@
 use crate::journal::OpJournal;
 use crate::op::{Horizon, Op, Reply, Session, SessionRecords, WriteReply};
 use crate::policy::ReferencePolicy;
-use crate::service::{records_of, Effects, ScheduleService, ServiceError, ServiceStats};
+use crate::service::{Effects, ScheduleService, ServiceError, ServiceStats, SnapshotParts};
+use crate::stream::RecordSink;
 use resa_core::prelude::*;
 use resa_core::snapshot::Snapshotable;
 use std::cell::Cell;
@@ -115,14 +122,6 @@ pub struct ServiceSnapshot {
     pub horizon: Horizon,
     /// The frozen availability function, stamped with the same generation.
     pub timeline: TimelineSnapshot,
-}
-
-/// The answer to a records request: copies of what the records are
-/// computed from, taken between two ops.
-struct SessionCopy {
-    now: Time,
-    instance: ResaInstance,
-    schedule: Schedule,
 }
 
 impl ServiceSnapshot {
@@ -174,7 +173,8 @@ enum Request {
 
 enum Answer {
     Write(WriteReply),
-    Records(SessionCopy),
+    /// What the records are computed from, copied between two ops.
+    Records(SnapshotParts),
     Stopped,
 }
 
@@ -201,6 +201,8 @@ struct Writer<C: Snapshotable> {
     /// The serial log, when recording.
     log: Option<Vec<AppliedOp>>,
     journal: Option<OpJournal>,
+    /// Where retired jobs go, when the front retires.
+    sink: Option<Box<dyn RecordSink + Send>>,
     /// The requests taken off the queue by the current combining pass.
     batch: Vec<Pending>,
     /// Their op outcomes, with the clock after each.
@@ -275,6 +277,7 @@ impl<C: Snapshotable> Writer<C> {
             generation,
             log,
             journal,
+            sink,
             batch,
             results,
         } = self;
@@ -298,22 +301,32 @@ impl<C: Snapshotable> Writer<C> {
             return;
         };
         results.clear();
+        let mut retired = 0;
         for taken in batch.iter() {
             if let Request::Op { session, op } = &taken.request {
                 let result = match journal {
                     Some(j) => j.apply(svc, *session, op),
                     None => svc.apply(op),
                 };
+                if let Some(sink) = sink.as_mut() {
+                    retired += svc.retire_after(op, &mut **sink);
+                }
                 results.push((result, svc.now()));
             }
         }
         if !results.is_empty() {
             // Durability point: a batch that cannot be sealed is not
-            // acknowledged, whatever its ops answered.
-            if let Some(Err(unsealed)) = journal.as_mut().map(|j| j.seal(svc)) {
-                for (result, _) in results.iter_mut() {
-                    *result = Err(unsealed.clone());
+            // acknowledged, whatever its ops answered — and the records it
+            // retired stay in the sink until a later seal covers them.
+            let sealed = journal.as_mut().map_or(Ok(()), |j| j.seal(svc));
+            match (sealed, sink) {
+                (Err(unsealed), _) => {
+                    for (result, _) in results.iter_mut() {
+                        *result = Err(unsealed.clone());
+                    }
                 }
+                (Ok(()), Some(sink)) if retired > 0 => sink.flush(),
+                _ => {}
             }
             *generation += 1;
             let snap = Arc::new(ServiceSnapshot::capture(svc, *generation));
@@ -340,11 +353,7 @@ impl<C: Snapshotable> Writer<C> {
                         generation: *generation,
                     })
                 }
-                Request::Records => Answer::Records(SessionCopy {
-                    now: svc.now(),
-                    instance: svc.to_instance(),
-                    schedule: svc.schedule().clone(),
-                }),
+                Request::Records => Answer::Records(svc.snapshot_parts()),
             };
             *lock(&slot) = Some(answer);
         }
@@ -399,6 +408,7 @@ where
             generation: 0,
             log: record.then(Vec::new),
             journal,
+            sink: None,
             batch: Vec::with_capacity(BATCH_MAX),
             results: Vec::with_capacity(BATCH_MAX),
         };
@@ -410,6 +420,18 @@ where
             }),
             sessions: AtomicU64::new(0),
         }
+    }
+
+    /// Retire completed jobs into `sink` after every op that moves the
+    /// clock, so the resident catalog follows the active jobs rather than
+    /// the session's length; snapshot metrics stay those of the whole run.
+    /// Composes with every constructor. A journaled front must have been
+    /// restored with the same choice
+    /// ([`crate::journal::Recovered::restore_service_with_mode`]'s
+    /// `retire`), so replay retires where the live session did.
+    pub fn retiring(self, sink: Box<dyn RecordSink + Send>) -> Self {
+        self.shared.write_lock().sink = Some(sink);
+        self
     }
 
     /// Open a new session: a handle whose writes are applied under the
@@ -444,6 +466,7 @@ where
         let svc = writer.svc.take().expect("a write panicked under the lock");
         let log = writer.log.take().unwrap_or_default();
         writer.journal = None;
+        writer.sink = None;
         (svc, log)
     }
 }
@@ -452,12 +475,13 @@ impl<C> Drop for ConcurrentService<C>
 where
     C: Snapshotable + Send + 'static,
 {
-    /// Stop the service (and flush its journal) even while clients live
-    /// on; they are answered as after [`ConcurrentService::shutdown`].
+    /// Stop the service (and flush its journal, close its record sink)
+    /// even while clients live on; they are answered as after [`ConcurrentService::shutdown`].
     fn drop(&mut self) {
         let mut writer = self.shared.write_lock();
         writer.svc = None;
         writer.journal = None;
+        writer.sink = None;
     }
 }
 
@@ -534,19 +558,14 @@ impl ServiceClient {
     /// goes through the write queue: the job catalog, overlay and schedule
     /// are copied out between two ops — in queue order, so every write this
     /// client has a reply for is covered. Records and metrics are then
-    /// computed on this thread, outside the lock. Fails with
+    /// computed on this thread, outside the lock, by the same code as the
+    /// sequential service's (retired metrics included). Fails with
     /// [`ServiceError::ServiceStopped`] once the service is shut down.
     pub fn records(&self) -> Result<SessionRecords, ServiceError> {
-        let Answer::Records(copy) = self.shared.call(Request::Records, &self.slot) else {
-            return Err(ServiceError::ServiceStopped);
-        };
-        let (records, metrics) = records_of(&copy.instance, &copy.schedule);
-        Ok(SessionRecords {
-            now: copy.now,
-            machines: copy.instance.machines(),
-            records,
-            metrics,
-        })
+        match self.shared.call(Request::Records, &self.slot) {
+            Answer::Records(parts) => Ok(parts.into_records()),
+            _ => Err(ServiceError::ServiceStopped),
+        }
     }
 
     /// Shim over [`ServiceClient::apply`], kept for `benchmark/layers`.

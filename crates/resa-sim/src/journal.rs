@@ -15,10 +15,11 @@
 //! mutation; an op refused at admission leaves no record, so a hostile
 //! request can never poison a restart) and, at the end of a batch,
 //! [`OpJournal::seal`] (sync per the fsync policy, then compaction). The
-//! sequential [`JournaledService`] runs them per request, the concurrent
-//! front's lock holder per batch; neither acknowledges an op of a batch that
-//! could not be sealed. Recovery replays the recorded [`Op`]s through the
-//! same `apply`.
+//! concurrent front's lock holder — behind every `resa serve` transport —
+//! runs them per batch and acknowledges no op of a batch that could not be
+//! sealed. Recovery replays the recorded [`Op`]s through the same `apply`,
+//! and a retiring session's recovery retires after the same ops the live
+//! front did ([`Recovered::restore_service_with_mode`]).
 //!
 //! # Record format
 //!
@@ -34,9 +35,14 @@
 //! with the CRC-32 (IEEE polynomial) taken over the payload only. The first
 //! payload byte is the record kind: `1` = op record (an [`AppliedOp`]: the
 //! session id, the op's tag byte, its fields), `2` = snapshot record (a
-//! serialized [`ServiceState`] — see *Compaction*). All integers are
-//! fixed-width little-endian; no floats appear anywhere, so the format
-//! round-trips exactly.
+//! serialized [`ServiceState`] — see *Compaction*), `3` = snapshot record
+//! of a session that has retired jobs: the kind-`2` fields followed by the
+//! retirement fields (`base`, the retired-placement flags, the retired
+//! metrics). A session that never retired anything writes kind `2` only,
+//! so its journal is byte for byte what it was before retirement existed.
+//! All integers are fixed-width little-endian, and the one float — the
+//! retired metrics' bounded-slowdown sum — is stored as its IEEE-754 bits,
+//! so the format round-trips exactly.
 //!
 //! # Torn tails
 //!
@@ -79,11 +85,13 @@
 //! disk-full errors without touching the filesystem.
 
 use crate::concurrent::AppliedOp;
-use crate::op::{Op, Reply, Session, WriteReply};
+use crate::metrics::MetricsAccumulator;
+use crate::op::{Op, Reply};
 use crate::policy::ReferencePolicy;
 use crate::service::{
     AdmissionPolicy, DrainMode, Effects, ScheduleService, ServiceError, ServiceState, ServiceStats,
 };
+use crate::stream::DiscardSink;
 use resa_core::capacity::Speculate;
 use resa_core::prelude::*;
 use std::fs::{File, OpenOptions};
@@ -101,6 +109,9 @@ const MAX_RECORD: u32 = 1 << 28;
 const KIND_OP: u8 = 1;
 /// Payload kind byte of a snapshot record.
 const KIND_SNAPSHOT: u8 = 2;
+/// Payload kind byte of a snapshot record of a session that has retired
+/// jobs: a [`KIND_SNAPSHOT`] payload followed by the retirement fields.
+const KIND_RETIRED_SNAPSHOT: u8 = 3;
 /// `Off`-policy write-behind buffer: queued bytes are handed to the OS
 /// (without syncing) once they exceed this.
 const OFF_FLUSH_BYTES: usize = 64 * 1024;
@@ -151,6 +162,10 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+fn put_u128(buf: &mut Vec<u8>, v: u128) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
 /// `None` as a `0` byte, `Some(t)` as a `1` byte and the instant.
 fn put_opt_time(buf: &mut Vec<u8>, t: Option<Time>) {
     match t {
@@ -190,6 +205,20 @@ impl<'a> Cursor<'a> {
         let raw = self.bytes.get(self.at..self.at + 8)?;
         self.at += 8;
         Some(u64::from_le_bytes(raw.try_into().expect("8-byte slice")))
+    }
+
+    fn take_u128(&mut self) -> Option<u128> {
+        let raw = self.bytes.get(self.at..self.at + 16)?;
+        self.at += 16;
+        Some(u128::from_le_bytes(raw.try_into().expect("16-byte slice")))
+    }
+
+    fn take_bool(&mut self) -> Option<bool> {
+        match self.take_u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
     }
 
     fn take_opt_time(&mut self) -> Option<Option<Time>> {
@@ -371,7 +400,16 @@ fn decode_op(cur: &mut Cursor<'_>) -> Option<Op> {
     })
 }
 
+/// Encode `state` under its kind byte: [`KIND_SNAPSHOT`] until something
+/// was retired — byte for byte the format of a never-retiring session —
+/// then [`KIND_RETIRED_SNAPSHOT`] with the retirement fields appended.
 fn encode_state(buf: &mut Vec<u8>, state: &ServiceState) {
+    let retired = state.base > 0 || state.retired.jobs() > 0;
+    buf.push(if retired {
+        KIND_RETIRED_SNAPSHOT
+    } else {
+        KIND_SNAPSHOT
+    });
     put_u32(buf, state.machines);
     put_u64(buf, state.now.ticks());
     put_u64(buf, state.decisions);
@@ -406,9 +444,24 @@ fn encode_state(buf: &mut Vec<u8>, state: &ServiceState) {
     for &pos in &state.queue {
         put_u64(buf, pos as u64);
     }
+    if retired {
+        put_u64(buf, state.base as u64);
+        // Parallel to the job catalog.
+        buf.extend(state.retired_placement.iter().map(|&r| u8::from(r)));
+        let acc = &state.retired;
+        put_u64(buf, acc.jobs as u64);
+        put_u128(buf, acc.total_wait);
+        put_u64(buf, acc.max_wait);
+        put_u128(buf, acc.total_flow);
+        // The `f64` as its IEEE-754 bits: the sum round-trips exactly.
+        put_u64(buf, acc.total_bsld.to_bits());
+        put_u128(buf, acc.work);
+        put_u64(buf, acc.makespan.ticks());
+    }
 }
 
-fn decode_state(cur: &mut Cursor<'_>) -> Option<ServiceState> {
+/// Decode the payload of a snapshot record of `kind` (after its kind byte).
+fn decode_state(kind: u8, cur: &mut Cursor<'_>) -> Option<ServiceState> {
     let machines = cur.take_u32()?;
     let now = Time(cur.take_u64()?);
     let decisions = cur.take_u64()?;
@@ -455,12 +508,8 @@ fn decode_state(cur: &mut Cursor<'_>) -> Option<ServiceState> {
     let n_place = usize::try_from(cur.take_u64()?).ok()?;
     let mut placements = Vec::with_capacity(n_place.min(1 << 20));
     for _ in 0..n_place {
-        let job = usize::try_from(cur.take_u64()?).ok()?;
-        if job >= jobs.len() {
-            return None;
-        }
         placements.push(Placement {
-            job: JobId(job),
+            job: JobId(usize::try_from(cur.take_u64()?).ok()?),
             start: Time(cur.take_u64()?),
         });
     }
@@ -473,16 +522,46 @@ fn decode_state(cur: &mut Cursor<'_>) -> Option<ServiceState> {
         }
         queue.push(pos);
     }
+    let (base, retired_placement, retired) = if kind == KIND_RETIRED_SNAPSHOT {
+        let base = usize::try_from(cur.take_u64()?).ok()?;
+        let mut retired_placement = Vec::with_capacity(n_jobs.min(1 << 20));
+        for _ in 0..n_jobs {
+            retired_placement.push(cur.take_bool()?);
+        }
+        let retired = MetricsAccumulator {
+            jobs: usize::try_from(cur.take_u64()?).ok()?,
+            total_wait: cur.take_u128()?,
+            max_wait: cur.take_u64()?,
+            total_flow: cur.take_u128()?,
+            total_bsld: f64::from_bits(cur.take_u64()?),
+            work: cur.take_u128()?,
+            makespan: Time(cur.take_u64()?),
+        };
+        (base, retired_placement, retired)
+    } else {
+        (0, vec![false; n_jobs], MetricsAccumulator::default())
+    };
+    // Position `pos` holds id `base + pos`; a placement names a held id.
+    let held = base..base.checked_add(n_jobs)?;
+    for (job, id) in jobs.iter_mut().zip(held.clone()) {
+        job.id = JobId(id);
+    }
+    if !placements.iter().all(|p| held.contains(&p.job.0)) {
+        return None;
+    }
     Some(ServiceState {
         machines,
         now,
         decisions,
         makespan,
+        base,
         jobs,
         flags,
         windows,
         placements,
         queue,
+        retired_placement,
+        retired,
     })
 }
 
@@ -640,20 +719,25 @@ impl Recovered {
         policy: ReferencePolicy,
         substrate: C,
     ) -> ScheduleService<C> {
-        self.restore_service_with_mode(policy, substrate, DrainMode::Restart)
+        self.restore_service_with_mode(policy, substrate, DrainMode::Restart, false)
     }
 
     /// Like [`Recovered::restore_service`], but configures the drain mode
     /// *before* replaying the op tail, so a session recorded under
     /// [`DrainMode::Checkpoint`] re-preempts during replay exactly as it
-    /// did live. The mode is construction-time configuration, not
-    /// journaled state: the operator re-supplies it at recovery (the CLI's
-    /// `--drain-mode` flag), just like the substrate itself.
+    /// did live, and — with `retire` — retires completed jobs after the
+    /// same ops a retiring front did ([`ScheduleService::retire_after`]),
+    /// into a sink that discards them: the live session already handed
+    /// those records out. Both are construction-time configuration, not
+    /// journaled state: the operator re-supplies them at recovery (the
+    /// CLI's `--drain-mode` and `--retire` flags), just like the substrate
+    /// itself.
     pub fn restore_service_with_mode<C: CapacityQuery + Speculate>(
         &self,
         policy: ReferencePolicy,
         substrate: C,
         mode: DrainMode,
+        retire: bool,
     ) -> ScheduleService<C> {
         let mut svc = match &self.snapshot {
             Some(state) => ScheduleService::restore(policy, state, substrate),
@@ -664,6 +748,9 @@ impl Recovered {
             // Outcomes are not compared: an op the live service refused is
             // refused again.
             let _ = svc.apply(&entry.op);
+            if retire {
+                svc.retire_after(&entry.op, &mut DiscardSink::default());
+            }
         }
         svc
     }
@@ -803,7 +890,6 @@ impl OpJournal {
     /// dropped: the snapshot covers them (they were already applied).
     pub fn compact(&mut self, state: &ServiceState) -> io::Result<()> {
         self.payload.clear();
-        self.payload.push(KIND_SNAPSHOT);
         encode_state(&mut self.payload, state);
         let tmp_path = self.path.with_extension("tmp");
         let mut tmp = File::create(&tmp_path)?;
@@ -946,12 +1032,14 @@ fn scan(bytes: &[u8], machines: u32, policy: ReferencePolicy) -> io::Result<(Rec
                         .zip(decode_op(&mut cur))
                         .filter(|_| cur.done())
                         .map(|(session, op)| ops.push(AppliedOp { session, op })),
-                    Some(&KIND_SNAPSHOT) => {
-                        decode_state(&mut cur).filter(|_| cur.done()).map(|state| {
-                            snapshot = Some(state);
-                            snapshot_records += 1;
-                            ops.clear();
-                        })
+                    Some(&kind @ (KIND_SNAPSHOT | KIND_RETIRED_SNAPSHOT)) => {
+                        decode_state(kind, &mut cur)
+                            .filter(|_| cur.done())
+                            .map(|state| {
+                                snapshot = Some(state);
+                                snapshot_records += 1;
+                                ops.clear();
+                            })
                     }
                     _ => None,
                 };
@@ -991,11 +1079,11 @@ fn scan(bytes: &[u8], machines: u32, policy: ReferencePolicy) -> io::Result<(Rec
 
 // -- sequential journaled service --------------------------------------------
 
-/// A [`ScheduleService`] paired with an [`OpJournal`]: the durable
-/// [`Session`] of the single-session transports (`resa serve` over stdio or
-/// `--script`). Every write runs [`OpJournal::apply`] and is sealed at once
-/// — each request is its own batch, so `Batch` behaves like `Every` here.
-/// The concurrent transports run the same two calls per dequeue batch; see
+/// A [`ScheduleService`] paired with an [`OpJournal`], without a concurrent
+/// front: every write runs [`OpJournal::apply`] and is sealed at once —
+/// each request is its own batch, so `Batch` behaves like `Every` here.
+/// Kept for `benchmark/layers`, which times the journal without the front;
+/// every `resa serve` transport runs the same two calls per batch through
 /// [`crate::concurrent::ConcurrentService::with_journal`].
 #[derive(Debug)]
 pub struct JournaledService<C: CapacityQuery + Speculate> {
@@ -1085,21 +1173,6 @@ impl<C: CapacityQuery + Speculate> JournaledService<C> {
     /// Shim kept for `benchmark/layers`: reads are not journaled.
     pub fn stats(&self) -> ServiceStats {
         self.svc.stats()
-    }
-}
-
-impl<C: CapacityQuery + Speculate> Session for JournaledService<C> {
-    fn apply(&mut self, op: &Op) -> WriteReply {
-        let result = JournaledService::apply(self, op);
-        WriteReply {
-            result,
-            now: self.svc.now(),
-            generation: 0,
-        }
-    }
-
-    fn policy(&self) -> ReferencePolicy {
-        self.svc.policy()
     }
 }
 
@@ -1309,6 +1382,7 @@ mod tests {
             ReferencePolicy::Fcfs,
             AvailabilityTimeline::constant(8),
             DrainMode::Checkpoint,
+            false,
         );
         assert_eq!(replayed.state(), fin.state());
         assert_eq!(

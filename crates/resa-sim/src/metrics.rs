@@ -85,16 +85,33 @@ impl SimMetrics {
 /// associative, so the matching order is what makes streamed and
 /// materialized reports byte-identical). Proven by the loop-vs-oracle
 /// proptest in `lib.rs`.
+///
+/// Equality is bit-exact (the `f64` sum compares by its IEEE bits), which
+/// makes it the `Eq` a persisted [`crate::service::ServiceState`] needs.
+/// The fields are visible to the journal codec, which stores them as
+/// little-endian integers.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsAccumulator {
-    jobs: usize,
-    total_wait: u128,
-    max_wait: u64,
-    total_flow: u128,
-    total_bsld: f64,
-    work: u128,
-    makespan: Time,
+    pub(crate) jobs: usize,
+    pub(crate) total_wait: u128,
+    pub(crate) max_wait: u64,
+    pub(crate) total_flow: u128,
+    pub(crate) total_bsld: f64,
+    pub(crate) work: u128,
+    pub(crate) makespan: Time,
 }
+
+impl PartialEq for MetricsAccumulator {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |a: &Self| {
+            let (sums, bsld) = ((a.total_wait, a.total_flow, a.work), a.total_bsld.to_bits());
+            (a.jobs, a.max_wait, a.makespan, sums, bsld)
+        };
+        bits(self) == bits(other)
+    }
+}
+
+impl Eq for MetricsAccumulator {}
 
 impl MetricsAccumulator {
     /// A fresh accumulator (all totals zero).

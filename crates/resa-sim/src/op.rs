@@ -245,6 +245,16 @@ impl Op {
         !matches!(self, Op::Query { .. } | Op::Stats | Op::Records { .. })
     }
 
+    /// Whether the op moves the clock — the only ops after which jobs can
+    /// have completed, so the only ones catalog retirement follows
+    /// ([`ScheduleService::retire_after`]), live and at journal replay.
+    pub fn moves_clock(&self) -> bool {
+        matches!(
+            self,
+            Op::Advance { .. } | Op::AdvanceClamped { .. } | Op::Drain
+        )
+    }
+
     /// Admission, run once before the op is journaled or applied: the shape
     /// must be valid on a cluster of `machines` processors, and accepting
     /// the op must keep `horizon` — extended by the instant the op names
@@ -421,24 +431,16 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
                 not_before,
             } => self.query(width, duration, not_before).map(Reply::Query),
             Op::Stats => Ok(Reply::Stats(self.stats())),
-            Op::Records { since } => {
-                let (records, metrics) = self.snapshot();
-                let all = SessionRecords {
-                    now: self.now(),
-                    machines: self.machines(),
-                    records,
-                    metrics,
-                };
-                Ok(Reply::Records(all.page(since)))
-            }
+            Op::Records { since } => Ok(Reply::Records(
+                self.snapshot_parts().into_records().page(since),
+            )),
         }
     }
 }
 
-/// Anything ops can be applied to: the sequential [`ScheduleService`], its
-/// journaled ([`crate::journal::JournaledService`]) and retiring wrappers,
-/// and one session of a concurrent front
-/// ([`crate::concurrent::ServiceClient`]).
+/// Anything ops can be applied to: one session of a concurrent front
+/// ([`crate::concurrent::ServiceClient`]) — what every `resa serve`
+/// transport drives — and the sequential [`ScheduleService`] itself.
 pub trait Session {
     /// Apply one op and report its outcome with the clock after it.
     fn apply(&mut self, op: &Op) -> WriteReply;

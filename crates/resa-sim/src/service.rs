@@ -53,9 +53,11 @@
 //! completions — unobservable, see `tests/retirement.rs`), and an overlay
 //! change touches the two edges of its own window, not the other windows.
 //! The job catalog, the schedule and the reservation/drain lists
-//! do keep the whole session — ids stay dense and `snapshot`/`state` report
-//! all of it — but only those two reads and an `inject` that actually
-//! preempts (it re-derives the makespan) walk them.
+//! keep the whole session unless completed jobs are retired
+//! ([`ScheduleService::retire_completed`], what `resa serve --retire` runs
+//! after every op that moves the clock) — ids stay dense either way — and
+//! only `snapshot`, `state` and an `inject` that actually preempts (it
+//! re-derives the makespan) walk them.
 
 mod admission;
 mod derived;
@@ -68,25 +70,68 @@ pub use types::{
 };
 
 use crate::metrics::{MetricsAccumulator, SimMetrics};
-use crate::op::{check_shape, Horizon};
+use crate::op::{check_shape, Horizon, Op, SessionRecords};
 use crate::policy::ReferencePolicy;
 use crate::stream::{DecisionStep, RecordSink};
-use crate::trace::{JobRecord, RunTrace};
+use crate::trace::JobRecord;
 use derived::Derived;
 use resa_core::capacity::Speculate;
 use resa_core::prelude::*;
 
-/// Per-job lifecycle records plus run metrics of `schedule` on `instance` —
-/// what [`ScheduleService::snapshot`] reports for a session nothing was
-/// retired from, and what the concurrent front computes on the reader's
-/// thread from a copy of the two.
-pub(crate) fn records_of(
-    instance: &ResaInstance,
-    schedule: &Schedule,
-) -> (Vec<JobRecord>, SimMetrics) {
-    let trace = RunTrace::from_schedule(instance, schedule);
-    let metrics = SimMetrics::from_schedule(instance, schedule);
-    (trace.records().to_vec(), metrics)
+/// The lifecycle record of `job`'s run from `started`.
+fn run_record(job: &Job, started: Time) -> JobRecord {
+    JobRecord {
+        job: job.id,
+        width: job.width,
+        duration: job.duration,
+        arrived: job.release,
+        started,
+        completed: started.saturating_add(job.duration),
+    }
+}
+
+/// What [`ScheduleService::snapshot`] computes its records and metrics
+/// from, copied out between two ops: the concurrent front takes this copy
+/// under its write lock and computes the rest on the reader's thread.
+#[derive(Debug, Clone)]
+pub(crate) struct SnapshotParts {
+    now: Time,
+    machines: u32,
+    /// Every placement not retired, in decision order, with its job.
+    runs: Vec<(Job, Time)>,
+    /// The effective overlay the metrics' utilization is measured against.
+    overlay: Vec<Reservation>,
+    /// Metrics of the placements already retired.
+    retired: MetricsAccumulator,
+}
+
+impl SnapshotParts {
+    /// The records of the live placements in `(started, id)` order, and the
+    /// whole run's metrics: the retired accumulator continued over the
+    /// live placements in decision order. The retired placements were a
+    /// decision-order prefix, so this equals
+    /// [`SimMetrics::from_schedule`] on the never-retired session bit for
+    /// bit (pinned by `retirement_preserves_snapshot_and_stats`).
+    pub(crate) fn into_records(self) -> SessionRecords {
+        let mut acc = self.retired;
+        let mut records: Vec<JobRecord> = self
+            .runs
+            .iter()
+            .map(|(job, started)| {
+                acc.record(job, *started);
+                run_record(job, *started)
+            })
+            .collect();
+        records.sort_unstable_by_key(|r| (r.started, r.job));
+        let profile = ResourceProfile::from_reservations(self.machines, &self.overlay)
+            .expect("the live substrate accepted every window");
+        SessionRecords {
+            now: self.now,
+            machines: self.machines,
+            records,
+            metrics: acc.finish(&profile),
+        }
+    }
 }
 
 /// What a session *is*: the contents of a [`ServiceState`] in their live
@@ -140,15 +185,7 @@ impl Authoritative {
 
     /// The lifecycle record of the run `p` records.
     fn record_of(&self, p: &Placement) -> JobRecord {
-        let job = self.jobs[self.pos_of(p.job)];
-        JobRecord {
-            job: p.job,
-            width: job.width,
-            duration: job.duration,
-            arrived: job.release,
-            started: p.start,
-            completed: self.completion(p),
-        }
+        run_record(&self.jobs[self.pos_of(p.job)], p.start)
     }
 
     /// Largest completion time among started jobs. Retired placements left
@@ -337,22 +374,19 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// compaction points only.
     pub fn state(&self) -> ServiceState {
         let auth = &self.auth;
-        assert!(
-            auth.retired_metrics.jobs() == 0,
-            "a retiring session cannot be checkpointed: retired records left \
-             the process, so the captured state would be partial (the serve \
-             front rejects --retire alongside --journal)"
-        );
         ServiceState {
             machines: self.machines,
             now: auth.now,
             decisions: self.step.decisions,
             makespan: self.stats().makespan,
+            base: auth.base,
             jobs: auth.jobs.clone(),
             flags: auth.flags.clone(),
             windows: auth.windows.clone(),
             placements: auth.schedule.placements().to_vec(),
             queue: auth.waiting.iter().collect(),
+            retired_placement: auth.retired_placement.clone(),
+            retired: auth.retired_metrics.clone(),
         }
     }
 
@@ -385,7 +419,9 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
         auth.flags = state.flags.clone();
         auth.windows = state.windows.clone();
         auth.schedule = Schedule::from_placements(state.placements.clone());
-        auth.retired_placement = vec![false; state.jobs.len()];
+        auth.base = state.base;
+        auth.retired_placement = state.retired_placement.clone();
+        auth.retired_metrics = state.retired.clone();
         auth.waiting.ensure_capacity(state.jobs.len());
         for &pos in &state.queue {
             auth.waiting.push_back(pos);
@@ -600,27 +636,26 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// The current schedule as per-job lifecycle records plus run metrics —
     /// the same shapes `resa replay` reports. Jobs still running carry their
     /// scheduled completion time.
+    /// A retiring session reports the placements not yet retired and
+    /// whole-run metrics.
     pub fn snapshot(&self) -> (Vec<JobRecord>, SimMetrics) {
+        let all = self.snapshot_parts().into_records();
+        (all.records, all.metrics)
+    }
+
+    /// Copy out what [`ScheduleService::snapshot`] is computed from.
+    pub(crate) fn snapshot_parts(&self) -> SnapshotParts {
         let auth = &self.auth;
-        if auth.retired_metrics.jobs() == 0 {
-            return records_of(&self.to_instance(), &auth.schedule);
+        let runs = auth.schedule.placements().iter();
+        SnapshotParts {
+            now: auth.now,
+            machines: self.machines,
+            runs: runs
+                .map(|p| (auth.jobs[auth.pos_of(p.job)], p.start))
+                .collect(),
+            overlay: auth.effective_overlay(),
+            retired: auth.retired_metrics.clone(),
         }
-        // Retired placements already left the schedule (and the process, via
-        // the record sink): report the live ones in the same `(started, id)`
-        // order and merge the retired accumulator, so the metrics equal what
-        // a never-retired twin reports bit for bit — the retired prefix was
-        // a decision-order prefix, and the live placements continue that
-        // order (pinned by `retirement_preserves_snapshot_and_stats`).
-        let placements = auth.schedule.placements();
-        let mut records: Vec<JobRecord> = placements.iter().map(|p| auth.record_of(p)).collect();
-        records.sort_unstable_by_key(|r| (r.started, r.job));
-        let mut acc = auth.retired_metrics.clone();
-        for p in placements {
-            acc.record(&auth.jobs[auth.pos_of(p.job)], p.start);
-        }
-        let profile = ResourceProfile::from_reservations(self.machines, &auth.effective_overlay())
-            .expect("the live substrate accepted every window");
-        (records, acc.finish(&profile))
     }
 
     /// Retire every *leading* completed placement into `sink`, then compact
@@ -638,10 +673,10 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// Catalog compaction has the same prefix shape: positions are freed
     /// once every earlier position is also retired. A drain-preempted job
     /// re-queues under its original id (both [`DrainMode`]s), so its entry
-    /// blocks compaction only until it re-runs and completes. Retiring
-    /// sessions cannot be checkpointed ([`ScheduleService::state`] panics)
-    /// or oracle-compared.
-    pub fn retire_completed<K: RecordSink>(&mut self, sink: &mut K) -> usize {
+    /// blocks compaction only until it re-runs and completes. A retiring
+    /// session checkpoints like any other ([`ServiceState`] carries what
+    /// retirement folded away) but cannot be oracle-compared.
+    pub fn retire_completed<K: RecordSink + ?Sized>(&mut self, sink: &mut K) -> usize {
         let auth = &mut self.auth;
         // 1. The longest leading run of completed placements (between
         //    requests a run that ended by `now` has been drained).
@@ -677,6 +712,18 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
             self.derived.compacted(k, gone);
         }
         n
+    }
+
+    /// [`ScheduleService::retire_completed`] after `op` if it moved the
+    /// clock ([`Op::moves_clock`]), else nothing. A retiring front calls
+    /// this after every op it applies, and journal recovery after every op
+    /// it replays, so both retire at the same points of the serial order.
+    pub fn retire_after<K: RecordSink + ?Sized>(&mut self, op: &Op, sink: &mut K) -> usize {
+        if op.moves_clock() {
+            self.retire_completed(sink)
+        } else {
+            0
+        }
     }
 
     /// Freeze the availability substrate into an immutable,
@@ -1399,6 +1446,15 @@ mod proptests {
         if !schedule.is_valid(&instance) {
             return Err("service schedule is infeasible".to_string());
         }
+        // `snapshot` folds its metrics incrementally: they must be what the
+        // batch shapes compute from the whole session.
+        let (live, placed) = (tl.to_instance(), tl.schedule());
+        let records = crate::trace::RunTrace::from_schedule(&live, placed)
+            .records()
+            .to_vec();
+        if tl.snapshot() != (records, SimMetrics::from_schedule(&live, placed)) {
+            return Err("snapshot diverged from the batch records and metrics".to_string());
+        }
         Ok(())
     }
 
@@ -1740,14 +1796,38 @@ mod retirement_tests {
         svc.assert_derived_matches_rebuild();
     }
 
+    /// A retiring session checkpoints like any other: restored from its
+    /// state — a retired placement behind a live position included, then a
+    /// compacted catalog — it answers and retires in lockstep with the
+    /// live session.
     #[test]
-    #[should_panic(expected = "retiring session cannot be checkpointed")]
-    fn state_refuses_a_retiring_session() {
+    fn state_of_a_retiring_session_restores() {
         let mut svc = service(2);
         let mut sink = VecSink::default();
+        svc.submit(2, Dur(4), Some(Time(3))).unwrap();
         svc.submit(1, Dur(1), None).unwrap();
-        svc.drain();
+        svc.advance(Time(2)).unwrap();
         assert_eq!(retire(&mut svc, &mut sink), 1);
-        let _ = svc.state();
+        assert_eq!(svc.auth.base, 0, "position 0 has not run yet");
+        for step in 0..2 {
+            let state = svc.state();
+            let mut restored =
+                ScheduleService::restore(svc.policy(), &state, AvailabilityTimeline::constant(2));
+            assert_eq!(restored.state(), state, "step {step}");
+            assert_eq!(restored.snapshot(), svc.snapshot(), "step {step}");
+            let now = svc.now();
+            for to in [now + Dur(3), now + Dur(7)] {
+                assert_eq!(restored.advance(to).cloned(), svc.advance(to).cloned());
+                let mut twin_sink = VecSink::default();
+                assert_eq!(
+                    restored.retire_completed(&mut twin_sink),
+                    retire(&mut svc, &mut sink)
+                );
+                assert_eq!(restored.state(), svc.state(), "step {step}, {to}");
+                assert_eq!(restored.stats(), svc.stats());
+            }
+            svc.submit(1, Dur(2), None).unwrap();
+        }
+        assert!(svc.auth.base > 0, "the catalog was compacted");
     }
 }

@@ -3,6 +3,7 @@
 
 #[cfg(doc)]
 use super::ScheduleService;
+use crate::metrics::MetricsAccumulator;
 use resa_core::prelude::*;
 
 /// Errors a service request can be rejected with. The service state is
@@ -325,6 +326,13 @@ pub struct ServiceStats {
 /// drain preemptions re-queue victims at the instant they were killed — and
 /// is persisted verbatim in `queue`. `makespan` is the one derived value the
 /// record carries (the format predates the split); restore re-derives it.
+///
+/// A session that retires completed jobs
+/// ([`ScheduleService::retire_completed`]) has compacted a prefix of its
+/// catalog away: `base` says how many ids went, `retired_placement` which
+/// live positions already left the schedule, and `retired` carries their
+/// folded metrics, so a restored session reports whole-run metrics bit for
+/// bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceState {
     /// Cluster size (the substrate handed to restore must match).
@@ -335,16 +343,24 @@ pub struct ServiceState {
     pub decisions: u64,
     /// Largest completion time among started jobs.
     pub makespan: Time,
-    /// Every job ever submitted, in id order (ids are dense). A job
-    /// checkpoint-requeued by a drain carries its *remaining* duration.
+    /// Ids below this were retired and compacted out of `jobs`; `0` for a
+    /// session that never retired anything.
+    pub base: usize,
+    /// Every job not compacted away, in id order (ids are dense, position
+    /// `pos` holds id `base + pos`). A job checkpoint-requeued by a drain
+    /// carries its *remaining* duration.
     pub jobs: Vec<Job>,
     /// Per-job scenario flags, parallel to `jobs`.
     pub flags: Vec<JobFlags>,
     /// Every window ever accepted, one table per [`WindowKind`] (in
     /// [`WindowKind::ALL`] order), each in id order, withdrawal-truncated.
     pub windows: [Vec<ServiceWindow>; 2],
-    /// Every placement decided so far, in decision order.
+    /// Every placement decided and not retired, in decision order.
     pub placements: Vec<Placement>,
     /// The waiting queue (job positions) in queue order, front first.
     pub queue: Vec<usize>,
+    /// Parallel to `jobs`: whether the position's placement was retired.
+    pub retired_placement: Vec<bool>,
+    /// Metrics of the retired placements, folded in decision order.
+    pub retired: MetricsAccumulator,
 }

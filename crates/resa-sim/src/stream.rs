@@ -81,6 +81,12 @@ pub trait RecordSink {
     fn on_start(&mut self, job: &Job, start: Time) {
         let _ = (job, start);
     }
+
+    /// Make the records received so far durable where the sink keeps them.
+    /// The concurrent front calls this once per batch that retired
+    /// anything, after the batch's journal seal and before its replies.
+    /// Default: nothing to do.
+    fn flush(&mut self) {}
 }
 
 /// Sink that drops records, keeping only the count — the bounded-memory

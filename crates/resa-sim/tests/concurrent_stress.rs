@@ -13,7 +13,9 @@
 //! Both properties are exercised on both substrates (the indexed
 //! [`AvailabilityTimeline`] and the reference [`ResourceProfile`]), first
 //! with a fixed heavy mix, then property-tested over random scripts and
-//! policies. The mix is the shared one of `tests/common`: all thirteen op
+//! policies, and over fronts that retire completed jobs
+//! ([`ConcurrentService::retiring`]): retirement must leave the stats
+//! identical and the snapshot metrics bit-identical to the replay's. The mix is the shared one of `tests/common`: all thirteen op
 //! kinds, including failure/maintenance `Inject` and `Revoke` (with mid-run
 //! preemptions), deadline-gated submission under both admission policies,
 //! and moldable submission.
@@ -25,15 +27,24 @@ use proptest::prelude::*;
 use resa_core::prelude::*;
 use resa_sim::prelude::*;
 
-/// Run each script in its own thread against one recording service, then
-/// check both stress properties. Returns nothing: failure is a panic (which
-/// proptest reports as a counterexample).
-fn run_stress<C>(m: u32, substrate: C, policy: ReferencePolicy, scripts: &[Vec<OpSpec>])
-where
+/// Run each script in its own thread against one recording service —
+/// retiring when `retire` — then check both stress properties. Returns
+/// nothing: failure is a panic (which proptest reports as a
+/// counterexample).
+fn run_stress<C>(
+    m: u32,
+    substrate: C,
+    policy: ReferencePolicy,
+    scripts: &[Vec<OpSpec>],
+    retire: bool,
+) where
     C: Snapshotable + Clone + Send + 'static,
 {
     let replay_substrate = substrate.clone();
-    let svc = ConcurrentService::with_recording(ScheduleService::new(policy, substrate));
+    let mut svc = ConcurrentService::with_recording(ScheduleService::new(policy, substrate));
+    if retire {
+        svc = svc.retiring(Box::new(DiscardSink::default()));
+    }
     let mut handles = Vec::new();
     for script in scripts.iter().cloned() {
         let client = svc.client();
@@ -108,18 +119,30 @@ where
     assert_eq!(fin.stats().submitted, ids.len());
 
     // Property 1: replaying the serial log on a fresh sequential service
-    // reproduces the final state exactly.
+    // reproduces the final state exactly — a retiring front's up to the
+    // records it retired: same stats, bit-identical snapshot metrics, and
+    // every record it still holds is one of the replay's.
     let mut replay = ScheduleService::new(policy, replay_substrate);
     for entry in &log {
         let _ = replay.apply(&entry.op);
     }
-    assert_eq!(replay.schedule(), fin.schedule());
     assert_eq!(replay.stats(), fin.stats());
     assert_eq!(
         replay.windows(WindowKind::Reservation),
         fin.windows(WindowKind::Reservation)
     );
-    assert_eq!(replay.snapshot(), fin.snapshot());
+    let ((records, metrics), (all_records, all_metrics)) = (fin.snapshot(), replay.snapshot());
+    assert_eq!(
+        format!("{metrics:?}"),
+        format!("{all_metrics:?}"),
+        "metric bits"
+    );
+    if retire {
+        assert!(records.iter().all(|r| all_records.contains(r)));
+    } else {
+        assert_eq!(replay.schedule(), fin.schedule());
+        assert_eq!(records, all_records);
+    }
 }
 
 /// A fixed heavy mix: deterministic scripts with enough collisions (shared
@@ -146,6 +169,7 @@ fn eight_threads_are_serially_equivalent_on_the_timeline() {
         AvailabilityTimeline::constant(6),
         ReferencePolicy::Easy,
         &heavy_scripts(8, 60),
+        false,
     );
 }
 
@@ -156,6 +180,7 @@ fn eight_threads_are_serially_equivalent_on_the_profile() {
         ResourceProfile::constant(6),
         ReferencePolicy::Greedy,
         &heavy_scripts(8, 60),
+        false,
     );
 }
 
@@ -175,14 +200,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any interleaving of random concurrent scripts is equivalent to the
-    /// serial order the writer dequeued, on the indexed timeline.
+    /// serial order the writer dequeued, on the indexed timeline, whether
+    /// or not the front retires.
     #[test]
     fn random_interleavings_are_serial_on_the_timeline(
         m in 2u32..=8,
         p in 0u8..3,
         scripts in arb_scripts(),
+        retire in 0u8..2,
     ) {
-        run_stress(m, AvailabilityTimeline::constant(m), policy_from(p), &scripts);
+        run_stress(m, AvailabilityTimeline::constant(m), policy_from(p), &scripts, retire == 1);
     }
 
     /// The same property on the reference profile substrate.
@@ -191,8 +218,9 @@ proptest! {
         m in 2u32..=8,
         p in 0u8..3,
         scripts in arb_scripts(),
+        retire in 0u8..2,
     ) {
-        run_stress(m, ResourceProfile::constant(m), policy_from(p), &scripts);
+        run_stress(m, ResourceProfile::constant(m), policy_from(p), &scripts, retire == 1);
     }
 }
 

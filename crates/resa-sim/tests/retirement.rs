@@ -13,6 +13,10 @@
 //!    count is bounded by the live state (running jobs, windows reaching
 //!    past `now`) plus the retirement slack — counted, not timed — while
 //!    the non-retiring twin's grows with the session.
+//!
+//! The catalog's own retirement (`ScheduleService::retire_completed`,
+//! run by a retiring `ConcurrentService`) closes the loop: with it the job
+//! catalog and the journal of a long session stay bounded as well.
 
 mod common;
 
@@ -42,9 +46,6 @@ impl<C: CapacityQuery> CapacityQuery for NoRetire<C> {
     }
     fn next_change_after(&self, t: Time) -> Option<Time> {
         self.0.next_change_after(t)
-    }
-    fn spare_capacity_until(&self, now: Time, horizon: Time) -> u32 {
-        self.0.spare_capacity_until(now, horizon)
     }
     fn capacity_profile_in(&self, start: Time, end: Time, out: &mut Vec<(Time, u32)>) {
         self.0.capacity_profile_in(start, end, out)
@@ -286,4 +287,70 @@ fn substrate_size_follows_live_state_not_session_length() {
         "the non-retiring twin kept only {} breakpoints",
         breakpoints(&twin)
     );
+}
+
+/// Catalog retirement keeps the rest of a long session the size of its
+/// live state too: a journaled, retiring session through the library front
+/// (restarted from its journal at op 10 000), where every op is a write so
+/// both checkpoints fall right after a compaction. At op 100 000 neither
+/// the resident catalog nor the journal is larger than at op 10 000, up to
+/// a constant.
+#[test]
+fn a_retiring_journaled_front_keeps_catalog_and_journal_bounded() {
+    const SNAPSHOT_EVERY: u64 = 1_000;
+    // Two unit-to-four-wide jobs of one to three ticks per tick: about ten
+    // of the sixteen processors' work arrives per tick.
+    let op = |i: u64| match i % 3 {
+        2 => Op::AdvanceClamped {
+            to: Time(i / 3 + 1),
+        },
+        _ => Op::Submit {
+            width: 1 + (i % 4) as u32,
+            duration: Dur(1 + i % 3),
+            release: None,
+        },
+    };
+    let path = std::env::temp_dir().join(format!("resa-retire-{}.jrn", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cfg = JournalCfg {
+        fsync: FsyncPolicy::Off,
+        snapshot_every: SNAPSHOT_EVERY,
+    };
+    let mut i = 0;
+    let mut sizes = Vec::new();
+    for checkpoint in [10_000, 100_000] {
+        let (journal, rec) = OpJournal::open(&path, MACHINES, ReferencePolicy::Easy, cfg).unwrap();
+        let svc = rec.restore_service_with_mode(
+            ReferencePolicy::Easy,
+            AvailabilityTimeline::constant(MACHINES),
+            DrainMode::Restart,
+            true,
+        );
+        let front = ConcurrentService::with_journal(svc, journal)
+            .retiring(Box::new(DiscardSink::default()));
+        let client = front.client();
+        while i < checkpoint {
+            client
+                .apply(&op(i))
+                .result
+                .expect("every op of the mix is valid");
+            i += 1;
+        }
+        let (svc, _) = front.shutdown();
+        assert_eq!(svc.stats().submitted as u64, 2 * checkpoint / 3 + 1);
+        let journal_bytes = std::fs::metadata(&path).unwrap().len();
+        sizes.push((svc.job_flags().len(), journal_bytes));
+    }
+    let [(early_jobs, early_bytes), (late_jobs, late_bytes)] = sizes[..] else {
+        unreachable!("two checkpoints")
+    };
+    assert!(
+        late_jobs <= early_jobs + 64,
+        "the catalog grew with the session: {early_jobs} jobs at op 10 000, {late_jobs} at op 100 000"
+    );
+    assert!(
+        late_bytes <= early_bytes + 4_096,
+        "the journal grew with the session: {early_bytes} bytes at op 10 000, {late_bytes} at op 100 000"
+    );
+    std::fs::remove_file(&path).unwrap();
 }
