@@ -31,7 +31,6 @@ pub mod ratio;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
-pub mod shard;
 pub mod statistics;
 pub mod verification;
 
@@ -51,7 +50,6 @@ pub mod prelude {
     pub use crate::scenarios::{
         deadlines_met, drain_invariant, StreamValidator, StreamVerdicts, Window,
     };
-    pub use crate::shard::{atomic_write, contiguous_ranges, fnv1a64};
     pub use crate::statistics::{geometric_mean, percentile_sorted, Summary};
     pub use crate::verification::{
         classify, report_for_stream, report_from_reference, verify_schedule, GuaranteeReport,

@@ -64,31 +64,30 @@
 //!
 //! # Sharding and resume
 //!
-//! Because the flat cell list is deterministic, a sweep can be split into
-//! contiguous shard ranges (`--shards`/`--shard`/`--shard-dir`), each shard
-//! persisting its per-cell samples (`shard_NNNN.rows.json`, floats encoded
-//! bit-exactly) plus an atomically written completion record
-//! (`shard_NNNN.done.json` carrying an FNV-1a checksum of the rows bytes).
-//! `--resume` re-runs only shards whose completion record does not verify,
-//! and `--merge` re-assembles the samples in cell order and aggregates them
-//! exactly as an unsharded run would — the rendered output is byte-for-byte
-//! identical. A `manifest.json` pins spec text, seed and shard count so a
-//! shard dir can never be silently reused for a different sweep.
-//!
-//! For crash testing, the environment variable named by
-//! [`FAIL_AFTER_CELL_ENV`] aborts the process after that many completed
-//! cells — between cell completion and the shard's rows hitting disk — so
-//! a killed sweep leaves no completion record for the shard in flight.
+//! The flat cell list is deterministic, so a sweep splits into contiguous
+//! shard ranges (`--shards`/`--shard`/`--shard-dir`). Each shard keeps one
+//! append-only record log, `shard_NNNN.log`, framed like the service
+//! journal ([`resa_core::io`]): a header naming sweep, shard and range, then
+//! one record per finished cell, floats as IEEE-754 bits. The log alone
+//! says what is done: a rerun truncates a torn tail and runs only the cells
+//! the log lacks, and `--merge` places records by cell index, so every mode
+//! renders byte-identical output to the unsharded run. [`FAIL_AFTER_CELL_ENV`]
+//! aborts the process after that many appended cells, for crash tests.
 
 use crate::fields::{anchor_line, check_fields};
 use crate::opts::{CommonOpts, OutputFormat};
 use crate::replay::{parse_alpha, PolicyArg, ReservationArg};
 use crate::{CliError, Outcome};
 use resa_analysis::prelude::*;
+use resa_core::io::{atomic_write, frame_record, open_log, put_u64, Cursor, Frames, FRAME_HEADER};
 use resa_core::prelude::*;
-use resa_sim::prelude::{AdmissionPolicy, DeadlineOutcome, ScheduleService, WindowKind};
+use resa_sim::prelude::{
+    AdmissionPolicy, DeadlineOutcome, ScheduleService, SimMetrics, WindowKind,
+};
 use resa_workloads::prelude::*;
+use resa_workloads::store::sha256;
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Help text for `resa sweep --help`.
@@ -135,17 +134,16 @@ the certified lower bound.
 
 Sharding (resumable and distributable sweeps):
     --shards N        split the cell list into N contiguous ranges
-    --shard-dir DIR   where the manifest and per-shard files live
-    --shard I         run only shard I (0-based) and write its files
-    --resume          skip shards whose completion records verify
+    --shard-dir DIR   where the manifest and the per-shard logs live
+    --shard I         run only shard I (0-based)
     --merge           only merge previously completed shards and render
 
-With --shards but no --shard, every shard runs (in order) and the merged
-result is rendered — byte-identical to the unsharded run. A shard worker
-writes shard_NNNN.rows.json plus an atomic shard_NNNN.done.json completion
-record; --resume trusts a record only when its checksum matches the rows
-file. manifest.json pins the spec + seed + shard count, so mixing shard
-dirs across different sweeps is an error, not silent garbage.
+With --shards but no --shard, every shard runs and the merged result is
+rendered, byte-identical to the unsharded run. Each shard appends one record
+per finished cell to shard_NNNN.log; a rerun runs only the cells the log
+lacks, so a killed sweep resumes by running the same command again. The
+manifest pins spec, seed and shard count. Shard dirs are scratch: one
+written by an older resa is refused.
 
 plus the common options: --seed --threads --format --quick --out
 ";
@@ -236,9 +234,6 @@ fn require<T>(field: Option<T>, name: &str) -> Result<T, DeError> {
 
 impl Deserialize for SweepSpec {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        if value.as_object().is_none() {
-            return Err(DeError::custom("sweep spec must be a JSON object"));
-        }
         // Unknown/misspelled keys are errors, not silently dropped sections:
         // a spec with `reservation` instead of `reservations` used to run a
         // reservation-free sweep without a word.
@@ -298,9 +293,6 @@ impl Deserialize for SweepSpec {
 
 impl Deserialize for FailureSpec {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        if value.as_object().is_none() {
-            return Err(DeError::custom("'failures' must be a JSON object"));
-        }
         check_fields(
             value,
             "the 'failures' section",
@@ -325,9 +317,6 @@ impl SweepSpec {
 
 impl Deserialize for ReservationSpec {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        if value.as_object().is_none() {
-            return Err(DeError::custom("'reservations' must be a JSON object"));
-        }
         check_fields(
             value,
             "the 'reservations' section",
@@ -460,41 +449,29 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
     let opts = CommonOpts::parse(rest, &mut |flag, value| {
         let take =
             |name: &str| value.ok_or_else(|| CliError::Usage(format!("{name} expects a value")));
+        let int = |name: &str| {
+            take(name)?
+                .parse::<usize>()
+                .map_err(|_| CliError::Usage(format!("{name} expects an integer")))
+        };
         match flag {
-            "--shards" => {
-                let n: usize = take("--shards")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--shards expects an integer".into()))?;
-                if n == 0 {
-                    return Err(CliError::Usage("--shards must be at least 1".into()));
-                }
-                sharding.shards = Some(n);
-                Ok(1)
-            }
-            "--shard" => {
-                sharding.shard = Some(
-                    take("--shard")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("--shard expects an integer".into()))?,
-                );
-                Ok(1)
-            }
-            "--shard-dir" => {
-                sharding.dir = Some(take("--shard-dir")?.to_string());
-                Ok(1)
-            }
-            "--resume" => {
-                sharding.resume = true;
-                Ok(0)
-            }
+            "--shards" => match int(flag)? {
+                0 => return Err(CliError::Usage("--shards must be at least 1".into())),
+                n => sharding.shards = Some(n),
+            },
+            "--shard" => sharding.shard = Some(int(flag)?),
+            "--shard-dir" => sharding.dir = Some(take(flag)?.to_string()),
             "--merge" => {
                 sharding.merge = true;
-                Ok(0)
+                return Ok(0);
             }
-            other => Err(CliError::Usage(format!(
-                "unknown option '{other}' (see `resa sweep --help`)"
-            ))),
+            other => {
+                return Err(CliError::Usage(format!(
+                    "unknown option '{other}' (see `resa sweep --help`)"
+                )))
+            }
         }
+        Ok(1)
     })?;
     sharding.validate()?;
     let text = std::fs::read_to_string(spec_path).map_err(|e| CliError::Io {
@@ -711,29 +688,32 @@ fn check_scenario(spec: &SweepSpec) -> Result<(), CliError> {
 }
 
 /// Environment variable of the sweep crash failpoint: when set to `n`, the
-/// process aborts after `n` cells have completed — before the shard in
-/// flight writes its rows or completion record. Crash-recovery tests use
-/// it to kill a sharded sweep at a deterministic point and assert that
-/// `--resume` reproduces the uninterrupted run.
+/// process aborts after `n` cells have completed — in a sharded run, after
+/// the `n`-th cell record was appended to its shard log. Crash-recovery
+/// tests use it to kill a sharded sweep at a deterministic point and assert
+/// that rerunning it runs only the cells missing from the logs.
 pub const FAIL_AFTER_CELL_ENV: &str = "RESA_FAIL_AFTER_CELL";
 
 /// Cells completed process-wide, for the [`FAIL_AFTER_CELL_ENV`] failpoint.
 static CELLS_DONE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// Run the cells in `[start, end)` of the plan's cell list and return one
-/// sample per cell, in cell order (parallel execution is order-preserving).
+/// Run the plan's cells at the indices `cells` and return one sample per
+/// cell, in that order (parallel execution is order-preserving). Each
+/// sample is handed to `done` with its cell index as soon as it is
+/// computed — a shard appends it to its log there.
 fn run_cells(
     spec: &SweepSpec,
     plan: &SweepPlan,
     opts: &CommonOpts,
-    start: usize,
-    end: usize,
+    cells: &[usize],
+    done: &(dyn Fn(usize, &Sample) + Sync),
 ) -> Vec<Sample> {
     let fail_after: Option<u64> = std::env::var(FAIL_AFTER_CELL_ENV)
         .ok()
         .and_then(|v| v.parse().ok());
     let runner = opts.runner();
-    runner.map(&plan.cells[start..end], |&(m, j, v, p, s)| {
+    runner.map(cells, |&cell| {
+        let (m, j, v, p, s) = plan.cells[cell];
         let seed = opts.seed + s;
         let jobs = match &plan.trace_pool {
             Some(pool) => trace_cell_jobs(pool, m, spec.jobs[j]),
@@ -746,11 +726,8 @@ fn run_cells(
         let sample = if spec.is_scenario() {
             run_scenario_cell(spec, m, &instance, plan.policies[p].1, seed)
         } else {
-            let lb = lower_bound(&instance).unwrap_or(Time::ZERO).ticks().max(1);
             let (schedule, _) = crate::replay::run_policy(plan.policies[p].1, &instance);
-            let metrics = resa_sim::prelude::SimMetrics::from_schedule(&instance, &schedule);
-            let makespan = metrics.makespan.ticks();
-            let violation = !schedule.is_valid(&instance) || makespan < lb;
+            let metrics = SimMetrics::from_schedule(&instance, &schedule);
             let exact_nodes_per_sec = spec.exact_probe.map(|budget| {
                 let harness = RatioHarness {
                     exact_node_budget: budget,
@@ -758,19 +735,14 @@ fn run_cells(
                 };
                 harness.probe_exact(&instance).nodes_per_sec
             });
-            (
-                makespan as f64,
-                makespan as f64 / lb as f64,
-                metrics.mean_wait,
-                metrics.utilization,
-                violation,
-                exact_nodes_per_sec,
-            )
+            let broken = !schedule.is_valid(&instance);
+            to_sample(&metrics, &instance, broken, exact_nodes_per_sec)
         };
+        done(cell, &sample);
         if let Some(limit) = fail_after {
-            let done = CELLS_DONE.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
-            if done == limit.max(1) {
-                eprintln!("resa sweep: injected crash after {done} completed cell(s)");
+            let count = CELLS_DONE.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
+            if count == limit.max(1) {
+                eprintln!("resa sweep: injected crash after {count} completed cell(s)");
                 std::process::abort();
             }
         }
@@ -884,25 +856,32 @@ fn run_scenario_cell(
         )
         .collect();
     let (oracle_instance, oracle_schedule) = svc.oracle_parts();
+    let broken = !oracle_schedule.is_valid(&oracle_instance)
+        || !all_committed_placed
+        || !deadlines_met(&commitments)
+        || !drain_invariant(machines, &job_windows, &blocked);
     // The ratio baseline is the certified lower bound of the *live*
     // instance (every submitted job plus the drain/reservation overlay):
     // the oracle instance excludes committed jobs, so its bound can
     // degenerate to zero when admission commits everything.
-    let lb = lower_bound(&live).unwrap_or(Time::ZERO).ticks().max(1);
-    let (_, metrics) = svc.snapshot();
-    let makespan = metrics.makespan.ticks();
-    let violation = !oracle_schedule.is_valid(&oracle_instance)
-        || !all_committed_placed
-        || !deadlines_met(&commitments)
-        || !drain_invariant(machines, &job_windows, &blocked)
-        || makespan < lb;
+    to_sample(&svc.snapshot().1, &live, broken, None)
+}
+
+/// A cell's sample from its metrics: the ratio is taken against the
+/// certified lower bound of `instance`, and a makespan below that bound is
+/// a violation like `broken`.
+fn to_sample(m: &SimMetrics, instance: &ResaInstance, broken: bool, probe: Option<f64>) -> Sample {
+    let lb = lower_bound(instance).unwrap_or(Time::ZERO).ticks().max(1);
+    let makespan = m.makespan.ticks();
+    let ratio = makespan as f64 / lb as f64;
+    let violation = broken || makespan < lb;
     (
         makespan as f64,
-        makespan as f64 / lb as f64,
-        metrics.mean_wait,
-        metrics.utilization,
+        ratio,
+        m.mean_wait,
+        m.utilization,
         violation,
-        None,
+        probe,
     )
 }
 
@@ -942,15 +921,12 @@ fn aggregate(spec: &SweepSpec, plan: &SweepPlan, samples: &[Sample]) -> (Vec<Swe
 /// broken).
 pub fn execute(spec: &SweepSpec, opts: &CommonOpts) -> Result<(Vec<SweepRow>, usize), CliError> {
     let plan = plan(spec)?;
-    let n_cells = plan.cells.len();
-    let samples = run_cells(spec, &plan, opts, 0, n_cells);
+    let cells: Vec<usize> = (0..plan.cells.len()).collect();
+    let samples = run_cells(spec, &plan, opts, &cells, &|_, _| {});
     Ok(aggregate(spec, &plan, &samples))
 }
 
-// ---------------------------------------------------------------------------
-// Sharded execution: manifest, per-shard rows + completion records, resume
-// and merge. See the module docs for the file layout and guarantees.
-// ---------------------------------------------------------------------------
+// -- sharded execution: a manifest plus one record log per shard (module docs)
 
 /// The shard flag set of `resa sweep`.
 #[derive(Debug, Clone, Default)]
@@ -958,52 +934,33 @@ struct ShardOpts {
     shards: Option<usize>,
     shard: Option<usize>,
     dir: Option<String>,
-    resume: bool,
     merge: bool,
 }
 
 impl ShardOpts {
     fn validate(&self) -> Result<(), CliError> {
-        let active = self.shards.is_some() || self.shard.is_some() || self.resume || self.merge;
-        if !active && self.dir.is_none() {
-            return Ok(());
-        }
-        if self.dir.is_none() {
-            return Err(CliError::Usage(
-                "--shards/--shard/--resume/--merge require --shard-dir".into(),
-            ));
-        }
-        if self.merge {
-            if self.shard.is_some() {
-                return Err(CliError::Usage(
-                    "--merge runs no cells; drop --shard".into(),
-                ));
+        let usage = |message: String| Err(CliError::Usage(message));
+        match (self.dir.is_some(), self.merge, self.shards, self.shard) {
+            (false, false, None, None) => Ok(()),
+            (false, ..) => usage("--shards/--shard/--merge require --shard-dir".into()),
+            (true, true, _, Some(_)) => usage("--merge runs no cells; drop --shard".into()),
+            (true, false, None, _) => usage("--shard-dir requires --shards (or --merge)".into()),
+            (true, false, Some(n), Some(i)) if i >= n => {
+                usage(format!("--shard {i} is out of range for --shards {n}"))
             }
-            return Ok(());
+            _ => Ok(()),
         }
-        let n = self
-            .shards
-            .ok_or_else(|| CliError::Usage("--shard-dir requires --shards (or --merge)".into()))?;
-        if let Some(i) = self.shard {
-            if i >= n {
-                return Err(CliError::Usage(format!(
-                    "--shard {i} is out of range for --shards {n}"
-                )));
-            }
-        }
-        Ok(())
     }
 }
 
-/// The fingerprint pinning a shard dir to one (spec text, base seed) pair:
-/// hex FNV-1a of the raw spec bytes plus the seed. Editing the spec file —
-/// even only whitespace — retires the dir, which errs on the side of
-/// re-running cells over silently merging rows from a different sweep.
-fn spec_fingerprint(text: &str, seed: u64) -> String {
-    format!(
-        "{:016x}",
-        fnv1a64(format!("{text}\u{1f}seed={seed}").as_bytes())
-    )
+/// Split `total` items into `shards` contiguous half-open ranges
+/// `(start, end)`, balanced to within one item, earlier shards taking the
+/// extra. `shards` is clamped to at least 1; empty ranges are produced when
+/// `shards > total` (a shard with nothing to do is still a valid shard).
+fn contiguous_ranges(total: usize, shards: usize) -> Vec<(usize, usize)> {
+    let shards = shards.max(1);
+    let start = |i: usize| i * (total / shards) + i.min(total % shards);
+    (0..shards).map(|i| (start(i), start(i + 1))).collect()
 }
 
 fn shard_io_err(path: &Path, e: impl std::fmt::Display) -> CliError {
@@ -1013,246 +970,152 @@ fn shard_io_err(path: &Path, e: impl std::fmt::Display) -> CliError {
     }
 }
 
-fn rows_path(dir: &Path, i: usize) -> PathBuf {
-    dir.join(format!("shard_{i:04}.rows.json"))
-}
-
-fn done_path(dir: &Path, i: usize) -> PathBuf {
-    dir.join(format!("shard_{i:04}.done.json"))
-}
-
-fn manifest_value(
-    spec: &SweepSpec,
-    fingerprint: &str,
-    seed: u64,
-    total: usize,
-    ranges: &[(usize, usize)],
-) -> Value {
-    Value::Object(vec![
-        ("name".into(), Value::Str(spec.name.clone())),
-        ("fingerprint".into(), Value::Str(fingerprint.into())),
-        ("seed".into(), Value::UInt(seed)),
-        ("total_cells".into(), Value::UInt(total as u64)),
-        (
-            "shards".into(),
-            Value::Array(
-                ranges
-                    .iter()
-                    .map(|&(s, e)| Value::Array(vec![Value::UInt(s as u64), Value::UInt(e as u64)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn render_json_line(value: &Value) -> Vec<u8> {
-    let mut text = serde_json::to_string(value).expect("value trees always render");
-    text.push('\n');
-    text.into_bytes()
-}
-
-fn read_json_file(path: &Path) -> Result<Value, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| shard_io_err(path, e))?;
-    serde_json::from_str(&text).map_err(|e| shard_io_err(path, e))
-}
-
-/// Create the manifest, or verify an existing one matches exactly — a shard
-/// dir belongs to ONE (spec, seed, shard split) and is never silently
-/// repurposed.
-fn write_or_verify_manifest(dir: &Path, expected: &Value) -> Result<(), CliError> {
-    let path = dir.join("manifest.json");
-    if path.exists() {
-        let found = read_json_file(&path)?;
-        if &found != expected {
-            return Err(CliError::Parse(format!(
-                "{}: shard dir was built from a different spec, seed or shard split — \
-                 use a fresh --shard-dir",
-                path.display()
-            )));
+/// Verify the dir's manifest is `manifest` byte for byte (a shard dir holds
+/// one spec, seed and split, never another), or write a missing one if `create`.
+fn check_manifest(dir: &Path, manifest: &[u8], create: bool) -> Result<(), CliError> {
+    let path = dir.join("manifest");
+    match std::fs::read(&path) {
+        Err(e) if create && e.kind() == std::io::ErrorKind::NotFound => {
+            atomic_write(&path, manifest).map_err(|e| shard_io_err(&path, e))
         }
-        return Ok(());
-    }
-    atomic_write(&path, &render_json_line(expected)).map_err(|e| shard_io_err(&path, e))
-}
-
-/// Encode one shard's samples. Floats travel as their IEEE-754 bit patterns
-/// (`u64`), so a merge aggregates *exactly* the numbers the shard computed
-/// and the merged report is byte-identical to an unsharded run.
-fn rows_value(i: usize, range: (usize, usize), samples: &[Sample]) -> Value {
-    Value::Object(vec![
-        ("shard".into(), Value::UInt(i as u64)),
-        ("start".into(), Value::UInt(range.0 as u64)),
-        ("end".into(), Value::UInt(range.1 as u64)),
-        (
-            "samples".into(),
-            Value::Array(
-                samples
-                    .iter()
-                    .map(|&(mk, ratio, wait, util, viol, probe)| {
-                        Value::Array(vec![
-                            Value::UInt(mk.to_bits()),
-                            Value::UInt(ratio.to_bits()),
-                            Value::UInt(wait.to_bits()),
-                            Value::UInt(util.to_bits()),
-                            Value::Bool(viol),
-                            probe.map_or(Value::Null, |p| Value::UInt(p.to_bits())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn decode_samples(
-    rows: &Value,
-    path: &Path,
-    range: (usize, usize),
-) -> Result<Vec<Sample>, CliError> {
-    let bad = |what: &str| {
-        CliError::Parse(format!(
-            "{}: malformed shard rows file ({what})",
+        Err(e) => Err(shard_io_err(&path, e)),
+        Ok(found) if found != manifest => Err(CliError::Parse(format!(
+            "{}: shard dir was built from a different spec, seed or shard split — \
+             use a fresh --shard-dir",
             path.display()
-        ))
-    };
-    let field = |name: &str| -> Result<u64, CliError> {
-        match rows.get(name) {
-            Some(Value::UInt(v)) => Ok(*v),
-            _ => Err(bad(&format!("missing field '{name}'"))),
-        }
-    };
-    if field("start")? != range.0 as u64 || field("end")? != range.1 as u64 {
-        return Err(bad("cell range does not match the manifest"));
+        ))),
+        Ok(_) => Ok(()),
     }
-    let arr = rows
-        .get("samples")
-        .and_then(Value::as_array)
-        .ok_or_else(|| bad("missing 'samples' array"))?;
-    if arr.len() != range.1 - range.0 {
-        return Err(bad("sample count does not match the shard's cell range"));
+}
+
+/// One finished cell as a log record: its index, the four floats as
+/// IEEE-754 bits (so a merge aggregates exactly the numbers the shard
+/// computed), the violation flag and the optional probe.
+fn cell_record(cell: usize, sample: &Sample) -> Vec<u8> {
+    let mut payload = (cell as u64).to_le_bytes().to_vec();
+    for v in [sample.0, sample.1, sample.2, sample.3] {
+        put_u64(&mut payload, v.to_bits());
     }
-    let bits = |v: &Value| match v {
-        Value::UInt(b) => Some(f64::from_bits(*b)),
-        _ => None,
+    payload.extend([u8::from(sample.4), u8::from(sample.5.is_some())]);
+    if let Some(probe) = sample.5 {
+        put_u64(&mut payload, probe.to_bits());
+    }
+    let mut framed = Vec::new();
+    frame_record(&mut framed, &payload);
+    framed
+}
+
+fn decode_cell(payload: &[u8]) -> Option<(usize, Sample)> {
+    let mut cur = Cursor::new(payload);
+    let cell = usize::try_from(cur.take_u64()?).ok()?;
+    let mut float = || cur.take_u64().map(f64::from_bits);
+    let (a, b, c, d) = (float()?, float()?, float()?, float()?);
+    let violation = cur.take_bool()?;
+    let probe = match cur.take_bool()? {
+        true => Some(f64::from_bits(cur.take_u64()?)),
+        false => None,
     };
-    arr.iter()
-        .map(|entry| match entry.as_array() {
-            Some([mk, ratio, wait, util, Value::Bool(viol), probe]) => {
-                let probe = match probe {
-                    Value::Null => None,
-                    other => Some(bits(other).ok_or_else(|| bad("bad probe encoding"))?),
-                };
-                Ok((
-                    bits(mk).ok_or_else(|| bad("bad float encoding"))?,
-                    bits(ratio).ok_or_else(|| bad("bad float encoding"))?,
-                    bits(wait).ok_or_else(|| bad("bad float encoding"))?,
-                    bits(util).ok_or_else(|| bad("bad float encoding"))?,
-                    *viol,
-                    probe,
-                ))
+    cur.done().then_some((cell, (a, b, c, d, violation, probe)))
+}
+
+/// A shard log read back: the samples of its range by position, the length
+/// of the valid prefix, and why the scan stopped short of the end, if it did.
+type ShardLog = (Vec<Option<Sample>>, usize, Option<&'static str>);
+
+/// Read a shard log image. A missing or torn header reads as an empty log;
+/// a header for another sweep, shard or range is an error. Cell records are
+/// kept up to the first one that is torn, undecodable, out of range or a
+/// repeat.
+fn read_log(bytes: &[u8], header: &[u8], range: (usize, usize)) -> Result<ShardLog, String> {
+    let mut samples = vec![None; range.1 - range.0];
+    let mut frames = Frames::new(bytes);
+    match frames.next() {
+        Some(found) if found != header => return Err("its header is another shard's".into()),
+        Some(_) => {}
+        None => return Ok((samples, 0, None)),
+    }
+    let mut valid_len = frames.valid_len();
+    for payload in frames.by_ref() {
+        let slot = decode_cell(payload)
+            .filter(|(cell, _)| (range.0..range.1).contains(cell))
+            .map(|(cell, sample)| (&mut samples[cell - range.0], sample));
+        let why = match slot {
+            Some((slot @ None, sample)) => {
+                *slot = Some(sample);
+                valid_len += FRAME_HEADER + payload.len();
+                continue;
             }
-            _ => Err(bad("a sample must be a six-element array")),
-        })
-        .collect()
+            Some((Some(_), _)) => "a cell is logged twice",
+            None => "a record is undecodable or out of range",
+        };
+        return Ok((samples, valid_len, Some(why)));
+    }
+    Ok((samples, valid_len, frames.torn()))
 }
 
-/// Verify shard `i`'s completion record against its rows file. On success
-/// returns the rows bytes the record's checksum vouches for; the error
-/// string says what failed (missing record, mismatched range, checksum).
-fn verify_shard(dir: &Path, i: usize, range: (usize, usize)) -> Result<Vec<u8>, String> {
-    let done_p = done_path(dir, i);
-    let text =
-        std::fs::read_to_string(&done_p).map_err(|e| format!("{}: {e}", done_p.display()))?;
-    let done: Value =
-        serde_json::from_str(&text).map_err(|e| format!("{}: {e}", done_p.display()))?;
-    let field = |name: &str| -> Result<u64, String> {
-        match done.get(name) {
-            Some(Value::UInt(v)) => Ok(*v),
-            _ => Err(format!("{}: missing field '{name}'", done_p.display())),
-        }
-    };
-    if field("shard")? != i as u64
-        || field("start")? != range.0 as u64
-        || field("end")? != range.1 as u64
-    {
-        return Err(format!(
-            "{}: completion record does not match the manifest range",
-            done_p.display()
-        ));
+/// A finished shard's samples in cell order, for `--merge`: a log that is
+/// short, repeats a cell or holds one outside its range is refused.
+fn merge_shard(path: &Path, header: &[u8], range: (usize, usize)) -> Result<Vec<Sample>, CliError> {
+    let bytes = std::fs::read(path).map_err(|e| shard_io_err(path, e))?;
+    let (samples, _, stop) = read_log(&bytes, header, range).map_err(|e| shard_io_err(path, e))?;
+    let logged = samples.iter().flatten().count();
+    if stop.is_some() || logged < samples.len() {
+        let why = stop.map_or_else(String::new, |why| format!(", {why}"));
+        return Err(CliError::Parse(format!(
+            "{}: shard is not complete ({logged} of {} cells logged{why}); run it again \
+             before merging",
+            path.display(),
+            samples.len()
+        )));
     }
-    let checksum = match done.get("rows_checksum") {
-        Some(Value::Str(s)) => s.clone(),
-        _ => {
-            return Err(format!(
-                "{}: missing field 'rows_checksum'",
-                done_p.display()
-            ))
-        }
-    };
-    let rows_p = rows_path(dir, i);
-    let bytes = std::fs::read(&rows_p).map_err(|e| format!("{}: {e}", rows_p.display()))?;
-    if format!("{:016x}", fnv1a64(&bytes)) != checksum {
-        return Err(format!(
-            "{}: rows checksum mismatch (file changed after completion)",
-            rows_p.display()
-        ));
-    }
-    Ok(bytes)
+    Ok(samples.into_iter().flatten().collect())
 }
 
-/// Run shard `i`'s cells and persist rows + completion record. The rows go
-/// first, then the record atomically — a crash between the two leaves an
-/// unrecorded rows file that `--resume` correctly re-runs.
-fn run_one_shard(
+/// Run one shard: reopen its log (or start it), truncate a torn tail, run
+/// only the cells the log lacks — appending each as it finishes — and sync
+/// the log once the range is full. Returns the range's samples in cell
+/// order and how many cells were already logged.
+fn run_shard(
     spec: &SweepSpec,
     plan: &SweepPlan,
     opts: &CommonOpts,
-    dir: &Path,
-    i: usize,
+    path: &Path,
+    header: &[u8],
     range: (usize, usize),
-) -> Result<(usize, String), CliError> {
-    let samples = run_cells(spec, plan, opts, range.0, range.1);
-    let violations = samples.iter().filter(|c| c.4).count();
-    let rows_bytes = render_json_line(&rows_value(i, range, &samples));
-    let rows_p = rows_path(dir, i);
-    atomic_write(&rows_p, &rows_bytes).map_err(|e| shard_io_err(&rows_p, e))?;
-    let checksum = format!("{:016x}", fnv1a64(&rows_bytes));
-    let done = Value::Object(vec![
-        ("shard".into(), Value::UInt(i as u64)),
-        ("start".into(), Value::UInt(range.0 as u64)),
-        ("end".into(), Value::UInt(range.1 as u64)),
-        ("cells".into(), Value::UInt((range.1 - range.0) as u64)),
-        ("rows_checksum".into(), Value::Str(checksum.clone())),
-    ]);
-    let done_p = done_path(dir, i);
-    atomic_write(&done_p, &render_json_line(&done)).map_err(|e| shard_io_err(&done_p, e))?;
-    Ok((violations, checksum))
-}
-
-/// Load and verify every shard's rows, concatenated in cell order — the
-/// exact sample sequence an unsharded run would have produced in memory.
-fn collect_samples(dir: &Path, ranges: &[(usize, usize)]) -> Result<Vec<Sample>, CliError> {
-    let mut samples = Vec::new();
-    for (i, &range) in ranges.iter().enumerate() {
-        let bytes = verify_shard(dir, i, range).map_err(|reason| {
-            CliError::Parse(format!(
-                "shard {i}/{} is not complete — {reason}; run it (or the whole sweep with \
-                 --resume) before merging",
-                ranges.len()
-            ))
-        })?;
-        let text = String::from_utf8(bytes)
-            .map_err(|_| CliError::Parse(format!("shard {i}: rows file is not UTF-8")))?;
-        let rows: Value =
-            serde_json::from_str(&text).map_err(|e| shard_io_err(&rows_path(dir, i), e))?;
-        samples.extend(decode_samples(&rows, &rows_path(dir, i), range)?);
+) -> Result<(Vec<Sample>, usize), CliError> {
+    let io_err = |e: std::io::Error| shard_io_err(path, e);
+    let (mut file, bytes) = open_log(path).map_err(io_err)?;
+    let (mut samples, valid_len, _) =
+        read_log(&bytes, header, range).map_err(|e| shard_io_err(path, e))?;
+    file.set_len(valid_len as u64).map_err(io_err)?;
+    let mut head = Vec::new();
+    if valid_len == 0 {
+        frame_record(&mut head, header);
     }
-    Ok(samples)
+    file.write_all(&head).map_err(io_err)?;
+    let missing: Vec<usize> = (range.0..range.1)
+        .filter(|&cell| samples[cell - range.0].is_none())
+        .collect();
+    let appender = std::sync::Mutex::new((file, Ok(())));
+    let ran = run_cells(spec, plan, opts, &missing, &|cell, sample| {
+        let (file, status) = &mut *appender.lock().expect("no append panics");
+        if status.is_ok() {
+            *status = file.write_all(&cell_record(cell, sample));
+        }
+    });
+    let (file, status) = appender.into_inner().expect("no append panics");
+    status.and_then(|()| file.sync_data()).map_err(io_err)?;
+    let logged = samples.len() - missing.len();
+    for (cell, sample) in missing.into_iter().zip(ran) {
+        samples[cell - range.0] = Some(sample);
+    }
+    Ok((samples.into_iter().flatten().collect(), logged))
 }
 
-/// The sharded `resa sweep` driver: single-shard worker, resumable run-all,
-/// and merge modes. `text` is the raw spec file (fingerprinted into the
-/// manifest).
+/// The sharded `resa sweep` driver: single-shard worker, run-all, and merge
+/// modes. `text` is the raw spec file, fingerprinted (SHA-256 of the spec
+/// bytes plus the seed) into the manifest and every log header: editing the
+/// spec — even only whitespace — retires the dir.
 fn run_sharded(
     spec: &SweepSpec,
     opts: &CommonOpts,
@@ -1263,99 +1126,65 @@ fn run_sharded(
     std::fs::create_dir_all(&dir).map_err(|e| shard_io_err(&dir, e))?;
     let plan = plan(spec)?;
     let total = plan.cells.len();
-    let fingerprint = spec_fingerprint(text, opts.seed);
-
-    if sh.merge {
-        let manifest_p = dir.join("manifest.json");
-        let manifest = read_json_file(&manifest_p)?;
-        match manifest.get("fingerprint") {
-            Some(Value::Str(found)) if *found == fingerprint => {}
-            _ => {
-                return Err(CliError::Parse(format!(
-                    "{}: manifest fingerprint does not match this spec and seed",
-                    manifest_p.display()
-                )))
-            }
-        }
-        let ranges: Vec<(usize, usize)> = manifest
-            .get("shards")
-            .map(Vec::<(u64, u64)>::from_value)
-            .transpose()
-            .ok()
-            .flatten()
-            .map(|rs| {
-                rs.into_iter()
-                    .map(|(s, e)| (s as usize, e as usize))
-                    .collect()
-            })
-            .ok_or_else(|| {
-                CliError::Parse(format!(
-                    "{}: malformed 'shards' ranges",
-                    manifest_p.display()
-                ))
-            })?;
-        if let Some(n) = sh.shards {
-            if ranges.len() != n {
-                return Err(CliError::Usage(format!(
-                    "--shards {n} does not match the manifest's {} shards",
-                    ranges.len()
-                )));
-            }
-        }
-        if ranges.last().map(|r| r.1) != Some(total) && total != 0 {
-            return Err(CliError::Parse(format!(
-                "{}: manifest covers a different cell count than this spec",
-                manifest_p.display()
-            )));
-        }
-        let samples = collect_samples(&dir, &ranges)?;
-        let (rows, violations) = aggregate(spec, &plan, &samples);
-        return render(spec, &rows, violations, opts);
+    let fingerprint = sha256(format!("{text}\u{1f}seed={}", opts.seed).as_bytes());
+    // Shard dirs are scratch: one written by an older resa (a JSON
+    // manifest, JSON rows files, `*.done.json` markers) is refused.
+    let json = |entry: std::fs::DirEntry| entry.path().extension() == Some("json".as_ref());
+    let entries = std::fs::read_dir(&dir).map_err(|e| shard_io_err(&dir, e))?;
+    if entries.flatten().any(json) {
+        return Err(CliError::Parse(format!(
+            "{}: written by an older resa; rerun the shard in a fresh --shard-dir",
+            dir.display()
+        )));
     }
-
-    let n = sh.shards.expect("validated by ShardOpts");
+    // The manifest is one framed record: the shard count, then the
+    // fingerprint. A merge without --shards takes the count it records.
+    let n = sh.shards.unwrap_or_else(|| {
+        let bytes = std::fs::read(dir.join("manifest")).unwrap_or_default();
+        let mut frames = Frames::new(&bytes);
+        frames
+            .next()
+            .and_then(|p| Cursor::new(p).take_u64())
+            .unwrap_or(0) as usize
+    });
+    let mut manifest = Vec::new();
+    let count = (n as u64).to_le_bytes();
+    frame_record(&mut manifest, &[&count[..], &fingerprint].concat());
+    check_manifest(&dir, &manifest, !sh.merge)?;
     let ranges = contiguous_ranges(total, n);
-    let expected = manifest_value(spec, &fingerprint, opts.seed, total, &ranges);
-    write_or_verify_manifest(&dir, &expected)?;
-
-    match sh.shard {
-        // Worker mode: run exactly one shard and report its completion.
-        Some(i) => {
-            let range = ranges[i];
-            if sh.resume && verify_shard(&dir, i, range).is_ok() {
-                return Ok(Outcome {
-                    stdout: format!(
-                        "sweep '{}': shard {i}/{n} already complete — cells [{}, {}) skipped\n",
-                        spec.name, range.0, range.1
-                    ),
-                    violations: 0,
-                });
-            }
-            let (violations, checksum) = run_one_shard(spec, &plan, opts, &dir, i, range)?;
-            Ok(Outcome {
-                stdout: format!(
-                    "sweep '{}': shard {i}/{n} complete — cells [{}, {}), rows checksum {checksum}\n",
-                    spec.name, range.0, range.1
-                ),
-                violations,
-            })
+    let mut samples = Vec::with_capacity(total);
+    for i in sh.shard.map_or(0..n, |i| i..i + 1) {
+        let (s, e) = ranges[i];
+        let mut header = [&b"RESASHD1"[..], &fingerprint].concat();
+        for v in [i, s, e] {
+            put_u64(&mut header, v as u64);
         }
-        // Run-all mode: every shard in order (skipping verified ones under
-        // --resume), then merge. Progress goes to stderr so stdout stays
-        // byte-identical to the unsharded run.
-        None => {
-            for (i, &range) in ranges.iter().enumerate() {
-                if sh.resume && verify_shard(&dir, i, range).is_ok() {
-                    eprintln!("resa sweep: shard {i}/{n} already complete, skipped");
-                    continue;
-                }
-                run_one_shard(spec, &plan, opts, &dir, i, range)?;
-            }
-            let samples = collect_samples(&dir, &ranges)?;
-            let (rows, violations) = aggregate(spec, &plan, &samples);
-            render(spec, &rows, violations, opts)
+        let path = dir.join(format!("shard_{i:04}.log"));
+        let (shard, logged) = if sh.merge {
+            (merge_shard(&path, &header, (s, e))?, e - s)
+        } else {
+            run_shard(spec, &plan, opts, &path, &header, (s, e))?
+        };
+        let line = format!(
+            "shard {i}/{n} complete — cells [{s}, {e}): {logged} already logged, {} run",
+            e - s - logged
+        );
+        if sh.shard.is_some() {
+            // Worker mode: the violations are all those the log records.
+            return Ok(Outcome {
+                stdout: format!("sweep '{}': {line}\n", spec.name),
+                violations: shard.iter().filter(|c: &&Sample| c.4).count(),
+            });
         }
+        if logged > 0 && !sh.merge {
+            // Progress goes to stderr so stdout stays byte-identical to the
+            // unsharded run.
+            eprintln!("resa sweep: {line}");
+        }
+        samples.extend(shard);
     }
+    let (rows, violations) = aggregate(spec, &plan, &samples);
+    render(spec, &rows, violations, opts)
 }
 
 /// Generate one cell's job list.
@@ -1472,6 +1301,31 @@ fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ranges_cover_exactly_once_and_balance() {
+        for total in [0usize, 1, 7, 100, 101, 1024] {
+            for shards in [1usize, 2, 3, 7, 16, 200] {
+                let ranges = contiguous_ranges(total, shards);
+                assert_eq!(ranges.len(), shards);
+                let mut next = 0;
+                for &(start, end) in &ranges {
+                    assert_eq!(start, next, "contiguous");
+                    assert!(end >= start);
+                    next = end;
+                }
+                assert_eq!(next, total, "full coverage");
+                let sizes: Vec<usize> = ranges.iter().map(|&(s, e)| e - s).collect();
+                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(max - min <= 1, "balanced to within one item");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_shards_is_clamped() {
+        assert_eq!(contiguous_ranges(5, 0), vec![(0, 5)]);
+    }
 
     const SPEC: &str = r#"{
         "name": "unit",

@@ -3,7 +3,8 @@
 //! The real CTC/SDSC/KTH logs behind the SWF format ship gzip-compressed,
 //! and the container building this workspace has no network access and no
 //! compression crates — so this module vendors the two halves the trace
-//! pipeline needs, with no dependency beyond `std`:
+//! pipeline needs, with no dependency beyond `std` and the workspace's one
+//! CRC-32 ([`resa_core::io::crc32_update`]):
 //!
 //! * [`GzipReader`] — a streaming RFC 1952 (gzip) / RFC 1951 (deflate)
 //!   *inflater* implementing [`std::io::Read`] and [`std::io::BufRead`]:
@@ -35,6 +36,7 @@
 //! to be; it survives as the `#[cfg(test)]` oracle the differential tests
 //! compare against.
 
+use resa_core::io::crc32_update;
 use std::io::{BufRead, Error, ErrorKind, Read, Result};
 
 #[cfg(test)]
@@ -44,61 +46,6 @@ mod oracle;
 
 /// Magic bytes opening every gzip member.
 pub const GZIP_MAGIC: [u8; 2] = [0x1f, 0x8b];
-
-/// Slice-by-8 tables: `CRC_TABLES[k][b]` is the CRC of byte `b` followed by
-/// `k` zero bytes, so eight input bytes fold into the register per step.
-static CRC_TABLES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
-    let mut n = 0;
-    while n < 256 {
-        let mut c = n as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        t[0][n] = c;
-        n += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut n = 0;
-        while n < 256 {
-            let prev = t[k - 1][n];
-            t[k][n] = t[0][(prev & 0xff) as usize] ^ (prev >> 8);
-            n += 1;
-        }
-        k += 1;
-    }
-    t
-};
-
-/// CRC32 (IEEE, reflected) over `data`, continuing from `crc` (start with 0).
-pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = !crc;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xff) as usize]
-            ^ t[6][(lo >> 8 & 0xff) as usize]
-            ^ t[5][(lo >> 16 & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][(hi >> 8 & 0xff) as usize]
-            ^ t[1][(hi >> 16 & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 /// Whether `head` starts with the gzip magic (callers peek two bytes to
 /// decide between the plain and compressed trace paths).
@@ -970,15 +917,6 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vector() {
-        // CRC32("123456789") = 0xCBF43926, the classic check value.
-        assert_eq!(crc32_update(0, b"123456789"), 0xCBF4_3926);
-        // Incremental == one-shot.
-        let a = crc32_update(0, b"1234");
-        assert_eq!(crc32_update(a, b"56789"), 0xCBF4_3926);
-    }
 
     #[test]
     fn stored_roundtrip() {

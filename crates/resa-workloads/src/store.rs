@@ -23,6 +23,7 @@
 //! The SHA-256 implementation is vendored (FIPS 180-4, ~40 lines) for the
 //! same reason the inflater in [`crate::gzip`] is: no new dependencies.
 
+use resa_core::io::{atomic_write, stage};
 use std::fmt;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -357,6 +358,11 @@ impl TraceStore {
     /// Import `from` into the cache under `name`, verifying `expected_sha`
     /// (lowercase hex) when given — trust-on-first-use otherwise. Returns
     /// the digest recorded in the sidecar.
+    ///
+    /// The copy is staged and synced under a hidden temporary name, the
+    /// sidecar is replaced atomically, and the payload is renamed into
+    /// place last: a crash or an error at any step leaves the entry's
+    /// previous payload whole, never a torn copy under a valid name.
     pub fn import(
         &self,
         name: &str,
@@ -379,13 +385,17 @@ impl TraceStore {
             }
         }
         std::fs::create_dir_all(&self.root)?;
-        let dest = self.entry_path(name);
-        std::fs::copy(from, &dest)?;
-        let size = std::fs::metadata(&dest)?.len();
-        std::fs::write(
-            self.meta_path(name),
-            format!("sha256 {actual}\nsize {size}\n"),
-        )?;
+        let mut size = 0;
+        let payload = stage(&self.entry_path(name), |tmp| {
+            size = std::io::copy(&mut std::fs::File::open(from)?, tmp)?;
+            Ok(())
+        })?;
+        let sidecar = format!("sha256 {actual}\nsize {size}\n");
+        if let Err(err) = atomic_write(&self.meta_path(name), sidecar.as_bytes()) {
+            let _ = std::fs::remove_file(payload.tmp_path());
+            return Err(err.into());
+        }
+        payload.commit()?;
         Ok(actual)
     }
 
@@ -561,6 +571,64 @@ mod tests {
         );
         // The unpinned reference still resolves (TOFU semantics).
         assert!(store.resolve_ref("trace:t").is_ok());
+        std::fs::remove_dir_all(store.root()).ok();
+        std::fs::remove_file(&src).ok();
+    }
+
+    /// A sidecar that cannot be replaced fails the import and leaves the
+    /// entry's previous payload byte for byte.
+    #[test]
+    fn a_failed_import_leaves_the_previous_entry_whole() {
+        let store = temp_store("torn");
+        let src = std::env::temp_dir().join(format!("resa-store-src3-{}", std::process::id()));
+        std::fs::write(&src, b"payload v1").unwrap();
+        store.import("t", &src, None).unwrap();
+        let meta = store.root().join("t.meta");
+        std::fs::remove_file(&meta).unwrap();
+        std::fs::create_dir(&meta).unwrap();
+        std::fs::write(&src, b"payload v2, longer").unwrap();
+        assert!(matches!(
+            store.import("t", &src, None),
+            Err(StoreError::Io(_))
+        ));
+        assert_eq!(
+            std::fs::read(store.root().join("t")).unwrap(),
+            b"payload v1"
+        );
+        assert!(
+            !store.root().join(".t.tmp").exists(),
+            "the staged copy is removed"
+        );
+        std::fs::remove_dir_all(store.root()).ok();
+        std::fs::remove_file(&src).ok();
+    }
+
+    /// The staged copy of an import that crashed is invisible to `list`
+    /// and `resolve`, and the next import of the name overwrites it.
+    #[test]
+    fn a_crashed_import_leaves_nothing_visible() {
+        let store = temp_store("crashed");
+        std::fs::create_dir_all(store.root()).unwrap();
+        std::fs::write(store.root().join(".t.tmp"), b"torn half of a cop").unwrap();
+        assert!(store.list().unwrap().is_empty());
+        assert!(matches!(
+            store.resolve_ref("trace:t"),
+            Err(StoreError::NotCached { .. })
+        ));
+        let src = std::env::temp_dir().join(format!("resa-store-src4-{}", std::process::id()));
+        std::fs::write(&src, b"whole").unwrap();
+        let digest = store.import("t", &src, None).unwrap();
+        assert!(!store.root().join(".t.tmp").exists());
+        let listed = store.list().unwrap();
+        assert_eq!(listed.len(), 1);
+        assert_eq!(
+            (listed[0].sha256.as_str(), listed[0].size),
+            (digest.as_str(), 5)
+        );
+        assert_eq!(
+            std::fs::read(store.resolve_ref("trace:t").unwrap()).unwrap(),
+            b"whole"
+        );
         std::fs::remove_dir_all(store.root()).ok();
         std::fs::remove_file(&src).ok();
     }
