@@ -83,15 +83,6 @@ impl<S: Scheduler> LocalSearch<S> {
         }
     }
 
-    /// Wrap `base` with an explicit round budget.
-    pub fn with_rounds(base: S, max_rounds: usize) -> Self {
-        LocalSearch {
-            base,
-            max_rounds,
-            top_k: 4,
-        }
-    }
-
     /// Wrap `base` with explicit round and neighborhood budgets.
     pub fn with_neighborhood(base: S, max_rounds: usize, top_k: usize) -> Self {
         LocalSearch {
@@ -601,7 +592,10 @@ mod tests {
             .build()
             .unwrap();
         let base = Lsrc::new();
-        let wrapped = LocalSearch::with_rounds(base, 0);
+        let wrapped = LocalSearch {
+            max_rounds: 0,
+            ..LocalSearch::new(base)
+        };
         assert_eq!(
             wrapped.schedule(&inst).makespan(&inst),
             base.schedule(&inst).makespan(&inst)

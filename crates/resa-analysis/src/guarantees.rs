@@ -89,17 +89,6 @@ pub mod exact {
     pub fn alpha_upper_bound(alpha: Alpha) -> (u64, u64) {
         (2 * alpha.denom(), alpha.num())
     }
-
-    /// The Proposition-2 ratio `2/α − 1 + α/2` as a fraction `(num, denom)`,
-    /// defined when `2/α` is an integer (`α = 2/k`): the value is
-    /// `(1 + k(k−1)) / k`.
-    pub fn proposition2_ratio(alpha: Alpha) -> Option<(u64, u64)> {
-        if !alpha.two_over_alpha_is_integer() {
-            return None;
-        }
-        let k = 2 * alpha.denom() / alpha.num();
-        Some((1 + k * (k - 1), k))
-    }
 }
 
 #[cfg(test)]
@@ -171,12 +160,6 @@ mod tests {
     fn exact_fractions() {
         let a = Alpha::new(1, 3).unwrap();
         assert_eq!(exact::alpha_upper_bound(a), (6, 1));
-        // α = 1/3 ⇒ k = 6 ⇒ ratio 31/6.
-        assert_eq!(exact::proposition2_ratio(a), Some((31, 6)));
-        // α = 3/4: 2/α = 8/3 not an integer.
-        assert_eq!(exact::proposition2_ratio(Alpha::new(3, 4).unwrap()), None);
-        // α = 1: k = 2 ⇒ 3/2.
-        assert_eq!(exact::proposition2_ratio(Alpha::ONE), Some((3, 2)));
     }
 
     #[test]

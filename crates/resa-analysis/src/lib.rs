@@ -48,7 +48,7 @@ pub mod prelude {
     pub use crate::report::{fmt_f64, to_json, Table};
     pub use crate::runner::{stream_seed, ExperimentRunner};
     pub use crate::scenarios::{
-        deadlines_met, drain_invariant, StreamValidator, StreamVerdicts, Window,
+        deadlines_met, drain_invariant, job_windows, StreamValidator, StreamVerdicts, Window,
     };
     pub use crate::statistics::{geometric_mean, percentile_sorted, Summary};
     pub use crate::verification::{

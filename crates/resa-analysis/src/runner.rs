@@ -47,11 +47,6 @@ impl ExperimentRunner {
         ExperimentRunner { parallel: false }
     }
 
-    /// Whether this runner fans out.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
-    }
-
     /// Map `f` over `items`, preserving input order. The unit of work is one
     /// item; `f` must be self-contained (see the module docs on
     /// determinism).
@@ -121,7 +116,6 @@ mod tests {
     fn parallel_equals_sequential_on_every_figure() {
         let seq = ExperimentRunner::sequential();
         let par = ExperimentRunner::parallel();
-        assert!(par.is_parallel() && !seq.is_parallel());
 
         let f1s = seq.figure1(&[2, 3], 10, 2, 1);
         let f1p = par.figure1(&[2, 3], 10, 2, 1);

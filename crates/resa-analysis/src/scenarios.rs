@@ -45,6 +45,17 @@ pub fn drain_invariant(machines: u32, jobs: &[Window], drains: &[Window]) -> boo
     true
 }
 
+/// The occupancy window of every job of `jobs` that `schedule` places, the
+/// job side of [`drain_invariant`].
+pub fn job_windows(jobs: &[Job], schedule: &Schedule) -> Vec<Window> {
+    jobs.iter()
+        .filter_map(|job| {
+            let start = schedule.start_of(job.id)?;
+            Some((job.width, start, start.saturating_add(job.duration)))
+        })
+        .collect()
+}
+
 /// Check the admission guarantee: every `(completion, deadline)` pair of a
 /// committed job satisfies `completion ≤ deadline` (half-open run windows —
 /// a job completing exactly at its deadline has met it).

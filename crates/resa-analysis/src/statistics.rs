@@ -51,16 +51,6 @@ impl Summary {
             p95: percentile_sorted(&sorted, 95.0),
         })
     }
-
-    /// Half-width of a normal-approximation 95% confidence interval on the
-    /// mean (`1.96·σ/√n`); 0 for fewer than two observations.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev / (self.count as f64).sqrt()
-        }
-    }
 }
 
 /// Percentile (nearest-rank with linear interpolation) of an already sorted
@@ -108,7 +98,6 @@ mod tests {
         assert_eq!(s.max, 9.0);
         assert!((s.median - 4.5).abs() < 1e-12);
         assert!(s.p95 >= 7.0 && s.p95 <= 9.0);
-        assert!(s.ci95_half_width() > 0.0);
     }
 
     #[test]
@@ -118,7 +107,6 @@ mod tests {
         assert_eq!(single.count, 1);
         assert_eq!(single.std_dev, 0.0);
         assert_eq!(single.median, 3.5);
-        assert_eq!(single.ci95_half_width(), 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The figure/table/graham subcommands: thin renderers over
 //! [`resa_bench::experiments`].
 
-use crate::opts::{CommonOpts, OutputFormat};
+use crate::opts::CommonOpts;
 use crate::{CliError, Outcome};
 use resa_bench::experiments::{
     average_case_report, fcfs_report, fig1_report, fig2_report, fig3_report, fig4_report,
@@ -50,42 +50,26 @@ pub fn graham(opts: &CommonOpts) -> Result<Outcome, CliError> {
 /// Render a report in the requested format, persist `--out`, and map the
 /// violation count into the outcome.
 pub fn render(report: &ExperimentReport, opts: &CommonOpts) -> Result<Outcome, CliError> {
-    let rendered = match opts.format {
-        OutputFormat::Json => format!("{}\n", report.json),
-        OutputFormat::Csv => report.table.to_csv(),
-        OutputFormat::Table => {
-            let mut out = report.table.to_text();
-            for note in &report.notes {
-                out.push('\n');
-                out.push_str(note);
-                out.push('\n');
-            }
-            out.push_str(&format!(
-                "\npaper-guarantee violations: {} {}\n",
-                report.violations,
-                if report.violations == 0 {
-                    "(all bounds held)"
-                } else {
-                    "(REPRODUCTION BROKEN)"
-                }
-            ));
-            out
-        }
-    };
-    let mut stdout = rendered.clone();
-    if let Some(note) = opts.persist(&rendered)? {
-        stdout.push_str(&note);
-        stdout.push('\n');
+    let mut notes = String::new();
+    for note in &report.notes {
+        notes.push_str(&format!("\n{note}\n"));
     }
-    Ok(Outcome {
-        stdout,
-        violations: report.violations,
-    })
+    notes.push_str(&format!(
+        "\npaper-guarantee violations: {} {}\n",
+        report.violations,
+        if report.violations == 0 {
+            "(all bounds held)"
+        } else {
+            "(REPRODUCTION BROKEN)"
+        }
+    ));
+    opts.emit(&report.json, &report.table, &notes, report.violations)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::OutputFormat;
 
     fn quick() -> CommonOpts {
         CommonOpts {

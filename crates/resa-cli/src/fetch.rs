@@ -51,10 +51,7 @@ struct FetchRow {
 fn store_error(context: &str, err: StoreError) -> CliError {
     match err {
         StoreError::BadRef { .. } => CliError::Usage(err.to_string()),
-        StoreError::Io(e) => CliError::Io {
-            path: context.to_string(),
-            message: e.to_string(),
-        },
+        StoreError::Io(e) => CliError::io(context, e),
         StoreError::NotCached { .. } | StoreError::ChecksumMismatch { .. } => {
             CliError::Parse(err.to_string())
         }
@@ -135,20 +132,7 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
                 row.size.to_string(),
             ]);
         }
-        let rendered = match opts.format {
-            crate::opts::OutputFormat::Json => format!("{}\n", to_json(&rows)),
-            crate::opts::OutputFormat::Csv => table.to_csv(),
-            crate::opts::OutputFormat::Table => table.to_text(),
-        };
-        let mut stdout = rendered.clone();
-        if let Some(note) = opts.persist(&rendered)? {
-            stdout.push_str(&note);
-            stdout.push('\n');
-        }
-        return Ok(Outcome {
-            stdout,
-            violations: 0,
-        });
+        return opts.emit(&to_json(&rows), &table, "", 0);
     }
 
     let name = name.ok_or_else(|| {

@@ -97,6 +97,16 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+impl CliError {
+    /// An I/O failure on `path`.
+    pub(crate) fn io(path: impl std::fmt::Display, err: impl std::fmt::Display) -> Self {
+        CliError::Io {
+            path: path.to_string(),
+            message: err.to_string(),
+        }
+    }
+}
+
 /// The top-level help text.
 pub const HELP: &str = "\
 resa — reproduction driver for 'Analysis of Scheduling Algorithms with Reservations' (IPDPS 2007)

@@ -1,7 +1,7 @@
 //! The option surface shared by every `resa` subcommand.
 
-use crate::CliError;
-use resa_analysis::prelude::ExperimentRunner;
+use crate::{CliError, Outcome};
+use resa_analysis::prelude::{ExperimentRunner, Table};
 use resa_bench::experiments::ExperimentOptions;
 
 /// How a subcommand renders its result.
@@ -132,19 +132,32 @@ impl CommonOpts {
         }
     }
 
-    /// Write `rendered` to `--out` when set, returning the note line to
-    /// append to stdout.
-    pub fn persist(&self, rendered: &str) -> Result<Option<String>, CliError> {
-        match &self.out {
-            None => Ok(None),
-            Some(path) => {
-                std::fs::write(path, rendered).map_err(|e| CliError::Io {
-                    path: path.clone(),
-                    message: e.to_string(),
-                })?;
-                Ok(Some(format!("[saved {path}]")))
-            }
+    /// Render a result in `--format` — `json` as is, `table` as CSV, or
+    /// `table` as text followed by `notes` — and [`finish`](Self::finish) it.
+    pub(crate) fn emit(
+        &self,
+        json: &str,
+        table: &Table,
+        notes: &str,
+        violations: usize,
+    ) -> Result<Outcome, CliError> {
+        let rendered = match self.format {
+            OutputFormat::Json => format!("{json}\n"),
+            OutputFormat::Csv => table.to_csv(),
+            OutputFormat::Table => table.to_text() + notes,
+        };
+        self.finish(rendered, violations)
+    }
+
+    /// The outcome of a command that printed `rendered`: written to `--out`
+    /// too when set, with a `[saved <path>]` line appended to stdout.
+    pub(crate) fn finish(&self, rendered: String, violations: usize) -> Result<Outcome, CliError> {
+        let mut stdout = rendered;
+        if let Some(path) = &self.out {
+            std::fs::write(path, &stdout).map_err(|e| CliError::io(path, e))?;
+            stdout.push_str(&format!("[saved {path}]\n"));
         }
+        Ok(Outcome { stdout, violations })
     }
 }
 

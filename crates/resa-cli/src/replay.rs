@@ -23,7 +23,7 @@
 //! is read off the trace, and a trace both can serve gets byte-identical
 //! reports from either (tests below, across policies and overlays).
 
-use crate::opts::{CommonOpts, OutputFormat};
+use crate::opts::CommonOpts;
 use crate::{CliError, Outcome};
 use resa_algos::prelude::*;
 use resa_analysis::prelude::*;
@@ -104,51 +104,49 @@ pub(crate) enum OfflineKind {
     Easy,
 }
 
+/// The one policy-name table: `replay --policy`, the sweep's `policies`
+/// list and `serve --policy` all parse through it, and reports print its
+/// names, so a report field can be fed back into `--policy`.
+const POLICIES: [(&str, PolicyArg); 8] = [
+    ("fcfs", PolicyArg::Online(ReferencePolicy::Fcfs)),
+    ("easy", PolicyArg::Online(ReferencePolicy::Easy)),
+    ("greedy", PolicyArg::Online(ReferencePolicy::Greedy)),
+    ("offline:lsrc", PolicyArg::Offline(OfflineKind::Lsrc)),
+    ("offline:lsrc-lpt", PolicyArg::Offline(OfflineKind::LsrcLpt)),
+    ("offline:fcfs", PolicyArg::Offline(OfflineKind::Fcfs)),
+    (
+        "offline:conservative",
+        PolicyArg::Offline(OfflineKind::Conservative),
+    ),
+    ("offline:easy", PolicyArg::Offline(OfflineKind::Easy)),
+];
+
 impl PolicyArg {
     pub(crate) fn parse(name: &str) -> Result<Self, CliError> {
-        Ok(match name {
-            "fcfs" => PolicyArg::Online(ReferencePolicy::Fcfs),
-            "easy" => PolicyArg::Online(ReferencePolicy::Easy),
-            "greedy" => PolicyArg::Online(ReferencePolicy::Greedy),
-            "offline:lsrc" => PolicyArg::Offline(OfflineKind::Lsrc),
-            "offline:lsrc-lpt" => PolicyArg::Offline(OfflineKind::LsrcLpt),
-            "offline:fcfs" => PolicyArg::Offline(OfflineKind::Fcfs),
-            "offline:conservative" => PolicyArg::Offline(OfflineKind::Conservative),
-            "offline:easy" => PolicyArg::Offline(OfflineKind::Easy),
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown policy '{other}' (see `resa replay --help`)"
-                )))
-            }
+        let known = POLICIES.iter().find(|&&(known, _)| known == name);
+        known.map(|&(_, policy)| policy).ok_or_else(|| {
+            CliError::Usage(format!(
+                "unknown policy '{name}' (see `resa replay --help`)"
+            ))
         })
     }
 
-    /// The name in `--policy` input form, so report fields round-trip back
-    /// into the CLI (and match the sweep rows' `policy` column).
-    fn name(self) -> String {
-        match self {
-            PolicyArg::Online(ReferencePolicy::Fcfs) => "fcfs".to_string(),
-            PolicyArg::Online(ReferencePolicy::Easy) => "easy".to_string(),
-            PolicyArg::Online(ReferencePolicy::Greedy) => "greedy".to_string(),
-            PolicyArg::Offline(k) => format!(
-                "offline:{}",
-                match k {
-                    OfflineKind::Lsrc => "lsrc",
-                    OfflineKind::LsrcLpt => "lsrc-lpt",
-                    OfflineKind::Fcfs => "fcfs",
-                    OfflineKind::Conservative => "conservative",
-                    OfflineKind::Easy => "easy",
-                }
-            ),
-        }
+    /// The name in `--policy` input form.
+    pub(crate) fn name(self) -> &'static str {
+        POLICIES
+            .iter()
+            .find(|&&(_, p)| p == self)
+            .expect("every policy is named")
+            .0
     }
 }
 
 /// A reservation overlay, parsed but not yet generated (defaults that
 /// depend on the trace — horizon, cluster size — are filled in later).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) enum ReservationArg {
     /// No reservations.
+    #[default]
     None,
     /// Random α-restricted reservations (§4.2).
     Alpha {
@@ -175,8 +173,8 @@ pub(crate) enum ReservationArg {
 }
 
 /// Parse an α value written as a fraction (`1/2`) or a decimal (`0.5`).
-pub(crate) fn parse_alpha(text: &str) -> Result<Alpha, CliError> {
-    let bad = || CliError::Usage(format!("invalid alpha '{text}' (use e.g. 0.5 or 1/2)"));
+pub(crate) fn parse_alpha(text: &str) -> Result<Alpha, String> {
+    let bad = || format!("invalid alpha '{text}' (use e.g. 0.5 or 1/2)");
     let (num, denom) = if let Some((n, d)) = text.split_once('/') {
         (
             n.parse::<u64>().map_err(|_| bad())?,
@@ -243,7 +241,8 @@ impl ReservationArg {
             "alpha" => {
                 let alpha = parse_alpha(rest.first().ok_or_else(|| {
                     CliError::Usage("alpha spec needs a value, e.g. alpha:0.5".into())
-                })?)?;
+                })?)
+                .map_err(CliError::Usage)?;
                 ReservationArg::Alpha {
                     alpha,
                     count: num(1, "count")?.map(|v| v as usize),
@@ -314,49 +313,8 @@ struct Replay {
     /// …and the file it resolves to.
     file: PathBuf,
     machines: Option<u32>,
-    reservations: ReservationArg,
-    failures: Vec<(u32, u64, u64)>,
-    warmup: u64,
+    decoration: Decoration,
     seed: u64,
-}
-
-impl Replay {
-    fn io_error(&self, err: std::io::Error) -> CliError {
-        CliError::Io {
-            path: self.trace.clone(),
-            message: err.to_string(),
-        }
-    }
-
-    /// The generated overlay plus the `--failures` drains: up-front declared
-    /// capacity losses, merged into the overlay the schedulers already
-    /// respect (a drain *is* a reservation to an off-line engine). The
-    /// second component counts the jobs the α-restriction narrowed.
-    fn instance(
-        &self,
-        machines: u32,
-        jobs: Vec<Job>,
-        max_release: u64,
-    ) -> Result<(ResaInstance, usize), CliError> {
-        let (instance, clamped) = build_instance(
-            machines,
-            jobs,
-            &self.reservations,
-            max_release,
-            self.seed,
-            self.warmup,
-        )?;
-        if self.failures.is_empty() {
-            return Ok((instance, clamped));
-        }
-        let mut overlay = instance.reservations().to_vec();
-        for &(width, duration, start) in &self.failures {
-            overlay.push(Reservation::new(overlay.len(), width, duration, start));
-        }
-        ResaInstance::new(machines, instance.jobs().to_vec(), overlay)
-            .map(|merged| (merged, clamped))
-            .map_err(|e| CliError::Usage(format!("failure overlay rejected: {e}")))
-    }
 }
 
 /// `resa replay <trace> [options]`.
@@ -376,9 +334,7 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
         trace: trace_path.to_string(),
         file: PathBuf::new(),
         machines: None,
-        reservations: ReservationArg::None,
-        failures: Vec::new(),
-        warmup: 0,
+        decoration: Decoration::default(),
         seed: 0,
     };
     let opts = CommonOpts::parse(rest, &mut |flag, value| {
@@ -397,17 +353,17 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
                 Ok(1)
             }
             "--reservations" => {
-                req.reservations = ReservationArg::parse(take("--reservations")?)?;
+                req.decoration.reservations = ReservationArg::parse(take("--reservations")?)?;
                 Ok(1)
             }
             "--warmup" => {
-                req.warmup = take("--warmup")?
+                req.decoration.warmup = take("--warmup")?
                     .parse()
                     .map_err(|_| CliError::Usage("--warmup expects an integer".into()))?;
                 Ok(1)
             }
             "--failures" => {
-                req.failures = parse_failures(take("--failures")?)?;
+                req.decoration.failures = parse_failures(take("--failures")?)?;
                 Ok(1)
             }
             other => Err(CliError::Usage(format!(
@@ -438,14 +394,11 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
 
 /// Resolve a `trace:` cache reference to its on-disk file (re-verifying any
 /// pinned digest); plain paths pass through untouched.
-fn resolve_trace(trace: &str) -> Result<PathBuf, CliError> {
+pub(crate) fn resolve_trace(trace: &str) -> Result<PathBuf, CliError> {
     if TraceRef::is_trace_ref(trace) {
         TraceStore::open_default()
             .resolve_ref(trace)
-            .map_err(|e| CliError::Io {
-                path: trace.to_string(),
-                message: e.to_string(),
-            })
+            .map_err(|e| CliError::io(trace, e))
     } else {
         Ok(PathBuf::from(trace))
     }
@@ -453,12 +406,9 @@ fn resolve_trace(trace: &str) -> Result<PathBuf, CliError> {
 
 /// Map a streaming read error onto the error the materialized parser raises
 /// for the same trace (same line-anchored message for validation failures).
-fn read_error(display: &str, err: SwfReadError) -> CliError {
+pub(crate) fn read_error(display: &str, err: SwfReadError) -> CliError {
     match err {
-        SwfReadError::Io(e) => CliError::Io {
-            path: display.to_string(),
-            message: e.to_string(),
-        },
+        SwfReadError::Io(e) => CliError::io(display, e),
         SwfReadError::Swf(e) => CliError::Parse(format!("{display}: {e}")),
     }
 }
@@ -476,8 +426,8 @@ struct Prescan {
 }
 
 fn prescan(req: &Replay) -> Result<Prescan, CliError> {
-    let (display, warmup) = (req.trace.as_str(), req.warmup);
-    let mut stream = open_trace(&req.file, req.machines).map_err(|e| req.io_error(e))?;
+    let (display, warmup) = (req.trace.as_str(), req.decoration.warmup);
+    let mut stream = open_trace(&req.file, req.machines).map_err(|e| CliError::io(display, e))?;
     let mut kept = 0usize;
     let mut max_release = 0u64;
     let mut last_release = 0u64;
@@ -516,9 +466,9 @@ fn prescan(req: &Replay) -> Result<Prescan, CliError> {
 /// front), unsorted submissions (the instance source sorts them) and the
 /// exact-solver regime.
 fn run_materialized(req: &Replay, policy: PolicyArg) -> Result<ReplayReport, CliError> {
-    let (display, warmup) = (req.trace.as_str(), req.warmup);
+    let (display, warmup) = (req.trace.as_str(), req.decoration.warmup);
     // 1. Ingest the trace (inflating gzip transparently).
-    let text = read_trace_text(&req.file).map_err(|e| req.io_error(e))?;
+    let text = read_trace_text(&req.file).map_err(|e| CliError::io(display, e))?;
     let parsed = resa_workloads::swf::parse_trace_full(&text, req.machines)
         .map_err(|e| CliError::Parse(format!("{display}: {e}")))?;
     let machines = req
@@ -545,9 +495,12 @@ fn run_materialized(req: &Replay, policy: PolicyArg) -> Result<ReplayReport, Cli
     let dropped = total - jobs.len();
 
     // 3. Reservation overlay (file overlays live on the same warmed-up
-    // clock as the truncated jobs — see `build_instance`) and failure drains.
+    // clock as the truncated jobs — see `Decoration::build`) and failure
+    // drains.
     let max_release = jobs.iter().map(|j| j.release.ticks()).max().unwrap_or(0);
-    let (instance, clamped_jobs) = req.instance(machines, jobs, max_release)?;
+    let (instance, clamped_jobs) = req
+        .decoration
+        .build(machines, jobs, max_release, req.seed)?;
 
     // 4. Replay.
     let (schedule, decisions) = run_policy(policy, &instance);
@@ -556,15 +509,7 @@ fn run_materialized(req: &Replay, policy: PolicyArg) -> Result<ReplayReport, Cli
     let schedule_valid = schedule.is_valid(&instance);
     // The drained-window invariant, re-derived by the scenario sweep —
     // independent of the substrate's own capacity bookkeeping.
-    let job_windows: Vec<Window> = instance
-        .jobs()
-        .iter()
-        .filter_map(|j| {
-            schedule
-                .start_of(j.id)
-                .map(|s| (j.width, s, s.saturating_add(j.duration)))
-        })
-        .collect();
+    let job_windows = job_windows(instance.jobs(), &schedule);
     let overlay_windows: Vec<Window> = instance
         .reservations()
         .iter()
@@ -584,8 +529,8 @@ fn run_materialized(req: &Replay, policy: PolicyArg) -> Result<ReplayReport, Cli
         dropped_by_warmup: dropped,
         clamped_jobs,
         reservations: instance.n_reservations(),
-        failures: req.failures.len(),
-        policy: policy.name(),
+        failures: req.decoration.failures.len(),
+        policy: policy.name().to_string(),
         substrate: SUBSTRATE_NAME.to_string(),
         schedule_valid,
         drained_windows_respected,
@@ -614,19 +559,21 @@ fn run_streaming(
     // The overlay is generated exactly like the materialized path generates
     // it (same RNG stream, same warm-up shifting of file overlays), just
     // over an empty job list: the workload itself is never materialized.
-    let (overlay_inst, _) = req.instance(machines, Vec::new(), scan.max_release)?;
+    let (overlay_inst, _) =
+        req.decoration
+            .build(machines, Vec::new(), scan.max_release, req.seed)?;
     let overlay_res: Vec<Reservation> = overlay_inst.reservations().to_vec();
     let profile = overlay_inst.profile();
 
     // The α-restricted model narrows jobs wider than α·m, exactly as
     // `AlphaReservations::instance` does on the materialized path.
-    let width_cap = match &req.reservations {
+    let width_cap = match &req.decoration.reservations {
         ReservationArg::Alpha { alpha, .. } => alpha.max_job_width(machines).max(1),
         _ => u32::MAX,
     };
     let mut source = SwfSource {
-        stream: open_trace(&req.file, req.machines).map_err(|e| req.io_error(e))?,
-        warmup: req.warmup,
+        stream: open_trace(&req.file, req.machines).map_err(|e| CliError::io(&req.trace, e))?,
+        warmup: req.decoration.warmup,
         width_cap,
         profile: &profile,
         facts: StreamFacts::new(),
@@ -670,8 +617,8 @@ fn run_streaming(
         dropped_by_warmup: source.total - source.kept,
         clamped_jobs: source.clamped,
         reservations: overlay_res.len(),
-        failures: req.failures.len(),
-        policy: PolicyArg::Online(kind).name(),
+        failures: req.decoration.failures.len(),
+        policy: PolicyArg::Online(kind).name().to_string(),
         substrate: SUBSTRATE_NAME.to_string(),
         schedule_valid,
         drained_windows_respected: verdicts.drains_respected,
@@ -772,91 +719,116 @@ fn run_policy_on<C: CapacityQuery>(
     }
 }
 
-/// Apply the reservation overlay and build the final instance. The second
-/// component counts the jobs whose width the α-restriction narrowed to
-/// `α·m` (the §4.2 model requires `q_i ≤ αm`, so an α overlay modifies the
-/// workload — the count makes that visible in every report).
-///
-/// `warmup` is the truncation horizon already applied to the jobs: file
-/// overlays carry absolute trace times and are shifted onto the same
-/// warmed-up clock, window for window — a reservation ending at or before
-/// the warm-up boundary is dropped (like a job released strictly before
-/// it), one straddling the boundary keeps its remaining window, and one
-/// starting exactly at the boundary starts at the new time 0 (like a job
-/// released exactly at the boundary). Generated overlays (alpha,
-/// nonincreasing) are already expressed on the warmed-up clock.
-pub(crate) fn build_instance(
-    machines: u32,
-    jobs: Vec<Job>,
-    reservations: &ReservationArg,
-    max_release: u64,
-    seed: u64,
-    warmup: u64,
-) -> Result<(ResaInstance, usize), CliError> {
-    let model = |e: ModelError| CliError::Parse(format!("instance construction failed: {e}"));
-    match reservations {
-        ReservationArg::None => ResaInstance::new(machines, jobs, Vec::new())
-            .map(|i| (i, 0))
-            .map_err(model),
-        ReservationArg::Alpha {
-            alpha,
-            count,
-            horizon,
-            max_duration,
-        } => {
-            let generator = AlphaReservations {
-                machines,
-                alpha: *alpha,
-                count: count.unwrap_or(4),
-                horizon: horizon.unwrap_or_else(|| (2 * max_release).max(2000)),
-                max_duration: max_duration.unwrap_or(300),
-            };
-            // `instance` clamps job widths to α·m, as the α-restricted model
-            // of §4.2 requires; count the jobs it narrows.
-            let width_cap = alpha.max_job_width(machines).max(1);
-            let clamped = jobs.iter().filter(|j| j.width > width_cap).count();
-            Ok((generator.instance(jobs, seed), clamped))
+/// What a trace or a sweep cell is decorated with before it is scheduled:
+/// a reservation overlay, failure drains declared up front, and the warm-up
+/// cut already applied to the jobs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Decoration {
+    pub(crate) reservations: ReservationArg,
+    /// `(width, duration, start)` drains, merged into the overlay the
+    /// schedulers already respect (a drain *is* a reservation to an
+    /// off-line engine).
+    pub(crate) failures: Vec<(u32, u64, u64)>,
+    pub(crate) warmup: u64,
+}
+
+impl Decoration {
+    /// Generate the overlay, merge the failure drains and build the final
+    /// instance. The second component counts the jobs whose width the
+    /// α-restriction narrowed to `α·m` (the §4.2 model requires `q_i ≤ αm`,
+    /// so an α overlay modifies the workload — the count makes that visible
+    /// in every report).
+    ///
+    /// `warmup` is the truncation horizon already applied to the jobs: file
+    /// overlays carry absolute trace times and are shifted onto the same
+    /// warmed-up clock, window for window — a reservation ending at or
+    /// before the warm-up boundary is dropped (like a job released strictly
+    /// before it), one straddling the boundary keeps its remaining window,
+    /// and one starting exactly at the boundary starts at the new time 0
+    /// (like a job released exactly at the boundary). Generated overlays
+    /// (alpha, nonincreasing) are already expressed on the warmed-up clock.
+    pub(crate) fn build(
+        &self,
+        machines: u32,
+        jobs: Vec<Job>,
+        max_release: u64,
+        seed: u64,
+    ) -> Result<(ResaInstance, usize), CliError> {
+        let model = |e: ModelError| CliError::Parse(format!("instance construction failed: {e}"));
+        let (instance, clamped) = match &self.reservations {
+            ReservationArg::None => (
+                ResaInstance::new(machines, jobs, Vec::new()).map_err(model)?,
+                0,
+            ),
+            &ReservationArg::Alpha {
+                alpha,
+                count,
+                horizon,
+                max_duration,
+            } => {
+                let generator = AlphaReservations {
+                    machines,
+                    alpha,
+                    count: count.unwrap_or(4),
+                    horizon: horizon.unwrap_or_else(|| (2 * max_release).max(2000)),
+                    max_duration: max_duration.unwrap_or(300),
+                };
+                // `instance` clamps job widths to α·m, as the α-restricted
+                // model of §4.2 requires; count the jobs it narrows.
+                let width_cap = alpha.max_job_width(machines).max(1);
+                let clamped = jobs.iter().filter(|j| j.width > width_cap).count();
+                (generator.instance(jobs, seed), clamped)
+            }
+            &ReservationArg::NonIncreasing {
+                steps,
+                max_initial,
+                max_duration,
+            } => {
+                let generator = NonIncreasingReservations {
+                    machines,
+                    steps: steps.unwrap_or(4),
+                    max_initial_unavailable: max_initial.unwrap_or(machines / 2),
+                    max_duration: max_duration.unwrap_or_else(|| (max_release / 2).max(100)),
+                };
+                (generator.instance(jobs, seed), 0)
+            }
+            ReservationArg::File(path) => {
+                let text = std::fs::read_to_string(path).map_err(|e| CliError::io(path, e))?;
+                let donor = resa_core::io::parse_instance(&text)
+                    .map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
+                // Shift the donor windows onto the warmed-up clock, clipping
+                // the part consumed by the warm-up (half-open windows, so a
+                // window ending exactly at the boundary is gone and one
+                // starting exactly there is kept whole at the new time 0 —
+                // consistent with the job truncation).
+                let warmup = self.warmup;
+                let shifted: Vec<Reservation> = donor
+                    .reservations()
+                    .iter()
+                    .filter(|r| r.end().ticks() > warmup)
+                    .enumerate()
+                    .map(|(id, r)| {
+                        let start = r.start.ticks().max(warmup) - warmup;
+                        let end = r.end().ticks() - warmup;
+                        Reservation::new(id, r.width, end - start, start)
+                    })
+                    .collect();
+                (
+                    ResaInstance::new(machines, jobs, shifted).map_err(model)?,
+                    0,
+                )
+            }
+        };
+        if self.failures.is_empty() {
+            return Ok((instance, clamped));
         }
-        ReservationArg::NonIncreasing {
-            steps,
-            max_initial,
-            max_duration,
-        } => {
-            let generator = NonIncreasingReservations {
-                machines,
-                steps: steps.unwrap_or(4),
-                max_initial_unavailable: max_initial.unwrap_or(machines / 2),
-                max_duration: max_duration.unwrap_or_else(|| (max_release / 2).max(100)),
-            };
-            Ok((generator.instance(jobs, seed), 0))
+        let mut overlay = instance.reservations().to_vec();
+        for &(width, duration, start) in &self.failures {
+            overlay.push(Reservation::new(overlay.len(), width, duration, start));
         }
-        ReservationArg::File(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| CliError::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-            let donor = resa_core::io::parse_instance(&text)
-                .map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
-            // Shift the donor windows onto the warmed-up clock, clipping the
-            // part consumed by the warm-up (half-open windows, so a window
-            // ending exactly at the boundary is gone and one starting
-            // exactly there is kept whole at the new time 0 — consistent
-            // with the job truncation above).
-            let shifted: Vec<Reservation> = donor
-                .reservations()
-                .iter()
-                .filter(|r| r.end().ticks() > warmup)
-                .enumerate()
-                .map(|(id, r)| {
-                    let start = r.start.ticks().max(warmup) - warmup;
-                    let end = r.end().ticks() - warmup;
-                    Reservation::new(id, r.width, end - start, start)
-                })
-                .collect();
-            ResaInstance::new(machines, jobs, shifted)
-                .map(|i| (i, 0))
-                .map_err(model)
-        }
+        ResaInstance::new(machines, instance.jobs().to_vec(), overlay)
+            .map(|merged| (merged, clamped))
+            .map_err(|e| CliError::Usage(format!("failure overlay rejected: {e}")))
     }
 }
 
@@ -883,44 +855,30 @@ fn offline_schedule<C: CapacityQuery>(
 /// formats.
 fn render(report: &ReplayReport, opts: &CommonOpts) -> Result<Outcome, CliError> {
     let violations = report.violations;
-    let table = report_table(report);
-    let rendered = match opts.format {
-        OutputFormat::Json => format!("{}\n", to_json(report)),
-        OutputFormat::Csv => table.to_csv(),
-        OutputFormat::Table => {
-            let mut out = table.to_text();
-            out.push('\n');
-            for check in &report.guarantees.checks {
-                out.push_str(&format!(
-                    "{} [{}]: measured {} vs bound {} -> {}\n",
-                    check.bound_name,
-                    if check.conclusive {
-                        "conclusive"
-                    } else {
-                        "informational"
-                    },
-                    fmt_f64(check.measured_ratio),
-                    fmt_f64(check.bound),
-                    if check.satisfied { "ok" } else { "VIOLATED" }
-                ));
-            }
-            out.push_str(&format!(
-                "paper-guarantee violations: {violations} {}\n",
-                if violations == 0 {
-                    "(all bounds held)"
-                } else {
-                    "(REPRODUCTION BROKEN)"
-                }
-            ));
-            out
-        }
-    };
-    let mut stdout = rendered.clone();
-    if let Some(note) = opts.persist(&rendered)? {
-        stdout.push_str(&note);
-        stdout.push('\n');
+    let mut notes = String::from("\n");
+    for check in &report.guarantees.checks {
+        notes.push_str(&format!(
+            "{} [{}]: measured {} vs bound {} -> {}\n",
+            check.bound_name,
+            if check.conclusive {
+                "conclusive"
+            } else {
+                "informational"
+            },
+            fmt_f64(check.measured_ratio),
+            fmt_f64(check.bound),
+            if check.satisfied { "ok" } else { "VIOLATED" }
+        ));
     }
-    Ok(Outcome { stdout, violations })
+    notes.push_str(&format!(
+        "paper-guarantee violations: {violations} {}\n",
+        if violations == 0 {
+            "(all bounds held)"
+        } else {
+            "(REPRODUCTION BROKEN)"
+        }
+    ));
+    opts.emit(&to_json(report), &report_table(report), &notes, violations)
 }
 
 /// The replay summary as a two-column table.
@@ -965,6 +923,7 @@ fn report_table(report: &ReplayReport) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::OutputFormat;
 
     #[test]
     fn alpha_parsing_accepts_fractions_and_decimals() {
@@ -1074,8 +1033,12 @@ mod tests {
         std::fs::write(&path, resa_core::io::write_instance(&donor)).unwrap();
 
         let jobs = vec![Job::released_at(0usize, 1, 2u64, 12u64)];
-        let arg = ReservationArg::File(path.display().to_string());
-        let (inst, _) = build_instance(8, jobs, &arg, 2, 0, 10).unwrap();
+        let mut decoration = Decoration {
+            reservations: ReservationArg::File(path.display().to_string()),
+            failures: Vec::new(),
+            warmup: 10,
+        };
+        let (inst, _) = decoration.build(8, jobs, 2, 0).unwrap();
         let windows: Vec<(u64, u64, u32)> = inst
             .reservations()
             .iter()
@@ -1084,7 +1047,8 @@ mod tests {
         assert_eq!(windows, vec![(0, 4, 3), (0, 3, 4), (10, 12, 5)]);
         // Without warm-up the donor windows pass through untouched.
         let jobs = vec![Job::released_at(0usize, 1, 2u64, 12u64)];
-        let (inst, _) = build_instance(8, jobs, &arg, 2, 0, 0).unwrap();
+        decoration.warmup = 0;
+        let (inst, _) = decoration.build(8, jobs, 2, 0).unwrap();
         assert_eq!(inst.n_reservations(), 5);
         std::fs::remove_file(&path).ok();
     }
@@ -1185,9 +1149,11 @@ mod tests {
             trace: path.to_string(),
             file: PathBuf::from(path),
             machines: None,
-            reservations: ReservationArg::parse(reservations).unwrap(),
-            failures: parse_failures(failures).unwrap_or_default(),
-            warmup,
+            decoration: Decoration {
+                reservations: ReservationArg::parse(reservations).unwrap(),
+                failures: parse_failures(failures).unwrap_or_default(),
+                warmup,
+            },
             seed: json().seed,
         }
     }
@@ -1355,7 +1321,8 @@ mod tests {
         let machines = parsed.max_procs.expect("a MaxProcs header");
         let max_release = parsed.jobs.iter().map(|j| j.release.ticks()).max();
         let (instance, _) = req
-            .instance(machines, parsed.jobs, max_release.unwrap_or(0))
+            .decoration
+            .build(machines, parsed.jobs, max_release.unwrap_or(0), req.seed)
             .unwrap();
         instance
     }

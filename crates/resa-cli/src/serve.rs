@@ -45,6 +45,7 @@
 pub mod protocol;
 
 use crate::opts::CommonOpts;
+use crate::replay::PolicyArg;
 use crate::{CliError, Outcome};
 use protocol::{check_auth, error_response, handle, to_line};
 use resa_core::prelude::*;
@@ -156,10 +157,7 @@ impl FileRecordSink {
             .append(resumed)
             .truncate(!resumed)
             .open(path)
-            .map_err(|e| CliError::Io {
-                path: path.to_string(),
-                message: e.to_string(),
-            })?;
+            .map_err(|e| CliError::io(path, e))?;
         Ok(FileRecordSink {
             out: Some(out),
             path: path.to_string(),
@@ -456,10 +454,7 @@ impl Plan {
                 serve_session(&mut front.client(), &self.cfg, stdin, stdout)
             }
         };
-        served.map_err(|e| CliError::Io {
-            path: "<session>".to_string(),
-            message: e.to_string(),
-        })?;
+        served.map_err(|e| CliError::io("<session>", e))?;
         Ok(String::from_utf8(transcript).expect("responses are UTF-8"))
     }
 }
@@ -475,10 +470,7 @@ fn open_journal(
     policy: ReferencePolicy,
 ) -> Result<(OpJournal, Recovered), CliError> {
     let (journal, recovered) =
-        OpJournal::open(path, machines, policy, cfg).map_err(|e| CliError::Io {
-            path: path.to_string(),
-            message: e.to_string(),
-        })?;
+        OpJournal::open(path, machines, policy, cfg).map_err(|e| CliError::io(path, e))?;
     if recovered.resumed {
         let torn = recovered
             .torn
@@ -542,16 +534,13 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
                 Ok(1)
             }
             "--policy" => {
-                policy = match take("--policy")? {
-                    "fcfs" => ReferencePolicy::Fcfs,
-                    "easy" => ReferencePolicy::Easy,
-                    "greedy" => ReferencePolicy::Greedy,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown policy '{other}' (fcfs|easy|greedy)"
-                        )))
-                    }
+                let name = take("--policy")?;
+                let Ok(PolicyArg::Online(kind)) = PolicyArg::parse(name) else {
+                    return Err(CliError::Usage(format!(
+                        "unknown policy '{name}' (fcfs|easy|greedy)"
+                    )));
                 };
+                policy = kind;
                 Ok(1)
             }
             "--script" => {
@@ -682,30 +671,22 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
             secs => Some(Duration::from_secs(secs)),
         },
     };
-    let bind_err = |path: &str, e: std::io::Error| CliError::Io {
-        path: path.to_string(),
-        message: e.to_string(),
-    };
-    let mut stdout = String::new();
     match transport {
         Transport::Script(path) => {
-            let script = std::fs::read_to_string(&path).map_err(|e| bind_err(&path, e))?;
-            stdout = plan.serve(Io::Script(&script))?;
-            if let Some(note) = opts.persist(&stdout)? {
-                stdout.push_str(&note);
-                stdout.push('\n');
-            }
+            let script = std::fs::read_to_string(&path).map_err(|e| CliError::io(&path, e))?;
+            return opts.finish(plan.serve(Io::Script(&script))?, 0);
         }
         Transport::Stdio => {
             plan.serve(Io::Stdio)?;
         }
         Transport::Tcp(addr) => {
-            let listener = std::net::TcpListener::bind(&addr).map_err(|e| bind_err(&addr, e))?;
+            let listener =
+                std::net::TcpListener::bind(&addr).map_err(|e| CliError::io(&addr, e))?;
             plan.serve(Io::Listener(AnyListener::Tcp(listener)))?;
         }
         #[cfg(unix)]
         Transport::Unix(path) => {
-            let listener = bind_unix(&path).map_err(|e| bind_err(&path, e))?;
+            let listener = bind_unix(&path).map_err(|e| CliError::io(&path, e))?;
             let served = plan.serve(Io::Listener(AnyListener::Unix(listener)));
             // The socket file is this process's: leave none behind.
             let _ = std::fs::remove_file(&path);
@@ -713,7 +694,7 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
         }
     }
     Ok(Outcome {
-        stdout,
+        stdout: String::new(),
         violations: 0,
     })
 }
@@ -845,10 +826,11 @@ fn serve_concurrent(
     listener: AnyListener,
     idle: Option<Duration>,
 ) -> Result<(), CliError> {
-    let wake = Arc::new(listener.wake_addr().map_err(|e| CliError::Io {
-        path: "<listener>".to_string(),
-        message: e.to_string(),
-    })?);
+    let wake = Arc::new(
+        listener
+            .wake_addr()
+            .map_err(|e| CliError::io("<listener>", e))?,
+    );
     let stop = Arc::new(AtomicBool::new(false));
     let cfg = Arc::new(cfg);
     loop {

@@ -75,14 +75,16 @@
 //! aborts the process after that many appended cells, for crash tests.
 
 use crate::fields::{anchor_line, check_fields};
-use crate::opts::{CommonOpts, OutputFormat};
-use crate::replay::{parse_alpha, PolicyArg, ReservationArg};
+use crate::opts::CommonOpts;
+use crate::replay::{
+    parse_alpha, read_error, resolve_trace, Decoration, PolicyArg, ReservationArg,
+};
 use crate::{CliError, Outcome};
 use resa_analysis::prelude::*;
 use resa_core::io::{atomic_write, frame_record, open_log, put_u64, Cursor, Frames, FRAME_HEADER};
 use resa_core::prelude::*;
 use resa_sim::prelude::{
-    AdmissionPolicy, DeadlineOutcome, ScheduleService, SimMetrics, WindowKind,
+    AdmissionPolicy, DeadlineOutcome, Op, Reply, ScheduleService, SimMetrics, WindowKind,
 };
 use resa_workloads::prelude::*;
 use resa_workloads::store::sha256;
@@ -168,8 +170,11 @@ pub struct SweepSpec {
     pub arrivals: Option<u64>,
     /// Policies, by `resa replay --policy` name.
     pub policies: Vec<String>,
-    /// Optional reservation overlay.
-    pub reservations: Option<ReservationSpec>,
+    /// Optional reservation overlay, as the α dimension of the sweep: one
+    /// `(label, overlay)` variant per α value. A single `alpha` (and the
+    /// nonincreasing family) is one unlabeled variant, so specs without an
+    /// `alphas` list keep their rows unlabeled.
+    pub(crate) reservations: Option<Vec<(Option<String>, Decoration)>>,
     /// Per-cell exact branch-and-bound probe budget in nodes (`None` = no
     /// exact probe).
     pub exact_probe: Option<u64>,
@@ -197,32 +202,19 @@ pub struct FailureSpec {
     pub horizon: u64,
 }
 
-/// The `reservations` object of a sweep spec.
-#[derive(Debug, Clone)]
-pub struct ReservationSpec {
-    /// `alpha` or `nonincreasing`.
-    pub family: String,
-    /// α as `"1/2"` or `"0.5"` (alpha family).
-    pub alpha: Option<String>,
-    /// A *list* of α values swept as one more dimension of the cross
-    /// product (alpha family; mutually exclusive with `alpha`).
-    pub alphas: Option<Vec<String>>,
-    /// Number of reservations (alpha family).
-    pub count: Option<usize>,
-    /// Placement horizon (alpha family).
-    pub horizon: Option<u64>,
-    /// Longest reservation.
-    pub max_duration: Option<u64>,
-    /// Staircase steps (nonincreasing family).
-    pub steps: Option<usize>,
-    /// Peak unavailability (nonincreasing family).
-    pub max_initial: Option<u32>,
+fn get_field<T: Deserialize>(value: &Value, name: &str) -> Result<Option<T>, DeError> {
+    get_with(value, name, T::from_value)
 }
 
-fn get_field<T: Deserialize>(value: &Value, name: &str) -> Result<Option<T>, DeError> {
+/// The field `name` of `value` read by `parse`; absent or `null` is `None`.
+fn get_with<T>(
+    value: &Value,
+    name: &str,
+    parse: impl FnOnce(&Value) -> Result<T, DeError>,
+) -> Result<Option<T>, DeError> {
     match value.get(name) {
         None | Some(Value::Null) => Ok(None),
-        Some(v) => T::from_value(v)
+        Some(v) => parse(v)
             .map(Some)
             .map_err(|e| DeError::custom(format!("field '{name}': {e}"))),
     }
@@ -282,7 +274,7 @@ impl Deserialize for SweepSpec {
             workload: get_field(value, "workload")?.unwrap_or_else(|| "feitelson".to_string()),
             arrivals: get_field(value, "arrivals")?,
             policies: require(get_field(value, "policies")?, "policies")?,
-            reservations: get_field(value, "reservations")?,
+            reservations: get_with(value, "reservations", reservation_variants)?,
             exact_probe: get_field(value, "exact_probe")?,
             deadline_frac: get_field(value, "deadline_frac")?,
             widths: get_field(value, "widths")?,
@@ -315,93 +307,80 @@ impl SweepSpec {
     }
 }
 
-impl Deserialize for ReservationSpec {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        check_fields(
-            value,
-            "the 'reservations' section",
-            &[
-                "family",
-                "alpha",
-                "alphas",
-                "count",
-                "horizon",
-                "max_duration",
-                "steps",
-                "max_initial",
-            ],
-        )?;
-        Ok(ReservationSpec {
-            family: require(get_field(value, "family")?, "reservations.family")?,
-            alpha: get_field(value, "alpha")?,
-            alphas: get_field(value, "alphas")?,
-            count: get_field(value, "count")?,
-            horizon: get_field(value, "horizon")?,
-            max_duration: get_field(value, "max_duration")?,
-            steps: get_field(value, "steps")?,
-            max_initial: get_field(value, "max_initial")?,
-        })
-    }
-}
-
-impl ReservationSpec {
-    /// Expand the spec into the α dimension of the sweep: one `(label,
-    /// argument)` variant per α value. A single `alpha` (and the
-    /// nonincreasing family) yields one unlabeled variant, so specs without
-    /// an `alphas` list keep their exact previous row shape.
-    fn to_args(&self) -> Result<Vec<(Option<String>, ReservationArg)>, CliError> {
-        match self.family.as_str() {
-            "alpha" => {
-                let (texts, labeled): (Vec<String>, bool) = match (&self.alpha, &self.alphas) {
-                    (Some(_), Some(_)) => {
-                        return Err(CliError::Parse(
-                            "reservations: give either 'alpha' or 'alphas', not both".into(),
-                        ))
-                    }
-                    (Some(a), None) => (vec![a.clone()], false),
-                    (None, Some(list)) if !list.is_empty() => (list.clone(), true),
-                    _ => {
-                        return Err(CliError::Parse(
-                            "reservations.family 'alpha' needs an 'alpha' value or a \
-                             non-empty 'alphas' list"
-                                .into(),
-                        ))
-                    }
-                };
-                texts
-                    .iter()
-                    .map(|text| {
-                        Ok((
-                            labeled.then(|| text.clone()),
-                            ReservationArg::Alpha {
-                                alpha: parse_alpha(text)?,
-                                count: self.count,
-                                horizon: self.horizon,
-                                max_duration: self.max_duration,
-                            },
-                        ))
-                    })
-                    .collect()
-            }
-            "nonincreasing" => {
-                if self.alphas.is_some() {
-                    return Err(CliError::Parse(
-                        "'alphas' only applies to the alpha family".into(),
-                    ));
+/// Parse the `reservations` object of a sweep spec into its α variants
+/// (see [`SweepSpec::reservations`]).
+fn reservation_variants(value: &Value) -> Result<Vec<(Option<String>, Decoration)>, DeError> {
+    check_fields(
+        value,
+        "the 'reservations' section",
+        &[
+            "family",
+            "alpha",
+            "alphas",
+            "count",
+            "horizon",
+            "max_duration",
+            "steps",
+            "max_initial",
+        ],
+    )?;
+    let family: String = require(get_field(value, "family")?, "reservations.family")?;
+    let alpha: Option<String> = get_field(value, "alpha")?;
+    let alphas: Option<Vec<String>> = get_field(value, "alphas")?;
+    let (count, horizon) = (get_field(value, "count")?, get_field(value, "horizon")?);
+    let max_duration = get_field(value, "max_duration")?;
+    let (steps, max_initial) = (get_field(value, "steps")?, get_field(value, "max_initial")?);
+    let variant = |label: Option<String>, reservations| {
+        let decoration = Decoration {
+            reservations,
+            ..Decoration::default()
+        };
+        (label, decoration)
+    };
+    match family.as_str() {
+        "alpha" => {
+            let (texts, labeled) = match (alpha, alphas) {
+                (Some(_), Some(_)) => {
+                    return Err(DeError::custom(
+                        "reservations: give either 'alpha' or 'alphas', not both",
+                    ))
                 }
-                Ok(vec![(
-                    None,
-                    ReservationArg::NonIncreasing {
-                        steps: self.steps,
-                        max_initial: self.max_initial,
-                        max_duration: self.max_duration,
-                    },
-                )])
-            }
-            other => Err(CliError::Parse(format!(
-                "unknown reservation family '{other}' (alpha|nonincreasing)"
-            ))),
+                (Some(a), None) => (vec![a], false),
+                (None, Some(list)) if !list.is_empty() => (list, true),
+                _ => {
+                    return Err(DeError::custom(
+                        "reservations.family 'alpha' needs an 'alpha' value or a \
+                         non-empty 'alphas' list",
+                    ))
+                }
+            };
+            texts
+                .into_iter()
+                .map(|text| {
+                    let arg = ReservationArg::Alpha {
+                        alpha: parse_alpha(&text).map_err(DeError::custom)?,
+                        count,
+                        horizon,
+                        max_duration,
+                    };
+                    Ok(variant(labeled.then_some(text), arg))
+                })
+                .collect()
         }
+        "nonincreasing" if alphas.is_some() => {
+            Err(DeError::custom("'alphas' only applies to the alpha family"))
+        }
+        "nonincreasing" => Ok(vec![variant(
+            None,
+            ReservationArg::NonIncreasing {
+                steps,
+                max_initial,
+                max_duration,
+            },
+        )]),
+        other => Err(DeError::custom(format!(
+            "unknown reservation family '{other}' (alpha|nonincreasing)"
+        ))),
     }
 }
 
@@ -474,10 +453,7 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
         Ok(1)
     })?;
     sharding.validate()?;
-    let text = std::fs::read_to_string(spec_path).map_err(|e| CliError::Io {
-        path: spec_path.to_string(),
-        message: e.to_string(),
-    })?;
+    let text = std::fs::read_to_string(spec_path).map_err(|e| CliError::io(spec_path, e))?;
     let spec: SweepSpec = serde_json::from_str(&text).map_err(|e| {
         // Anchor field-level errors to the offending line of the spec.
         CliError::Parse(format!(
@@ -501,8 +477,8 @@ type Sample = (f64, f64, f64, f64, bool, Option<f64>);
 /// policies and the flat deterministic cell list that every run — sharded
 /// or not — walks in the same order.
 struct SweepPlan {
-    variants: Vec<(Option<String>, ReservationArg)>,
-    policies: Vec<(String, PolicyArg)>,
+    variants: Vec<(Option<String>, Decoration)>,
+    policies: Vec<PolicyArg>,
     /// For a `trace:<name>` workload: the job prefix loaded (once, at plan
     /// time) from the checksum-pinned cache. Cells reuse its widths and
     /// durations as a batch workload.
@@ -540,25 +516,22 @@ fn plan(spec: &SweepSpec) -> Result<SweepPlan, CliError> {
         )));
     };
     check_scenario(spec)?;
-    let variants: Vec<(Option<String>, ReservationArg)> = match &spec.reservations {
-        None => vec![(None, ReservationArg::None)],
-        Some(r) => r.to_args()?,
-    };
-    let policies: Vec<(String, PolicyArg)> = spec
+    let variants = spec
+        .reservations
+        .clone()
+        .unwrap_or_else(|| vec![Default::default()]);
+    let policies: Vec<PolicyArg> = spec
         .policies
         .iter()
-        .map(|name| PolicyArg::parse(name).map(|p| (name.clone(), p)))
+        .map(|name| PolicyArg::parse(name))
         .collect::<Result<_, _>>()?;
-    if spec.is_scenario() {
-        if let Some((name, _)) = policies
-            .iter()
-            .find(|(_, p)| !matches!(p, PolicyArg::Online(_)))
-        {
-            return Err(CliError::Parse(format!(
-                "scenario sweeps run the resident service; policy '{name}' is \
-                 off-line (use fcfs|easy|greedy)"
-            )));
-        }
+    let offline = policies.iter().find(|p| matches!(p, PolicyArg::Offline(_)));
+    if let Some(policy) = offline.filter(|_| spec.is_scenario()) {
+        return Err(CliError::Parse(format!(
+            "scenario sweeps run the resident service; policy '{}' is \
+             off-line (use fcfs|easy|greedy)",
+            policy.name()
+        )));
     }
     let cells: Vec<(u32, usize, usize, usize, u64)> = spec
         .machines
@@ -586,29 +559,12 @@ fn plan(spec: &SweepSpec) -> Result<SweepPlan, CliError> {
 /// first `wanted` jobs out of it — the sweep never materializes the rest of
 /// an archive-scale log. The pool is loaded once per plan, not per cell.
 fn load_trace_pool(reference: &str, wanted: usize) -> Result<Vec<Job>, CliError> {
-    let path = TraceStore::open_default()
-        .resolve_ref(reference)
-        .map_err(|e| CliError::Parse(e.to_string()))?;
-    let stream = open_trace(&path, None).map_err(|e| CliError::Io {
-        path: reference.to_string(),
-        message: e.to_string(),
-    })?;
-    let mut pool = Vec::with_capacity(wanted);
-    for item in stream {
-        if pool.len() == wanted {
-            break;
-        }
-        match item {
-            Ok(job) => pool.push(job),
-            Err(SwfReadError::Swf(e)) => return Err(CliError::Parse(format!("{reference}: {e}"))),
-            Err(SwfReadError::Io(e)) => {
-                return Err(CliError::Io {
-                    path: reference.to_string(),
-                    message: e.to_string(),
-                })
-            }
-        }
-    }
+    let file = resolve_trace(reference)?;
+    let stream = open_trace(&file, None).map_err(|e| CliError::io(reference, e))?;
+    let pool = stream
+        .take(wanted)
+        .collect::<Result<Vec<Job>, _>>()
+        .map_err(|e| read_error(reference, e))?;
     if pool.len() < wanted {
         return Err(CliError::Parse(format!(
             "{reference}: trace has {} jobs but the sweep asks for {wanted}",
@@ -720,13 +676,14 @@ fn run_cells(
             None => generate_jobs(&spec.workload, m, spec.jobs[j], spec.arrivals, seed),
         };
         let max_release = jobs.iter().map(|j| j.release.ticks()).max().unwrap_or(0);
-        let (instance, _clamped) =
-            crate::replay::build_instance(m, jobs, &plan.variants[v].1, max_release, seed, 0)
-                .expect("sweep instances are feasible by construction");
+        let (instance, _clamped) = plan.variants[v]
+            .1
+            .build(m, jobs, max_release, seed)
+            .expect("sweep instances are feasible by construction");
         let sample = if spec.is_scenario() {
-            run_scenario_cell(spec, m, &instance, plan.policies[p].1, seed)
+            run_scenario_cell(spec, m, &instance, plan.policies[p], seed)
         } else {
-            let (schedule, _) = crate::replay::run_policy(plan.policies[p].1, &instance);
+            let (schedule, _) = crate::replay::run_policy(plan.policies[p], &instance);
             let metrics = SimMetrics::from_schedule(&instance, &schedule);
             let exact_nodes_per_sec = spec.exact_probe.map(|budget| {
                 let harness = RatioHarness {
@@ -761,13 +718,71 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-/// Run one scenario cell: the generated instance driven through a resident
-/// [`ScheduleService`] session instead of the batch simulator — overlay
-/// reserved up front, seeded failure drains injected, then every job
-/// submitted (deadline-gated or molded per the spec) and the session
-/// drained. The violation flag re-derives the scenario guarantees from
-/// first principles: schedule validity on the off-line oracle instance, no
-/// committed deadline missed, and the drained-window invariant.
+/// Compile one scenario cell into the ops of a resident session: the
+/// overlay reserved up front, the seeded failure drains injected, then every
+/// job submitted in release order (deadline-gated or molded per the spec)
+/// and the session drained.
+fn scenario_ops(spec: &SweepSpec, instance: &ResaInstance, seed: u64) -> Vec<Op> {
+    let mut ops: Vec<Op> = instance
+        .reservations()
+        .iter()
+        .map(|r| Op::Reserve {
+            width: r.width,
+            duration: r.duration,
+            start: r.start,
+        })
+        .collect();
+    if let Some(f) = &spec.failures {
+        let mut rng = seed.wrapping_add(0x9e37_79b9_7f4a_7c15) | 1;
+        for _ in 0..f.count {
+            let duration = Dur(1 + xorshift(&mut rng) % f.max_duration);
+            let start = Time(xorshift(&mut rng) % (f.horizon + 1));
+            ops.push(Op::Inject {
+                width: f.width,
+                duration,
+                start,
+            });
+        }
+    }
+    let mut order: Vec<&Job> = instance.jobs().iter().collect();
+    order.sort_by_key(|job| (job.release, job.id));
+    for job in order {
+        let (width, duration, release) = (job.width, job.duration, Some(job.release));
+        if let Some(widths) = &spec.widths {
+            // Mold the job at its release instant: same work area, width
+            // chosen by the service.
+            ops.push(Op::AdvanceClamped { to: job.release });
+            ops.push(Op::SubmitMoldable {
+                widths: widths.clone(),
+                area: u64::from(width) * duration.ticks(),
+            });
+        } else if let Some(frac) = spec.deadline_frac {
+            let slack = (duration.ticks() as f64 * frac).ceil() as u64;
+            ops.push(Op::SubmitDeadline {
+                width,
+                duration,
+                release,
+                deadline: job.release + Dur(slack),
+                admission: AdmissionPolicy::Reject,
+            });
+        } else {
+            ops.push(Op::Submit {
+                width,
+                duration,
+                release,
+            });
+        }
+    }
+    ops.push(Op::Drain);
+    ops
+}
+
+/// Run one scenario cell: its [`scenario_ops`] applied to a resident
+/// [`ScheduleService`] through [`ScheduleService::apply`] — the op path of
+/// `resa serve` — instead of the batch simulator. The violation flag
+/// re-derives the scenario guarantees from first principles: schedule
+/// validity on the off-line oracle instance, no committed deadline missed,
+/// and the drained-window invariant.
 fn run_scenario_cell(
     spec: &SweepSpec,
     machines: u32,
@@ -779,86 +794,47 @@ fn run_scenario_cell(
         unreachable!("plan() rejects off-line policies for scenario sweeps")
     };
     let mut svc = ScheduleService::new(policy, AvailabilityTimeline::constant(machines));
-    for r in instance.reservations() {
-        svc.reserve(r.width, r.duration, r.start)
-            .expect("build_instance certified the overlay");
-    }
-    if let Some(f) = &spec.failures {
-        let mut rng = seed.wrapping_add(0x9e37_79b9_7f4a_7c15) | 1;
-        for _ in 0..f.count {
-            let duration = 1 + xorshift(&mut rng) % f.max_duration;
-            let start = xorshift(&mut rng) % (f.horizon + 1);
-            // A window the remaining capacity cannot honor is rejected by
-            // the service, transactionally — drop it rather than force it.
-            let _ = svc.inject(f.width, Dur(duration), Time(start));
-        }
-    }
-    let mut order: Vec<&Job> = instance.jobs().iter().collect();
-    order.sort_by_key(|job| (job.release, job.id));
     let mut committed: Vec<(JobId, Dur, Time)> = Vec::new();
-    for job in order {
-        if let Some(menu) = &spec.widths {
-            // Mold the job: same work area, width chosen by the service.
-            // Moldable submission happens at the job's release instant.
-            svc.advance_clamped(job.release);
-            let area = u64::from(job.width) * job.duration.ticks();
-            svc.submit_moldable(menu, area)
-                .expect("the menu was validated against the smallest cluster");
-        } else if let Some(frac) = spec.deadline_frac {
-            let slack = (job.duration.ticks() as f64 * frac).ceil() as u64;
-            let deadline = job.release + Dur(slack);
-            // Reject-mode admission: a rejected job simply never exists in
-            // this cell; a committed one joins the checked commitments.
-            if let Ok((id, DeadlineOutcome::Committed { .. }, _)) = svc.submit_deadline(
-                job.width,
-                job.duration,
-                Some(job.release),
-                deadline,
-                AdmissionPolicy::Reject,
-            ) {
-                committed.push((id, job.duration, deadline));
-            }
-        } else {
-            svc.submit(job.width, job.duration, Some(job.release))
-                .expect("generated jobs fit their cluster");
+    for op in scenario_ops(spec, instance, seed) {
+        match (svc.apply(&op), op) {
+            (
+                Ok(Reply::Deadline {
+                    id,
+                    outcome: DeadlineOutcome::Committed { .. },
+                    ..
+                }),
+                Op::SubmitDeadline {
+                    duration, deadline, ..
+                },
+            ) => committed.push((id, duration, deadline)),
+            // A drain the remaining capacity cannot honor is rejected by
+            // the service, transactionally — dropped rather than forced; a
+            // job reject-mode admission refuses never exists in this cell.
+            (Ok(_), _) | (Err(_), Op::Inject { .. } | Op::SubmitDeadline { .. }) => {}
+            (Err(e), op) => panic!("scenario cell refused {op:?}: {e}"),
         }
     }
-    svc.drain();
 
     // Guarantee checks, re-derived independently of the substrate.
     let live = svc.to_instance();
-    let job_windows: Vec<Window> = live
-        .jobs()
-        .iter()
-        .filter_map(|job| {
-            svc.schedule()
-                .start_of(job.id)
-                .map(|s| (job.width, s, s.saturating_add(job.duration)))
-        })
-        .collect();
+    let job_windows = job_windows(live.jobs(), svc.schedule());
     let blocked: Vec<Window> = WindowKind::ALL
         .iter()
         .flat_map(|&kind| svc.windows(kind))
         .filter(|w| w.is_effective())
         .map(|w| (w.width, w.start, w.end))
         .collect();
-    let mut all_committed_placed = true;
-    let commitments: Vec<(Time, Time)> = committed
+    // Every committed job is placed, and completes by its deadline.
+    let commitments: Option<Vec<(Time, Time)>> = committed
         .iter()
-        .filter_map(
-            |&(id, duration, deadline)| match svc.schedule().start_of(id) {
-                Some(s) => Some((s.saturating_add(duration), deadline)),
-                None => {
-                    all_committed_placed = false;
-                    None
-                }
-            },
-        )
+        .map(|&(id, duration, deadline)| {
+            let start = svc.schedule().start_of(id)?;
+            Some((start.saturating_add(duration), deadline))
+        })
         .collect();
     let (oracle_instance, oracle_schedule) = svc.oracle_parts();
     let broken = !oracle_schedule.is_valid(&oracle_instance)
-        || !all_committed_placed
-        || !deadlines_met(&commitments)
+        || !commitments.is_some_and(|c| deadlines_met(&c))
         || !drain_invariant(machines, &job_windows, &blocked);
     // The ratio baseline is the certified lower bound of the *live*
     // instance (every submitted job plus the drain/reservation overlay):
@@ -900,7 +876,7 @@ fn aggregate(spec: &SweepSpec, plan: &SweepPlan, samples: &[Sample]) -> (Vec<Swe
             machines: m,
             jobs: spec.jobs_labeled.then(|| spec.jobs[j]),
             alpha: plan.variants[v].0.clone(),
-            policy: plan.policies[p].0.clone(),
+            policy: plan.policies[p].name().to_string(),
             cells: chunk.len(),
             mean_makespan: chunk.iter().map(|c| c.0).sum::<f64>() / n,
             mean_ratio_to_lb: chunk.iter().map(|c| c.1).sum::<f64>() / n,
@@ -963,22 +939,15 @@ fn contiguous_ranges(total: usize, shards: usize) -> Vec<(usize, usize)> {
     (0..shards).map(|i| (start(i), start(i + 1))).collect()
 }
 
-fn shard_io_err(path: &Path, e: impl std::fmt::Display) -> CliError {
-    CliError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    }
-}
-
 /// Verify the dir's manifest is `manifest` byte for byte (a shard dir holds
 /// one spec, seed and split, never another), or write a missing one if `create`.
 fn check_manifest(dir: &Path, manifest: &[u8], create: bool) -> Result<(), CliError> {
     let path = dir.join("manifest");
     match std::fs::read(&path) {
         Err(e) if create && e.kind() == std::io::ErrorKind::NotFound => {
-            atomic_write(&path, manifest).map_err(|e| shard_io_err(&path, e))
+            atomic_write(&path, manifest).map_err(|e| CliError::io(path.display(), e))
         }
-        Err(e) => Err(shard_io_err(&path, e)),
+        Err(e) => Err(CliError::io(path.display(), e)),
         Ok(found) if found != manifest => Err(CliError::Parse(format!(
             "{}: shard dir was built from a different spec, seed or shard split — \
              use a fresh --shard-dir",
@@ -1056,8 +1025,9 @@ fn read_log(bytes: &[u8], header: &[u8], range: (usize, usize)) -> Result<ShardL
 /// A finished shard's samples in cell order, for `--merge`: a log that is
 /// short, repeats a cell or holds one outside its range is refused.
 fn merge_shard(path: &Path, header: &[u8], range: (usize, usize)) -> Result<Vec<Sample>, CliError> {
-    let bytes = std::fs::read(path).map_err(|e| shard_io_err(path, e))?;
-    let (samples, _, stop) = read_log(&bytes, header, range).map_err(|e| shard_io_err(path, e))?;
+    let bytes = std::fs::read(path).map_err(|e| CliError::io(path.display(), e))?;
+    let (samples, _, stop) =
+        read_log(&bytes, header, range).map_err(|e| CliError::io(path.display(), e))?;
     let logged = samples.iter().flatten().count();
     if stop.is_some() || logged < samples.len() {
         let why = stop.map_or_else(String::new, |why| format!(", {why}"));
@@ -1083,10 +1053,10 @@ fn run_shard(
     header: &[u8],
     range: (usize, usize),
 ) -> Result<(Vec<Sample>, usize), CliError> {
-    let io_err = |e: std::io::Error| shard_io_err(path, e);
+    let io_err = |e: std::io::Error| CliError::io(path.display(), e);
     let (mut file, bytes) = open_log(path).map_err(io_err)?;
     let (mut samples, valid_len, _) =
-        read_log(&bytes, header, range).map_err(|e| shard_io_err(path, e))?;
+        read_log(&bytes, header, range).map_err(|e| CliError::io(path.display(), e))?;
     file.set_len(valid_len as u64).map_err(io_err)?;
     let mut head = Vec::new();
     if valid_len == 0 {
@@ -1123,14 +1093,14 @@ fn run_sharded(
     sh: &ShardOpts,
 ) -> Result<Outcome, CliError> {
     let dir = PathBuf::from(sh.dir.as_deref().expect("validated by ShardOpts"));
-    std::fs::create_dir_all(&dir).map_err(|e| shard_io_err(&dir, e))?;
+    std::fs::create_dir_all(&dir).map_err(|e| CliError::io(dir.display(), e))?;
     let plan = plan(spec)?;
     let total = plan.cells.len();
     let fingerprint = sha256(format!("{text}\u{1f}seed={}", opts.seed).as_bytes());
     // Shard dirs are scratch: one written by an older resa (a JSON
     // manifest, JSON rows files, `*.done.json` markers) is refused.
     let json = |entry: std::fs::DirEntry| entry.path().extension() == Some("json".as_ref());
-    let entries = std::fs::read_dir(&dir).map_err(|e| shard_io_err(&dir, e))?;
+    let entries = std::fs::read_dir(&dir).map_err(|e| CliError::io(dir.display(), e))?;
     if entries.flatten().any(json) {
         return Err(CliError::Parse(format!(
             "{}: written by an older resa; rerun the shard in a fresh --shard-dir",
@@ -1214,6 +1184,9 @@ fn generate_jobs(
     }
 }
 
+/// A column of the rendered table: header, whether it is shown, cell.
+type Column = (&'static str, bool, fn(&SweepRow) -> String);
+
 /// Render the aggregated rows.
 fn render(
     spec: &SweepSpec,
@@ -1223,28 +1196,30 @@ fn render(
 ) -> Result<Outcome, CliError> {
     // The jobs, α and exact-probe columns only appear when the spec asked
     // for those dimensions, so plain sweeps keep their previous table shape.
-    let has_jobs = rows.iter().any(|r| r.jobs.is_some());
-    let has_alpha = rows.iter().any(|r| r.alpha.is_some());
-    let has_exact = rows.iter().any(|r| r.mean_exact_nodes_per_sec.is_some());
-    let mut headers = vec!["m"];
-    if has_jobs {
-        headers.push("jobs");
-    }
-    if has_alpha {
-        headers.push("alpha");
-    }
-    headers.extend([
-        "policy",
-        "cells",
-        "mean Cmax",
-        "mean Cmax/LB",
-        "worst Cmax/LB",
-        "mean wait",
-        "mean util",
-    ]);
-    if has_exact {
-        headers.push("exact nodes/s");
-    }
+    let any = |has: fn(&SweepRow) -> bool| rows.iter().any(has);
+    let columns: [Column; 11] = [
+        ("m", true, |r| r.machines.to_string()),
+        ("jobs", any(|r| r.jobs.is_some()), |r| {
+            r.jobs.map_or_else(|| "-".to_string(), |j| j.to_string())
+        }),
+        ("alpha", any(|r| r.alpha.is_some()), |r| {
+            r.alpha.clone().unwrap_or_else(|| "-".to_string())
+        }),
+        ("policy", true, |r| r.policy.clone()),
+        ("cells", true, |r| r.cells.to_string()),
+        ("mean Cmax", true, |r| fmt_f64(r.mean_makespan)),
+        ("mean Cmax/LB", true, |r| fmt_f64(r.mean_ratio_to_lb)),
+        ("worst Cmax/LB", true, |r| fmt_f64(r.worst_ratio_to_lb)),
+        ("mean wait", true, |r| fmt_f64(r.mean_wait)),
+        ("mean util", true, |r| fmt_f64(r.mean_utilization)),
+        (
+            "exact nodes/s",
+            any(|r| r.mean_exact_nodes_per_sec.is_some()),
+            |r| fmt_f64(r.mean_exact_nodes_per_sec.unwrap_or(0.0)),
+        ),
+    ];
+    let columns: Vec<_> = columns.iter().filter(|column| column.1).collect();
+    let headers: Vec<&str> = columns.iter().map(|column| column.0).collect();
     let mut table = Table::new(
         format!(
             "sweep '{}' — {} on {:?} machines, {} seeds per cell",
@@ -1253,49 +1228,17 @@ fn render(
         &headers,
     );
     for r in rows {
-        let mut row = vec![r.machines.to_string()];
-        if has_jobs {
-            row.push(r.jobs.map_or_else(|| "-".to_string(), |j| j.to_string()));
-        }
-        if has_alpha {
-            row.push(r.alpha.clone().unwrap_or_else(|| "-".to_string()));
-        }
-        row.extend([
-            r.policy.clone(),
-            r.cells.to_string(),
-            fmt_f64(r.mean_makespan),
-            fmt_f64(r.mean_ratio_to_lb),
-            fmt_f64(r.worst_ratio_to_lb),
-            fmt_f64(r.mean_wait),
-            fmt_f64(r.mean_utilization),
-        ]);
-        if has_exact {
-            row.push(fmt_f64(r.mean_exact_nodes_per_sec.unwrap_or(0.0)));
-        }
-        table.push_row(row);
+        table.push_row(columns.iter().map(|column| (column.2)(r)).collect());
     }
-    let rendered = match opts.format {
-        OutputFormat::Json => format!("{}\n", to_json(&rows.to_vec())),
-        OutputFormat::Csv => table.to_csv(),
-        OutputFormat::Table => {
-            let mut out = table.to_text();
-            out.push_str(&format!(
-                "\nsanity violations: {violations} {}\n",
-                if violations == 0 {
-                    "(all schedules feasible and above the certified lower bound)"
-                } else {
-                    "(REPRODUCTION BROKEN)"
-                }
-            ));
-            out
+    let notes = format!(
+        "\nsanity violations: {violations} {}\n",
+        if violations == 0 {
+            "(all schedules feasible and above the certified lower bound)"
+        } else {
+            "(REPRODUCTION BROKEN)"
         }
-    };
-    let mut stdout = rendered.clone();
-    if let Some(note) = opts.persist(&rendered)? {
-        stdout.push_str(&note);
-        stdout.push('\n');
-    }
-    Ok(Outcome { stdout, violations })
+    );
+    opts.emit(&to_json(&rows.to_vec()), &table, &notes, violations)
 }
 
 #[cfg(test)]
@@ -1444,40 +1387,31 @@ mod tests {
 
     #[test]
     fn alpha_and_alphas_together_are_rejected() {
-        let spec: SweepSpec = serde_json::from_str(
-            r#"{
+        // The `reservations` object parses straight into its α variants, so
+        // its family rules are spec parse errors.
+        let err = |text: &str| {
+            serde_json::from_str::<SweepSpec>(text)
+                .unwrap_err()
+                .to_string()
+        };
+        let e = err(r#"{
                 "machines": [8], "jobs": 5, "seeds": 1, "policies": ["fcfs"],
                 "reservations": { "family": "alpha", "alpha": "1/2", "alphas": ["1/4"] }
-            }"#,
-        )
-        .unwrap();
-        let err = execute(&spec, &CommonOpts::default()).unwrap_err();
-        assert!(
-            err.to_string().contains("either 'alpha' or 'alphas'"),
-            "{err}"
-        );
-        let spec: SweepSpec = serde_json::from_str(
-            r#"{
+            }"#);
+        assert!(e.contains("either 'alpha' or 'alphas'"), "{e}");
+        let e = err(r#"{
                 "machines": [8], "jobs": 5, "seeds": 1, "policies": ["fcfs"],
                 "reservations": { "family": "nonincreasing", "alphas": ["1/4"], "steps": 2 }
-            }"#,
-        )
-        .unwrap();
-        let err = execute(&spec, &CommonOpts::default()).unwrap_err();
+            }"#);
         assert!(
-            err.to_string()
-                .contains("'alphas' only applies to the alpha family"),
-            "{err}"
+            e.contains("'alphas' only applies to the alpha family"),
+            "{e}"
         );
-        let spec: SweepSpec = serde_json::from_str(
-            r#"{
+        let e = err(r#"{
                 "machines": [8], "jobs": 5, "seeds": 1, "policies": ["fcfs"],
                 "reservations": { "family": "alpha", "alphas": [] }
-            }"#,
-        )
-        .unwrap();
-        let err = execute(&spec, &CommonOpts::default()).unwrap_err();
-        assert!(err.to_string().contains("non-empty 'alphas'"), "{err}");
+            }"#);
+        assert!(e.contains("non-empty 'alphas'"), "{e}");
     }
 
     #[test]

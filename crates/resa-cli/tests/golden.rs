@@ -57,6 +57,63 @@ fn deadline_sweep_matches_the_golden_file() {
 }
 
 #[test]
+fn moldable_sweep_matches_the_golden_file() {
+    // Moldable widths plus failure drains: every cell is compiled to ops and
+    // applied to a resident service; the rows pin that path byte for byte.
+    let golden = std::fs::read_to_string(repo_root().join("examples/sweep_moldable.golden"))
+        .expect("checked-in sweep golden");
+    let spec = repo_root().join("examples/sweep_moldable.json");
+    let out = resa_cli::run(&[
+        "sweep",
+        &spec.display().to_string(),
+        "--threads",
+        "1",
+        "--format",
+        "json",
+    ])
+    .unwrap();
+    assert_eq!(out.violations, 0);
+    assert_eq!(
+        out.stdout, golden,
+        "moldable sweep drifted from the golden file"
+    );
+}
+
+#[test]
+fn decorated_replay_matches_the_golden_file() {
+    // Warm-up cut, an α overlay that narrows one job, and a failure drain
+    // merged into the overlay. The golden was written from the repo root,
+    // so the report's `trace` field names the relative path.
+    let golden = std::fs::read_to_string(repo_root().join("examples/replay_decorated.golden"))
+        .expect("checked-in replay golden");
+    let trace = fixture();
+    let out = resa_cli::run(&[
+        "replay",
+        &trace,
+        "--policy",
+        "greedy",
+        "--reservations",
+        "alpha:1/2",
+        "--failures",
+        "2:5:3",
+        "--warmup",
+        "2",
+        "--format",
+        "json",
+    ])
+    .unwrap();
+    assert_eq!(out.violations, 0);
+    let normalized = out.stdout.replace(
+        &format!("\"trace\": {:?}", trace),
+        "\"trace\": \"examples/fixture.swf\"",
+    );
+    assert_eq!(
+        normalized, golden,
+        "decorated replay drifted from the golden file"
+    );
+}
+
+#[test]
 fn figure_json_is_byte_stable_across_runner_modes() {
     for which in ["1", "2", "3", "4"] {
         let parallel = resa_cli::run(&["figure", which, "--quick", "--format", "json"]).unwrap();

@@ -361,14 +361,6 @@ impl ResaInstance {
             None
         }
     }
-
-    /// Drop reservations, keeping machines and jobs (used by transformations).
-    pub fn without_reservations(&self) -> RigidInstance {
-        RigidInstance {
-            machines: self.machines,
-            jobs: self.jobs.clone(),
-        }
-    }
 }
 
 fn validate_cluster_and_jobs(machines: u32, jobs: &[Job]) -> Result<(), ModelError> {
@@ -666,7 +658,7 @@ mod tests {
         let rigid = RigidInstance::new(4, vec![Job::new(0usize, 2, 3u64)]).unwrap();
         let resa = rigid.clone().into_resa();
         assert_eq!(resa.n_reservations(), 0);
-        assert_eq!(resa.without_reservations(), rigid);
+        assert_eq!(resa.jobs(), rigid.jobs());
         assert_eq!(resa.profile().capacity_at(Time(0)), 4);
     }
 }

@@ -77,18 +77,6 @@ impl Job {
         self.duration.area(self.width)
     }
 
-    /// Completion time if the job starts at `start`.
-    #[inline]
-    pub fn completion_if_started_at(&self, start: Time) -> Time {
-        start + self.duration
-    }
-
-    /// Whether the job fits within a cluster of `m` machines.
-    #[inline]
-    pub fn fits_in(&self, machines: u32) -> bool {
-        self.width >= 1 && self.width <= machines
-    }
-
     /// Whether the job respects the α-restriction `q_j ≤ α·m`.
     ///
     /// The comparison is done in exact integer arithmetic:
@@ -126,23 +114,12 @@ mod tests {
     fn job_released_at() {
         let j = Job::released_at(1usize, 2, 5u64, 7u64);
         assert_eq!(j.release, Time(7));
-        assert_eq!(j.completion_if_started_at(Time(7)), Time(12));
     }
 
     #[test]
     fn work_is_area() {
         let j = Job::new(0usize, 3, 7u64);
         assert_eq!(j.work(), 21);
-    }
-
-    #[test]
-    fn fits_in_cluster() {
-        let j = Job::new(0usize, 3, 1u64);
-        assert!(j.fits_in(3));
-        assert!(j.fits_in(8));
-        assert!(!j.fits_in(2));
-        let zero = Job::new(0usize, 0, 1u64);
-        assert!(!zero.fits_in(8));
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl ResourceProfile {
             .unwrap_or(self.base)
     }
 
-    /// Capacity after the last breakpoint (held forever).
-    pub fn final_capacity(&self) -> u32 {
-        self.steps.last().map(|&(_, c)| c).unwrap_or(self.base)
-    }
-
     /// Time of the last capacity change. `Time::ZERO` for a constant profile.
     pub fn last_change(&self) -> Time {
         self.steps.last().map(|&(t, _)| t).unwrap_or(Time::ZERO)
@@ -153,12 +148,6 @@ impl ResourceProfile {
             Err(i) => i,
         };
         self.steps.get(idx).map(|&(bt, _)| bt)
-    }
-
-    /// Whether availability is non-decreasing over time, i.e. the underlying
-    /// reservations are *non-increasing* in the sense of §4.1 of the paper.
-    pub fn is_availability_nondecreasing(&self) -> bool {
-        self.steps.windows(2).all(|w| w[1].1 >= w[0].1)
     }
 
     /// Earliest time `t ≥ not_before` such that at least `width` processors
@@ -364,29 +353,6 @@ impl ResourceProfile {
         None
     }
 
-    /// A copy of this profile where the capacity after `horizon` is replaced
-    /// by the constant `cap`. Used by the Proposition-1 transformation, which
-    /// discards everything the reservations do after the optimal makespan.
-    pub fn with_constant_after(&self, horizon: Time, cap: u32) -> ResourceProfile {
-        let mut steps: Vec<(Time, u32)> = self
-            .steps
-            .iter()
-            .copied()
-            .filter(|&(t, _)| t < horizon)
-            .collect();
-        if steps.is_empty() {
-            steps.push((Time::ZERO, cap));
-        } else {
-            steps.push((horizon, cap));
-        }
-        let mut p = ResourceProfile {
-            base: self.base.max(cap),
-            steps,
-        };
-        p.normalize();
-        p
-    }
-
     /// A copy of this profile where every capacity value is clamped to at most
     /// `cap` (used when restricting list scheduling to `αm` processors).
     pub fn clamped(&self, cap: u32) -> ResourceProfile {
@@ -484,8 +450,6 @@ mod tests {
         assert_eq!(p.capacity_at(Time(0)), 8);
         assert_eq!(p.capacity_at(Time(1_000_000)), 8);
         assert_eq!(p.min_capacity(), 8);
-        assert_eq!(p.final_capacity(), 8);
-        assert!(p.is_availability_nondecreasing());
     }
 
     #[test]
@@ -645,18 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn with_constant_after() {
-        let p = ResourceProfile::from_reservations(10, &[r(0, 4, 5, 2), r(1, 9, 100, 20)]).unwrap();
-        let q = p.with_constant_after(Time(10), 6);
-        assert_eq!(q.capacity_at(Time(0)), 10);
-        assert_eq!(q.capacity_at(Time(3)), 6);
-        assert_eq!(q.capacity_at(Time(9)), 10);
-        assert_eq!(q.capacity_at(Time(10)), 6);
-        assert_eq!(q.capacity_at(Time(50)), 6);
-        assert_eq!(q.final_capacity(), 6);
-    }
-
-    #[test]
     fn clamped_profile() {
         let p = ResourceProfile::from_reservations(10, &[r(0, 4, 5, 2)]).unwrap();
         let c = p.clamped(5);
@@ -674,15 +626,6 @@ mod tests {
         assert_eq!(p.next_change_after(Time(2)), Some(Time(7)));
         assert_eq!(p.next_change_after(Time(7)), None);
         assert_eq!(p.last_change(), Time(7));
-    }
-
-    #[test]
-    fn nondecreasing_availability_detection() {
-        let down = ResourceProfile::from_reservations(10, &[r(0, 4, 5, 2)]).unwrap();
-        assert!(!down.is_availability_nondecreasing());
-        // Reservations active from time 0 and ending: availability only grows.
-        let up = ResourceProfile::from_reservations(10, &[r(0, 4, 5, 0), r(1, 3, 9, 0)]).unwrap();
-        assert!(up.is_availability_nondecreasing());
     }
 
     #[test]

@@ -65,12 +65,6 @@ impl Reservation {
         self.start + self.duration
     }
 
-    /// Whether the reservation is active at time `t` (half-open window).
-    #[inline]
-    pub fn is_active_at(&self, t: Time) -> bool {
-        self.start <= t && t < self.end()
-    }
-
     /// Area (processor x time) withheld by the reservation.
     #[inline]
     pub fn area(&self) -> u128 {
@@ -168,10 +162,6 @@ mod tests {
     fn reservation_window() {
         let res = r(0, 2, 5, 10);
         assert_eq!(res.end(), Time(15));
-        assert!(res.is_active_at(Time(10)));
-        assert!(res.is_active_at(Time(14)));
-        assert!(!res.is_active_at(Time(15)));
-        assert!(!res.is_active_at(Time(9)));
         assert_eq!(res.area(), 10);
     }
 

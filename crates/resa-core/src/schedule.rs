@@ -10,7 +10,7 @@
 use crate::error::ScheduleError;
 use crate::instance::ResaInstance;
 use crate::job::JobId;
-use crate::time::{Dur, Time};
+use crate::time::Time;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -214,31 +214,6 @@ impl Schedule {
             return 0.0;
         }
         self.scheduled_work(instance) as f64 / area as f64
-    }
-
-    /// Per-job flow time (completion − release), keyed by job id.
-    pub fn flow_times(&self, instance: &ResaInstance) -> HashMap<JobId, Dur> {
-        self.placements
-            .iter()
-            .filter_map(|p| {
-                instance.job(p.job).map(|j| {
-                    let completion = p.start + j.duration;
-                    (j.id, completion.since(j.release))
-                })
-            })
-            .collect()
-    }
-
-    /// Per-job waiting time (start − release), keyed by job id.
-    pub fn waiting_times(&self, instance: &ResaInstance) -> HashMap<JobId, Dur> {
-        self.placements
-            .iter()
-            .filter_map(|p| {
-                instance
-                    .job(p.job)
-                    .map(|j| (j.id, p.start.since(j.release)))
-            })
-            .collect()
     }
 
     /// Materialize a concrete processor assignment: each job (and each
@@ -575,11 +550,6 @@ mod tests {
         assert_eq!(s.scheduled_work(&inst), 20);
         // Available area up to C_max=7: 4*7 − reservation area 2*2 = 24.
         assert!((s.utilization(&inst) - 20.0 / 24.0).abs() < 1e-12);
-        let flows = s.flow_times(&inst);
-        assert_eq!(flows[&JobId(2)], Dur(7));
-        let waits = s.waiting_times(&inst);
-        assert_eq!(waits[&JobId(0)], Dur(0));
-        assert_eq!(waits[&JobId(2)], Dur(5));
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl Time {
         Dur(self.0 - earlier.0)
     }
 
-    /// Checked duration elapsed from `earlier` to `self`.
-    #[inline]
-    pub fn checked_since(self, earlier: Time) -> Option<Dur> {
-        self.0.checked_sub(earlier.0).map(Dur)
-    }
-
     /// The larger of two times.
     #[inline]
     pub fn max(self, other: Time) -> Time {
@@ -207,8 +201,6 @@ mod tests {
     #[test]
     fn time_since() {
         assert_eq!(Time(10).since(Time(4)), Dur(6));
-        assert_eq!(Time(10).checked_since(Time(4)), Some(Dur(6)));
-        assert_eq!(Time(4).checked_since(Time(10)), None);
     }
 
     #[test]

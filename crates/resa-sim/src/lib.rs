@@ -21,7 +21,7 @@
 //!   implementation of the same rule on its own [`event`] queue, kept as the
 //!   loop's test oracle;
 //! * [`trace::RunTrace`] — per-job lifecycle records (arrival, start,
-//!   completion, overtaking) for post-mortem analysis of a run;
+//!   completion) of a run;
 //! * [`service::ScheduleService`] — the *resident* scheduler: one live
 //!   substrate, requests (submit / reserve / cancel / query / advance)
 //!   processed in arrival order, deciding through the loop's own decision

@@ -57,7 +57,8 @@ pub enum Op {
         /// Target instant.
         to: Time,
     },
-    /// [`ScheduleService::advance_clamped`].
+    /// Advance the clock to `max(now, to)`: [`ScheduleService::advance`]
+    /// treating a stale target as "no time passed" instead of rejecting it.
     AdvanceClamped {
         /// Target instant (clamped to `now`).
         to: Time,
@@ -78,7 +79,8 @@ pub enum Op {
         /// Drain id.
         id: usize,
     },
-    /// [`ScheduleService::submit_deadline`].
+    /// A deadline-gated submission: committed when its speculative
+    /// completion meets `deadline`, otherwise handled per `admission`.
     SubmitDeadline {
         /// Processors requested.
         width: u32,
@@ -91,7 +93,8 @@ pub enum Op {
         /// What to do when the speculative bound misses the due date.
         admission: AdmissionPolicy,
     },
-    /// [`ScheduleService::submit_moldable`].
+    /// A moldable submission: the service picks the width from `widths`
+    /// ([`best_width`]) and submits the job rigidly.
     SubmitMoldable {
         /// Admissible width menu.
         widths: Vec<u32>,

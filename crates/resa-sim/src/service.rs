@@ -611,7 +611,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// session with this before every request, so a wall-clock reading
     /// raced by another session's write batch can never poison the session
     /// with an [`ServiceError::InThePast`] rejection.
-    pub fn advance_clamped(&mut self, to: Time) -> &Effects {
+    pub(crate) fn advance_clamped(&mut self, to: Time) -> &Effects {
         self.fx_buf.clear();
         self.advance_into(to.max(self.auth.now));
         &self.fx_buf

@@ -19,7 +19,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// [`AdmissionPolicy::Reject`] refuses the job without a state change
     /// ([`ServiceError::DeadlineUnmet`]); [`AdmissionPolicy::Boost`] accepts
     /// it un-guaranteed at the *front* of the waiting queue.
-    pub fn submit_deadline(
+    pub(crate) fn submit_deadline(
         &mut self,
         width: u32,
         duration: Dur,
@@ -85,7 +85,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
     /// through the ordinary [`ScheduleService::submit`] path, so a moldable
     /// job is indistinguishable from a rigid one once admitted (which keeps
     /// the off-line replay oracle intact).
-    pub fn submit_moldable(
+    pub(crate) fn submit_moldable(
         &mut self,
         widths: &[u32],
         area: u64,

@@ -211,8 +211,9 @@ impl DrainMode {
     }
 }
 
-/// How [`ScheduleService::submit_deadline`] treats a job whose speculative
-/// completion bound misses the due date. A job whose bound *meets* the due
+/// How a deadline submission
+/// ([`Op::SubmitDeadline`](crate::op::Op::SubmitDeadline)) treats a job
+/// whose speculative completion bound misses the due date. A job whose bound *meets* the due
 /// date is always admitted — committed to its probed placement, which makes
 /// "no accepted deadline is ever missed" hold by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -236,7 +237,8 @@ impl AdmissionPolicy {
     }
 }
 
-/// How a deadline submission was resolved by [`ScheduleService::submit_deadline`].
+/// How a deadline submission
+/// ([`Op::SubmitDeadline`](crate::op::Op::SubmitDeadline)) was resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeadlineOutcome {
     /// The speculative bound met the due date: the job is committed to the

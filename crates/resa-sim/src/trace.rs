@@ -1,13 +1,10 @@
 //! Execution traces of simulated runs.
 //!
 //! [`RunTrace`] records, for every job, when it arrived, started and
-//! completed, plus the sequence of decision points. The experiment binaries
-//! use it to explain *why* a policy behaved the way it did (e.g. which job a
-//! backfiller jumped over), and the tests use it to cross-check the metrics.
+//! completed; the tests use it to cross-check the metrics.
 
 use resa_core::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 
 /// The lifecycle of one job in a simulated run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,58 +76,6 @@ impl RunTrace {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// Jobs that were overtaken: they started later than some job that arrived
-    /// after them. FCFS produces none; backfilling policies may produce many.
-    pub fn overtaken_jobs(&self) -> Vec<JobId> {
-        let mut overtaken = Vec::new();
-        for a in &self.records {
-            let jumped = self
-                .records
-                .iter()
-                .any(|b| b.arrived > a.arrived && b.started < a.started);
-            if jumped {
-                overtaken.push(a.job);
-            }
-        }
-        overtaken.sort();
-        overtaken.dedup();
-        overtaken
-    }
-
-    /// The job that completes last (drives the makespan), if any.
-    pub fn critical_job(&self) -> Option<JobRecord> {
-        self.records.iter().copied().max_by_key(|r| r.completed)
-    }
-
-    /// Total waiting time across jobs.
-    pub fn total_wait(&self) -> Dur {
-        self.records.iter().map(|r| r.wait()).sum()
-    }
-
-    /// Render the trace as a human-readable log, one line per job.
-    pub fn to_log(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:>6} {:>6} {:>8} {:>9} {:>9} {:>10} {:>7}",
-            "job", "width", "duration", "arrived", "started", "completed", "wait"
-        );
-        for r in &self.records {
-            let _ = writeln!(
-                out,
-                "{:>6} {:>6} {:>8} {:>9} {:>9} {:>10} {:>7}",
-                r.job.to_string(),
-                r.width,
-                r.duration.ticks(),
-                r.arrived.ticks(),
-                r.started.ticks(),
-                r.completed.ticks(),
-                r.wait().ticks()
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -161,21 +106,8 @@ mod tests {
             assert_eq!(r.completed, r.started + r.duration);
             assert_eq!(r.flow(), r.wait() + r.duration);
         }
-        let critical = trace.critical_job().unwrap();
-        assert_eq!(critical.completed, result.metrics.makespan);
-    }
-
-    #[test]
-    fn fcfs_has_no_overtaking_greedy_may() {
-        let inst = instance();
-        let fcfs = Simulator::new(inst.clone()).run(&FcfsPolicy);
-        let fcfs_trace = RunTrace::from_schedule(&inst, &fcfs.schedule);
-        assert!(fcfs_trace.overtaken_jobs().is_empty());
-
-        let greedy = Simulator::new(inst.clone()).run(&GreedyPolicy);
-        let greedy_trace = RunTrace::from_schedule(&inst, &greedy.schedule);
-        // J2 (narrow) backfills past J1 (wide) under the greedy policy.
-        assert_eq!(greedy_trace.overtaken_jobs(), vec![JobId(1)]);
+        let last = trace.records().iter().map(|r| r.completed).max();
+        assert_eq!(last, Some(result.metrics.makespan));
     }
 
     #[test]
@@ -184,18 +116,8 @@ mod tests {
         let result = Simulator::new(inst.clone()).run(&FcfsPolicy);
         let trace = RunTrace::from_schedule(&inst, &result.schedule);
         let expected = result.metrics.mean_wait * inst.n_jobs() as f64;
-        assert!((trace.total_wait().ticks() as f64 - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn log_renders_every_job() {
-        let inst = instance();
-        let result = Simulator::new(inst.clone()).run(&GreedyPolicy);
-        let trace = RunTrace::from_schedule(&inst, &result.schedule);
-        let log = trace.to_log();
-        assert_eq!(log.lines().count(), 1 + 3);
-        assert!(log.contains("J0"));
-        assert!(log.contains("completed"));
+        let total: Dur = trace.records().iter().map(|r| r.wait()).sum();
+        assert!((total.ticks() as f64 - expected).abs() < 1e-9);
     }
 
     #[test]
@@ -203,8 +125,6 @@ mod tests {
         let inst = ResaInstanceBuilder::new(2).build().unwrap();
         let trace = RunTrace::from_schedule(&inst, &Schedule::new());
         assert!(trace.is_empty());
-        assert!(trace.critical_job().is_none());
-        assert!(trace.overtaken_jobs().is_empty());
-        assert_eq!(trace.total_wait(), Dur::ZERO);
+        assert!(trace.records().is_empty());
     }
 }
