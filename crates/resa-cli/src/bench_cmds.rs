@@ -9,9 +9,9 @@ use resa_bench::experiments::{
 };
 
 /// `resa figure <1|2|3|4>`.
-pub fn figure(which: &str, opts: &CommonOpts) -> Result<Outcome, CliError> {
+pub fn figure(which: String, opts: CommonOpts) -> Result<Outcome, CliError> {
     let exp = opts.experiment_options();
-    let report = match which {
+    let report = match which.as_str() {
         "1" => fig1_report(&exp),
         "2" => fig2_report(&exp),
         "3" => fig3_report(&exp),
@@ -22,13 +22,13 @@ pub fn figure(which: &str, opts: &CommonOpts) -> Result<Outcome, CliError> {
             )))
         }
     };
-    render(&report, opts)
+    render(&report, &opts)
 }
 
 /// `resa table <fcfs|average|online|priority>`.
-pub fn table(which: &str, opts: &CommonOpts) -> Result<Outcome, CliError> {
+pub fn table(which: String, opts: CommonOpts) -> Result<Outcome, CliError> {
     let exp = opts.experiment_options();
-    let report = match which {
+    let report = match which.as_str() {
         "fcfs" => fcfs_report(&exp),
         "average" => average_case_report(&exp),
         "online" => online_report(&exp),
@@ -39,7 +39,7 @@ pub fn table(which: &str, opts: &CommonOpts) -> Result<Outcome, CliError> {
             )))
         }
     };
-    render(&report, opts)
+    render(&report, &opts)
 }
 
 /// `resa graham`.
@@ -81,10 +81,10 @@ mod tests {
     #[test]
     fn figure_dispatch_covers_all_four() {
         for which in ["1", "2", "3", "4"] {
-            let out = figure(which, &quick()).unwrap();
+            let out = figure(which.to_string(), quick()).unwrap();
             assert_eq!(out.violations, 0, "figure {which}");
         }
-        assert!(figure("5", &quick()).is_err());
+        assert!(figure("5".into(), quick()).is_err());
     }
 
     #[test]
@@ -93,10 +93,10 @@ mod tests {
             format: OutputFormat::Json,
             ..quick()
         };
-        let out = figure("3", &opts).unwrap();
+        let out = figure("3".into(), opts.clone()).unwrap();
         assert!(out.stdout.trim_start().starts_with('['));
         // Byte-stable: the same invocation renders identical bytes.
-        assert_eq!(out.stdout, figure("3", &opts).unwrap().stdout);
+        assert_eq!(out.stdout, figure("3".into(), opts).unwrap().stdout);
     }
 
     #[test]
@@ -107,7 +107,7 @@ mod tests {
             out: Some(path.display().to_string()),
             ..quick()
         };
-        let out = figure("4", &opts).unwrap();
+        let out = figure("4".into(), opts).unwrap();
         assert!(out.stdout.contains("[saved"));
         let written = std::fs::read_to_string(&path).unwrap();
         assert!(written.starts_with("alpha,"));

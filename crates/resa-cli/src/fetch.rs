@@ -8,7 +8,7 @@
 //! there is no URL downloader, and a missing cache entry degrades to an
 //! error naming the exact `resa fetch` invocation that would populate it.
 
-use crate::opts::CommonOpts;
+use crate::opts::{Command, CommonOpts, Switch, Text};
 use crate::{CliError, Outcome};
 use resa_analysis::prelude::{to_json, Table};
 use resa_workloads::prelude::{StoreError, TraceStore};
@@ -58,55 +58,43 @@ fn store_error(context: &str, err: StoreError) -> CliError {
     }
 }
 
+/// `resa fetch`'s option table.
+pub(crate) const FETCH: Command<FetchArgs> = Command {
+    help: FETCH_HELP,
+    page: Some("fetch"),
+    positional: Some(|a, name| a.name = Some(name.to_string())),
+    missing: None,
+    flags: &[
+        Text("--from <file>", |a| &mut a.from),
+        Text("--sha256 <hex>", |a| &mut a.sha256),
+        Switch("--list", |a| &mut a.list),
+        Text("--cache <dir>", |a| &mut a.cache),
+    ],
+};
+
+/// `resa fetch`'s arguments.
+#[derive(Default)]
+pub(crate) struct FetchArgs {
+    name: Option<String>,
+    from: Option<String>,
+    sha256: Option<String>,
+    list: bool,
+    cache: Option<String>,
+}
+
 /// `resa fetch <name> --from <file> [--sha256 <hex>]` / `resa fetch --list`.
 pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
-    if args.first() == Some(&"--help") {
-        return Ok(Outcome {
-            stdout: FETCH_HELP.to_string(),
-            violations: 0,
-        });
-    }
-    let (name, rest) = match args.split_first() {
-        Some((p, rest)) if !p.starts_with("--") => (Some(*p), rest),
-        _ => (None, args),
-    };
-    let mut from: Option<String> = None;
-    let mut sha256: Option<String> = None;
-    let mut list = false;
-    let mut cache: Option<String> = None;
-    let opts = CommonOpts::parse(rest, &mut |flag, value| {
-        let take = |name: &str| -> Result<&str, CliError> {
-            value.ok_or_else(|| CliError::Usage(format!("{name} expects a value")))
-        };
-        match flag {
-            "--from" => {
-                from = Some(take("--from")?.to_string());
-                Ok(1)
-            }
-            "--sha256" => {
-                sha256 = Some(take("--sha256")?.to_string());
-                Ok(1)
-            }
-            "--list" => {
-                list = true;
-                Ok(0)
-            }
-            "--cache" => {
-                cache = Some(take("--cache")?.to_string());
-                Ok(1)
-            }
-            other => Err(CliError::Usage(format!(
-                "unknown option '{other}' (see `resa fetch --help`)"
-            ))),
-        }
-    })?;
-    let store = match &cache {
+    FETCH.run(args, fetch)
+}
+
+fn fetch(a: FetchArgs, opts: CommonOpts) -> Result<Outcome, CliError> {
+    let store = match &a.cache {
         Some(dir) => TraceStore::at(PathBuf::from(dir)),
         None => TraceStore::open_default(),
     };
 
-    if list {
-        if name.is_some() || from.is_some() || sha256.is_some() {
+    if a.list {
+        if a.name.is_some() || a.from.is_some() || a.sha256.is_some() {
             return Err(CliError::Usage(
                 "--list takes no trace name or import options".into(),
             ));
@@ -135,22 +123,20 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
         return opts.emit(&to_json(&rows), &table, "", 0);
     }
 
-    let name = name.ok_or_else(|| {
+    let name = a.name.as_deref().ok_or_else(|| {
         CliError::Usage("fetch expects a trace name (or --list); see `resa fetch --help`".into())
     })?;
-    let from =
-        from.ok_or_else(|| CliError::Usage(format!("fetch {name} needs --from <file> to import")))?;
+    let from = a
+        .from
+        .ok_or_else(|| CliError::Usage(format!("fetch {name} needs --from <file> to import")))?;
     let digest = store
-        .import(name, std::path::Path::new(&from), sha256.as_deref())
+        .import(name, std::path::Path::new(&from), a.sha256.as_deref())
         .map_err(|e| store_error(&from, e))?;
-    Ok(Outcome {
-        stdout: format!(
-            "fetched '{name}' into {} (sha256:{digest})\n\
-             replay it with: resa replay trace:{name}@sha256:{digest}\n",
-            store.root().display()
-        ),
-        violations: 0,
-    })
+    Ok(Outcome::printed(format!(
+        "fetched '{name}' into {} (sha256:{digest})\n\
+         replay it with: resa replay trace:{name}@sha256:{digest}\n",
+        store.root().display()
+    )))
 }
 
 #[cfg(test)]

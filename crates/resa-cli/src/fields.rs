@@ -7,6 +7,9 @@
 //!
 //! * [`check_fields`] rejects keys outside an allow-list, with a
 //!   did-you-mean suggestion for near-misses;
+//! * a `Section` table declares a JSON object's fields once and reads it:
+//!   the allow-list, the required fields and the one `field '<name>': …`
+//!   wrapping of a bad value all come from the table;
 //! * [`anchor_line`] maps an error that names a field back to the line of
 //!   the original JSON text that introduced it, so the user gets
 //!   `line 9: unknown field 'reservation' …` instead of a bare message.
@@ -32,11 +35,72 @@ pub fn check_fields(value: &Value, context: &str, allowed: &[&str]) -> Result<()
     Ok(())
 }
 
+/// One row of a JSON object's field table: the field's name, and how its
+/// value sets the object's struct `T`.
+pub(crate) enum Field<T> {
+    /// A field the object must have.
+    Required(&'static str, SetField<T>),
+    /// A field the object may leave out (or set to `null`).
+    Optional(&'static str, SetField<T>),
+}
+
+type SetField<T> = fn(&mut T, &Value) -> Result<(), DeError>;
+
+pub(crate) use Field::{Optional, Required};
+
+/// A JSON object's field table, read by [`Section::read`].
+pub(crate) struct Section<T: 'static> {
+    /// How errors name the object, e.g. `the 'failures' section`.
+    pub(crate) context: &'static str,
+    /// Prefixed to the names in missing-field errors, e.g. `failures.`.
+    pub(crate) prefix: &'static str,
+    pub(crate) fields: &'static [Field<T>],
+}
+
+impl<T> Section<T> {
+    /// Each field as `(name, required, setter)`.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (&'static str, bool, SetField<T>)> + '_ {
+        self.fields.iter().map(|field| match *field {
+            Required(name, set) => (name, true, set),
+            Optional(name, set) => (name, false, set),
+        })
+    }
+
+    /// Read `value` into `out`: keys outside the table are rejected, then
+    /// each field is read in table order. An absent or `null` field keeps
+    /// `out`'s value, or is an error when required.
+    pub(crate) fn read(&self, value: &Value, mut out: T) -> Result<T, DeError> {
+        let names: Vec<&str> = self.rows().map(|(name, ..)| name).collect();
+        check_fields(value, self.context, &names)?;
+        for (name, required, set) in self.rows() {
+            match value.get(name) {
+                None | Some(Value::Null) if required => {
+                    let prefix = self.prefix;
+                    return Err(DeError::custom(format!(
+                        "missing required field '{prefix}{name}'"
+                    )));
+                }
+                None | Some(Value::Null) => {}
+                Some(v) => set(&mut out, v).map_err(|e| {
+                    // `DeError`'s `Display` prefixes every message: wrapped,
+                    // the prefix would print twice.
+                    let inner = e.to_string();
+                    let inner = inner
+                        .strip_prefix("deserialization error: ")
+                        .unwrap_or(&inner);
+                    DeError::custom(format!("field '{name}': {inner}"))
+                })?,
+            }
+        }
+        Ok(out)
+    }
+}
+
 /// The allowed field closest to `key`, if any is close enough to be a
 /// plausible misspelling (edit distance at most half the shorter length —
 /// `reservation` → `reservations`, `widht` → `width`; an unrelated key
 /// stays unmatched).
-fn nearest<'a>(key: &str, allowed: &[&'a str]) -> Option<&'a str> {
+pub(crate) fn nearest<'a>(key: &str, allowed: &[&'a str]) -> Option<&'a str> {
     allowed
         .iter()
         .map(|&cand| (edit_distance(key, cand), cand))

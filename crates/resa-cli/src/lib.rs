@@ -48,7 +48,7 @@ pub mod replay;
 pub mod serve;
 pub mod sweep;
 
-use opts::CommonOpts;
+use opts::Command;
 
 /// Serializes tests that set `RESA_TRACE_CACHE` — the variable is process
 /// global, so concurrent test threads would otherwise race on it.
@@ -67,6 +67,16 @@ pub struct Outcome {
     /// running (0 means every reproduced bound held; the binary maps any
     /// non-zero count to exit code 2).
     pub violations: usize,
+}
+
+impl Outcome {
+    /// A clean run that printed `stdout`.
+    pub(crate) fn printed(stdout: impl Into<String>) -> Self {
+        Outcome {
+            stdout: stdout.into(),
+            violations: 0,
+        }
+    }
 }
 
 /// Errors a subcommand can fail with (mapped to exit code 1).
@@ -149,50 +159,50 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
         None => return Err(CliError::Usage("missing subcommand".into())),
         Some((s, rest)) => (*s, rest),
     };
-    match sub {
-        "figure" => {
-            let (which, opts) = split_positional(rest, "figure expects a number 1..4")?;
-            bench_cmds::figure(which, &opts)
-        }
-        "table" => {
-            let (which, opts) =
-                split_positional(rest, "table expects fcfs|average|online|priority")?;
-            bench_cmds::table(which, &opts)
-        }
-        "graham" => {
-            let opts = CommonOpts::parse(rest, &mut |flag, _| {
-                Err(CliError::Usage(format!("unknown option '{flag}'")))
-            })?;
-            bench_cmds::graham(&opts)
-        }
-        "replay" => replay::run(rest),
-        "fetch" => fetch::run(rest),
-        "sweep" => sweep::run(rest),
-        "serve" => serve::run(rest),
-        "help" | "--help" | "-h" => Ok(Outcome {
-            stdout: HELP.to_string(),
-            violations: 0,
-        }),
-        other => Err(CliError::Usage(format!(
-            "unknown subcommand '{other}' (try `resa help`)"
-        ))),
-    }
+    let Some((_, command)) = SUBCOMMANDS.iter().find(|(name, _)| *name == sub) else {
+        return Err(CliError::Usage(format!(
+            "unknown subcommand '{sub}' (try `resa help`)"
+        )));
+    };
+    command(rest)
 }
 
-/// Split one leading positional argument off `rest`, then parse the common
-/// options from what remains.
-fn split_positional<'a>(
-    rest: &[&'a str],
-    missing: &str,
-) -> Result<(&'a str, CommonOpts), CliError> {
-    let (pos, tail) = match rest.split_first() {
-        Some((p, tail)) if !p.starts_with("--") => (*p, tail),
-        _ => return Err(CliError::Usage(missing.into())),
-    };
-    let opts = CommonOpts::parse(tail, &mut |flag, _| {
-        Err(CliError::Usage(format!("unknown option '{flag}'")))
-    })?;
-    Ok((pos, opts))
+/// A subcommand: its arguments after the subcommand word to its outcome.
+type Subcommand = fn(&[&str]) -> Result<Outcome, CliError>;
+
+/// Every subcommand by name; `--help` and `-h` are `help`.
+const SUBCOMMANDS: [(&str, Subcommand); 10] = [
+    ("figure", |args| FIGURE.run(args, bench_cmds::figure)),
+    ("table", |args| TABLE.run(args, bench_cmds::table)),
+    ("graham", |args| {
+        GRAHAM.run(args, |_, opts| bench_cmds::graham(&opts))
+    }),
+    ("replay", replay::run),
+    ("fetch", fetch::run),
+    ("sweep", sweep::run),
+    ("serve", serve::run),
+    ("help", |_| Ok(Outcome::printed(HELP))),
+    ("--help", |_| Ok(Outcome::printed(HELP))),
+    ("-h", |_| Ok(Outcome::printed(HELP))),
+];
+
+/// `figure` and `table` take the common options after one positional
+/// argument, `graham` only the options; [`HELP`] documents all three.
+const FIGURE: Command<String> = experiment(Some("figure expects a number 1..4"));
+const TABLE: Command<String> = experiment(Some("table expects fcfs|average|online|priority"));
+const GRAHAM: Command<String> = experiment(None);
+
+const fn experiment(missing: Option<&'static str>) -> Command<String> {
+    Command {
+        help: HELP,
+        page: None,
+        positional: match missing {
+            Some(_) => Some(|which, arg| *which = arg.to_string()),
+            None => None,
+        },
+        missing,
+        flags: &[],
+    }
 }
 
 #[cfg(test)]
@@ -227,5 +237,29 @@ mod tests {
         let out = run(&["graham", "--quick", "--threads", "1", "--format", "csv"]).unwrap();
         assert_eq!(out.violations, 0);
         assert!(out.stdout.starts_with("m,"));
+    }
+
+    /// `--help` anywhere in a subcommand's arguments prints that
+    /// subcommand's help; `figure`, `table` and `graham` are documented by
+    /// the top-level one.
+    #[test]
+    fn help_anywhere_prints_the_subcommands_help() {
+        for (args, help) in [
+            (&["figure", "--help"][..], HELP),
+            (&["figure", "4", "--quick", "--help"], HELP),
+            (&["table", "fcfs", "--help"], HELP),
+            (&["graham", "--threads", "1", "--help"], HELP),
+            (&["replay", "x.swf", "--help"], replay::REPLAY_HELP),
+            (&["serve", "--machines", "4", "--help"], serve::SERVE_HELP),
+            (&["fetch", "x", "--from", "f", "--help"], fetch::FETCH_HELP),
+            (
+                &["sweep", "spec.json", "--shards", "2", "--help"],
+                sweep::SWEEP_HELP,
+            ),
+        ] {
+            let out = run(args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert_eq!(out.stdout, help, "{args:?}");
+            assert_eq!(out.violations, 0);
+        }
     }
 }

@@ -23,7 +23,7 @@
 //! is read off the trace, and a trace both can serve gets byte-identical
 //! reports from either (tests below, across policies and overlays).
 
-use crate::opts::CommonOpts;
+use crate::opts::{Command, CommonOpts, Parsed};
 use crate::{CliError, Outcome};
 use resa_algos::prelude::*;
 use resa_analysis::prelude::*;
@@ -307,7 +307,8 @@ const STREAM_MIN_JOBS: usize = 12;
 
 /// One replay request — the trace and its decorations — as both pipelines
 /// read it.
-struct Replay {
+#[derive(Default)]
+pub(crate) struct Replay {
     /// The trace as the user named it (what reports and errors show)…
     trace: String,
     /// …and the file it resolves to.
@@ -315,66 +316,48 @@ struct Replay {
     machines: Option<u32>,
     decoration: Decoration,
     seed: u64,
+    /// `--policy` (`None`: easy).
+    policy: Option<PolicyArg>,
 }
+
+/// `resa replay`'s option table.
+pub(crate) const REPLAY: Command<Replay> = Command {
+    help: REPLAY_HELP,
+    page: Some("replay"),
+    positional: Some(|a, trace| a.trace = trace.to_string()),
+    missing: Some("replay expects a trace path"),
+    flags: &[
+        Parsed("--machines <m>", |a, v| {
+            v.positive().map(|m| a.machines = Some(m))
+        }),
+        Parsed("--policy <name>", |a, v| {
+            PolicyArg::parse(v.text).map(|p| a.policy = Some(p))
+        }),
+        Parsed("--reservations <spec>", |a, v| {
+            ReservationArg::parse(v.text).map(|r| a.decoration.reservations = r)
+        }),
+        Parsed("--warmup <t>", |a, v| {
+            v.integer().map(|t| a.decoration.warmup = t)
+        }),
+        Parsed("--failures <spec>", |a, v| {
+            parse_failures(v.text).map(|f| a.decoration.failures = f)
+        }),
+    ],
+};
 
 /// `resa replay <trace> [options]`.
 pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
-    if args.first() == Some(&"--help") {
-        return Ok(Outcome {
-            stdout: REPLAY_HELP.to_string(),
-            violations: 0,
-        });
-    }
-    let (trace_path, rest) = match args.split_first() {
-        Some((p, rest)) if !p.starts_with("--") => (*p, rest),
-        _ => return Err(CliError::Usage("replay expects a trace path".into())),
-    };
-    let mut policy = PolicyArg::Online(ReferencePolicy::Easy);
-    let mut req = Replay {
-        trace: trace_path.to_string(),
-        file: PathBuf::new(),
-        machines: None,
-        decoration: Decoration::default(),
-        seed: 0,
-    };
-    let opts = CommonOpts::parse(rest, &mut |flag, value| {
-        let take = |name: &str| -> Result<&str, CliError> {
-            value.ok_or_else(|| CliError::Usage(format!("{name} expects a value")))
-        };
-        match flag {
-            "--machines" => {
-                req.machines = Some(take("--machines")?.parse().map_err(|_| {
-                    CliError::Usage("--machines expects a positive integer".into())
-                })?);
-                Ok(1)
-            }
-            "--policy" => {
-                policy = PolicyArg::parse(take("--policy")?)?;
-                Ok(1)
-            }
-            "--reservations" => {
-                req.decoration.reservations = ReservationArg::parse(take("--reservations")?)?;
-                Ok(1)
-            }
-            "--warmup" => {
-                req.decoration.warmup = take("--warmup")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--warmup expects an integer".into()))?;
-                Ok(1)
-            }
-            "--failures" => {
-                req.decoration.failures = parse_failures(take("--failures")?)?;
-                Ok(1)
-            }
-            other => Err(CliError::Usage(format!(
-                "unknown option '{other}' (see `resa replay --help`)"
-            ))),
-        }
-    })?;
+    REPLAY.run(args, replay)
+}
+
+fn replay(mut req: Replay, opts: CommonOpts) -> Result<Outcome, CliError> {
+    let policy = req
+        .policy
+        .unwrap_or(PolicyArg::Online(ReferencePolicy::Easy));
     opts.runner(); // export the thread cap before any parallel work
 
     req.seed = opts.seed;
-    req.file = resolve_trace(trace_path)?;
+    req.file = resolve_trace(&req.trace)?;
     // On-line policies stream when a bounded-memory prescan finds the trace
     // qualifies: sorted submissions, enough jobs to clear the exact-solver
     // regime.
@@ -1155,6 +1138,7 @@ mod tests {
                 warmup,
             },
             seed: json().seed,
+            policy: None,
         }
     }
 
@@ -1297,6 +1281,27 @@ mod tests {
             implicit.stdout
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Flag values are checked before the trace is read: a zero cluster is
+    /// a usage error, not a parse error blamed on a trace line, and a
+    /// near-miss flag gets a suggestion.
+    #[test]
+    fn machines_zero_and_near_misses_are_usage_errors() {
+        let usage = |args: &[&str]| match crate::run(args) {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("{args:?}: expected a usage error, got {other:?}"),
+        };
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fixture.swf");
+        assert_eq!(
+            usage(&["replay", fixture, "--machines", "0"]),
+            "--machines must be at least 1"
+        );
+        assert_eq!(
+            usage(&["replay", fixture, "--machine", "4"]),
+            "unknown option '--machine' (did you mean '--machines'?) \
+             (see `resa replay --help`)"
+        );
     }
 
     /// `--materialize` is gone — the pipeline is read off the trace — and so

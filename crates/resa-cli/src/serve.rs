@@ -44,7 +44,7 @@
 
 pub mod protocol;
 
-use crate::opts::CommonOpts;
+use crate::opts::{Command, CommonOpts, Parsed, Switch, Text};
 use crate::replay::PolicyArg;
 use crate::{CliError, Outcome};
 use protocol::{check_auth, error_response, handle, to_line};
@@ -371,30 +371,30 @@ pub fn run_script(
     _substrate: crate::replay::Substrate,
 ) -> String {
     let plan = Plan {
-        machines,
-        policy,
-        drain_mode: DrainMode::default(),
-        journal: None,
-        retire: false,
-        records_out: None,
-        cfg: SessionCfg::default(),
-        idle: None,
+        machines: Some(machines),
+        policy: Some(policy),
+        ..Plan::default()
     };
     plan.serve(Io::Script(script))
         .expect("a plain script session touches no file")
 }
 
-/// Everything `resa serve` was asked for except where the bytes come from.
-struct Plan {
-    machines: u32,
-    policy: ReferencePolicy,
+/// Everything `resa serve` was asked for: what its option table sets.
+#[derive(Default)]
+pub(crate) struct Plan {
+    machines: Option<u32>,
+    policy: Option<ReferencePolicy>,
     drain_mode: DrainMode,
-    /// `--journal <file>` with its `--fsync` / `--snapshot-every`.
-    journal: Option<(String, JournalCfg)>,
+    transport: Transport,
+    /// `--journal <file>`, with its `--fsync` / `--snapshot-every`.
+    journal: Option<String>,
+    fsync: Option<FsyncPolicy>,
+    snapshot_every: Option<u64>,
     retire: bool,
     records_out: Option<String>,
-    cfg: SessionCfg,
-    idle: Option<Duration>,
+    token: Option<String>,
+    realtime: bool,
+    idle_timeout: Option<u64>,
 }
 
 /// Where a session's bytes come from, once files are read and sockets bound.
@@ -411,12 +411,18 @@ impl Plan {
     /// it, a listener one client per connection. Returns the transcript of
     /// a script session (empty for the other transports).
     fn serve(self, io: Io<'_>) -> Result<String, CliError> {
-        let substrate = AvailabilityTimeline::constant(self.machines);
+        let machines = self.machines.unwrap_or(16);
+        let policy = self.policy.unwrap_or(ReferencePolicy::Easy);
+        let substrate = AvailabilityTimeline::constant(machines);
         let (front, resumed) = match &self.journal {
-            Some((path, cfg)) => {
-                let (journal, recovered) = open_journal(path, *cfg, self.machines, self.policy)?;
+            Some(path) => {
+                let cfg = JournalCfg {
+                    fsync: self.fsync.unwrap_or_default(),
+                    snapshot_every: self.snapshot_every.unwrap_or(1024),
+                };
+                let (journal, recovered) = open_journal(path, cfg, machines, policy)?;
                 let svc = recovered.restore_service_with_mode(
-                    self.policy,
+                    policy,
                     substrate,
                     self.drain_mode,
                     self.retire,
@@ -427,7 +433,7 @@ impl Plan {
                 )
             }
             None => {
-                let mut svc = ScheduleService::new(self.policy, substrate);
+                let mut svc = ScheduleService::new(policy, substrate);
                 svc.set_drain_mode(self.drain_mode);
                 (ConcurrentService::new(svc), false)
             }
@@ -437,21 +443,26 @@ impl Plan {
             (true, Some(path)) => front.retiring(Box::new(FileRecordSink::open(path, resumed)?)),
             (true, None) => front.retiring(Box::new(DiscardSink::default())),
         };
+        let cfg = SessionCfg {
+            token: self.token,
+            realtime: self.realtime.then(std::time::Instant::now),
+        };
         let mut transcript = Vec::new();
         let served = match io {
             Io::Listener(listener) => {
-                serve_concurrent(front, self.cfg, listener, self.idle)?;
+                let idle = Some(self.idle_timeout.unwrap_or(600)).filter(|&secs| secs > 0);
+                serve_concurrent(front, cfg, listener, idle.map(Duration::from_secs))?;
                 return Ok(String::new());
             }
             Io::Script(script) => serve_session(
                 &mut front.client(),
-                &self.cfg,
+                &cfg,
                 script.as_bytes(),
                 &mut transcript,
             ),
             Io::Stdio => {
                 let (stdin, stdout) = (std::io::stdin().lock(), std::io::stdout().lock());
-                serve_session(&mut front.client(), &self.cfg, stdin, stdout)
+                serve_session(&mut front.client(), &cfg, stdin, stdout)
             }
         };
         served.map_err(|e| CliError::io("<session>", e))?;
@@ -491,7 +502,9 @@ fn open_journal(
 }
 
 /// The transport the command line names.
+#[derive(Default)]
 enum Transport {
+    #[default]
     Stdio,
     Script(String),
     Tcp(String),
@@ -499,179 +512,106 @@ enum Transport {
     Unix(String),
 }
 
+/// `resa serve`'s option table.
+pub(crate) const SERVE: Command<Plan> = Command {
+    help: SERVE_HELP,
+    page: Some("serve"),
+    positional: None,
+    missing: None,
+    flags: &[
+        Parsed("--machines <m>", |a, v| {
+            v.positive().map(|m| a.machines = Some(m))
+        }),
+        Parsed("--policy <name>", |a, v| {
+            let Ok(PolicyArg::Online(kind)) = PolicyArg::parse(v.text) else {
+                let name = v.text;
+                return Err(CliError::Usage(format!(
+                    "unknown policy '{name}' (fcfs|easy|greedy)"
+                )));
+            };
+            a.policy = Some(kind);
+            Ok(())
+        }),
+        Parsed("--script <file>", |a, v| {
+            a.transport = Transport::Script(v.text.to_string());
+            Ok(())
+        }),
+        Parsed("--listen <addr>", |a, v| {
+            a.transport = Transport::Tcp(v.text.to_string());
+            Ok(())
+        }),
+        Parsed("--unix <path>", |a, v| {
+            #[cfg(unix)]
+            {
+                a.transport = Transport::Unix(v.text.to_string());
+                Ok(())
+            }
+            #[cfg(not(unix))]
+            Err(CliError::Usage(
+                "--unix is only available on Unix platforms".into(),
+            ))
+        }),
+        Text("--token <secret>", |a| &mut a.token),
+        Switch("--realtime", |a| &mut a.realtime),
+        Text("--journal <file>", |a| &mut a.journal),
+        Parsed("--fsync <policy>", |a, v| {
+            let text = v.text;
+            a.fsync = Some(FsyncPolicy::parse(text).ok_or_else(|| {
+                CliError::Usage(format!("unknown fsync policy '{text}' (every|batch|off)"))
+            })?);
+            Ok(())
+        }),
+        Parsed("--snapshot-every <n>", |a, v| {
+            v.positive().map(|n| a.snapshot_every = Some(n))
+        }),
+        Parsed("--idle-timeout <s>", |a, v| {
+            v.parse("seconds (0 disables)")
+                .map(|s| a.idle_timeout = Some(s))
+        }),
+        Parsed("--drain-mode <m>", |a, v| {
+            let text = v.text;
+            a.drain_mode = DrainMode::parse(text).ok_or_else(|| {
+                CliError::Usage(format!("unknown drain mode '{text}' (restart|checkpoint)"))
+            })?;
+            Ok(())
+        }),
+        Switch("--retire", |a| &mut a.retire),
+        Text("--records-out <file>", |a| &mut a.records_out),
+    ],
+};
+
 /// `resa serve [options]`.
 pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
-    if args.first() == Some(&"--help") {
-        return Ok(Outcome {
-            stdout: SERVE_HELP.to_string(),
-            violations: 0,
-        });
-    }
-    let mut machines: u32 = 16;
-    let mut policy = ReferencePolicy::Easy;
-    let mut transport = Transport::Stdio;
-    let mut token: Option<String> = None;
-    let mut realtime = false;
-    let mut journal_path: Option<String> = None;
-    let mut fsync: Option<FsyncPolicy> = None;
-    let mut snapshot_every: Option<u64> = None;
-    let mut idle_timeout: Option<u64> = None;
-    let mut drain_mode = DrainMode::Restart;
-    let mut retire = false;
-    let mut records_out: Option<String> = None;
-    let opts = CommonOpts::parse(args, &mut |flag, value| {
-        let take = |name: &str| -> Result<&str, CliError> {
-            value.ok_or_else(|| CliError::Usage(format!("{name} expects a value")))
-        };
-        match flag {
-            "--machines" => {
-                machines = take("--machines")?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--machines expects a positive integer".into()))?;
-                if machines == 0 {
-                    return Err(CliError::Usage("--machines must be at least 1".into()));
-                }
-                Ok(1)
-            }
-            "--policy" => {
-                let name = take("--policy")?;
-                let Ok(PolicyArg::Online(kind)) = PolicyArg::parse(name) else {
-                    return Err(CliError::Usage(format!(
-                        "unknown policy '{name}' (fcfs|easy|greedy)"
-                    )));
-                };
-                policy = kind;
-                Ok(1)
-            }
-            "--script" => {
-                transport = Transport::Script(take("--script")?.to_string());
-                Ok(1)
-            }
-            "--listen" => {
-                transport = Transport::Tcp(take("--listen")?.to_string());
-                Ok(1)
-            }
-            "--unix" => {
-                #[cfg(unix)]
-                {
-                    transport = Transport::Unix(take("--unix")?.to_string());
-                    Ok(1)
-                }
-                #[cfg(not(unix))]
-                Err(CliError::Usage(
-                    "--unix is only available on Unix platforms".into(),
-                ))
-            }
-            "--token" => {
-                token = Some(take("--token")?.to_string());
-                Ok(1)
-            }
-            "--realtime" => {
-                realtime = true;
-                Ok(0)
-            }
-            "--journal" => {
-                journal_path = Some(take("--journal")?.to_string());
-                Ok(1)
-            }
-            "--fsync" => {
-                let text = take("--fsync")?;
-                fsync = Some(FsyncPolicy::parse(text).ok_or_else(|| {
-                    CliError::Usage(format!("unknown fsync policy '{text}' (every|batch|off)"))
-                })?);
-                Ok(1)
-            }
-            "--snapshot-every" => {
-                let n: u64 = take("--snapshot-every")?.parse().map_err(|_| {
-                    CliError::Usage("--snapshot-every expects a positive integer".into())
-                })?;
-                if n == 0 {
-                    return Err(CliError::Usage(
-                        "--snapshot-every must be at least 1".into(),
-                    ));
-                }
-                snapshot_every = Some(n);
-                Ok(1)
-            }
-            "--idle-timeout" => {
-                idle_timeout = Some(take("--idle-timeout")?.parse().map_err(|_| {
-                    CliError::Usage("--idle-timeout expects seconds (0 disables)".into())
-                })?);
-                Ok(1)
-            }
-            "--drain-mode" => {
-                let text = take("--drain-mode")?;
-                drain_mode = DrainMode::parse(text).ok_or_else(|| {
-                    CliError::Usage(format!("unknown drain mode '{text}' (restart|checkpoint)"))
-                })?;
-                Ok(1)
-            }
-            "--retire" => {
-                retire = true;
-                Ok(0)
-            }
-            "--records-out" => {
-                records_out = Some(take("--records-out")?.to_string());
-                Ok(1)
-            }
-            other => Err(CliError::Usage(format!(
-                "unknown option '{other}' (see `resa serve --help`)"
-            ))),
-        }
-    })?;
-    let socket_transport = match &transport {
-        Transport::Tcp(_) => true,
-        #[cfg(unix)]
-        Transport::Unix(_) => true,
-        _ => false,
-    };
-    if token.is_some() && !socket_transport {
+    SERVE.run(args, serve)
+}
+
+fn serve(mut plan: Plan, opts: CommonOpts) -> Result<Outcome, CliError> {
+    let socket = !matches!(plan.transport, Transport::Stdio | Transport::Script(_));
+    if plan.token.is_some() && !socket {
         return Err(CliError::Usage(
             "--token requires a socket transport (--listen or --unix)".into(),
         ));
     }
-    if realtime && matches!(transport, Transport::Script(_)) {
+    if plan.realtime && matches!(plan.transport, Transport::Script(_)) {
         return Err(CliError::Usage(
             "--realtime is incompatible with --script (script transcripts are deterministic)"
                 .into(),
         ));
     }
-    if journal_path.is_none() && (fsync.is_some() || snapshot_every.is_some()) {
+    if plan.journal.is_none() && (plan.fsync.is_some() || plan.snapshot_every.is_some()) {
         return Err(CliError::Usage(
             "--fsync and --snapshot-every require --journal".into(),
         ));
     }
-    if idle_timeout.is_some() && !socket_transport {
+    if plan.idle_timeout.is_some() && !socket {
         return Err(CliError::Usage(
             "--idle-timeout requires a socket transport (--listen or --unix)".into(),
         ));
     }
-    if records_out.is_some() && !retire {
+    if plan.records_out.is_some() && !plan.retire {
         return Err(CliError::Usage("--records-out requires --retire".into()));
     }
-    let plan = Plan {
-        machines,
-        policy,
-        drain_mode,
-        journal: journal_path.map(|path| {
-            let cfg = JournalCfg {
-                fsync: fsync.unwrap_or_default(),
-                snapshot_every: snapshot_every.unwrap_or(1024),
-            };
-            (path, cfg)
-        }),
-        retire,
-        records_out,
-        cfg: SessionCfg {
-            token,
-            realtime: realtime.then(std::time::Instant::now),
-        },
-        idle: match idle_timeout.unwrap_or(600) {
-            0 => None,
-            secs => Some(Duration::from_secs(secs)),
-        },
-    };
-    match transport {
+    match std::mem::take(&mut plan.transport) {
         Transport::Script(path) => {
             let script = std::fs::read_to_string(&path).map_err(|e| CliError::io(&path, e))?;
             return opts.finish(plan.serve(Io::Script(&script))?, 0);
@@ -693,10 +633,7 @@ pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
             served?;
         }
     }
-    Ok(Outcome {
-        stdout: String::new(),
-        violations: 0,
-    })
+    Ok(Outcome::printed(""))
 }
 
 /// Bind `--unix <path>` without destroying what is already there. Only a

@@ -74,8 +74,8 @@
 //! renders byte-identical output to the unsharded run. [`FAIL_AFTER_CELL_ENV`]
 //! aborts the process after that many appended cells, for crash tests.
 
-use crate::fields::{anchor_line, check_fields};
-use crate::opts::CommonOpts;
+use crate::fields::{anchor_line, Optional, Required, Section};
+use crate::opts::{Command, CommonOpts, Parsed, Switch, Text};
 use crate::replay::{
     parse_alpha, read_error, resolve_trace, Decoration, PolicyArg, ReservationArg,
 };
@@ -151,7 +151,7 @@ plus the common options: --seed --threads --format --quick --out
 ";
 
 /// A parsed sweep specification.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepSpec {
     /// Label used in the report title.
     pub name: String,
@@ -190,7 +190,7 @@ pub struct SweepSpec {
 /// The `failures` object of a sweep spec: `count` drain windows of `width`
 /// processors, each lasting `1..=max_duration` ticks and starting in
 /// `0..=horizon`, drawn deterministically from the cell's seed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FailureSpec {
     /// Number of drain windows attempted per cell.
     pub count: usize,
@@ -202,100 +202,103 @@ pub struct FailureSpec {
     pub horizon: u64,
 }
 
-fn get_field<T: Deserialize>(value: &Value, name: &str) -> Result<Option<T>, DeError> {
-    get_with(value, name, T::from_value)
+/// Read a field's value as its type into `slot`.
+fn put<X: Deserialize>(slot: &mut X, value: &Value) -> Result<(), DeError> {
+    *slot = X::from_value(value)?;
+    Ok(())
 }
 
-/// The field `name` of `value` read by `parse`; absent or `null` is `None`.
-fn get_with<T>(
-    value: &Value,
-    name: &str,
-    parse: impl FnOnce(&Value) -> Result<T, DeError>,
-) -> Result<Option<T>, DeError> {
-    match value.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => parse(v)
-            .map(Some)
-            .map_err(|e| DeError::custom(format!("field '{name}': {e}"))),
-    }
+/// The sweep spec's fields, in the order they are read.
+const SPEC_FIELDS: Section<SweepSpec> = Section {
+    context: "sweep spec",
+    prefix: "",
+    fields: &[
+        Required("jobs", |s, v| {
+            // A count, or a list of counts: one more labeled dimension of
+            // the cross product, mirroring `alphas`.
+            (s.jobs, s.jobs_labeled) = match usize::from_value(v) {
+                Ok(n) => (vec![n], false),
+                Err(_) => (
+                    Vec::<usize>::from_value(v).map_err(|_| {
+                        DeError::custom("expected a job count or a list of job counts")
+                    })?,
+                    true,
+                ),
+            };
+            Ok(())
+        }),
+        Optional("name", |s, v| put(&mut s.name, v)),
+        Required("machines", |s, v| put(&mut s.machines, v)),
+        Required("seeds", |s, v| put(&mut s.seeds, v)),
+        Optional("workload", |s, v| put(&mut s.workload, v)),
+        Optional("arrivals", |s, v| put(&mut s.arrivals, v)),
+        Required("policies", |s, v| put(&mut s.policies, v)),
+        Optional("reservations", |s, v| {
+            reservation_variants(v).map(|variants| s.reservations = Some(variants))
+        }),
+        Optional("exact_probe", |s, v| put(&mut s.exact_probe, v)),
+        Optional("deadline_frac", |s, v| put(&mut s.deadline_frac, v)),
+        Optional("widths", |s, v| put(&mut s.widths, v)),
+        Optional("failures", |s, v| {
+            FAILURE_FIELDS
+                .read(v, FailureSpec::default())
+                .map(|failures| s.failures = Some(failures))
+        }),
+    ],
+};
+
+/// The `failures` object's fields.
+const FAILURE_FIELDS: Section<FailureSpec> = Section {
+    context: "the 'failures' section",
+    prefix: "failures.",
+    fields: &[
+        Required("count", |f, v| put(&mut f.count, v)),
+        Required("width", |f, v| put(&mut f.width, v)),
+        Required("max_duration", |f, v| put(&mut f.max_duration, v)),
+        Required("horizon", |f, v| put(&mut f.horizon, v)),
+    ],
+};
+
+/// The `reservations` object as written, before it becomes α variants.
+#[derive(Default)]
+struct ReservationFields {
+    family: String,
+    alpha: Option<String>,
+    alphas: Option<Vec<String>>,
+    count: Option<usize>,
+    horizon: Option<u64>,
+    max_duration: Option<u64>,
+    steps: Option<usize>,
+    max_initial: Option<u32>,
 }
 
-fn require<T>(field: Option<T>, name: &str) -> Result<T, DeError> {
-    field.ok_or_else(|| DeError::custom(format!("missing required field '{name}'")))
-}
+/// The `reservations` object's fields.
+const RESERVATION_FIELDS: Section<ReservationFields> = Section {
+    context: "the 'reservations' section",
+    prefix: "reservations.",
+    fields: &[
+        Required("family", |r, v| put(&mut r.family, v)),
+        Optional("alpha", |r, v| put(&mut r.alpha, v)),
+        Optional("alphas", |r, v| put(&mut r.alphas, v)),
+        Optional("count", |r, v| put(&mut r.count, v)),
+        Optional("horizon", |r, v| put(&mut r.horizon, v)),
+        Optional("max_duration", |r, v| put(&mut r.max_duration, v)),
+        Optional("steps", |r, v| put(&mut r.steps, v)),
+        Optional("max_initial", |r, v| put(&mut r.max_initial, v)),
+    ],
+};
 
 impl Deserialize for SweepSpec {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         // Unknown/misspelled keys are errors, not silently dropped sections:
         // a spec with `reservation` instead of `reservations` used to run a
         // reservation-free sweep without a word.
-        check_fields(
-            value,
-            "sweep spec",
-            &[
-                "name",
-                "machines",
-                "jobs",
-                "seeds",
-                "workload",
-                "arrivals",
-                "policies",
-                "reservations",
-                "exact_probe",
-                "deadline_frac",
-                "widths",
-                "failures",
-            ],
-        )?;
-        // `jobs` is a count or a list of counts — a list becomes one more
-        // labeled dimension of the cross product, mirroring `alphas`.
-        let (jobs, jobs_labeled) = match value.get("jobs") {
-            None | Some(Value::Null) => {
-                return Err(DeError::custom("missing required field 'jobs'"))
-            }
-            Some(raw) => match usize::from_value(raw) {
-                Ok(n) => (vec![n], false),
-                Err(_) => (
-                    Vec::<usize>::from_value(raw).map_err(|_| {
-                        DeError::custom(
-                            "field 'jobs': expected a job count or a list of job counts",
-                        )
-                    })?,
-                    true,
-                ),
-            },
+        let defaults = SweepSpec {
+            name: "sweep".to_string(),
+            workload: "feitelson".to_string(),
+            ..SweepSpec::default()
         };
-        Ok(SweepSpec {
-            name: get_field(value, "name")?.unwrap_or_else(|| "sweep".to_string()),
-            machines: require(get_field(value, "machines")?, "machines")?,
-            jobs,
-            jobs_labeled,
-            seeds: require(get_field(value, "seeds")?, "seeds")?,
-            workload: get_field(value, "workload")?.unwrap_or_else(|| "feitelson".to_string()),
-            arrivals: get_field(value, "arrivals")?,
-            policies: require(get_field(value, "policies")?, "policies")?,
-            reservations: get_with(value, "reservations", reservation_variants)?,
-            exact_probe: get_field(value, "exact_probe")?,
-            deadline_frac: get_field(value, "deadline_frac")?,
-            widths: get_field(value, "widths")?,
-            failures: get_field(value, "failures")?,
-        })
-    }
-}
-
-impl Deserialize for FailureSpec {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        check_fields(
-            value,
-            "the 'failures' section",
-            &["count", "width", "max_duration", "horizon"],
-        )?;
-        Ok(FailureSpec {
-            count: require(get_field(value, "count")?, "failures.count")?,
-            width: require(get_field(value, "width")?, "failures.width")?,
-            max_duration: require(get_field(value, "max_duration")?, "failures.max_duration")?,
-            horizon: require(get_field(value, "horizon")?, "failures.horizon")?,
-        })
+        SPEC_FIELDS.read(value, defaults)
     }
 }
 
@@ -310,26 +313,7 @@ impl SweepSpec {
 /// Parse the `reservations` object of a sweep spec into its α variants
 /// (see [`SweepSpec::reservations`]).
 fn reservation_variants(value: &Value) -> Result<Vec<(Option<String>, Decoration)>, DeError> {
-    check_fields(
-        value,
-        "the 'reservations' section",
-        &[
-            "family",
-            "alpha",
-            "alphas",
-            "count",
-            "horizon",
-            "max_duration",
-            "steps",
-            "max_initial",
-        ],
-    )?;
-    let family: String = require(get_field(value, "family")?, "reservations.family")?;
-    let alpha: Option<String> = get_field(value, "alpha")?;
-    let alphas: Option<Vec<String>> = get_field(value, "alphas")?;
-    let (count, horizon) = (get_field(value, "count")?, get_field(value, "horizon")?);
-    let max_duration = get_field(value, "max_duration")?;
-    let (steps, max_initial) = (get_field(value, "steps")?, get_field(value, "max_initial")?);
+    let r = RESERVATION_FIELDS.read(value, ReservationFields::default())?;
     let variant = |label: Option<String>, reservations| {
         let decoration = Decoration {
             reservations,
@@ -337,9 +321,9 @@ fn reservation_variants(value: &Value) -> Result<Vec<(Option<String>, Decoration
         };
         (label, decoration)
     };
-    match family.as_str() {
+    match r.family.as_str() {
         "alpha" => {
-            let (texts, labeled) = match (alpha, alphas) {
+            let (texts, labeled) = match (r.alpha, r.alphas) {
                 (Some(_), Some(_)) => {
                     return Err(DeError::custom(
                         "reservations: give either 'alpha' or 'alphas', not both",
@@ -359,23 +343,23 @@ fn reservation_variants(value: &Value) -> Result<Vec<(Option<String>, Decoration
                 .map(|text| {
                     let arg = ReservationArg::Alpha {
                         alpha: parse_alpha(&text).map_err(DeError::custom)?,
-                        count,
-                        horizon,
-                        max_duration,
+                        count: r.count,
+                        horizon: r.horizon,
+                        max_duration: r.max_duration,
                     };
                     Ok(variant(labeled.then_some(text), arg))
                 })
                 .collect()
         }
-        "nonincreasing" if alphas.is_some() => {
+        "nonincreasing" if r.alphas.is_some() => {
             Err(DeError::custom("'alphas' only applies to the alpha family"))
         }
         "nonincreasing" => Ok(vec![variant(
             None,
             ReservationArg::NonIncreasing {
-                steps,
-                max_initial,
-                max_duration,
+                steps: r.steps,
+                max_initial: r.max_initial,
+                max_duration: r.max_duration,
             },
         )]),
         other => Err(DeError::custom(format!(
@@ -412,57 +396,37 @@ pub struct SweepRow {
     pub mean_exact_nodes_per_sec: Option<f64>,
 }
 
+/// `resa sweep`'s option table.
+pub(crate) const SWEEP: Command<SweepArgs> = Command {
+    help: SWEEP_HELP,
+    page: Some("sweep"),
+    positional: Some(|a, path| a.spec = path.to_string()),
+    missing: Some("sweep expects a spec path"),
+    flags: &[
+        Parsed("--shards N", |a, v| {
+            v.at_least_one(v.integer()?).map(|n| a.shards = Some(n))
+        }),
+        Text("--shard-dir DIR", |a| &mut a.dir),
+        Parsed("--shard I", |a, v| v.integer().map(|i| a.shard = Some(i))),
+        Switch("--merge", |a| &mut a.merge),
+    ],
+};
+
 /// `resa sweep <spec.json> [options]`.
 pub fn run(args: &[&str]) -> Result<Outcome, CliError> {
-    if args.first() == Some(&"--help") {
-        return Ok(Outcome {
-            stdout: SWEEP_HELP.to_string(),
-            violations: 0,
-        });
-    }
-    let (spec_path, rest) = match args.split_first() {
-        Some((p, rest)) if !p.starts_with("--") => (*p, rest),
-        _ => return Err(CliError::Usage("sweep expects a spec path".into())),
-    };
-    let mut sharding = ShardOpts::default();
-    let opts = CommonOpts::parse(rest, &mut |flag, value| {
-        let take =
-            |name: &str| value.ok_or_else(|| CliError::Usage(format!("{name} expects a value")));
-        let int = |name: &str| {
-            take(name)?
-                .parse::<usize>()
-                .map_err(|_| CliError::Usage(format!("{name} expects an integer")))
-        };
-        match flag {
-            "--shards" => match int(flag)? {
-                0 => return Err(CliError::Usage("--shards must be at least 1".into())),
-                n => sharding.shards = Some(n),
-            },
-            "--shard" => sharding.shard = Some(int(flag)?),
-            "--shard-dir" => sharding.dir = Some(take(flag)?.to_string()),
-            "--merge" => {
-                sharding.merge = true;
-                return Ok(0);
-            }
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown option '{other}' (see `resa sweep --help`)"
-                )))
-            }
-        }
-        Ok(1)
-    })?;
-    sharding.validate()?;
-    let text = std::fs::read_to_string(spec_path).map_err(|e| CliError::io(spec_path, e))?;
+    SWEEP.run(args, sweep)
+}
+
+fn sweep(args: SweepArgs, opts: CommonOpts) -> Result<Outcome, CliError> {
+    args.validate()?;
+    let path = args.spec.as_str();
+    let text = std::fs::read_to_string(path).map_err(|e| CliError::io(path, e))?;
     let spec: SweepSpec = serde_json::from_str(&text).map_err(|e| {
         // Anchor field-level errors to the offending line of the spec.
-        CliError::Parse(format!(
-            "{spec_path}: {}",
-            anchor_line(&text, &e.to_string())
-        ))
+        CliError::Parse(format!("{path}: {}", anchor_line(&text, &e.to_string())))
     })?;
-    if sharding.dir.is_some() {
-        run_sharded(&spec, &opts, &text, &sharding)
+    if args.dir.is_some() {
+        run_sharded(&spec, &opts, &text, &args)
     } else {
         let (rows, violations) = execute(&spec, &opts)?;
         render(&spec, &rows, violations, &opts)
@@ -904,16 +868,17 @@ pub fn execute(spec: &SweepSpec, opts: &CommonOpts) -> Result<(Vec<SweepRow>, us
 
 // -- sharded execution: a manifest plus one record log per shard (module docs)
 
-/// The shard flag set of `resa sweep`.
+/// `resa sweep`'s arguments: the spec path and the shard flags.
 #[derive(Debug, Clone, Default)]
-struct ShardOpts {
+pub(crate) struct SweepArgs {
+    spec: String,
     shards: Option<usize>,
     shard: Option<usize>,
     dir: Option<String>,
     merge: bool,
 }
 
-impl ShardOpts {
+impl SweepArgs {
     fn validate(&self) -> Result<(), CliError> {
         let usage = |message: String| Err(CliError::Usage(message));
         match (self.dir.is_some(), self.merge, self.shards, self.shard) {
@@ -1090,9 +1055,9 @@ fn run_sharded(
     spec: &SweepSpec,
     opts: &CommonOpts,
     text: &str,
-    sh: &ShardOpts,
+    sh: &SweepArgs,
 ) -> Result<Outcome, CliError> {
-    let dir = PathBuf::from(sh.dir.as_deref().expect("validated by ShardOpts"));
+    let dir = PathBuf::from(sh.dir.as_deref().expect("validated by SweepArgs"));
     std::fs::create_dir_all(&dir).map_err(|e| CliError::io(dir.display(), e))?;
     let plan = plan(spec)?;
     let total = plan.cells.len();
@@ -1358,6 +1323,86 @@ mod tests {
             other => panic!("expected a parse error, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// An error inside a section prints the `DeError` prefix once, and
+    /// stays anchored to the section's line.
+    #[test]
+    fn section_errors_print_their_prefix_once() {
+        let dir = std::env::temp_dir().join(format!("resa-sweep-prefix-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let head = "{\n  \"machines\": [4],\n  \"jobs\": 3,\n  \"seeds\": 1,\n  \"policies\": [\"fcfs\"],\n";
+        for (section, needle) in [
+            (
+                r#""reservations": {"family": "alpha", "alpha": "1/2", "maxdur": 10}"#,
+                "field 'reservations': unknown field 'maxdur' in the 'reservations' section",
+            ),
+            (
+                r#""failures": {"count": 1, "max_duration": 5, "horizon": 10}"#,
+                "field 'failures': missing required field 'failures.width'",
+            ),
+            (
+                r#""reservations": {"family": "alpha", "alpha": "1/2", "alphas": ["1/4"]}"#,
+                "field 'reservations': reservations: give either 'alpha' or 'alphas'",
+            ),
+        ] {
+            let path = dir.join("bad.json");
+            std::fs::write(&path, format!("{head}  {section}\n}}\n")).unwrap();
+            let msg = match crate::run(&["sweep", path.to_str().unwrap()]) {
+                Err(CliError::Parse(msg)) => msg,
+                other => panic!("expected a parse error, got {other:?}"),
+            };
+            assert_eq!(msg.matches("deserialization error:").count(), 1, "{msg}");
+            assert!(
+                msg.contains(&format!("line 6: deserialization error: {needle}")),
+                "{msg}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every field of the three spec tables is named in `SWEEP_HELP`, but
+    /// for the two `nonincreasing` knobs only the module docs describe.
+    #[test]
+    fn every_spec_field_is_documented() {
+        let words: Vec<&str> = SWEEP_HELP
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .collect();
+        let mut undocumented = Vec::new();
+        let mut check = |prefix: &str, names: Vec<&str>| {
+            for name in names {
+                if !words.contains(&name) {
+                    undocumented.push(format!("{prefix}{name}"));
+                }
+            }
+        };
+        check(
+            SPEC_FIELDS.prefix,
+            SPEC_FIELDS.rows().map(|r| r.0).collect(),
+        );
+        check(
+            FAILURE_FIELDS.prefix,
+            FAILURE_FIELDS.rows().map(|r| r.0).collect(),
+        );
+        check(
+            RESERVATION_FIELDS.prefix,
+            RESERVATION_FIELDS.rows().map(|r| r.0).collect(),
+        );
+        assert_eq!(
+            undocumented,
+            ["reservations.steps", "reservations.max_initial"]
+        );
+    }
+
+    #[test]
+    fn near_miss_flags_get_a_suggestion() {
+        match crate::run(&["sweep", "spec.json", "--shrads", "2"]) {
+            Err(CliError::Usage(msg)) => assert_eq!(
+                msg,
+                "unknown option '--shrads' (did you mean '--shards'?) (see `resa sweep --help`)"
+            ),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 
     #[test]

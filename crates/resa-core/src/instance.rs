@@ -83,12 +83,6 @@ impl Alpha {
     pub fn max_reserved_width(self, machines: u32) -> u32 {
         (((self.denom - self.num) * machines as u64) / self.denom) as u32
     }
-
-    /// Is `2/α` an integer? (the hypothesis of Proposition 2).
-    #[inline]
-    pub fn two_over_alpha_is_integer(self) -> bool {
-        (2 * self.denom).is_multiple_of(self.num)
-    }
 }
 
 impl fmt::Display for Alpha {
@@ -492,14 +486,6 @@ mod tests {
         assert_eq!(Alpha::ONE.max_reserved_width(7), 0);
         assert!((Alpha::new(1, 3).unwrap().as_f64() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(Alpha::new(1, 3).unwrap().to_string(), "1/3");
-    }
-
-    #[test]
-    fn two_over_alpha_integer() {
-        assert!(Alpha::new(2, 6).unwrap().two_over_alpha_is_integer()); // α=1/3, 2/α=6
-        assert!(Alpha::HALF.two_over_alpha_is_integer()); // 2/α = 4
-        assert!(Alpha::ONE.two_over_alpha_is_integer()); // 2/α = 2
-        assert!(!Alpha::new(3, 4).unwrap().two_over_alpha_is_integer()); // 2/α = 8/3
     }
 
     #[test]

@@ -32,7 +32,8 @@ fn main() {
         "Lower bound B2 (§4.2):                           = {:.3}",
         resa_analysis::guarantees::lower_bound_b2(a)
     );
-    if alpha.two_over_alpha_is_integer() {
+    // Proposition 2's hypothesis: 2/α is an integer.
+    if (2 * alpha.denom()).is_multiple_of(alpha.num()) {
         println!(
             "Lower bound (Proposition 2, 2/α ∈ ℕ): 2/α − 1 + α/2 = {:.3}",
             resa_analysis::guarantees::proposition2_lower_bound(a)
