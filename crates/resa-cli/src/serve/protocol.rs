@@ -3,7 +3,8 @@
 //! One request per line, one JSON response per line. A request line is
 //! parsed into an [`Op`] through the `WIRE` table — the one list of op
 //! names the parser matches on, the `unknown op` message quotes, and the
-//! unit test below checks against `SERVE_HELP` — applied through
+//! unit tests below check against `SERVE_HELP` and against the fields each
+//! op's `build` reads — applied through
 //! [`Session::apply`], and the [`Reply`] rendered back:
 //!
 //! ```text
@@ -428,5 +429,31 @@ mod tests {
             parse_request(r#"{"op":"warp"}"#),
             Err(format!("unknown op 'warp' ({})", names.join("|")))
         );
+    }
+
+    /// Every field an op lists is read by its `build`: the minimal line
+    /// with that field set to a value no field accepts is refused with an
+    /// error naming the field. A listed field that is never read would be
+    /// accepted and ignored.
+    #[test]
+    fn every_listed_field_is_read() {
+        for (wire, line) in WIRE.iter().zip(MINIMAL) {
+            for &field in wire.fields.iter().filter(|&&f| f != "op") {
+                let mut request = parse_object(line).unwrap();
+                let Value::Object(entries) = &mut request else {
+                    unreachable!("parse_object checked it")
+                };
+                entries.retain(|(name, _)| name != field);
+                entries.push((field.to_string(), Value::Object(Vec::new())));
+                let request = to_line(&request);
+                match parse_request(&request) {
+                    Err(e) => assert!(
+                        e.contains(&format!("'{field}'")),
+                        "{request} was refused without naming '{field}': {e}"
+                    ),
+                    Ok(_) => panic!("{request} was accepted: '{field}' is listed but not read"),
+                }
+            }
+        }
     }
 }

@@ -31,52 +31,50 @@ fn figure3_quick_json_matches_the_golden_file() {
     );
 }
 
+/// `resa sweep examples/sweep_<name>.json --threads 1 --format json` ran
+/// clean and printed `examples/sweep_<name>.golden` byte for byte.
+fn assert_sweep_matches_golden(name: &str) {
+    let golden = std::fs::read_to_string(repo_root().join(format!("examples/sweep_{name}.golden")))
+        .expect("checked-in sweep golden");
+    let spec = repo_root().join(format!("examples/sweep_{name}.json"));
+    let out = resa_cli::run(&[
+        "sweep",
+        &spec.display().to_string(),
+        "--threads",
+        "1",
+        "--format",
+        "json",
+    ])
+    .unwrap();
+    assert_eq!(out.violations, 0);
+    assert_eq!(
+        out.stdout, golden,
+        "{name} sweep drifted from the golden file"
+    );
+}
+
 #[test]
 fn deadline_sweep_matches_the_golden_file() {
     // The checked-in 2-cell scenario sweep (deadline admission + failure
     // drains + labeled jobs dimension) — CI additionally pipes it through
     // the release binary. Exit code 2 territory (violations > 0) would mean
     // a committed deadline was missed or a job overlapped a drain.
-    let golden = std::fs::read_to_string(repo_root().join("examples/sweep_deadline.golden"))
-        .expect("checked-in sweep golden");
-    let spec = repo_root().join("examples/sweep_deadline.json");
-    let out = resa_cli::run(&[
-        "sweep",
-        &spec.display().to_string(),
-        "--threads",
-        "1",
-        "--format",
-        "json",
-    ])
-    .unwrap();
-    assert_eq!(out.violations, 0);
-    assert_eq!(
-        out.stdout, golden,
-        "deadline sweep drifted from the golden file"
-    );
+    assert_sweep_matches_golden("deadline");
 }
 
 #[test]
 fn moldable_sweep_matches_the_golden_file() {
     // Moldable widths plus failure drains: every cell is compiled to ops and
     // applied to a resident service; the rows pin that path byte for byte.
-    let golden = std::fs::read_to_string(repo_root().join("examples/sweep_moldable.golden"))
-        .expect("checked-in sweep golden");
-    let spec = repo_root().join("examples/sweep_moldable.json");
-    let out = resa_cli::run(&[
-        "sweep",
-        &spec.display().to_string(),
-        "--threads",
-        "1",
-        "--format",
-        "json",
-    ])
-    .unwrap();
-    assert_eq!(out.violations, 0);
-    assert_eq!(
-        out.stdout, golden,
-        "moldable sweep drifted from the golden file"
-    );
+    assert_sweep_matches_golden("moldable");
+}
+
+#[test]
+fn grid_sweep_matches_the_golden_file() {
+    // The benchmark grid's shape (Lublin, m = 128, alpha = 1/2 overlay) on
+    // two seeds: a long queue on a saturated cluster, where every rule's
+    // decision pass answers most fit checks from minima it has read.
+    assert_sweep_matches_golden("grid");
 }
 
 #[test]

@@ -12,20 +12,24 @@
 //! Each start is reserved on the substrate in place, unlinked from the list
 //! and reported to `on_start` with its position, in decision order. The
 //! capacity free at `now` is read once per pass and lowered by each start;
-//! a job wider than it is skipped without a query, any other confirms its
-//! fit with one `min_capacity_in`. A job released after `now` never starts
-//! (the off-line loops hold such jobs; an on-line queue never does).
+//! a job wider than it is skipped without a query. Any other is first held
+//! against the pass's `Staircase` of the failing range minima it has read
+//! from `now`, and only a job no earlier read refutes confirms its fit with
+//! one `min_capacity_in`. A job released after `now` never starts (the
+//! off-line loops hold such jobs; an on-line queue never does).
 
 use crate::capacity::CapacityQuery;
 use crate::job::Job;
 use crate::time::{Dur, Time};
 use crate::waitlist::WaitList;
 
-/// One pass at `now`: the substrate and the capacity left free at `now`.
+/// One pass at `now`: the substrate, the capacity left free at `now` and
+/// the range minima read from `now` so far.
 struct Pass<'a, C> {
     substrate: &'a mut C,
     now: Time,
     free_now: u32,
+    read: Staircase,
 }
 
 impl<'a, C: CapacityQuery> Pass<'a, C> {
@@ -35,17 +39,26 @@ impl<'a, C: CapacityQuery> Pass<'a, C> {
             substrate,
             now,
             free_now,
+            read: Staircase::default(),
         }
     }
 
     /// Whether `job` can start at `now`. The shortcuts on `free_now` (skip
     /// a wider job; stop the greedy pass when it reaches 0; lower it by a
     /// start's width) need a non-empty job, which validation guarantees.
-    fn fits(&self, job: &Job) -> bool {
+    fn fits(&mut self, job: &Job) -> bool {
         debug_assert!(job.width >= 1 && !job.duration.is_zero());
-        job.release <= self.now
-            && job.width <= self.free_now
-            && self.substrate.min_capacity_in(self.now, job.duration) >= job.width
+        if job.release > self.now
+            || job.width > self.free_now
+            || self.read.refutes(job.width, job.duration)
+        {
+            return false;
+        }
+        let min = self.substrate.min_capacity_in(self.now, job.duration);
+        if min < job.width {
+            self.read.record(job.duration, min);
+        }
+        min >= job.width
     }
 
     /// Reserve `job` from `now` and unlink it.
@@ -106,6 +119,56 @@ pub fn greedy<C: CapacityQuery>(
             pass.start(waiting, i, &jobs[i]);
             on_start(i);
         }
+    }
+}
+
+/// How many range minima a [`Staircase`] holds.
+const STAIRS: usize = 8;
+
+/// The `(duration, min)` pairs a pass's failing `min_capacity_in(now,
+/// duration)` calls returned: durations ascending, minima strictly
+/// descending, so no pair is implied by another. A read that confirms a
+/// fit is not kept: that is the start path, and keeping it saves at most
+/// 0.2 % of the queries `tests/decision_work.rs` counts. Each stays an upper bound on the minimum it
+/// read until the pass ends, for two reasons: the minimum over `[now, now +
+/// d)` is non-increasing in `d`, and a start only lowers capacity. A job of
+/// width `q` and duration `p` cannot fit if some pair has `d ≤ p` and
+/// `min < q`, so that test answers exactly, without a query.
+#[derive(Default)]
+struct Staircase {
+    len: usize,
+    steps: [(Dur, u32); STAIRS],
+}
+
+impl Staircase {
+    /// Whether a pair read earlier rules out `width` processors over
+    /// `duration` from `now`. The minima descend, so the first pair below
+    /// `width` decides.
+    fn refutes(&self, width: u32, duration: Dur) -> bool {
+        self.steps[..self.len]
+            .iter()
+            .take_while(|&&(d, _)| d <= duration)
+            .any(|&(_, min)| min < width)
+    }
+
+    /// Remember that the minimum over `duration` read `min`. A pair implied
+    /// by one already held is dropped; the pairs the new one implies make
+    /// room for it; when none does and the array is full, the new pair is
+    /// dropped.
+    fn record(&mut self, duration: Dur, min: u32) {
+        let held = &self.steps[..self.len];
+        let upto = held.partition_point(|&(d, _)| d <= duration);
+        if upto > 0 && held[upto - 1].1 <= min {
+            return;
+        }
+        let at = held.partition_point(|&(d, _)| d < duration);
+        let end = at + held[at..].iter().take_while(|&&(_, m)| m >= min).count();
+        if end == at && self.len == STAIRS {
+            return;
+        }
+        self.steps.copy_within(end..self.len, at + 1);
+        self.steps[at] = (duration, min);
+        self.len = self.len + at + 1 - end;
     }
 }
 
@@ -220,6 +283,8 @@ impl ShadowGuard {
 mod tests {
     use super::*;
     use crate::profile::ResourceProfile;
+    use crate::timeline::AvailabilityTimeline;
+    use proptest::prelude::*;
 
     fn list(n: usize) -> WaitList {
         let mut l = WaitList::with_capacity(n);
@@ -281,5 +346,173 @@ mod tests {
         assert!(pass.candidate_left, "J2 would delay the head");
         assert_eq!(waiting.iter().collect::<Vec<_>>(), vec![0, 2, 3]);
         assert_eq!(p.capacity_at(Time(4)), 2);
+    }
+
+    /// Durations strictly ascending, minima strictly descending.
+    fn is_staircase(stairs: &Staircase) -> bool {
+        stairs.steps[..stairs.len]
+            .windows(2)
+            .all(|w| w[0].0 < w[1].0 && w[0].1 > w[1].1)
+    }
+
+    #[test]
+    fn a_full_staircase_drops_the_new_pair() {
+        let mut stairs = Staircase::default();
+        for k in 0..STAIRS as u64 {
+            stairs.record(Dur(2 * (k + 1)), 80 - 10 * k as u32);
+        }
+        assert_eq!(stairs.len, STAIRS);
+        assert!(is_staircase(&stairs));
+        let full = stairs.steps;
+        // Neither implied by a held pair nor implying one: no room.
+        stairs.record(Dur(3), 75);
+        stairs.record(Dur(2 * STAIRS as u64 + 1), 0);
+        assert_eq!((stairs.len, stairs.steps), (STAIRS, full));
+        // A pair that implies held ones replaces them.
+        stairs.record(Dur(3), 60);
+        assert_eq!(stairs.len, STAIRS - 1);
+        assert_eq!(
+            &stairs.steps[..3],
+            &[(Dur(2), 80), (Dur(3), 60), (Dur(8), 50)]
+        );
+        assert!(is_staircase(&stairs));
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Rule {
+        Fcfs,
+        Easy,
+        Greedy,
+    }
+
+    /// The three rules with one `min_capacity_in` per released job and no
+    /// shortcut; EASY admits a candidate by reserving it and asking whether
+    /// the head still fits at its shadow.
+    fn reference(
+        rule: Rule,
+        p: &mut ResourceProfile,
+        now: Time,
+        jobs: &[Job],
+        order: &[usize],
+    ) -> Vec<usize> {
+        let fits = |p: &ResourceProfile, j: &Job| {
+            j.release <= now && p.min_capacity_in(now, j.duration) >= j.width
+        };
+        let mut started = Vec::new();
+        let mut rest = order.iter().copied();
+        let mut blocked = None;
+        for i in rest.by_ref() {
+            if !fits(p, &jobs[i]) {
+                blocked = Some(i);
+                break;
+            }
+            p.reserve(now, jobs[i].duration, jobs[i].width).unwrap();
+            started.push(i);
+        }
+        let Some(h) = blocked else {
+            return started;
+        };
+        let head = jobs[h];
+        match rule {
+            Rule::Fcfs => {}
+            Rule::Greedy => {
+                for i in rest {
+                    if fits(p, &jobs[i]) {
+                        p.reserve(now, jobs[i].duration, jobs[i].width).unwrap();
+                        started.push(i);
+                    }
+                }
+            }
+            Rule::Easy => {
+                let shadow = p
+                    .earliest_fit(head.width, head.duration, now.max(head.release))
+                    .unwrap();
+                for i in rest {
+                    let job = jobs[i];
+                    if !fits(p, &job) {
+                        continue;
+                    }
+                    p.reserve(now, job.duration, job.width).unwrap();
+                    if p.min_capacity_in(shadow, head.duration) >= head.width {
+                        started.push(i);
+                    } else {
+                        p.release(now, job.duration, job.width).unwrap();
+                    }
+                }
+            }
+        }
+        started
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Pairs held by a staircase stay a staircase, and while none was
+        /// dropped for room it refutes exactly what the pairs recorded imply;
+        /// after that, never more.
+        #[test]
+        fn the_staircase_refutes_what_its_reads_imply(
+            reads in proptest::collection::vec((1u64..=24, 0u32..=24), 0usize..=24),
+        ) {
+            let mut stairs = Staircase::default();
+            for (k, &(d, min)) in reads.iter().enumerate() {
+                stairs.record(Dur(d), min);
+                prop_assert!(is_staircase(&stairs));
+                let seen = &reads[..=k];
+                for width in 1..=25 {
+                    for p in 1..=25 {
+                        let implied = seen.iter().any(|&(d, m)| d <= p && m < width);
+                        let refuted = stairs.refutes(width, Dur(p));
+                        prop_assert!(!refuted || implied);
+                        if k < STAIRS {
+                            prop_assert_eq!(refuted, implied, "width {} over {}", width, p);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Each rule starts the positions, in the order, that the
+        /// query-every-job reference starts, and leaves the same profile.
+        #[test]
+        fn each_rule_matches_its_reference(
+            m in 2u32..=16,
+            reservations in proptest::collection::vec((0u64..80, 1u64..=30, 1u32..=16), 0usize..=12),
+            now in 0u64..60,
+            raw in proptest::collection::vec((1u32..=16, 1u64..=40, 0u64..=70), 1usize..=40),
+            order_seed in 0u64..u64::MAX,
+        ) {
+            let mut profile = ResourceProfile::constant(m);
+            for &(start, dur, width) in &reservations {
+                // A reservation that does not fit is left out.
+                let _ = profile.reserve(Time(start), Dur(dur), width.min(m));
+            }
+            let jobs: Vec<Job> = (0..).zip(&raw)
+                .map(|(i, &(w, d, r))| Job::released_at(i, w.min(m), d, r))
+                .collect();
+            let mut order: Vec<usize> = (0..jobs.len()).collect();
+            let mut state = order_seed;
+            for i in (1..order.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                order.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let now = Time(now);
+            for rule in [Rule::Fcfs, Rule::Easy, Rule::Greedy] {
+                let mut expected_profile = profile.clone();
+                let expected = reference(rule, &mut expected_profile, now, &jobs, &order);
+                let mut timeline = AvailabilityTimeline::from_profile(&profile);
+                let mut waiting = WaitList::with_capacity(jobs.len());
+                order.iter().for_each(|&i| waiting.push_back(i));
+                let mut started = Vec::new();
+                match rule {
+                    Rule::Fcfs => fcfs(&mut timeline, now, &jobs, &mut waiting, |i| started.push(i)),
+                    Rule::Greedy => greedy(&mut timeline, now, &jobs, &mut waiting, |i| started.push(i)),
+                    Rule::Easy => drop(easy(&mut timeline, now, &jobs, &mut waiting, |i| started.push(i))),
+                }
+                prop_assert_eq!(&started, &expected, "{:?}", rule);
+                prop_assert_eq!(timeline.to_profile(), expected_profile, "{:?}", rule);
+                prop_assert_eq!(waiting.len(), jobs.len() - started.len());
+            }
+        }
     }
 }
