@@ -431,6 +431,86 @@ mod tests {
         );
     }
 
+    /// One request line per error kind, with its exact reply: the
+    /// protocol's error spellings, pinned.
+    #[test]
+    fn every_error_kind_keeps_its_spelling() {
+        let mut svc =
+            ScheduleService::new(ReferencePolicy::Easy, AvailabilityTimeline::constant(4));
+        for (line, reply) in [
+            (
+                r#"{"op":"#,
+                r#"{"ok":false,"error":"bad JSON: deserialization error: unexpected character at byte 6"}"#,
+            ),
+            (
+                r#"[1]"#,
+                r#"{"ok":false,"error":"request must be a JSON object"}"#,
+            ),
+            (
+                r#"{"width":1}"#,
+                r#"{"ok":false,"error":"missing required field 'op' in request"}"#,
+            ),
+            (
+                r#"{"op":5}"#,
+                r#"{"ok":false,"error":"field 'op' in request: deserialization error: expected string"}"#,
+            ),
+            (
+                r#"{"op":"warp"}"#,
+                r#"{"ok":false,"error":"unknown op 'warp' (submit|reserve|cancel|query|inject|revoke|submit_moldable|advance|drain|stats|snapshot|shutdown)"}"#,
+            ),
+            (
+                r#"{"op":"submit","widht":2,"duration":5}"#,
+                r#"{"ok":false,"error":"deserialization error: unknown field 'widht' in submit request (did you mean 'width'?)"}"#,
+            ),
+            (
+                r#"{"op":"submit","width":2}"#,
+                r#"{"ok":false,"error":"missing required field 'duration' in submit request"}"#,
+            ),
+            (
+                r#"{"op":"submit","width":"two","duration":5}"#,
+                r#"{"ok":false,"error":"field 'width' in submit request: deserialization error: expected u32"}"#,
+            ),
+            (
+                r#"{"op":"submit","width":1,"duration":1,"admission":"boost"}"#,
+                r#"{"ok":false,"error":"field 'admission' in submit request requires 'deadline'"}"#,
+            ),
+            (
+                r#"{"op":"submit","width":1,"duration":1,"deadline":5,"admission":"fast"}"#,
+                r#"{"ok":false,"error":"unknown admission policy 'fast' (reject|boost)"}"#,
+            ),
+        ] {
+            assert_eq!(handle(&mut svc, line), (reply.to_string(), false), "{line}");
+        }
+        for (line, reply) in [
+            (
+                r#"{"op":"stats"}"#,
+                r#"{"ok":false,"op":"auth","error":"authentication required: the first request must be an auth op, got 'stats'"}"#,
+            ),
+            (
+                r#"{"op":"auth","token":"nope"}"#,
+                r#"{"ok":false,"op":"auth","error":"invalid token"}"#,
+            ),
+            (
+                r#"{"op":"auth"}"#,
+                r#"{"ok":false,"op":"auth","error":"missing required field 'token' in auth request"}"#,
+            ),
+            (
+                r#"{"op":"auth","tokn":"s3cret"}"#,
+                r#"{"ok":false,"op":"auth","error":"deserialization error: unknown field 'tokn' in auth request (did you mean 'token'?)"}"#,
+            ),
+        ] {
+            assert_eq!(
+                check_auth("s3cret", line),
+                (reply.to_string(), false),
+                "{line}"
+            );
+        }
+        assert_eq!(
+            check_auth("s3cret", r#"{"op":"auth","token":"s3cret"}"#),
+            (r#"{"ok":true,"op":"auth"}"#.to_string(), true)
+        );
+    }
+
     /// Every field an op lists is read by its `build`: the minimal line
     /// with that field set to a value no field accepts is refused with an
     /// error naming the field. A listed field that is never read would be
