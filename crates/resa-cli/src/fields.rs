@@ -1,39 +1,21 @@
 //! Strict field validation for the CLI's hand-rolled JSON surfaces.
 //!
 //! The vendored serde stand-in has no `#[serde(deny_unknown_fields)]`, so
-//! the manual `Deserialize` impls (sweep specs, serve requests) historically
-//! ignored unknown keys — a misspelled `reservation` silently produced a
+//! the manual readers (sweep specs, serve requests) historically ignored
+//! unknown keys — a misspelled `reservation` silently produced a
 //! reservation-free sweep. This module provides the missing strictness:
 //!
-//! * [`check_fields`] rejects keys outside an allow-list, with a
-//!   did-you-mean suggestion for near-misses;
-//! * a `Section` table declares a JSON object's fields once and reads it:
-//!   the allow-list, the required fields and the one `field '<name>': …`
-//!   wrapping of a bad value all come from the table;
+//! * a [`Section`] table declares a JSON object's fields once and reads
+//!   it: the allow-list (a key outside it is refused with a did-you-mean
+//!   suggestion for near-misses), the required fields, the reading order
+//!   and the one `field '<name>' in <object>: …` wrapping of a bad value
+//!   all come from the table, so each error kind is spelled the same way
+//!   on every surface that reads through one;
 //! * [`anchor_line`] maps an error that names a field back to the line of
 //!   the original JSON text that introduced it, so the user gets
 //!   `line 9: unknown field 'reservation' …` instead of a bare message.
 
-use serde::{DeError, Value};
-
-/// Reject any key of `value` (which must be an object) that is not in
-/// `allowed`, naming the context and suggesting the nearest known field.
-pub fn check_fields(value: &Value, context: &str, allowed: &[&str]) -> Result<(), DeError> {
-    let Some(fields) = value.as_object() else {
-        return Err(DeError::custom(format!("{context} must be a JSON object")));
-    };
-    for (key, _) in fields {
-        if !allowed.contains(&key.as_str()) {
-            let suggestion = nearest(key, allowed)
-                .map(|s| format!(" (did you mean '{s}'?)"))
-                .unwrap_or_default();
-            return Err(DeError::custom(format!(
-                "unknown field '{key}' in {context}{suggestion}"
-            )));
-        }
-    }
-    Ok(())
-}
+use serde::{Deserialize, Value};
 
 /// One row of a JSON object's field table: the field's name, and how its
 /// value sets the object's struct `T`.
@@ -42,58 +24,86 @@ pub(crate) enum Field<T> {
     Required(&'static str, SetField<T>),
     /// A field the object may leave out (or set to `null`).
     Optional(&'static str, SetField<T>),
+    /// An optional field that may only be given beside the second one.
+    Needs(&'static str, &'static str, SetField<T>),
 }
 
-type SetField<T> = fn(&mut T, &Value) -> Result<(), DeError>;
+/// How a field's value sets `T`; an error says what is wrong with the value.
+type SetField<T> = fn(&mut T, &Value) -> Result<(), String>;
 
-pub(crate) use Field::{Optional, Required};
+pub(crate) use Field::{Needs, Optional, Required};
+
+/// Read a field's value as its type into `slot`.
+pub(crate) fn put<X: Deserialize>(slot: &mut X, value: &Value) -> Result<(), String> {
+    *slot = X::from_value(value).map_err(|e| e.to_string())?;
+    Ok(())
+}
+
+impl<T> Field<T> {
+    pub(crate) fn name(&self) -> &'static str {
+        let (Required(name, _) | Optional(name, _) | Needs(name, ..)) = *self;
+        name
+    }
+
+    /// Read this field of the object `value` (named `context` in errors)
+    /// into `out`. An absent or `null` field keeps `out`'s value, or is an
+    /// error when required.
+    pub(crate) fn read(&self, value: &Value, context: &str, out: &mut T) -> Result<(), String> {
+        let given = |name| value.get(name).filter(|v| **v != Value::Null);
+        let (Required(name, set) | Optional(name, set) | Needs(name, _, set)) = *self;
+        match (given(name), self) {
+            (None, Required(..)) => Err(format!("missing required field '{name}' in {context}")),
+            (None, _) => Ok(()),
+            (Some(_), Needs(_, other, _)) if given(other).is_none() => {
+                Err(format!("field '{name}' in {context} requires '{other}'"))
+            }
+            (Some(v), _) => set(out, v).map_err(|e| format!("field '{name}' in {context}: {e}")),
+        }
+    }
+}
 
 /// A JSON object's field table, read by [`Section::read`].
 pub(crate) struct Section<T: 'static> {
     /// How errors name the object, e.g. `the 'failures' section`.
     pub(crate) context: &'static str,
-    /// Prefixed to the names in missing-field errors, e.g. `failures.`.
-    pub(crate) prefix: &'static str,
     pub(crate) fields: &'static [Field<T>],
 }
 
 impl<T> Section<T> {
-    /// Each field as `(name, required, setter)`.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = (&'static str, bool, SetField<T>)> + '_ {
-        self.fields.iter().map(|field| match *field {
-            Required(name, set) => (name, true, set),
-            Optional(name, set) => (name, false, set),
-        })
+    pub(crate) const fn new(context: &'static str, fields: &'static [Field<T>]) -> Self {
+        Section { context, fields }
     }
 
-    /// Read `value` into `out`: keys outside the table are rejected, then
-    /// each field is read in table order. An absent or `null` field keeps
-    /// `out`'s value, or is an error when required.
-    pub(crate) fn read(&self, value: &Value, mut out: T) -> Result<T, DeError> {
-        let names: Vec<&str> = self.rows().map(|(name, ..)| name).collect();
-        check_fields(value, self.context, &names)?;
-        for (name, required, set) in self.rows() {
-            match value.get(name) {
-                None | Some(Value::Null) if required => {
-                    let prefix = self.prefix;
-                    return Err(DeError::custom(format!(
-                        "missing required field '{prefix}{name}'"
-                    )));
-                }
-                None | Some(Value::Null) => {}
-                Some(v) => set(&mut out, v).map_err(|e| {
-                    // `DeError`'s `Display` prefixes every message: wrapped,
-                    // the prefix would print twice.
-                    let inner = e.to_string();
-                    let inner = inner
-                        .strip_prefix("deserialization error: ")
-                        .unwrap_or(&inner);
-                    DeError::custom(format!("field '{name}': {inner}"))
-                })?,
-            }
+    /// Read the object `value` into `out`: a key outside the table is
+    /// refused, then each field is read in table order.
+    pub(crate) fn read(&self, value: &Value, mut out: T) -> Result<T, String> {
+        check_fields(value, self.context, self.fields)?;
+        for field in self.fields {
+            field.read(value, self.context, &mut out)?;
         }
         Ok(out)
     }
+}
+
+/// Refuse any key of `value` (which must be an object) that no field of
+/// `fields` names, naming the context and suggesting the nearest field.
+fn check_fields<T>(value: &Value, context: &str, fields: &[Field<T>]) -> Result<(), String> {
+    let Some(entries) = value.as_object() else {
+        return Err(format!("{context} must be a JSON object"));
+    };
+    let known = |key: &String| fields.iter().any(|f| f.name() == key);
+    let Some((key, _)) = entries.iter().find(|(key, _)| !known(key)) else {
+        return Ok(());
+    };
+    let names: Vec<&str> = fields.iter().map(Field::name).collect();
+    let suggestion = nearest(key, &names)
+        .map(|s| format!(" (did you mean '{s}'?)"))
+        .unwrap_or_default();
+    // The serde prefix is part of this kind's spelling: `resa serve` has
+    // always answered an unknown field with it.
+    Err(format!(
+        "deserialization error: unknown field '{key}' in {context}{suggestion}"
+    ))
 }
 
 /// The allowed field closest to `key`, if any is close enough to be a
@@ -165,12 +175,15 @@ mod tests {
         Value::Object(keys.iter().map(|&k| (k.to_string(), Value::Null)).collect())
     }
 
+    fn allow(names: &[&'static str]) -> Vec<Field<()>> {
+        names.iter().map(|&n| Optional(n, |_, _| Ok(()))).collect()
+    }
+
     #[test]
     fn accepts_known_fields_and_rejects_unknown_ones() {
-        let allowed = &["machines", "jobs", "reservations"];
+        let allowed = &allow(&["machines", "jobs", "reservations"]);
         assert!(check_fields(&obj(&["machines", "jobs"]), "spec", allowed).is_ok());
-        let err = check_fields(&obj(&["reservation"]), "spec", allowed).unwrap_err();
-        let msg = err.to_string();
+        let msg = check_fields(&obj(&["reservation"]), "spec", allowed).unwrap_err();
         assert!(msg.contains("unknown field 'reservation' in spec"), "{msg}");
         assert!(msg.contains("did you mean 'reservations'?"), "{msg}");
         assert!(check_fields(&Value::Null, "spec", allowed).is_err());
@@ -178,11 +191,11 @@ mod tests {
 
     #[test]
     fn suggestions_only_for_near_misses() {
-        let allowed = &["width", "duration"];
+        let allowed = &allow(&["width", "duration"]);
         let far = check_fields(&obj(&["zzz"]), "req", allowed).unwrap_err();
-        assert!(!far.to_string().contains("did you mean"), "{far}");
+        assert!(!far.contains("did you mean"), "{far}");
         let near = check_fields(&obj(&["widht"]), "req", allowed).unwrap_err();
-        assert!(near.to_string().contains("did you mean 'width'?"), "{near}");
+        assert!(near.contains("did you mean 'width'?"), "{near}");
     }
 
     #[test]

@@ -48,6 +48,11 @@ pub mod replay;
 pub mod serve;
 pub mod sweep;
 
+/// The scripted-op generator of the service suites, shared by path.
+#[cfg(test)]
+#[path = "../../resa-sim/tests/common/mod.rs"]
+mod test_ops;
+
 use opts::Command;
 
 /// Serializes tests that set `RESA_TRACE_CACHE` — the variable is process

@@ -1,30 +1,12 @@
 //! The line-delimited JSON protocol of `resa serve`: [`Op`] ⇄ JSON.
 //!
-//! One request per line, one JSON response per line. A request line is
-//! parsed into an [`Op`] through the `WIRE` table — the one list of op
-//! names the parser matches on, the `unknown op` message quotes, and the
-//! unit tests below check against `SERVE_HELP` and against the fields each
-//! op's `build` reads — applied through
-//! [`Session::apply`], and the [`Reply`] rendered back:
-//!
-//! ```text
-//! {"op":"submit","width":2,"duration":10}        job arrival (optional "release";
-//!                                                optional "deadline" + "admission"
-//!                                                for SLA-gated submission)
-//! {"op":"reserve","width":2,"duration":6,"start":4}
-//! {"op":"cancel","reservation":0}
-//! {"op":"query","width":4,"duration":5}          speculative earliest-fit probe
-//! {"op":"inject","width":4,"duration":6,"start":9}   mid-run failure/maintenance
-//! {"op":"revoke","drain":0}                      heal an injected drain early
-//! {"op":"submit_moldable","widths":[1,2,4],"area":12} scheduler picks the width
-//! {"op":"advance","to":20}                       move virtual time
-//! {"op":"drain"}                                 run until every job completed
-//! {"op":"stats"}                                 aggregate counters
-//! {"op":"snapshot"}                              current schedule + metrics
-//!                                                (optional "since" paginates
-//!                                                records by job id)
-//! {"op":"shutdown"}                              end the session
-//! ```
+//! One request per line, one JSON response per line; `SERVE_HELP` (what
+//! `resa serve --help` prints) lists the requests. A request line is parsed
+//! into an [`Op`] through the `WIRE` table — one row per op: its name, its
+//! fields as a [`Section`] (the allow-list, the required fields, the
+//! reading order and the error spellings all come from it) and how the
+//! fields read become the op — applied through [`Session::apply`], and the
+//! [`Reply`] rendered back.
 //!
 //! Unknown operations, unknown/misspelled fields (with a did-you-mean
 //! suggestion), missing fields and infeasible requests are answered with
@@ -33,17 +15,58 @@
 //! checkpoint marks, and requests whose instants or durations would
 //! overflow the time axis are refused before they are journaled.
 
-use crate::fields::check_fields;
+use crate::fields::{put, Field, Needs, Optional, Required, Section};
 use resa_core::prelude::*;
 use resa_sim::prelude::*;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
-/// One protocol op: its wire name, the fields it accepts, and how a
-/// field-checked request becomes an [`Op`] (`None` ends the session).
+/// A request's fields by wire name: what a `WIRE` row reads a request line
+/// into and builds its op from. A required field's slot holds its value
+/// once read; an optional one stays `None` unless given.
+#[derive(Default)]
+#[cfg_attr(test, derive(Serialize))]
+struct Request {
+    op: String,
+    width: u32,
+    duration: Dur,
+    release: Option<Time>,
+    deadline: Option<Time>,
+    admission: Option<AdmissionPolicy>,
+    start: Time,
+    reservation: usize,
+    not_before: Option<Time>,
+    drain: usize,
+    widths: Vec<u32>,
+    area: u64,
+    to: Time,
+    since: Option<u64>,
+    token: String,
+}
+
+/// Every field of the protocol: its name, whether an op that takes it
+/// requires it, and its slot.
+const OP: Field<Request> = Required("op", |r, v| put(&mut r.op, v));
+const WIDTH: Field<Request> = Required("width", |r, v| put(&mut r.width, v));
+const DURATION: Field<Request> = Required("duration", |r, v| put(&mut r.duration, v));
+const RELEASE: Field<Request> = Optional("release", |r, v| put(&mut r.release, v));
+const DEADLINE: Field<Request> = Optional("deadline", |r, v| put(&mut r.deadline, v));
+const ADMISSION: Field<Request> = Needs("admission", "deadline", |r, v| put(&mut r.admission, v));
+const START: Field<Request> = Required("start", |r, v| put(&mut r.start, v));
+const RESERVATION: Field<Request> = Required("reservation", |r, v| put(&mut r.reservation, v));
+const NOT_BEFORE: Field<Request> = Optional("not_before", |r, v| put(&mut r.not_before, v));
+const DRAIN: Field<Request> = Required("drain", |r, v| put(&mut r.drain, v));
+const WIDTHS: Field<Request> = Required("widths", |r, v| put(&mut r.widths, v));
+const AREA: Field<Request> = Required("area", |r, v| put(&mut r.area, v));
+const TO: Field<Request> = Required("to", |r, v| put(&mut r.to, v));
+const SINCE: Field<Request> = Optional("since", |r, v| put(&mut r.since, v));
+const TOKEN: Field<Request> = Required("token", |r, v| put(&mut r.token, v));
+
+/// One protocol op: its wire name, its fields in reading order, and the
+/// op they build (`None`: `shutdown`, which ends the session).
 struct Wire {
     name: &'static str,
-    fields: &'static [&'static str],
-    build: fn(&Value, &str) -> Result<Option<Op>, String>,
+    fields: Section<Request>,
+    build: Option<fn(Request) -> Op>,
 }
 
 /// Every op of the protocol, in the order the `unknown op` message lists
@@ -51,173 +74,123 @@ struct Wire {
 const WIRE: &[Wire] = &[
     Wire {
         name: "submit",
-        fields: &[
-            "op",
-            "width",
-            "duration",
-            "release",
-            "deadline",
-            "admission",
-        ],
-        build: |v, ctx| {
-            let deadline = optional(v, ctx, "deadline")?.map(Time);
-            let admission = match optional::<String>(v, ctx, "admission")? {
-                None => AdmissionPolicy::default(),
-                Some(_) if deadline.is_none() => {
-                    return Err(format!("field 'admission' in {ctx} requires 'deadline'"))
-                }
-                Some(text) => AdmissionPolicy::parse(&text)
-                    .ok_or_else(|| format!("unknown admission policy '{text}' (reject|boost)"))?,
-            };
-            let width = required(v, ctx, "width")?;
-            let duration = Dur(required(v, ctx, "duration")?);
-            let release = optional(v, ctx, "release")?.map(Time);
-            Ok(Some(match deadline {
-                None => Op::Submit {
-                    width,
-                    duration,
-                    release,
-                },
-                Some(deadline) => Op::SubmitDeadline {
-                    width,
-                    duration,
-                    release,
-                    deadline,
-                    admission,
-                },
-            }))
-        },
+        // The deadline gate is read before the shape: its errors come first.
+        fields: Section::new(
+            "submit request",
+            &[OP, DEADLINE, ADMISSION, WIDTH, DURATION, RELEASE],
+        ),
+        build: Some(|r| match r.deadline {
+            None => Op::Submit {
+                width: r.width,
+                duration: r.duration,
+                release: r.release,
+            },
+            Some(deadline) => Op::SubmitDeadline {
+                width: r.width,
+                duration: r.duration,
+                release: r.release,
+                deadline,
+                admission: r.admission.unwrap_or_default(),
+            },
+        }),
     },
     Wire {
         name: "reserve",
-        fields: &["op", "width", "duration", "start"],
-        build: |v, ctx| {
-            Ok(Some(Op::Reserve {
-                width: required(v, ctx, "width")?,
-                duration: Dur(required(v, ctx, "duration")?),
-                start: Time(required(v, ctx, "start")?),
-            }))
-        },
+        fields: Section::new("reserve request", &[OP, WIDTH, DURATION, START]),
+        build: Some(|r| Op::Reserve {
+            width: r.width,
+            duration: r.duration,
+            start: r.start,
+        }),
     },
     Wire {
         name: "cancel",
-        fields: &["op", "reservation"],
-        build: |v, ctx| {
-            Ok(Some(Op::Cancel {
-                id: required(v, ctx, "reservation")?,
-            }))
-        },
+        fields: Section::new("cancel request", &[OP, RESERVATION]),
+        build: Some(|r| Op::Cancel { id: r.reservation }),
     },
     Wire {
         name: "query",
-        fields: &["op", "width", "duration", "not_before"],
-        build: |v, ctx| {
-            Ok(Some(Op::Query {
-                width: required(v, ctx, "width")?,
-                duration: Dur(required(v, ctx, "duration")?),
-                not_before: optional(v, ctx, "not_before")?.map(Time),
-            }))
-        },
+        fields: Section::new("query request", &[OP, WIDTH, DURATION, NOT_BEFORE]),
+        build: Some(|r| Op::Query {
+            width: r.width,
+            duration: r.duration,
+            not_before: r.not_before,
+        }),
     },
     Wire {
         name: "inject",
-        fields: &["op", "width", "duration", "start"],
-        build: |v, ctx| {
-            Ok(Some(Op::Inject {
-                width: required(v, ctx, "width")?,
-                duration: Dur(required(v, ctx, "duration")?),
-                start: Time(required(v, ctx, "start")?),
-            }))
-        },
+        fields: Section::new("inject request", &[OP, WIDTH, DURATION, START]),
+        build: Some(|r| Op::Inject {
+            width: r.width,
+            duration: r.duration,
+            start: r.start,
+        }),
     },
     Wire {
         name: "revoke",
-        fields: &["op", "drain"],
-        build: |v, ctx| {
-            Ok(Some(Op::Revoke {
-                id: required(v, ctx, "drain")?,
-            }))
-        },
+        fields: Section::new("revoke request", &[OP, DRAIN]),
+        build: Some(|r| Op::Revoke { id: r.drain }),
     },
     Wire {
         name: "submit_moldable",
-        fields: &["op", "widths", "area"],
-        build: |v, ctx| {
-            Ok(Some(Op::SubmitMoldable {
-                widths: required(v, ctx, "widths")?,
-                area: required(v, ctx, "area")?,
-            }))
-        },
+        fields: Section::new("submit_moldable request", &[OP, WIDTHS, AREA]),
+        build: Some(|r| Op::SubmitMoldable {
+            widths: r.widths,
+            area: r.area,
+        }),
     },
     Wire {
         name: "advance",
-        fields: &["op", "to"],
-        build: |v, ctx| {
-            Ok(Some(Op::Advance {
-                to: Time(required(v, ctx, "to")?),
-            }))
-        },
+        fields: Section::new("advance request", &[OP, TO]),
+        build: Some(|r| Op::Advance { to: r.to }),
     },
     Wire {
         name: "drain",
-        fields: &["op"],
-        build: |_, _| Ok(Some(Op::Drain)),
+        fields: Section::new("drain request", &[OP]),
+        build: Some(|_| Op::Drain),
     },
     Wire {
         name: "stats",
-        fields: &["op"],
-        build: |_, _| Ok(Some(Op::Stats)),
+        fields: Section::new("stats request", &[OP]),
+        build: Some(|_| Op::Stats),
     },
     Wire {
         name: "snapshot",
-        fields: &["op", "since"],
-        build: |v, ctx| {
-            Ok(Some(Op::Records {
-                since: optional(v, ctx, "since")?,
-            }))
-        },
+        fields: Section::new("snapshot request", &[OP, SINCE]),
+        build: Some(|r| Op::Records { since: r.since }),
     },
     Wire {
         name: "shutdown",
-        fields: &["op"],
-        build: |_, _| Ok(None),
+        fields: Section::new("shutdown request", &[OP]),
+        build: None,
     },
 ];
+
+/// The first request of a token-guarded session.
+const AUTH: Section<Request> = Section::new("auth request", &[OP, TOKEN]);
+
+/// Parse a request line and read its `op` (its row reads the rest).
+fn read_request(line: &str) -> Result<(Value, Request), String> {
+    let value: Value = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
+    if value.as_object().is_none() {
+        return Err("request must be a JSON object".to_string());
+    }
+    let mut request = Request::default();
+    OP.read(&value, "request", &mut request)?;
+    Ok((value, request))
+}
 
 /// Parse one request line into its wire name and op (`None`: `shutdown`).
 /// Errors are protocol-level strings (the session answers them with
 /// `{"ok":false,…}` and keeps serving).
 fn parse_request(line: &str) -> Result<(&'static str, Option<Op>), String> {
-    let value = parse_object(line)?;
-    let op: String = required(&value, "request", "op")?;
-    let Some(wire) = WIRE.iter().find(|w| w.name == op) else {
+    let (value, request) = read_request(line)?;
+    let Some(wire) = WIRE.iter().find(|w| w.name == request.op) else {
         let names: Vec<&str> = WIRE.iter().map(|w| w.name).collect();
-        return Err(format!("unknown op '{op}' ({})", names.join("|")));
+        return Err(format!("unknown op '{}' ({})", request.op, names.join("|")));
     };
-    let ctx = format!("{op} request");
-    check_fields(&value, &ctx, wire.fields).map_err(|e| e.to_string())?;
-    Ok((wire.name, (wire.build)(&value, &ctx)?))
-}
-
-fn parse_object(line: &str) -> Result<Value, String> {
-    let value: Value = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
-    if value.as_object().is_none() {
-        return Err("request must be a JSON object".to_string());
-    }
-    Ok(value)
-}
-
-fn required<T: Deserialize>(value: &Value, ctx: &str, name: &str) -> Result<T, String> {
-    optional(value, ctx, name)?.ok_or_else(|| format!("missing required field '{name}' in {ctx}"))
-}
-
-fn optional<T: Deserialize>(value: &Value, ctx: &str, name: &str) -> Result<Option<T>, String> {
-    match value.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => T::from_value(v)
-            .map(Some)
-            .map_err(|e| format!("field '{name}' in {ctx}: {e}")),
-    }
+    let request = wire.fields.read(&value, request)?;
+    Ok((wire.name, wire.build.map(|build| build(request))))
 }
 
 // -- responses --------------------------------------------------------------
@@ -350,7 +323,7 @@ fn render(name: &str, op: &Op, reply: &WriteReply, policy: impl Fn() -> Referenc
 
 /// Execute one request line against the session, producing the response
 /// line (without trailing newline) and whether the session should end.
-pub(super) fn handle<S: Session + ?Sized>(session: &mut S, line: &str) -> (String, bool) {
+pub(crate) fn handle<S: Session + ?Sized>(session: &mut S, line: &str) -> (String, bool) {
     match parse_request(line) {
         Err(e) => (error_response(None, &e), false),
         Ok((name, None)) => (ok_response(name, Vec::new()), true),
@@ -364,27 +337,139 @@ pub(super) fn handle<S: Session + ?Sized>(session: &mut S, line: &str) -> (Strin
 /// Validate the first request of a token-guarded session. Returns the
 /// response line and whether the session may proceed.
 pub(super) fn check_auth(expected: &str, line: &str) -> (String, bool) {
-    let auth = (|| -> Result<String, String> {
-        let value = parse_object(line)?;
-        let op: String = required(&value, "request", "op")?;
-        if op != "auth" {
+    let auth = (|| -> Result<Request, String> {
+        let (value, request) = read_request(line)?;
+        if request.op != "auth" {
             return Err(format!(
-                "authentication required: the first request must be an auth op, got '{op}'"
+                "authentication required: the first request must be an auth op, got '{}'",
+                request.op
             ));
         }
-        check_fields(&value, "auth request", &["op", "token"]).map_err(|e| e.to_string())?;
-        required(&value, "auth request", "token")
+        AUTH.read(&value, request)
     })();
     match auth {
-        Ok(token) if token == expected => (ok_response("auth", Vec::new()), true),
+        Ok(request) if request.token == expected => (ok_response("auth", Vec::new()), true),
         Ok(_) => (error_response(Some("auth"), "invalid token"), false),
         Err(e) => (error_response(Some("auth"), &e), false),
     }
 }
 
+/// The request line of `op`, written through its `WIRE` row: the row's
+/// fields in order, each set to the op's value (an absent optional field
+/// is left out). `None` for an op with no wire name.
+#[cfg(test)]
+pub(crate) fn request_line(op: &Op) -> Option<String> {
+    let r = Request::default();
+    let request = match op.clone() {
+        Op::Submit {
+            width,
+            duration,
+            release,
+        } => Request {
+            op: "submit".into(),
+            width,
+            duration,
+            release,
+            ..r
+        },
+        Op::SubmitDeadline {
+            width,
+            duration,
+            release,
+            deadline,
+            admission,
+        } => Request {
+            op: "submit".into(),
+            width,
+            duration,
+            release,
+            deadline: Some(deadline),
+            admission: Some(admission),
+            ..r
+        },
+        Op::Reserve {
+            width,
+            duration,
+            start,
+        } => Request {
+            op: "reserve".into(),
+            width,
+            duration,
+            start,
+            ..r
+        },
+        Op::Cancel { id } => Request {
+            op: "cancel".into(),
+            reservation: id,
+            ..r
+        },
+        Op::Query {
+            width,
+            duration,
+            not_before,
+        } => Request {
+            op: "query".into(),
+            width,
+            duration,
+            not_before,
+            ..r
+        },
+        Op::Inject {
+            width,
+            duration,
+            start,
+        } => Request {
+            op: "inject".into(),
+            width,
+            duration,
+            start,
+            ..r
+        },
+        Op::Revoke { id } => Request {
+            op: "revoke".into(),
+            drain: id,
+            ..r
+        },
+        Op::SubmitMoldable { widths, area } => Request {
+            op: "submit_moldable".into(),
+            widths,
+            area,
+            ..r
+        },
+        Op::Advance { to } => Request {
+            op: "advance".into(),
+            to,
+            ..r
+        },
+        Op::Drain => Request {
+            op: "drain".into(),
+            ..r
+        },
+        Op::Stats => Request {
+            op: "stats".into(),
+            ..r
+        },
+        Op::Records { since } => Request {
+            op: "snapshot".into(),
+            since,
+            ..r
+        },
+        Op::AdvanceClamped { .. } => return None,
+    };
+    let wire = WIRE.iter().find(|w| w.name == request.op)?;
+    let values = request.to_value();
+    let fields = wire.fields.fields.iter().filter_map(|field| {
+        let value = values.get(field.name())?;
+        (*value != Value::Null).then(|| (field.name().to_string(), value.clone()))
+    });
+    Some(to_line(&Value::Object(fields.collect())))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_ops::{op_spec, OpSpec, View};
+    use proptest::prelude::*;
 
     /// A minimal valid request per op of the table.
     const MINIMAL: &[&str] = &[
@@ -476,7 +561,7 @@ mod tests {
             ),
             (
                 r#"{"op":"submit","width":1,"duration":1,"deadline":5,"admission":"fast"}"#,
-                r#"{"ok":false,"error":"unknown admission policy 'fast' (reject|boost)"}"#,
+                r#"{"ok":false,"error":"field 'admission' in submit request: deserialization error: unknown admission policy 'fast' (reject|boost)"}"#,
             ),
         ] {
             assert_eq!(handle(&mut svc, line), (reply.to_string(), false), "{line}");
@@ -511,17 +596,20 @@ mod tests {
         );
     }
 
-    /// Every field an op lists is read by its `build`: the minimal line
-    /// with that field set to a value no field accepts is refused with an
-    /// error naming the field. A listed field that is never read would be
-    /// accepted and ignored.
+    /// Every field a row lists is read: the minimal line with that field
+    /// set to a value no field accepts is refused with an error naming the
+    /// field. (The row's one list is both the allow-list and the reads, so
+    /// this holds by construction; it stays as the pin.)
     #[test]
     fn every_listed_field_is_read() {
         for (wire, line) in WIRE.iter().zip(MINIMAL) {
-            for &field in wire.fields.iter().filter(|&&f| f != "op") {
-                let mut request = parse_object(line).unwrap();
+            for field in wire.fields.fields.iter().map(Field::name) {
+                if field == "op" {
+                    continue;
+                }
+                let mut request: Value = serde_json::from_str(line).unwrap();
                 let Value::Object(entries) = &mut request else {
-                    unreachable!("parse_object checked it")
+                    unreachable!("every minimal line is an object")
                 };
                 entries.retain(|(name, _)| name != field);
                 entries.push((field.to_string(), Value::Object(Vec::new())));
@@ -533,6 +621,74 @@ mod tests {
                     ),
                     Ok(_) => panic!("{request} was accepted: '{field}' is listed but not read"),
                 }
+            }
+        }
+    }
+
+    /// Every field of every row, the `auth` one's too, is named in `--help`.
+    #[test]
+    fn every_wire_field_is_documented() {
+        let rows = WIRE.iter().map(|w| &w.fields).chain([&AUTH]);
+        for field in rows.flat_map(|section| section.fields) {
+            let quoted = format!("\"{}\"", field.name());
+            assert!(
+                super::super::SERVE_HELP.contains(&quoted),
+                "{quoted} is missing from --help"
+            );
+        }
+    }
+
+    /// Across the generator's op space, `AdvanceClamped` (the `--realtime`
+    /// tick) is the only op without a wire name, and the writer reaches
+    /// every row that builds an op.
+    #[test]
+    fn advance_clamped_is_the_only_op_without_a_wire_name() {
+        let view = View {
+            now: Time(5),
+            machines: 8,
+            reservations: 2,
+            drains: 1,
+        };
+        let mut written: Vec<&str> = Vec::new();
+        for kind in 0..16 {
+            for t in 0..64 {
+                let spec = OpSpec {
+                    kind,
+                    width: 3,
+                    dur: t,
+                    t,
+                };
+                let op = spec.decode(&view);
+                match request_line(&op) {
+                    None => assert!(matches!(op, Op::AdvanceClamped { .. }), "{op:?}"),
+                    Some(line) => written.push(parse_request(&line).unwrap().0),
+                }
+            }
+        }
+        let mut names: Vec<&str> = WIRE.iter().map(|w| w.name).collect();
+        names.retain(|&name| name != "shutdown");
+        written.sort_unstable();
+        written.dedup();
+        names.sort_unstable();
+        assert_eq!(written, names);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The writer is the parser's inverse: every generated op with a
+        /// wire name parses back from its request line.
+        #[test]
+        fn ops_round_trip_through_their_request_line(
+            spec in op_spec(),
+            now in 0u64..1000,
+            machines in 1u32..32,
+            windows in 0usize..4,
+        ) {
+            let view = View { now: Time(now), machines, reservations: windows, drains: windows };
+            let op = spec.decode(&view);
+            if let Some(line) = request_line(&op) {
+                prop_assert_eq!(parse_request(&line).map(|(_, op)| op), Ok(Some(op)));
             }
         }
     }

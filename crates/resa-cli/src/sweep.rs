@@ -74,7 +74,7 @@
 //! renders byte-identical output to the unsharded run. [`FAIL_AFTER_CELL_ENV`]
 //! aborts the process after that many appended cells, for crash tests.
 
-use crate::fields::{anchor_line, Optional, Required, Section};
+use crate::fields::{anchor_line, put, Optional, Required, Section};
 use crate::opts::{Command, CommonOpts, Parsed, Switch, Text};
 use crate::replay::{
     parse_alpha, read_error, resolve_trace, Decoration, PolicyArg, ReservationArg,
@@ -84,7 +84,8 @@ use resa_analysis::prelude::*;
 use resa_core::io::{atomic_write, frame_record, open_log, put_u64, Cursor, Frames, FRAME_HEADER};
 use resa_core::prelude::*;
 use resa_sim::prelude::{
-    AdmissionPolicy, DeadlineOutcome, Op, Reply, ScheduleService, SimMetrics, WindowKind,
+    AdmissionPolicy, DeadlineOutcome, Op, ReferencePolicy, Reply, ScheduleService, SimMetrics,
+    WindowKind,
 };
 use resa_workloads::prelude::*;
 use resa_workloads::store::sha256;
@@ -204,16 +205,9 @@ pub struct FailureSpec {
     pub horizon: u64,
 }
 
-/// Read a field's value as its type into `slot`.
-fn put<X: Deserialize>(slot: &mut X, value: &Value) -> Result<(), DeError> {
-    *slot = X::from_value(value)?;
-    Ok(())
-}
-
 /// The sweep spec's fields, in the order they are read.
 const SPEC_FIELDS: Section<SweepSpec> = Section {
     context: "sweep spec",
-    prefix: "",
     fields: &[
         Required("jobs", |s, v| {
             // A count, or a list of counts: one more labeled dimension of
@@ -221,9 +215,8 @@ const SPEC_FIELDS: Section<SweepSpec> = Section {
             (s.jobs, s.jobs_labeled) = match usize::from_value(v) {
                 Ok(n) => (vec![n], false),
                 Err(_) => (
-                    Vec::<usize>::from_value(v).map_err(|_| {
-                        DeError::custom("expected a job count or a list of job counts")
-                    })?,
+                    Vec::<usize>::from_value(v)
+                        .map_err(|_| "expected a job count or a list of job counts")?,
                     true,
                 ),
             };
@@ -252,7 +245,6 @@ const SPEC_FIELDS: Section<SweepSpec> = Section {
 /// The `failures` object's fields.
 const FAILURE_FIELDS: Section<FailureSpec> = Section {
     context: "the 'failures' section",
-    prefix: "failures.",
     fields: &[
         Required("count", |f, v| put(&mut f.count, v)),
         Required("width", |f, v| put(&mut f.width, v)),
@@ -277,7 +269,6 @@ struct ReservationFields {
 /// The `reservations` object's fields.
 const RESERVATION_FIELDS: Section<ReservationFields> = Section {
     context: "the 'reservations' section",
-    prefix: "reservations.",
     fields: &[
         Required("family", |r, v| put(&mut r.family, v)),
         Optional("alpha", |r, v| put(&mut r.alpha, v)),
@@ -292,9 +283,17 @@ const RESERVATION_FIELDS: Section<ReservationFields> = Section {
 
 impl Deserialize for SweepSpec {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        // Unknown/misspelled keys are errors, not silently dropped sections:
-        // a spec with `reservation` instead of `reservations` used to run a
-        // reservation-free sweep without a word.
+        // A `DeError` prints its own prefix.
+        SweepSpec::parse(value)
+            .map_err(|e| DeError::custom(e.trim_start_matches("deserialization error: ")))
+    }
+}
+
+impl SweepSpec {
+    /// Read a spec object, strictly: unknown/misspelled keys are errors,
+    /// not silently dropped sections (a spec with `reservation` instead of
+    /// `reservations` used to run a reservation-free sweep without a word).
+    pub fn parse(value: &Value) -> Result<SweepSpec, String> {
         let defaults = SweepSpec {
             name: "sweep".to_string(),
             workload: "feitelson".to_string(),
@@ -302,9 +301,7 @@ impl Deserialize for SweepSpec {
         };
         SPEC_FIELDS.read(value, defaults)
     }
-}
 
-impl SweepSpec {
     /// Whether any scenario knob (`deadline_frac` / `widths` / `failures`)
     /// turns cells into resident-service sessions.
     pub fn is_scenario(&self) -> bool {
@@ -314,7 +311,7 @@ impl SweepSpec {
 
 /// Parse the `reservations` object of a sweep spec into its α variants
 /// (see [`SweepSpec::reservations`]).
-fn reservation_variants(value: &Value) -> Result<Vec<(Option<String>, Decoration)>, DeError> {
+fn reservation_variants(value: &Value) -> Result<Vec<(Option<String>, Decoration)>, String> {
     let r = RESERVATION_FIELDS.read(value, ReservationFields::default())?;
     let variant = |label: Option<String>, reservations| {
         let decoration = Decoration {
@@ -327,24 +324,21 @@ fn reservation_variants(value: &Value) -> Result<Vec<(Option<String>, Decoration
         "alpha" => {
             let (texts, labeled) = match (r.alpha, r.alphas) {
                 (Some(_), Some(_)) => {
-                    return Err(DeError::custom(
-                        "reservations: give either 'alpha' or 'alphas', not both",
-                    ))
+                    return Err("reservations: give either 'alpha' or 'alphas', not both".into())
                 }
                 (Some(a), None) => (vec![a], false),
                 (None, Some(list)) if !list.is_empty() => (list, true),
                 _ => {
-                    return Err(DeError::custom(
-                        "reservations.family 'alpha' needs an 'alpha' value or a \
-                         non-empty 'alphas' list",
-                    ))
+                    return Err("reservations.family 'alpha' needs an 'alpha' value or a \
+                                non-empty 'alphas' list"
+                        .into())
                 }
             };
             texts
                 .into_iter()
                 .map(|text| {
                     let arg = ReservationArg::Alpha {
-                        alpha: parse_alpha(&text).map_err(DeError::custom)?,
+                        alpha: parse_alpha(&text)?,
                         count: r.count,
                         horizon: r.horizon,
                         max_duration: r.max_duration,
@@ -354,7 +348,7 @@ fn reservation_variants(value: &Value) -> Result<Vec<(Option<String>, Decoration
                 .collect()
         }
         "nonincreasing" if r.alphas.is_some() => {
-            Err(DeError::custom("'alphas' only applies to the alpha family"))
+            Err("'alphas' only applies to the alpha family".into())
         }
         "nonincreasing" => Ok(vec![variant(
             None,
@@ -364,9 +358,9 @@ fn reservation_variants(value: &Value) -> Result<Vec<(Option<String>, Decoration
                 max_duration: r.max_duration,
             },
         )]),
-        other => Err(DeError::custom(format!(
+        other => Err(format!(
             "unknown reservation family '{other}' (alpha|nonincreasing)"
-        ))),
+        )),
     }
 }
 
@@ -423,10 +417,11 @@ fn sweep(args: SweepArgs, opts: CommonOpts) -> Result<Outcome, CliError> {
     args.validate()?;
     let path = args.spec.as_str();
     let text = std::fs::read_to_string(path).map_err(|e| CliError::io(path, e))?;
-    let spec: SweepSpec = serde_json::from_str(&text).map_err(|e| {
+    let spec = serde_json::from_str(&text)
+        .map_err(|e| e.to_string())
+        .and_then(|value| SweepSpec::parse(&value))
         // Anchor field-level errors to the offending line of the spec.
-        CliError::Parse(format!("{path}: {}", anchor_line(&text, &e.to_string())))
-    })?;
+        .map_err(|e| CliError::Parse(format!("{path}: {}", anchor_line(&text, &e))))?;
     if args.dir.is_some() {
         run_sharded(&spec, &opts, &text, &args)
     } else {
@@ -619,6 +614,28 @@ pub const FAIL_AFTER_CELL_ENV: &str = "RESA_FAIL_AFTER_CELL";
 /// Cells completed process-wide, for the [`FAIL_AFTER_CELL_ENV`] failpoint.
 static CELLS_DONE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+/// Cell `cell` of the plan: its cluster size, its instance, and its seed
+/// (`base_seed` plus the cell's repetition).
+fn cell_instance(
+    spec: &SweepSpec,
+    plan: &SweepPlan,
+    cell: usize,
+    base_seed: u64,
+) -> (u32, ResaInstance, u64) {
+    let (m, j, v, _, s) = plan.cells[cell];
+    let seed = base_seed + s;
+    let jobs = match &plan.trace_pool {
+        Some(pool) => trace_cell_jobs(pool, m, spec.jobs[j]),
+        None => generate_jobs(&spec.workload, m, spec.jobs[j], spec.arrivals, seed),
+    };
+    let max_release = jobs.iter().map(|j| j.release.ticks()).max().unwrap_or(0);
+    let (instance, _clamped) = plan.variants[v]
+        .1
+        .build(m, jobs, max_release, seed)
+        .expect("sweep instances are feasible by construction");
+    (m, instance, seed)
+}
+
 /// Run the plan's cells at the indices `cells` and return one sample per
 /// cell, in that order (parallel execution is order-preserving). Each
 /// sample is handed to `done` with its cell index as soon as it is
@@ -635,17 +652,8 @@ fn run_cells(
         .and_then(|v| v.parse().ok());
     let runner = opts.runner();
     runner.map(cells, |&cell| {
-        let (m, j, v, p, s) = plan.cells[cell];
-        let seed = opts.seed + s;
-        let jobs = match &plan.trace_pool {
-            Some(pool) => trace_cell_jobs(pool, m, spec.jobs[j]),
-            None => generate_jobs(&spec.workload, m, spec.jobs[j], spec.arrivals, seed),
-        };
-        let max_release = jobs.iter().map(|j| j.release.ticks()).max().unwrap_or(0);
-        let (instance, _clamped) = plan.variants[v]
-            .1
-            .build(m, jobs, max_release, seed)
-            .expect("sweep instances are feasible by construction");
+        let p = plan.cells[cell].3;
+        let (m, instance, seed) = cell_instance(spec, plan, cell, opts.seed);
         let sample = if spec.is_scenario() {
             run_scenario_cell(spec, m, &instance, plan.policies[p], seed)
         } else {
@@ -717,7 +725,7 @@ fn scenario_ops(spec: &SweepSpec, instance: &ResaInstance, seed: u64) -> Vec<Op>
         if let Some(widths) = &spec.widths {
             // Mold the job at its release instant: same work area, width
             // chosen by the service.
-            ops.push(Op::AdvanceClamped { to: job.release });
+            ops.push(Op::Advance { to: job.release });
             ops.push(Op::SubmitMoldable {
                 widths: widths.clone(),
                 area: u64::from(width) * duration.ticks(),
@@ -743,24 +751,22 @@ fn scenario_ops(spec: &SweepSpec, instance: &ResaInstance, seed: u64) -> Vec<Op>
     ops
 }
 
-/// Run one scenario cell: its [`scenario_ops`] applied to a resident
+/// Apply one scenario cell's [`scenario_ops`] to a fresh resident
 /// [`ScheduleService`] through [`ScheduleService::apply`] — the op path of
-/// `resa serve` — instead of the batch simulator. The violation flag
-/// re-derives the scenario guarantees from first principles: schedule
-/// validity on the off-line oracle instance, no committed deadline missed,
-/// and the drained-window invariant.
-fn run_scenario_cell(
+/// `resa serve` — and return it with the committed deadline jobs
+/// `(id, duration, deadline)`.
+fn scenario_session(
     spec: &SweepSpec,
     machines: u32,
     instance: &ResaInstance,
-    policy: PolicyArg,
+    policy: ReferencePolicy,
     seed: u64,
-) -> Sample {
-    let PolicyArg::Online(policy) = policy else {
-        unreachable!("plan() rejects off-line policies for scenario sweeps")
-    };
+) -> (
+    ScheduleService<AvailabilityTimeline>,
+    Vec<(JobId, Dur, Time)>,
+) {
     let mut svc = ScheduleService::new(policy, AvailabilityTimeline::constant(machines));
-    let mut committed: Vec<(JobId, Dur, Time)> = Vec::new();
+    let mut committed = Vec::new();
     for op in scenario_ops(spec, instance, seed) {
         match (svc.apply(&op), op) {
             (
@@ -780,6 +786,24 @@ fn run_scenario_cell(
             (Err(e), op) => panic!("scenario cell refused {op:?}: {e}"),
         }
     }
+    (svc, committed)
+}
+
+/// Run one scenario cell: its [`scenario_session`] instead of the batch
+/// simulator. The violation flag re-derives the scenario guarantees from
+/// first principles: schedule validity on the off-line oracle instance, no
+/// committed deadline missed, and the drained-window invariant.
+fn run_scenario_cell(
+    spec: &SweepSpec,
+    machines: u32,
+    instance: &ResaInstance,
+    policy: PolicyArg,
+    seed: u64,
+) -> Sample {
+    let PolicyArg::Online(policy) = policy else {
+        unreachable!("plan() rejects off-line policies for scenario sweeps")
+    };
+    let (svc, committed) = scenario_session(spec, machines, instance, policy, seed);
 
     // Guarantee checks, re-derived independently of the substrate.
     let live = svc.to_instance();
@@ -1327,8 +1351,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// An error inside a section prints the `DeError` prefix once, and
-    /// stays anchored to the section's line.
+    /// An error inside a section prints the `DeError` prefix at most once
+    /// (only a serde error carries it), and stays anchored to the
+    /// section's line.
     #[test]
     fn section_errors_print_their_prefix_once() {
         let dir = std::env::temp_dir().join(format!("resa-sweep-prefix-{}", std::process::id()));
@@ -1337,15 +1362,18 @@ mod tests {
         for (section, needle) in [
             (
                 r#""reservations": {"family": "alpha", "alpha": "1/2", "maxdur": 10}"#,
-                "field 'reservations': unknown field 'maxdur' in the 'reservations' section",
+                "field 'reservations' in sweep spec: deserialization error: unknown field \
+                 'maxdur' in the 'reservations' section",
             ),
             (
                 r#""failures": {"count": 1, "max_duration": 5, "horizon": 10}"#,
-                "field 'failures': missing required field 'failures.width'",
+                "field 'failures' in sweep spec: missing required field 'width' in the \
+                 'failures' section",
             ),
             (
                 r#""reservations": {"family": "alpha", "alpha": "1/2", "alphas": ["1/4"]}"#,
-                "field 'reservations': reservations: give either 'alpha' or 'alphas'",
+                "field 'reservations' in sweep spec: reservations: give either 'alpha' or \
+                 'alphas'",
             ),
         ] {
             let path = dir.join("bad.json");
@@ -1354,11 +1382,8 @@ mod tests {
                 Err(CliError::Parse(msg)) => msg,
                 other => panic!("expected a parse error, got {other:?}"),
             };
-            assert_eq!(msg.matches("deserialization error:").count(), 1, "{msg}");
-            assert!(
-                msg.contains(&format!("line 6: deserialization error: {needle}")),
-                "{msg}"
-            );
+            assert!(msg.matches("deserialization error:").count() <= 1, "{msg}");
+            assert!(msg.contains(&format!("line 6: {needle}")), "{msg}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1369,26 +1394,23 @@ mod tests {
         let words: Vec<&str> = SWEEP_HELP
             .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
             .collect();
-        let mut undocumented = Vec::new();
-        let mut check = |prefix: &str, names: Vec<&str>| {
-            for name in names {
-                if !words.contains(&name) {
-                    undocumented.push(format!("{prefix}{name}"));
-                }
-            }
-        };
-        check(
-            SPEC_FIELDS.prefix,
-            SPEC_FIELDS.rows().map(|r| r.0).collect(),
-        );
-        check(
-            FAILURE_FIELDS.prefix,
-            FAILURE_FIELDS.rows().map(|r| r.0).collect(),
-        );
-        check(
-            RESERVATION_FIELDS.prefix,
-            RESERVATION_FIELDS.rows().map(|r| r.0).collect(),
-        );
+        let names = (SPEC_FIELDS.fields.iter().map(|f| ("", f.name())))
+            .chain(
+                FAILURE_FIELDS
+                    .fields
+                    .iter()
+                    .map(|f| ("failures.", f.name())),
+            )
+            .chain(
+                RESERVATION_FIELDS
+                    .fields
+                    .iter()
+                    .map(|f| ("reservations.", f.name())),
+            );
+        let undocumented: Vec<String> = names
+            .filter(|(_, name)| !words.contains(name))
+            .map(|(section, name)| format!("{section}{name}"))
+            .collect();
         assert_eq!(undocumented, Vec::<String>::new());
     }
 
@@ -1798,5 +1820,49 @@ mod tests {
         )
         .unwrap();
         assert_eq!(to_json(&par.0.to_vec()), to_json(&seq.0.to_vec()));
+    }
+
+    /// sweep ≡ serve: every cell of the example scenario sweeps, written
+    /// down as a request session and served through `resa serve
+    /// --script`'s path, ends in the same `snapshot` reply as the cell's
+    /// own in-process service.
+    #[test]
+    fn scenario_cells_replay_as_served_sessions() {
+        use crate::serve::protocol::{handle, request_line};
+        const SNAPSHOT: &str = r#"{"op":"snapshot"}"#;
+        let mut cells = 0;
+        for name in ["sweep_deadline", "sweep_moldable"] {
+            let path = format!("{}/../../examples/{name}.json", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap();
+            let spec = SweepSpec::parse(&serde_json::from_str(&text).unwrap()).unwrap();
+            let plan = plan(&spec).unwrap();
+            for cell in 0..plan.cells.len() {
+                let (machines, instance, seed) =
+                    cell_instance(&spec, &plan, cell, CommonOpts::default().seed);
+                let PolicyArg::Online(policy) = plan.policies[plan.cells[cell].3] else {
+                    unreachable!("scenario sweeps run on-line policies")
+                };
+                let mut script = String::new();
+                for op in scenario_ops(&spec, &instance, seed) {
+                    script += &request_line(&op).expect("every scenario op has a wire name");
+                    script.push('\n');
+                }
+                script += SNAPSHOT;
+                let served = crate::serve::run_script(
+                    &script,
+                    machines,
+                    policy,
+                    crate::replay::Substrate::Timeline,
+                );
+                let (mut svc, _) = scenario_session(&spec, machines, &instance, policy, seed);
+                assert_eq!(
+                    served.lines().last(),
+                    Some(handle(&mut svc, SNAPSHOT).0.as_str()),
+                    "{name} cell {cell}"
+                );
+                cells += 1;
+            }
+        }
+        assert_eq!(cells, 10);
     }
 }

@@ -157,8 +157,9 @@ fn killed_session_recovers(crash_at: usize, retire: bool) {
 /// The two scripts that used to panic the process — and, journaled
 /// write-ahead, every restart after it: a duration, and a release date, next
 /// to `u64::MAX`. Both are answered with a structured error and leave the
-/// session serving, without a journal and with one; the journal that
-/// received them reopens.
+/// session serving, without a journal and with one, and the journaled
+/// transcript is byte-equal to the plain one; the journal that received
+/// them reopens.
 #[test]
 fn hostile_magnitudes_are_refused_and_never_reach_the_journal() {
     let dir = work_dir("hostile");
@@ -193,6 +194,7 @@ fn hostile_magnitudes_are_refused_and_never_reach_the_journal() {
             "--journal",
             &journal,
         ];
+        let mut transcripts = Vec::new();
         for args in [&plain[..], &journaled[..]] {
             let out = run_serve(args, None);
             assert!(out.status.success(), "{tag}: {out:?}");
@@ -203,6 +205,11 @@ fn hostile_magnitudes_are_refused_and_never_reach_the_journal() {
                 replies[1].starts_with(r#"{"ok":false,"op":"submit","error":"#),
                 "{tag}: {stdout}"
             );
+            assert_eq!(
+                stdout.matches(r#""ok":false"#).count(),
+                1,
+                "{tag}: {stdout}"
+            );
             assert!(
                 replies[2].contains(r#""completed":[{"job":0,"at":10}]"#),
                 "{tag}: {stdout}"
@@ -211,7 +218,12 @@ fn hostile_magnitudes_are_refused_and_never_reach_the_journal() {
                 replies[3].starts_with(r#"{"ok":true,"op":"drain","now":10"#),
                 "{tag}: {stdout}"
             );
+            transcripts.push(out.stdout);
         }
+        assert_eq!(
+            transcripts[0], transcripts[1],
+            "{tag}: journaling changed the transcript"
+        );
         // The refused op left no record: a second start replays the others.
         let probes = probes.display().to_string();
         let reopened = run_serve(

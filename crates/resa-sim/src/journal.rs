@@ -987,6 +987,8 @@ impl<C: CapacityQuery + Speculate> JournaledService<C> {
 mod tests {
     use super::*;
     use crate::service::{ServiceStats, WindowKind};
+    use crate::test_ops::{op_spec, View};
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1028,55 +1030,32 @@ mod tests {
         j.stats()
     }
 
+    /// Round trips the generator below cannot draw: an empty width menu
+    /// and magnitudes at the top of each field's range.
     #[test]
     fn ops_roundtrip_through_the_codec() {
         let ops = [
             Op::Submit {
-                width: 3,
-                duration: Dur(7),
-                release: None,
+                width: u32::MAX,
+                duration: Dur(u64::MAX),
+                release: Some(Time(u64::MAX - 1)),
             },
-            Op::Submit {
-                width: 1,
-                duration: Dur(1),
-                release: Some(Time(9)),
-            },
-            Op::Reserve {
-                width: 2,
-                duration: Dur(4),
-                start: Time(11),
-            },
-            Op::Cancel { id: 5 },
-            Op::Advance { to: Time(42) },
-            Op::AdvanceClamped { to: Time(3) },
-            Op::Drain,
-            Op::Inject {
-                width: 2,
-                duration: Dur(6),
-                start: Time(13),
-            },
-            Op::Revoke { id: 2 },
-            Op::SubmitDeadline {
-                width: 4,
-                duration: Dur(3),
-                release: Some(Time(2)),
-                deadline: Time(20),
-                admission: AdmissionPolicy::Reject,
-            },
+            Op::Cancel { id: usize::MAX },
+            Op::Advance { to: Time(u64::MAX) },
             Op::SubmitDeadline {
                 width: 1,
-                duration: Dur(2),
+                duration: Dur(u64::MAX),
                 release: None,
-                deadline: Time(5),
+                deadline: Time(u64::MAX),
                 admission: AdmissionPolicy::Boost,
-            },
-            Op::SubmitMoldable {
-                widths: vec![1, 2, 4],
-                area: 12,
             },
             Op::SubmitMoldable {
                 widths: vec![],
                 area: 0,
+            },
+            Op::SubmitMoldable {
+                widths: vec![u32::MAX],
+                area: u64::MAX,
             },
         ];
         for op in ops {
@@ -1087,9 +1066,32 @@ mod tests {
             assert!(cur.done());
             assert_eq!(back, op);
         }
-        // Reads have no record.
-        let mut buf = Vec::new();
-        assert!(!encode_op(&mut buf, &Op::Stats) && buf.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every write the shared op generator draws decodes back to
+        /// itself; the reads leave no record.
+        #[test]
+        fn generated_ops_roundtrip_through_the_codec(
+            spec in op_spec(),
+            now in 0u64..1000,
+            machines in 1u32..32,
+            windows in 0usize..4,
+        ) {
+            let view = View { now: Time(now), machines, reservations: windows, drains: windows };
+            let op = spec.decode(&view);
+            let mut buf = Vec::new();
+            if encode_op(&mut buf, &op) {
+                let mut cur = Cursor::new(&buf);
+                prop_assert_eq!(decode_op(&mut cur), Some(op));
+                prop_assert!(cur.done());
+            } else {
+                prop_assert!(buf.is_empty());
+                prop_assert!(matches!(op, Op::Query { .. } | Op::Stats | Op::Records { .. }));
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use super::ScheduleService;
 use crate::metrics::MetricsAccumulator;
 use resa_core::prelude::*;
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Errors a service request can be rejected with. The service state is
 /// unchanged by a rejected request (transactional semantics).
@@ -226,13 +227,25 @@ pub enum AdmissionPolicy {
     Boost,
 }
 
-impl AdmissionPolicy {
-    /// Parse the canonical lowercase name (the protocol field value).
-    pub fn parse(s: &str) -> Option<AdmissionPolicy> {
-        match s {
-            "reject" => Some(AdmissionPolicy::Reject),
-            "boost" => Some(AdmissionPolicy::Boost),
-            _ => None,
+/// The policy as the protocol spells it: its lowercase name.
+impl Serialize for AdmissionPolicy {
+    fn to_value(&self) -> Value {
+        let name = match self {
+            AdmissionPolicy::Reject => "reject",
+            AdmissionPolicy::Boost => "boost",
+        };
+        Value::Str(name.to_string())
+    }
+}
+
+impl Deserialize for AdmissionPolicy {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        match String::from_value(value)?.as_str() {
+            "reject" => Ok(AdmissionPolicy::Reject),
+            "boost" => Ok(AdmissionPolicy::Boost),
+            other => Err(DeError::custom(format!(
+                "unknown admission policy '{other}' (reject|boost)"
+            ))),
         }
     }
 }

@@ -1,5 +1,6 @@
 //! One scripted-op vocabulary for every randomized suite of the service:
-//! the unit proptests in `src/service.rs` (which include this file by path)
+//! the unit proptests of `src/service.rs` and `src/journal.rs` and the wire
+//! round trip of `resa-cli`'s protocol (which include this file by path),
 //! and the integration suites beside it. A script entry is four raw
 //! integers, decoded into a [`resa_sim::op::Op`] against a [`View`] of the
 //! service at the moment it is applied — so any tuple is a valid entry, and
