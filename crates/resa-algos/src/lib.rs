@@ -3,23 +3,26 @@
 //! Scheduling algorithms for the RESASCHEDULING problem, as analysed in
 //! *"Analysis of Scheduling Algorithms with Reservations"* (IPDPS 2007):
 //!
-//! * [`list_scheduling::Lsrc`] — list scheduling with resource constraints
+//! * [`Lsrc`](prelude::Lsrc) — list scheduling with resource constraints
 //!   (Garey & Graham), the algorithm of the paper's Theorem 2 and
-//!   Propositions 1–3, with pluggable [`priority::ListOrder`]s;
-//! * [`fcfs::Fcfs`] — strict First-Come First-Served;
-//! * [`backfilling::ConservativeBackfilling`] and
-//!   [`backfilling::EasyBackfilling`] — the two classical back-filling
-//!   variants discussed in §2.2;
-//! * [`shelf::ShelfScheduler`] — shelf/packing heuristics (the "further
-//!   direction" of the conclusion);
-//! * [`local_search::LocalSearch`] — a guarantee-preserving improvement pass
-//!   on top of any list scheduler (the other "further direction");
-//! * [`online::BatchScheduler`] — the batch-doubling on-line wrapper of §2.1;
-//! * [`transform`] — the Proposition-1 reduction of non-increasing
-//!   reservations to head-of-list rigid tasks.
+//!   Propositions 1–3, with pluggable [`ListOrder`](prelude::ListOrder)s;
+//! * [`Fcfs`](prelude::Fcfs) — strict First-Come First-Served;
+//! * [`ConservativeBackfilling`](prelude::ConservativeBackfilling) and
+//!   [`EasyBackfilling`](prelude::EasyBackfilling) — the two classical
+//!   back-filling variants discussed in §2.2;
+//! * shelf/packing heuristics, NFDH and FFDH (the "further direction" of the
+//!   conclusion), in [`all_schedulers`];
+//! * [`LocalSearch`](prelude::LocalSearch) — a guarantee-preserving
+//!   improvement pass on top of any list scheduler (the other "further
+//!   direction");
+//! * [`BatchScheduler`](prelude::BatchScheduler) — the batch-doubling on-line
+//!   wrapper of §2.1;
+//! * [`nonincreasing_to_rigid`](prelude::nonincreasing_to_rigid) — the
+//!   Proposition-1 reduction of non-increasing reservations to head-of-list
+//!   rigid tasks.
 //!
-//! Every algorithm implements [`traits::Scheduler`] and always returns a
-//! feasible schedule for a valid instance.
+//! Every algorithm implements [`Scheduler`](prelude::Scheduler) and always
+//! returns a feasible schedule for a valid instance.
 //!
 //! Every scheduler is generic over the availability substrate through
 //! `resa_core::capacity::CapacityQuery`: `Scheduler::schedule` runs on the
@@ -54,29 +57,28 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backfilling;
-pub mod fcfs;
-pub mod list_scheduling;
-pub mod local_search;
-pub mod online;
-pub mod priority;
-pub mod shelf;
-pub mod traits;
-pub mod transform;
+mod backfilling;
+mod fcfs;
+mod list_scheduling;
+mod local_search;
+mod online;
+mod priority;
+mod shelf;
+mod traits;
+mod transform;
 
-/// Convenient glob import of every scheduler and the [`traits::Scheduler`] trait.
+/// Convenient glob import of every scheduler and the [`Scheduler`](prelude::Scheduler) trait.
 pub mod prelude {
     pub use crate::backfilling::{
-        ConservativeBackfilling, EasyBackfilling, EasyBackfillingReference, EasyStats,
+        ConservativeBackfilling, EasyBackfilling, EasyBackfillingReference,
     };
     pub use crate::fcfs::Fcfs;
     pub use crate::list_scheduling::Lsrc;
-    pub use crate::local_search::{LocalMove, LocalSearch, LocalSearchReference};
+    pub use crate::local_search::{LocalSearch, LocalSearchReference};
     pub use crate::online::BatchScheduler;
     pub use crate::priority::ListOrder;
-    pub use crate::shelf::ShelfScheduler;
     pub use crate::traits::Scheduler;
-    pub use crate::transform::{head_list_order, nonincreasing_to_rigid, RigidTransform};
+    pub use crate::transform::{head_list_order, nonincreasing_to_rigid};
 }
 
 /// All the off-line schedulers of this crate, boxed, for sweep experiments.
@@ -98,6 +100,7 @@ pub fn all_schedulers() -> Vec<Box<dyn traits::Scheduler>> {
 #[cfg(test)]
 mod proptests {
     use crate::prelude::*;
+    use crate::shelf::ShelfScheduler;
     use proptest::prelude::*;
     use resa_core::prelude::*;
 

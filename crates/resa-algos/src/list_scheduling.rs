@@ -109,7 +109,7 @@ impl Scheduler for Lsrc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resa_core::instance::ResaInstanceBuilder;
+    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn empty_instance() {

@@ -522,8 +522,8 @@ impl<S: Scheduler> Scheduler for LocalSearchReference<S> {
 mod tests {
     use super::*;
     use crate::list_scheduling::Lsrc;
-    use resa_core::instance::ResaInstanceBuilder;
-    use resa_core::job::Job;
+    use resa_core::prelude::Job;
+    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn improves_the_graham_tightness_pattern() {

@@ -85,7 +85,7 @@ impl<S: Scheduler> Scheduler for BatchScheduler<S> {
 mod tests {
     use super::*;
     use crate::list_scheduling::Lsrc;
-    use resa_core::instance::ResaInstanceBuilder;
+    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn offline_jobs_form_a_single_batch() {

@@ -44,7 +44,7 @@ impl Scheduler for Box<dyn Scheduler> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resa_core::instance::ResaInstanceBuilder;
+    use resa_core::prelude::ResaInstanceBuilder;
 
     struct AtZero;
     impl Scheduler for AtZero {

@@ -1,18 +1,20 @@
 //! Data series behind each figure of the paper.
 //!
-//! The paper has four figures; every function here regenerates the data one
-//! would plot (`resa figure <n>` prints / persists them):
+//! The paper has four figures; this module holds one cell of each series,
+//! and [`ExperimentRunner`](crate::runner::ExperimentRunner)`::figure1..4`
+//! maps the cells into the data one would plot (`resa figure <n>` prints /
+//! persists them):
 //!
-//! * **Figure 1** — the 3-PARTITION reduction picture. [`figure1_series`]
-//!   builds reduced instances and reports, per instance, the optimal makespan
-//!   against the makespan any schedule must reach when the packing is missed.
-//! * **Figure 2** — the non-increasing-reservations transformation.
-//!   [`figure2_series`] measures LSRC against the Proposition-1 bound
-//!   `2 − 1/m(C*)` on random non-increasing staircases.
-//! * **Figure 3** — the Proposition-2 adversarial instance.
-//!   [`figure3_series`] runs LSRC on the instance for a range of `k` and
-//!   compares the measured ratio with `2/α − 1 + α/2`.
-//! * **Figure 4** — upper and lower bounds as functions of α.
+//! * **Figure 1** — the 3-PARTITION reduction picture: reduced instances and,
+//!   per instance, the optimal makespan against the makespan any schedule
+//!   must reach when the packing is missed.
+//! * **Figure 2** — the non-increasing-reservations transformation: LSRC
+//!   against the Proposition-1 bound `2 − 1/m(C*)` on random non-increasing
+//!   staircases.
+//! * **Figure 3** — the Proposition-2 adversarial instance: LSRC on the
+//!   instance for a range of `k`, against the predicted ratio
+//!   `2/α − 1 + α/2`.
+//! * **Figure 4** — upper and lower bounds as functions of α:
 //!   [`figure4_series`] evaluates `2/α`, `B1` and `B2` on an α grid.
 
 use crate::guarantees;
@@ -44,12 +46,6 @@ pub struct Fig1Row {
     pub lsrc: u64,
     /// Whether the exact schedule was converted back into a valid partition.
     pub partition_recovered: bool,
-}
-
-/// Build the Figure-1 series: for each `k`, one satisfiable instance (from the
-/// generator) and the hard-coded unsatisfiable witness for contrast.
-pub fn figure1_series(ks: &[usize], target: u64, rho: u64, seed: u64) -> Vec<Fig1Row> {
-    crate::runner::ExperimentRunner::sequential().figure1(ks, target, rho, seed)
 }
 
 /// One satisfiable Figure-1 cell: reduce a generated 3-PARTITION instance for
@@ -109,15 +105,6 @@ pub struct Fig2Row {
     pub ratio: f64,
     /// The Proposition-1 guarantee `2 − 1/m(C*)`.
     pub bound: f64,
-}
-
-/// Build the Figure-2 series on random non-increasing staircases.
-pub fn figure2_series(
-    machines_list: &[u32],
-    jobs_per_instance: usize,
-    seeds: &[u64],
-) -> Vec<Fig2Row> {
-    crate::runner::ExperimentRunner::sequential().figure2(machines_list, jobs_per_instance, seeds)
 }
 
 /// One Figure-2 cell: a random non-increasing staircase instance for
@@ -200,11 +187,6 @@ pub struct Fig3Row {
     pub predicted_ratio: f64,
 }
 
-/// Build the Figure-3 series for the given values of `k ≥ 3`.
-pub fn figure3_series(ks: &[u32]) -> Vec<Fig3Row> {
-    crate::runner::ExperimentRunner::sequential().figure3(ks)
-}
-
 /// One Figure-3 cell: the Proposition-2 adversarial instance for `k`.
 pub(crate) fn figure3_cell(k: u32) -> Fig3Row {
     let adv = proposition2_instance(k);
@@ -260,10 +242,11 @@ pub fn figure4_series(min_alpha: f64, points: usize) -> Vec<Fig4Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ExperimentRunner;
 
     #[test]
     fn figure1_yes_and_no_instances() {
-        let rows = figure1_series(&[2], 10, 2, 1);
+        let rows = ExperimentRunner::sequential().figure1(&[2], 10, 2, 1);
         assert_eq!(rows.len(), 2);
         let yes = &rows[0];
         assert!(yes.satisfiable);
@@ -283,7 +266,7 @@ mod tests {
 
     #[test]
     fn figure2_respects_proposition1_bound() {
-        let rows = figure2_series(&[6, 10], 8, &[1, 2]);
+        let rows = ExperimentRunner::sequential().figure2(&[6, 10], 8, &[1, 2]);
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(row.ratio >= 1.0 - 1e-9);
@@ -302,7 +285,7 @@ mod tests {
 
     #[test]
     fn figure3_matches_the_formula() {
-        let rows = figure3_series(&[3, 4, 5, 6]);
+        let rows = ExperimentRunner::sequential().figure3(&[3, 4, 5, 6]);
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(

@@ -3,57 +3,54 @@
 //! The measurement and theory layer of the reproduction of *"Analysis of
 //! Scheduling Algorithms with Reservations"* (IPDPS 2007):
 //!
-//! * [`guarantees`] — the closed-form bounds of the paper (Graham `2 − 1/m`,
+//! * `guarantees` — the closed-form bounds of the paper (Graham `2 − 1/m`,
 //!   non-increasing `2 − 1/m(C*)`, the α upper bound `2/α`, the lower bounds
-//!   `2/α − 1 + α/2`, `B1` and `B2`);
-//! * [`ratio`] — measured performance ratios of any scheduler against the true
-//!   optimum (small instances) or a certified lower bound (large ones);
-//! * [`figures`] — the data series behind Figures 1–4 of the paper;
-//! * [`report`] — markdown/CSV/JSON rendering used by the experiment binaries;
-//! * [`statistics`] — descriptive statistics for the sweep tables;
-//! * [`verification`] — automatic checking of a schedule against every bound
-//!   of the paper that applies to its instance class.
+//!   `2/α − 1 + α/2`, `B1` and `B2`), e.g. [`graham_bound`](prelude::graham_bound);
+//! * [`RatioHarness`](prelude::RatioHarness) — measured performance ratios of
+//!   any scheduler against the true optimum (small instances) or a certified
+//!   lower bound (large ones);
+//! * [`ExperimentRunner`](prelude::ExperimentRunner) — the data series behind
+//!   Figures 1–4 of the paper, cell by cell, sequentially or in parallel;
+//! * [`Table`](prelude::Table) — markdown/CSV/JSON rendering used by the
+//!   experiment commands;
+//! * [`verify_schedule`](prelude::verify_schedule) — automatic checking of a
+//!   schedule against every bound of the paper that applies to its instance
+//!   class.
 //!
 //! ```
-//! use resa_analysis::guarantees;
+//! use resa_analysis::prelude::*;
 //!
 //! // Figure 4: for α = 1/2 the guarantee of LSRC sits between 3.25 and 4.
-//! assert!((guarantees::alpha_upper_bound(0.5) - 4.0).abs() < 1e-12);
-//! assert!((guarantees::proposition2_lower_bound(0.5) - 3.25).abs() < 1e-12);
+//! assert!((alpha_upper_bound(0.5) - 4.0).abs() < 1e-12);
+//! assert!((proposition2_lower_bound(0.5) - 3.25).abs() < 1e-12);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod figures;
-pub mod guarantees;
-pub mod ratio;
-pub mod report;
-pub mod runner;
-pub mod scenarios;
-pub mod statistics;
-pub mod verification;
+mod figures;
+mod guarantees;
+mod ratio;
+mod report;
+mod runner;
+mod scenarios;
+mod verification;
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::figures::{
-        figure1_series, figure2_series, figure3_series, figure4_series, Fig1Row, Fig2Row, Fig3Row,
-        Fig4Row,
-    };
+    pub use crate::figures::figure4_series;
     pub use crate::guarantees::{
         alpha_upper_bound, graham_bound, lower_bound_b1, lower_bound_b2, nonincreasing_bound,
         proposition2_lower_bound,
     };
-    pub use crate::ratio::{ExactProbe, RatioHarness, RatioMeasurement, ReferenceKind};
+    pub use crate::ratio::{RatioHarness, ReferenceKind};
     pub use crate::report::{fmt_f64, to_json, Table};
-    pub use crate::runner::{stream_seed, ExperimentRunner};
+    pub use crate::runner::ExperimentRunner;
     pub use crate::scenarios::{
-        deadlines_met, drain_invariant, job_windows, StreamValidator, StreamVerdicts, Window,
+        deadlines_met, drain_invariant, job_windows, StreamValidator, Window,
     };
-    pub use crate::statistics::{geometric_mean, percentile_sorted, Summary};
     pub use crate::verification::{
-        classify, report_for_stream, report_from_reference, verify_schedule, GuaranteeReport,
-        InstanceClass, StreamFacts,
+        classify, report_for_stream, verify_schedule, GuaranteeReport, InstanceClass, StreamFacts,
     };
 }
 

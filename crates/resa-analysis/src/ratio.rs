@@ -4,13 +4,13 @@
 //! experiments measure that quantity on concrete instances. For small
 //! instances the reference is the true optimum (branch-and-bound); for larger
 //! ones it falls back to the certified lower bound of
-//! [`resa_core::bounds::lower_bound`], in which case the reported ratio is an
+//! [`resa_core::prelude::lower_bound`], in which case the reported ratio is an
 //! *upper* estimate of the true ratio (the conservative direction when
 //! checking an upper-bound guarantee).
 
 use resa_algos::prelude::Scheduler;
 use resa_core::prelude::*;
-use resa_exact::branch_bound::ExactSolver;
+use resa_exact::prelude::ExactSolver;
 use serde::{Deserialize, Serialize};
 
 /// How the reference value (denominator of the ratio) was obtained.
@@ -88,7 +88,7 @@ impl RatioHarness {
             }
         }
         (
-            resa_core::bounds::lower_bound(instance).unwrap_or(Time::ZERO),
+            resa_core::prelude::lower_bound(instance).unwrap_or(Time::ZERO),
             ReferenceKind::LowerBound,
         )
     }
@@ -165,7 +165,7 @@ impl RatioHarness {
 mod tests {
     use super::*;
     use resa_algos::prelude::*;
-    use resa_core::instance::ResaInstanceBuilder;
+    use resa_core::prelude::ResaInstanceBuilder;
 
     fn small_instance() -> ResaInstance {
         ResaInstanceBuilder::new(3)

@@ -9,25 +9,14 @@
 //! **Determinism.** Parallel and sequential runs produce *identical* rows in
 //! *identical* order: every cell derives its randomness from its own seed
 //! (never from shared mutable state or the thread schedule), and the
-//! parallel map preserves input order. [`stream_seed`] derives independent
-//! per-cell streams from a root seed with a SplitMix64 step, so seed `s`,
-//! cell `i` always sees the same stream no matter which thread runs it.
+//! parallel map preserves input order, so seed `s`, cell `i` always sees
+//! the same stream no matter which thread runs it.
 
 use crate::figures::{
     figure1_cell, figure1_witness, figure2_cell, figure3_cell, figure4_series, Fig1Row, Fig2Row,
     Fig3Row, Fig4Row,
 };
 use rayon::prelude::*;
-
-/// Derive the `index`-th deterministic RNG stream from `root` (SplitMix64):
-/// statistically independent streams for parallel cells, reproducible across
-/// runs and thread counts.
-pub fn stream_seed(root: u64, index: u64) -> u64 {
-    let mut z = root.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Sequential-or-parallel driver for figure and table sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,6 +100,16 @@ impl ExperimentRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Derive the `index`-th deterministic RNG stream from `root` (SplitMix64):
+    /// statistically independent streams for parallel cells, reproducible across
+    /// runs and thread counts.
+    fn stream_seed(root: u64, index: u64) -> u64 {
+        let mut z = root.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index.wrapping_add(1)));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
 
     #[test]
     fn parallel_equals_sequential_on_every_figure() {

@@ -136,35 +136,43 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// Anchor an error message that names a field (`… field 'name' …`) to the
-/// first line of `text` where that field appears as a JSON *key* (the
-/// quoted name followed by a colon — a string *value* that happens to spell
-/// the same word does not anchor), returning `line N: message`. Messages
-/// that name no locatable field pass through unchanged.
+/// Anchor an error message that names fields (`… field 'name' …`) to a
+/// line of `text` where a named field appears as a JSON *key* (the quoted
+/// name followed by a colon — a string *value* that happens to spell the
+/// same word does not anchor), returning `line N: message`. A nested error
+/// names its fields outermost first (`field 'failures' in sweep spec:
+/// field 'count' …`): each is looked up at or after the line of the one
+/// before it, and the innermost one found is the anchor, so an inner key
+/// missing from the text (a required field left out) falls back to its
+/// section. Messages that name no locatable field pass through unchanged.
 pub fn anchor_line(text: &str, message: &str) -> String {
-    let Some(field) = quoted_field(message) else {
-        return message.to_string();
-    };
-    let needle = format!("\"{field}\"");
-    for (idx, line) in text.lines().enumerate() {
-        let mut from = 0;
-        while let Some(at) = line[from..].find(&needle) {
-            let after = &line[from + at + needle.len()..];
-            if after.trim_start().starts_with(':') {
-                return format!("line {}: {}", idx + 1, message);
-            }
-            from += at + needle.len();
+    let lines: Vec<&str> = text.lines().collect();
+    let mut anchor = None;
+    for field in quoted_fields(message) {
+        let needle = format!("\"{field}\"");
+        let is_key = |line: &&str| {
+            line.match_indices(&needle)
+                .any(|(at, _)| line[at + needle.len()..].trim_start().starts_with(':'))
+        };
+        let from = anchor.unwrap_or(0);
+        match lines[from..].iter().position(is_key) {
+            Some(at) => anchor = Some(from + at),
+            None => break,
         }
     }
-    message.to_string()
+    match anchor {
+        Some(idx) => format!("line {}: {message}", idx + 1),
+        None => message.to_string(),
+    }
 }
 
-/// The first `'…'`-quoted word following the word "field" in a message.
-fn quoted_field(message: &str) -> Option<&str> {
-    let at = message.find("field '")?;
-    let rest = &message[at + "field '".len()..];
-    let end = rest.find('\'')?;
-    Some(&rest[..end])
+/// Every `'…'`-quoted word following the word "field" in a message, in
+/// order.
+fn quoted_fields(message: &str) -> impl Iterator<Item = &str> {
+    message
+        .split("field '")
+        .skip(1)
+        .filter_map(|rest| rest.split_once('\'').map(|(name, _)| name))
 }
 
 #[cfg(test)]

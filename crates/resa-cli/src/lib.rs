@@ -40,9 +40,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_cmds;
-pub mod fetch;
-pub mod fields;
+mod bench_cmds;
+mod fetch;
+mod fields;
 pub mod opts;
 pub mod replay;
 pub mod serve;

@@ -11,7 +11,7 @@
 //!
 //! # One path
 //!
-//! A request line is parsed into an [`Op`] ([`protocol`]), applied through
+//! A request line is parsed into an [`Op`] (`protocol`), applied through
 //! the one-method [`Session`] trait, and its [`Reply`] rendered back. Every
 //! transport runs the same stack: one [`ConcurrentService`] — journaled
 //! under `--journal`, retiring into a record sink under `--retire` — and
@@ -42,7 +42,7 @@
 //! server start) before each request — `--script` rejects `--realtime`, so
 //! checked-in transcripts stay deterministic.
 
-pub mod protocol;
+pub(crate) mod protocol;
 
 use crate::opts::{Command, CommonOpts, Parsed, Switch, Text};
 use crate::replay::PolicyArg;

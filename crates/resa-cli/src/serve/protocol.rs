@@ -26,7 +26,6 @@ use serde::{Serialize, Value};
 #[derive(Default)]
 #[cfg_attr(test, derive(Serialize))]
 struct Request {
-    op: String,
     width: u32,
     duration: Dur,
     release: Option<Time>,
@@ -45,7 +44,12 @@ struct Request {
 
 /// Every field of the protocol: its name, whether an op that takes it
 /// requires it, and its slot.
-const OP: Field<Request> = Required("op", |r, v| put(&mut r.op, v));
+/// The router reads `op` borrowed from the parsed line ([`op_name`]), so
+/// every row only checks that it is a string, spelled as any string field.
+const OP: Field<Request> = Required("op", |_, v| match v {
+    Value::Str(_) => Ok(()),
+    _ => put(&mut String::new(), v),
+});
 const WIDTH: Field<Request> = Required("width", |r, v| put(&mut r.width, v));
 const DURATION: Field<Request> = Required("duration", |r, v| put(&mut r.duration, v));
 const RELEASE: Field<Request> = Optional("release", |r, v| put(&mut r.release, v));
@@ -169,27 +173,35 @@ const WIRE: &[Wire] = &[
 /// The first request of a token-guarded session.
 const AUTH: Section<Request> = Section::new("auth request", &[OP, TOKEN]);
 
-/// Parse a request line and read its `op` (its row reads the rest).
-fn read_request(line: &str) -> Result<(Value, Request), String> {
+/// Parse a request line and check its `op` (its row reads the rest).
+fn read_request(line: &str) -> Result<Value, String> {
     let value: Value = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
     if value.as_object().is_none() {
         return Err("request must be a JSON object".to_string());
     }
-    let mut request = Request::default();
-    OP.read(&value, "request", &mut request)?;
-    Ok((value, request))
+    OP.read(&value, "request", &mut Request::default())?;
+    Ok(value)
+}
+
+/// The `op` of a request [`read_request`] accepted.
+fn op_name(request: &Value) -> &str {
+    match request.get("op") {
+        Some(Value::Str(op)) => op,
+        _ => unreachable!("read_request checked that op is a string"),
+    }
 }
 
 /// Parse one request line into its wire name and op (`None`: `shutdown`).
 /// Errors are protocol-level strings (the session answers them with
 /// `{"ok":false,…}` and keeps serving).
 fn parse_request(line: &str) -> Result<(&'static str, Option<Op>), String> {
-    let (value, request) = read_request(line)?;
-    let Some(wire) = WIRE.iter().find(|w| w.name == request.op) else {
+    let value = read_request(line)?;
+    let op = op_name(&value);
+    let Some(wire) = WIRE.iter().find(|w| w.name == op) else {
         let names: Vec<&str> = WIRE.iter().map(|w| w.name).collect();
-        return Err(format!("unknown op '{}' ({})", request.op, names.join("|")));
+        return Err(format!("unknown op '{op}' ({})", names.join("|")));
     };
-    let request = wire.fields.read(&value, request)?;
+    let request = wire.fields.read(&value, Request::default())?;
     Ok((wire.name, wire.build.map(|build| build(request))))
 }
 
@@ -338,14 +350,14 @@ pub(crate) fn handle<S: Session + ?Sized>(session: &mut S, line: &str) -> (Strin
 /// response line and whether the session may proceed.
 pub(super) fn check_auth(expected: &str, line: &str) -> (String, bool) {
     let auth = (|| -> Result<Request, String> {
-        let (value, request) = read_request(line)?;
-        if request.op != "auth" {
+        let value = read_request(line)?;
+        let op = op_name(&value);
+        if op != "auth" {
             return Err(format!(
-                "authentication required: the first request must be an auth op, got '{}'",
-                request.op
+                "authentication required: the first request must be an auth op, got '{op}'"
             ));
         }
-        AUTH.read(&value, request)
+        AUTH.read(&value, Request::default())
     })();
     match auth {
         Ok(request) if request.token == expected => (ok_response("auth", Vec::new()), true),
@@ -360,106 +372,98 @@ pub(super) fn check_auth(expected: &str, line: &str) -> (String, bool) {
 #[cfg(test)]
 pub(crate) fn request_line(op: &Op) -> Option<String> {
     let r = Request::default();
-    let request = match op.clone() {
+    let (name, request) = match op.clone() {
         Op::Submit {
             width,
             duration,
             release,
-        } => Request {
-            op: "submit".into(),
-            width,
-            duration,
-            release,
-            ..r
-        },
+        } => (
+            "submit",
+            Request {
+                width,
+                duration,
+                release,
+                ..r
+            },
+        ),
         Op::SubmitDeadline {
             width,
             duration,
             release,
             deadline,
             admission,
-        } => Request {
-            op: "submit".into(),
-            width,
-            duration,
-            release,
-            deadline: Some(deadline),
-            admission: Some(admission),
-            ..r
-        },
+        } => (
+            "submit",
+            Request {
+                width,
+                duration,
+                release,
+                deadline: Some(deadline),
+                admission: Some(admission),
+                ..r
+            },
+        ),
         Op::Reserve {
             width,
             duration,
             start,
-        } => Request {
-            op: "reserve".into(),
-            width,
-            duration,
-            start,
-            ..r
-        },
-        Op::Cancel { id } => Request {
-            op: "cancel".into(),
-            reservation: id,
-            ..r
-        },
+        } => (
+            "reserve",
+            Request {
+                width,
+                duration,
+                start,
+                ..r
+            },
+        ),
+        Op::Cancel { id } => (
+            "cancel",
+            Request {
+                reservation: id,
+                ..r
+            },
+        ),
         Op::Query {
             width,
             duration,
             not_before,
-        } => Request {
-            op: "query".into(),
-            width,
-            duration,
-            not_before,
-            ..r
-        },
+        } => (
+            "query",
+            Request {
+                width,
+                duration,
+                not_before,
+                ..r
+            },
+        ),
         Op::Inject {
             width,
             duration,
             start,
-        } => Request {
-            op: "inject".into(),
-            width,
-            duration,
-            start,
-            ..r
-        },
-        Op::Revoke { id } => Request {
-            op: "revoke".into(),
-            drain: id,
-            ..r
-        },
-        Op::SubmitMoldable { widths, area } => Request {
-            op: "submit_moldable".into(),
-            widths,
-            area,
-            ..r
-        },
-        Op::Advance { to } => Request {
-            op: "advance".into(),
-            to,
-            ..r
-        },
-        Op::Drain => Request {
-            op: "drain".into(),
-            ..r
-        },
-        Op::Stats => Request {
-            op: "stats".into(),
-            ..r
-        },
-        Op::Records { since } => Request {
-            op: "snapshot".into(),
-            since,
-            ..r
-        },
+        } => (
+            "inject",
+            Request {
+                width,
+                duration,
+                start,
+                ..r
+            },
+        ),
+        Op::Revoke { id } => ("revoke", Request { drain: id, ..r }),
+        Op::SubmitMoldable { widths, area } => ("submit_moldable", Request { widths, area, ..r }),
+        Op::Advance { to } => ("advance", Request { to, ..r }),
+        Op::Drain => ("drain", Request { ..r }),
+        Op::Stats => ("stats", Request { ..r }),
+        Op::Records { since } => ("snapshot", Request { since, ..r }),
         Op::AdvanceClamped { .. } => return None,
     };
-    let wire = WIRE.iter().find(|w| w.name == request.op)?;
+    let wire = WIRE.iter().find(|w| w.name == name)?;
     let values = request.to_value();
     let fields = wire.fields.fields.iter().filter_map(|field| {
-        let value = values.get(field.name())?;
+        let value = match field.name() {
+            "op" => &Value::Str(name.into()),
+            other => values.get(other)?,
+        };
         (*value != Value::Null).then(|| (field.name().to_string(), value.clone()))
     });
     Some(to_line(&Value::Object(fields.collect())))

@@ -84,8 +84,8 @@ use resa_analysis::prelude::*;
 use resa_core::io::{atomic_write, frame_record, open_log, put_u64, Cursor, Frames, FRAME_HEADER};
 use resa_core::prelude::*;
 use resa_sim::prelude::{
-    AdmissionPolicy, DeadlineOutcome, Op, ReferencePolicy, Reply, ScheduleService, SimMetrics,
-    WindowKind,
+    AdmissionPolicy, DeadlineOutcome, Op, ReferencePolicy, Reply, ScheduleService, ServiceError,
+    SimMetrics, WindowKind,
 };
 use resa_workloads::prelude::*;
 use resa_workloads::store::sha256;
@@ -646,16 +646,16 @@ fn run_cells(
     opts: &CommonOpts,
     cells: &[usize],
     done: &(dyn Fn(usize, &Sample) + Sync),
-) -> Vec<Sample> {
+) -> Result<Vec<Sample>, CliError> {
     let fail_after: Option<u64> = std::env::var(FAIL_AFTER_CELL_ENV)
         .ok()
         .and_then(|v| v.parse().ok());
     let runner = opts.runner();
-    runner.map(cells, |&cell| {
+    let samples = runner.map(cells, |&cell| {
         let p = plan.cells[cell].3;
         let (m, instance, seed) = cell_instance(spec, plan, cell, opts.seed);
         let sample = if spec.is_scenario() {
-            run_scenario_cell(spec, m, &instance, plan.policies[p], seed)
+            run_scenario_cell(spec, m, &instance, plan.policies[p], seed)?
         } else {
             let (schedule, _) = crate::replay::run_policy(plan.policies[p], &instance);
             let metrics = SimMetrics::from_schedule(&instance, &schedule);
@@ -677,8 +677,9 @@ fn run_cells(
                 std::process::abort();
             }
         }
-        sample
-    })
+        Ok(sample)
+    });
+    samples.into_iter().collect()
 }
 
 /// Deterministic per-cell stream for the failure windows (xorshift64; the
@@ -692,11 +693,18 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
+/// A scenario knob whose value the time axis cannot hold: a spec error
+/// naming the knob (exit 1), never a wrapped instant or a dropped op.
+fn knob_error(knob: &str, why: impl std::fmt::Display) -> CliError {
+    CliError::Parse(format!("'{knob}' {why}"))
+}
+
 /// Compile one scenario cell into the ops of a resident session: the
 /// overlay reserved up front, the seeded failure drains injected, then every
 /// job submitted in release order (deadline-gated or molded per the spec)
 /// and the session drained.
-fn scenario_ops(spec: &SweepSpec, instance: &ResaInstance, seed: u64) -> Vec<Op> {
+fn scenario_ops(spec: &SweepSpec, instance: &ResaInstance, seed: u64) -> Result<Vec<Op>, CliError> {
+    let overflow = |knob| knob_error(knob, "overflows the time axis");
     let mut ops: Vec<Op> = instance
         .reservations()
         .iter()
@@ -708,9 +716,10 @@ fn scenario_ops(spec: &SweepSpec, instance: &ResaInstance, seed: u64) -> Vec<Op>
         .collect();
     if let Some(f) = &spec.failures {
         let mut rng = seed.wrapping_add(0x9e37_79b9_7f4a_7c15) | 1;
+        let starts = f.horizon.checked_add(1).ok_or(overflow("failures"))?;
         for _ in 0..f.count {
             let duration = Dur(1 + xorshift(&mut rng) % f.max_duration);
-            let start = Time(xorshift(&mut rng) % (f.horizon + 1));
+            let start = Time(xorshift(&mut rng) % starts);
             ops.push(Op::Inject {
                 width: f.width,
                 duration,
@@ -728,15 +737,18 @@ fn scenario_ops(spec: &SweepSpec, instance: &ResaInstance, seed: u64) -> Vec<Op>
             ops.push(Op::Advance { to: job.release });
             ops.push(Op::SubmitMoldable {
                 widths: widths.clone(),
-                area: u64::from(width) * duration.ticks(),
+                area: u64::from(width)
+                    .checked_mul(duration.ticks())
+                    .ok_or(overflow("widths"))?,
             });
         } else if let Some(frac) = spec.deadline_frac {
             let slack = (duration.ticks() as f64 * frac).ceil() as u64;
+            let deadline = job.release.ticks().checked_add(slack);
             ops.push(Op::SubmitDeadline {
                 width,
                 duration,
                 release,
-                deadline: job.release + Dur(slack),
+                deadline: Time(deadline.ok_or(overflow("deadline_frac"))?),
                 admission: AdmissionPolicy::Reject,
             });
         } else {
@@ -748,26 +760,28 @@ fn scenario_ops(spec: &SweepSpec, instance: &ResaInstance, seed: u64) -> Vec<Op>
         }
     }
     ops.push(Op::Drain);
-    ops
+    Ok(ops)
 }
+
+/// A committed deadline job: `(id, duration, deadline)`.
+type Commitment = (JobId, Dur, Time);
 
 /// Apply one scenario cell's [`scenario_ops`] to a fresh resident
 /// [`ScheduleService`] through [`ScheduleService::apply`] — the op path of
-/// `resa serve` — and return it with the committed deadline jobs
-/// `(id, duration, deadline)`.
+/// `resa serve` — and return it with the committed deadline jobs. A drain the remaining capacity cannot honor
+/// and a deadline the service cannot meet are refused transactionally and
+/// dropped, as a live session would see them; any other refusal means a
+/// knob put an op outside what the service accepts, and is a spec error.
 fn scenario_session(
     spec: &SweepSpec,
     machines: u32,
     instance: &ResaInstance,
     policy: ReferencePolicy,
     seed: u64,
-) -> (
-    ScheduleService<AvailabilityTimeline>,
-    Vec<(JobId, Dur, Time)>,
-) {
+) -> Result<(ScheduleService<AvailabilityTimeline>, Vec<Commitment>), CliError> {
     let mut svc = ScheduleService::new(policy, AvailabilityTimeline::constant(machines));
     let mut committed = Vec::new();
-    for op in scenario_ops(spec, instance, seed) {
+    for op in scenario_ops(spec, instance, seed)? {
         match (svc.apply(&op), op) {
             (
                 Ok(Reply::Deadline {
@@ -779,14 +793,25 @@ fn scenario_session(
                     duration, deadline, ..
                 },
             ) => committed.push((id, duration, deadline)),
-            // A drain the remaining capacity cannot honor is rejected by
-            // the service, transactionally — dropped rather than forced; a
-            // job reject-mode admission refuses never exists in this cell.
-            (Ok(_), _) | (Err(_), Op::Inject { .. } | Op::SubmitDeadline { .. }) => {}
-            (Err(e), op) => panic!("scenario cell refused {op:?}: {e}"),
+            (Ok(_), _)
+            | (Err(ServiceError::ReservationRejected { .. }), Op::Inject { .. })
+            | (Err(ServiceError::DeadlineUnmet { .. }), Op::SubmitDeadline { .. }) => {}
+            (Err(e), op) => {
+                let knob = match op {
+                    Op::Inject { .. } => "failures",
+                    Op::SubmitDeadline { .. } => "deadline_frac",
+                    Op::SubmitMoldable { .. } => "widths",
+                    Op::Reserve { .. } => "reservations",
+                    _ => "workload",
+                };
+                return Err(knob_error(
+                    knob,
+                    format!("puts an op the service refuses: {e}"),
+                ));
+            }
         }
     }
-    (svc, committed)
+    Ok((svc, committed))
 }
 
 /// Run one scenario cell: its [`scenario_session`] instead of the batch
@@ -799,11 +824,11 @@ fn run_scenario_cell(
     instance: &ResaInstance,
     policy: PolicyArg,
     seed: u64,
-) -> Sample {
+) -> Result<Sample, CliError> {
     let PolicyArg::Online(policy) = policy else {
         unreachable!("plan() rejects off-line policies for scenario sweeps")
     };
-    let (svc, committed) = scenario_session(spec, machines, instance, policy, seed);
+    let (svc, committed) = scenario_session(spec, machines, instance, policy, seed)?;
 
     // Guarantee checks, re-derived independently of the substrate.
     let live = svc.to_instance();
@@ -830,7 +855,7 @@ fn run_scenario_cell(
     // instance (every submitted job plus the drain/reservation overlay):
     // the oracle instance excludes committed jobs, so its bound can
     // degenerate to zero when admission commits everything.
-    to_sample(&svc.snapshot().1, &live, broken, None)
+    Ok(to_sample(&svc.snapshot().1, &live, broken, None))
 }
 
 /// A cell's sample from its metrics: the ratio is taken against the
@@ -888,7 +913,7 @@ fn aggregate(spec: &SweepSpec, plan: &SweepPlan, samples: &[Sample]) -> (Vec<Swe
 pub fn execute(spec: &SweepSpec, opts: &CommonOpts) -> Result<(Vec<SweepRow>, usize), CliError> {
     let plan = plan(spec)?;
     let cells: Vec<usize> = (0..plan.cells.len()).collect();
-    let samples = run_cells(spec, &plan, opts, &cells, &|_, _| {});
+    let samples = run_cells(spec, &plan, opts, &cells, &|_, _| {})?;
     Ok(aggregate(spec, &plan, &samples))
 }
 
@@ -1063,7 +1088,7 @@ fn run_shard(
         if status.is_ok() {
             *status = file.write_all(&cell_record(cell, sample));
         }
-    });
+    })?;
     let (file, status) = appender.into_inner().expect("no append panics");
     status.and_then(|()| file.sync_data()).map_err(io_err)?;
     let logged = samples.len() - missing.len();
@@ -1384,6 +1409,39 @@ mod tests {
             };
             assert!(msg.matches("deserialization error:").count() <= 1, "{msg}");
             assert!(msg.contains(&format!("line 6: {needle}")), "{msg}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An error inside a multi-line section is anchored to the line of the
+    /// innermost field it names; an inner field missing from the text falls
+    /// back to its section's line.
+    #[test]
+    fn nested_errors_anchor_to_the_bad_fields_line() {
+        let dir = std::env::temp_dir().join(format!("resa-sweep-nested-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let head = "{\n  \"machines\": [4],\n  \"jobs\": 3,\n  \"seeds\": 1,\n  \"policies\": [\"fcfs\"],\n";
+        for (section, needle) in [
+            (
+                "\"failures\": {\n    \"width\": 1,\n    \"max_duration\": 5,\n    \"horizon\": 10,\n    \"count\": \"x\"\n  }",
+                "line 10: field 'failures' in sweep spec: field 'count' in the 'failures' section",
+            ),
+            (
+                "\"failures\": {\n    \"count\": 1,\n    \"max_duration\": 5,\n    \"horizon\": 10\n  }",
+                "line 6: field 'failures' in sweep spec: missing required field 'width'",
+            ),
+            (
+                "\"reservations\": {\n    \"family\": \"alpha\",\n    \"alpha\": \"1/2\",\n    \"maxdur\": 10\n  }",
+                "line 9: field 'reservations' in sweep spec: deserialization error: unknown field 'maxdur'",
+            ),
+        ] {
+            let path = dir.join("bad.json");
+            std::fs::write(&path, format!("{head}  {section}\n}}\n")).unwrap();
+            let msg = match crate::run(&["sweep", path.to_str().unwrap()]) {
+                Err(CliError::Parse(msg)) => msg,
+                other => panic!("expected a parse error, got {other:?}"),
+            };
+            assert!(msg.contains(needle), "{msg}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1843,7 +1901,7 @@ mod tests {
                     unreachable!("scenario sweeps run on-line policies")
                 };
                 let mut script = String::new();
-                for op in scenario_ops(&spec, &instance, seed) {
+                for op in scenario_ops(&spec, &instance, seed).unwrap() {
                     script += &request_line(&op).expect("every scenario op has a wire name");
                     script.push('\n');
                 }
@@ -1854,7 +1912,8 @@ mod tests {
                     policy,
                     crate::replay::Substrate::Timeline,
                 );
-                let (mut svc, _) = scenario_session(&spec, machines, &instance, policy, seed);
+                let (mut svc, _) =
+                    scenario_session(&spec, machines, &instance, policy, seed).unwrap();
                 assert_eq!(
                     served.lines().last(),
                     Some(handle(&mut svc, SNAPSHOT).0.as_str()),
@@ -1864,5 +1923,31 @@ mod tests {
             }
         }
         assert_eq!(cells, 10);
+    }
+
+    /// A scenario knob that puts an op past the time axis is a spec error
+    /// naming the knob: a failure horizon of `u64::MAX` used to divide by
+    /// zero, and a deadline past the axis used to wrap and be dropped as if
+    /// admission had rejected the job (an all-zero row, exit 2).
+    #[test]
+    fn scenario_knobs_past_the_time_axis_are_spec_errors() {
+        for (spec, knob) in [
+            (
+                r#"{"machines":[4],"jobs":3,"seeds":1,"policies":["easy"],"failures":
+                    {"count":1,"width":1,"max_duration":5,"horizon":18446744073709551615}}"#,
+                "'failures'",
+            ),
+            (
+                r#"{"machines":[4],"jobs":3,"seeds":1,"arrivals":5,"policies":["easy"],
+                    "deadline_frac":1e300}"#,
+                "'deadline_frac'",
+            ),
+        ] {
+            let spec: SweepSpec = serde_json::from_str(spec).unwrap();
+            match execute(&spec, &CommonOpts::default()) {
+                Err(CliError::Parse(msg)) => assert!(msg.starts_with(knob), "{msg}"),
+                other => panic!("expected a spec error naming {knob}, got {other:?}"),
+            }
+        }
     }
 }

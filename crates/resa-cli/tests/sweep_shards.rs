@@ -385,7 +385,8 @@ fn shard_flag_validation() {
 
 /// The binary, killed mid-sweep by the cell failpoint, resumes to exactly
 /// the uninterrupted result: a rerun keeps every cell the logs hold and runs
-/// only the ones they lack.
+/// only the ones they lack, and `--merge` of the resumed logs prints the
+/// uninterrupted result too.
 #[test]
 fn killed_sweep_resumes_to_the_uninterrupted_result() {
     let dir = work_dir("kill");
@@ -441,6 +442,24 @@ fn killed_sweep_resumes_to_the_uninterrupted_result() {
         String::from_utf8_lossy(&resumed.stdout),
         String::from_utf8_lossy(&uninterrupted.stdout),
         "resumed sweep diverged from the uninterrupted run"
+    );
+
+    let merged = resa(&[
+        "sweep",
+        &spec,
+        "--format",
+        "json",
+        "--threads",
+        "1",
+        "--shard-dir",
+        &sd,
+        "--merge",
+    ]);
+    assert!(merged.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&merged.stdout),
+        String::from_utf8_lossy(&uninterrupted.stdout),
+        "merged logs diverged from the uninterrupted run"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,27 +12,13 @@
 //!   least the total work `W(I) = Σ p_j q_j`;
 //! * **per-job bound** — every job must complete no earlier than the earliest
 //!   completion it could achieve if it were alone on the machine
-//!   (its earliest fit in the availability profile plus its duration);
-//! * **`p_max` bound** — a special case of the former on reservation-free
-//!   instances.
+//!   (its earliest fit in the availability profile plus its duration).
+//!
+//! On a reservation-free instance the two reduce to `max(⌈W/m⌉, p_max)`,
+//! which the tests compute independently.
 
-use crate::instance::{ResaInstance, RigidInstance};
+use crate::instance::ResaInstance;
 use crate::time::Time;
-
-/// Lower bound on `C*_max` of a reservation-free instance from the total work:
-/// `⌈W / m⌉`.
-pub fn work_bound_rigid(instance: &RigidInstance) -> Time {
-    let w = instance.total_work();
-    let m = instance.machines() as u128;
-    Time(w.div_ceil(m) as u64)
-}
-
-/// Lower bound on `C*_max` of a reservation-free instance: `max(⌈W/m⌉, p_max)`.
-pub fn lower_bound_rigid(instance: &RigidInstance) -> Time {
-    let work = work_bound_rigid(instance);
-    let pmax = Time(instance.pmax().ticks());
-    work.max(pmax)
-}
 
 /// Work/area lower bound for a RESASCHEDULING instance: the smallest `T` such
 /// that the area available under the profile in `[0, T)` is at least the total
@@ -61,7 +47,7 @@ pub fn per_job_bound(instance: &ResaInstance) -> Option<Time> {
 /// Combined certified lower bound for a RESASCHEDULING instance:
 /// `max(area bound, per-job bound)`.
 ///
-/// Returns `None` if either component is undefined (see [`area_bound`]).
+/// Returns `None` if either component is undefined (see `area_bound`).
 pub fn lower_bound(instance: &ResaInstance) -> Option<Time> {
     let a = area_bound(instance)?;
     let p = per_job_bound(instance)?;
@@ -71,7 +57,22 @@ pub fn lower_bound(instance: &ResaInstance) -> Option<Time> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::ResaInstanceBuilder;
+    use crate::instance::{ResaInstanceBuilder, RigidInstance};
+
+    /// Lower bound on `C*_max` of a reservation-free instance from the total work:
+    /// `⌈W / m⌉`.
+    fn work_bound_rigid(instance: &RigidInstance) -> Time {
+        let w = instance.total_work();
+        let m = instance.machines() as u128;
+        Time(w.div_ceil(m) as u64)
+    }
+
+    /// Lower bound on `C*_max` of a reservation-free instance: `max(⌈W/m⌉, p_max)`.
+    fn lower_bound_rigid(instance: &RigidInstance) -> Time {
+        let work = work_bound_rigid(instance);
+        let pmax = Time(instance.pmax().ticks());
+        work.max(pmax)
+    }
 
     #[test]
     fn rigid_bounds() {

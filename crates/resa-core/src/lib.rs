@@ -6,29 +6,37 @@
 //! The crate defines the two scheduling problems studied by the paper and the
 //! data structures every other crate of the workspace builds on:
 //!
-//! * [`instance::RigidInstance`] — RIGIDSCHEDULING
+//! * [`RigidInstance`](prelude::RigidInstance) — RIGIDSCHEDULING
 //!   (`P | p_j, size_j | C_max`): `n` rigid parallel jobs on `m` identical
 //!   machines;
-//! * [`instance::ResaInstance`] — RESASCHEDULING: the same problem with
-//!   advance reservations that withdraw processors during fixed windows;
-//! * [`instance::Alpha`] — the exact rational `α` of the α-restricted problem
-//!   of §4.2 (`U(t) ≤ (1−α)m`, `q_i ≤ αm`);
-//! * [`profile::ResourceProfile`] — the piecewise-constant availability
-//!   function `m(t) = m − U(t)` as a normalized breakpoint list, with
-//!   linear-scan earliest-fit queries and reserve/release updates (the
+//! * [`ResaInstance`](prelude::ResaInstance) — RESASCHEDULING: the same
+//!   problem with advance reservations that withdraw processors during fixed
+//!   windows;
+//! * [`Alpha`](prelude::Alpha) — the exact rational `α` of the α-restricted
+//!   problem of §4.2 (`U(t) ≤ (1−α)m`, `q_i ≤ αm`);
+//! * [`ResourceProfile`](prelude::ResourceProfile) — the piecewise-constant
+//!   availability function `m(t) = m − U(t)` as a normalized breakpoint list,
+//!   with linear-scan earliest-fit queries and reserve/release updates (the
 //!   canonical representation and the oracle of the timeline's proptests);
-//! * [`timeline::AvailabilityTimeline`] — the same function in chunks of
-//!   breakpoints under a directory of per-chunk summaries: reads skip whole
-//!   chunks, a write costs what it changes, snapshots share the chunks; the
-//!   backend every scheduler in `resa-algos` and `resa-sim` runs on;
-//! * [`capacity::CapacityQuery`] — the trait both implement, so every
-//!   algorithm is generic over the substrate;
+//! * [`AvailabilityTimeline`](prelude::AvailabilityTimeline) — the same
+//!   function in chunks of breakpoints under a directory of per-chunk
+//!   summaries: reads skip whole chunks, a write costs what it changes,
+//!   snapshots share the chunks; the backend every scheduler in `resa-algos`
+//!   and `resa-sim` runs on;
+//! * [`CapacityQuery`](capacity::CapacityQuery) — the trait both implement,
+//!   so every algorithm is generic over the substrate;
 //! * [`decision`] — the FCFS, EASY and greedy (LSRC) rules of §2.2, one
-//!   decision each over a [`waitlist::WaitList`], run by the on-line
+//!   decision each over a [`WaitList`](prelude::WaitList), run by the on-line
 //!   policies and the off-line schedulers alike;
-//! * [`schedule::Schedule`] — start-time assignments, feasibility validation,
-//!   makespan/utilization metrics and concrete processor assignments;
-//! * [`bounds`] — certified lower bounds on the optimal makespan.
+//! * [`Schedule`](prelude::Schedule) — start-time assignments, feasibility
+//!   validation, makespan/utilization metrics and concrete processor
+//!   assignments;
+//! * [`lower_bound`](prelude::lower_bound) — a certified lower bound on the
+//!   optimal makespan;
+//! * [`io`] — the instance text format and the framed, checksummed record
+//!   files under the service journal and the sweep shard logs;
+//! * [`reservation`] — reservation windows and the unavailability function
+//!   `U(t)` (its breakpoints, its peak, whether it is non-increasing).
 //!
 //! ## Quick example
 //!
@@ -60,45 +68,46 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bounds;
+mod bounds;
 pub mod capacity;
 pub mod decision;
-pub mod error;
-pub mod gantt;
-pub mod instance;
+mod error;
+mod gantt;
+mod instance;
 pub mod io;
-pub mod job;
-pub mod moldable;
-pub mod profile;
+mod job;
+mod moldable;
+mod profile;
 pub mod reservation;
-pub mod schedule;
-pub mod snapshot;
-pub mod time;
-pub mod timeline;
-pub mod waitlist;
+mod schedule;
+mod snapshot;
+mod time;
+mod timeline;
+mod waitlist;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-    pub use crate::bounds::{lower_bound, lower_bound_rigid};
+    pub use crate::bounds::lower_bound;
     pub use crate::capacity::{CapacityQuery, Speculate};
-    pub use crate::error::{ModelError, ProfileError, ScheduleError};
+    pub use crate::error::{ModelError, ProfileError};
     pub use crate::gantt::render_gantt;
     pub use crate::instance::{Alpha, ResaInstance, ResaInstanceBuilder, RigidInstance};
     pub use crate::io::{parse_instance, write_instance};
     pub use crate::job::{Job, JobId};
-    pub use crate::moldable::{best_width, MoldableError, WidthChoice};
+    pub use crate::moldable::{best_width, WidthChoice};
     pub use crate::profile::ResourceProfile;
-    pub use crate::reservation::{Reservation, ReservationId};
-    pub use crate::schedule::{Placement, ProcessorAssignment, Schedule};
+    pub use crate::reservation::Reservation;
+    pub use crate::schedule::{Placement, Schedule};
     pub use crate::snapshot::{Snapshotable, TimelineSnapshot};
     pub use crate::time::{Dur, Time};
-    pub use crate::timeline::{AvailabilityTimeline, TxnMark};
+    pub use crate::timeline::AvailabilityTimeline;
     pub use crate::waitlist::WaitList;
 }
 
 #[cfg(test)]
 mod proptests {
     use crate::prelude::*;
+    use crate::timeline::TxnMark;
     use proptest::prelude::*;
 
     /// Strategy: a small feasible ResaInstance.

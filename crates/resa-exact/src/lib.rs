@@ -3,21 +3,26 @@
 //! Exact solvers and complexity reductions supporting the reproduction of
 //! *"Analysis of Scheduling Algorithms with Reservations"* (IPDPS 2007):
 //!
-//! * [`branch_bound::ExactSolver`] — optimal makespan for small
+//! * [`ExactSolver`](prelude::ExactSolver) — optimal makespan for small
 //!   RIGID/RESASCHEDULING instances by branch-and-bound over earliest-fit
 //!   insertion orders; used to measure true performance ratios in the
 //!   benchmark harness;
-//! * [`three_partition`] — 3-PARTITION instances, an exact backtracking
-//!   solver and a generator of yes-instances;
-//! * [`partition`] — the pseudo-polynomial subset-sum algorithm for
-//!   two-machine sequential scheduling (footnote 1 of the paper);
-//! * [`reduction`] — the Theorem-1 constructions: 3-PARTITION →
-//!   RESASCHEDULING with one machine (Figure 1), and RIGIDSCHEDULING →
-//!   RESASCHEDULING with a single huge reservation.
+//! * [`ThreePartition`](prelude::ThreePartition) — 3-PARTITION instances, an
+//!   exact backtracking solver and a generator of yes-instances;
+//! * [`three_partition_to_resa`](prelude::three_partition_to_resa) and
+//!   [`rigid_to_single_reservation`](prelude::rigid_to_single_reservation) —
+//!   the Theorem-1 constructions: 3-PARTITION → RESASCHEDULING with one
+//!   machine (Figure 1), and RIGIDSCHEDULING → RESASCHEDULING with a single
+//!   huge reservation.
+//!
+//! The pseudo-polynomial subset-sum algorithm for two-machine sequential
+//! scheduling (footnote 1 of the paper) is compiled for tests only: it is
+//! the independent optimum `ExactSolver` is checked against on two-machine
+//! instances past brute-force size.
 //!
 //! ```
 //! use resa_core::prelude::*;
-//! use resa_exact::branch_bound::ExactSolver;
+//! use resa_exact::prelude::ExactSolver;
 //!
 //! let instance = ResaInstanceBuilder::new(4)
 //!     .job(3, 2u64)
@@ -34,22 +39,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod branch_bound;
-pub mod partition;
-pub mod reduction;
-pub mod three_partition;
+mod branch_bound;
+#[cfg(test)]
+mod partition;
+mod reduction;
+mod three_partition;
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::branch_bound::{ExactResult, ExactSolver};
-    pub use crate::partition::{
-        best_split, optimal_two_machine_makespan, optimal_two_machine_schedule, partition_exists,
-    };
+    pub use crate::branch_bound::ExactSolver;
     pub use crate::reduction::{
         extract_partition, rigid_to_single_reservation, three_partition_to_resa,
-        ThreePartitionReduction,
     };
-    pub use crate::three_partition::{satisfiable_instance, Partition, ThreePartition};
+    pub use crate::three_partition::{satisfiable_instance, ThreePartition};
 }
 
 #[cfg(test)]

@@ -174,6 +174,40 @@ mod tests {
         }
     }
 
+    /// `ExactSolver` ≡ the DP on seeded two-machine sequential instances,
+    /// reservation-free, at sizes far past brute force: whenever the search
+    /// finishes its makespan is the DP's optimum, and a search cut short by
+    /// its node budget never reports better than that optimum. At every
+    /// size some instance is decided by a real search (nodes expanded), not
+    /// by the incumbent meeting the lower bound at the root.
+    #[test]
+    fn exact_solver_matches_the_dp_whenever_it_finishes() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let solver = ExactSolver::with_node_budget(5_000);
+        for n in [10, 20, 30, 40] {
+            let mut searched = 0;
+            for _ in 0..16 {
+                let durations: Vec<u64> = (0..n).map(|_| 1 + next() % 100).collect();
+                let (instance, _) = optimal_two_machine_schedule(&durations);
+                let optimum = optimal_two_machine_makespan(&durations);
+                let result = solver.solve(&instance);
+                if result.optimal {
+                    assert_eq!(result.makespan.ticks(), optimum, "{durations:?}");
+                    searched += usize::from(result.nodes > 0);
+                } else {
+                    assert!(result.makespan.ticks() >= optimum, "{durations:?}");
+                }
+            }
+            assert!(searched > 0, "n = {n}: no instance finished after a search");
+        }
+    }
+
     #[test]
     fn dp_matches_brute_force_on_small_sets() {
         // Exhaustive check against 2^n enumeration for n ≤ 10.

@@ -589,8 +589,8 @@ impl Recovered {
 
 // -- the journal -------------------------------------------------------------
 
-/// A write-ahead journal of [`AppliedOp`] records backed by one file. See
-/// the [module docs](crate::journal) for the format and guarantees.
+/// A write-ahead journal of `AppliedOp` records backed by one file. See
+/// the module docs of `journal.rs` for the format and guarantees.
 #[derive(Debug)]
 pub struct OpJournal {
     path: PathBuf,

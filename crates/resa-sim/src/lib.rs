@@ -8,27 +8,30 @@
 //!
 //! One loop, two drivers, one oracle:
 //!
-//! * [`policy`] — on-line decision policies: FCFS, EASY back-filling and the
-//!   greedy LSRC-like policy;
-//! * [`stream::run_stream`] — the event loop: jobs pulled from a source as
-//!   virtual time reaches them, one policy consultation per event instant,
-//!   completions retired into a sink, live state O(active jobs);
-//! * [`engine::Simulator`] — the loop driven over a whole instance,
-//!   producing a feasible [`resa_core::schedule::Schedule`] and per-run
-//!   [`metrics::SimMetrics`] (`resa replay` is the other driver, over an
-//!   SWF stream);
-//! * [`reference::simulate_reference`] — an independent clone-and-probe
-//!   implementation of the same rule on its own [`event`] queue, kept as the
-//!   loop's test oracle;
-//! * [`trace::RunTrace`] — per-job lifecycle records (arrival, start,
-//!   completion) of a run;
-//! * [`service::ScheduleService`] — the *resident* scheduler: one live
-//!   substrate, requests (submit / reserve / cancel / query / advance)
-//!   processed in arrival order, deciding through the loop's own decision
-//!   step — the library core of `resa serve`;
-//! * [`op`] — those requests as data: one [`op::Op`] / [`op::Reply`] pair
-//!   that the protocol parses, [`service::ScheduleService::apply`] executes,
-//!   [`journal`] records and replays, and [`concurrent`] queues.
+//! * [`FcfsPolicy`](prelude::FcfsPolicy), [`EasyPolicy`](prelude::EasyPolicy)
+//!   and [`GreedyPolicy`](prelude::GreedyPolicy) — on-line decision policies:
+//!   FCFS, EASY back-filling and the greedy LSRC-like policy;
+//! * [`run_stream`](prelude::run_stream) — the event loop: jobs pulled from a
+//!   source as virtual time reaches them, one policy consultation per event
+//!   instant, completions retired into a sink, live state O(active jobs);
+//! * [`Simulator`](prelude::Simulator) — the loop driven over a whole
+//!   instance, producing a feasible [`Schedule`](resa_core::prelude::Schedule)
+//!   and per-run [`SimMetrics`](prelude::SimMetrics) (`resa replay` is the
+//!   other driver, over an SWF stream);
+//! * [`simulate_reference`](reference::simulate_reference) — an independent
+//!   clone-and-probe implementation of the same rule on its own [`event`]
+//!   queue, kept as the loop's test oracle;
+//! * [`JobRecord`](prelude::JobRecord) — one job's lifecycle (arrival, start,
+//!   completion) in a run;
+//! * [`ScheduleService`](prelude::ScheduleService) — the *resident*
+//!   scheduler: one live substrate, requests (submit / reserve / cancel /
+//!   query / advance) processed in arrival order, deciding through the
+//!   loop's own decision step — the library core of `resa serve`;
+//! * [`Op`](prelude::Op) / [`Reply`](prelude::Reply) — those requests as
+//!   data: one pair that the protocol parses,
+//!   [`ScheduleService::apply`](prelude::ScheduleService::apply) executes,
+//!   the [`OpJournal`](prelude::OpJournal) records and replays, and the
+//!   [`ConcurrentService`](prelude::ConcurrentService) queues.
 //!
 //! ```
 //! use resa_core::prelude::*;
@@ -50,37 +53,33 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod concurrent;
-pub mod engine;
+mod concurrent;
+mod engine;
 pub mod event;
-pub mod journal;
-pub mod metrics;
-pub mod op;
-pub mod policy;
+mod journal;
+mod metrics;
+mod op;
+mod policy;
 pub mod reference;
-pub mod service;
-pub mod stream;
-pub mod trace;
+mod service;
+mod stream;
+mod trace;
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::concurrent::{AppliedOp, ConcurrentService, ServiceClient, ServiceSnapshot};
-    pub use crate::engine::{SimResult, Simulator};
-    pub use crate::journal::{
-        FsyncPolicy, JournalCfg, JournaledService, OpJournal, Recovered, TornTail,
-    };
-    pub use crate::metrics::{MetricsAccumulator, SimMetrics};
-    pub use crate::op::{Horizon, Op, Reply, Session, SessionRecords, WriteReply};
-    pub use crate::policy::{EasyPolicy, FcfsPolicy, GreedyPolicy, OnlinePolicy, ReferencePolicy};
+    pub use crate::concurrent::{ConcurrentService, ServiceClient};
+    pub use crate::engine::Simulator;
+    pub use crate::journal::{FsyncPolicy, JournalCfg, JournaledService, OpJournal, Recovered};
+    pub use crate::metrics::SimMetrics;
+    pub use crate::op::{Op, Reply, Session, WriteReply};
+    pub use crate::policy::{EasyPolicy, FcfsPolicy, GreedyPolicy, ReferencePolicy};
     pub use crate::reference::simulate_reference;
     pub use crate::service::{
-        AdmissionPolicy, DeadlineOutcome, DrainMode, Effects, JobFlags, ScheduleService,
-        ServiceError, ServiceState, ServiceStats, ServiceWindow, WindowKind,
+        AdmissionPolicy, DeadlineOutcome, DrainMode, Effects, ScheduleService, ServiceError,
+        ServiceState, ServiceStats, WindowKind,
     };
-    pub use crate::stream::{
-        run_stream, DiscardSink, InstanceSource, JobSource, RecordSink, StreamOutcome, VecSink,
-    };
-    pub use crate::trace::{JobRecord, RunTrace};
+    pub use crate::stream::{run_stream, DiscardSink, InstanceSource, JobSource, RecordSink};
+    pub use crate::trace::JobRecord;
 }
 
 /// The scripted-op vocabulary shared with the integration suites, which name

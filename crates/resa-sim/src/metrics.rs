@@ -150,7 +150,7 @@ impl MetricsAccumulator {
 
     /// Finalize against the availability profile the run was scheduled on
     /// (reservations only — job usage is not part of it, matching
-    /// [`resa_core::schedule::Schedule::utilization`]).
+    /// [`resa_core::prelude::Schedule::utilization`]).
     pub fn finish(&self, profile: &ResourceProfile) -> SimMetrics {
         if self.jobs == 0 {
             return SimMetrics {
@@ -189,7 +189,7 @@ impl MetricsAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resa_core::instance::ResaInstanceBuilder;
+    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn accumulator_matches_from_schedule_in_placement_order() {

@@ -213,7 +213,8 @@ pub struct WriteReply {
     /// Virtual time after the op was applied.
     pub now: Time,
     /// The publication generation covering this op (see
-    /// [`crate::concurrent`]); `0` from a sequential session.
+    /// [`ConcurrentService`](crate::prelude::ConcurrentService)); `0` from a
+    /// sequential session.
     pub generation: u64,
 }
 

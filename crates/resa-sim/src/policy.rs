@@ -119,7 +119,7 @@ impl OnlinePolicy for EasyPolicy {
 
 /// Which of the three policies to run, as a value: what `--policy` parses
 /// into, what the journal header records, and what the reference oracle is
-/// told to replay. Implements [`OnlinePolicy`] by forwarding — the one place
+/// told to replay. Implements `OnlinePolicy` by forwarding — the one place
 /// a policy name becomes a policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReferencePolicy {

@@ -728,7 +728,7 @@ impl<C: CapacityQuery + Speculate> ScheduleService<C> {
 
     /// Freeze the availability substrate into an immutable,
     /// generation-stamped [`TimelineSnapshot`] (see
-    /// [`resa_core::snapshot`]). The write-lock holder of
+    /// the `snapshot` module of `resa-core`). The write-lock holder of
     /// [`crate::concurrent::ConcurrentService`] calls this at every batch
     /// boundary — no transaction mark is ever outstanding between requests,
     /// so the frozen function is exactly the committed state.

@@ -71,14 +71,14 @@ pub enum ServiceError {
     },
     /// An instant or duration so large that accepting the op could make a
     /// `Time + Dur` the service or a policy computes overflow (see
-    /// [`crate::op::Horizon`]). Refused at admission: nothing was journaled
+    /// `Horizon` in `op.rs`). Refused at admission: nothing was journaled
     /// and no state changed.
     HorizonOverflow,
     /// The [`crate::concurrent::ConcurrentService`] has been shut down; no
     /// further mutating requests can be applied.
     ServiceStopped,
     /// The write-ahead journal of a durable service rejected the record for
-    /// this op (see [`crate::journal`]); the op was **not** applied — a
+    /// this op (see [`OpJournal`](crate::prelude::OpJournal)); the op was **not** applied — a
     /// mutation that cannot be made durable is refused rather than silently
     /// volatile.
     Journal {
@@ -130,7 +130,7 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Which overlay table a [`ServiceWindow`] lives in. The kinds differ in how
+/// Which overlay table a `ServiceWindow` lives in. The kinds differ in how
 /// a window gets *in* — [`ScheduleService::reserve`] refuses one that does
 /// not fit, [`ScheduleService::inject`] preempts running jobs to make room —
 /// and share everything after; each numbers its windows densely from 0.
@@ -331,7 +331,8 @@ pub struct ServiceStats {
 }
 
 /// A portable snapshot of everything a [`ScheduleService`] has decided: the
-/// state a journal snapshot record persists (see [`crate::journal`]) and
+/// state a journal snapshot record persists (see
+/// [`OpJournal`](crate::prelude::OpJournal)) and
 /// [`ScheduleService::restore`] rebuilds a live service from.
 ///
 /// *Derived-state-free*: the pending/running heaps, the decision

@@ -30,8 +30,8 @@
 use crate::metrics::{MetricsAccumulator, SimMetrics};
 use crate::policy::OnlinePolicy;
 use crate::trace::JobRecord;
+use resa_core::prelude::WaitList;
 use resa_core::prelude::*;
-use resa_core::waitlist::WaitList;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -103,14 +103,16 @@ impl RecordSink for DiscardSink {
     }
 }
 
-/// Sink that collects every record (tests and small interactive runs; this
-/// reintroduces O(trace) memory by construction).
+/// Sink that collects every record (tests; this reintroduces O(trace)
+/// memory by construction).
+#[cfg(test)]
 #[derive(Debug, Default)]
 pub struct VecSink {
     /// Retired records in `(completion, id)` order.
     pub records: Vec<JobRecord>,
 }
 
+#[cfg(test)]
 impl RecordSink for VecSink {
     fn record(&mut self, rec: JobRecord) {
         self.records.push(rec);
@@ -351,7 +353,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::policy::{FcfsPolicy, GreedyPolicy, ReferencePolicy};
     use crate::reference::simulate_reference;
-    use resa_core::instance::ResaInstanceBuilder;
+    use resa_core::prelude::ResaInstanceBuilder;
 
     /// The loop over a materialized instance on the indexed timeline.
     fn run_stream_on_instance<P: OnlinePolicy, K: RecordSink>(

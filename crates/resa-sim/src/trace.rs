@@ -1,7 +1,9 @@
 //! Execution traces of simulated runs.
 //!
-//! [`RunTrace`] records, for every job, when it arrived, started and
-//! completed; the tests use it to cross-check the metrics.
+//! [`JobRecord`] is when one job arrived, started and completed: what the
+//! loop retires into a sink and the service reports. The test-only
+//! `RunTrace` collects the records of a whole schedule to cross-check the
+//! metrics.
 
 use resa_core::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -36,11 +38,13 @@ impl JobRecord {
 }
 
 /// A complete trace of one simulated run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[cfg(test)]
+#[derive(Debug, Clone, Default)]
 pub struct RunTrace {
     records: Vec<JobRecord>,
 }
 
+#[cfg(test)]
 impl RunTrace {
     /// Build the trace of a finished schedule on its instance.
     pub fn from_schedule(instance: &ResaInstance, schedule: &Schedule) -> RunTrace {
@@ -83,7 +87,7 @@ mod tests {
     use super::*;
     use crate::engine::Simulator;
     use crate::policy::{FcfsPolicy, GreedyPolicy};
-    use resa_core::instance::ResaInstanceBuilder;
+    use resa_core::prelude::ResaInstanceBuilder;
 
     fn instance() -> ResaInstance {
         ResaInstanceBuilder::new(4)

@@ -2,7 +2,7 @@
 //! the unit proptests of `src/service.rs` and `src/journal.rs` and the wire
 //! round trip of `resa-cli`'s protocol (which include this file by path),
 //! and the integration suites beside it. A script entry is four raw
-//! integers, decoded into a [`resa_sim::op::Op`] against a [`View`] of the
+//! integers, decoded into a [`resa_sim::prelude::Op`] against a [`View`] of the
 //! service at the moment it is applied — so any tuple is a valid entry, and
 //! twins in lockstep derive the same request.
 

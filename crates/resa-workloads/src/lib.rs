@@ -3,17 +3,20 @@
 //! Workload and reservation generators for the reproduction of *"Analysis of
 //! Scheduling Algorithms with Reservations"* (IPDPS 2007).
 //!
-//! * [`uniform::UniformWorkload`] — neutral uniform random rigid jobs;
-//! * [`feitelson::FeitelsonWorkload`] — power-of-two widths, heavy-tailed
-//!   durations, optional on-line arrivals (the standard synthetic substitute
-//!   for production batch-scheduler traces);
-//! * [`lublin::LublinWorkload`] — a second synthetic model with a bimodal
-//!   interactive/batch split and a large serial-job population;
-//! * [`adversarial`] — the paper's worst-case families: the Proposition-2 /
-//!   Figure-3 instance, the Graham-tightness family, and a
-//!   FCFS head-of-line-blocking family;
-//! * [`reservations`] — random α-restricted and non-increasing reservation
-//!   sets (§4.1 and §4.2);
+//! * [`UniformWorkload`](prelude::UniformWorkload) — neutral uniform random
+//!   rigid jobs;
+//! * [`FeitelsonWorkload`](prelude::FeitelsonWorkload) — power-of-two widths,
+//!   heavy-tailed durations, optional on-line arrivals (the standard synthetic
+//!   substitute for production batch-scheduler traces);
+//! * [`LublinWorkload`](prelude::LublinWorkload) — a second synthetic model
+//!   with a bimodal interactive/batch split and a large serial-job
+//!   population;
+//! * the paper's worst-case families: the Proposition-2 / Figure-3 instance
+//!   ([`proposition2_instance`](prelude::proposition2_instance)), the
+//!   Graham-tightness family and a FCFS head-of-line-blocking family;
+//! * [`AlphaReservations`](prelude::AlphaReservations) and
+//!   [`NonIncreasingReservations`](prelude::NonIncreasingReservations) —
+//!   random α-restricted and non-increasing reservation sets (§4.1 and §4.2);
 //! * [`swf`] — a Standard-Workload-Format-style trace codec and synthetic
 //!   trace writer, including the streaming [`swf::SwfStream`] parser for
 //!   archive-scale (optionally gzipped) logs;
@@ -37,28 +40,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adversarial;
-pub mod feitelson;
+mod adversarial;
+mod feitelson;
 pub mod gzip;
-pub mod lublin;
-pub mod reservations;
+mod lublin;
+mod reservations;
 pub mod store;
 pub mod swf;
-pub mod uniform;
+mod uniform;
 
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::adversarial::{
         fcfs_pathological_instance, graham_tight_instance, proposition2_alpha,
-        proposition2_instance, proposition2_optimal_schedule, AdversarialInstance,
+        proposition2_instance, proposition2_optimal_schedule,
     };
     pub use crate::feitelson::FeitelsonWorkload;
     pub use crate::lublin::LublinWorkload;
     pub use crate::reservations::{AlphaReservations, NonIncreasingReservations};
-    pub use crate::store::{CachedTrace, StoreError, TraceRef, TraceStore};
+    pub use crate::store::{StoreError, TraceRef, TraceStore};
     pub use crate::swf::{
-        as_offline_instance, open_trace, parse_trace, parse_trace_for_cluster, parse_trace_full,
-        read_trace_text, write_trace, SwfError, SwfReadError, SwfStream, SwfTrace,
+        open_trace, parse_trace, read_trace_text, write_trace, SwfReadError, SwfStream,
     };
     pub use crate::uniform::UniformWorkload;
 }

@@ -330,7 +330,7 @@ impl<R: BufRead> SwfStream<R> {
             width: procs,
             machines: u32::MAX,
         })?;
-        // Same rule as the service's admission (`resa_sim::op::Horizon`),
+        // Same rule as the service's admission (`Horizon` in `resa-sim`),
         // in u128 so the check itself cannot wrap.
         let (latest, work) = (reach.0.max(submit), reach.1 + u128::from(run_time));
         if u128::from(latest) + work > u128::from(SWF_HORIZON) {
@@ -495,7 +495,7 @@ pub fn as_offline_instance(
     machines: u32,
     jobs: &[Job],
     reservations: Vec<Reservation>,
-) -> Result<ResaInstance, resa_core::error::ModelError> {
+) -> Result<ResaInstance, resa_core::prelude::ModelError> {
     let offline: Vec<Job> = jobs
         .iter()
         .map(|j| Job::new(j.id.0, j.width.min(machines).max(1), j.duration))

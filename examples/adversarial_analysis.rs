@@ -60,7 +60,7 @@ fn proposition2_instance_walkthrough() {
     );
     println!(
         "Formula 2/α − 1 + α/2 = {:.3}\n",
-        resa_analysis::guarantees::proposition2_lower_bound(alpha.as_f64())
+        proposition2_lower_bound(alpha.as_f64())
     );
 }
 
@@ -81,7 +81,7 @@ fn graham_tightness() {
             adv.optimal_makespan.ticks(),
             lsrc.makespan(&adv.instance).ticks(),
             ratio,
-            resa_analysis::guarantees::graham_bound(m)
+            graham_bound(m)
         );
     }
     println!(

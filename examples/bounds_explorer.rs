@@ -22,21 +22,21 @@ fn main() {
     println!("=== Guarantees for α = {alpha} ===");
     println!(
         "Upper bound (Proposition 3):        2/α         = {:.3}",
-        resa_analysis::guarantees::alpha_upper_bound(a)
+        alpha_upper_bound(a)
     );
     println!(
         "Lower bound B1 (§4.2):                           = {:.3}",
-        resa_analysis::guarantees::lower_bound_b1(a)
+        lower_bound_b1(a)
     );
     println!(
         "Lower bound B2 (§4.2):                           = {:.3}",
-        resa_analysis::guarantees::lower_bound_b2(a)
+        lower_bound_b2(a)
     );
     // Proposition 2's hypothesis: 2/α is an integer.
     if (2 * alpha.denom()).is_multiple_of(alpha.num()) {
         println!(
             "Lower bound (Proposition 2, 2/α ∈ ℕ): 2/α − 1 + α/2 = {:.3}",
-            resa_analysis::guarantees::proposition2_lower_bound(a)
+            proposition2_lower_bound(a)
         );
     }
 
@@ -91,6 +91,6 @@ fn main() {
     }
     println!(
         "\nEvery measured ratio sits between 1 and the worst-case guarantee 2/α = {:.3}.",
-        resa_analysis::guarantees::alpha_upper_bound(a)
+        alpha_upper_bound(a)
     );
 }

@@ -21,7 +21,7 @@ fn main() {
         let alpha = Alpha::new(num, denom).unwrap();
         let jobs = FeitelsonWorkload::for_cluster(machines, n_jobs).generate(seed);
         let instance = if alpha == Alpha::ONE {
-            resa_core::instance::ResaInstance::new(machines, jobs, Vec::new()).unwrap()
+            ResaInstance::new(machines, jobs, Vec::new()).unwrap()
         } else {
             AlphaReservations {
                 machines,

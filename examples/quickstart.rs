@@ -56,7 +56,7 @@ fn main() {
     if let Some(alpha) = instance.max_alpha() {
         println!(
             "Worst-case guarantee from the paper (Proposition 3): 2/α = {:.3}",
-            resa_analysis::guarantees::alpha_upper_bound(alpha.as_f64())
+            alpha_upper_bound(alpha.as_f64())
         );
     }
 

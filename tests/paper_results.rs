@@ -75,7 +75,7 @@ fn r2_proposition1_bound_holds() {
         let exact = ExactSolver::new().solve(&inst);
         assert!(exact.optimal, "seed {seed}");
         let available = inst.profile().capacity_at(exact.makespan).max(1);
-        let bound = resa_analysis::guarantees::nonincreasing_bound(available);
+        let bound = nonincreasing_bound(available);
         let lsrc = Lsrc::new().makespan(&inst);
         assert!(
             lsrc.ticks() as f64 <= bound * exact.makespan.ticks() as f64 + 1e-9,
@@ -117,7 +117,7 @@ fn r3_proposition2_family() {
         // LSRC with the submission order hits the predicted ratio.
         let lsrc = Lsrc::new().makespan(&adv.instance);
         let measured = lsrc.ticks() as f64 / adv.optimal_makespan.ticks() as f64;
-        let predicted = resa_analysis::guarantees::proposition2_lower_bound(alpha.as_f64());
+        let predicted = proposition2_lower_bound(alpha.as_f64());
         assert!((measured - predicted).abs() < 1e-9, "k = {k}");
     }
 }
@@ -150,7 +150,7 @@ fn r4_proposition3_upper_bound() {
             assert!(inst.is_alpha_restricted(alpha));
             let exact = ExactSolver::new().solve(&inst);
             assert!(exact.optimal);
-            let guarantee = resa_analysis::guarantees::alpha_upper_bound(alpha.as_f64());
+            let guarantee = alpha_upper_bound(alpha.as_f64());
             for order in ListOrder::DETERMINISTIC {
                 let cmax = Lsrc::with_order(order).makespan(&inst);
                 assert!(
@@ -171,7 +171,7 @@ fn r5_graham_bound_and_tightness() {
         let inst = UniformWorkload::for_cluster(6, 8).instance(seed);
         let exact = ExactSolver::new().solve(&inst);
         assert!(exact.optimal);
-        let bound = resa_analysis::guarantees::graham_bound(6);
+        let bound = graham_bound(6);
         for order in ListOrder::DETERMINISTIC {
             let cmax = Lsrc::with_order(order).makespan(&inst);
             assert!(
@@ -185,7 +185,7 @@ fn r5_graham_bound_and_tightness() {
         let adv = graham_tight_instance(m);
         let ratio = Lsrc::new().makespan(&adv.instance).ticks() as f64
             / adv.optimal_makespan.ticks() as f64;
-        assert!((ratio - resa_analysis::guarantees::graham_bound(m)).abs() < 1e-9);
+        assert!((ratio - graham_bound(m)).abs() < 1e-9);
     }
 }
 
@@ -201,8 +201,8 @@ fn figure4_series_consistency() {
     }
     for k in 2..=20u32 {
         let alpha = 2.0 / k as f64;
-        let b1 = resa_analysis::guarantees::lower_bound_b1(alpha);
-        let p2 = resa_analysis::guarantees::proposition2_lower_bound(alpha);
+        let b1 = lower_bound_b1(alpha);
+        let p2 = proposition2_lower_bound(alpha);
         assert!((b1 - p2).abs() < 1e-9, "k = {k}");
     }
 }
