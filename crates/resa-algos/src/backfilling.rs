@@ -309,7 +309,6 @@ mod tests {
     use super::*;
     use crate::fcfs::Fcfs;
     use crate::list_scheduling::Lsrc;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     fn blocked_head_instance() -> ResaInstance {
         // J0 (3 wide) runs first; J1 (4 wide) blocks; J2 (1 wide, short) can

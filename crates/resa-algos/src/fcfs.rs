@@ -59,7 +59,6 @@ impl Scheduler for Fcfs {
 mod tests {
     use super::*;
     use crate::list_scheduling::Lsrc;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn fcfs_does_not_overtake() {

@@ -67,7 +67,8 @@ mod shelf;
 mod traits;
 mod transform;
 
-/// Convenient glob import of every scheduler and the [`Scheduler`](prelude::Scheduler) trait.
+/// Convenient glob import of every scheduler and the
+/// [`Scheduler`](prelude::Scheduler) trait.
 pub mod prelude {
     pub use crate::backfilling::{
         ConservativeBackfilling, EasyBackfilling, EasyBackfillingReference,

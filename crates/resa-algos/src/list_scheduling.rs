@@ -109,7 +109,6 @@ impl Scheduler for Lsrc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn empty_instance() {

@@ -522,8 +522,6 @@ impl<S: Scheduler> Scheduler for LocalSearchReference<S> {
 mod tests {
     use super::*;
     use crate::list_scheduling::Lsrc;
-    use resa_core::prelude::Job;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn improves_the_graham_tightness_pattern() {

@@ -85,7 +85,6 @@ impl<S: Scheduler> Scheduler for BatchScheduler<S> {
 mod tests {
     use super::*;
     use crate::list_scheduling::Lsrc;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn offline_jobs_form_a_single_batch() {

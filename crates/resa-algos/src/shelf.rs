@@ -126,7 +126,6 @@ impl Scheduler for ShelfScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn builds_shelves_by_decreasing_duration() {

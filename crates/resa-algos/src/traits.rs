@@ -44,7 +44,6 @@ impl Scheduler for Box<dyn Scheduler> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     struct AtZero;
     impl Scheduler for AtZero {

@@ -132,7 +132,6 @@ pub fn head_list_order(transform: &RigidTransform) -> Vec<JobId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     /// The example of Figure 2: a staircase of reservations decreasing in two
     /// steps, transformed into two head tasks.

@@ -88,7 +88,7 @@ impl RatioHarness {
             }
         }
         (
-            resa_core::prelude::lower_bound(instance).unwrap_or(Time::ZERO),
+            lower_bound(instance).unwrap_or(Time::ZERO),
             ReferenceKind::LowerBound,
         )
     }
@@ -165,7 +165,6 @@ impl RatioHarness {
 mod tests {
     use super::*;
     use resa_algos::prelude::*;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     fn small_instance() -> ResaInstance {
         ResaInstanceBuilder::new(3)

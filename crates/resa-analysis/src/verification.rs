@@ -193,7 +193,7 @@ pub fn report_from_reference(
 /// the job vector.
 ///
 /// [`StreamFacts::certified_lower_bound`] reproduces
-/// `resa_core::prelude::lower_bound(instance).unwrap_or(Time::ZERO)` exactly:
+/// `lower_bound(instance).unwrap_or(Time::ZERO)` exactly:
 /// the area bound folds total work, the per-job bound folds each job's
 /// earliest standalone completion against the pristine overlay profile, and
 /// an unfittable job poisons the bound to `Time::ZERO` the way the
@@ -278,7 +278,6 @@ pub fn report_for_stream(
 mod tests {
     use super::*;
     use resa_algos::prelude::*;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn classification() {
@@ -475,7 +474,7 @@ mod tests {
         }
         assert_eq!(
             facts.certified_lower_bound(&profile),
-            resa_core::prelude::lower_bound(&inst).unwrap()
+            lower_bound(&inst).unwrap()
         );
         assert_eq!(facts.qmax(), 4);
         assert_eq!(facts.jobs(), 2);

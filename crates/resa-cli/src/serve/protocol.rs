@@ -43,9 +43,9 @@ struct Request {
 }
 
 /// Every field of the protocol: its name, whether an op that takes it
-/// requires it, and its slot.
-/// The router reads `op` borrowed from the parsed line ([`op_name`]), so
-/// every row only checks that it is a string, spelled as any string field.
+/// requires it, and its slot. `op` has no slot: the router routes on it
+/// borrowed from the parsed line ([`op_name`]), so a row only checks that
+/// it is a string, with any string field's error spelling.
 const OP: Field<Request> = Required("op", |_, v| match v {
     Value::Str(_) => Ok(()),
     _ => put(&mut String::new(), v),

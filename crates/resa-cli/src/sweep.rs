@@ -716,7 +716,10 @@ fn scenario_ops(spec: &SweepSpec, instance: &ResaInstance, seed: u64) -> Result<
         .collect();
     if let Some(f) = &spec.failures {
         let mut rng = seed.wrapping_add(0x9e37_79b9_7f4a_7c15) | 1;
-        let starts = f.horizon.checked_add(1).ok_or(overflow("failures"))?;
+        let starts = f
+            .horizon
+            .checked_add(1)
+            .ok_or_else(|| overflow("failures"))?;
         for _ in 0..f.count {
             let duration = Dur(1 + xorshift(&mut rng) % f.max_duration);
             let start = Time(xorshift(&mut rng) % starts);
@@ -739,7 +742,7 @@ fn scenario_ops(spec: &SweepSpec, instance: &ResaInstance, seed: u64) -> Result<
                 widths: widths.clone(),
                 area: u64::from(width)
                     .checked_mul(duration.ticks())
-                    .ok_or(overflow("widths"))?,
+                    .ok_or_else(|| overflow("widths"))?,
             });
         } else if let Some(frac) = spec.deadline_frac {
             let slack = (duration.ticks() as f64 * frac).ceil() as u64;
@@ -748,7 +751,7 @@ fn scenario_ops(spec: &SweepSpec, instance: &ResaInstance, seed: u64) -> Result<
                 width,
                 duration,
                 release,
-                deadline: Time(deadline.ok_or(overflow("deadline_frac"))?),
+                deadline: Time(deadline.ok_or_else(|| overflow("deadline_frac"))?),
                 admission: AdmissionPolicy::Reject,
             });
         } else {
@@ -768,10 +771,11 @@ type Commitment = (JobId, Dur, Time);
 
 /// Apply one scenario cell's [`scenario_ops`] to a fresh resident
 /// [`ScheduleService`] through [`ScheduleService::apply`] — the op path of
-/// `resa serve` — and return it with the committed deadline jobs. A drain the remaining capacity cannot honor
-/// and a deadline the service cannot meet are refused transactionally and
-/// dropped, as a live session would see them; any other refusal means a
-/// knob put an op outside what the service accepts, and is a spec error.
+/// `resa serve` — and return it with the committed deadline jobs. A drain
+/// the remaining capacity cannot honor and a deadline the service cannot
+/// meet are refused transactionally and dropped, as a live session would
+/// see them; any other refusal means a knob put an op outside what the
+/// service accepts, and is a spec error.
 fn scenario_session(
     spec: &SweepSpec,
     machines: u32,
@@ -1377,28 +1381,62 @@ mod tests {
     }
 
     /// An error inside a section prints the `DeError` prefix at most once
-    /// (only a serde error carries it), and stays anchored to the
-    /// section's line.
+    /// (only a serde error carries it), and is anchored to the line of the
+    /// innermost field it names: the section's line when the section sits
+    /// on one line or the field is missing, the bad field's own line in a
+    /// multi-line section.
     #[test]
     fn section_errors_print_their_prefix_once() {
         let dir = std::env::temp_dir().join(format!("resa-sweep-prefix-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let head = "{\n  \"machines\": [4],\n  \"jobs\": 3,\n  \"seeds\": 1,\n  \"policies\": [\"fcfs\"],\n";
-        for (section, needle) in [
+        for (section, line, needle) in [
             (
                 r#""reservations": {"family": "alpha", "alpha": "1/2", "maxdur": 10}"#,
+                6,
                 "field 'reservations' in sweep spec: deserialization error: unknown field \
                  'maxdur' in the 'reservations' section",
             ),
             (
                 r#""failures": {"count": 1, "max_duration": 5, "horizon": 10}"#,
+                6,
                 "field 'failures' in sweep spec: missing required field 'width' in the \
                  'failures' section",
             ),
             (
                 r#""reservations": {"family": "alpha", "alpha": "1/2", "alphas": ["1/4"]}"#,
+                6,
                 "field 'reservations' in sweep spec: reservations: give either 'alpha' or \
                  'alphas'",
+            ),
+            (
+                r#""failures": {
+    "width": 1,
+    "max_duration": 5,
+    "horizon": 10,
+    "count": "x"
+  }"#,
+                10,
+                "field 'failures' in sweep spec: field 'count' in the 'failures' section",
+            ),
+            (
+                r#""failures": {
+    "count": 1,
+    "max_duration": 5,
+    "horizon": 10
+  }"#,
+                6,
+                "field 'failures' in sweep spec: missing required field 'width'",
+            ),
+            (
+                r#""reservations": {
+    "family": "alpha",
+    "alpha": "1/2",
+    "maxdur": 10
+  }"#,
+                9,
+                "field 'reservations' in sweep spec: deserialization error: unknown field \
+                 'maxdur'",
             ),
         ] {
             let path = dir.join("bad.json");
@@ -1408,40 +1446,7 @@ mod tests {
                 other => panic!("expected a parse error, got {other:?}"),
             };
             assert!(msg.matches("deserialization error:").count() <= 1, "{msg}");
-            assert!(msg.contains(&format!("line 6: {needle}")), "{msg}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// An error inside a multi-line section is anchored to the line of the
-    /// innermost field it names; an inner field missing from the text falls
-    /// back to its section's line.
-    #[test]
-    fn nested_errors_anchor_to_the_bad_fields_line() {
-        let dir = std::env::temp_dir().join(format!("resa-sweep-nested-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let head = "{\n  \"machines\": [4],\n  \"jobs\": 3,\n  \"seeds\": 1,\n  \"policies\": [\"fcfs\"],\n";
-        for (section, needle) in [
-            (
-                "\"failures\": {\n    \"width\": 1,\n    \"max_duration\": 5,\n    \"horizon\": 10,\n    \"count\": \"x\"\n  }",
-                "line 10: field 'failures' in sweep spec: field 'count' in the 'failures' section",
-            ),
-            (
-                "\"failures\": {\n    \"count\": 1,\n    \"max_duration\": 5,\n    \"horizon\": 10\n  }",
-                "line 6: field 'failures' in sweep spec: missing required field 'width'",
-            ),
-            (
-                "\"reservations\": {\n    \"family\": \"alpha\",\n    \"alpha\": \"1/2\",\n    \"maxdur\": 10\n  }",
-                "line 9: field 'reservations' in sweep spec: deserialization error: unknown field 'maxdur'",
-            ),
-        ] {
-            let path = dir.join("bad.json");
-            std::fs::write(&path, format!("{head}  {section}\n}}\n")).unwrap();
-            let msg = match crate::run(&["sweep", path.to_str().unwrap()]) {
-                Err(CliError::Parse(msg)) => msg,
-                other => panic!("expected a parse error, got {other:?}"),
-            };
-            assert!(msg.contains(needle), "{msg}");
+            assert!(msg.contains(&format!("line {line}: {needle}")), "{msg}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

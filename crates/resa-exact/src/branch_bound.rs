@@ -155,7 +155,7 @@ impl ExactSolver {
             best_schedule: inc_schedule,
             peak_depth: 0,
         };
-        let global_lb = resa_core::prelude::lower_bound(instance).unwrap_or(Time::ZERO);
+        let global_lb = lower_bound(instance).unwrap_or(Time::ZERO);
         if ctx.best_makespan <= global_lb {
             return (ctx, global_lb, None);
         }
@@ -417,7 +417,6 @@ fn dfs_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn trivial_single_job() {
@@ -517,7 +516,7 @@ mod tests {
         assert!(!r.optimal || r.nodes <= 1);
         assert!(r.schedule.is_valid(&inst));
         // The returned makespan is still a feasible upper bound.
-        assert!(r.makespan >= resa_core::prelude::lower_bound(&inst).unwrap());
+        assert!(r.makespan >= lower_bound(&inst).unwrap());
     }
 
     #[test]
@@ -529,7 +528,7 @@ mod tests {
             .unwrap();
         let r = ExactSolver::new().solve(&inst);
         assert_eq!(r.makespan, Time(2));
-        assert_eq!(r.makespan, resa_core::prelude::lower_bound(&inst).unwrap());
+        assert_eq!(r.makespan, lower_bound(&inst).unwrap());
     }
 
     #[test]

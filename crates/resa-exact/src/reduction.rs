@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn single_reservation_reduction() {
-        let rigid = resa_core::prelude::ResaInstanceBuilder::new(2)
+        let rigid = ResaInstanceBuilder::new(2)
             .job(1, 3u64)
             .job(1, 3u64)
             .job(2, 2u64)

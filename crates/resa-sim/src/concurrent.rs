@@ -76,7 +76,6 @@ use crate::op::{Horizon, Op, Reply, Session, SessionRecords, WriteReply};
 use crate::policy::ReferencePolicy;
 use crate::service::{Effects, ScheduleService, ServiceError, ServiceStats, SnapshotParts};
 use crate::stream::RecordSink;
-use resa_core::prelude::Snapshotable;
 use resa_core::prelude::*;
 use std::cell::Cell;
 use std::collections::VecDeque;

@@ -89,7 +89,6 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::policy::{EasyPolicy, FcfsPolicy, GreedyPolicy};
-    use resa_core::prelude::ResaInstanceBuilder;
 
     fn online_instance() -> ResaInstance {
         ResaInstanceBuilder::new(4)

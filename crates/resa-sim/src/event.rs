@@ -1,5 +1,5 @@
 //! The event queue of the reference oracle ([`crate::reference`]); the
-//! event loop itself ([`run_stream`](crate::prelude::run_stream)) merges its three event sources
+//! event loop itself (`stream.rs`) merges its three event sources
 //! without one.
 
 use resa_core::prelude::*;

@@ -189,7 +189,6 @@ impl MetricsAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn accumulator_matches_from_schedule_in_placement_order() {

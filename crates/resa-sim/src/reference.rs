@@ -170,7 +170,6 @@ pub fn simulate_reference(instance: &ResaInstance, policy: ReferencePolicy) -> S
 mod tests {
     use super::*;
     use crate::prelude::*;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     #[test]
     fn reference_matches_optimized_on_fixture() {

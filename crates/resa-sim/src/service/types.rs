@@ -78,9 +78,9 @@ pub enum ServiceError {
     /// further mutating requests can be applied.
     ServiceStopped,
     /// The write-ahead journal of a durable service rejected the record for
-    /// this op (see [`OpJournal`](crate::prelude::OpJournal)); the op was **not** applied — a
-    /// mutation that cannot be made durable is refused rather than silently
-    /// volatile.
+    /// this op (see [`OpJournal`](crate::prelude::OpJournal)); the op was
+    /// **not** applied — a mutation that cannot be made durable is refused
+    /// rather than silently volatile.
     Journal {
         /// The underlying I/O error.
         message: String,

@@ -30,7 +30,6 @@
 use crate::metrics::{MetricsAccumulator, SimMetrics};
 use crate::policy::OnlinePolicy;
 use crate::trace::JobRecord;
-use resa_core::prelude::WaitList;
 use resa_core::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -353,7 +352,6 @@ pub(crate) mod tests {
     use super::*;
     use crate::policy::{FcfsPolicy, GreedyPolicy, ReferencePolicy};
     use crate::reference::simulate_reference;
-    use resa_core::prelude::ResaInstanceBuilder;
 
     /// The loop over a materialized instance on the indexed timeline.
     fn run_stream_on_instance<P: OnlinePolicy, K: RecordSink>(

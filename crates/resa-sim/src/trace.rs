@@ -87,7 +87,6 @@ mod tests {
     use super::*;
     use crate::engine::Simulator;
     use crate::policy::{FcfsPolicy, GreedyPolicy};
-    use resa_core::prelude::ResaInstanceBuilder;
 
     fn instance() -> ResaInstance {
         ResaInstanceBuilder::new(4)

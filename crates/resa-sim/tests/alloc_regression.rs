@@ -24,7 +24,6 @@
 //! allocate concurrently and pollute the counters.
 
 use resa_core::prelude::*;
-use resa_sim::prelude::EasyPolicy;
 use resa_sim::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

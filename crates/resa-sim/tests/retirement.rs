@@ -22,7 +22,6 @@ mod common;
 
 use common::{op_spec, OpSpec, View};
 use proptest::prelude::*;
-use resa_core::prelude::ProfileError;
 use resa_core::prelude::*;
 use resa_sim::prelude::*;
 

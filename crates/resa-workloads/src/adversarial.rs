@@ -172,7 +172,6 @@ pub fn fcfs_pathological_instance(m: u32, rounds: u32, long_duration: u64) -> Ad
 mod tests {
     use super::*;
     use resa_algos::prelude::*;
-    use resa_core::prelude::lower_bound;
 
     #[test]
     fn proposition2_shape() {

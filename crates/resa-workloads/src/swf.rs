@@ -495,7 +495,7 @@ pub fn as_offline_instance(
     machines: u32,
     jobs: &[Job],
     reservations: Vec<Reservation>,
-) -> Result<ResaInstance, resa_core::prelude::ModelError> {
+) -> Result<ResaInstance, ModelError> {
     let offline: Vec<Job> = jobs
         .iter()
         .map(|j| Job::new(j.id.0, j.width.min(machines).max(1), j.duration))
