@@ -262,15 +262,6 @@ impl ResaInstance {
         self.jobs.iter().map(Job::work).sum()
     }
 
-    /// Largest execution time `p_max` among jobs.
-    pub fn pmax(&self) -> Dur {
-        self.jobs
-            .iter()
-            .map(|j| j.duration)
-            .max()
-            .unwrap_or(Dur::ZERO)
-    }
-
     /// Largest job width.
     pub fn qmax(&self) -> u32 {
         self.jobs.iter().map(|j| j.width).max().unwrap_or(0)

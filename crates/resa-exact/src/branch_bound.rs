@@ -166,11 +166,6 @@ impl ExactSolver {
         });
         (ctx, global_lb, Some(order))
     }
-
-    /// Optimal makespan only (convenience).
-    pub fn optimal_makespan(&self, instance: &ResaInstance) -> Time {
-        self.solve(instance).makespan
-    }
 }
 
 fn finish(ctx: SearchCtx<'_>, started: Instant) -> ExactResult {

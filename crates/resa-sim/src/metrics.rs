@@ -143,11 +143,6 @@ impl MetricsAccumulator {
         self.makespan
     }
 
-    /// Total scheduled work folded so far (processor·ticks).
-    pub fn work(&self) -> u128 {
-        self.work
-    }
-
     /// Finalize against the availability profile the run was scheduled on
     /// (reservations only — job usage is not part of it, matching
     /// [`resa_core::prelude::Schedule::utilization`]).

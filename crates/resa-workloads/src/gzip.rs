@@ -907,16 +907,16 @@ pub fn write_gz(path: &std::path::Path, data: &[u8]) -> Result<()> {
     std::fs::write(path, compress_stored(data))
 }
 
-/// Decompress a complete gzip file held in memory (test convenience).
-pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    GzipReader::new(data).read_to_end(&mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decompress a complete gzip file held in memory.
+    fn decompress(data: &[u8]) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        GzipReader::new(data).read_to_end(&mut out)?;
+        Ok(out)
+    }
 
     #[test]
     fn stored_roundtrip() {

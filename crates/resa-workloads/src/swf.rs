@@ -141,22 +141,15 @@ pub struct SwfTrace {
 /// Negative runtimes/widths (the SWF "missing value" sentinel `-1`) are
 /// rejected with a line-numbered [`SwfError::NegativeField`], and if the
 /// trace carries a `; MaxProcs:` header, any job wider than it is rejected
-/// with [`SwfError::WidthExceedsCluster`]. Use [`parse_trace_for_cluster`]
-/// to enforce a specific cluster size instead.
+/// with [`SwfError::WidthExceedsCluster`]. Give [`parse_trace_full`] a
+/// cluster size to enforce a specific one instead.
 pub fn parse_trace(text: &str) -> Result<Vec<Job>, SwfError> {
     parse_trace_full(text, None).map(|t| t.jobs)
 }
 
-/// [`parse_trace`] with an explicit cluster size: jobs wider than `machines`
-/// are rejected with a line-numbered [`SwfError::WidthExceedsCluster`]
-/// (overriding any `MaxProcs` header).
-pub fn parse_trace_for_cluster(text: &str, machines: u32) -> Result<Vec<Job>, SwfError> {
-    parse_trace_full(text, Some(machines)).map(|t| t.jobs)
-}
-
-/// The full parser behind [`parse_trace`] / [`parse_trace_for_cluster`]:
-/// returns the jobs *and* the header metadata. The width cap is `cluster`
-/// when given, else the `; MaxProcs:` header when present, else unlimited.
+/// The full parser behind [`parse_trace`]: returns the jobs *and* the
+/// header metadata. The width cap is `cluster` when given, else the
+/// `; MaxProcs:` header when present, else unlimited.
 ///
 /// This is now a thin collect over [`SwfStream`]; the streaming parser is
 /// the single source of truth for SWF validation.
@@ -488,24 +481,31 @@ pub fn write_trace(jobs: &[Job], cluster_machines: u32) -> String {
     out
 }
 
-/// Convert a list of trace jobs (with release dates) into an off-line
-/// RESASCHEDULING instance by dropping the release dates — the paper's
-/// off-line model considers all jobs available at time 0.
-pub fn as_offline_instance(
-    machines: u32,
-    jobs: &[Job],
-    reservations: Vec<Reservation>,
-) -> Result<ResaInstance, ModelError> {
-    let offline: Vec<Job> = jobs
-        .iter()
-        .map(|j| Job::new(j.id.0, j.width.min(machines).max(1), j.duration))
-        .collect();
-    ResaInstance::new(machines, offline, reservations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`parse_trace`] with an explicit cluster size: jobs wider than `machines`
+    /// are rejected with a line-numbered [`SwfError::WidthExceedsCluster`]
+    /// (overriding any `MaxProcs` header).
+    fn parse_trace_for_cluster(text: &str, machines: u32) -> Result<Vec<Job>, SwfError> {
+        parse_trace_full(text, Some(machines)).map(|t| t.jobs)
+    }
+
+    /// Convert a list of trace jobs (with release dates) into an off-line
+    /// RESASCHEDULING instance by dropping the release dates — the paper's
+    /// off-line model considers all jobs available at time 0.
+    fn as_offline_instance(
+        machines: u32,
+        jobs: &[Job],
+        reservations: Vec<Reservation>,
+    ) -> Result<ResaInstance, ModelError> {
+        let offline: Vec<Job> = jobs
+            .iter()
+            .map(|j| Job::new(j.id.0, j.width.min(machines).max(1), j.duration))
+            .collect();
+        ResaInstance::new(machines, offline, reservations)
+    }
 
     #[test]
     fn roundtrip() {
