@@ -101,9 +101,9 @@ impl ExperimentRunner {
 mod tests {
     use super::*;
 
-    /// Derive the `index`-th deterministic RNG stream from `root` (SplitMix64):
-    /// statistically independent streams for parallel cells, reproducible across
-    /// runs and thread counts.
+    /// Derive the `index`-th deterministic RNG stream from `root`
+    /// (SplitMix64). No cell calls it — each seeds itself from its own
+    /// seed — so it lives here, beside the test that pins it.
     fn stream_seed(root: u64, index: u64) -> u64 {
         let mut z = root.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index.wrapping_add(1)));
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
