@@ -101,16 +101,6 @@ impl ExperimentRunner {
 mod tests {
     use super::*;
 
-    /// Derive the `index`-th deterministic RNG stream from `root`
-    /// (SplitMix64). No cell calls it — each seeds itself from its own
-    /// seed — so it lives here, beside the test that pins it.
-    fn stream_seed(root: u64, index: u64) -> u64 {
-        let mut z = root.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index.wrapping_add(1)));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     #[test]
     fn parallel_equals_sequential_on_every_figure() {
         let seq = ExperimentRunner::sequential();
@@ -147,15 +137,5 @@ mod tests {
         let seq = ExperimentRunner::sequential().map(&items, |&x| x * x);
         let par = ExperimentRunner::parallel().map(&items, |&x| x * x);
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn stream_seeds_are_distinct_and_stable() {
-        let a = stream_seed(42, 0);
-        let b = stream_seed(42, 1);
-        let c = stream_seed(43, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, stream_seed(42, 0), "streams are reproducible");
     }
 }

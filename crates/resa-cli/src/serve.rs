@@ -6,8 +6,7 @@
 //! [`AvailabilityTimeline`]) and answers a line-delimited JSON request
 //! protocol — over stdin/stdout by default, over a TCP or Unix socket with
 //! `--listen` / `--unix`, or against a checked-in script with `--script`
-//! (which is how the golden tests and the CI smoke drive it
-//! deterministically).
+//! (which is how the golden tests drive it deterministically).
 //!
 //! # One path
 //!
@@ -361,7 +360,7 @@ fn serve_session<S: Session + ?Sized>(
 }
 
 /// Drive a whole request script in-process and return the transcript. This
-/// is the deterministic face the golden tests and the CI smoke use: one
+/// is the deterministic face the golden tests use: one
 /// client of a fresh front, never realtime, never token-guarded.
 // Kept with this signature for `benchmark/layers`.
 pub fn run_script(

@@ -71,8 +71,9 @@
 //! one record per finished cell, floats as IEEE-754 bits. The log alone
 //! says what is done: a rerun truncates a torn tail and runs only the cells
 //! the log lacks, and `--merge` places records by cell index, so every mode
-//! renders byte-identical output to the unsharded run. [`FAIL_AFTER_CELL_ENV`]
-//! aborts the process after that many appended cells, for crash tests.
+//! renders byte-identical output to the unsharded run. A killed run is only
+//! a log cut short, so the crash tests in `resa-cli/tests/sweep_shards.rs`
+//! cut one themselves.
 
 use crate::fields::{anchor_line, put, Optional, Required, Section};
 use crate::opts::{Command, CommonOpts, Parsed, Switch, Text};
@@ -604,16 +605,6 @@ fn check_scenario(spec: &SweepSpec) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Environment variable of the sweep crash failpoint: when set to `n`, the
-/// process aborts after `n` cells have completed — in a sharded run, after
-/// the `n`-th cell record was appended to its shard log. Crash-recovery
-/// tests use it to kill a sharded sweep at a deterministic point and assert
-/// that rerunning it runs only the cells missing from the logs.
-pub const FAIL_AFTER_CELL_ENV: &str = "RESA_FAIL_AFTER_CELL";
-
-/// Cells completed process-wide, for the [`FAIL_AFTER_CELL_ENV`] failpoint.
-static CELLS_DONE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 /// Cell `cell` of the plan: its cluster size, its instance, and its seed
 /// (`base_seed` plus the cell's repetition).
 fn cell_instance(
@@ -647,9 +638,6 @@ fn run_cells(
     cells: &[usize],
     done: &(dyn Fn(usize, &Sample) + Sync),
 ) -> Result<Vec<Sample>, CliError> {
-    let fail_after: Option<u64> = std::env::var(FAIL_AFTER_CELL_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok());
     let runner = opts.runner();
     let samples = runner.map(cells, |&cell| {
         let p = plan.cells[cell].3;
@@ -670,13 +658,6 @@ fn run_cells(
             to_sample(&metrics, &instance, broken, exact_nodes_per_sec)
         };
         done(cell, &sample);
-        if let Some(limit) = fail_after {
-            let count = CELLS_DONE.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
-            if count == limit.max(1) {
-                eprintln!("resa sweep: injected crash after {count} completed cell(s)");
-                std::process::abort();
-            }
-        }
         Ok(sample)
     });
     samples.into_iter().collect()

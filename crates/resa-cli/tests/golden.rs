@@ -56,9 +56,9 @@ fn assert_sweep_matches_golden(name: &str) {
 #[test]
 fn deadline_sweep_matches_the_golden_file() {
     // The checked-in 2-cell scenario sweep (deadline admission + failure
-    // drains + labeled jobs dimension) — CI additionally pipes it through
-    // the release binary. Exit code 2 territory (violations > 0) would mean
-    // a committed deadline was missed or a job overlapped a drain.
+    // drains + labeled jobs dimension). Exit code 2 territory (violations >
+    // 0) would mean a committed deadline was missed or a job overlapped a
+    // drain.
     assert_sweep_matches_golden("deadline");
 }
 

@@ -1,16 +1,22 @@
-//! Crash-recovery tests of `resa serve --journal` (ISSUE 8 tentpole).
+//! Crash-recovery tests of `resa serve --journal`.
 //!
-//! Each case runs the real binary twice against the same journal file: once
-//! with the `RESA_FAIL_AFTER_RECORD` failpoint armed — the process aborts
-//! mid-append, leaving a torn record on disk — and once more to recover and
-//! finish the session. The recovered session's final `stats` and `snapshot`
-//! responses must be byte-for-byte identical to an uninterrupted run.
-//! (Recovery onto the naive `ResourceProfile` is pinned in the library:
+//! A crash leaves a journal whose last record may be torn. Each case makes
+//! that state for real and restarts the binary on it: either it writes the
+//! torn tail itself — a clean run of the first ops, then half of the next
+//! record cut from an uninterrupted run's journal — or it kills a live
+//! server with `SIGKILL` once some ops are acknowledged. The restarted
+//! session resubmits only what was not acknowledged, and its final `stats`
+//! and `snapshot` replies must be byte-for-byte those of an uninterrupted
+//! run. (Recovery onto the naive `ResourceProfile` is pinned in the library:
 //! `resa-sim/tests/journal_recovery.rs::truncation_recovers_a_serial_prefix`.)
 
+use resa_core::io::{Frames, FRAME_HEADER};
 use std::io::{BufRead, BufReader, Write as _};
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// The mutating ops of the session, one journal record each.
 const OPS: &[&str] = &[
@@ -27,8 +33,8 @@ const OPS: &[&str] = &[
 /// Read-only probes whose responses summarize the full session state.
 const FINAL: &[&str] = &[r#"{"op":"stats"}"#, r#"{"op":"snapshot"}"#];
 
-/// Crash after this many journal appends: CRASH_AT records are durable and
-/// applied, the next one is torn mid-write.
+/// Tear the journal in the record of this op: the ones before it are
+/// durable and applied, this one is half written.
 const CRASH_AT: usize = 5;
 
 fn work_dir(tag: &str) -> PathBuf {
@@ -37,19 +43,18 @@ fn work_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn write_script(path: &PathBuf, lines: &[&str]) {
+fn write_script(path: &Path, lines: &[&str]) {
     let mut text = lines.join("\n");
     text.push('\n');
     std::fs::write(path, text).expect("script written");
 }
 
-fn run_serve(args: &[&str], fail_after: Option<usize>) -> std::process::Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_resa"));
-    cmd.arg("serve").args(args);
-    if let Some(n) = fail_after {
-        cmd.env("RESA_FAIL_AFTER_RECORD", n.to_string());
-    }
-    cmd.output().expect("resa binary runs")
+fn run_serve(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_resa"))
+        .arg("serve")
+        .args(args)
+        .output()
+        .expect("resa binary runs")
 }
 
 /// The last two response lines — the `stats` and `snapshot` replies.
@@ -66,13 +71,43 @@ fn final_lines(stdout: &[u8]) -> Vec<String> {
         .collect()
 }
 
-/// Kill the session at journal append `crash_at`, restart it on the torn
-/// journal with the unacknowledged tail, and compare its final probes with
-/// an uninterrupted run. With `--retire --records-out`, the records files
-/// must match too: each retired job exactly once across the crash.
+/// `serve` arguments for a session of 8 machines journaled to `journal`
+/// under `fsync`, retiring into `records` when given.
+fn serve_args(journal: &Path, fsync: &str, records: Option<&Path>) -> Vec<String> {
+    let mut args: Vec<String> = vec![
+        "--machines".into(),
+        "8".into(),
+        "--policy".into(),
+        "easy".into(),
+        "--journal".into(),
+        journal.display().to_string(),
+        "--fsync".into(),
+        fsync.into(),
+    ];
+    if let Some(records) = records {
+        args.extend(["--retire".into(), "--records-out".into()]);
+        args.push(records.display().to_string());
+    }
+    args
+}
+
+/// Run `lines` as a `--script` session with `args`.
+fn run_script(dir: &Path, name: &str, lines: &[&str], args: &[String]) -> std::process::Output {
+    let script = dir.join(name);
+    write_script(&script, lines);
+    let mut args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let script = script.display().to_string();
+    args.extend(["--script", &script]);
+    run_serve(&args)
+}
+
+/// Tear the journal in op `crash_at`'s record, restart it on the
+/// unacknowledged tail, and compare its final probes with an uninterrupted
+/// run. With `--retire --records-out`, the records files must match too:
+/// each retired job exactly once across the crash.
 #[test]
 fn killed_session_recovers_bit_for_bit_on_the_timeline() {
-    // Append 7 follows the advance that retires jobs 0 and 1.
+    // Op 7 follows the advance that retires jobs 0 and 1.
     for (crash_at, retire) in [(CRASH_AT, false), (7, true)] {
         killed_session_recovers(crash_at, retire);
     }
@@ -80,59 +115,38 @@ fn killed_session_recovers_bit_for_bit_on_the_timeline() {
 
 fn killed_session_recovers(crash_at: usize, retire: bool) {
     let dir = work_dir(if retire { "script-retire" } else { "script" });
-    let full_script = dir.join("full.jsonl");
-    let tail_script = dir.join("tail.jsonl");
-    let full_ops: Vec<&str> = OPS.iter().chain(FINAL.iter()).copied().collect();
-    write_script(&full_script, &full_ops);
-    // Everything from the torn record on must be resubmitted after recovery.
-    let tail_ops: Vec<&str> = OPS[crash_at..]
-        .iter()
-        .chain(FINAL.iter())
-        .copied()
-        .collect();
-    write_script(&tail_script, &tail_ops);
-
-    let run = |script: &PathBuf, journal: &PathBuf, fail_after: Option<usize>| {
-        let records = journal.with_extension("records");
-        let mut args: Vec<String> = vec![
-            "--machines".into(),
-            "8".into(),
-            "--script".into(),
-            script.display().to_string(),
-            "--journal".into(),
-            journal.display().to_string(),
-            "--fsync".into(),
-            "every".into(),
-        ];
-        if retire {
-            args.extend(["--retire".into(), "--records-out".into()]);
-            args.push(records.display().to_string());
-        }
-        let args: Vec<&str> = args.iter().map(String::as_str).collect();
-        (run_serve(&args, fail_after), records)
-    };
+    let (j_full, j_crash) = (dir.join("full.jrn"), dir.join("crash.jrn"));
+    let records = |journal: &Path| retire.then(|| journal.with_extension("records"));
 
     // Reference: the uninterrupted session.
-    let (reference, reference_records) = run(&full_script, &dir.join("full.jrn"), None);
+    let full_ops: Vec<&str> = OPS.iter().chain(FINAL).copied().collect();
+    let args = serve_args(&j_full, "every", records(&j_full).as_deref());
+    let reference = run_script(&dir, "full.jsonl", &full_ops, &args);
     assert!(reference.status.success(), "uninterrupted run failed");
     let expected = final_lines(&reference.stdout);
 
-    // Crash mid-append: the failpoint writes half a record and aborts.
-    let j_crash = dir.join("crash.jrn");
-    let (crashed, crash_records) = run(&full_script, &j_crash, Some(crash_at));
+    // The crash: the ops before `crash_at` run and exit cleanly, then half
+    // of op `crash_at`'s record lands behind them, cut from the reference
+    // journal (the same ops journal the same bytes).
+    let args = serve_args(&j_crash, "every", records(&j_crash).as_deref());
+    let head = run_script(&dir, "head.jsonl", &OPS[..crash_at], &args);
+    assert!(head.status.success(), "{head:?}");
+    let full = std::fs::read(&j_full).unwrap();
+    let mut torn = std::fs::read(&j_crash).unwrap();
     assert!(
-        !crashed.status.success(),
-        "the failpoint must abort the process"
+        full.starts_with(&torn),
+        "the journal of a prefix of the ops is a prefix of the journal"
     );
+    let payload = Frames::new(&full[torn.len()..]).next().expect("record");
+    let frame = &full[torn.len()..torn.len() + FRAME_HEADER + payload.len()];
+    torn.extend_from_slice(&frame[..frame.len() / 2]);
+    std::fs::write(&j_crash, torn).unwrap();
 
     // Restart on the torn journal and replay the unacknowledged tail.
-    let (recovered, _) = run(&tail_script, &j_crash, None);
-    assert!(
-        recovered.status.success(),
-        "recovery failed: {}",
-        String::from_utf8_lossy(&recovered.stderr)
-    );
+    let tail_ops: Vec<&str> = OPS[crash_at..].iter().chain(FINAL).copied().collect();
+    let recovered = run_script(&dir, "tail.jsonl", &tail_ops, &args);
     let stderr = String::from_utf8_lossy(&recovered.stderr);
+    assert!(recovered.status.success(), "recovery failed: {stderr}");
     assert!(
         stderr.contains("recovered") && stderr.contains("torn tail"),
         "recovery must report what it replayed and what it dropped: {stderr}"
@@ -143,15 +157,119 @@ fn killed_session_recovers(crash_at: usize, retire: bool) {
         "recovered session diverged from the uninterrupted run"
     );
     if retire {
-        let records = std::fs::read_to_string(&crash_records).unwrap();
-        assert!(records.starts_with(r#"{"job":0,"#), "{records}");
+        let got = std::fs::read_to_string(records(&j_crash).unwrap()).unwrap();
+        assert!(got.starts_with(r#"{"job":0,"#), "{got}");
         assert_eq!(
-            records,
-            std::fs::read_to_string(&reference_records).unwrap(),
+            got,
+            std::fs::read_to_string(records(&j_full).unwrap()).unwrap(),
             "each retired job once, across the crash"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Lines a child writes to stdout, one message each, read on a thread so a
+/// hung server fails the test instead of blocking it. The thread ends at
+/// the child's end of output.
+fn stdout_lines(child: &mut Child) -> (mpsc::Receiver<String>, JoinHandle<()>) {
+    let stdout = child.stdout.take().expect("piped stdout");
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in BufReader::new(stdout).lines() {
+            if tx.send(line.expect("utf-8 reply")).is_err() {
+                break;
+            }
+        }
+    });
+    (rx, reader)
+}
+
+/// A stdio session `SIGKILL`ed once its first three ops are acknowledged
+/// recovers them, under `--fsync every` and under the default `batch`
+/// (acknowledged ⇒ durable under both). The retiring leg kills the session
+/// after the advance that retires jobs 0 and 1; its restart retires job 2
+/// into the appended records file, which ends up equal to the
+/// uninterrupted run's with no job id twice.
+#[test]
+fn sigkilled_stdio_session_recovers_under_every_and_batch() {
+    let plain: &[&str] = &[
+        r#"{"op":"submit","width":2,"duration":7}"#,
+        r#"{"op":"submit","width":3,"duration":4,"release":2}"#,
+        r#"{"op":"reserve","width":2,"duration":6,"start":5}"#,
+        r#"{"op":"advance","to":4}"#,
+        r#"{"op":"submit","width":1,"duration":9}"#,
+    ];
+    let retiring: &[&str] = &[
+        r#"{"op":"submit","width":2,"duration":3}"#,
+        r#"{"op":"submit","width":3,"duration":4,"release":2}"#,
+        r#"{"op":"advance","to":8}"#,
+        r#"{"op":"submit","width":1,"duration":9}"#,
+        r#"{"op":"advance","to":12}"#,
+        r#"{"op":"drain"}"#,
+    ];
+    for fsync in ["every", "batch"] {
+        for (ops, retire) in [(plain, false), (retiring, true)] {
+            let dir = work_dir(&format!("stdio-{fsync}-{retire}"));
+            let (j_full, j_crash) = (dir.join("full.jrn"), dir.join("crash.jrn"));
+            let records = |journal: &Path| retire.then(|| journal.with_extension("records"));
+
+            let full_ops: Vec<&str> = ops.iter().chain(FINAL).copied().collect();
+            let args = serve_args(&j_full, fsync, records(&j_full).as_deref());
+            let reference = run_script(&dir, "full.jsonl", &full_ops, &args);
+            assert!(reference.status.success(), "{fsync}: {reference:?}");
+            let expected = final_lines(&reference.stdout);
+
+            let args = serve_args(&j_crash, fsync, records(&j_crash).as_deref());
+            let mut child = Command::new(env!("CARGO_BIN_EXE_resa"))
+                .arg("serve")
+                .args(&args)
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .expect("resa binary runs");
+            let (replies, reader) = stdout_lines(&mut child);
+            let mut stdin = child.stdin.take().expect("piped stdin");
+            for op in &ops[..3] {
+                writeln!(stdin, "{op}").unwrap();
+            }
+            stdin.flush().unwrap();
+            for _ in 0..3 {
+                let reply = replies
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("an acknowledgement within 10 s");
+                assert!(reply.starts_with(r#"{"ok":true"#), "{fsync}: {reply}");
+            }
+            child.kill().expect("SIGKILL");
+            child.wait().expect("killed server is reaped");
+            reader.join().expect("reader thread");
+            drop(stdin);
+            if retire {
+                let got = std::fs::read_to_string(records(&j_crash).unwrap()).unwrap();
+                assert_eq!(got.matches(r#""job""#).count(), 2, "{fsync}: {got}");
+            }
+
+            let rest: Vec<&str> = ops[3..].iter().chain(FINAL).copied().collect();
+            let recovered = run_script(&dir, "rest.jsonl", &rest, &args);
+            assert!(recovered.status.success(), "{fsync}: {recovered:?}");
+            assert_eq!(final_lines(&recovered.stdout), expected, "{fsync}");
+            if retire {
+                let got = std::fs::read_to_string(records(&j_crash).unwrap()).unwrap();
+                let mut ids: Vec<&str> =
+                    got.lines().map(|l| l.split(',').next().unwrap()).collect();
+                let n = ids.len();
+                ids.sort_unstable();
+                ids.dedup();
+                assert_eq!(ids.len(), n, "{fsync}: a job id twice: {got}");
+                assert_eq!(
+                    got,
+                    std::fs::read_to_string(records(&j_full).unwrap()).unwrap(),
+                    "{fsync}: records diverged from the uninterrupted run"
+                );
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
 
 /// The two scripts that used to panic the process — and, journaled
@@ -196,7 +314,7 @@ fn hostile_magnitudes_are_refused_and_never_reach_the_journal() {
         ];
         let mut transcripts = Vec::new();
         for args in [&plain[..], &journaled[..]] {
-            let out = run_serve(args, None);
+            let out = run_serve(args);
             assert!(out.status.success(), "{tag}: {out:?}");
             let stdout = String::from_utf8_lossy(&out.stdout);
             let replies: Vec<&str> = stdout.lines().collect();
@@ -226,17 +344,14 @@ fn hostile_magnitudes_are_refused_and_never_reach_the_journal() {
         );
         // The refused op left no record: a second start replays the others.
         let probes = probes.display().to_string();
-        let reopened = run_serve(
-            &[
-                "--machines",
-                "4",
-                "--script",
-                &probes,
-                "--journal",
-                &journal,
-            ],
-            None,
-        );
+        let reopened = run_serve(&[
+            "--machines",
+            "4",
+            "--script",
+            &probes,
+            "--journal",
+            &journal,
+        ]);
         assert!(reopened.status.success(), "{tag}: {reopened:?}");
         let stderr = String::from_utf8_lossy(&reopened.stderr);
         assert!(
@@ -278,19 +393,16 @@ fn a_journal_written_before_ops_were_data_recovers_identically() {
     assert_eq!(kinds.len(), 10, "every write kind has a record");
 
     let (probes, journal) = (probes.display().to_string(), journal.display().to_string());
-    let out = run_serve(
-        &[
-            "--machines",
-            "8",
-            "--policy",
-            "easy",
-            "--script",
-            &probes,
-            "--journal",
-            &journal,
-        ],
-        None,
-    );
+    let out = run_serve(&[
+        "--machines",
+        "8",
+        "--policy",
+        "easy",
+        "--script",
+        &probes,
+        "--journal",
+        &journal,
+    ]);
     assert!(out.status.success(), "{out:?}");
     let expected =
         std::fs::read_to_string(format!("{fixtures}/parent_pr13.recovered.golden")).unwrap();
@@ -306,124 +418,80 @@ fn free_port() -> u16 {
         .port()
 }
 
-fn connect_tcp(port: u16) -> std::net::TcpStream {
-    (0..100)
+/// A `--listen` server journaled to `journal` under `--fsync every`, and a
+/// connection to it.
+fn tcp_server(journal: &Path) -> (Child, std::net::TcpStream) {
+    let port = free_port();
+    let mut args = serve_args(journal, "every", None);
+    args.extend(["--listen".into(), format!("127.0.0.1:{port}")]);
+    let child = Command::new(env!("CARGO_BIN_EXE_resa"))
+        .arg("serve")
+        .args(&args)
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("resa binary runs");
+    let stream = (0..100)
         .find_map(|_| {
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            std::thread::sleep(Duration::from_millis(20));
             std::net::TcpStream::connect(("127.0.0.1", port)).ok()
         })
-        .expect("service came up within 2s")
+        .expect("service came up within 2s");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (child, stream)
 }
 
-/// A socket server killed mid-session recovers on restart: a client
-/// resubmits only the unacknowledged ops and the final probes match an
-/// uninterrupted reference run byte for byte.
+/// Send `ops` one at a time and return their replies.
+fn converse(stream: std::net::TcpStream, ops: &[&str]) -> Vec<String> {
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    ops.iter()
+        .map(|op| {
+            writeln!(writer, "{op}").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("a reply");
+            line.trim_end().to_string()
+        })
+        .collect()
+}
+
+/// A socket server `SIGKILL`ed after its third acknowledgement recovers on
+/// restart: a client resubmits only the unacknowledged ops and the final
+/// probes match an uninterrupted reference run byte for byte.
 #[test]
 fn killed_tcp_server_recovers_acknowledged_ops() {
     let dir = work_dir("tcp");
-    const TCP_CRASH_AT: usize = 3;
+    const ACKED: usize = 3;
 
     // Reference run in script mode — same session code, same responses.
-    let full_script = dir.join("full.jsonl");
-    let full_ops: Vec<&str> = OPS.iter().chain(FINAL.iter()).copied().collect();
-    write_script(&full_script, &full_ops);
-    let j_full = dir.join("full.jrn");
-    let reference = run_serve(
-        &[
-            "--machines",
-            "8",
-            "--script",
-            &full_script.display().to_string(),
-            "--journal",
-            &j_full.display().to_string(),
-            "--fsync",
-            "every",
-        ],
-        None,
-    );
+    let full_ops: Vec<&str> = OPS.iter().chain(FINAL).copied().collect();
+    let args = serve_args(&dir.join("full.jrn"), "every", None);
+    let reference = run_script(&dir, "full.jsonl", &full_ops, &args);
     assert!(reference.status.success());
     let expected = final_lines(&reference.stdout);
 
-    // Server with the failpoint armed: acknowledged ops are durable, the op
-    // in flight at the crash is torn away.
+    // Acknowledged under `--fsync every` means durable: kill the server
+    // once three ops are answered.
     let journal = dir.join("tcp.jrn");
-    let port = free_port();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_resa"))
-        .args([
-            "serve",
-            "--machines",
-            "8",
-            "--listen",
-            &format!("127.0.0.1:{port}"),
-            "--journal",
-            &journal.display().to_string(),
-            "--fsync",
-            "every",
-        ])
-        .env("RESA_FAIL_AFTER_RECORD", TCP_CRASH_AT.to_string())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("resa binary runs");
-    let stream = connect_tcp(port);
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut acked = 0usize;
-    for op in OPS {
-        if writer.write_all(format!("{op}\n").as_bytes()).is_err() {
-            break;
-        }
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(n) if n > 0 => acked += 1,
-            _ => break,
-        }
-    }
+    let (mut child, stream) = tcp_server(&journal);
+    let acked = converse(stream, &OPS[..ACKED]);
     assert!(
-        acked < OPS.len(),
-        "the server must die before the session completes"
+        acked.iter().all(|r| r.starts_with(r#"{"ok":true"#)),
+        "{acked:?}"
     );
-    assert!(
-        !child.wait().expect("server exits").success(),
-        "the failpoint must abort the server"
-    );
+    child.kill().expect("SIGKILL");
+    child.wait().expect("killed server is reaped");
 
     // Restart on the same journal, resubmit everything unacknowledged.
-    let port = free_port();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_resa"))
-        .args([
-            "serve",
-            "--machines",
-            "8",
-            "--listen",
-            &format!("127.0.0.1:{port}"),
-            "--journal",
-            &journal.display().to_string(),
-            "--fsync",
-            "every",
-        ])
-        .spawn()
-        .expect("resa binary runs");
-    let stream = connect_tcp(port);
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut finals = Vec::new();
-    for op in OPS[acked..].iter().chain(FINAL.iter()) {
-        writer.write_all(format!("{op}\n").as_bytes()).unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        finals.push(line.trim_end().to_string());
-    }
-    let got: Vec<String> = finals[finals.len() - 2..].to_vec();
+    let (mut child, stream) = tcp_server(&journal);
+    let rest: Vec<&str> = OPS[ACKED..].iter().chain(FINAL).copied().collect();
+    let finals = converse(stream, &rest);
     assert_eq!(
-        got, expected,
+        finals[finals.len() - 2..],
+        expected[..],
         "recovered TCP session diverged from the reference"
     );
-    drop(writer);
-    drop(reader);
     child.kill().ok();
     child.wait().ok();
     std::fs::remove_dir_all(&dir).ok();

@@ -5,7 +5,7 @@
 //!
 //! * **golden transcript** — the checked-in request script replayed through
 //!   the in-process service must reproduce `examples/serve_session.golden`
-//!   byte for byte (CI additionally pipes it through the release binary);
+//!   byte for byte;
 //! * **probe purity** — a `query` between two `snapshot`s leaves the
 //!   resident state untouched (snapshot-before == snapshot-after), end to
 //!   end through the protocol.

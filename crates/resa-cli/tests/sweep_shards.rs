@@ -1,9 +1,10 @@
 //! Sharded-sweep tests: shard + merge reproduces the unsharded report byte
 //! for byte, each shard's record log says which cells are done, a sweep
-//! killed by the `RESA_FAIL_AFTER_CELL` failpoint reruns only the cells its
-//! logs lack, and a shard dir written by an older resa is refused.
+//! killed mid-run — a log cut to a few cells and half a frame, the bytes a
+//! crash leaves — reruns only the cells its logs lack, and a shard dir
+//! written by an older resa is refused.
 
-use resa_core::io::{frame_record, Frames};
+use resa_core::io::{frame_record, Frames, FRAME_HEADER};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -383,10 +384,10 @@ fn shard_flag_validation() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The binary, killed mid-sweep by the cell failpoint, resumes to exactly
-/// the uninterrupted result: a rerun keeps every cell the logs hold and runs
-/// only the ones they lack, and `--merge` of the resumed logs prints the
-/// uninterrupted result too.
+/// The binary, killed mid-sweep, resumes to exactly the uninterrupted
+/// result: a rerun keeps every cell the logs hold and runs only the ones
+/// they lack, and `--merge` of the resumed logs prints the uninterrupted
+/// result too.
 #[test]
 fn killed_sweep_resumes_to_the_uninterrupted_result() {
     let dir = work_dir("kill");
@@ -406,23 +407,20 @@ fn killed_sweep_resumes_to_the_uninterrupted_result() {
         &sd,
     ];
 
-    // 12 cells in 2 shards of 6; crash after the 8th appended cell — shard
-    // 0 is complete, shard 1 has logged two cells.
-    let crashed = Command::new(env!("CARGO_BIN_EXE_resa"))
-        .args(args)
-        .env("RESA_FAIL_AFTER_CELL", "8")
-        .output()
-        .expect("resa binary runs");
-    assert!(
-        !crashed.status.success(),
-        "the failpoint must abort the sweep"
-    );
+    // 12 cells in 2 shards of 6. The crash leaves shard 0 complete and
+    // shard 1 with its header, two cells and half of its third cell's
+    // frame.
+    assert!(resa(&args).status.success());
+    let log = shard_dir.join("shard_0001.log");
+    let bytes = std::fs::read(&log).unwrap();
+    let kept: usize = log_payloads(&log)[..3]
+        .iter()
+        .map(|p| FRAME_HEADER + p.len())
+        .sum();
+    let third = FRAME_HEADER + Frames::new(&bytes[kept..]).next().unwrap().len();
+    std::fs::write(&log, &bytes[..kept + third / 2]).unwrap();
     assert_eq!(log_payloads(&shard_dir.join("shard_0000.log")).len(), 7);
-    assert_eq!(
-        log_payloads(&shard_dir.join("shard_0001.log")).len(),
-        3,
-        "shard 1 logged a header and two cells before the crash"
-    );
+    assert_eq!(log_payloads(&log).len(), 3);
 
     let resumed = resa(&args);
     assert!(resumed.status.success());

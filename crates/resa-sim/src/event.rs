@@ -94,16 +94,6 @@ impl EventQueue {
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|e| e.at)
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -116,13 +106,12 @@ mod tests {
         q.push(Time(5), Event::JobArrival(JobId(0)));
         q.push(Time(2), Event::JobCompletion(JobId(1)));
         q.push(Time(9), Event::AvailabilityChange);
-        assert_eq!(q.len(), 3);
         assert_eq!(q.peek_time(), Some(Time(2)));
         assert_eq!(q.pop().unwrap().at, Time(2));
         assert_eq!(q.pop().unwrap().at, Time(5));
         assert_eq!(q.pop().unwrap().at, Time(9));
         assert!(q.pop().is_none());
-        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -139,7 +128,6 @@ mod tests {
     #[test]
     fn default_is_empty() {
         let q = EventQueue::default();
-        assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
     }
 

@@ -73,11 +73,11 @@
 //!
 //! # Fault injection
 //!
-//! Setting `RESA_FAIL_AFTER_RECORD=n` in the environment makes the journal
-//! write a strict prefix of its `n`-th op record (0-based) and then abort
-//! the process — a deterministic torn-tail generator the crash-recovery
-//! integration tests point at the release binary. Short writes and
-//! disk-full errors at the framing layer are tested in [`resa_core::io`].
+//! A torn tail is only bytes on disk, so the crash tests write it
+//! themselves: `resa-cli/tests/serve_crash.rs` appends half of a frame
+//! taken from an uninterrupted run's journal, or kills a live server with
+//! `SIGKILL`. Short writes and disk-full errors at the framing layer are
+//! tested in [`resa_core::io`].
 
 use crate::concurrent::AppliedOp;
 use crate::metrics::MetricsAccumulator;
@@ -111,8 +111,6 @@ const KIND_RETIRED_SNAPSHOT: u8 = 3;
 /// `Off`-policy write-behind buffer: queued bytes are handed to the OS
 /// (without syncing) once they exceed this.
 const OFF_FLUSH_BYTES: usize = 64 * 1024;
-/// Failpoint variable: abort with a torn tail after this many op appends.
-pub const FAIL_AFTER_RECORD_ENV: &str = "RESA_FAIL_AFTER_RECORD";
 
 fn policy_code(policy: ReferencePolicy) -> u8 {
     match policy {
@@ -605,9 +603,6 @@ pub struct OpJournal {
     /// Op records in the file since the last snapshot record — the replay
     /// cost a crash right now would incur.
     ops_since_snapshot: u64,
-    /// Total op appends this process, for the failpoint.
-    op_appends: u64,
-    fail_after: Option<u64>,
     /// Calls to [`OpJournal::seal`], for the group-commit tests.
     #[cfg(test)]
     pub(crate) seals: u64,
@@ -649,9 +644,6 @@ impl OpJournal {
             }
             recovered
         };
-        let fail_after = std::env::var(FAIL_AFTER_RECORD_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok());
         let ops_since_snapshot = recovered.op_records as u64;
         Ok((
             OpJournal {
@@ -663,8 +655,6 @@ impl OpJournal {
                 payload: Vec::new(),
                 queued: Vec::new(),
                 ops_since_snapshot,
-                op_appends: 0,
-                fail_after,
                 #[cfg(test)]
                 seals: 0,
             },
@@ -683,10 +673,6 @@ impl OpJournal {
         if !encode_op(&mut self.payload, op) {
             return Ok(());
         }
-        if self.fail_after == Some(self.op_appends) {
-            self.abort_with_torn_tail();
-        }
-        self.op_appends += 1;
         self.ops_since_snapshot += 1;
         match self.cfg.fsync {
             FsyncPolicy::Every => {
@@ -766,18 +752,6 @@ impl OpJournal {
             Ok(())
         };
         durable().map_err(journal_err)
-    }
-
-    /// The failpoint: write a strict prefix of the pending record, push it
-    /// to the OS, and die without unwinding — a deterministic torn tail.
-    fn abort_with_torn_tail(&mut self) -> ! {
-        let mut framed = Vec::with_capacity(8 + self.payload.len());
-        frame_record(&mut framed, &self.payload);
-        let torn = &framed[..framed.len() / 2];
-        let _ = self.file.write_all(&self.queued);
-        let _ = self.file.write_all(torn);
-        let _ = self.file.sync_data();
-        std::process::abort();
     }
 }
 

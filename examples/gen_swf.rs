@@ -1,6 +1,6 @@
 //! Generate a synthetic, release-sorted SWF trace for archive-scale smokes.
 //!
-//! The CI streaming smoke uses this to fabricate a ~500k-line log without
+//! `ci/local.sh` uses this to fabricate a ~500k-line log without
 //! shipping a real archive in the repository:
 //!
 //! ```text
@@ -11,7 +11,7 @@
 //! (`resa_workloads::gzip::write_gz`), which emits stored blocks only: such
 //! a file exercises the gzip framing and the streaming reader, not the
 //! Huffman decoder real archives go through — for that, write the plain
-//! trace and compress it with the system `gzip`, as the CI smoke does.
+//! trace and compress it with the system `gzip`, as `ci/local.sh` does.
 //! Generation is fully deterministic — two invocations with the same
 //! arguments produce byte-identical files.
 
