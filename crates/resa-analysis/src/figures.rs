@@ -1,9 +1,10 @@
 //! Data series behind each figure of the paper.
 //!
-//! The paper has four figures; this module holds one cell of each series,
-//! and [`ExperimentRunner`](crate::runner::ExperimentRunner)`::figure1..4`
-//! maps the cells into the data one would plot (`resa figure <n>` prints /
-//! persists them):
+//! The paper has four figures; this module holds one cell of each of the
+//! first three series, which
+//! [`ExperimentRunner`](crate::runner::ExperimentRunner)`::figure1..3` maps
+//! into the data one would plot, and the closed-form Figure-4 series
+//! (`resa figure <n>` prints / persists them):
 //!
 //! * **Figure 1** — the 3-PARTITION reduction picture: reduced instances and,
 //!   per instance, the optimal makespan against the makespan any schedule
@@ -23,10 +24,10 @@ use resa_algos::prelude::*;
 use resa_core::prelude::*;
 use resa_exact::prelude::*;
 use resa_workloads::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One row of the Figure-1 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig1Row {
     /// Number of 3-PARTITION groups.
     pub k: usize,
@@ -85,7 +86,7 @@ fn figure1_row(tp: &ThreePartition, rho: u64) -> Fig1Row {
 }
 
 /// One row of the Figure-2 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig2Row {
     /// Cluster size.
     pub machines: u32,
@@ -169,7 +170,7 @@ fn lsrc_with_explicit_order(instance: &ResaInstance, order: &[JobId]) -> Time {
 }
 
 /// One row of the Figure-3 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig3Row {
     /// The parameter `k` (α = 2/k).
     pub k: u32,
@@ -209,7 +210,7 @@ pub(crate) fn figure3_cell(k: u32) -> Fig3Row {
 }
 
 /// One row of the Figure-4 series.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Fig4Row {
     /// The α value.
     pub alpha: f64,

@@ -10,9 +10,10 @@
 //!   any scheduler against the true optimum (small instances) or a certified
 //!   lower bound (large ones);
 //! * [`ExperimentRunner`](prelude::ExperimentRunner) — the data series behind
-//!   Figures 1–4 of the paper, cell by cell, sequentially or in parallel;
-//! * [`Table`](prelude::Table) — markdown/CSV/JSON rendering used by the
-//!   experiment commands;
+//!   Figures 1–3 of the paper, cell by cell, sequentially or in parallel
+//!   (Figure 4 is the closed-form [`figure4_series`](prelude::figure4_series));
+//! * [`Table`](prelude::Table) — text/CSV rendering used by the experiment
+//!   commands, built from rows through a list of [`Column`](prelude::Column)s;
 //! * [`verify_schedule`](prelude::verify_schedule) — automatic checking of a
 //!   schedule against every bound of the paper that applies to its instance
 //!   class.
@@ -38,13 +39,13 @@ mod verification;
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::figures::figure4_series;
+    pub use crate::figures::{figure4_series, Fig1Row, Fig2Row, Fig3Row, Fig4Row};
     pub use crate::guarantees::{
         alpha_upper_bound, graham_bound, lower_bound_b1, lower_bound_b2, nonincreasing_bound,
         proposition2_lower_bound,
     };
     pub use crate::ratio::{RatioHarness, ReferenceKind};
-    pub use crate::report::{fmt_f64, to_json, Table};
+    pub use crate::report::{fmt_f64, to_json, Column, Table};
     pub use crate::runner::ExperimentRunner;
     pub use crate::scenarios::{
         deadlines_met, drain_invariant, job_windows, StreamValidator, Window,

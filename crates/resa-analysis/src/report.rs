@@ -6,6 +6,9 @@
 use serde::Serialize;
 use std::fmt::Write as _;
 
+/// One column of a [`Table`]: its header and the formatter of its cell.
+pub type Column<R> = (&'static str, fn(&R) -> String);
+
 /// A simple rectangular table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -24,6 +27,21 @@ impl Table {
         }
     }
 
+    /// A table with one row per element of `rows` and one cell per column.
+    pub fn of<R>(title: impl Into<String>, columns: &[Column<R>], rows: &[R]) -> Self {
+        Table {
+            title: title.into(),
+            headers: columns
+                .iter()
+                .map(|(header, _)| header.to_string())
+                .collect(),
+            rows: rows
+                .iter()
+                .map(|row| columns.iter().map(|(_, cell)| cell(row)).collect())
+                .collect(),
+        }
+    }
+
     /// Append one row; the number of cells must match the header count.
     pub fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(
@@ -32,21 +50,6 @@ impl Table {
             "row width must match the header"
         );
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 
     /// Render as CSV (header row first, no title).
@@ -133,11 +136,16 @@ mod tests {
     }
 
     #[test]
+    fn columns_render_like_pushed_rows() {
+        const COLUMNS: [Column<(&str, f64)>; 2] =
+            [("alpha", |r| r.0.to_string()), ("bound", |r| fmt_f64(r.1))];
+        let table = Table::of("Sample", &COLUMNS, &[("0.5", 4.0), ("1", 2.0)]);
+        assert_eq!(table.to_text(), sample().to_text());
+    }
+
+    #[test]
     fn helpers() {
         assert_eq!(fmt_f64(1.0 / 3.0), "0.333");
-        assert_eq!(sample().len(), 2);
-        assert!(!sample().is_empty());
-        assert_eq!(sample().title(), "Sample");
         #[derive(Serialize)]
         struct P {
             x: u32,

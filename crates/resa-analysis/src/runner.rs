@@ -13,8 +13,7 @@
 //! the same stream no matter which thread runs it.
 
 use crate::figures::{
-    figure1_cell, figure1_witness, figure2_cell, figure3_cell, figure4_series, Fig1Row, Fig2Row,
-    Fig3Row, Fig4Row,
+    figure1_cell, figure1_witness, figure2_cell, figure3_cell, Fig1Row, Fig2Row, Fig3Row,
 };
 use rayon::prelude::*;
 
@@ -52,15 +51,6 @@ impl ExperimentRunner {
         }
     }
 
-    /// Map `f` over a list of seeds — the common shape of the table sweeps.
-    pub fn map_seeds<R, F>(&self, seeds: &[u64], f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(u64) -> R + Sync,
-    {
-        self.map(seeds, |&s| f(s))
-    }
-
     /// The Figure-1 series (3-PARTITION reduction): one cell per `k`, plus
     /// the unsatisfiable witness.
     pub fn figure1(&self, ks: &[usize], target: u64, rho: u64, seed: u64) -> Vec<Fig1Row> {
@@ -87,13 +77,6 @@ impl ExperimentRunner {
     /// The Figure-3 series (Proposition-2 adversaries): one cell per `k`.
     pub fn figure3(&self, ks: &[u32]) -> Vec<Fig3Row> {
         self.map(ks, |&k| figure3_cell(k))
-    }
-
-    /// The Figure-4 series (closed-form bound curves). Pure arithmetic — not
-    /// worth fanning out, included so a sweep can drive all four figures
-    /// through one runner.
-    pub fn figure4(&self, min_alpha: f64, points: usize) -> Vec<Fig4Row> {
-        figure4_series(min_alpha, points)
     }
 }
 

@@ -7,20 +7,22 @@
 //! **paper-guarantee violations** — conclusive contradictions of the bound
 //! or identity the experiment reproduces (expected to be zero; a non-zero
 //! count means the reproduction is broken, and the `resa` CLI turns it into
-//! a dedicated exit code).
+//! a dedicated exit code). Each table is one `const` list of [`Column`]s,
+//! declared next to the report that renders it.
 //!
 //! `resa figure|table|graham` is the one front-end: it renders a report per
 //! `--format` and persists it with `--out`.
 
 use crate::{
-    average_case_experiment_seeded, average_case_table, fcfs_ratio_experiment, fcfs_table,
-    graham_experiment_seeded, graham_table, online_batch_experiment_seeded, online_table,
-    priority_ablation_experiment_seeded, priority_table,
+    average_case_experiment_seeded, fcfs_ratio_experiment, graham_experiment_seeded,
+    online_batch_experiment_seeded, priority_ablation_experiment_seeded, AverageCaseRow, FcfsRow,
+    GrahamRow, OnlineRow, PriorityRow,
 };
 use resa_algos::prelude::*;
 use resa_analysis::prelude::*;
 use resa_core::prelude::*;
 use resa_workloads::prelude::*;
+use serde::Serialize;
 
 /// Shared knobs of every experiment pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +66,42 @@ pub struct ExperimentReport {
     pub violations: usize,
 }
 
+impl ExperimentReport {
+    /// The report whose table (`title` over `columns`), JSON payload and
+    /// violation count (the rows `violated` holds for) are all read from
+    /// `rows`.
+    fn new<R: Serialize>(
+        name: &'static str,
+        (title, columns): (&str, &[Column<R>]),
+        rows: &[R],
+        violated: fn(&R) -> bool,
+        notes: &[&str],
+    ) -> Self {
+        ExperimentReport {
+            name,
+            table: Table::of(title, columns, rows),
+            json: to_json(&rows),
+            notes: notes.iter().map(|note| note.to_string()).collect(),
+            violations: rows.iter().filter(|r| violated(r)).count(),
+        }
+    }
+}
+
+const FIG1: (&str, &[Column<Fig1Row>]) = (
+    "E1 / Figure 1 — 3-PARTITION reduction (m = 1)",
+    &[
+        ("k", |r| r.k.to_string()),
+        ("B", |r| r.target.to_string()),
+        ("rho", |r| r.rho.to_string()),
+        ("satisfiable", |r| r.satisfiable.to_string()),
+        ("OPT", |r| r.optimal.to_string()),
+        ("yes-makespan", |r| r.yes_makespan.to_string()),
+        ("barrier end", |r| r.barrier_end.to_string()),
+        ("LSRC", |r| r.lsrc.to_string()),
+        ("partition recovered", |r| r.partition_recovered.to_string()),
+    ],
+);
+
 /// E1 / Figure 1 + Theorem 1: the 3-PARTITION reduction. A violation is a
 /// satisfiable instance whose optimum misses the packing (or fails to yield
 /// a 3-PARTITION witness), or an unsatisfiable one whose optimum beats the
@@ -75,56 +113,37 @@ pub fn fig1_report(opts: &ExperimentOptions) -> ExperimentReport {
         (&[2, 3, 4], 12)
     };
     let rows = opts.runner.figure1(ks, target, 2, 42 + opts.seed);
-    let mut table = Table::new(
-        "E1 / Figure 1 — 3-PARTITION reduction (m = 1)",
-        &[
-            "k",
-            "B",
-            "rho",
-            "satisfiable",
-            "OPT",
-            "yes-makespan",
-            "barrier end",
-            "LSRC",
-            "partition recovered",
-        ],
-    );
-    for r in &rows {
-        table.push_row(vec![
-            r.k.to_string(),
-            r.target.to_string(),
-            r.rho.to_string(),
-            r.satisfiable.to_string(),
-            r.optimal.to_string(),
-            r.yes_makespan.to_string(),
-            r.barrier_end.to_string(),
-            r.lsrc.to_string(),
-            r.partition_recovered.to_string(),
-        ]);
-    }
-    let violations = rows
-        .iter()
-        .filter(|r| {
+    ExperimentReport::new(
+        "fig1_inapprox",
+        FIG1,
+        &rows,
+        |r| {
             if r.satisfiable {
                 r.optimal != r.yes_makespan || !r.partition_recovered
             } else {
                 r.optimal <= r.barrier_end
             }
-        })
-        .count();
-    ExperimentReport {
-        name: "fig1_inapprox",
-        table,
-        json: to_json(&rows),
-        notes: vec![
-            "Reading: on satisfiable instances OPT = yes-makespan and the optimal schedule is a\n\
-             3-PARTITION witness; on the unsatisfiable instance every schedule overshoots the barrier,\n\
-             so a finite-ratio approximation would decide 3-PARTITION (Theorem 1)."
-                .to_string(),
-        ],
-        violations,
-    }
+        },
+        &["Reading: on satisfiable instances OPT = yes-makespan and the optimal schedule is a\n\
+           3-PARTITION witness; on the unsatisfiable instance every schedule overshoots the barrier,\n\
+           so a finite-ratio approximation would decide 3-PARTITION (Theorem 1)."],
+    )
 }
+
+const FIG2: (&str, &[Column<Fig2Row>]) = (
+    "E2 / Figure 2 — LSRC under non-increasing reservations vs the 2 - 1/m(C*) bound",
+    &[
+        ("m", |r| r.machines.to_string()),
+        ("jobs", |r| r.jobs.to_string()),
+        ("m(C*)", |r| r.available_at_reference.to_string()),
+        ("reference", |r| r.reference.to_string()),
+        ("ref optimal", |r| r.reference_is_optimal.to_string()),
+        ("LSRC", |r| r.lsrc.to_string()),
+        ("LSRC (transformed)", |r| r.lsrc_transformed.to_string()),
+        ("ratio", |r| fmt_f64(r.ratio)),
+        ("bound", |r| fmt_f64(r.bound)),
+    ],
+);
 
 /// E2 / Figure 2 + Proposition 1: non-increasing reservations. A violation
 /// is a ratio above the `2 − 1/m(C*)` bound measured against a true optimum.
@@ -136,47 +155,32 @@ pub fn fig2_report(opts: &ExperimentOptions) -> ExperimentReport {
     };
     let seeds: Vec<u64> = base_seeds.iter().map(|s| s + opts.seed).collect();
     let rows = opts.runner.figure2(machines, jobs, &seeds);
-    let mut table = Table::new(
-        "E2 / Figure 2 — LSRC under non-increasing reservations vs the 2 - 1/m(C*) bound",
-        &[
-            "m",
-            "jobs",
-            "m(C*)",
-            "reference",
-            "ref optimal",
-            "LSRC",
-            "LSRC (transformed)",
-            "ratio",
-            "bound",
-        ],
+    let mut report = ExperimentReport::new(
+        "fig2_nonincreasing",
+        FIG2,
+        &rows,
+        |r| r.reference_is_optimal && r.ratio > r.bound + 1e-9,
+        &[],
     );
-    for r in &rows {
-        table.push_row(vec![
-            r.machines.to_string(),
-            r.jobs.to_string(),
-            r.available_at_reference.to_string(),
-            r.reference.to_string(),
-            r.reference_is_optimal.to_string(),
-            r.lsrc.to_string(),
-            r.lsrc_transformed.to_string(),
-            fmt_f64(r.ratio),
-            fmt_f64(r.bound),
-        ]);
-    }
-    let violations = rows
-        .iter()
-        .filter(|r| r.reference_is_optimal && r.ratio > r.bound + 1e-9)
-        .count();
-    ExperimentReport {
-        name: "fig2_nonincreasing",
-        table,
-        json: to_json(&rows),
-        notes: vec![format!(
-            "Proposition-1 bound violations (against exact optima): {violations} (expected 0)"
-        )],
-        violations,
-    }
+    report.notes.push(format!(
+        "Proposition-1 bound violations (against exact optima): {} (expected 0)",
+        report.violations
+    ));
+    report
 }
+
+const FIG3: (&str, &[Column<Fig3Row>]) = (
+    "E3 / Figure 3 — Proposition-2 adversarial instances (alpha = 2/k)",
+    &[
+        ("k", |r| r.k.to_string()),
+        ("alpha", |r| fmt_f64(r.alpha)),
+        ("m", |r| r.machines.to_string()),
+        ("OPT", |r| r.optimal.to_string()),
+        ("LSRC", |r| r.lsrc.to_string()),
+        ("measured ratio", |r| fmt_f64(r.measured_ratio)),
+        ("2/a - 1 + a/2", |r| fmt_f64(r.predicted_ratio)),
+    ],
+);
 
 /// E3 / Figure 3 + Proposition 2: the adversarial α-restricted family. A
 /// violation is a measured ratio that misses the closed form
@@ -188,82 +192,47 @@ pub fn fig3_report(opts: &ExperimentOptions) -> ExperimentReport {
         &[3, 4, 5, 6, 7, 8, 10, 12]
     };
     let rows = opts.runner.figure3(ks);
-    let mut table = Table::new(
-        "E3 / Figure 3 — Proposition-2 adversarial instances (alpha = 2/k)",
-        &[
-            "k",
-            "alpha",
-            "m",
-            "OPT",
-            "LSRC",
-            "measured ratio",
-            "2/a - 1 + a/2",
-        ],
-    );
-    for r in &rows {
-        table.push_row(vec![
-            r.k.to_string(),
-            fmt_f64(r.alpha),
-            r.machines.to_string(),
-            r.optimal.to_string(),
-            r.lsrc.to_string(),
-            fmt_f64(r.measured_ratio),
-            fmt_f64(r.predicted_ratio),
-        ]);
-    }
-    let violations = rows
-        .iter()
-        .filter(|r| (r.measured_ratio - r.predicted_ratio).abs() > 1e-9)
-        .count();
-
     // Draw the k = 6 case the way the paper does (Figure 3).
     let adv = proposition2_instance(6);
     let optimal = proposition2_optimal_schedule(6);
     let lsrc = Lsrc::new().schedule(&adv.instance);
-    let notes = vec![
-        format!(
-            "Optimal schedule of the k = 6 instance (C*max = {}):\n{}",
-            optimal.makespan(&adv.instance),
-            render_gantt(&adv.instance, &optimal, 1)
-        ),
-        format!(
-            "LSRC schedule of the same instance (Cmax = {}):\n{}",
-            lsrc.makespan(&adv.instance),
-            render_gantt(&adv.instance, &lsrc, 1)
-        ),
-    ];
-    ExperimentReport {
-        name: "fig3_adversarial",
-        table,
-        json: to_json(&rows),
-        notes,
-        violations,
-    }
+    ExperimentReport::new(
+        "fig3_adversarial",
+        FIG3,
+        &rows,
+        |r| (r.measured_ratio - r.predicted_ratio).abs() > 1e-9,
+        &[
+            &format!(
+                "Optimal schedule of the k = 6 instance (C*max = {}):\n{}",
+                optimal.makespan(&adv.instance),
+                render_gantt(&adv.instance, &optimal, 1)
+            ),
+            &format!(
+                "LSRC schedule of the same instance (Cmax = {}):\n{}",
+                lsrc.makespan(&adv.instance),
+                render_gantt(&adv.instance, &lsrc, 1)
+            ),
+        ],
+    )
 }
+
+const FIG4: (&str, &[Column<Fig4Row>]) = (
+    "E4 / Figure 4 — performance bounds for LSRC as a function of alpha",
+    &[
+        ("alpha", |r| fmt_f64(r.alpha)),
+        ("upper bound 2/a", |r| fmt_f64(r.upper_bound)),
+        ("B1", |r| fmt_f64(r.b1)),
+        ("B2", |r| fmt_f64(r.b2)),
+    ],
+);
 
 /// E4 / Figure 4: the closed-form bound curves. A violation is an inverted
 /// sandwich (`B2 ≤ B1 ≤ 2/α` must hold pointwise).
 pub fn fig4_report(opts: &ExperimentOptions) -> ExperimentReport {
     let (min_alpha, points) = if opts.quick { (0.1, 10) } else { (0.05, 40) };
-    let rows = opts.runner.figure4(min_alpha, points);
-    let mut table = Table::new(
-        "E4 / Figure 4 — performance bounds for LSRC as a function of alpha",
-        &["alpha", "upper bound 2/a", "B1", "B2"],
-    );
-    for r in &rows {
-        table.push_row(vec![
-            fmt_f64(r.alpha),
-            fmt_f64(r.upper_bound),
-            fmt_f64(r.b1),
-            fmt_f64(r.b2),
-        ]);
-    }
-    let violations = rows
-        .iter()
-        .filter(|r| r.b2 > r.b1 + 1e-9 || r.b1 > r.upper_bound + 1e-9)
-        .count();
-    let mut plot = String::from(
-        "ASCII plot (x: alpha in [0.05, 1], y: guarantee clipped at 10; U = 2/a, 1 = B1, 2 = B2)\n",
+    let rows = figure4_series(min_alpha, points);
+    let mut plot = format!(
+        "ASCII plot (x: alpha in [{min_alpha}, 1], y: guarantee clipped at 10; U = 2/a, 1 = B1, 2 = B2)\n",
     );
     let height = 20usize;
     for level in (0..=height).rev() {
@@ -285,15 +254,28 @@ pub fn fig4_report(opts: &ExperimentOptions) -> ExperimentReport {
         plot.push('\n');
     }
     plot.push_str(&format!("      +{}\n", "-".repeat(rows.len())));
-    plot.push_str("       alpha = 0.05 .. 1.0");
-    ExperimentReport {
-        name: "fig4_bounds",
-        table,
-        json: to_json(&rows),
-        notes: vec![plot],
-        violations,
-    }
+    plot.push_str(&format!("       alpha = {min_alpha} .. 1.0"));
+    ExperimentReport::new(
+        "fig4_bounds",
+        FIG4,
+        &rows,
+        |r| r.b2 > r.b1 + 1e-9 || r.b1 > r.upper_bound + 1e-9,
+        &[&plot],
+    )
 }
+
+const GRAHAM: (&str, &[Column<GrahamRow>]) = (
+    "E5 / Theorem 2 — Graham bound for LSRC without reservations",
+    &[
+        ("m", |r| r.machines.to_string()),
+        ("instances", |r| r.instances.to_string()),
+        ("worst ratio", |r| fmt_f64(r.worst_ratio)),
+        ("mean ratio", |r| fmt_f64(r.mean_ratio)),
+        ("tight family", |r| fmt_f64(r.tight_family_ratio)),
+        ("bound 2-1/m", |r| fmt_f64(r.bound)),
+        ("exact refs", |r| fmt_f64(r.exact_fraction)),
+    ],
+);
 
 /// E5 / Theorem 2: Graham's bound. A violation is a worst measured ratio
 /// above `2 − 1/m` on a machine size where every reference was exact, or a
@@ -305,25 +287,34 @@ pub fn graham_report(opts: &ExperimentOptions) -> ExperimentReport {
         (&[2, 4, 8, 16, 32], 30, 9)
     };
     let rows = graham_experiment_seeded(opts.runner, machines, seeds, jobs, opts.seed);
-    let violations = rows
-        .iter()
-        .filter(|r| {
+    ExperimentReport::new(
+        "graham_bound",
+        GRAHAM,
+        &rows,
+        |r| {
             ((r.exact_fraction - 1.0).abs() < 1e-9 && r.worst_ratio > r.bound + 1e-9)
                 || (r.tight_family_ratio - r.bound).abs() > 1e-9
-        })
-        .count();
-    ExperimentReport {
-        name: "graham_bound",
-        table: graham_table(&rows),
-        json: to_json(&rows),
-        notes: vec![
+        },
+        &[
             "Reading: worst measured ratios stay below 2 - 1/m; the tightness family reaches the\n\
-             bound exactly, so Theorem 2 is tight."
-                .to_string(),
+           bound exactly, so Theorem 2 is tight.",
         ],
-        violations,
-    }
+    )
 }
+
+const FCFS: (&str, &[Column<FcfsRow>]) = (
+    "E6 / §2.2 — FCFS has no constant guarantee (head-of-line blocking family)",
+    &[
+        ("m", |r| r.machines.to_string()),
+        ("rounds", |r| r.rounds.to_string()),
+        ("FCFS", |r| r.fcfs.to_string()),
+        ("conservative", |r| r.conservative.to_string()),
+        ("EASY", |r| r.easy.to_string()),
+        ("LSRC", |r| r.lsrc.to_string()),
+        ("OPT (ub)", |r| r.optimal_upper.to_string()),
+        ("FCFS/LSRC", |r| fmt_f64(r.fcfs_over_lsrc)),
+    ],
+);
 
 /// E6: the FCFS head-of-line-blocking family. A violation is LSRC losing to
 /// FCFS on its own adversarial family.
@@ -333,20 +324,30 @@ pub fn fcfs_report(opts: &ExperimentOptions) -> ExperimentReport {
     } else {
         (&[8, 16, 32, 64], 200)
     };
-    let rows = fcfs_ratio_experiment(machines, long);
-    let violations = rows.iter().filter(|r| r.lsrc > r.fcfs).count();
-    ExperimentReport {
-        name: "table_fcfs_ratio",
-        table: fcfs_table(&rows),
-        json: to_json(&rows),
-        notes: vec![
+    ExperimentReport::new(
+        "table_fcfs_ratio",
+        FCFS,
+        &fcfs_ratio_experiment(machines, long),
+        |r| r.lsrc > r.fcfs,
+        &[
             "Reading: the FCFS/LSRC ratio grows roughly like m/2 (the number of rounds), while\n\
-             conservative and EASY backfilling recover part of the loss and LSRC stays near OPT."
-                .to_string(),
+           conservative and EASY backfilling recover part of the loss and LSRC stays near OPT.",
         ],
-        violations,
-    }
+    )
 }
+
+const AVERAGE_CASE: (&str, &[Column<AverageCaseRow>]) = (
+    "E7 — average-case comparison on Feitelson-style workloads with α-restricted reservations",
+    &[
+        ("m", |r| r.machines.to_string()),
+        ("alpha", |r| fmt_f64(r.alpha)),
+        ("algorithm", |r| r.algorithm.clone()),
+        ("mean Cmax", |r| fmt_f64(r.mean_makespan)),
+        ("mean Cmax/LB", |r| fmt_f64(r.mean_ratio_to_lb)),
+        ("worst Cmax/LB", |r| fmt_f64(r.worst_ratio_to_lb)),
+        ("mean util", |r| fmt_f64(r.mean_utilization)),
+    ],
+);
 
 /// E7: the average-case comparison. A violation is a mean ratio below the
 /// certified lower bound (impossible unless the bound or a scheduler is
@@ -364,22 +365,27 @@ pub fn average_case_report(opts: &ExperimentOptions) -> ExperimentReport {
             opts.seed,
         )
     };
-    let violations = rows
-        .iter()
-        .filter(|r| r.mean_ratio_to_lb < 1.0 - 1e-9 || r.mean_utilization > 1.0 + 1e-9)
-        .count();
-    ExperimentReport {
-        name: "table_average_case",
-        table: average_case_table(&rows),
-        json: to_json(&rows),
-        notes: vec![
-            "Reading: average-case ratios sit far below the worst-case guarantees of the paper;\n\
-             LSRC and EASY dominate FCFS, and tighter alpha (more reservation mass) degrades everyone."
-                .to_string(),
-        ],
-        violations,
-    }
+    ExperimentReport::new(
+        "table_average_case",
+        AVERAGE_CASE,
+        &rows,
+        |r| r.mean_ratio_to_lb < 1.0 - 1e-9 || r.mean_utilization > 1.0 + 1e-9,
+        &["Reading: average-case ratios sit far below the worst-case guarantees of the paper;\n\
+           LSRC and EASY dominate FCFS, and tighter alpha (more reservation mass) degrades everyone."],
+    )
 }
+
+const PRIORITY: (&str, &[Column<PriorityRow>]) = (
+    "E8 — LSRC list-order ablation (conclusion of the paper)",
+    &[
+        ("order", |r| r.order.clone()),
+        ("mean Cmax/LB", |r| fmt_f64(r.mean_ratio_to_lb)),
+        ("worst Cmax/LB", |r| fmt_f64(r.worst_ratio_to_lb)),
+        ("vs submission", |r| fmt_f64(r.mean_vs_submission)),
+        ("exact nodes/s", |r| format!("{:.0}", r.exact_nodes_per_sec)),
+        ("exact depth", |r| r.exact_peak_depth.to_string()),
+    ],
+);
 
 /// E8: the LSRC list-order ablation. A violation is the submission order
 /// disagreeing with itself (`vs submission ≠ 1` on its own row).
@@ -389,22 +395,28 @@ pub fn priority_report(opts: &ExperimentOptions) -> ExperimentReport {
     } else {
         priority_ablation_experiment_seeded(opts.runner, 64, 150, 10, (1, 2), opts.seed)
     };
-    let violations = rows
-        .iter()
-        .filter(|r| r.order == "submission" && (r.mean_vs_submission - 1.0).abs() > 1e-9)
-        .count();
-    ExperimentReport {
-        name: "table_priority_ablation",
-        table: priority_table(&rows),
-        json: to_json(&rows),
-        notes: vec![
-            "Reading: LPT (decreasing durations) is the strongest simple order on average, which is\n\
-             exactly the refinement the paper's conclusion proposes to analyse."
-                .to_string(),
-        ],
-        violations,
-    }
+    ExperimentReport::new(
+        "table_priority_ablation",
+        PRIORITY,
+        &rows,
+        |r| r.order == "submission" && (r.mean_vs_submission - 1.0).abs() > 1e-9,
+        &["Reading: LPT (decreasing durations) is the strongest simple order on average, which is\n\
+           exactly the refinement the paper's conclusion proposes to analyse."],
+    )
 }
+
+const ONLINE: (&str, &[Column<OnlineRow>]) = (
+    "E9 / §2.1 — on-line policies and the batch-doubling wrapper vs clairvoyant off-line LSRC",
+    &[
+        ("policy", |r| r.policy.clone()),
+        ("mean Cmax", |r| fmt_f64(r.mean_makespan)),
+        ("mean vs offline", |r| fmt_f64(r.mean_vs_offline)),
+        ("worst vs offline", |r| fmt_f64(r.worst_vs_offline)),
+        ("mean wait", |r| fmt_f64(r.mean_wait)),
+        ("exact nodes/s", |r| format!("{:.0}", r.exact_nodes_per_sec)),
+        ("exact depth", |r| r.exact_peak_depth.to_string()),
+    ],
+);
 
 /// E9: on-line policies and the batch-doubling wrapper. A violation is the
 /// greedy policy diverging from the off-line LSRC it provably equals, or the
@@ -415,24 +427,17 @@ pub fn online_report(opts: &ExperimentOptions) -> ExperimentReport {
     } else {
         online_batch_experiment_seeded(opts.runner, 64, 200, 8, 6, opts.seed)
     };
-    let violations = rows
-        .iter()
-        .filter(|r| {
+    ExperimentReport::new(
+        "table_online_batch",
+        ONLINE,
+        &rows,
+        |r| {
             (r.policy.starts_with("greedy") && (r.worst_vs_offline - 1.0).abs() > 1e-9)
                 || (r.policy.starts_with("batch") && r.worst_vs_offline > 4.0 + 1e-9)
-        })
-        .count();
-    ExperimentReport {
-        name: "table_online_batch",
-        table: online_table(&rows),
-        json: to_json(&rows),
-        notes: vec![
-            "Reading: the batch-doubling wrapper stays well within twice the clairvoyant off-line\n\
-             makespan, the empirical face of the doubling argument recalled in §2.1."
-                .to_string(),
-        ],
-        violations,
-    }
+        },
+        &["Reading: the batch-doubling wrapper stays well within twice the clairvoyant off-line\n\
+           makespan, the empirical face of the doubling argument recalled in §2.1."],
+    )
 }
 
 #[cfg(test)]
@@ -459,7 +464,6 @@ mod tests {
             priority_report(&quick()),
             online_report(&quick()),
         ] {
-            assert!(!report.table.is_empty(), "{} table empty", report.name);
             assert!(
                 report.json.starts_with('['),
                 "{} payload must be a JSON array",

@@ -4,9 +4,10 @@
 //! Scheduling Algorithms with Reservations"* (IPDPS 2007), plus the extension
 //! tables E5–E9.
 //!
-//! The functions in this library compute the rows and build the tables; the
-//! [`experiments`] module packages each of the nine figure/table pipelines
-//! as a self-contained [`experiments::ExperimentReport`] builder. The `resa`
+//! The functions in this library compute the rows of E5–E9; the
+//! [`experiments`] module declares the columns of all nine figure/table
+//! pipelines and packages each as a self-contained
+//! [`experiments::ExperimentReport`] builder. The `resa`
 //! CLI (`crates/resa-cli`: `resa figure|table|graham`) is the one front-end
 //! that prints and persists them.
 
@@ -82,34 +83,6 @@ pub fn graham_experiment_seeded(
     })
 }
 
-/// Render the Graham experiment as a [`Table`].
-pub fn graham_table(rows: &[GrahamRow]) -> Table {
-    let mut t = Table::new(
-        "E5 / Theorem 2 — Graham bound for LSRC without reservations",
-        &[
-            "m",
-            "instances",
-            "worst ratio",
-            "mean ratio",
-            "tight family",
-            "bound 2-1/m",
-            "exact refs",
-        ],
-    );
-    for r in rows {
-        t.push_row(vec![
-            r.machines.to_string(),
-            r.instances.to_string(),
-            fmt_f64(r.worst_ratio),
-            fmt_f64(r.mean_ratio),
-            fmt_f64(r.tight_family_ratio),
-            fmt_f64(r.bound),
-            fmt_f64(r.exact_fraction),
-        ]);
-    }
-    t
-}
-
 /// One row of the FCFS-degradation experiment (E6).
 #[derive(Debug, Clone, Serialize)]
 pub struct FcfsRow {
@@ -157,36 +130,6 @@ pub fn fcfs_ratio_experiment(machines_list: &[u32], long_duration: u64) -> Vec<F
             }
         })
         .collect()
-}
-
-/// Render the FCFS experiment as a [`Table`].
-pub fn fcfs_table(rows: &[FcfsRow]) -> Table {
-    let mut t = Table::new(
-        "E6 / §2.2 — FCFS has no constant guarantee (head-of-line blocking family)",
-        &[
-            "m",
-            "rounds",
-            "FCFS",
-            "conservative",
-            "EASY",
-            "LSRC",
-            "OPT (ub)",
-            "FCFS/LSRC",
-        ],
-    );
-    for r in rows {
-        t.push_row(vec![
-            r.machines.to_string(),
-            r.rounds.to_string(),
-            r.fcfs.to_string(),
-            r.conservative.to_string(),
-            r.easy.to_string(),
-            r.lsrc.to_string(),
-            r.optimal_upper.to_string(),
-            fmt_f64(r.fcfs_over_lsrc),
-        ]);
-    }
-    t
 }
 
 /// Per-algorithm sample accumulator: `(name, [(cmax, cmax/lb, util)])`.
@@ -280,38 +223,25 @@ pub fn average_case_experiment_seeded(
     cells.into_iter().flatten().collect()
 }
 
-/// Render the average-case experiment as a [`Table`].
-pub fn average_case_table(rows: &[AverageCaseRow]) -> Table {
-    let mut t = Table::new(
-        "E7 — average-case comparison on Feitelson-style workloads with α-restricted reservations",
-        &[
-            "m",
-            "alpha",
-            "algorithm",
-            "mean Cmax",
-            "mean Cmax/LB",
-            "worst Cmax/LB",
-            "mean util",
-        ],
-    );
-    for r in rows {
-        t.push_row(vec![
-            r.machines.to_string(),
-            fmt_f64(r.alpha),
-            r.algorithm.clone(),
-            fmt_f64(r.mean_makespan),
-            fmt_f64(r.mean_ratio_to_lb),
-            fmt_f64(r.worst_ratio_to_lb),
-            fmt_f64(r.mean_utilization),
-        ]);
-    }
-    t
-}
-
 /// Node budget of the per-cell exact-solver throughput probe in the E8/E9
 /// sweeps: large enough for a stable nodes/sec estimate, small enough to
 /// stay a negligible fraction of a cell.
 const EXACT_PROBE_BUDGET: u64 = 20_000;
+
+/// The E8/E9 exact-solver probe: `(nodes/sec, peak depth)` of one
+/// budget-bounded solve of the sweep's first instance (`(0, 0)` for an empty
+/// sweep). Callers run it sequentially and outside the fan-out, so the
+/// wall-clock rate is measured solo (see the row field docs).
+fn exact_probe(first: Option<ResaInstance>) -> (f64, usize) {
+    first.map_or((0.0, 0), |instance| {
+        let probe = RatioHarness {
+            exact_node_budget: EXACT_PROBE_BUDGET,
+            ..RatioHarness::default()
+        }
+        .probe_exact(&instance);
+        (probe.nodes_per_sec, probe.peak_depth)
+    })
+}
 
 /// One row of the priority-order ablation (E8).
 #[derive(Debug, Clone, Serialize)]
@@ -362,7 +292,7 @@ pub fn priority_ablation_experiment_seeded(
     };
     // One cell per seed: that instance's per-order samples
     // `(ratio to lower bound, ratio to LSRC(submission))`.
-    let cells: Vec<Vec<(f64, f64)>> = runner.map_seeds(&seed_list, |seed| {
+    let cells: Vec<Vec<(f64, f64)>> = runner.map(&seed_list, |&seed| {
         let inst = make_instance(seed);
         let lb = lower_bound(&inst)
             .expect("finite lower bound")
@@ -377,17 +307,8 @@ pub fn priority_ablation_experiment_seeded(
             })
             .collect()
     });
-    // Exact throughput probe: sequential and outside the fan-out, so the
-    // wall-clock nodes/sec is measured solo (see the row field docs).
-    let probe = seed_list.first().map(|&seed| {
-        RatioHarness {
-            exact_node_budget: EXACT_PROBE_BUDGET,
-            ..RatioHarness::default()
-        }
-        .probe_exact(&make_instance(seed))
-    });
-    let exact_nodes_per_sec = probe.map_or(0.0, |p| p.nodes_per_sec);
-    let exact_peak_depth = probe.map_or(0, |p| p.peak_depth);
+    let (exact_nodes_per_sec, exact_peak_depth) =
+        exact_probe(seed_list.first().map(|&seed| make_instance(seed)));
     let n = cells.len() as f64;
     orders
         .iter()
@@ -401,32 +322,6 @@ pub fn priority_ablation_experiment_seeded(
             exact_peak_depth,
         })
         .collect()
-}
-
-/// Render the ablation as a [`Table`].
-pub fn priority_table(rows: &[PriorityRow]) -> Table {
-    let mut t = Table::new(
-        "E8 — LSRC list-order ablation (conclusion of the paper)",
-        &[
-            "order",
-            "mean Cmax/LB",
-            "worst Cmax/LB",
-            "vs submission",
-            "exact nodes/s",
-            "exact depth",
-        ],
-    );
-    for r in rows {
-        t.push_row(vec![
-            r.order.clone(),
-            fmt_f64(r.mean_ratio_to_lb),
-            fmt_f64(r.worst_ratio_to_lb),
-            fmt_f64(r.mean_vs_submission),
-            format!("{:.0}", r.exact_nodes_per_sec),
-            r.exact_peak_depth.to_string(),
-        ]);
-    }
-    t
 }
 
 /// One row of the on-line batch experiment (E9).
@@ -481,7 +376,7 @@ pub fn online_batch_experiment_seeded(
             .instance(seed)
     };
     // Per seed, per policy: (makespan, makespan / offline, mean wait).
-    let cells: Vec<[(f64, f64, f64); 4]> = runner.map_seeds(&seed_list, |seed| {
+    let cells: Vec<[(f64, f64, f64); 4]> = runner.map(&seed_list, |&seed| {
         let inst = make_instance(seed);
         // Clairvoyant off-line reference: LSRC that knows all jobs in advance
         // (still respecting release dates).
@@ -502,17 +397,8 @@ pub fn online_batch_experiment_seeded(
             sample(&SimMetrics::from_schedule(&inst, &batched)),
         ]
     });
-    // Exact throughput probe: sequential and outside the fan-out, so the
-    // wall-clock nodes/sec is measured solo (see the row field docs).
-    let probe = seed_list.first().map(|&seed| {
-        RatioHarness {
-            exact_node_budget: EXACT_PROBE_BUDGET,
-            ..RatioHarness::default()
-        }
-        .probe_exact(&make_instance(seed))
-    });
-    let exact_nodes_per_sec = probe.map_or(0.0, |p| p.nodes_per_sec);
-    let exact_peak_depth = probe.map_or(0, |p| p.peak_depth);
+    let (exact_nodes_per_sec, exact_peak_depth) =
+        exact_probe(seed_list.first().map(|&seed| make_instance(seed)));
     let n = cells.len() as f64;
     ONLINE_POLICIES
         .iter()
@@ -527,34 +413,6 @@ pub fn online_batch_experiment_seeded(
             exact_peak_depth,
         })
         .collect()
-}
-
-/// Render the on-line experiment as a [`Table`].
-pub fn online_table(rows: &[OnlineRow]) -> Table {
-    let mut t = Table::new(
-        "E9 / §2.1 — on-line policies and the batch-doubling wrapper vs clairvoyant off-line LSRC",
-        &[
-            "policy",
-            "mean Cmax",
-            "mean vs offline",
-            "worst vs offline",
-            "mean wait",
-            "exact nodes/s",
-            "exact depth",
-        ],
-    );
-    for r in rows {
-        t.push_row(vec![
-            r.policy.clone(),
-            fmt_f64(r.mean_makespan),
-            fmt_f64(r.mean_vs_offline),
-            fmt_f64(r.worst_vs_offline),
-            fmt_f64(r.mean_wait),
-            format!("{:.0}", r.exact_nodes_per_sec),
-            r.exact_peak_depth.to_string(),
-        ]);
-    }
-    t
 }
 
 #[cfg(test)]
@@ -575,7 +433,6 @@ mod tests {
             assert!((r.tight_family_ratio - r.bound).abs() < 1e-9);
             assert!(r.mean_ratio >= 1.0 - 1e-9);
         }
-        assert!(!graham_table(&rows).is_empty());
     }
 
     #[test]
@@ -584,7 +441,6 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert!(rows[1].fcfs_over_lsrc > rows[0].fcfs_over_lsrc);
         assert!(rows.iter().all(|r| r.lsrc <= r.fcfs));
-        assert!(!fcfs_table(&rows).is_empty());
     }
 
     #[test]
@@ -601,7 +457,6 @@ mod tests {
         assert_eq!(rows.len(), 2 * resa_algos::all_schedulers().len());
         assert!(rows.iter().all(|r| r.mean_ratio_to_lb >= 1.0 - 1e-9));
         assert!(rows.iter().all(|r| r.mean_utilization <= 1.0 + 1e-9));
-        assert!(!average_case_table(&rows).is_empty());
     }
 
     #[test]
@@ -614,7 +469,6 @@ mod tests {
         // The exact-solver throughput probe is visible in every row.
         assert!(rows.iter().all(|r| r.exact_nodes_per_sec > 0.0));
         assert!(rows.iter().all(|r| r.exact_peak_depth <= 10));
-        assert!(!priority_table(&rows).is_empty());
     }
 
     #[test]
@@ -640,6 +494,5 @@ mod tests {
         let batch = rows.iter().find(|r| r.policy.starts_with("batch")).unwrap();
         assert!(batch.worst_vs_offline <= 4.0 + 1e-9);
         assert!(rows.iter().all(|r| r.exact_nodes_per_sec > 0.0));
-        assert!(!online_table(&rows).is_empty());
     }
 }

@@ -5,51 +5,41 @@ use crate::opts::CommonOpts;
 use crate::{CliError, Outcome};
 use resa_bench::experiments::{
     average_case_report, fcfs_report, fig1_report, fig2_report, fig3_report, fig4_report,
-    graham_report, online_report, priority_report, ExperimentReport,
+    graham_report, online_report, priority_report, ExperimentOptions, ExperimentReport,
 };
 
-/// `resa figure <1|2|3|4>`.
-pub fn figure(which: String, opts: CommonOpts) -> Result<Outcome, CliError> {
-    let exp = opts.experiment_options();
-    let report = match which.as_str() {
-        "1" => fig1_report(&exp),
-        "2" => fig2_report(&exp),
-        "3" => fig3_report(&exp),
-        "4" => fig4_report(&exp),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown figure '{other}' (the paper has figures 1..4)"
-            )))
-        }
-    };
-    render(&report, &opts)
-}
+/// An experiment pipeline.
+type Report = fn(&ExperimentOptions) -> ExperimentReport;
 
-/// `resa table <fcfs|average|online|priority>`.
-pub fn table(which: String, opts: CommonOpts) -> Result<Outcome, CliError> {
-    let exp = opts.experiment_options();
-    let report = match which.as_str() {
-        "fcfs" => fcfs_report(&exp),
-        "average" => average_case_report(&exp),
-        "online" => online_report(&exp),
-        "priority" => priority_report(&exp),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown table '{other}' (expected fcfs|average|online|priority)"
-            )))
-        }
-    };
-    render(&report, &opts)
-}
+/// Every experiment by subcommand and argument (`graham` takes none).
+const REPORTS: [(&str, &str, Report); 9] = [
+    ("figure", "1", fig1_report),
+    ("figure", "2", fig2_report),
+    ("figure", "3", fig3_report),
+    ("figure", "4", fig4_report),
+    ("table", "fcfs", fcfs_report),
+    ("table", "average", average_case_report),
+    ("table", "online", online_report),
+    ("table", "priority", priority_report),
+    ("graham", "", graham_report),
+];
 
-/// `resa graham`.
-pub fn graham(opts: &CommonOpts) -> Result<Outcome, CliError> {
-    render(&graham_report(&opts.experiment_options()), opts)
+/// `resa figure <1|2|3|4>`, `resa table <fcfs|average|online|priority>` and
+/// `resa graham`: run the experiment `command` and `which` name.
+pub fn run(command: &str, which: &str, opts: &CommonOpts) -> Result<Outcome, CliError> {
+    let Some((.., report)) = REPORTS.iter().find(|r| (r.0, r.1) == (command, which)) else {
+        return Err(CliError::Usage(if command == "figure" {
+            format!("unknown figure '{which}' (the paper has figures 1..4)")
+        } else {
+            format!("unknown table '{which}' (expected fcfs|average|online|priority)")
+        }));
+    };
+    render(&report(&opts.experiment_options()), opts)
 }
 
 /// Render a report in the requested format, persist `--out`, and map the
 /// violation count into the outcome.
-pub fn render(report: &ExperimentReport, opts: &CommonOpts) -> Result<Outcome, CliError> {
+fn render(report: &ExperimentReport, opts: &CommonOpts) -> Result<Outcome, CliError> {
     let mut notes = String::new();
     for note in &report.notes {
         notes.push_str(&format!("\n{note}\n"));
@@ -81,10 +71,10 @@ mod tests {
     #[test]
     fn figure_dispatch_covers_all_four() {
         for which in ["1", "2", "3", "4"] {
-            let out = figure(which.to_string(), quick()).unwrap();
+            let out = run("figure", which, &quick()).unwrap();
             assert_eq!(out.violations, 0, "figure {which}");
         }
-        assert!(figure("5".into(), quick()).is_err());
+        assert!(run("figure", "5", &quick()).is_err());
     }
 
     #[test]
@@ -93,10 +83,10 @@ mod tests {
             format: OutputFormat::Json,
             ..quick()
         };
-        let out = figure("3".into(), opts.clone()).unwrap();
+        let out = run("figure", "3", &opts).unwrap();
         assert!(out.stdout.trim_start().starts_with('['));
         // Byte-stable: the same invocation renders identical bytes.
-        assert_eq!(out.stdout, figure("3".into(), opts).unwrap().stdout);
+        assert_eq!(out.stdout, run("figure", "3", &opts).unwrap().stdout);
     }
 
     #[test]
@@ -107,7 +97,7 @@ mod tests {
             out: Some(path.display().to_string()),
             ..quick()
         };
-        let out = figure("4".into(), opts).unwrap();
+        let out = run("figure", "4", &opts).unwrap();
         assert!(out.stdout.contains("[saved"));
         let written = std::fs::read_to_string(&path).unwrap();
         assert!(written.starts_with("alpha,"));

@@ -10,7 +10,7 @@
 
 use crate::opts::{Command, CommonOpts, Switch, Text};
 use crate::{CliError, Outcome};
-use resa_analysis::prelude::{to_json, Table};
+use resa_analysis::prelude::{to_json, Column, Table};
 use resa_workloads::prelude::{StoreError, TraceStore};
 use serde::Serialize;
 use std::path::PathBuf;
@@ -46,6 +46,13 @@ struct FetchRow {
     sha256: String,
     size: u64,
 }
+
+/// The columns of `resa fetch --list`.
+const FETCH_COLUMNS: [Column<FetchRow>; 3] = [
+    ("name", |r| r.name.clone()),
+    ("sha256", |r| r.sha256.clone()),
+    ("size", |r| r.size.to_string()),
+];
 
 /// Map a store failure onto the CLI error taxonomy.
 fn store_error(context: &str, err: StoreError) -> CliError {
@@ -109,17 +116,8 @@ fn fetch(a: FetchArgs, opts: CommonOpts) -> Result<Outcome, CliError> {
                 size: t.size,
             })
             .collect();
-        let mut table = Table::new(
-            format!("cached traces ({})", store.root().display()),
-            &["name", "sha256", "size"],
-        );
-        for row in &rows {
-            table.push_row(vec![
-                row.name.clone(),
-                row.sha256.clone(),
-                row.size.to_string(),
-            ]);
-        }
+        let title = format!("cached traces ({})", store.root().display());
+        let table = Table::of(title, &FETCH_COLUMNS, &rows);
         return opts.emit(&to_json(&rows), &table, "", 0);
     }
 

@@ -177,10 +177,14 @@ type Subcommand = fn(&[&str]) -> Result<Outcome, CliError>;
 
 /// Every subcommand by name; `--help` and `-h` are `help`.
 const SUBCOMMANDS: [(&str, Subcommand); 10] = [
-    ("figure", |args| FIGURE.run(args, bench_cmds::figure)),
-    ("table", |args| TABLE.run(args, bench_cmds::table)),
+    ("figure", |args| {
+        FIGURE.run(args, |which, opts| bench_cmds::run("figure", &which, &opts))
+    }),
+    ("table", |args| {
+        TABLE.run(args, |which, opts| bench_cmds::run("table", &which, &opts))
+    }),
     ("graham", |args| {
-        GRAHAM.run(args, |_, opts| bench_cmds::graham(&opts))
+        GRAHAM.run(args, |which, opts| bench_cmds::run("graham", &which, &opts))
     }),
     ("replay", replay::run),
     ("fetch", fetch::run),

@@ -1185,8 +1185,28 @@ fn generate_jobs(
     }
 }
 
-/// A column of the rendered table: header, whether it is shown, cell.
-type Column = (&'static str, bool, fn(&SweepRow) -> String);
+/// The columns of the rendered table. `jobs`, `alpha` and `exact nodes/s`
+/// are shown only when some row carries them (the spec asked for that
+/// dimension), so plain sweeps keep their previous table shape.
+const COLUMNS: [Column<SweepRow>; 11] = [
+    ("m", |r| r.machines.to_string()),
+    ("jobs", |r| {
+        r.jobs.map_or_else(|| "-".to_string(), |j| j.to_string())
+    }),
+    ("alpha", |r| {
+        r.alpha.clone().unwrap_or_else(|| "-".to_string())
+    }),
+    ("policy", |r| r.policy.clone()),
+    ("cells", |r| r.cells.to_string()),
+    ("mean Cmax", |r| fmt_f64(r.mean_makespan)),
+    ("mean Cmax/LB", |r| fmt_f64(r.mean_ratio_to_lb)),
+    ("worst Cmax/LB", |r| fmt_f64(r.worst_ratio_to_lb)),
+    ("mean wait", |r| fmt_f64(r.mean_wait)),
+    ("mean util", |r| fmt_f64(r.mean_utilization)),
+    ("exact nodes/s", |r| {
+        fmt_f64(r.mean_exact_nodes_per_sec.unwrap_or(0.0))
+    }),
+];
 
 /// Render the aggregated rows.
 fn render(
@@ -1195,42 +1215,21 @@ fn render(
     violations: usize,
     opts: &CommonOpts,
 ) -> Result<Outcome, CliError> {
-    // The jobs, α and exact-probe columns only appear when the spec asked
-    // for those dimensions, so plain sweeps keep their previous table shape.
     let any = |has: fn(&SweepRow) -> bool| rows.iter().any(has);
-    let columns: [Column; 11] = [
-        ("m", true, |r| r.machines.to_string()),
-        ("jobs", any(|r| r.jobs.is_some()), |r| {
-            r.jobs.map_or_else(|| "-".to_string(), |j| j.to_string())
-        }),
-        ("alpha", any(|r| r.alpha.is_some()), |r| {
-            r.alpha.clone().unwrap_or_else(|| "-".to_string())
-        }),
-        ("policy", true, |r| r.policy.clone()),
-        ("cells", true, |r| r.cells.to_string()),
-        ("mean Cmax", true, |r| fmt_f64(r.mean_makespan)),
-        ("mean Cmax/LB", true, |r| fmt_f64(r.mean_ratio_to_lb)),
-        ("worst Cmax/LB", true, |r| fmt_f64(r.worst_ratio_to_lb)),
-        ("mean wait", true, |r| fmt_f64(r.mean_wait)),
-        ("mean util", true, |r| fmt_f64(r.mean_utilization)),
-        (
-            "exact nodes/s",
-            any(|r| r.mean_exact_nodes_per_sec.is_some()),
-            |r| fmt_f64(r.mean_exact_nodes_per_sec.unwrap_or(0.0)),
-        ),
-    ];
-    let columns: Vec<_> = columns.iter().filter(|column| column.1).collect();
-    let headers: Vec<&str> = columns.iter().map(|column| column.0).collect();
-    let mut table = Table::new(
-        format!(
-            "sweep '{}' — {} on {:?} machines, {} seeds per cell",
-            spec.name, spec.workload, spec.machines, spec.seeds
-        ),
-        &headers,
+    let columns: Vec<Column<SweepRow>> = COLUMNS
+        .into_iter()
+        .filter(|(header, _)| match *header {
+            "jobs" => any(|r| r.jobs.is_some()),
+            "alpha" => any(|r| r.alpha.is_some()),
+            "exact nodes/s" => any(|r| r.mean_exact_nodes_per_sec.is_some()),
+            _ => true,
+        })
+        .collect();
+    let title = format!(
+        "sweep '{}' — {} on {:?} machines, {} seeds per cell",
+        spec.name, spec.workload, spec.machines, spec.seeds
     );
-    for r in rows {
-        table.push_row(columns.iter().map(|column| (column.2)(r)).collect());
-    }
+    let table = Table::of(title, &columns, rows);
     let notes = format!(
         "\nsanity violations: {violations} {}\n",
         if violations == 0 {
@@ -1239,7 +1238,7 @@ fn render(
             "(REPRODUCTION BROKEN)"
         }
     );
-    opts.emit(&to_json(&rows.to_vec()), &table, &notes, violations)
+    opts.emit(&to_json(&rows), &table, &notes, violations)
 }
 
 #[cfg(test)]

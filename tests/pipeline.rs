@@ -82,7 +82,7 @@ fn offline_lsrc_equals_online_greedy_without_arrivals() {
 #[test]
 fn ratio_harness_and_reporting_consistency() {
     let harness = RatioHarness::new();
-    let mut table = Table::new("integration", &["algorithm", "ratio"]);
+    let mut measurements = Vec::new();
     for seed in 0..6u64 {
         let inst = UniformWorkload::for_cluster(6, 7).instance(seed);
         let exact = ExactSolver::new().solve(&inst);
@@ -91,11 +91,15 @@ fn ratio_harness_and_reporting_consistency() {
             assert_eq!(m.reference, exact.makespan.ticks());
             assert!(m.makespan >= m.reference);
             assert!(m.ratio >= 1.0 - 1e-12);
-            table.push_row(vec![m.algorithm.clone(), fmt_f64(m.ratio)]);
+            measurements.push((m.algorithm, m.ratio));
         }
     }
+    const COLUMNS: [Column<(String, f64)>; 2] =
+        [("algorithm", |m| m.0.clone()), ("ratio", |m| fmt_f64(m.1))];
+    let table = Table::of("integration", &COLUMNS, &measurements);
     assert!(table.to_text().contains("LSRC"));
-    assert!(table.len() == 6 * resa_algos::all_schedulers().len());
+    let rows = table.to_csv().lines().count() - 1;
+    assert_eq!(rows, 6 * resa_algos::all_schedulers().len());
 }
 
 /// Batch-doubling wrapper: feasible, complete, and — the empirical face of the
