@@ -92,34 +92,12 @@ impl<S: Scheduler> LocalSearch<S> {
         }
     }
 
-    /// Access the wrapped scheduler.
-    pub fn base(&self) -> &S {
-        &self.base
-    }
-
-    /// Run the improvement and also return the number of rounds in which the
-    /// makespan strictly decreased, for the ablation experiments.
-    pub fn schedule_with_stats(&self, instance: &ResaInstance) -> (Schedule, usize) {
-        let base_schedule = self.base.schedule(instance);
-        let outcome = improve(instance, base_schedule, self.max_rounds, self.top_k);
-        (outcome.schedule, outcome.improving_rounds)
-    }
-
     /// Run the improvement and return the accepted move sequence (the
     /// equivalence witness against [`LocalSearchReference`]).
     pub fn schedule_with_moves(&self, instance: &ResaInstance) -> (Schedule, Vec<LocalMove>) {
         let base_schedule = self.base.schedule(instance);
-        let outcome = improve(instance, base_schedule, self.max_rounds, self.top_k);
-        (outcome.schedule, outcome.moves)
+        improve(instance, base_schedule, self.max_rounds, self.top_k)
     }
-}
-
-/// Result of one improvement run.
-struct ImproveOutcome {
-    schedule: Schedule,
-    moves: Vec<LocalMove>,
-    /// Rounds whose accepted moves strictly lowered the makespan.
-    improving_rounds: usize,
 }
 
 /// State shared by one improvement run: current starts (indexed by job
@@ -200,21 +178,16 @@ fn starts_by_position(instance: &ResaInstance, schedule: &Schedule) -> Vec<Time>
 }
 
 /// The incremental improvement loop (see the module docs for the
-/// neighborhood).
+/// neighborhood). Returns the improved schedule and the accepted moves.
 fn improve(
     instance: &ResaInstance,
     base: Schedule,
     max_rounds: usize,
     top_k: usize,
-) -> ImproveOutcome {
+) -> (Schedule, Vec<LocalMove>) {
     let mut moves = Vec::new();
-    let mut improving_rounds = 0;
     if base.is_empty() {
-        return ImproveOutcome {
-            schedule: base,
-            moves,
-            improving_rounds,
-        };
+        return (base, moves);
     }
     let jobs = instance.jobs();
     let mut state = SearchState::from_starts(instance, starts_by_position(instance, &base));
@@ -250,7 +223,6 @@ fn improve(
             }
         }
         if state.makespan() < makespan_before {
-            improving_rounds += 1;
             continue;
         }
         // Delta moves stalled on the makespan: classical promote-to-front
@@ -268,7 +240,6 @@ fn improve(
                     makespan: candidate.makespan(),
                 });
                 state = candidate;
-                improving_rounds += 1;
                 // Re-anchor the persistent timeline in one bulk pass.
                 let placements: Vec<Placement> = jobs
                     .iter()
@@ -287,11 +258,7 @@ fn improve(
             break;
         }
     }
-    ImproveOutcome {
-        schedule: state.into_schedule(instance),
-        moves,
-        improving_rounds,
-    }
+    (state.into_schedule(instance), moves)
 }
 
 /// Earliest-fit re-insertion of every job with `critical` promoted to the
@@ -536,11 +503,10 @@ mod tests {
         let base = Lsrc::new();
         let improved = LocalSearch::new(base);
         let before = base.makespan(&inst);
-        let (after, rounds) = improved.schedule_with_stats(&inst);
+        let after = improved.schedule(&inst);
         assert!(after.is_valid(&inst));
         assert_eq!(before, Time(2 * m as u64 - 1));
         assert_eq!(after.makespan(&inst), Time(m as u64));
-        assert!(rounds >= 1);
     }
 
     #[test]
@@ -598,7 +564,6 @@ mod tests {
             wrapped.schedule(&inst).makespan(&inst),
             base.schedule(&inst).makespan(&inst)
         );
-        assert_eq!(wrapped.base().name(), "LSRC(submission)");
     }
 
     #[test]

@@ -27,11 +27,6 @@ impl<S: Scheduler> BatchScheduler<S> {
     pub fn new(inner: S) -> Self {
         BatchScheduler { inner }
     }
-
-    /// Access the wrapped scheduler.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: Scheduler> Scheduler for BatchScheduler<S> {
@@ -155,7 +150,6 @@ mod tests {
     fn name_mentions_inner() {
         let b = BatchScheduler::new(Lsrc::new());
         assert_eq!(b.name(), "batch(LSRC(submission))");
-        assert_eq!(b.inner().name(), "LSRC(submission)");
     }
 
     #[test]

@@ -38,21 +38,6 @@ pub struct RatioMeasurement {
     pub ratio: f64,
 }
 
-/// Throughput statistics of one budget-bounded exact solve, surfaced by the
-/// sweep experiments (E8/E9) so the branch-and-bound search rate is visible
-/// next to the quality columns.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ExactProbe {
-    /// Search nodes expanded before optimality or the budget.
-    pub nodes: u64,
-    /// Wall-clock search throughput (nodes per second).
-    pub nodes_per_sec: f64,
-    /// Deepest DFS level reached.
-    pub peak_depth: usize,
-    /// Whether the search completed within the budget.
-    pub optimal: bool,
-}
-
 /// Configuration of the ratio harness.
 #[derive(Debug, Clone, Copy)]
 pub struct RatioHarness {
@@ -91,21 +76,6 @@ impl RatioHarness {
             lower_bound(instance).unwrap_or(Time::ZERO),
             ReferenceKind::LowerBound,
         )
-    }
-
-    /// Run a budget-bounded exact solve purely to measure solver throughput
-    /// on `instance` (the schedule is discarded). The budget is
-    /// [`RatioHarness::exact_node_budget`]; unlike [`RatioHarness::reference`]
-    /// there is no job-count gate — truncated searches still report their
-    /// nodes/sec, which is exactly what the sweep tables want to show.
-    pub fn probe_exact(&self, instance: &ResaInstance) -> ExactProbe {
-        let result = ExactSolver::with_node_budget(self.exact_node_budget).solve(instance);
-        ExactProbe {
-            nodes: result.nodes,
-            nodes_per_sec: result.nodes_per_sec,
-            peak_depth: result.peak_depth,
-            optimal: result.optimal,
-        }
     }
 
     /// Measure one scheduler against the reference.
@@ -215,28 +185,6 @@ mod tests {
         assert_eq!(ms.len(), resa_algos::all_schedulers().len());
         assert!(ms.windows(2).all(|w| w[0].reference == w[1].reference));
         assert!(ms.iter().all(|m| m.ratio >= 1.0 - 1e-12));
-    }
-
-    #[test]
-    fn probe_exact_reports_throughput() {
-        let h = RatioHarness {
-            exact_node_budget: 500,
-            ..RatioHarness::default()
-        };
-        let inst = ResaInstanceBuilder::new(4)
-            .job(3, 2u64)
-            .job(2, 2u64)
-            .job(1, 2u64)
-            .job(2, 4u64)
-            .job(1, 5u64)
-            .reservation(2, 3u64, 2u64)
-            .build()
-            .unwrap();
-        let probe = h.probe_exact(&inst);
-        assert!(probe.nodes > 0);
-        assert!(probe.nodes <= 501, "budget respected");
-        assert!(probe.nodes_per_sec > 0.0);
-        assert!(probe.peak_depth <= inst.n_jobs());
     }
 
     #[test]

@@ -200,7 +200,6 @@ pub fn report_from_reference(
 /// materialized computation's `None` does.
 #[derive(Debug, Clone, Default)]
 pub struct StreamFacts {
-    jobs: usize,
     total_work: u128,
     qmax: u32,
     per_job: Time,
@@ -216,7 +215,6 @@ impl StreamFacts {
     /// Fold one job. `profile` is the reservation-only overlay profile (no
     /// job usage), matching `per_job_bound` in `resa-core`.
     pub fn observe(&mut self, job: &Job, profile: &ResourceProfile) {
-        self.jobs += 1;
         self.total_work += job.work();
         self.qmax = self.qmax.max(job.width);
         if !self.unfit {
@@ -225,16 +223,6 @@ impl StreamFacts {
                 None => self.unfit = true,
             }
         }
-    }
-
-    /// Jobs folded so far.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Largest job width folded so far.
-    pub fn qmax(&self) -> u32 {
-        self.qmax
     }
 
     /// The certified lower bound of the folded jobs on `profile` — equal to
@@ -476,8 +464,7 @@ mod tests {
             facts.certified_lower_bound(&profile),
             lower_bound(&inst).unwrap()
         );
-        assert_eq!(facts.qmax(), 4);
-        assert_eq!(facts.jobs(), 2);
+        assert_eq!(facts.qmax, 4);
     }
 
     #[test]

@@ -223,26 +223,6 @@ pub fn average_case_experiment_seeded(
     cells.into_iter().flatten().collect()
 }
 
-/// Node budget of the per-cell exact-solver throughput probe in the E8/E9
-/// sweeps: large enough for a stable nodes/sec estimate, small enough to
-/// stay a negligible fraction of a cell.
-const EXACT_PROBE_BUDGET: u64 = 20_000;
-
-/// The E8/E9 exact-solver probe: `(nodes/sec, peak depth)` of one
-/// budget-bounded solve of the sweep's first instance (`(0, 0)` for an empty
-/// sweep). Callers run it sequentially and outside the fan-out, so the
-/// wall-clock rate is measured solo (see the row field docs).
-fn exact_probe(first: Option<ResaInstance>) -> (f64, usize) {
-    first.map_or((0.0, 0), |instance| {
-        let probe = RatioHarness {
-            exact_node_budget: EXACT_PROBE_BUDGET,
-            ..RatioHarness::default()
-        }
-        .probe_exact(&instance);
-        (probe.nodes_per_sec, probe.peak_depth)
-    })
-}
-
 /// One row of the priority-order ablation (E8).
 #[derive(Debug, Clone, Serialize)]
 pub struct PriorityRow {
@@ -254,14 +234,6 @@ pub struct PriorityRow {
     pub worst_ratio_to_lb: f64,
     /// Mean makespan ratio relative to LSRC(submission) on the same instance.
     pub mean_vs_submission: f64,
-    /// Exact-solver throughput: one budget-bounded probe on the sweep's
-    /// first instance, run sequentially *outside* the parallel fan-out so
-    /// the wall-clock rate is not diluted by core contention and does not
-    /// depend on the runner mode. Identical across the orders of a sweep
-    /// (the probe is order-independent).
-    pub exact_nodes_per_sec: f64,
-    /// Deepest branch-and-bound level the probe reached.
-    pub exact_peak_depth: usize,
 }
 
 /// E8: ablation of the list order used by LSRC (the improvement direction the
@@ -279,21 +251,18 @@ pub fn priority_ablation_experiment_seeded(
     let alpha = Alpha::new(alpha.0, alpha.1).expect("valid alpha");
     let orders = ListOrder::DETERMINISTIC;
     let seed_list: Vec<u64> = (base_seed..base_seed + seeds).collect();
-    let make_instance = |seed: u64| {
+    // One cell per seed: that instance's per-order samples
+    // `(ratio to lower bound, ratio to LSRC(submission))`.
+    let cells: Vec<Vec<(f64, f64)>> = runner.map(&seed_list, |&seed| {
         let jobs_vec = FeitelsonWorkload::for_cluster(machines, jobs).generate(seed);
-        AlphaReservations {
+        let inst = AlphaReservations {
             machines,
             alpha,
             count: 4,
             horizon: 2000,
             max_duration: 300,
         }
-        .instance(jobs_vec, seed)
-    };
-    // One cell per seed: that instance's per-order samples
-    // `(ratio to lower bound, ratio to LSRC(submission))`.
-    let cells: Vec<Vec<(f64, f64)>> = runner.map(&seed_list, |&seed| {
-        let inst = make_instance(seed);
+        .instance(jobs_vec, seed);
         let lb = lower_bound(&inst)
             .expect("finite lower bound")
             .ticks()
@@ -307,8 +276,6 @@ pub fn priority_ablation_experiment_seeded(
             })
             .collect()
     });
-    let (exact_nodes_per_sec, exact_peak_depth) =
-        exact_probe(seed_list.first().map(|&seed| make_instance(seed)));
     let n = cells.len() as f64;
     orders
         .iter()
@@ -318,8 +285,6 @@ pub fn priority_ablation_experiment_seeded(
             mean_ratio_to_lb: cells.iter().map(|c| c[i].0).sum::<f64>() / n,
             worst_ratio_to_lb: cells.iter().map(|c| c[i].0).fold(0.0, f64::max),
             mean_vs_submission: cells.iter().map(|c| c[i].1).sum::<f64>() / n,
-            exact_nodes_per_sec,
-            exact_peak_depth,
         })
         .collect()
 }
@@ -337,14 +302,6 @@ pub struct OnlineRow {
     pub worst_vs_offline: f64,
     /// Mean waiting time.
     pub mean_wait: f64,
-    /// Exact-solver throughput: one budget-bounded probe on the sweep's
-    /// first instance, run sequentially *outside* the parallel fan-out so
-    /// the wall-clock rate is not diluted by core contention and does not
-    /// depend on the runner mode. Identical across the policies of a sweep
-    /// (the probe is policy-independent).
-    pub exact_nodes_per_sec: f64,
-    /// Deepest branch-and-bound level the probe reached.
-    pub exact_peak_depth: usize,
 }
 
 /// Names of the four policies/wrappers measured by the E9 experiment.
@@ -370,14 +327,11 @@ pub fn online_batch_experiment_seeded(
     base_seed: u64,
 ) -> Vec<OnlineRow> {
     let seed_list: Vec<u64> = (base_seed..base_seed + seeds).collect();
-    let make_instance = |seed: u64| {
-        FeitelsonWorkload::for_cluster(machines, jobs)
-            .with_arrivals(mean_interarrival)
-            .instance(seed)
-    };
     // Per seed, per policy: (makespan, makespan / offline, mean wait).
     let cells: Vec<[(f64, f64, f64); 4]> = runner.map(&seed_list, |&seed| {
-        let inst = make_instance(seed);
+        let inst = FeitelsonWorkload::for_cluster(machines, jobs)
+            .with_arrivals(mean_interarrival)
+            .instance(seed);
         // Clairvoyant off-line reference: LSRC that knows all jobs in advance
         // (still respecting release dates).
         let offline = Lsrc::new().schedule(&inst).makespan(&inst).ticks().max(1) as f64;
@@ -397,8 +351,6 @@ pub fn online_batch_experiment_seeded(
             sample(&SimMetrics::from_schedule(&inst, &batched)),
         ]
     });
-    let (exact_nodes_per_sec, exact_peak_depth) =
-        exact_probe(seed_list.first().map(|&seed| make_instance(seed)));
     let n = cells.len() as f64;
     ONLINE_POLICIES
         .iter()
@@ -409,8 +361,6 @@ pub fn online_batch_experiment_seeded(
             mean_vs_offline: cells.iter().map(|c| c[i].1).sum::<f64>() / n,
             worst_vs_offline: cells.iter().map(|c| c[i].1).fold(0.0, f64::max),
             mean_wait: cells.iter().map(|c| c[i].2).sum::<f64>() / n,
-            exact_nodes_per_sec,
-            exact_peak_depth,
         })
         .collect()
 }
@@ -466,9 +416,6 @@ mod tests {
         assert_eq!(rows.len(), ListOrder::DETERMINISTIC.len());
         let submission = rows.iter().find(|r| r.order == "submission").unwrap();
         assert!((submission.mean_vs_submission - 1.0).abs() < 1e-9);
-        // The exact-solver throughput probe is visible in every row.
-        assert!(rows.iter().all(|r| r.exact_nodes_per_sec > 0.0));
-        assert!(rows.iter().all(|r| r.exact_peak_depth <= 10));
     }
 
     #[test]
@@ -493,6 +440,5 @@ mod tests {
         // (2·ρ with ρ = 2 − 1/m < 2) of the clairvoyant off-line makespan.
         let batch = rows.iter().find(|r| r.policy.starts_with("batch")).unwrap();
         assert!(batch.worst_vs_offline <= 4.0 + 1e-9);
-        assert!(rows.iter().all(|r| r.exact_nodes_per_sec > 0.0));
     }
 }

@@ -31,15 +31,11 @@
 //! `horizon`, `max_duration`) or `nonincreasing` (fields `steps`,
 //! `max_initial`, `max_duration`).
 //!
-//! Two residue knobs make the paper's E7/E8 cell shapes expressible
-//! declaratively: the alpha family accepts `alphas` (a *list* of α values
-//! that becomes one more dimension of the cross product, each row labeled
-//! with its α) in place of the single `alpha`, and the top-level
-//! `exact_probe` (a branch-and-bound node budget) runs a budgeted exact
-//! probe per cell and reports its mean nodes/sec per row — the same
-//! per-cell probe `RatioHarness` uses, so sweep rows and the E8/E9 tables
-//! measure the identical code path. `jobs` likewise accepts either
-//! a single count or a list swept as one more labeled dimension.
+//! The alpha family accepts `alphas` (a *list* of α values that becomes one
+//! more dimension of the cross product, each row labeled with its α) in
+//! place of the single `alpha`, which makes the paper's E7 cell shape
+//! expressible declaratively. `jobs` likewise accepts either a single count
+//! or a list swept as one more labeled dimension.
 //!
 //! # Scenario dimensions
 //!
@@ -59,8 +55,8 @@
 //!   drained-window invariant independently of the substrate.
 //!
 //! `widths` and `deadline_frac` are mutually exclusive (a moldable job has
-//! no fixed shape to deadline up front), and `exact_probe` does not apply
-//! to scenario cells. Violations feed the usual exit-code-2 path.
+//! no fixed shape to deadline up front). Violations feed the usual
+//! exit-code-2 path.
 //!
 //! # Sharding and resume
 //!
@@ -118,11 +114,9 @@ The spec is a JSON object:
                   'alphas' (a list swept as an extra product dimension),
                   plus count, horizon and max_duration; the nonincreasing
                   family takes steps, max_initial and max_duration
-    exact_probe   int (optional)          per-cell exact branch-and-bound
-                  probe budget (nodes); rows gain mean exact nodes/sec
 
 Scenario knobs (cells become resident-service sessions; on-line policies
-only, exact_probe does not apply):
+only):
     deadline_frac number (optional)       deadline-gated admission with due
                   date release + ceil(frac * duration), reject policy; a
                   committed job past its deadline is a sanity violation
@@ -179,9 +173,6 @@ pub struct SweepSpec {
     /// nonincreasing family) is one unlabeled variant, so specs without an
     /// `alphas` list keep their rows unlabeled.
     pub(crate) reservations: Option<Vec<(Option<String>, Decoration)>>,
-    /// Per-cell exact branch-and-bound probe budget in nodes (`None` = no
-    /// exact probe).
-    pub exact_probe: Option<u64>,
     /// Deadline scenario: submit every job with due date `release +
     /// ⌈frac · duration⌉` under reject admission.
     pub deadline_frac: Option<f64>,
@@ -232,7 +223,6 @@ const SPEC_FIELDS: Section<SweepSpec> = Section {
         Optional("reservations", |s, v| {
             reservation_variants(v).map(|variants| s.reservations = Some(variants))
         }),
-        Optional("exact_probe", |s, v| put(&mut s.exact_probe, v)),
         Optional("deadline_frac", |s, v| put(&mut s.deadline_frac, v)),
         Optional("widths", |s, v| put(&mut s.widths, v)),
         Optional("failures", |s, v| {
@@ -388,9 +378,6 @@ pub struct SweepRow {
     pub mean_wait: f64,
     /// Mean utilization.
     pub mean_utilization: f64,
-    /// Mean exact branch-and-bound probe throughput in nodes/sec, when the
-    /// spec set `exact_probe`.
-    pub mean_exact_nodes_per_sec: Option<f64>,
 }
 
 /// `resa sweep`'s option table.
@@ -432,8 +419,8 @@ fn sweep(args: SweepArgs, opts: CommonOpts) -> Result<Outcome, CliError> {
 }
 
 /// One cell's measurements: makespan, ratio to the certified lower bound,
-/// mean wait, utilization, violation flag and exact-probe nodes/sec.
-type Sample = (f64, f64, f64, f64, bool, Option<f64>);
+/// mean wait, utilization and violation flag.
+type Sample = (f64, f64, f64, f64, bool);
 
 /// The expanded execution plan of a sweep: reservation variants, parsed
 /// policies and the flat deterministic cell list that every run — sharded
@@ -560,13 +547,6 @@ fn check_scenario(spec: &SweepSpec) -> Result<(), CliError> {
                 .into(),
         ));
     }
-    if spec.is_scenario() && spec.exact_probe.is_some() {
-        return Err(CliError::Parse(
-            "'exact_probe' does not apply to scenario sweeps \
-             (deadline_frac/widths/failures)"
-                .into(),
-        ));
-    }
     if let Some(frac) = spec.deadline_frac {
         if !frac.is_finite() || frac <= 0.0 {
             return Err(CliError::Parse(
@@ -647,15 +627,7 @@ fn run_cells(
         } else {
             let (schedule, _) = crate::replay::run_policy(plan.policies[p], &instance);
             let metrics = SimMetrics::from_schedule(&instance, &schedule);
-            let exact_nodes_per_sec = spec.exact_probe.map(|budget| {
-                let harness = RatioHarness {
-                    exact_node_budget: budget,
-                    ..RatioHarness::default()
-                };
-                harness.probe_exact(&instance).nodes_per_sec
-            });
-            let broken = !schedule.is_valid(&instance);
-            to_sample(&metrics, &instance, broken, exact_nodes_per_sec)
+            to_sample(&metrics, &instance, !schedule.is_valid(&instance))
         };
         done(cell, &sample);
         Ok(sample)
@@ -840,13 +812,13 @@ fn run_scenario_cell(
     // instance (every submitted job plus the drain/reservation overlay):
     // the oracle instance excludes committed jobs, so its bound can
     // degenerate to zero when admission commits everything.
-    Ok(to_sample(&svc.snapshot().1, &live, broken, None))
+    Ok(to_sample(&svc.snapshot().1, &live, broken))
 }
 
 /// A cell's sample from its metrics: the ratio is taken against the
 /// certified lower bound of `instance`, and a makespan below that bound is
 /// a violation like `broken`.
-fn to_sample(m: &SimMetrics, instance: &ResaInstance, broken: bool, probe: Option<f64>) -> Sample {
+fn to_sample(m: &SimMetrics, instance: &ResaInstance, broken: bool) -> Sample {
     let lb = lower_bound(instance).unwrap_or(Time::ZERO).ticks().max(1);
     let makespan = m.makespan.ticks();
     let ratio = makespan as f64 / lb as f64;
@@ -857,7 +829,6 @@ fn to_sample(m: &SimMetrics, instance: &ResaInstance, broken: bool, probe: Optio
         m.mean_wait,
         m.utilization,
         violation,
-        probe,
     )
 }
 
@@ -883,9 +854,6 @@ fn aggregate(spec: &SweepSpec, plan: &SweepPlan, samples: &[Sample]) -> (Vec<Swe
             worst_ratio_to_lb: chunk.iter().map(|c| c.1).fold(0.0, f64::max),
             mean_wait: chunk.iter().map(|c| c.2).sum::<f64>() / n,
             mean_utilization: chunk.iter().map(|c| c.3).sum::<f64>() / n,
-            mean_exact_nodes_per_sec: spec
-                .exact_probe
-                .map(|_| chunk.iter().filter_map(|c| c.5).sum::<f64>() / n),
         });
     }
     (rows, violations)
@@ -960,16 +928,13 @@ fn check_manifest(dir: &Path, manifest: &[u8], create: bool) -> Result<(), CliEr
 
 /// One finished cell as a log record: its index, the four floats as
 /// IEEE-754 bits (so a merge aggregates exactly the numbers the shard
-/// computed), the violation flag and the optional probe.
+/// computed) and the violation flag.
 fn cell_record(cell: usize, sample: &Sample) -> Vec<u8> {
     let mut payload = (cell as u64).to_le_bytes().to_vec();
     for v in [sample.0, sample.1, sample.2, sample.3] {
         put_u64(&mut payload, v.to_bits());
     }
-    payload.extend([u8::from(sample.4), u8::from(sample.5.is_some())]);
-    if let Some(probe) = sample.5 {
-        put_u64(&mut payload, probe.to_bits());
-    }
+    payload.push(u8::from(sample.4));
     let mut framed = Vec::new();
     frame_record(&mut framed, &payload);
     framed
@@ -981,11 +946,7 @@ fn decode_cell(payload: &[u8]) -> Option<(usize, Sample)> {
     let mut float = || cur.take_u64().map(f64::from_bits);
     let (a, b, c, d) = (float()?, float()?, float()?, float()?);
     let violation = cur.take_bool()?;
-    let probe = match cur.take_bool()? {
-        true => Some(f64::from_bits(cur.take_u64()?)),
-        false => None,
-    };
-    cur.done().then_some((cell, (a, b, c, d, violation, probe)))
+    cur.done().then_some((cell, (a, b, c, d, violation)))
 }
 
 /// A shard log read back: the samples of its range by position, the length
@@ -1000,6 +961,9 @@ fn read_log(bytes: &[u8], header: &[u8], range: (usize, usize)) -> Result<ShardL
     let mut samples = vec![None; range.1 - range.0];
     let mut frames = Frames::new(bytes);
     match frames.next() {
+        Some(found) if found.get(..8) != header.get(..8) => {
+            return Err("written by an older resa; rerun the shard in a fresh --shard-dir".into())
+        }
         Some(found) if found != header => return Err("its header is another shard's".into()),
         Some(_) => {}
         None => return Ok((samples, 0, None)),
@@ -1126,7 +1090,7 @@ fn run_sharded(
     let mut samples = Vec::with_capacity(total);
     for i in sh.shard.map_or(0..n, |i| i..i + 1) {
         let (s, e) = ranges[i];
-        let mut header = [&b"RESASHD1"[..], &fingerprint].concat();
+        let mut header = [&b"RESASHD2"[..], &fingerprint].concat();
         for v in [i, s, e] {
             put_u64(&mut header, v as u64);
         }
@@ -1185,10 +1149,10 @@ fn generate_jobs(
     }
 }
 
-/// The columns of the rendered table. `jobs`, `alpha` and `exact nodes/s`
-/// are shown only when some row carries them (the spec asked for that
-/// dimension), so plain sweeps keep their previous table shape.
-const COLUMNS: [Column<SweepRow>; 11] = [
+/// The columns of the rendered table. `jobs` and `alpha` are shown only
+/// when some row carries them (the spec asked for that dimension), so plain
+/// sweeps keep their previous table shape.
+const COLUMNS: [Column<SweepRow>; 10] = [
     ("m", |r| r.machines.to_string()),
     ("jobs", |r| {
         r.jobs.map_or_else(|| "-".to_string(), |j| j.to_string())
@@ -1203,9 +1167,6 @@ const COLUMNS: [Column<SweepRow>; 11] = [
     ("worst Cmax/LB", |r| fmt_f64(r.worst_ratio_to_lb)),
     ("mean wait", |r| fmt_f64(r.mean_wait)),
     ("mean util", |r| fmt_f64(r.mean_utilization)),
-    ("exact nodes/s", |r| {
-        fmt_f64(r.mean_exact_nodes_per_sec.unwrap_or(0.0))
-    }),
 ];
 
 /// Render the aggregated rows.
@@ -1221,7 +1182,6 @@ fn render(
         .filter(|(header, _)| match *header {
             "jobs" => any(|r| r.jobs.is_some()),
             "alpha" => any(|r| r.alpha.is_some()),
-            "exact nodes/s" => any(|r| r.mean_exact_nodes_per_sec.is_some()),
             _ => true,
         })
         .collect();
@@ -1344,18 +1304,27 @@ mod tests {
         let dir = std::env::temp_dir().join("resa-sweep-strict-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad_spec.json");
-        std::fs::write(
-            &path,
-            "{\n  \"machines\": [4],\n  \"jobs\": 3,\n  \"seeds\": 1,\n  \"policies\": [\"fcfs\"],\n  \"reservation\": {}\n}\n",
-        )
-        .unwrap();
-        let err = crate::run(&["sweep", path.to_str().unwrap()]).unwrap_err();
-        match err {
-            CliError::Parse(msg) => {
-                assert!(msg.contains("line 6:"), "{msg}");
-                assert!(msg.contains("unknown field 'reservation'"), "{msg}");
+        // A misspelled section, and `exact_probe`, a knob resa does not
+        // have: both are unknown fields (a parse error, exit 1), never
+        // silently ignored.
+        for (field, value) in [("reservation", "{}"), ("exact_probe", "500")] {
+            std::fs::write(
+                &path,
+                format!("{{\n  \"machines\": [4],\n  \"jobs\": 3,\n  \"seeds\": 1,\n  \"policies\": [\"fcfs\"],\n  \"{field}\": {value}\n}}\n"),
+            )
+            .unwrap();
+            let err = crate::run(&["sweep", path.to_str().unwrap()]).unwrap_err();
+            match err {
+                CliError::Parse(msg) => {
+                    assert!(
+                        msg.contains(&format!(
+                            "line 6: deserialization error: unknown field '{field}' in sweep spec"
+                        )),
+                        "{msg}"
+                    );
+                }
+                other => panic!("expected a parse error, got {other:?}"),
             }
-            other => panic!("expected a parse error, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1523,30 +1492,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_probe_budget_reports_mean_throughput() {
-        let spec: SweepSpec = serde_json::from_str(
-            r#"{
-                "machines": [4], "jobs": 5, "seeds": 2, "policies": ["fcfs"],
-                "exact_probe": 500
-            }"#,
-        )
-        .unwrap();
-        assert_eq!(spec.exact_probe, Some(500));
-        let (rows, violations) = execute(&spec, &CommonOpts::default()).unwrap();
-        assert_eq!(violations, 0);
-        assert_eq!(rows.len(), 1);
-        // 0.0 is legitimate (the greedy incumbent can match the lower bound,
-        // leaving no tree to expand) — the knob's contract is that the
-        // column is populated and finite.
-        let nps = rows[0].mean_exact_nodes_per_sec.expect("probe ran");
-        assert!(nps.is_finite() && nps >= 0.0, "bad throughput {nps}");
-        // Without the knob the column stays off.
-        let spec: SweepSpec = serde_json::from_str(SPEC).unwrap();
-        let (rows, _) = execute(&spec, &CommonOpts::default()).unwrap();
-        assert!(rows.iter().all(|r| r.mean_exact_nodes_per_sec.is_none()));
-    }
-
-    #[test]
     fn misspelled_residue_knobs_are_rejected() {
         let err = serde_json::from_str::<SweepSpec>(
             r#"{"machines": [4], "jobs": 3, "seeds": 1, "policies": ["fcfs"],
@@ -1653,11 +1598,6 @@ mod tests {
                 "either 'deadline_frac' or 'widths'",
             ),
             (
-                r#"{"machines": [4], "jobs": 3, "seeds": 1, "policies": ["fcfs"],
-                    "deadline_frac": 2.0, "exact_probe": 100}"#,
-                "'exact_probe' does not apply to scenario sweeps",
-            ),
-            (
                 r#"{"machines": [4], "jobs": 3, "seeds": 1, "policies": ["offline:lsrc"],
                     "deadline_frac": 2.0}"#,
                 "off-line",
@@ -1709,7 +1649,6 @@ mod tests {
         for r in &rows {
             assert_eq!(r.cells, 3);
             assert!(r.mean_makespan > 0.0);
-            assert!(r.mean_exact_nodes_per_sec.is_none());
         }
     }
 

@@ -4,8 +4,8 @@
 //! the checked-in payload byte for byte (the Figure-3 numbers are the
 //! paper's closed-form adversarial family, so any drift is a regression).
 //! Every `--quick` figure and table is pinned the same way in all three
-//! formats, as `golden/<experiment>_quick.{txt,csv,json}`, with only the
-//! wall-clock exact-solver rate masked.
+//! formats, as `golden/<experiment>_quick.{txt,csv,json}`, and compared raw:
+//! each output is a pure function of its arguments.
 
 use std::path::{Path, PathBuf};
 
@@ -34,59 +34,6 @@ fn figure3_quick_json_matches_the_golden_file() {
     );
 }
 
-/// The header of the E8/E9 wall-clock exact-solver rate, and what the pins
-/// hold in its place.
-const NODES: &str = "exact nodes/s";
-const MASKED: &str = "<nodes/s>";
-
-/// `rendered` (in `format`) with each `exact nodes/s` cell and
-/// `exact_nodes_per_sec` field replaced by [`MASKED`], after checking that
-/// each is a positive rate.
-fn mask_nodes_per_sec(rendered: &str, format: &str) -> String {
-    let positive = |cell: &str| {
-        let rate: f64 = cell.trim().parse().expect("nodes/s is a number");
-        assert!(rate > 0.0, "exact nodes/s must be positive, got {cell:?}");
-    };
-    let mut lines: Vec<String> = rendered.lines().map(str::to_string).collect();
-    match format {
-        "json" => {
-            let key = "\"exact_nodes_per_sec\": ";
-            for line in &mut lines {
-                if let Some(at) = line.find(key) {
-                    let value = &line[at + key.len()..];
-                    let comma = if value.ends_with(',') { "," } else { "" };
-                    positive(value.trim_end_matches(','));
-                    line.replace_range(at + key.len().., &format!("\"{MASKED}\"{comma}"));
-                }
-            }
-        }
-        "csv" => {
-            if let Some(col) = lines[0].split(',').position(|h| h == NODES) {
-                for line in &mut lines[1..] {
-                    let mut cells: Vec<&str> = line.split(',').collect();
-                    positive(cells[col]);
-                    cells[col] = MASKED;
-                    *line = cells.join(",");
-                }
-            }
-        }
-        _ => {
-            // Text: the column sits under its header, right-aligned to the
-            // header's width; the data rows follow the dashed rule and end at
-            // the first blank line.
-            if let Some(header) = lines.iter().position(|l| l.contains(NODES)) {
-                let start = lines[header].find(NODES).unwrap();
-                let cells = start..start + NODES.len();
-                for line in lines[header + 2..].iter_mut().take_while(|l| !l.is_empty()) {
-                    positive(&line[cells.clone()]);
-                    line.replace_range(cells.clone(), &format!("{MASKED:>w$}", w = NODES.len()));
-                }
-            }
-        }
-    }
-    lines.join("\n") + "\n"
-}
-
 #[test]
 fn quick_experiments_match_their_pins() {
     let experiments: [(&[&str], &str); 9] = [
@@ -109,7 +56,7 @@ fn quick_experiments_match_their_pins() {
             let path = golden.join(format!("{stem}_quick.{ext}"));
             let pinned = std::fs::read_to_string(&path).expect("checked-in pin");
             assert_eq!(
-                mask_nodes_per_sec(&out.stdout, format),
+                out.stdout,
                 pinned,
                 "`resa {}` drifted from {}",
                 args.join(" "),

@@ -303,7 +303,8 @@ fn a_finished_worker_reports_the_violations_its_log_records() {
 }
 
 /// Shard dirs are scratch: one in the format of an older resa — JSON rows
-/// files and done markers, a manifest with an FNV-1a fingerprint — is
+/// files and done markers, a manifest with an FNV-1a fingerprint, or a
+/// `RESASHD1` log whose cell records carry an exact-probe field — is
 /// refused with exit 1, never merged or extended.
 #[test]
 fn shard_dirs_of_an_older_resa_are_refused() {
@@ -333,6 +334,55 @@ fn shard_dirs_of_an_older_resa_are_refused() {
         }
         assert!(!shard_dir.join("shard_0000.log").exists(), "{file}");
     }
+
+    // A finished dir rewritten the way the previous log format framed it:
+    // a `RESASHD1` header, and each cell record followed by an absent-probe
+    // flag byte.
+    let shard_dir = dir.join("shards-resashd1");
+    let sd = shard_dir.display().to_string();
+    assert_eq!(
+        resa(&["sweep", &spec, "--shards", "2", "--shard-dir", &sd])
+            .status
+            .code(),
+        Some(0)
+    );
+    let logs = [
+        shard_dir.join("shard_0000.log"),
+        shard_dir.join("shard_0001.log"),
+    ];
+    for log in &logs {
+        let mut payloads = log_payloads(log);
+        payloads[0][..8].copy_from_slice(b"RESASHD1");
+        for record in &mut payloads[1..] {
+            record.push(0);
+        }
+        write_log(log, &payloads);
+    }
+    let before: Vec<Vec<u8>> = logs.iter().map(|l| std::fs::read(l).unwrap()).collect();
+    for args in [
+        vec!["sweep", &spec, "--shards", "2", "--shard-dir", &sd],
+        vec![
+            "sweep",
+            &spec,
+            "--shards",
+            "2",
+            "--shard",
+            "1",
+            "--shard-dir",
+            &sd,
+        ],
+        vec!["sweep", &spec, "--shard-dir", &sd, "--merge"],
+    ] {
+        let out = resa(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("written by an older resa; rerun the shard"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let after: Vec<Vec<u8>> = logs.iter().map(|l| std::fs::read(l).unwrap()).collect();
+    assert_eq!(before, after, "a RESASHD1 log was resumed");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -112,12 +112,8 @@ mod proptests {
             for solver in [ExactSolver::new(), ExactSolver::with_node_budget(budget)] {
                 let fast = solver.solve(&inst);
                 let slow = solver.solve_reference(&inst);
-                prop_assert_eq!(fast.makespan, slow.makespan);
-                prop_assert_eq!(&fast.schedule, &slow.schedule);
-                prop_assert_eq!(fast.nodes, slow.nodes);
-                prop_assert_eq!(fast.peak_depth, slow.peak_depth);
-                prop_assert_eq!(fast.optimal, slow.optimal);
                 prop_assert!(fast.schedule.is_valid(&inst));
+                prop_assert_eq!(fast, slow);
             }
         }
 

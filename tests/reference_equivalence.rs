@@ -91,13 +91,10 @@ fn branch_and_bound_matches_the_clone_per_node_reference_node_for_node() {
     let solver = ExactSolver::with_node_budget(BUDGET);
     let fast = solver.solve(&inst);
     let slow = solver.solve_reference(&inst);
-    assert_eq!(fast.nodes, slow.nodes);
-    assert_eq!(fast.makespan, slow.makespan);
-    assert_eq!(fast.peak_depth, slow.peak_depth);
-    assert_eq!(fast.schedule, slow.schedule);
     assert!(fast.schedule.is_valid(&inst));
     // Both sides stopped on the budget, not on a proof of optimality: the
     // comparison covers a truncated search, the state a rollback bug
     // would corrupt.
     assert!(!fast.optimal && fast.nodes >= BUDGET, "{}", fast.nodes);
+    assert_eq!(fast, slow);
 }
