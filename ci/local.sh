@@ -36,19 +36,22 @@ step "each §2.2 rule schedules alike on-line and off-line (sweep-grid shape)"
 # `easy`/`offline:easy`, `greedy`/`offline:lsrc` and `fcfs`/`offline:fcfs`
 # run the same decisions (`resa_core::decision`): on the benchmark's grid
 # (Lublin, 128 machines, 2 500 jobs, 4 seeds, α = ½ overlay) their rows
-# differ in the policy name only. Each run takes well under a second; the
-# 60 s cap fails on a returning per-decision rescan.
-for policy in easy offline:easy greedy offline:lsrc fcfs offline:fcfs; do
-  printf '{"machines":[128],"jobs":2500,"seeds":4,"workload":"lublin","policies":["%s"],"reservations":{"family":"alpha","alpha":"1/2","count":250}}\n' \
-    "$policy" > "$dir/spec.json"
-  timeout 60 "$resa" sweep "$dir/spec.json" \
-    --threads 2 --format json --seed 1 > "$dir/$policy.raw"
-  grep -q '"mean_makespan"' "$dir/$policy.raw"
-  grep -v '"policy":' "$dir/$policy.raw" > "$dir/$policy.rows"
+# differ in the policy name only, on each of three base seeds. Each run
+# takes well under a second; the 60 s cap fails on a returning
+# per-decision rescan.
+for seed in 1 7 42; do
+  for policy in easy offline:easy greedy offline:lsrc fcfs offline:fcfs; do
+    printf '{"machines":[128],"jobs":2500,"seeds":4,"workload":"lublin","policies":["%s"],"reservations":{"family":"alpha","alpha":"1/2","count":250}}\n' \
+      "$policy" > "$dir/spec.json"
+    timeout 60 "$resa" sweep "$dir/spec.json" \
+      --threads 2 --format json --seed "$seed" > "$dir/$policy.raw"
+    grep -q '"mean_makespan"' "$dir/$policy.raw"
+    grep -v '"policy":' "$dir/$policy.raw" > "$dir/$policy.rows"
+  done
+  diff "$dir/easy.rows" "$dir/offline:easy.rows"
+  diff "$dir/greedy.rows" "$dir/offline:lsrc.rows"
+  diff "$dir/fcfs.rows" "$dir/offline:fcfs.rows"
 done
-diff "$dir/easy.rows" "$dir/offline:easy.rows"
-diff "$dir/greedy.rows" "$dir/offline:lsrc.rows"
-diff "$dir/fcfs.rows" "$dir/offline:fcfs.rows"
 
 step "archive-scale replay (bounded memory, real deflate, gzip members)"
 # A ~500k-line gzipped log, imported through the checksum-pinned cache and

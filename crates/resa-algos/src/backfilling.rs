@@ -88,13 +88,14 @@ pub struct EasyStats {
 /// identical schedules). Once per decision point it computes the head's
 /// shadow time and the spare ("extra") capacity left over the head's shadow
 /// window; a candidate that finishes before the shadow, or that is narrower
-/// than the spare capacity, is admitted without any further query, and the
-/// remaining cases need exactly one more range-minimum. The candidate delays
-/// the head iff its execution overlaps the head's shadow window
-/// `[shadow, shadow + p_head)` with less than `q_head + q_cand` processors
-/// free there — reserving it can only push the shadow *later*, so "the
-/// shadow does not move" and "the head still fits at the shadow" are the
-/// same condition.
+/// than the spare capacity, is admitted without any further query, one that
+/// a minimum read earlier over the window rules out is refused without one,
+/// and the remaining cases need exactly one more range-minimum. The
+/// candidate delays the head iff its execution overlaps the head's shadow
+/// window `[shadow, shadow + p_head)` with less than `q_head + q_cand`
+/// processors free there — reserving it can only push the shadow *later*,
+/// so "the shadow does not move" and "the head still fits at the shadow"
+/// are the same condition.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EasyBackfilling;
 

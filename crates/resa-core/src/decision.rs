@@ -12,9 +12,11 @@
 //! Each start is reserved on the substrate in place, unlinked from the list
 //! and reported to `on_start` with its position, in decision order. The
 //! capacity free at `now` is read once per pass and lowered by each start;
-//! a job wider than it is skipped without a query. Any other is first held
-//! against the pass's `Staircase` of the failing range minima it has read
-//! from `now`, and only a job no earlier read refutes confirms its fit with
+//! a job wider than it is skipped without a query, and the greedy and EASY
+//! walks end when it reaches 0. Any other job is first held against the
+//! pass's `Staircase` of the failing range minima it has read from `now`.
+//! EASY then asks its shadow guard, which keeps a staircase of its own over
+//! the shadow window, and only a job neither refutes confirms its fit with
 //! one `min_capacity_in`. A job released after `now` never starts (the
 //! off-line loops hold such jobs; an on-line queue never does).
 
@@ -43,17 +45,27 @@ impl<'a, C: CapacityQuery> Pass<'a, C> {
         }
     }
 
-    /// Whether `job` can start at `now`. The shortcuts on `free_now` (skip
-    /// a wider job; stop the greedy pass when it reaches 0; lower it by a
-    /// start's width) need a non-empty job, which validation guarantees.
+    /// Whether `job` can start at `now`: [`Pass::may_fit`], then
+    /// [`Pass::confirms`].
     fn fits(&mut self, job: &Job) -> bool {
+        self.may_fit(job) && self.confirms(job)
+    }
+
+    /// Whether `job` passes the filters that need no query: it is released,
+    /// no wider than `free_now`, and no range minimum read before refutes
+    /// it. The shortcuts on `free_now` (skip a wider job; end a walk when it
+    /// reaches 0; lower it by a start's width) need a non-empty job, which
+    /// validation guarantees.
+    fn may_fit(&self, job: &Job) -> bool {
         debug_assert!(job.width >= 1 && !job.duration.is_zero());
-        if job.release > self.now
-            || job.width > self.free_now
-            || self.read.refutes(job.width, job.duration)
-        {
-            return false;
-        }
+        job.release <= self.now
+            && job.width <= self.free_now
+            && !self.read.refutes(job.width, job.duration)
+    }
+
+    /// Whether `job`, past [`Pass::may_fit`], fits over its whole run: one
+    /// `min_capacity_in`, kept in the staircase when it fails.
+    fn confirms(&mut self, job: &Job) -> bool {
         let min = self.substrate.min_capacity_in(self.now, job.duration);
         if min < job.width {
             self.read.record(job.duration, min);
@@ -125,15 +137,18 @@ pub fn greedy<C: CapacityQuery>(
 /// How many range minima a [`Staircase`] holds.
 const STAIRS: usize = 8;
 
-/// The `(duration, min)` pairs a pass's failing `min_capacity_in(now,
-/// duration)` calls returned: durations ascending, minima strictly
-/// descending, so no pair is implied by another. A read that confirms a
-/// fit is not kept: that is the start path, and keeping it saves at most
-/// 0.2 % of the queries `tests/decision_work.rs` counts. Each stays an upper bound on the minimum it
-/// read until the pass ends, for two reasons: the minimum over `[now, now +
-/// d)` is non-increasing in `d`, and a start only lowers capacity. A job of
-/// width `q` and duration `p` cannot fit if some pair has `d ≤ p` and
-/// `min < q`, so that test answers exactly, without a query.
+/// The `(duration, min)` pairs that failing `min_capacity_in(from,
+/// duration)` calls returned within one pass, all from one instant `from`
+/// (`now` for a [`Pass`], the shadow for a [`ShadowGuard`]): durations
+/// ascending, minima strictly descending, so no pair is implied by another.
+/// A read that confirms a fit is not kept: that is the start path, and
+/// keeping it saves at most 0.2 % of the queries `tests/decision_work.rs`
+/// counts (the guard keeps its whole window's minimum all the same). Each stays an upper bound on the minimum it read until the pass
+/// ends, for two reasons: the minimum over `[from, from + d)` is
+/// non-increasing in `d`, and a start only lowers capacity. Then `width`
+/// processors cannot be free over `duration` from `from` if some pair has
+/// `d ≤ duration` and `min < width`, so that test answers exactly, without
+/// a query.
 #[derive(Default)]
 struct Staircase {
     len: usize,
@@ -142,7 +157,7 @@ struct Staircase {
 
 impl Staircase {
     /// Whether a pair read earlier rules out `width` processors over
-    /// `duration` from `now`. The minima descend, so the first pair below
+    /// `duration` from `from`. The minima descend, so the first pair below
     /// `width` decides.
     fn refutes(&self, width: u32, duration: Dur) -> bool {
         self.steps[..self.len]
@@ -209,13 +224,14 @@ pub fn easy<C: CapacityQuery>(
         ..EasyPass::default()
     };
     let mut cursor = waiting.next_of(h);
-    while let Some(i) = cursor {
+    // Widths are at least 1, so nothing starts once no processor is free.
+    while let Some(i) = cursor.filter(|_| pass.free_now > 0) {
         cursor = waiting.next_of(i);
         let job = &jobs[i];
         if job.release > now {
             continue;
         }
-        if !pass.fits(job) || !guard.admits(now, job, &*pass.substrate) {
+        if !pass.may_fit(job) || !guard.admits(now, job, &*pass.substrate) || !pass.confirms(job) {
             out.candidate_left = true;
             continue;
         }
@@ -224,6 +240,9 @@ pub fn easy<C: CapacityQuery>(
         out.backfills += 1;
         guard.on_admit(now, job.duration, &*pass.substrate);
     }
+    // Any released job the walk did not reach is refused as well.
+    out.candidate_left = out.candidate_left
+        || std::iter::successors(cursor, |&i| waiting.next_of(i)).any(|i| jobs[i].release <= now);
     out
 }
 
@@ -240,6 +259,10 @@ struct ShadowGuard {
     /// Spare capacity over the whole shadow window beyond the head's own
     /// width; candidates at most this wide are admitted without a query.
     extra: i64,
+    /// The failing `min_capacity_in(shadow, overlap)` reads of the pass,
+    /// held against `q_head + q_cand`, and the whole window's minimum,
+    /// given again by each admit that reaches the window.
+    read: Staircase,
 }
 
 impl ShadowGuard {
@@ -249,25 +272,55 @@ impl ShadowGuard {
             shadow_end: shadow + head.duration,
             head_width: head.width,
             extra: 0,
+            read: Staircase::default(),
         };
         guard.reread(substrate);
         guard
     }
 
+    /// Read the whole window's minimum: it sets `extra`, and it refutes a
+    /// candidate that covers the window and is wider than `extra`.
     fn reread<C: CapacityQuery>(&mut self, substrate: &C) {
         let window = self.shadow_end.since(self.shadow);
-        self.extra = substrate.min_capacity_in(self.shadow, window) as i64 - self.head_width as i64;
+        let min = substrate.min_capacity_in(self.shadow, window);
+        self.extra = min as i64 - self.head_width as i64;
+        self.read.record(window, min);
     }
 
-    /// Whether `job`, which fits at `now`, leaves the head its shadow. At
-    /// most one range-minimum query, none on the fast paths.
-    fn admits<C: CapacityQuery>(&self, now: Time, job: &Job, substrate: &C) -> bool {
+    /// The verdict on `job`, started at `now`, that needs no query, if any:
+    /// admitted when it ends by the shadow or is at most `extra` wide,
+    /// refused when it needs more than `u32::MAX` processors or a read held
+    /// rules out the processors it needs over its overlap.
+    fn settled(&self, now: Time, job: &Job) -> Option<bool> {
         let end = now + job.duration;
-        end <= self.shadow || (job.width as i64) <= self.extra || {
-            let overlap: Dur = end.min(self.shadow_end).since(self.shadow);
-            substrate.min_capacity_in(self.shadow, overlap) as u64
-                >= self.head_width as u64 + job.width as u64
+        if end <= self.shadow || (job.width as i64) <= self.extra {
+            return Some(true);
         }
+        let Some(need) = self.head_width.checked_add(job.width) else {
+            return Some(false);
+        };
+        self.read.refutes(need, self.overlap(end)).then_some(false)
+    }
+
+    /// How long a run ending at `end`, past the shadow, overlaps the window.
+    fn overlap(&self, end: Time) -> Dur {
+        end.min(self.shadow_end).since(self.shadow)
+    }
+
+    /// Whether `job`, started at `now`, leaves the head its shadow. At most
+    /// one range-minimum query, none when [`ShadowGuard::settled`] answers.
+    fn admits<C: CapacityQuery>(&mut self, now: Time, job: &Job, substrate: &C) -> bool {
+        if let Some(verdict) = self.settled(now, job) {
+            return verdict;
+        }
+        let overlap = self.overlap(now + job.duration);
+        let need = self.head_width + job.width;
+        let min = substrate.min_capacity_in(self.shadow, overlap);
+        let refused = min < need;
+        if refused {
+            self.read.record(overlap, min);
+        }
+        !refused
     }
 
     /// An admitted start whose run reaches the shadow window lowers the
@@ -468,6 +521,48 @@ mod tests {
                             prop_assert_eq!(refuted, implied, "width {} over {}", width, p);
                         }
                     }
+                }
+            }
+        }
+
+        /// Each verdict the shadow guard reaches without a query is the
+        /// one `min_capacity_in(shadow, overlap)` gives, over a walk that
+        /// admits (and reserves) what fits now and leaves the head its
+        /// shadow. The guard's reads hold from any instant, so the shadow is
+        /// drawn, not searched, and each candidate by where its run ends
+        /// relative to it: a dip in the window's last tick and an overlap
+        /// one tick short of the window are both common.
+        #[test]
+        fn the_guard_settles_only_what_the_query_would(
+            m in 2u32..=16,
+            reservations in proptest::collection::vec((0u64..80, 1u64..=30, 1u32..=16), 0usize..=12),
+            now in 0u64..40,
+            lead in 0u64..=30,
+            head in (1u32..=16, 1u64..=24),
+            candidates in proptest::collection::vec((1u32..=16, 0u64..=32), 1usize..=40),
+        ) {
+            let mut profile = ResourceProfile::constant(m);
+            for &(start, dur, width) in &reservations {
+                let _ = profile.reserve(Time(start), Dur(dur), width.min(m));
+            }
+            let now = Time(now);
+            let head = Job::new(0usize, head.0.min(m), head.1);
+            let shadow = now + Dur(lead);
+            let mut guard = ShadowGuard::new(shadow, &head, &profile);
+            // A run ends `past_shadow - 4` ticks after the shadow.
+            for (i, &(w, past_shadow)) in (1usize..).zip(&candidates) {
+                let d = (lead + past_shadow).saturating_sub(4).max(1);
+                let job = Job::new(i, w.min(m), d);
+                let end = now + job.duration;
+                let leaves_the_shadow = end <= shadow
+                    || profile.min_capacity_in(shadow, guard.overlap(end)) >= head.width + job.width;
+                if let Some(verdict) = guard.settled(now, &job) {
+                    prop_assert_eq!(verdict, leaves_the_shadow, "candidate {}", i);
+                }
+                prop_assert_eq!(guard.admits(now, &job, &profile), leaves_the_shadow);
+                if leaves_the_shadow && profile.min_capacity_in(now, job.duration) >= job.width {
+                    profile.reserve(now, job.duration, job.width).unwrap();
+                    guard.on_admit(now, job.duration, &profile);
                 }
             }
         }

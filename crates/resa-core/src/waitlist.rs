@@ -60,12 +60,10 @@ impl WaitList {
         }
     }
 
-    /// Current index capacity (length of the backing arrays). Exposed so
-    /// bounded-memory harnesses can assert that live state stays O(active
-    /// jobs) — a raw job id used as the index would drag this to the maximum
-    /// id ever seen, which is why streaming callers queue compact *slots*
-    /// and remap sparse external ids before they reach the list.
-    pub fn capacity(&self) -> usize {
+    /// Current index capacity (length of the backing arrays), read by the
+    /// tests of [`WaitList::rebase`].
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.next.len()
     }
 

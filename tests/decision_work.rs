@@ -8,8 +8,10 @@
 //! its `min_capacity_in` calls. Within one pass a read minimum stays an
 //! upper bound, so a decision answers most failing fit checks from the
 //! minima it has already read; a change that brings back one query per
-//! waiting job multiplies these counts and fails here. The schedules
-//! themselves are pinned by `rule_equivalence.rs` and the goldens.
+//! waiting job multiplies these counts and fails here. A second test pins
+//! the decision points and backfills of `EasyBackfilling` on that instance
+//! and on a release-dated one. The schedules themselves are pinned by
+//! `rule_equivalence.rs` and the goldens.
 
 use resa_repro::prelude::*;
 use std::cell::Cell;
@@ -97,11 +99,13 @@ fn decisions_answer_failing_fits_from_the_minima_they_read() {
 
     // Counted with one query per fit check that passed the `free_now`
     // filter: 81 905, 103 341 and 103 360; with the per-pass staircase:
-    // 4 411, 34 641 and 34 660 (EASY's rest is mostly its shadow guard).
+    // 4 411, 34 641 and 34 660 (EASY's rest is mostly its shadow guard);
+    // with the guard's own staircase, asked before the fit query, and the
+    // walk ending at zero free capacity: 4 411, 5 821 and 5 840.
     let counts = [
         ("Lsrc", lsrc.get(), 5_500),
-        ("EasyBackfilling", easy.get(), 43_000),
-        ("EasyPolicy", online.get(), 43_000),
+        ("EasyBackfilling", easy.get(), 6_500),
+        ("EasyPolicy", online.get(), 6_500),
     ];
     for (scheduler, calls, ceiling) in counts {
         println!("{scheduler}: {calls} min_capacity_in calls");
@@ -109,5 +113,41 @@ fn decisions_answer_failing_fits_from_the_minima_they_read() {
             calls <= ceiling,
             "{scheduler} made {calls} min_capacity_in calls, above its pin of {ceiling}"
         );
+    }
+}
+
+/// The same jobs arriving over time (mean gap `gap`), so the queue's tail
+/// is still unreleased at most decision points.
+fn released_instance(gap: u64) -> ResaInstance {
+    let machines = 128;
+    let jobs = LublinWorkload::for_cluster(machines, 1_000)
+        .with_arrivals(gap)
+        .generate(1);
+    AlphaReservations {
+        machines,
+        alpha: Alpha::HALF,
+        count: 100,
+        horizon: 2_000,
+        max_duration: 300,
+    }
+    .instance(jobs, 1)
+}
+
+/// The decision points and backfills of [`EasyBackfilling`], as they were
+/// while its walk still visited the whole list: a pass that stops at zero
+/// free capacity must still report a released job left behind its cursor,
+/// and only such a job, or the loop wakes at other instants. At gap 80 the
+/// list's tail is unreleased at many of those stops; a walk that reported
+/// every early stop as a candidate left wakes 8 more times there, one that
+/// reported none changes both schedules.
+#[test]
+fn easy_wakes_where_the_whole_list_walk_woke() {
+    for (name, inst, expected) in [
+        ("released at 0", instance(), (816, 879)),
+        ("release-dated", released_instance(80), (1_293, 265)),
+    ] {
+        let (schedule, stats) = EasyBackfilling::new().schedule_with_stats(&inst, inst.timeline());
+        assert!(schedule.is_valid(&inst), "{name}");
+        assert_eq!((stats.decision_points, stats.backfills), expected, "{name}");
     }
 }
