@@ -90,6 +90,40 @@ done
 grep -q '"jobs": 40' "$dir/ab.swf.json"
 diff "$dir/ab.swf.json" "$dir/ab.swf.gz.json"
 
+step "paper-model replays exit 0 under every policy (300 tiny traces)"
+# Seeded traces in the paper's model: m <= 5 machines, n <= 8 jobs, all
+# submitted at 0, so every reference is the exact optimum and every check
+# is decided against it. The upper bounds are proven for LSRC-class
+# schedules only (`greedy`, `offline:lsrc`, `offline:lsrc-lpt`), which must
+# satisfy them; FCFS and backfilling have no constant bound (§2.2), so
+# their checks are informational. Any exit 2 is a broken reproduction.
+# 4 800 runs take about 15 s; each has a 10 s cap.
+awk -v dir="$dir" 'BEGIN {
+  x = 42
+  for (t = 0; t < 300; t++) {
+    x = (x * 16807) % 2147483647; m = 1 + x % 5
+    x = (x * 16807) % 2147483647; n = 1 + x % 8
+    f = dir "/tiny" t ".swf"
+    printf "; MaxProcs: %d\n", m > f
+    for (j = 1; j <= n; j++) {
+      x = (x * 16807) % 2147483647; run = 1 + x % 20
+      x = (x * 16807) % 2147483647; procs = 1 + x % m
+      printf "%d 0 %d %d\n", j, run, procs > f
+    }
+    close(f)
+  }
+}'
+for t in $(seq 0 299); do
+  for overlay in none alpha:1/2; do
+    for policy in fcfs easy greedy offline:lsrc offline:lsrc-lpt \
+      offline:fcfs offline:conservative offline:easy; do
+      timeout 10 "$resa" replay "$dir/tiny$t.swf" --policy "$policy" \
+        --reservations "$overlay" --format json > /dev/null ||
+        { echo "tiny$t.swf --policy $policy --reservations $overlay" >&2; exit 1; }
+    done
+  done
+done
+
 step "concurrency tests, 20 times over (a lost wake-up fails as a hang)"
 # The concurrent front has no writer thread: whichever session holds the
 # write lock applies everyone's queued writes. A request left unanswered in

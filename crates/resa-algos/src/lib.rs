@@ -259,14 +259,15 @@ mod proptests {
         #[test]
         fn lsrc_graham_bound_vs_best_known(inst in arb_instance()) {
             if inst.n_reservations() == 0 {
-                let lsrc = Lsrc::new().makespan(&inst).ticks() as f64;
-                let m = inst.machines() as f64;
+                let lsrc = u128::from(Lsrc::new().makespan(&inst).ticks());
+                let m = u128::from(inst.machines());
                 let best = crate::all_schedulers()
                     .iter()
                     .map(|s| s.makespan(&inst).ticks())
                     .min()
-                    .unwrap() as f64;
-                prop_assert!(lsrc <= (2.0 - 1.0 / m) * best + 1e-9);
+                    .unwrap();
+                // C_LSRC · m ≤ (2m − 1) · C_best, in integers.
+                prop_assert!(lsrc * m <= (2 * m - 1) * u128::from(best));
             }
         }
     }

@@ -202,9 +202,10 @@ mod tests {
             .unwrap();
         let s = Lsrc::new().schedule(&inst);
         assert!(s.is_valid(&inst));
-        let cmax = s.makespan(&inst).ticks() as f64;
-        // LB: W = 9, m = 3 → 3; Graham bound (2 − 1/3)·OPT with OPT = 3 → 5.
-        assert!(cmax <= (2.0 - 1.0 / 3.0) * 3.0 + 1e-9);
+        let cmax = s.makespan(&inst).ticks();
+        // LB: W = 9, m = 3 → 3; Graham bound (2 − 1/3)·OPT with OPT = 3 → 5,
+        // i.e. C_max · m ≤ (2m − 1) · OPT.
+        assert!(cmax * 3 <= 5 * 3);
     }
 
     #[test]

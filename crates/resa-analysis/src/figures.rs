@@ -18,7 +18,9 @@
 //! * **Figure 4** — upper and lower bounds as functions of α:
 //!   [`figure4_series`] evaluates `2/α`, `B1` and `B2` on an α grid.
 
-use crate::guarantees;
+use crate::guarantees::{
+    lower_b1, lower_b2, lower_proposition2, Ratio, PROPOSITION_1, PROPOSITION_3,
+};
 use crate::ratio::{RatioHarness, ReferenceKind};
 use resa_algos::prelude::*;
 use resa_core::prelude::*;
@@ -105,7 +107,7 @@ pub struct Fig2Row {
     /// Measured ratio `lsrc / reference`.
     pub ratio: f64,
     /// The Proposition-1 guarantee `2 − 1/m(C*)`.
-    pub bound: f64,
+    pub bound: Ratio,
 }
 
 /// One Figure-2 cell: a random non-increasing staircase instance for
@@ -148,7 +150,7 @@ pub(crate) fn figure2_cell(m: u32, jobs_per_instance: usize, seed: u64) -> Fig2R
         lsrc: lsrc.makespan(&inst).ticks(),
         lsrc_transformed: lsrc_transformed.ticks(),
         ratio,
-        bound: guarantees::nonincreasing_bound(available.max(1)),
+        bound: PROPOSITION_1.at((m, available.max(1), None)),
     }
 }
 
@@ -183,29 +185,27 @@ pub struct Fig3Row {
     /// LSRC makespan with the adversarial submission order.
     pub lsrc: u64,
     /// Measured ratio.
-    pub measured_ratio: f64,
+    pub measured_ratio: Ratio,
     /// Predicted ratio `2/α − 1 + α/2`.
-    pub predicted_ratio: f64,
+    pub predicted_ratio: Ratio,
 }
 
 /// One Figure-3 cell: the Proposition-2 adversarial instance for `k`.
 pub(crate) fn figure3_cell(k: u32) -> Fig3Row {
     let adv = proposition2_instance(k);
-    let alpha = proposition2_alpha(k).as_f64();
-    let lsrc = Lsrc::new().schedule(&adv.instance);
+    let alpha = proposition2_alpha(k);
+    let lsrc = Lsrc::new().makespan(&adv.instance).ticks();
     let optimal = proposition2_optimal_schedule(k);
     debug_assert!(optimal.is_valid(&adv.instance));
     debug_assert_eq!(optimal.makespan(&adv.instance), adv.optimal_makespan);
-    let measured =
-        lsrc.makespan(&adv.instance).ticks() as f64 / adv.optimal_makespan.ticks() as f64;
     Fig3Row {
         k,
-        alpha,
+        alpha: alpha.as_f64(),
         machines: adv.instance.machines(),
         optimal: adv.optimal_makespan.ticks(),
-        lsrc: lsrc.makespan(&adv.instance).ticks(),
-        measured_ratio: measured,
-        predicted_ratio: guarantees::proposition2_lower_bound(alpha),
+        lsrc,
+        measured_ratio: Ratio::new(lsrc, adv.optimal_makespan.ticks()),
+        predicted_ratio: lower_proposition2(alpha),
     }
 }
 
@@ -215,26 +215,26 @@ pub struct Fig4Row {
     /// The α value.
     pub alpha: f64,
     /// Upper bound `2/α` (Proposition 3).
-    pub upper_bound: f64,
+    pub upper_bound: Ratio,
     /// Lower bound `B1`.
-    pub b1: f64,
+    pub b1: Ratio,
     /// Lower bound `B2`.
-    pub b2: f64,
+    pub b2: Ratio,
 }
 
-/// Evaluate the Figure-4 curves on a uniform α grid of `points` values in
-/// `[min_alpha, 1]`.
-pub fn figure4_series(min_alpha: f64, points: usize) -> Vec<Fig4Row> {
+/// Evaluate the Figure-4 curves on the uniform rational α grid of `points`
+/// values `min + (1 − min)·i/(points − 1)` in `[min_alpha, 1]`.
+pub fn figure4_series(min_alpha: Alpha, points: usize) -> Vec<Fig4Row> {
     assert!(points >= 2);
-    assert!(min_alpha > 0.0 && min_alpha < 1.0);
-    (0..points)
+    let (n, d, steps) = (min_alpha.num(), min_alpha.denom(), points as u64 - 1);
+    (0..=steps)
         .map(|i| {
-            let alpha = min_alpha + (1.0 - min_alpha) * i as f64 / (points - 1) as f64;
+            let alpha = Alpha::new(n * steps + (d - n) * i, d * steps).expect("α in (0, 1]");
             Fig4Row {
-                alpha,
-                upper_bound: guarantees::alpha_upper_bound(alpha),
-                b1: guarantees::lower_bound_b1(alpha),
-                b2: guarantees::lower_bound_b2(alpha),
+                alpha: alpha.as_f64(),
+                upper_bound: PROPOSITION_3.at((1, 1, Some(alpha))),
+                b1: lower_b1(alpha),
+                b2: lower_b2(alpha),
             }
         })
         .collect()
@@ -270,16 +270,16 @@ mod tests {
         let rows = ExperimentRunner::sequential().figure2(&[6, 10], 8, &[1, 2]);
         assert_eq!(rows.len(), 4);
         for row in &rows {
-            assert!(row.ratio >= 1.0 - 1e-9);
+            assert!(row.lsrc >= row.reference);
             if row.reference_is_optimal {
                 assert!(
-                    row.ratio <= row.bound + 1e-9,
-                    "ratio {} exceeds bound {}",
+                    row.bound.admits(row.lsrc, row.reference),
+                    "ratio {} exceeds bound {:?}",
                     row.ratio,
                     row.bound
                 );
             }
-            assert!(row.bound < 2.0);
+            assert!(row.bound < Ratio::new(2, 1));
             assert!(row.available_at_reference >= row.machines / 2);
         }
     }
@@ -289,11 +289,9 @@ mod tests {
         let rows = ExperimentRunner::sequential().figure3(&[3, 4, 5, 6]);
         assert_eq!(rows.len(), 4);
         for row in &rows {
-            assert!(
-                (row.measured_ratio - row.predicted_ratio).abs() < 1e-9,
-                "k = {}",
-                row.k
-            );
+            let predicted = lower_proposition2(proposition2_alpha(row.k));
+            assert_eq!(row.measured_ratio, predicted, "k = {}", row.k);
+            assert_eq!(row.predicted_ratio, predicted, "k = {}", row.k);
         }
         // The k = 6 row is the printed Figure-3 picture: m = 180, 6 vs 31.
         let k6 = rows.iter().find(|r| r.k == 6).unwrap();
@@ -304,13 +302,14 @@ mod tests {
 
     #[test]
     fn figure4_grid_is_monotone_in_alpha() {
-        let rows = figure4_series(0.1, 50);
+        let rows = figure4_series(Alpha::new(1, 10).unwrap(), 50);
         assert_eq!(rows.len(), 50);
-        assert!((rows[0].alpha - 0.1).abs() < 1e-12);
-        assert!((rows[49].alpha - 1.0).abs() < 1e-12);
+        assert_eq!(rows[0].alpha, 0.1);
+        assert_eq!(rows[49].alpha, 1.0);
+        assert_eq!(rows[49].upper_bound, Ratio::new(2, 1));
         for row in &rows {
-            assert!(row.b2 <= row.b1 + 1e-9);
-            assert!(row.b1 <= row.upper_bound + 1e-9);
+            assert!(row.b2 <= row.b1, "alpha = {}", row.alpha);
+            assert!(row.b1 <= row.upper_bound, "alpha = {}", row.alpha);
         }
         // The upper bound decreases with α.
         assert!(rows.first().unwrap().upper_bound > rows.last().unwrap().upper_bound);

@@ -3,9 +3,10 @@
 //! The measurement and theory layer of the reproduction of *"Analysis of
 //! Scheduling Algorithms with Reservations"* (IPDPS 2007):
 //!
-//! * `guarantees` — the closed-form bounds of the paper (Graham `2 − 1/m`,
-//!   non-increasing `2 − 1/m(C*)`, the α upper bound `2/α`, the lower bounds
-//!   `2/α − 1 + α/2`, `B1` and `B2`), e.g. [`graham_bound`](prelude::graham_bound);
+//! * [`GUARANTEES`](prelude::GUARANTEES) — the paper's upper bounds (Graham
+//!   `2 − 1/m`, non-increasing `2 − 1/m(C*)`, the α upper bound `2/α`), one
+//!   row per statement, beside the lower bounds `2/α − 1 + α/2`, `B1` and
+//!   `B2`; every bound is an exact [`Ratio`](prelude::Ratio);
 //! * [`RatioHarness`](prelude::RatioHarness) — measured performance ratios of
 //!   any scheduler against the true optimum (small instances) or a certified
 //!   lower bound (large ones);
@@ -20,10 +21,15 @@
 //!
 //! ```
 //! use resa_analysis::prelude::*;
+//! use resa_core::prelude::Alpha;
 //!
-//! // Figure 4: for α = 1/2 the guarantee of LSRC sits between 3.25 and 4.
-//! assert!((alpha_upper_bound(0.5) - 4.0).abs() < 1e-12);
-//! assert!((proposition2_lower_bound(0.5) - 3.25).abs() < 1e-12);
+//! // Figure 4: for α = 1/2 the guarantee of LSRC sits between 13/4 and 4.
+//! let half = (8, 8, Some(Alpha::HALF)); // (m, m(C*), α)
+//! assert_eq!(PROPOSITION_3.at(half), Ratio::new(4, 1));
+//! assert_eq!(lower_proposition2(Alpha::HALF), Ratio::new(13, 4));
+//! // A makespan of 4·OPT respects the bound; one tick more does not.
+//! assert!(PROPOSITION_3.admits(half, 40, 10));
+//! assert!(!PROPOSITION_3.admits(half, 41, 10));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,10 +47,10 @@ mod verification;
 pub mod prelude {
     pub use crate::figures::{figure4_series, Fig1Row, Fig2Row, Fig3Row, Fig4Row};
     pub use crate::guarantees::{
-        alpha_upper_bound, graham_bound, lower_bound_b1, lower_bound_b2, nonincreasing_bound,
-        proposition2_lower_bound,
+        lower_b1, lower_b2, lower_proposition2, Guarantee, Params, Ratio, GUARANTEES,
+        PROPOSITION_1, PROPOSITION_3, THEOREM_2,
     };
-    pub use crate::ratio::{RatioHarness, ReferenceKind};
+    pub use crate::ratio::{RatioHarness, RatioMeasurement, ReferenceKind};
     pub use crate::report::{fmt_f64, to_json, Column, Table};
     pub use crate::runner::ExperimentRunner;
     pub use crate::scenarios::{
@@ -104,7 +110,47 @@ mod proptests {
                 let harness = RatioHarness::new();
                 let m = harness.measure(&Lsrc::with_order(order), &inst);
                 if m.reference_kind == ReferenceKind::Optimal {
-                    prop_assert!(m.ratio <= graham_bound(inst.machines()) + 1e-9);
+                    let p = (inst.machines(), inst.machines(), None);
+                    prop_assert!(THEOREM_2.admits(p, m.makespan, m.reference));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The exact verdicts agree with the float ones they replaced
+        /// (`ratio ≤ bound + 1e-9` on f64 values) wherever the two values
+        /// lie more than 1e-6 apart: exactness only moves verdicts inside
+        /// the float noise.
+        #[test]
+        fn exact_verdicts_agree_with_float_ones_outside_the_noise(
+            machines in 1u32..=2048,
+            available in 1u32..=2048,
+            d in 1u64..=1000,
+            n in 1u64..=1000,
+            reference in 1u64..=1_000_000,
+            excess_permille in 0u64..=1000
+        ) {
+            let available = available.min(machines);
+            let alpha = Alpha::new(1 + n % d, d).unwrap();
+            let p = (machines, available, Some(alpha));
+            let floats = [
+                2.0 - 1.0 / machines as f64,
+                2.0 - 1.0 / available as f64,
+                2.0 / alpha.as_f64(),
+            ];
+            let excess = (excess_permille as f64 - 500.0) / 1000.0;
+            for (g, float_bound) in GUARANTEES.iter().zip(floats) {
+                let makespan = ((float_bound + excess) * reference as f64).round() as u64;
+                let ratio = makespan as f64 / reference as f64;
+                if (ratio - float_bound).abs() > 1e-6 {
+                    prop_assert_eq!(
+                        g.admits(p, makespan, reference),
+                        ratio <= float_bound + 1e-9,
+                        "{} at {}/{}", g.statement, makespan, reference
+                    );
                 }
             }
         }

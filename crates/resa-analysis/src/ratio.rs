@@ -8,6 +8,7 @@
 //! *upper* estimate of the true ratio (the conservative direction when
 //! checking an upper-bound guarantee).
 
+use crate::guarantees::Ratio;
 use resa_algos::prelude::Scheduler;
 use resa_core::prelude::*;
 use resa_exact::prelude::ExactSolver;
@@ -115,18 +116,13 @@ impl RatioHarness {
             "{} is broken",
             scheduler.name()
         );
-        let makespan = schedule.makespan(instance);
-        let ratio = if reference == Time::ZERO {
-            1.0
-        } else {
-            makespan.ticks() as f64 / reference.ticks() as f64
-        };
+        let (makespan, reference) = (schedule.makespan(instance).ticks(), reference.ticks());
         RatioMeasurement {
             algorithm: scheduler.name(),
-            makespan: makespan.ticks(),
-            reference: reference.ticks(),
+            makespan,
+            reference,
             reference_kind,
-            ratio,
+            ratio: Ratio::measured(makespan, reference).as_f64(),
         }
     }
 }
@@ -172,7 +168,8 @@ mod tests {
         let m = h.measure(&Lsrc::new(), &inst);
         assert_eq!(m.reference_kind, ReferenceKind::Optimal);
         assert!(m.ratio >= 1.0);
-        assert!(m.ratio <= 2.0 - 1.0 / 3.0 + 1e-9);
+        let graham = crate::guarantees::THEOREM_2;
+        assert!(graham.admits((3, 3, None), m.makespan, m.reference));
         assert_eq!(m.makespan, 5);
         assert_eq!(m.algorithm, "LSRC(submission)");
     }

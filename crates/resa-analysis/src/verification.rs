@@ -11,7 +11,7 @@
 //! bound of the optimum is not a violation (the reference may simply be
 //! loose), so each check carries the reference kind it was made against.
 
-use crate::guarantees;
+use crate::guarantees::{Ratio, GUARANTEES};
 use crate::ratio::{RatioHarness, ReferenceKind};
 use resa_core::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -29,7 +29,7 @@ pub enum InstanceClass {
     Unrestricted,
 }
 
-/// One guarantee check.
+/// One guarantee check: a row of [`GUARANTEES`] applied to a schedule.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GuaranteeCheck {
     /// Human-readable name of the bound (e.g. "Graham 2 - 1/m").
@@ -41,8 +41,10 @@ pub struct GuaranteeCheck {
     pub measured_ratio: f64,
     /// How the reference was obtained.
     pub reference_kind: ReferenceKind,
-    /// Whether the check is conclusive (a violation against a true optimum)
-    /// or informational (measured against a lower bound).
+    /// Whether the check is conclusive (a violation against a true optimum,
+    /// of a bound that covers the schedule's algorithm) or informational
+    /// (measured against a lower bound, or of an algorithm the bound does
+    /// not cover).
     pub conclusive: bool,
     /// Whether the measured ratio respects the bound, decided in integers.
     pub satisfied: bool,
@@ -88,99 +90,53 @@ pub fn classify(instance: &ResaInstance) -> InstanceClass {
 
 /// Verify a schedule of `instance` against every guarantee of the paper that
 /// applies to its class, using `harness` to obtain the reference.
+/// `lsrc_class` says whether the schedule comes from list scheduling (LSRC
+/// in any order): the only schedules the paper's upper bounds cover, so the
+/// only ones whose checks can be conclusive.
 pub fn verify_schedule(
     harness: &RatioHarness,
     instance: &ResaInstance,
     schedule: &Schedule,
+    lsrc_class: bool,
 ) -> GuaranteeReport {
     let (reference, reference_kind) = harness.reference(instance);
-    report_from_reference(
-        instance,
-        schedule.makespan(instance),
-        reference,
-        reference_kind,
-    )
+    let makespan = schedule.makespan(instance);
+    report_from_reference(instance, makespan, reference, reference_kind, lsrc_class)
 }
 
 /// Build the guarantee report for a known makespan against a known
-/// reference. This is the class-dependent half of [`verify_schedule`],
-/// shared with the streaming replay path (which never materializes a
-/// schedule and derives its reference from streamed [`StreamFacts`]).
+/// reference: one check per row of [`GUARANTEES`] that covers the
+/// instance's class. This is the class-dependent half of
+/// [`verify_schedule`], shared with the streaming replay path (which never
+/// materializes a schedule and derives its reference from streamed
+/// [`StreamFacts`]).
 pub fn report_from_reference(
     instance: &ResaInstance,
     makespan: Time,
     reference: Time,
     reference_kind: ReferenceKind,
+    lsrc_class: bool,
 ) -> GuaranteeReport {
     let class = classify(instance);
-    let measured_ratio = if reference == Time::ZERO {
-        1.0
-    } else {
-        makespan.ticks() as f64 / reference.ticks() as f64
-    };
-    let conclusive = reference_kind == ReferenceKind::Optimal;
-    // The verdict is exact: `makespan / reference ≤ num / den` compared as
-    // `makespan × den ≤ num × reference` in integers (a zero reference
-    // counts as the ratio 1, like `measured_ratio`). `bound` and
-    // `measured_ratio` are display fields.
-    let (measured, against) = if reference == Time::ZERO {
-        (1, 1)
-    } else {
-        (makespan.ticks(), reference.ticks())
-    };
-    let mut checks = Vec::new();
-    let mut push = |name: String, bound: f64, (num, den): (u64, u64)| {
-        checks.push(GuaranteeCheck {
-            bound_name: name,
-            bound,
-            measured_ratio,
+    let measured = Ratio::measured(makespan.ticks(), reference.ticks());
+    let available = instance.profile().capacity_at(reference).max(1);
+    let params = (instance.machines(), available, instance.max_alpha());
+    let checks = GUARANTEES
+        .iter()
+        .filter(|g| g.covers.contains(&class))
+        .filter_map(|g| Some((g, (g.bound)(params)?)))
+        .map(|(g, bound)| GuaranteeCheck {
+            bound_name: (g.name)(params),
+            bound: bound.as_f64(),
+            measured_ratio: measured.as_f64(),
             reference_kind,
-            conclusive,
-            satisfied: u128::from(measured) * u128::from(den)
-                <= u128::from(num) * u128::from(against),
-        });
-    };
-    match class {
-        InstanceClass::ReservationFree => {
-            let m = u64::from(instance.machines());
-            push(
-                format!("Graham 2 - 1/m (m = {m})"),
-                guarantees::graham_bound(instance.machines()),
-                (2 * m - 1, m),
-            );
-        }
-        InstanceClass::NonIncreasing => {
-            let available = instance.profile().capacity_at(reference).max(1);
-            push(
-                format!("Proposition 1: 2 - 1/m(C*) (m(C*) = {available})"),
-                guarantees::nonincreasing_bound(available),
-                (2 * u64::from(available) - 1, u64::from(available)),
-            );
-            if let Some(alpha) = instance.max_alpha() {
-                push(
-                    format!("Proposition 3: 2/alpha (alpha = {alpha})"),
-                    guarantees::alpha_upper_bound(alpha.as_f64()),
-                    guarantees::exact::alpha_upper_bound(alpha),
-                );
-            }
-        }
-        InstanceClass::AlphaRestricted => {
-            let alpha = instance
-                .max_alpha()
-                .expect("AlphaRestricted class implies a valid alpha");
-            push(
-                format!("Proposition 3: 2/alpha (alpha = {alpha})"),
-                guarantees::alpha_upper_bound(alpha.as_f64()),
-                guarantees::exact::alpha_upper_bound(alpha),
-            );
-        }
-        InstanceClass::Unrestricted => {
-            // Theorem 1: no finite bound exists; nothing to check.
-        }
-    }
+            conclusive: reference_kind == ReferenceKind::Optimal && (lsrc_class || !g.lsrc_only),
+            satisfied: measured <= bound,
+        })
+        .collect();
     GuaranteeReport {
         class,
-        max_alpha: instance.max_alpha().map(|a| (a.num(), a.denom())),
+        max_alpha: params.2.map(|a| (a.num(), a.denom())),
         makespan: makespan.ticks(),
         reference: reference.ticks(),
         reference_kind,
@@ -254,12 +210,19 @@ pub fn report_for_stream(
     reservations: &[Reservation],
     facts: &StreamFacts,
     makespan: Time,
+    lsrc_class: bool,
 ) -> GuaranteeReport {
     let surrogate_job = Job::released_at(0usize, facts.qmax.max(1).min(machines), 1u64, 0u64);
     let surrogate = ResaInstance::new(machines, vec![surrogate_job], reservations.to_vec())
         .expect("surrogate mirrors an overlay that already validated");
     let reference = facts.certified_lower_bound(&surrogate.profile());
-    report_from_reference(&surrogate, makespan, reference, ReferenceKind::LowerBound)
+    report_from_reference(
+        &surrogate,
+        makespan,
+        reference,
+        ReferenceKind::LowerBound,
+        lsrc_class,
+    )
 }
 
 #[cfg(test)]
@@ -304,7 +267,7 @@ mod tests {
             .build()
             .unwrap();
         let schedule = Lsrc::new().schedule(&inst);
-        let report = verify_schedule(&RatioHarness::new(), &inst, &schedule);
+        let report = verify_schedule(&RatioHarness::new(), &inst, &schedule, true);
         assert_eq!(report.class, InstanceClass::ReservationFree);
         assert_eq!(report.reference_kind, ReferenceKind::Optimal);
         assert_eq!(report.checks.len(), 1);
@@ -322,7 +285,7 @@ mod tests {
             .unwrap();
         assert_eq!(classify(&inst), InstanceClass::AlphaRestricted);
         let schedule = Lsrc::new().schedule(&inst);
-        let report = verify_schedule(&RatioHarness::new(), &inst, &schedule);
+        let report = verify_schedule(&RatioHarness::new(), &inst, &schedule, true);
         assert_eq!(report.max_alpha, Some((1, 2)));
         assert!(report
             .checks
@@ -340,7 +303,7 @@ mod tests {
             .build()
             .unwrap();
         let schedule = Lsrc::new().schedule(&inst);
-        let report = verify_schedule(&RatioHarness::new(), &inst, &schedule);
+        let report = verify_schedule(&RatioHarness::new(), &inst, &schedule, true);
         assert_eq!(report.class, InstanceClass::NonIncreasing);
         assert_eq!(report.checks.len(), 2);
         assert!(!report.has_conclusive_violation());
@@ -354,7 +317,7 @@ mod tests {
             .build()
             .unwrap();
         let schedule = Lsrc::new().schedule(&inst);
-        let report = verify_schedule(&RatioHarness::new(), &inst, &schedule);
+        let report = verify_schedule(&RatioHarness::new(), &inst, &schedule, true);
         assert_eq!(report.class, InstanceClass::Unrestricted);
         assert!(report.checks.is_empty());
         assert!(!report.has_conclusive_violation());
@@ -373,8 +336,29 @@ mod tests {
             schedule.place(j.id, Time(100 * (i as u64 + 1)));
         }
         assert!(schedule.is_valid(&inst));
-        let report = verify_schedule(&RatioHarness::new(), &inst, &schedule);
+        let report = verify_schedule(&RatioHarness::new(), &inst, &schedule, true);
         assert!(report.has_conclusive_violation());
+    }
+
+    /// The paper's upper bounds cover list scheduling only: the same
+    /// schedule from any other algorithm keeps its checks and verdicts, but
+    /// none of them is conclusive.
+    #[test]
+    fn bounds_are_conclusive_for_lsrc_class_schedules_only() {
+        let inst = ResaInstanceBuilder::new(4)
+            .jobs(4, 1, 1u64)
+            .build()
+            .unwrap();
+        let mut schedule = Schedule::new();
+        for (i, j) in inst.jobs().iter().enumerate() {
+            schedule.place(j.id, Time(100 * (i as u64 + 1)));
+        }
+        let lsrc = verify_schedule(&RatioHarness::new(), &inst, &schedule, true);
+        let other = verify_schedule(&RatioHarness::new(), &inst, &schedule, false);
+        assert_eq!(other.checks.len(), lsrc.checks.len());
+        assert!(other.checks.iter().all(|c| !c.conclusive && !c.satisfied));
+        assert!(lsrc.has_conclusive_violation());
+        assert!(!other.has_conclusive_violation());
     }
 
     /// Graham's bound at m = 1024 is 2047/1024. A makespan of 1 999 921
@@ -390,6 +374,7 @@ mod tests {
                 Time(makespan),
                 Time(1_000_449),
                 ReferenceKind::Optimal,
+                true,
             );
             assert_eq!(report.checks.len(), 1);
             report.checks[0].satisfied
@@ -427,7 +412,7 @@ mod tests {
             assert!(inst.n_jobs() > 12, "must exceed the exact-solver limit");
             let schedule = Lsrc::new().schedule(&inst);
 
-            let materialized = verify_schedule(&RatioHarness::new(), &inst, &schedule);
+            let materialized = verify_schedule(&RatioHarness::new(), &inst, &schedule, true);
             let mut facts = StreamFacts::new();
             let profile = inst.profile();
             for j in inst.jobs() {
@@ -438,6 +423,7 @@ mod tests {
                 inst.reservations(),
                 &facts,
                 schedule.makespan(&inst),
+                true,
             );
             assert_eq!(
                 crate::report::to_json(&streamed),
@@ -484,7 +470,7 @@ mod tests {
             schedulers.push(Box::new(LocalSearch::new(Lsrc::new())));
             for s in schedulers {
                 let schedule = s.schedule(&inst);
-                let report = verify_schedule(&RatioHarness::new(), &inst, &schedule);
+                let report = verify_schedule(&RatioHarness::new(), &inst, &schedule, true);
                 assert!(
                     !report.has_conclusive_violation(),
                     "{} violates a paper bound on seed {seed}",

@@ -141,7 +141,7 @@ const FIG2: (&str, &[Column<Fig2Row>]) = (
         ("LSRC", |r| r.lsrc.to_string()),
         ("LSRC (transformed)", |r| r.lsrc_transformed.to_string()),
         ("ratio", |r| fmt_f64(r.ratio)),
-        ("bound", |r| fmt_f64(r.bound)),
+        ("bound", |r| fmt_f64(r.bound.as_f64())),
     ],
 );
 
@@ -159,7 +159,7 @@ pub fn fig2_report(opts: &ExperimentOptions) -> ExperimentReport {
         "fig2_nonincreasing",
         FIG2,
         &rows,
-        |r| r.reference_is_optimal && r.ratio > r.bound + 1e-9,
+        |r| r.reference_is_optimal && !r.bound.admits(r.lsrc, r.reference),
         &[],
     );
     report.notes.push(format!(
@@ -177,15 +177,15 @@ const FIG3: (&str, &[Column<Fig3Row>]) = (
         ("m", |r| r.machines.to_string()),
         ("OPT", |r| r.optimal.to_string()),
         ("LSRC", |r| r.lsrc.to_string()),
-        ("measured ratio", |r| fmt_f64(r.measured_ratio)),
-        ("2/a - 1 + a/2", |r| fmt_f64(r.predicted_ratio)),
+        ("measured ratio", |r| fmt_f64(r.measured_ratio.as_f64())),
+        ("2/a - 1 + a/2", |r| fmt_f64(r.predicted_ratio.as_f64())),
     ],
 );
 
 /// E3 / Figure 3 + Proposition 2: the adversarial α-restricted family. A
 /// violation is a measured ratio that misses the closed form
 /// `2/α − 1 + α/2`, which at `α = 2/k` is `(k² − k + 1)/k`: decided exactly
-/// as `LSRC · k ≠ OPT · (k² − k + 1)`.
+/// on the two fractions.
 pub fn fig3_report(opts: &ExperimentOptions) -> ExperimentReport {
     let ks: &[u32] = if opts.quick {
         &[3, 4, 5, 6]
@@ -201,10 +201,7 @@ pub fn fig3_report(opts: &ExperimentOptions) -> ExperimentReport {
         "fig3_adversarial",
         FIG3,
         &rows,
-        |r| {
-            let k = u128::from(r.k);
-            u128::from(r.lsrc) * k != u128::from(r.optimal) * (k * k - k + 1)
-        },
+        |r| r.measured_ratio != r.predicted_ratio,
         &[
             &format!(
                 "Optimal schedule of the k = 6 instance (C*max = {}):\n{}",
@@ -224,17 +221,19 @@ const FIG4: (&str, &[Column<Fig4Row>]) = (
     "E4 / Figure 4 — performance bounds for LSRC as a function of alpha",
     &[
         ("alpha", |r| fmt_f64(r.alpha)),
-        ("upper bound 2/a", |r| fmt_f64(r.upper_bound)),
-        ("B1", |r| fmt_f64(r.b1)),
-        ("B2", |r| fmt_f64(r.b2)),
+        ("upper bound 2/a", |r| fmt_f64(r.upper_bound.as_f64())),
+        ("B1", |r| fmt_f64(r.b1.as_f64())),
+        ("B2", |r| fmt_f64(r.b2.as_f64())),
     ],
 );
 
 /// E4 / Figure 4: the closed-form bound curves. A violation is an inverted
 /// sandwich (`B2 ≤ B1 ≤ 2/α` must hold pointwise).
 pub fn fig4_report(opts: &ExperimentOptions) -> ExperimentReport {
-    let (min_alpha, points) = if opts.quick { (0.1, 10) } else { (0.05, 40) };
+    let (denom, points) = if opts.quick { (10, 10) } else { (20, 40) };
+    let min_alpha = Alpha::new(1, denom).expect("α in (0, 1]");
     let rows = figure4_series(min_alpha, points);
+    let min_alpha = min_alpha.as_f64();
     let mut plot = format!(
         "ASCII plot (x: alpha in [{min_alpha}, 1], y: guarantee clipped at 10; U = 2/a, 1 = B1, 2 = B2)\n",
     );
@@ -243,16 +242,10 @@ pub fn fig4_report(opts: &ExperimentOptions) -> ExperimentReport {
         let y = level as f64 * 10.0 / height as f64;
         let mut line = format!("{y:5.1} |");
         for r in &rows {
-            let cell = if (r.upper_bound.min(10.0) - y).abs() < 0.25 {
-                'U'
-            } else if (r.b1.min(10.0) - y).abs() < 0.25 {
-                '1'
-            } else if (r.b2.min(10.0) - y).abs() < 0.25 {
-                '2'
-            } else {
-                ' '
-            };
-            line.push(cell);
+            let curves = [(r.upper_bound, 'U'), (r.b1, '1'), (r.b2, '2')]
+                .map(|(bound, mark)| (bound.as_f64(), mark));
+            let hit = curves.iter().find(|(v, _)| (v.min(10.0) - y).abs() < 0.25);
+            line.push(hit.map_or(' ', |&(_, mark)| mark));
         }
         plot.push_str(&line);
         plot.push('\n');
@@ -263,7 +256,7 @@ pub fn fig4_report(opts: &ExperimentOptions) -> ExperimentReport {
         "fig4_bounds",
         FIG4,
         &rows,
-        |r| r.b2 > r.b1 + 1e-9 || r.b1 > r.upper_bound + 1e-9,
+        |r| r.b2 > r.b1 || r.b1 > r.upper_bound,
         &[&plot],
     )
 }
@@ -273,11 +266,11 @@ const GRAHAM: (&str, &[Column<GrahamRow>]) = (
     &[
         ("m", |r| r.machines.to_string()),
         ("instances", |r| r.instances.to_string()),
-        ("worst ratio", |r| fmt_f64(r.worst_ratio)),
+        ("worst ratio", |r| fmt_f64(r.worst_ratio.as_f64())),
         ("mean ratio", |r| fmt_f64(r.mean_ratio)),
-        ("tight family", |r| fmt_f64(r.tight_family_ratio)),
-        ("bound 2-1/m", |r| fmt_f64(r.bound)),
-        ("exact refs", |r| fmt_f64(r.exact_fraction)),
+        ("tight family", |r| fmt_f64(r.tight_family_ratio.as_f64())),
+        ("bound 2-1/m", |r| fmt_f64(r.bound.as_f64())),
+        ("exact refs", |r| fmt_f64(r.exact_fraction.as_f64())),
     ],
 );
 
@@ -296,8 +289,8 @@ pub fn graham_report(opts: &ExperimentOptions) -> ExperimentReport {
         GRAHAM,
         &rows,
         |r| {
-            ((r.exact_fraction - 1.0).abs() < 1e-9 && r.worst_ratio > r.bound + 1e-9)
-                || (r.tight_family_ratio - r.bound).abs() > 1e-9
+            (r.exact_fraction == Ratio::new(1, 1) && r.worst_ratio > r.bound)
+                || r.tight_family_ratio != r.bound
         },
         &[
             "Reading: worst measured ratios stay below 2 - 1/m; the tightness family reaches the\n\
@@ -353,9 +346,10 @@ const AVERAGE_CASE: (&str, &[Column<AverageCaseRow>]) = (
     ],
 );
 
-/// E7: the average-case comparison. A violation is a mean ratio below the
-/// certified lower bound (impossible unless the bound or a scheduler is
-/// broken).
+/// E7: the average-case comparison. A violation is a run whose makespan is
+/// below the certified lower bound or whose work exceeds the processor area
+/// available until its makespan (impossible unless the bound or a scheduler
+/// is broken).
 pub fn average_case_report(opts: &ExperimentOptions) -> ExperimentReport {
     let rows = if opts.quick {
         average_case_experiment_seeded(opts.runner, &[16], &[(1, 2), (1, 1)], 12, 2, opts.seed)
@@ -373,7 +367,7 @@ pub fn average_case_report(opts: &ExperimentOptions) -> ExperimentReport {
         "table_average_case",
         AVERAGE_CASE,
         &rows,
-        |r| r.mean_ratio_to_lb < 1.0 - 1e-9 || r.mean_utilization > 1.0 + 1e-9,
+        |r| r.runs.iter().any(|&(cmax, lb, work, area)| cmax < lb || work > area),
         &["Reading: average-case ratios sit far below the worst-case guarantees of the paper;\n\
            LSRC and EASY dominate FCFS, and tighter alpha (more reservation mass) degrades everyone."],
     )
@@ -414,15 +408,15 @@ const ONLINE: (&str, &[Column<OnlineRow>]) = (
         ("policy", |r| r.policy.clone()),
         ("mean Cmax", |r| fmt_f64(r.mean_makespan)),
         ("mean vs offline", |r| fmt_f64(r.mean_vs_offline)),
-        ("worst vs offline", |r| fmt_f64(r.worst_vs_offline)),
+        ("worst vs offline", |r| fmt_f64(r.worst_vs_offline.as_f64())),
         ("mean wait", |r| fmt_f64(r.mean_wait)),
     ],
 );
 
 /// E9: on-line policies and the batch-doubling wrapper. A violation is the
 /// greedy policy diverging from the off-line LSRC it provably equals, or the
-/// batch wrapper exceeding twice the off-line guarantee (`2·(2 − 1/m) < 4`).
-/// The greedy test is exact: its worst ratio is a maximum of `x / x`.
+/// batch wrapper exceeding twice the off-line guarantee (`2·(2 − 1/m) < 4`),
+/// both decided on the exact worst ratio.
 pub fn online_report(opts: &ExperimentOptions) -> ExperimentReport {
     let rows = if opts.quick {
         online_batch_experiment_seeded(opts.runner, 16, 15, 5, 2, opts.seed)
@@ -434,8 +428,8 @@ pub fn online_report(opts: &ExperimentOptions) -> ExperimentReport {
         ONLINE,
         &rows,
         |r| {
-            (r.policy.starts_with("greedy") && r.worst_vs_offline != 1.0)
-                || (r.policy.starts_with("batch") && r.worst_vs_offline > 4.0 + 1e-9)
+            (r.policy.starts_with("greedy") && r.worst_vs_offline != Ratio::new(1, 1))
+                || (r.policy.starts_with("batch") && r.worst_vs_offline > Ratio::new(4, 1))
         },
         &["Reading: the batch-doubling wrapper stays well within twice the clairvoyant off-line\n\
            makespan, the empirical face of the doubling argument recalled in §2.1."],

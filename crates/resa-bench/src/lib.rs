@@ -31,15 +31,15 @@ pub struct GrahamRow {
     /// Number of random instances measured.
     pub instances: usize,
     /// Largest measured ratio `C_LSRC / reference`.
-    pub worst_ratio: f64,
+    pub worst_ratio: Ratio,
     /// Mean measured ratio.
     pub mean_ratio: f64,
     /// Ratio reached by the adversarial tightness family.
-    pub tight_family_ratio: f64,
+    pub tight_family_ratio: Ratio,
     /// The theoretical bound `2 − 1/m`.
-    pub bound: f64,
+    pub bound: Ratio,
     /// Fraction of instances whose reference was the true optimum.
-    pub exact_fraction: f64,
+    pub exact_fraction: Ratio,
 }
 
 /// E5: empirical verification of Theorem 2 (Graham's bound) — random rigid
@@ -55,30 +55,28 @@ pub fn graham_experiment_seeded(
 ) -> Vec<GrahamRow> {
     runner.map(machines_list, |&m| {
         let harness = RatioHarness::new();
-        let mut worst: f64 = 1.0;
-        let mut sum = 0.0;
-        let mut exact = 0usize;
-        for s in 0..seeds_per_m {
-            let seed = base_seed + s;
-            let inst = UniformWorkload::for_cluster(m, jobs).instance(seed);
-            let measurement = harness.measure(&Lsrc::new(), &inst);
-            worst = worst.max(measurement.ratio);
-            sum += measurement.ratio;
-            if measurement.reference_kind == ReferenceKind::Optimal {
-                exact += 1;
-            }
-        }
+        let runs: Vec<RatioMeasurement> = (base_seed..base_seed + seeds_per_m)
+            .map(|seed| {
+                let inst = UniformWorkload::for_cluster(m, jobs).instance(seed);
+                harness.measure(&Lsrc::new(), &inst)
+            })
+            .collect();
+        let exact = runs
+            .iter()
+            .filter(|r| r.reference_kind == ReferenceKind::Optimal);
         let adv = graham_tight_instance(m);
-        let tight = Lsrc::new().makespan(&adv.instance).ticks() as f64
-            / adv.optimal_makespan.ticks() as f64;
+        let tight = Lsrc::new().makespan(&adv.instance).ticks();
         GrahamRow {
             machines: m,
-            instances: seeds_per_m as usize,
-            worst_ratio: worst,
-            mean_ratio: sum / seeds_per_m as f64,
-            tight_family_ratio: tight,
-            bound: graham_bound(m),
-            exact_fraction: exact as f64 / seeds_per_m as f64,
+            instances: runs.len(),
+            worst_ratio: runs
+                .iter()
+                .map(|r| Ratio::measured(r.makespan, r.reference))
+                .fold(Ratio::new(1, 1), Ord::max),
+            mean_ratio: runs.iter().map(|r| r.ratio).sum::<f64>() / seeds_per_m as f64,
+            tight_family_ratio: Ratio::new(tight, adv.optimal_makespan.ticks()),
+            bound: THEOREM_2.at((m, m, None)),
+            exact_fraction: Ratio::new(exact.count() as u64, seeds_per_m),
         }
     })
 }
@@ -132,8 +130,9 @@ pub fn fcfs_ratio_experiment(machines_list: &[u32], long_duration: u64) -> Vec<F
         .collect()
 }
 
-/// Per-algorithm sample accumulator: `(name, [(cmax, cmax/lb, util)])`.
-type AlgoSamples = Vec<(String, Vec<(f64, f64, f64)>)>;
+/// One E7 run: `(C_max, certified lower bound, scheduled work, processor
+/// area available until C_max)`.
+pub type AverageCaseRun = (u64, u64, u128, u128);
 
 /// One row of the average-case comparison (E7).
 #[derive(Debug, Clone, Serialize)]
@@ -152,6 +151,26 @@ pub struct AverageCaseRow {
     pub worst_ratio_to_lb: f64,
     /// Mean utilization.
     pub mean_utilization: f64,
+    /// Every run the means are taken over.
+    #[serde(skip)]
+    pub runs: Vec<AverageCaseRun>,
+}
+
+/// `jobs` Feitelson-style jobs on `m` machines under four random
+/// α-restricted reservations (none at α = 1), both drawn from `seed`.
+fn feitelson_under_alpha(m: u32, jobs: usize, alpha: Alpha, seed: u64) -> ResaInstance {
+    let jobs = FeitelsonWorkload::for_cluster(m, jobs).generate(seed);
+    if alpha == Alpha::ONE {
+        return ResaInstance::new(m, jobs, Vec::new()).expect("valid");
+    }
+    let reservations = AlphaReservations {
+        machines: m,
+        alpha,
+        count: 4,
+        horizon: 2000,
+        max_duration: 300,
+    };
+    reservations.instance(jobs, seed)
 }
 
 /// E7: average-case comparison of every scheduler on Feitelson-style
@@ -173,49 +192,41 @@ pub fn average_case_experiment_seeded(
         .collect();
     let cells: Vec<Vec<AverageCaseRow>> = runner.map(&combos, |&(m, (num, denom))| {
         let alpha = Alpha::new(num, denom).expect("valid alpha parameters");
-        let mut per_algo: AlgoSamples = resa_algos::all_schedulers()
+        let mut per_algo: Vec<(String, Vec<AverageCaseRun>)> = resa_algos::all_schedulers()
             .iter()
             .map(|s| (s.name(), Vec::new()))
             .collect();
-        for s in 0..seeds {
-            let seed = base_seed + s;
-            let workload = FeitelsonWorkload::for_cluster(m, jobs);
-            let jobs_vec = workload.generate(seed);
-            let inst = if alpha == Alpha::ONE {
-                ResaInstance::new(m, jobs_vec, Vec::new()).expect("valid")
-            } else {
-                AlphaReservations {
-                    machines: m,
-                    alpha,
-                    count: 4,
-                    horizon: 2000,
-                    max_duration: 300,
-                }
-                .instance(jobs_vec, seed)
-            };
-            let lb = lower_bound(&inst)
-                .expect("finite lower bound")
-                .ticks()
-                .max(1) as f64;
+        for seed in base_seed..base_seed + seeds {
+            let inst = feitelson_under_alpha(m, jobs, alpha, seed);
+            let lb = lower_bound(&inst).expect("finite lower bound").ticks();
+            let profile = inst.profile();
             for (i, s) in resa_algos::all_schedulers().iter().enumerate() {
                 let sched = s.schedule(&inst);
-                let cmax = sched.makespan(&inst).ticks() as f64;
-                let util = sched.utilization(&inst);
-                per_algo[i].1.push((cmax, cmax / lb, util));
+                let cmax = sched.makespan(&inst);
+                let area = profile.available_area(cmax);
+                let work = sched.scheduled_work(&inst);
+                per_algo[i].1.push((cmax.ticks(), lb.max(1), work, area));
             }
         }
         per_algo
             .into_iter()
-            .map(|(name, samples)| {
-                let n = samples.len() as f64;
+            .map(|(name, runs)| {
+                let n = runs.len() as f64;
+                let ratio = |&(cmax, lb, ..): &AverageCaseRun| cmax as f64 / lb as f64;
+                // `Schedule::utilization`: 0 where nothing was available.
+                let util = |&(.., work, area): &AverageCaseRun| match area {
+                    0 => 0.0,
+                    _ => work as f64 / area as f64,
+                };
                 AverageCaseRow {
                     machines: m,
                     alpha: alpha.as_f64(),
                     algorithm: name,
-                    mean_makespan: samples.iter().map(|s| s.0).sum::<f64>() / n,
-                    mean_ratio_to_lb: samples.iter().map(|s| s.1).sum::<f64>() / n,
-                    worst_ratio_to_lb: samples.iter().map(|s| s.1).fold(0.0, f64::max),
-                    mean_utilization: samples.iter().map(|s| s.2).sum::<f64>() / n,
+                    mean_makespan: runs.iter().map(|r| r.0 as f64).sum::<f64>() / n,
+                    mean_ratio_to_lb: runs.iter().map(ratio).sum::<f64>() / n,
+                    worst_ratio_to_lb: runs.iter().map(ratio).fold(0.0, f64::max),
+                    mean_utilization: runs.iter().map(util).sum::<f64>() / n,
+                    runs,
                 }
             })
             .collect::<Vec<_>>()
@@ -254,15 +265,7 @@ pub fn priority_ablation_experiment_seeded(
     // One cell per seed: that instance's per-order samples
     // `(ratio to lower bound, ratio to LSRC(submission))`.
     let cells: Vec<Vec<(f64, f64)>> = runner.map(&seed_list, |&seed| {
-        let jobs_vec = FeitelsonWorkload::for_cluster(machines, jobs).generate(seed);
-        let inst = AlphaReservations {
-            machines,
-            alpha,
-            count: 4,
-            horizon: 2000,
-            max_duration: 300,
-        }
-        .instance(jobs_vec, seed);
+        let inst = feitelson_under_alpha(machines, jobs, alpha, seed);
         let lb = lower_bound(&inst)
             .expect("finite lower bound")
             .ticks()
@@ -299,7 +302,7 @@ pub struct OnlineRow {
     /// Mean makespan normalized by the clairvoyant off-line LSRC makespan.
     pub mean_vs_offline: f64,
     /// Worst makespan normalized by the clairvoyant off-line LSRC makespan.
-    pub worst_vs_offline: f64,
+    pub worst_vs_offline: Ratio,
     /// Mean waiting time.
     pub mean_wait: f64,
 }
@@ -327,23 +330,17 @@ pub fn online_batch_experiment_seeded(
     base_seed: u64,
 ) -> Vec<OnlineRow> {
     let seed_list: Vec<u64> = (base_seed..base_seed + seeds).collect();
-    // Per seed, per policy: (makespan, makespan / offline, mean wait).
-    let cells: Vec<[(f64, f64, f64); 4]> = runner.map(&seed_list, |&seed| {
+    // Per seed, per policy: (makespan, off-line makespan, mean wait).
+    let cells: Vec<[(u64, u64, f64); 4]> = runner.map(&seed_list, |&seed| {
         let inst = FeitelsonWorkload::for_cluster(machines, jobs)
             .with_arrivals(mean_interarrival)
             .instance(seed);
         // Clairvoyant off-line reference: LSRC that knows all jobs in advance
         // (still respecting release dates).
-        let offline = Lsrc::new().schedule(&inst).makespan(&inst).ticks().max(1) as f64;
+        let offline = Lsrc::new().schedule(&inst).makespan(&inst).ticks().max(1);
         let sim = Simulator::new(inst.clone());
         let batched = BatchScheduler::new(Lsrc::new()).schedule(&inst);
-        let sample = |m: &SimMetrics| {
-            (
-                m.makespan.ticks() as f64,
-                m.makespan.ticks() as f64 / offline,
-                m.mean_wait,
-            )
-        };
+        let sample = |m: &SimMetrics| (m.makespan.ticks(), offline, m.mean_wait);
         [
             sample(&sim.run(&FcfsPolicy).metrics),
             sample(&sim.run(&EasyPolicy).metrics),
@@ -355,12 +352,15 @@ pub fn online_batch_experiment_seeded(
     ONLINE_POLICIES
         .iter()
         .enumerate()
-        .map(|(i, policy)| OnlineRow {
-            policy: policy.to_string(),
-            mean_makespan: cells.iter().map(|c| c[i].0).sum::<f64>() / n,
-            mean_vs_offline: cells.iter().map(|c| c[i].1).sum::<f64>() / n,
-            worst_vs_offline: cells.iter().map(|c| c[i].1).fold(0.0, f64::max),
-            mean_wait: cells.iter().map(|c| c[i].2).sum::<f64>() / n,
+        .map(|(i, policy)| {
+            let vs_offline = cells.iter().map(|c| Ratio::new(c[i].0, c[i].1));
+            OnlineRow {
+                policy: policy.to_string(),
+                mean_makespan: cells.iter().map(|c| c[i].0 as f64).sum::<f64>() / n,
+                mean_vs_offline: vs_offline.clone().map(Ratio::as_f64).sum::<f64>() / n,
+                worst_vs_offline: vs_offline.fold(Ratio::new(0, 1), Ord::max),
+                mean_wait: cells.iter().map(|c| c[i].2).sum::<f64>() / n,
+            }
         })
         .collect()
 }
@@ -377,10 +377,11 @@ mod tests {
             // Ratios against the optimum (exact references) never exceed the
             // bound; lower-bound references can only inflate the ratio, so we
             // only assert the bound when every reference was exact.
-            if (r.exact_fraction - 1.0).abs() < 1e-9 {
-                assert!(r.worst_ratio <= r.bound + 1e-9);
+            if r.exact_fraction == Ratio::new(1, 1) {
+                assert!(r.worst_ratio <= r.bound);
             }
-            assert!((r.tight_family_ratio - r.bound).abs() < 1e-9);
+            let graham = THEOREM_2.at((r.machines, r.machines, None));
+            assert_eq!(r.tight_family_ratio, graham);
             assert!(r.mean_ratio >= 1.0 - 1e-9);
         }
     }
@@ -435,10 +436,10 @@ mod tests {
             .iter()
             .find(|r| r.policy.starts_with("greedy"))
             .unwrap();
-        assert!((greedy.worst_vs_offline - 1.0).abs() < 1e-9);
+        assert_eq!(greedy.worst_vs_offline, Ratio::new(1, 1));
         // The batch wrapper stays within twice the off-line guarantee
         // (2·ρ with ρ = 2 − 1/m < 2) of the clairvoyant off-line makespan.
         let batch = rows.iter().find(|r| r.policy.starts_with("batch")).unwrap();
-        assert!(batch.worst_vs_offline <= 4.0 + 1e-9);
+        assert!(batch.worst_vs_offline <= Ratio::new(4, 1));
     }
 }

@@ -106,25 +106,33 @@ pub(crate) enum OfflineKind {
 
 /// The one policy-name table: `replay --policy`, the sweep's `policies`
 /// list and `serve --policy` all parse through it, and reports print its
-/// names, so a report field can be fed back into `--policy`.
-const POLICIES: [(&str, PolicyArg); 8] = [
-    ("fcfs", PolicyArg::Online(ReferencePolicy::Fcfs)),
-    ("easy", PolicyArg::Online(ReferencePolicy::Easy)),
-    ("greedy", PolicyArg::Online(ReferencePolicy::Greedy)),
-    ("offline:lsrc", PolicyArg::Offline(OfflineKind::Lsrc)),
-    ("offline:lsrc-lpt", PolicyArg::Offline(OfflineKind::LsrcLpt)),
-    ("offline:fcfs", PolicyArg::Offline(OfflineKind::Fcfs)),
+/// names, so a report field can be fed back into `--policy`. The last
+/// column says whether the policy is LSRC-class (list scheduling): the
+/// paper's upper bounds cover those schedules only, so only their checks
+/// can be conclusive and exit 2.
+const POLICIES: [(&str, PolicyArg, bool); 8] = [
+    ("fcfs", PolicyArg::Online(ReferencePolicy::Fcfs), false),
+    ("easy", PolicyArg::Online(ReferencePolicy::Easy), false),
+    ("greedy", PolicyArg::Online(ReferencePolicy::Greedy), true),
+    ("offline:lsrc", PolicyArg::Offline(OfflineKind::Lsrc), true),
+    (
+        "offline:lsrc-lpt",
+        PolicyArg::Offline(OfflineKind::LsrcLpt),
+        true,
+    ),
+    ("offline:fcfs", PolicyArg::Offline(OfflineKind::Fcfs), false),
     (
         "offline:conservative",
         PolicyArg::Offline(OfflineKind::Conservative),
+        false,
     ),
-    ("offline:easy", PolicyArg::Offline(OfflineKind::Easy)),
+    ("offline:easy", PolicyArg::Offline(OfflineKind::Easy), false),
 ];
 
 impl PolicyArg {
     pub(crate) fn parse(name: &str) -> Result<Self, CliError> {
-        let known = POLICIES.iter().find(|&&(known, _)| known == name);
-        known.map(|&(_, policy)| policy).ok_or_else(|| {
+        let known = POLICIES.iter().find(|&&(known, ..)| known == name);
+        known.map(|&(_, policy, _)| policy).ok_or_else(|| {
             CliError::Usage(format!(
                 "unknown policy '{name}' (see `resa replay --help`)"
             ))
@@ -133,11 +141,17 @@ impl PolicyArg {
 
     /// The name in `--policy` input form.
     pub(crate) fn name(self) -> &'static str {
-        POLICIES
-            .iter()
-            .find(|&&(_, p)| p == self)
-            .expect("every policy is named")
-            .0
+        self.row().0
+    }
+
+    /// Whether the policy is LSRC-class, which the paper's bounds cover.
+    pub(crate) fn lsrc_class(self) -> bool {
+        self.row().2
+    }
+
+    fn row(self) -> &'static (&'static str, PolicyArg, bool) {
+        let row = POLICIES.iter().find(|&&(_, p, _)| p == self);
+        row.expect("every policy is named")
     }
 }
 
@@ -500,7 +514,12 @@ fn run_materialized(req: &Replay, policy: PolicyArg) -> Result<ReplayReport, Cli
         .collect();
     let drained_windows_respected = drain_invariant(machines, &job_windows, &overlay_windows);
     let metrics = SimMetrics::from_schedule(&instance, &schedule);
-    let guarantees = verify_schedule(&RatioHarness::new(), &instance, &schedule);
+    let guarantees = verify_schedule(
+        &RatioHarness::new(),
+        &instance,
+        &schedule,
+        policy.lsrc_class(),
+    );
     let violations = usize::from(guarantees.has_conclusive_violation())
         + usize::from(!schedule_valid)
         + usize::from(!drained_windows_respected);
@@ -589,6 +608,7 @@ fn run_streaming(
         &overlay_res,
         &source.facts,
         outcome.metrics.makespan,
+        PolicyArg::Online(kind).lsrc_class(),
     );
     let violations = usize::from(guarantees.has_conclusive_violation())
         + usize::from(!schedule_valid)
@@ -950,8 +970,9 @@ mod tests {
     /// exit code 2) in *every* output format, not just the rendered table.
     #[test]
     fn violations_propagate_in_every_format() {
-        // A feasible but terrible schedule on a reservation-free instance:
-        // the Graham bound check is conclusive and violated.
+        // A feasible but terrible schedule on a reservation-free instance,
+        // labelled LSRC-class: the Graham bound check is conclusive and
+        // violated.
         let inst = ResaInstanceBuilder::new(4)
             .jobs(4, 1, 1u64)
             .build()
@@ -960,7 +981,7 @@ mod tests {
         for (i, j) in inst.jobs().iter().enumerate() {
             schedule.place(j.id, Time(100 * (i as u64 + 1)));
         }
-        let guarantees = verify_schedule(&RatioHarness::new(), &inst, &schedule);
+        let guarantees = verify_schedule(&RatioHarness::new(), &inst, &schedule, true);
         assert!(guarantees.has_conclusive_violation());
         let violations = usize::from(guarantees.has_conclusive_violation());
         let report = ReplayReport {
@@ -971,7 +992,7 @@ mod tests {
             clamped_jobs: 0,
             reservations: 0,
             failures: 0,
-            policy: "fcfs".into(),
+            policy: "greedy".into(),
             substrate: "timeline".into(),
             schedule_valid: true,
             drained_windows_respected: true,

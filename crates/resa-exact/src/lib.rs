@@ -124,9 +124,10 @@ mod proptests {
             if inst.n_reservations() == 0 {
                 let opt = ExactSolver::new().solve(&inst);
                 prop_assert!(opt.optimal);
-                let lsrc = Lsrc::new().makespan(&inst).ticks() as f64;
-                let m = inst.machines() as f64;
-                prop_assert!(lsrc <= (2.0 - 1.0 / m) * opt.makespan.ticks() as f64 + 1e-9);
+                let lsrc = u128::from(Lsrc::new().makespan(&inst).ticks());
+                let m = u128::from(inst.machines());
+                // C_LSRC · m ≤ (2m − 1) · C*, in integers.
+                prop_assert!(lsrc * m <= (2 * m - 1) * u128::from(opt.makespan.ticks()));
             }
         }
     }

@@ -28,14 +28,6 @@ pub struct AdversarialInstance {
     pub description: String,
 }
 
-impl AdversarialInstance {
-    /// The expected performance ratio `expected / optimal` of the targeted
-    /// algorithm on this instance.
-    pub fn expected_ratio(&self) -> f64 {
-        self.expected_makespan.ticks() as f64 / self.optimal_makespan.ticks() as f64
-    }
-}
-
 /// The Proposition-2 / Figure-3 instance for `α = 2/k`, time scaled by `k`.
 ///
 /// Construction (scaled so every quantity is an integer, exactly as the
@@ -183,8 +175,6 @@ mod tests {
         assert_eq!(adv.optimal_makespan, Time(6));
         assert_eq!(adv.expected_makespan, Time(31));
         // Ratio 31/6 = 2/α − 1 + α/2 = 6 − 1 + 1/6.
-        let expected_ratio = 6.0 - 1.0 + 1.0 / 6.0;
-        assert!((adv.expected_ratio() - expected_ratio / 6.0 * 6.0).abs() < 1e-9);
         // α-restriction holds for α = 1/3.
         assert!(inst.is_alpha_restricted(proposition2_alpha(6)));
     }
@@ -222,12 +212,13 @@ mod tests {
 
     #[test]
     fn proposition2_ratio_formula() {
-        // ratio = (1 + k(k−1)) / k = 2/α − 1 + α/2 with α = 2/k.
-        for k in 3..=10u32 {
-            let adv = proposition2_instance(k);
-            let alpha = proposition2_alpha(k).as_f64();
-            let formula = 2.0 / alpha - 1.0 + alpha / 2.0;
-            assert!((adv.expected_ratio() - formula).abs() < 1e-9, "k = {k}");
+        // ratio = (1 + k(k−1)) / k = 2/α − 1 + α/2 with α = 2/k, i.e.
+        // C · k = (k² − k + 1) · C* in integers.
+        for k in 3..=10u64 {
+            let adv = proposition2_instance(k as u32);
+            let (cmax, opt) = (adv.expected_makespan.ticks(), adv.optimal_makespan.ticks());
+            assert_eq!(cmax * k, (k * k - k + 1) * opt, "k = {k}");
+            assert_eq!(proposition2_alpha(k as u32), Alpha::two_over(k).unwrap());
         }
     }
 
@@ -243,8 +234,9 @@ mod tests {
                 "m = {m}"
             );
             assert_eq!(lower_bound(&adv.instance), Some(adv.optimal_makespan));
-            let ratio = adv.expected_ratio();
-            assert!((ratio - (2.0 - 1.0 / m as f64)).abs() < 1e-9);
+            // The family reaches 2 − 1/m exactly: C · m = (2m − 1) · C*.
+            let (cmax, opt) = (adv.expected_makespan.ticks(), adv.optimal_makespan.ticks());
+            assert_eq!(cmax * u64::from(m), (2 * u64::from(m) - 1) * opt, "m = {m}");
         }
     }
 

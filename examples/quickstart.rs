@@ -53,10 +53,11 @@ fn main() {
 
     // The guarantee that applies: with reservations bounded by (1−α)m the
     // paper's Proposition 3 gives 2/α; without reservations Graham's 2 − 1/m.
-    if let Some(alpha) = instance.max_alpha() {
+    let m = instance.machines();
+    if let Some(bound) = (PROPOSITION_3.bound)((m, m, instance.max_alpha())) {
         println!(
             "Worst-case guarantee from the paper (Proposition 3): 2/α = {:.3}",
-            alpha_upper_bound(alpha.as_f64())
+            bound.as_f64()
         );
     }
 

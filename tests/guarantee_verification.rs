@@ -27,7 +27,7 @@ fn reservation_free_instances_never_violate_graham() {
             assert_eq!(classify(&instance), InstanceClass::ReservationFree);
             for s in list_schedulers() {
                 let schedule = s.schedule(&instance);
-                let report = verify_schedule(&harness, &instance, &schedule);
+                let report = verify_schedule(&harness, &instance, &schedule, true);
                 assert!(
                     !report.has_conclusive_violation(),
                     "{} violated Graham's bound (seed {seed})",
@@ -58,7 +58,7 @@ fn nonincreasing_instances_never_violate_proposition1() {
         assert_eq!(classify(&instance), InstanceClass::NonIncreasing);
         for s in list_schedulers() {
             let schedule = s.schedule(&instance);
-            let report = verify_schedule(&harness, &instance, &schedule);
+            let report = verify_schedule(&harness, &instance, &schedule, true);
             assert!(
                 !report.has_conclusive_violation(),
                 "{} violated a bound (seed {seed}): {report:?}",
@@ -94,7 +94,7 @@ fn alpha_restricted_instances_never_violate_proposition3() {
         .instance(jobs, seed);
         for s in list_schedulers() {
             let schedule = s.schedule(&instance);
-            let report = verify_schedule(&harness, &instance, &schedule);
+            let report = verify_schedule(&harness, &instance, &schedule, true);
             assert!(
                 !report.has_conclusive_violation(),
                 "{} violated a bound (seed {seed})",
@@ -110,12 +110,19 @@ fn alpha_restricted_instances_never_violate_proposition3() {
 fn proposition2_instances_respect_the_upper_bound() {
     for k in 3..=8u32 {
         let adv = proposition2_instance(k);
-        let alpha = proposition2_alpha(k).as_f64();
-        let ratio = Lsrc::new().makespan(&adv.instance).ticks() as f64
-            / adv.optimal_makespan.ticks() as f64;
-        assert!(ratio <= alpha_upper_bound(alpha) + 1e-9, "k = {k}");
-        assert!(ratio >= lower_bound_b2(alpha) - 1e-9, "k = {k}");
-        assert!(ratio >= lower_bound_b1(alpha) - 1e-9, "k = {k}");
+        let alpha = proposition2_alpha(k);
+        let (cmax, opt) = (
+            Lsrc::new().makespan(&adv.instance).ticks(),
+            adv.optimal_makespan.ticks(),
+        );
+        let m = adv.instance.machines();
+        assert!(
+            PROPOSITION_3.admits((m, m, Some(alpha)), cmax, opt),
+            "k = {k}"
+        );
+        let ratio = Ratio::new(cmax, opt);
+        assert!(ratio >= lower_b2(alpha), "k = {k}");
+        assert!(ratio >= lower_b1(alpha), "k = {k}");
     }
 }
 

@@ -75,11 +75,12 @@ fn r2_proposition1_bound_holds() {
         let exact = ExactSolver::new().solve(&inst);
         assert!(exact.optimal, "seed {seed}");
         let available = inst.profile().capacity_at(exact.makespan).max(1);
-        let bound = nonincreasing_bound(available);
+        let params = (machines, available, None);
         let lsrc = Lsrc::new().makespan(&inst);
         assert!(
-            lsrc.ticks() as f64 <= bound * exact.makespan.ticks() as f64 + 1e-9,
-            "seed {seed}: LSRC {lsrc} vs bound {bound} × OPT {}",
+            PROPOSITION_1.admits(params, lsrc.ticks(), exact.makespan.ticks()),
+            "seed {seed}: LSRC {lsrc} vs bound {:?} × OPT {}",
+            PROPOSITION_1.at(params),
             exact.makespan
         );
         // Transformation sanity: surrogate work equals reservation area below
@@ -116,9 +117,8 @@ fn r3_proposition2_family() {
         assert_eq!(opt_schedule.makespan(&adv.instance), adv.optimal_makespan);
         // LSRC with the submission order hits the predicted ratio.
         let lsrc = Lsrc::new().makespan(&adv.instance);
-        let measured = lsrc.ticks() as f64 / adv.optimal_makespan.ticks() as f64;
-        let predicted = proposition2_lower_bound(alpha.as_f64());
-        assert!((measured - predicted).abs() < 1e-9, "k = {k}");
+        let measured = Ratio::new(lsrc.ticks(), adv.optimal_makespan.ticks());
+        assert_eq!(measured, lower_proposition2(alpha), "k = {k}");
     }
 }
 
@@ -150,11 +150,11 @@ fn r4_proposition3_upper_bound() {
             assert!(inst.is_alpha_restricted(alpha));
             let exact = ExactSolver::new().solve(&inst);
             assert!(exact.optimal);
-            let guarantee = alpha_upper_bound(alpha.as_f64());
+            let params = (machines, machines, Some(alpha));
             for order in ListOrder::DETERMINISTIC {
                 let cmax = Lsrc::with_order(order).makespan(&inst);
                 assert!(
-                    cmax.ticks() as f64 <= guarantee * exact.makespan.ticks() as f64 + 1e-9,
+                    PROPOSITION_3.admits(params, cmax.ticks(), exact.makespan.ticks()),
                     "seed {seed}, α {alpha}, order {order}"
                 );
             }
@@ -171,11 +171,11 @@ fn r5_graham_bound_and_tightness() {
         let inst = UniformWorkload::for_cluster(6, 8).instance(seed);
         let exact = ExactSolver::new().solve(&inst);
         assert!(exact.optimal);
-        let bound = graham_bound(6);
+        let params = (6, 6, None);
         for order in ListOrder::DETERMINISTIC {
             let cmax = Lsrc::with_order(order).makespan(&inst);
             assert!(
-                cmax.ticks() as f64 <= bound * exact.makespan.ticks() as f64 + 1e-9,
+                THEOREM_2.admits(params, cmax.ticks(), exact.makespan.ticks()),
                 "seed {seed}, order {order}"
             );
         }
@@ -183,9 +183,9 @@ fn r5_graham_bound_and_tightness() {
     // Tightness.
     for m in 2..=10u32 {
         let adv = graham_tight_instance(m);
-        let ratio = Lsrc::new().makespan(&adv.instance).ticks() as f64
-            / adv.optimal_makespan.ticks() as f64;
-        assert!((ratio - graham_bound(m)).abs() < 1e-9);
+        let cmax = Lsrc::new().makespan(&adv.instance).ticks();
+        let ratio = Ratio::new(cmax, adv.optimal_makespan.ticks());
+        assert_eq!(ratio, THEOREM_2.at((m, m, None)), "m = {m}");
     }
 }
 
@@ -193,16 +193,13 @@ fn r5_graham_bound_and_tightness() {
 /// coincides with the Proposition-2 value at every α = 2/k.
 #[test]
 fn figure4_series_consistency() {
-    let rows = figure4_series(0.05, 200);
+    let rows = figure4_series(Alpha::new(1, 20).unwrap(), 200);
     assert_eq!(rows.len(), 200);
     for r in &rows {
-        assert!(r.b2 <= r.b1 + 1e-9);
-        assert!(r.b1 <= r.upper_bound + 1e-9);
+        assert!(r.b2 <= r.b1 && r.b1 <= r.upper_bound, "alpha = {}", r.alpha);
     }
-    for k in 2..=20u32 {
-        let alpha = 2.0 / k as f64;
-        let b1 = lower_bound_b1(alpha);
-        let p2 = proposition2_lower_bound(alpha);
-        assert!((b1 - p2).abs() < 1e-9, "k = {k}");
+    for k in 2..=20u64 {
+        let alpha = Alpha::two_over(k).unwrap();
+        assert_eq!(lower_b1(alpha), lower_proposition2(alpha), "k = {k}");
     }
 }
