@@ -124,7 +124,7 @@ pub fn report_from_reference(
     let checks = GUARANTEES
         .iter()
         .filter(|g| g.covers.contains(&class))
-        .filter_map(|g| Some((g, (g.bound)(params)?)))
+        .filter_map(|g| (g.bound)(params).map(|bound| (g, bound)))
         .map(|(g, bound)| GuaranteeCheck {
             bound_name: (g.name)(params),
             bound: bound.as_f64(),

@@ -172,9 +172,9 @@ mod tests {
         assert_eq!(inst.machines(), 180);
         assert_eq!(inst.n_jobs(), 11);
         assert_eq!(inst.n_reservations(), 1);
+        // Ratio 31/6 = 2/α − 1 + α/2 = 6 − 1 + 1/6.
         assert_eq!(adv.optimal_makespan, Time(6));
         assert_eq!(adv.expected_makespan, Time(31));
-        // Ratio 31/6 = 2/α − 1 + α/2 = 6 − 1 + 1/6.
         // α-restriction holds for α = 1/3.
         assert!(inst.is_alpha_restricted(proposition2_alpha(6)));
     }
